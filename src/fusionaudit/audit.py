@@ -421,6 +421,8 @@ def check_algebra_report(cat, algebra_doc):
 
 
 def gr_report(cat, seed=1, corpus_size=2):
+    if corpus_size < 1:
+        raise SpecError("corpus_size must be at least 1")
     rng = random.Random(seed)
     corpus = algebra_corpus(cat, rng,
                             internal_ends=corpus_size, sums=corpus_size)

@@ -2,10 +2,8 @@
 
 Scalars are fractions.Fraction: always normalized, positive denominator,
 exact arithmetic with no tolerance anywhere.  Matrix is an immutable
-row-major wrapper; the heavy kernels (matmul, kron, rref) live in a backend
-module selected at import: the compiled Cython lane when the extension built,
-otherwise the pure-Python lane.  Both lanes implement identical conventions,
-so every derived value is byte-for-byte reproducible either way.
+row-major wrapper; the three heavy kernels (matmul, kron, rref) live in
+_kernels, which Matrix looks up at call time.
 
 Canonical choices (everything downstream depends on these being fixed):
 
@@ -19,13 +17,9 @@ Canonical choices (everything downstream depends on these being fixed):
 from fractions import Fraction
 
 from ..errors import ShapeError
+from . import _kernels
 
-try:  # pragma: no cover - exercised only when the extension is built
-    from . import _ckernels as _kernels
-    BACKEND = "compiled"
-except ImportError:
-    from . import _pykernels as _kernels
-    BACKEND = "pure"
+BACKEND = "pure"
 
 __all__ = [
     "Matrix", "BACKEND", "matmul", "kron", "kernel_basis", "solve_right",
@@ -45,10 +39,14 @@ def rat_str(x):
 
 
 def parse_rat(s):
-    """Inverse of rat_str; accepts ints as well."""
+    """Inverse of rat_str; accepts ints as well.  A zero denominator is a
+    ValueError, like any other malformed string."""
     if isinstance(s, int):
         return Fraction(s)
-    return Fraction(str(s))
+    try:
+        return Fraction(str(s))
+    except ZeroDivisionError as exc:
+        raise ValueError("zero denominator in %r" % (s,)) from exc
 
 
 class Matrix:

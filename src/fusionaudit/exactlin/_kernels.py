@@ -1,15 +1,13 @@
-"""Pure-Python kernels for exact rational matrices.
+"""Kernels for exact rational matrices.
 
 All three kernels operate on flat row-major lists of Fraction and return
-plain lists; the Matrix wrapper owns shape checking.  The compiled lane in
-_ckernels.pyx implements the same three functions with identical output so
-the lanes are interchangeable.
+plain lists; the Matrix wrapper owns shape checking.
 
 rref uses the leftmost-pivot convention: scan columns left to right, take
 the first row with a nonzero entry in the current column, swap it up,
 normalize to 1 and clear the column.  The result is the unique reduced row
 echelon form, so every value derived from it (kernel bases, particular
-solutions, ranks) is canonical and lane-independent.
+solutions, ranks) is canonical.
 """
 
 from fractions import Fraction

@@ -18,7 +18,7 @@ from .errors import GroupoidError, SpecError
 
 __all__ = [
     "Groupoid", "make_group", "make_pair_groupoid", "disjoint_union",
-    "groupoid_from_spec", "groupoid_to_spec",
+    "groupoid_from_spec",
 ]
 
 
@@ -281,7 +281,3 @@ def groupoid_from_spec(spec):
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError("bad groupoid spec: %s" % exc) from exc
     raise SpecError("unknown groupoid kind %r" % kind)
-
-
-def groupoid_to_spec(cat):
-    return cat.spec

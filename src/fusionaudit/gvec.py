@@ -39,7 +39,7 @@ __all__ = [
     "tensor_obj", "direct_sum_obj", "dual_obj", "component",
     "restrict_grades", "unit_summand", "total_mult",
     "identity_mor", "zero_mor", "compose", "tensor_mor", "tensor_mor_chain",
-    "tensor_obj_chain", "direct_sum_mor", "direct_sum_with_maps",
+    "direct_sum_mor", "direct_sum_with_maps",
     "restriction_inclusion", "restriction_projection",
     "kernel", "cokernel", "image_factorization", "hom_basis",
     "decompose_simples", "left_dual", "dual_morphism",
@@ -160,13 +160,6 @@ def tensor_obj(v, w):
                 w1 + w2 for w1 in ws1 for w2 in w.layout[g2])
     layout = {h: tuple(sorted(ws)) for h, ws in layout.items()}
     return GradedObject(cat, {h: len(ws) for h, ws in layout.items()}, layout)
-
-
-def tensor_obj_chain(objs):
-    out = objs[0]
-    for v in objs[1:]:
-        out = tensor_obj(out, v)
-    return out
 
 
 def direct_sum_obj(v, w):

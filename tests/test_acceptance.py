@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 
+from conftest import cli_env
 from fusionaudit.audit import run_audit
 from fusionaudit.corpus import algebra_corpus, random_morphism, random_object
 from fusionaudit.fixtures import FIXTURE_NAMES, fixture_spec, load_fixture
@@ -211,7 +212,7 @@ def test_criterion_4_main_theorem_audit(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "fusionaudit", "audit",
              "--category", str(path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=cli_env())
         if proc.returncode != 0:
             failures.append("%s: exit code %d" % (name, proc.returncode))
     _verdict(4, "main-theorem audit", failures)
@@ -350,7 +351,7 @@ def test_criterion_8_determinism(tmp_path):
         runs = []
         for _ in range(2):
             proc = subprocess.run([sys.executable, "-m", "fusionaudit"]
-                                  + args, capture_output=True)
+                                  + args, capture_output=True, env=cli_env())
             if proc.returncode != 0:
                 failures.append("%s: exit code %d" % (label, proc.returncode))
                 break

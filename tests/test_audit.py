@@ -1,9 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from conftest import cli_env
 from fusionaudit.audit import (
     CONDITIONS, check_algebra_report, gr_report, render_report, run_audit)
 from fusionaudit.errors import SpecError
@@ -205,7 +207,8 @@ def test_gr_report_fixtures():
 
 def _run_cli(args, tmp_path):
     return subprocess.run([sys.executable, "-m", "fusionaudit"] + args,
-                          capture_output=True, text=True, cwd=str(tmp_path))
+                          capture_output=True, text=True, cwd=str(tmp_path),
+                          env=cli_env())
 
 
 def _write_spec(tmp_path, name):
@@ -264,6 +267,20 @@ def test_cli_error_codes(tmp_path):
     res = _run_cli(["audit", "--category", str(malformed)], tmp_path)
     assert res.returncode == 2
 
+    res = _run_cli(["gr", "--category", spec, "--corpus", "0"], tmp_path)
+    assert res.returncode == 2
+    assert "input error" in res.stderr
+
+    z2 = _write_spec(tmp_path, "vec_z2")
+    alg = tmp_path / "zero_den.json"
+    alg.write_text(json.dumps({"carrier": {"mult": {"0": 1}},
+                               "mult": {"0": [["1/0"]]},
+                               "unit": {"0": [["1"]]}}))
+    res = _run_cli(["check-algebra", "--category", z2, "--algebra", str(alg)],
+                   tmp_path)
+    assert res.returncode == 2
+    assert "input error" in res.stderr
+
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_cli_audit_all_fixtures_exit_zero(tmp_path, name):
@@ -271,3 +288,29 @@ def test_cli_audit_all_fixtures_exit_zero(tmp_path, name):
     res = _run_cli(["audit", "--category", spec], tmp_path)
     assert res.returncode == 0, res.stderr
     assert "consistency: True" in res.stdout
+
+
+# sha256 of each fixture's report at the defaults, serialised as the CLI does.
+# An intentional report change updates these digests with a CHANGES.md note.
+GOLDEN_REPORTS = {
+    "vec": "cf49c61a4271f8d1411a742e3edaf1d5e1eb0b2c2956ed60824da81a0798df09",
+    "vec_z2":
+        "2e5f7d94b764b08425ecd0c40d34d6e5a544c19a6c9c4356282e5a1be9b84dbb",
+    "vec_s3":
+        "7b283abb48564a16a2f48c752280c402f82282448b3ee0a3b7af3914446449c6",
+    "pair2":
+        "96ba57534a5a3953bfb90e9db6e3ba64bea669ce62294551a345abe7ebafa785",
+    "pair3":
+        "7936c040cdd72f9c11b12572b4776b04d2a17ab8c83d8de8e319276b0c16cd10",
+    "union_z2_z2":
+        "033c366604dc6c56e3f3193efa87f483fa1e0adc2942659106d6c214fa11a312",
+}
+
+
+def test_fixture_reports_golden():
+    assert sorted(GOLDEN_REPORTS) == sorted(FIXTURE_NAMES)
+    for name in FIXTURE_NAMES:
+        text = json.dumps(run_audit(fixture_spec(name)), sort_keys=True,
+                          indent=2) + "\n"
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == GOLDEN_REPORTS[name], name
