@@ -7,6 +7,16 @@ ring, based ring, fusion ring) checks the axioms directly on the structure
 constants and reports every failing instance, so a mutation is rejected
 with the exact triple that breaks.
 
+The checks are sparse and work on any BasedRingData, mutated or not: each
+product b_i b_j is kept as its list of non-zero (k, c[i][j][k]), and every
+sum in an axiom runs over those lists and the non-zero unit coefficients
+only.  Associativity compares the b_l coefficients of (b_i b_j) b_k and
+b_i (b_j b_k) for each triple, so the suite costs O(n^3 d^2) for rank n,
+where d is the largest number of non-zero c[i][j][.] (1 for a groupoid),
+instead of the O(n^5) of the dense sums.  Failures are listed in the
+order the dense loops over i, j, k, l would find them.  ring_report runs
+each check once and derives all three verdicts from the two failure lists.
+
 The involution is not assumed: it is recomputed from left duals of the
 simples and checked to be an involutive basis permutation.
 """
@@ -29,7 +39,8 @@ class BasedRingData:
     permutation of basis indices.
     """
 
-    __slots__ = ("basis_labels", "c", "unit_coeffs", "involution")
+    __slots__ = ("basis_labels", "c", "unit_coeffs", "involution",
+                 "_nonzero")
 
     def __init__(self, basis_labels, c, unit_coeffs, involution):
         self.basis_labels = tuple(basis_labels)
@@ -46,10 +57,22 @@ class BasedRingData:
             raise ShapeError("structure constants are not rank^3")
         if len(self.unit_coeffs) != n or len(self.involution) != n:
             raise ShapeError("unit or involution length differs from rank")
+        self._nonzero = None
 
     @property
     def rank(self):
         return len(self.basis_labels)
+
+    @property
+    def nonzero(self):
+        """nonzero[i][j] lists the pairs (k, c[i][j][k]) with a non-zero
+        coefficient, in ascending k; built on first use."""
+        if self._nonzero is None:
+            self._nonzero = tuple(
+                tuple(tuple((k, x) for k, x in enumerate(row) if x)
+                      for row in plane)
+                for plane in self.c)
+        return self._nonzero
 
     def __eq__(self, other):
         return (isinstance(other, BasedRingData)
@@ -89,41 +112,63 @@ def grothendieck_ring(cat):
 
 def _zplus_failures(r):
     n = r.rank
+    nz = r.nonzero
     out = []
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                if r.c[i][j][k] < 0:
+            for k, x in nz[i][j]:
+                if x < 0:
                     out.append({"axiom": "non-negative", "at": [i, j, k]})
     if any(x < 0 for x in r.unit_coeffs):
         out.append({"axiom": "non-negative unit", "at": list(r.unit_coeffs)})
     # associativity via coefficient of b_l in (b_i b_j) b_k vs b_i (b_j b_k)
     for i in range(n):
+        nz_i = nz[i]
         for j in range(n):
+            ij = nz_i[j]
+            nz_j = nz[j]
             for k in range(n):
-                for l in range(n):
-                    lhs = sum(r.c[i][j][m] * r.c[m][k][l] for m in range(n))
-                    rhs = sum(r.c[j][k][m] * r.c[i][m][l] for m in range(n))
-                    if lhs != rhs:
+                jk = nz_j[k]
+                if not ij and not jk:
+                    continue
+                lhs = {}
+                for m, a in ij:
+                    for l, x in nz[m][k]:
+                        lhs[l] = lhs.get(l, 0) + a * x
+                rhs = {}
+                for m, a in jk:
+                    for l, x in nz_i[m]:
+                        rhs[l] = rhs.get(l, 0) + a * x
+                if lhs == rhs:
+                    continue
+                for l in sorted(lhs.keys() | rhs.keys()):
+                    left, right = lhs.get(l, 0), rhs.get(l, 0)
+                    if left != right:
                         out.append({"axiom": "associativity",
                                     "at": [i, j, k], "basis": l,
-                                    "left": lhs, "right": rhs})
+                                    "left": left, "right": right})
+    unit = [(i, u) for i, u in enumerate(r.unit_coeffs) if u]
     for j in range(n):
+        left, right = {}, {}
+        for i, u in unit:
+            for k, x in nz[i][j]:
+                left[k] = left.get(k, 0) + u * x
+            for k, x in nz[j][i]:
+                right[k] = right.get(k, 0) + u * x
         for k in range(n):
             want = 1 if j == k else 0
-            left = sum(r.unit_coeffs[i] * r.c[i][j][k] for i in range(n))
-            right = sum(r.unit_coeffs[i] * r.c[j][i][k] for i in range(n))
-            if left != want:
+            if left.get(k, 0) != want:
                 out.append({"axiom": "left unit", "at": [j, k],
-                            "value": left})
-            if right != want:
+                            "value": left.get(k, 0)})
+            if right.get(k, 0) != want:
                 out.append({"axiom": "right unit", "at": [j, k],
-                            "value": right})
+                            "value": right.get(k, 0)})
     return out
 
 
 def _based_failures(r):
     n = r.rank
+    nz = r.nonzero
     out = []
     star = r.involution
     for i in range(n):
@@ -136,38 +181,58 @@ def _based_failures(r):
     for i in range(n):
         if star[star[i]] != i:
             out.append({"axiom": "involution squares to identity", "at": i})
+    # c[i][j][k] against c[j*][i*][k*], the latter re-indexed by k through
+    # the inverse permutation, which exists even when star is not involutive
+    inverse = [0] * n
+    for k, s in enumerate(star):
+        inverse[s] = k
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                if r.c[i][j][k] != r.c[star[j]][star[i]][star[k]]:
+            here = dict(nz[i][j])
+            there = {inverse[s]: x for s, x in nz[star[j]][star[i]]}
+            for k in sorted(here.keys() | there.keys()):
+                if here.get(k, 0) != there.get(k, 0):
                     out.append({"axiom": "anti-automorphism",
                                 "at": [i, j, k]})
     # pairing: the unit coefficient of b_i b_j is 1 exactly when j = i*
+    unit = r.unit_coeffs
     for i in range(n):
         for j in range(n):
-            tau = sum(r.c[i][j][k] * r.unit_coeffs[k] for k in range(n))
+            tau = sum(x * unit[k] for k, x in nz[i][j])
             want = 1 if j == star[i] else 0
             if tau != want:
                 out.append({"axiom": "pairing", "at": [i, j], "value": tau})
     return out
 
 
-def is_zplus_ring(r):
-    failures = _zplus_failures(r)
+def _verdict(failures):
     return {"holds": not failures, "failures": failures}
+
+
+def _verdicts(r):
+    """zplus, based and fusion verdicts from one run of each check: based
+    adds the based-ring failures to the Z+ ones, fusion adds the
+    single-unit failure to those."""
+    zplus = _zplus_failures(r)
+    based = zplus + _based_failures(r)
+    fusion = based
+    if sum(r.unit_coeffs) != 1 or 1 not in r.unit_coeffs:
+        fusion = based + [{"axiom": "unit is a single basis element",
+                           "unit_coeffs": list(r.unit_coeffs)}]
+    return {"zplus": _verdict(zplus), "based": _verdict(based),
+            "fusion": _verdict(fusion)}
+
+
+def is_zplus_ring(r):
+    return _verdict(_zplus_failures(r))
 
 
 def is_based_ring(r):
-    failures = _zplus_failures(r) + _based_failures(r)
-    return {"holds": not failures, "failures": failures}
+    return _verdicts(r)["based"]
 
 
 def is_fusion_ring(r):
-    failures = _zplus_failures(r) + _based_failures(r)
-    if sum(r.unit_coeffs) != 1 or 1 not in r.unit_coeffs:
-        failures = failures + [{"axiom": "unit is a single basis element",
-                                "unit_coeffs": list(r.unit_coeffs)}]
-    return {"holds": not failures, "failures": failures}
+    return _verdicts(r)["fusion"]
 
 
 def ring_report(cat):
@@ -179,9 +244,7 @@ def ring_report(cat):
                                 for plane in r.c],
         "unit_coeffs": list(r.unit_coeffs),
         "involution": list(r.involution),
-        "zplus": is_zplus_ring(r),
-        "based": is_based_ring(r),
-        "fusion": is_fusion_ring(r),
+        **_verdicts(r),
     }
 
 

@@ -313,9 +313,10 @@ def restriction_data(a, objs):
     one = unit_object(cat)
     i_j = restriction_inclusion(one, id_grades)
     p_j = restriction_projection(one, id_grades)
-    mult_j = compose(p_aj, compose(a.mult, tensor_mor(i_aj, i_aj)))
+    mult_on_j = compose(a.mult, tensor_mor(i_aj, i_aj))
+    mult_j = compose(p_aj, mult_on_j)
     unit_j = compose(p_aj, compose(a.unit, i_j))
-    if compose(i_aj, mult_j) != compose(a.mult, tensor_mor(i_aj, i_aj)):
+    if compose(i_aj, mult_j) != mult_on_j:
         raise ConsistencyError(
             "restricted multiplication does not include back")
     unit_inside = all(cat.morphisms[g][0] in objs for g in a.unit.blocks)

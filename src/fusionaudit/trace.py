@@ -196,7 +196,8 @@ _TABLE = (
         "object, i.e. the unit is simple",
         "grothendieck.is_fusion_ring",
         ("tests/test_grothendieck.py::test_z2_ring_is_fusion_with_square_identity",
-         "tests/test_grothendieck.py::test_union_ring_two_identity_components")),
+         "tests/test_grothendieck.py::test_union_ring_two_identity_components",
+         "tests/test_grothendieck.py::test_sparse_checks_match_dense_reference")),
     TraceEntry(
         "fusion-iff-separable",
         "the ring is fusion exactly when tensoring by every non-zero "

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fusionaudit import grothendieck
 from fusionaudit.corpus import algebra_corpus
 from fusionaudit.errors import ShapeError
 from fusionaudit.fixtures import load_fixture
@@ -146,3 +149,138 @@ def test_ring_report_shape():
     assert rep["unit_coeffs"] == [1, 0, 0, 1]
     import json
     json.dumps(rep)
+
+
+def test_ring_report_runs_each_check_once(monkeypatch):
+    calls = {"_zplus_failures": 0, "_based_failures": 0}
+    for name in calls:
+        original = getattr(grothendieck, name)
+
+        def counted(r, name=name, original=original):
+            calls[name] += 1
+            return original(r)
+        monkeypatch.setattr(grothendieck, name, counted)
+    ring_report(P2)
+    assert calls == {"_zplus_failures": 1, "_based_failures": 1}
+
+
+# Dense reference checks: the O(n^5) loops the sparse checks replaced, kept
+# verbatim as the oracle for the differential tests below.
+
+def _dense_zplus_failures(r):
+    n = r.rank
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if r.c[i][j][k] < 0:
+                    out.append({"axiom": "non-negative", "at": [i, j, k]})
+    if any(x < 0 for x in r.unit_coeffs):
+        out.append({"axiom": "non-negative unit", "at": list(r.unit_coeffs)})
+    # associativity via coefficient of b_l in (b_i b_j) b_k vs b_i (b_j b_k)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    lhs = sum(r.c[i][j][m] * r.c[m][k][l] for m in range(n))
+                    rhs = sum(r.c[j][k][m] * r.c[i][m][l] for m in range(n))
+                    if lhs != rhs:
+                        out.append({"axiom": "associativity",
+                                    "at": [i, j, k], "basis": l,
+                                    "left": lhs, "right": rhs})
+    for j in range(n):
+        for k in range(n):
+            want = 1 if j == k else 0
+            left = sum(r.unit_coeffs[i] * r.c[i][j][k] for i in range(n))
+            right = sum(r.unit_coeffs[i] * r.c[j][i][k] for i in range(n))
+            if left != want:
+                out.append({"axiom": "left unit", "at": [j, k],
+                            "value": left})
+            if right != want:
+                out.append({"axiom": "right unit", "at": [j, k],
+                            "value": right})
+    return out
+
+
+def _dense_based_failures(r):
+    n = r.rank
+    out = []
+    star = r.involution
+    for i in range(n):
+        if not 0 <= star[i] < n:
+            out.append({"axiom": "involution range", "at": i})
+            return out
+    if sorted(star) != list(range(n)):
+        out.append({"axiom": "involution permutes basis", "at": list(star)})
+        return out
+    for i in range(n):
+        if star[star[i]] != i:
+            out.append({"axiom": "involution squares to identity", "at": i})
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if r.c[i][j][k] != r.c[star[j]][star[i]][star[k]]:
+                    out.append({"axiom": "anti-automorphism",
+                                "at": [i, j, k]})
+    # pairing: the unit coefficient of b_i b_j is 1 exactly when j = i*
+    for i in range(n):
+        for j in range(n):
+            tau = sum(r.c[i][j][k] * r.unit_coeffs[k] for k in range(n))
+            want = 1 if j == star[i] else 0
+            if tau != want:
+                out.append({"axiom": "pairing", "at": [i, j], "value": tau})
+    return out
+
+
+def _assert_matches_dense(r):
+    assert grothendieck._zplus_failures(r) == _dense_zplus_failures(r)
+    assert grothendieck._based_failures(r) == _dense_based_failures(r)
+
+
+def _mutant(r, rng):
+    """r with 1-3 structure constants set to values in -2..3, and sometimes
+    a changed unit coefficient, a shuffled or an out-of-range involution."""
+    n = r.rank
+    c = [[list(row) for row in plane] for plane in r.c]
+    for _ in range(rng.randint(1, 3)):
+        c[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] = \
+            rng.randint(-2, 3)
+    unit = list(r.unit_coeffs)
+    star = list(r.involution)
+    roll = rng.random()
+    if roll < 0.25:
+        unit[rng.randrange(n)] = rng.randint(-2, 3)
+    elif roll < 0.45:
+        rng.shuffle(star)
+    elif roll < 0.6:
+        star[rng.randrange(n)] = rng.choice([-1, n])
+    return BasedRingData(r.basis_labels, c, unit, star)
+
+
+def test_sparse_checks_match_dense_reference():
+    rng = random.Random(2107)
+    for cat in (VEC, Z2, S3, P2, P3, U22):
+        r = grothendieck_ring(cat)
+        _assert_matches_dense(r)
+        for _ in range(20):
+            _assert_matches_dense(_mutant(r, rng))
+
+
+@st.composite
+def _small_rings(draw):
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-2, 3)
+    c = draw(st.lists(st.lists(st.lists(entry, min_size=n, max_size=n),
+                               min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    unit = draw(st.lists(entry, min_size=n, max_size=n))
+    star = draw(st.one_of(st.permutations(range(n)),
+                          st.lists(st.integers(-1, n), min_size=n,
+                                   max_size=n)))
+    return BasedRingData(range(n), c, unit, star)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_rings())
+def test_sparse_checks_match_dense_on_random_rings(r):
+    _assert_matches_dense(r)
