@@ -18,10 +18,10 @@ otherwise the property holds exactly, and a seeded sample re-verifies it.
 from .corpus import random_morphism, random_object
 from .errors import ConsistencyError, ShapeError
 from .gvec import (
-    compose, hom_basis, identity_mor, image_factorization, is_iso,
-    restrict_grades, restriction_inclusion, restriction_projection,
-    simple_object, tensor_mor, tensor_mor_chain, tensor_obj, unit_object,
-    unit_summand, zero_mor, zero_object)
+    GradedMorphism, compose, hom_basis, identity_mor, image_factorization,
+    is_iso, restrict_grades, restriction_inclusion, restriction_projection,
+    simple_object, tensor_mor, tensor_obj, unit_object, unit_summand,
+    zero_mor, zero_object)
 from .internal import grades_within, restriction_data, support
 from .morphcalc import (
     find_retraction, find_section, is_regular, is_split_epi, is_split_mono,
@@ -461,9 +461,11 @@ def check_inclusion_frobenius(cat, objs, rng, samples=6):
 
 
 class ProjectionFunctor:
-    """X maps to 1_J (x) X (x) 1_J, which is literally the restriction of X
-    to the grades inside objs x objs; carries the lax and colax structure
-    maps built from the coordinate maps of 1."""
+    """R(X) = 1_J (x) X (x) 1_J with its lax and colax structure maps, all
+    built by restriction.  Unit slots carry the empty word, so R(f) is f's
+    blocks on the grades inside objs x objs; 1_J (x) 1_J = 1_J strictly, so
+    the lax map id (x) i_J (x) i_J (x) id is R(id_x (x) i_J (x) id_y), the
+    colax map uses p_J instead, and the unit maps are R(p_J) and R(i_J)."""
 
     __slots__ = ("cat", "objects", "grades", "one_j", "i_j", "p_j")
 
@@ -484,28 +486,25 @@ class ProjectionFunctor:
         return restrict_grades(x, self.grades)
 
     def mor(self, f):
-        one = identity_mor(self.one_j)
-        return tensor_mor(tensor_mor(one, f), one)
+        return GradedMorphism(self.obj(f.source), self.obj(f.target),
+                              {g: b for g, b in f.blocks.items()
+                               if g in self.grades})
 
     def phi(self, x, y):
         """R(x) (x) R(y) -> R(x (x) y)."""
-        lx = tensor_obj(self.one_j, x)
-        yr = tensor_obj(y, self.one_j)
-        return tensor_mor_chain([identity_mor(lx), self.i_j, self.i_j,
-                                 identity_mor(yr)])
+        return self.mor(tensor_mor(tensor_mor(identity_mor(x), self.i_j),
+                                   identity_mor(y)))
 
     def psi(self, x, y):
         """R(x (x) y) -> R(x) (x) R(y)."""
-        lx = tensor_obj(self.one_j, x)
-        yr = tensor_obj(y, self.one_j)
-        return tensor_mor_chain([identity_mor(lx), self.p_j, self.p_j,
-                                 identity_mor(yr)])
+        return self.mor(tensor_mor(tensor_mor(identity_mor(x), self.p_j),
+                                   identity_mor(y)))
 
     def phi0(self):
-        return tensor_mor(identity_mor(self.one_j), self.p_j)
+        return self.mor(self.p_j)
 
     def psi0(self):
-        return tensor_mor(identity_mor(self.one_j), self.i_j)
+        return self.mor(self.i_j)
 
 
 def check_projection_lax_colax(cat, objs, rng, samples=6):
@@ -558,11 +557,10 @@ def check_projection_lax_colax(cat, objs, rng, samples=6):
     return True
 
 
-def check_rj_algebra(a, objs):
+def check_rj_algebra(a, objs, data):
     """The lax image of an algebra under the projection matches the corner
-    restriction computed directly."""
+    restriction data = restriction_data(a, objs) computed directly."""
     rj = ProjectionFunctor(a.carrier.cat, objs)
-    data = restriction_data(a, objs)
     mult_lax = compose(rj.mor(a.mult), rj.phi(a.carrier, a.carrier))
     unit_lax = compose(rj.mor(a.unit), rj.phi0())
     return (mult_lax == data["algebra"].mult

@@ -140,6 +140,9 @@ class Groupoid:
                 elif not composable and h is not None:
                     fail.append("compose(%d, %d) defined across objects"
                                 % (g1, g2))
+                elif h is not None and not 0 <= h < m:
+                    fail.append("compose(%d, %d) = %d out of range"
+                                % (g1, g2, h))
                 elif h is not None:
                     if mors[h] != (mors[g1][0], mors[g2][1]):
                         fail.append("compose(%d, %d) = %d has wrong endpoints"
@@ -278,6 +281,6 @@ def groupoid_from_spec(spec):
                             spec["inverses"], spec=spec)
     except GroupoidError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpecError("bad groupoid spec: %s" % exc) from exc
     raise SpecError("unknown groupoid kind %r" % kind)

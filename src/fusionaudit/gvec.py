@@ -38,7 +38,7 @@ __all__ = [
     "graded_object", "zero_object", "simple_object", "unit_object",
     "tensor_obj", "direct_sum_obj", "dual_obj", "component",
     "restrict_grades", "unit_summand", "total_mult",
-    "identity_mor", "zero_mor", "compose", "tensor_mor", "tensor_mor_chain",
+    "identity_mor", "zero_mor", "compose", "tensor_mor",
     "direct_sum_mor", "direct_sum_with_maps",
     "restriction_inclusion", "restriction_projection",
     "kernel", "cokernel", "image_factorization", "hom_basis",
@@ -350,13 +350,6 @@ def tensor_mor(f, h):
     return GradedMorphism(src, tgt, blocks)
 
 
-def tensor_mor_chain(mors):
-    out = mors[0]
-    for f in mors[1:]:
-        out = tensor_mor(out, f)
-    return out
-
-
 def direct_sum_mor(f, g):
     src = direct_sum_obj(f.source, g.source)
     tgt = direct_sum_obj(f.target, g.target)
@@ -577,7 +570,8 @@ def object_from_spec(cat, doc):
     from .errors import SpecError
     try:
         mult = {int(g): int(m) for g, m in doc["mult"].items()}
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
         raise SpecError("bad object spec: %s" % exc) from exc
     if any(m < 0 for m in mult.values()):
         raise SpecError("negative multiplicity")

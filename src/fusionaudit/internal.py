@@ -381,7 +381,8 @@ def algebra_from_spec(cat, doc):
                 for p in parts[1:]:
                     out = direct_sum_algebra(out, p)
                 return out
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError,
+                OverflowError) as exc:
             raise SpecError("bad %r generator spec: %s" % (gen, exc)) from exc
         raise SpecError("unknown generator %r (expected one of %s)"
                         % (gen, ", ".join(_GENERATORS)))
@@ -393,7 +394,7 @@ def algebra_from_spec(cat, doc):
         unit = GradedMorphism(unit_object(cat), carrier,
                               _blocks_from_json(doc.get("unit")))
         return InternalAlgebra(carrier, mult, unit)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SpecError("bad algebra spec: %s" % exc) from exc
     except ShapeError as exc:
         raise SpecError("algebra spec shapes: %s" % exc) from exc

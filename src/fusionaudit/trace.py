@@ -170,7 +170,8 @@ _TABLE = (
         "exactly",
         "functors.check_projection_lax_colax",
         ("tests/test_functors.py::test_projection_lax_colax",
-         "tests/test_functors.py::test_projection_functor_is_corner_restriction")),
+         "tests/test_functors.py::test_projection_functor_is_corner_restriction",
+         "tests/test_functors.py::test_projection_functor_matches_tensor_constructions")),
     TraceEntry(
         "frobenius-pair-adjunctions",
         "inclusion and projection form a two-sided adjunction with "

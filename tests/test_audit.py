@@ -267,6 +267,14 @@ def test_cli_error_codes(tmp_path):
     res = _run_cli(["audit", "--category", str(malformed)], tmp_path)
     assert res.returncode == 2
 
+    explicit = tmp_path / "explicit.json"
+    explicit.write_text(json.dumps({
+        "kind": "explicit", "objects": 1, "morphisms": [[0, 0]],
+        "identities": [0], "inverses": [0], "compose": [[5]]}))
+    res = _run_cli(["audit", "--category", str(explicit)], tmp_path)
+    assert res.returncode == 2
+    assert "input error" in res.stderr
+
     res = _run_cli(["gr", "--category", spec, "--corpus", "0"], tmp_path)
     assert res.returncode == 2
     assert "input error" in res.stderr
@@ -314,3 +322,24 @@ def test_fixture_reports_golden():
                           indent=2) + "\n"
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == GOLDEN_REPORTS[name], name
+
+
+@pytest.mark.parametrize("name", ("vec_z2", "pair3"))
+def test_audit_restricts_each_live_algebra_once(monkeypatch, name):
+    import fusionaudit.audit
+    import fusionaudit.functors
+    import fusionaudit.internal
+    calls = []
+    original = fusionaudit.internal.restriction_data
+
+    def counted(a, objs):
+        calls.append(a)
+        return original(a, objs)
+
+    for mod in (fusionaudit.audit, fusionaudit.functors,
+                fusionaudit.internal):
+        monkeypatch.setattr(mod, "restriction_data", counted)
+    rep = run_audit(load_fixture(name))
+    live = [a for a in rep["corpus"]["algebras"] if not a["zero"]]
+    assert live
+    assert len(calls) == len(live)

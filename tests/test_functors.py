@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -12,14 +13,14 @@ from fusionaudit.functors import (
     induce_mor, is_faithful_cotensor, is_faithful_tensor, is_module_morphism,
     reflection_checks, restricted_separability, separability_verdict,
     check_section_identity, validate_comodule, validate_module)
-from fusionaudit.fixtures import load_fixture
+from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
 from fusionaudit.gvec import (
     compose, hom_basis, identity_mor, restrict_grades, restriction_inclusion,
     restriction_projection, simple_object, tensor_mor, tensor_obj,
     unit_object, unit_summand, zero_object)
 from fusionaudit.internal import (
-    dualize_algebra, groupoid_algebra, internal_end, support,
-    unit_summand_algebra)
+    dualize_algebra, groupoid_algebra, internal_end, restriction_data,
+    support, unit_summand_algebra)
 
 VEC = load_fixture("vec")
 Z2 = load_fixture("vec_z2")
@@ -261,6 +262,61 @@ def test_projection_functor_is_corner_restriction():
             assert b == f.blocks[g]
 
 
+# Reference constructions of the projection functor's maps as tensor
+# products with the unit summand 1_J and the coordinate maps of 1.
+
+def _ref_mor(rj, f):
+    one = identity_mor(rj.one_j)
+    return tensor_mor(tensor_mor(one, f), one)
+
+
+def _ref_chain(rj, x, y, unit_map):
+    """id(1_J (x) x) (x) c (x) c (x) id(y (x) 1_J), c = i_J or p_J."""
+    out = identity_mor(tensor_obj(rj.one_j, x))
+    for f in (unit_map, unit_map, identity_mor(tensor_obj(y, rj.one_j))):
+        out = tensor_mor(out, f)
+    return out
+
+
+def _same_map(f, g):
+    """Equal blocks between objects with equal slot layouts."""
+    return (f == g and f.source.layout == g.source.layout
+            and f.target.layout == g.target.layout)
+
+
+def _differential_objects(cat, rng):
+    x = random_object(cat, rng, max_total=2, allow_zero=True)
+    y = random_object(cat, rng, max_total=2, allow_zero=True)
+    return [zero_object(cat), random_object(cat, rng, max_total=3),
+            random_object(cat, rng, max_total=3, allow_zero=True),
+            tensor_obj(x, y)]
+
+
+def test_projection_functor_matches_tensor_constructions():
+    rng = random.Random(618)
+    cases = 0
+    for name in FIXTURE_NAMES:
+        cat = load_fixture(name)
+        n = cat.object_count
+        for k in range(1, n + 1):
+            for objs in combinations(range(n), k):
+                rj = ProjectionFunctor(cat, objs)
+                one_j = identity_mor(rj.one_j)
+                assert _same_map(rj.phi0(), tensor_mor(one_j, rj.p_j))
+                assert _same_map(rj.psi0(), tensor_mor(one_j, rj.i_j))
+                pool = _differential_objects(cat, rng)
+                for x in pool:
+                    for y in pool:
+                        f = random_morphism(x, y, rng)
+                        assert _same_map(rj.mor(f), _ref_mor(rj, f))
+                        assert _same_map(rj.phi(x, y),
+                                         _ref_chain(rj, x, y, rj.i_j))
+                        assert _same_map(rj.psi(x, y),
+                                         _ref_chain(rj, x, y, rj.p_j))
+                        cases += 1
+    assert cases == 16 * 16
+
+
 def test_projection_lax_colax():
     rng = random.Random(614)
     assert check_projection_lax_colax(P2, {0}, rng)
@@ -269,16 +325,20 @@ def test_projection_lax_colax():
     assert check_projection_lax_colax(Z2, {0}, rng)
 
 
+def _rj_matches(a, objs):
+    return check_rj_algebra(a, objs, restriction_data(a, objs))
+
+
 def test_rj_algebra_matches_direct_restriction():
     rng = random.Random(615)
-    assert check_rj_algebra(groupoid_algebra(P2, [0, 1]), {0})
-    assert check_rj_algebra(groupoid_algebra(U22, [0, 1]), {0})
+    assert _rj_matches(groupoid_algebra(P2, [0, 1]), {0})
+    assert _rj_matches(groupoid_algebra(U22, [0, 1]), {0})
     x = random_object(P3, rng, max_total=2)
     e = internal_end(x)
     if not e.is_zero():
-        assert check_rj_algebra(e, support(e))
+        assert _rj_matches(e, support(e))
     a = groupoid_algebra(P3, [0, 1, 2])
-    assert check_rj_algebra(a, {0, 1})
+    assert _rj_matches(a, {0, 1})
 
 
 def test_frobenius_pair():

@@ -1,5 +1,6 @@
 """Groupoid constructors, validation messages, and the frozen S3 table."""
 
+import json
 from itertools import permutations
 
 import pytest
@@ -114,6 +115,13 @@ def test_bad_specs():
         groupoid_from_spec({"kind": "group"})
     with pytest.raises(SpecError):
         groupoid_from_spec({"kind": "union", "parts": []})
+    # JSON numbers too large for a float parse as inf, which int() rejects
+    with pytest.raises(SpecError):
+        groupoid_from_spec(json.loads('{"kind": "pair", "objects": 1e400}'))
+    spec = make_group([[0]])._explicit_spec()
+    spec["objects"] = float("inf")
+    with pytest.raises(SpecError):
+        groupoid_from_spec(spec)
 
 
 def test_explicit_validation():
@@ -127,6 +135,15 @@ def test_explicit_validation():
     g["identities"] = [0, 1]
     with pytest.raises(GroupoidError, match="identity of object"):
         groupoid_from_spec(g)
+    # compose entries outside 0..m-1, negative ones included
+    one = make_group([[0]])._explicit_spec()
+    one["compose"] = [[5]]
+    with pytest.raises(GroupoidError, match=r"compose\(0, 0\) = 5 out of"):
+        groupoid_from_spec(one)
+    z3 = make_group([[0, 1, 2], [1, 2, 0], [2, 0, 1]])._explicit_spec()
+    z3["compose"][1][1] = -1
+    with pytest.raises(GroupoidError, match=r"compose\(1, 1\) = -1 out of"):
+        groupoid_from_spec(z3)
 
 
 def test_groupoid_equality_is_structural():

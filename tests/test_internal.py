@@ -1,6 +1,7 @@
 """Internal algebras and coalgebras: validators, canonical constructions,
 support, restriction, serialization."""
 
+import json
 import random
 
 import pytest
@@ -26,6 +27,8 @@ P2 = load_fixture("pair2")
 P3 = load_fixture("pair3")
 U22 = load_fixture("union_z2_z2")
 CATS = [Z2, S3, P2, P3, U22]
+# a JSON number too large for a float parses as inf
+INF = json.loads("1e400")
 
 
 def test_unit_summand_algebra_pair2():
@@ -241,6 +244,10 @@ def test_algebra_generator_specs():
     for bad in ({"gen": "bogus"}, {"gen": "unit_summand"},
                 {"gen": "groupoid_algebra", "objects": []},
                 {"carrier": {"mult": {"0": 1}}, "mult": {"0": [[1, 1]]}},
+                {"carrier": {"mult": {"0": 1}}, "mult": [1]},
+                {"carrier": {"mult": {"0": 1}}, "unit": [1]},
+                {"gen": "internal_end", "object": {"mult": {"0": INF}}},
+                {"gen": "unit_summand", "i": INF},
                 []):
         with pytest.raises(SpecError):
             algebra_from_spec(P2, bad)
