@@ -78,7 +78,8 @@ class Groupoid:
                 self.compose_table, self.inverse_of)
 
     def __eq__(self, other):
-        return isinstance(other, Groupoid) and self._key() == other._key()
+        return self is other or (isinstance(other, Groupoid)
+                                 and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())

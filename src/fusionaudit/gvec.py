@@ -48,6 +48,7 @@ __all__ = [
     "morphism_to_spec", "morphism_from_spec",
 ]
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -146,9 +147,16 @@ def _same_cat(*items):
     return cat
 
 
-def tensor_obj(v, w):
+def _tensor_layout(v, w):
+    """Enumerate the slots of v (x) w once: (v (x) w, pos).
+
+    pos[h][(g1, g2)] is a flat list whose entry i * w.m(g2) + j is the
+    position, within grade h, of the slot (g1, i, g2, j) with word
+    v.layout[g1][i] + w.layout[g2][j].  Slots are sorted by word; the sort
+    is stable, so ties keep the enumeration order (g1 over v, g2 over w,
+    i then j)."""
     cat = _same_cat(v, w)
-    layout = {}
+    words, starts = {}, {}
     for g1 in v.mult:
         ws1 = v.layout[g1]
         row = cat.compose_table[g1]
@@ -156,10 +164,25 @@ def tensor_obj(v, w):
             h = row[g2]
             if h is None:
                 continue
-            layout.setdefault(h, []).extend(
-                w1 + w2 for w1 in ws1 for w2 in w.layout[g2])
-    layout = {h: tuple(sorted(ws)) for h, ws in layout.items()}
-    return GradedObject(cat, {h: len(ws) for h, ws in layout.items()}, layout)
+            ws2 = w.layout[g2]
+            dst = words.setdefault(h, [])
+            starts.setdefault(h, []).append((g1, g2, len(dst)))
+            dst.extend(w1 + w2 for w1 in ws1 for w2 in ws2)
+    layout, pos = {}, {}
+    for h, ws in words.items():
+        order = sorted(range(len(ws)), key=ws.__getitem__)
+        layout[h] = tuple(map(ws.__getitem__, order))
+        rank = [0] * len(ws)
+        for p, k in enumerate(order):
+            rank[k] = p
+        pos[h] = {(g1, g2): rank[k:k + v.mult[g1] * w.mult[g2]]
+                  for g1, g2, k in starts[h]}
+    mult = {h: len(ws) for h, ws in layout.items()}
+    return GradedObject(cat, mult, layout), pos
+
+
+def tensor_obj(v, w):
+    return _tensor_layout(v, w)[0]
 
 
 def direct_sum_obj(v, w):
@@ -298,55 +321,48 @@ def compose(f, g):
     return GradedMorphism(g.source, f.target, out)
 
 
-def _tensor_slots(v, w):
-    """Per grade: slot metadata (word, g1, i, g2, j) of v (x) w, in slot
-    order (sorted by word)."""
-    cat = _same_cat(v, w)
-    per = {}
-    for g1 in v.mult:
-        row = cat.compose_table[g1]
-        for g2 in w.mult:
-            h = row[g2]
-            if h is None:
-                continue
-            dst = per.setdefault(h, [])
-            for i, w1 in enumerate(v.layout[g1]):
-                for j, w2 in enumerate(w.layout[g2]):
-                    dst.append((w1 + w2, g1, i, g2, j))
-    for h in per:
-        per[h].sort(key=lambda t: t[0])
-    return per
+def _nonzero_entries(b):
+    """(row, col, value) for every non-zero entry of b, row-major."""
+    cols = b.cols
+    return [(k // cols, k % cols, x) for k, x in enumerate(b.entries) if x]
 
 
 def tensor_mor(f, h):
-    src = tensor_obj(f.source, h.source)
-    tgt = tensor_obj(f.target, h.target)
-    src_slots = _tensor_slots(f.source, h.source)
-    tgt_slots = _tensor_slots(f.target, h.target)
+    """f (x) h, filled sparsely.
+
+    In the block at grade g1.g2, row (g1, i, g2, j) and column
+    (g1, ci, g2, cj) hold f[g1][i, ci] * h[g2][j, cj]; every other entry is
+    zero.  Only pairs of non-zero factor entries are visited, so a factor
+    pair (g1, g2) costs nnz(f at g1) * nnz(h at g2) products.  Each side's
+    slots are enumerated once (_tensor_layout), and each output grade's
+    Matrix is built before the next grade is filled."""
+    src, src_pos = _tensor_layout(f.source, h.source)
+    tgt, tgt_pos = _tensor_layout(f.target, h.target)
+    fnz = {g: _nonzero_entries(b) for g, b in f.blocks.items()}
+    hnz = {g: _nonzero_entries(b) for g, b in h.blocks.items()}
+    row_stride, col_stride = h.target.mult, h.source.mult
     blocks = {}
-    for g, rows in tgt_slots.items():
-        cols = src_slots.get(g)
-        if not cols:
+    for g, tpairs in tgt_pos.items():
+        spairs = src_pos.get(g)
+        if spairs is None:
             continue
-        # group columns by the factor grades; only matching grades couple
-        colclass = {}
-        for cpos, (_, g1, i, g2, j) in enumerate(cols):
-            colclass.setdefault((g1, g2), []).append((cpos, i, j))
-        data = [[Fraction(0)] * len(cols) for _ in range(len(rows))]
-        touched = False
-        for rpos, (_, g1, i, g2, j) in enumerate(rows):
-            fb = f.blocks.get(g1)
-            hb = h.blocks.get(g2)
-            if fb is None or hb is None:
+        ncols = src.mult[g]
+        data = None
+        for pair, rpos in tpairs.items():
+            fe = fnz.get(pair[0])
+            he = hnz.get(pair[1])
+            if fe is None or he is None:
                 continue
-            row = data[rpos]
-            for cpos, ci, cj in colclass.get((g1, g2), ()):
-                x = fb[i, ci] * hb[j, cj]
-                if x:
-                    row[cpos] = x
-                    touched = True
-        if touched:
-            blocks[g] = Matrix.from_rows(data)
+            cpos = spairs[pair]
+            rm, cm = row_stride[pair[1]], col_stride[pair[1]]
+            if data is None:
+                data = [_ZERO] * (tgt.mult[g] * ncols)
+            for i, ci, x in fe:
+                rbase, cbase = i * rm, ci * cm
+                for j, cj, y in he:
+                    data[rpos[rbase + j] * ncols + cpos[cbase + cj]] = x * y
+        if data is not None:
+            blocks[g] = Matrix(tgt.mult[g], ncols, data)
     return GradedMorphism(src, tgt, blocks)
 
 
@@ -503,31 +519,33 @@ def left_dual(v):
     cat = v.cat
     d = dual_obj(v)
     unit = unit_object(cat)
+    dxv, pos = _tensor_layout(d, v)
     ev_blocks = {}
-    dxv = tensor_obj(d, v)
-    slots = _tensor_slots(d, v)
     for e in cat.identity_grades:
-        cols = slots.get(e)
-        if not cols:
+        pairs = pos.get(e)
+        if not pairs:
             continue
-        row = [Fraction(0)] * len(cols)
-        for cpos, (_, g1, i, g2, j) in enumerate(cols):
-            if d.layout[g1][i] == _star_word(cat, v.layout[g2][j]):
-                row[cpos] = _ONE
-        ev_blocks[e] = Matrix(1, len(cols), row)
+        row = [_ZERO] * dxv.mult[e]
+        for (g1, g2), slots in pairs.items():
+            for k, p in enumerate(slots):
+                i, j = divmod(k, v.mult[g2])
+                if d.layout[g1][i] == _star_word(cat, v.layout[g2][j]):
+                    row[p] = _ONE
+        ev_blocks[e] = Matrix(1, len(row), row)
     ev = GradedMorphism(dxv, unit, ev_blocks)
-    vxd = tensor_obj(v, d)
-    slots = _tensor_slots(v, d)
+    vxd, pos = _tensor_layout(v, d)
     coev_blocks = {}
     for e in cat.identity_grades:
-        rows = slots.get(e)
-        if not rows:
+        pairs = pos.get(e)
+        if not pairs:
             continue
-        col = [Fraction(0)] * len(rows)
-        for rpos, (_, g1, i, g2, j) in enumerate(rows):
-            if d.layout[g2][j] == _star_word(cat, v.layout[g1][i]):
-                col[rpos] = _ONE
-        coev_blocks[e] = Matrix(len(rows), 1, col)
+        col = [_ZERO] * vxd.mult[e]
+        for (g1, g2), slots in pairs.items():
+            for k, p in enumerate(slots):
+                i, j = divmod(k, d.mult[g2])
+                if d.layout[g2][j] == _star_word(cat, v.layout[g1][i]):
+                    col[p] = _ONE
+        coev_blocks[e] = Matrix(len(col), 1, col)
     coev = GradedMorphism(unit, vxd, coev_blocks)
     return d, ev, coev
 

@@ -15,7 +15,7 @@ is exactly the in-memory order, so parsing needs no permutation.
 from .errors import ConsistencyError, ShapeError, SpecError
 from .exactlin import Matrix, parse_rat, rat_str
 from .gvec import (
-    GradedMorphism, _tensor_slots, compose, dual_morphism, dual_obj,
+    GradedMorphism, _tensor_layout, compose, dual_morphism, dual_obj,
     direct_sum_with_maps, graded_object, identity_mor, left_dual,
     object_from_spec, object_to_spec, restrict_grades, restriction_inclusion,
     restriction_projection, tensor_mor, tensor_obj, unit_object,
@@ -109,20 +109,10 @@ def _pair_columns(carrier):
     """Per grade of carrier (x) carrier: the memory position of every slot,
     listed in canonical order (composable grade pairs as the groupoid
     enumerates them, slot pairs row-major)."""
-    cat = carrier.cat
-    mem = _tensor_slots(carrier, carrier)
-    out = {}
-    for h, slots in mem.items():
-        lookup = {(g1, i, g2, j): p
-                  for p, (_, g1, i, g2, j) in enumerate(slots)}
-        order = []
-        for g1, g2 in cat.pairs_into[h]:
-            m1, m2 = carrier.m(g1), carrier.m(g2)
-            for i in range(m1):
-                for j in range(m2):
-                    order.append(lookup[(g1, i, g2, j)])
-        out[h] = order
-    return out
+    pairs_into = carrier.cat.pairs_into
+    _, pos = _tensor_layout(carrier, carrier)
+    return {h: [p for pair in pairs_into[h] for p in per.get(pair, ())]
+            for h, per in pos.items()}
 
 
 def _canonical_pair_blocks(carrier, mult):

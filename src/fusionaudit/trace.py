@@ -20,7 +20,10 @@ _TABLE = (
         "nose, with no associator bookkeeping",
         "gvec.tensor_obj / gvec.tensor_mor",
         ("tests/test_gvec.py::test_tensor_associative_on_objects_and_morphisms",
-         "tests/test_gvec.py::test_tensor_interchange")),
+         "tests/test_gvec.py::test_tensor_interchange",
+         "tests/test_gvec.py::test_sparse_tensor_mor_matches_dense_reference",
+         "tests/test_gvec.py::"
+         "test_sparse_tensor_mor_matches_dense_on_random_groupoids")),
     TraceEntry(
         "unit-laws-literal",
         "tensoring with the unit object is the identity on objects and "

@@ -343,3 +343,23 @@ def test_audit_restricts_each_live_algebra_once(monkeypatch, name):
     live = [a for a in rep["corpus"]["algebras"] if not a["zero"]]
     assert live
     assert len(calls) == len(live)
+
+
+@pytest.mark.parametrize("name", ("vec_z2", "pair3"))
+def test_audit_computes_each_unit_idempotent_once(monkeypatch, name):
+    # e_M = id_M (x) e_1, so the idempotent suite needs e_1 once per live
+    # algebra, not twice per sample
+    import fusionaudit.audit
+    calls = []
+    original = fusionaudit.audit.idempotent_e
+
+    def counted(a, m):
+        calls.append(a)
+        return original(a, m)
+
+    monkeypatch.setattr(fusionaudit.audit, "idempotent_e", counted)
+    rep = run_audit(load_fixture(name), samples=4)
+    live = rep["structural"]["idempotents"]
+    assert live
+    assert len(calls) == len(live)
+    assert len({id(a) for a in calls}) == len(live)

@@ -5,17 +5,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionaudit.corpus import random_morphism, random_object
 from fusionaudit.errors import ShapeError, SpecError
 from fusionaudit.exactlin import Matrix
-from fusionaudit.fixtures import load_fixture
+from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
+from fusionaudit.groupoid import (
+    Groupoid, disjoint_union, make_group, make_pair_groupoid)
 from fusionaudit.gvec import (
-    GradedMorphism, component, compose, cokernel, decompose_simples,
-    direct_sum_mor, direct_sum_obj, direct_sum_with_maps, dual_morphism,
-    dual_obj, graded_object, hom_basis, identity_mor, image_factorization,
-    is_epi, is_iso, is_mono, kernel, left_dual, morphism_from_spec,
-    morphism_to_spec, object_from_spec, object_to_spec, restrict_grades,
+    GradedMorphism, GradedObject, _same_cat, component, compose, cokernel,
+    decompose_simples, direct_sum_mor, direct_sum_obj, direct_sum_with_maps,
+    dual_morphism, dual_obj, graded_object, hom_basis, identity_mor,
+    image_factorization, is_epi, is_iso, is_mono, kernel, left_dual,
+    morphism_from_spec, morphism_to_spec, object_from_spec, object_to_spec,
+    restrict_grades, restriction_inclusion, restriction_projection,
     simple_object, tensor_mor, tensor_obj, total_mult, unit_object,
     unit_summand, zero_mor, zero_object)
 
@@ -377,3 +382,168 @@ def test_layout_invariants_everywhere():
             check_layout(kernel(f)[0])
             check_layout(cokernel(f)[0])
             check_layout(image_factorization(f)[0].target)
+
+
+# Reference oracle for the sparse tensor_mor: the dense block build it
+# replaced, kept verbatim (slot metadata sorted by word, both sides
+# enumerated by tensor_obj and again by _tensor_slots, rows x cols filled
+# per grade).
+
+def _dense_tensor_obj(v, w):
+    cat = _same_cat(v, w)
+    layout = {}
+    for g1 in v.mult:
+        ws1 = v.layout[g1]
+        row = cat.compose_table[g1]
+        for g2 in w.mult:
+            h = row[g2]
+            if h is None:
+                continue
+            layout.setdefault(h, []).extend(
+                w1 + w2 for w1 in ws1 for w2 in w.layout[g2])
+    layout = {h: tuple(sorted(ws)) for h, ws in layout.items()}
+    return GradedObject(cat, {h: len(ws) for h, ws in layout.items()}, layout)
+
+
+def _dense_tensor_slots(v, w):
+    """Per grade: slot metadata (word, g1, i, g2, j) of v (x) w, in slot
+    order (sorted by word)."""
+    cat = _same_cat(v, w)
+    per = {}
+    for g1 in v.mult:
+        row = cat.compose_table[g1]
+        for g2 in w.mult:
+            h = row[g2]
+            if h is None:
+                continue
+            dst = per.setdefault(h, [])
+            for i, w1 in enumerate(v.layout[g1]):
+                for j, w2 in enumerate(w.layout[g2]):
+                    dst.append((w1 + w2, g1, i, g2, j))
+    for h in per:
+        per[h].sort(key=lambda t: t[0])
+    return per
+
+
+def _dense_tensor_mor(f, h):
+    src = _dense_tensor_obj(f.source, h.source)
+    tgt = _dense_tensor_obj(f.target, h.target)
+    src_slots = _dense_tensor_slots(f.source, h.source)
+    tgt_slots = _dense_tensor_slots(f.target, h.target)
+    blocks = {}
+    for g, rows in tgt_slots.items():
+        cols = src_slots.get(g)
+        if not cols:
+            continue
+        # group columns by the factor grades; only matching grades couple
+        colclass = {}
+        for cpos, (_, g1, i, g2, j) in enumerate(cols):
+            colclass.setdefault((g1, g2), []).append((cpos, i, j))
+        data = [[Fraction(0)] * len(cols) for _ in range(len(rows))]
+        touched = False
+        for rpos, (_, g1, i, g2, j) in enumerate(rows):
+            fb = f.blocks.get(g1)
+            hb = h.blocks.get(g2)
+            if fb is None or hb is None:
+                continue
+            row = data[rpos]
+            for cpos, ci, cj in colclass.get((g1, g2), ()):
+                x = fb[i, ci] * hb[j, cj]
+                if x:
+                    row[cpos] = x
+                    touched = True
+        if touched:
+            blocks[g] = Matrix.from_rows(data)
+    return GradedMorphism(src, tgt, blocks)
+
+
+def _assert_same_tensor(f, h):
+    """Sparse and dense f (x) h agree exactly: blocks (grade order and
+    Fractions included), multiplicities and both slot layouts."""
+    got, ref = tensor_mor(f, h), _dense_tensor_mor(f, h)
+    assert list(got.blocks.items()) == list(ref.blocks.items())
+    for side in ("source", "target"):
+        a, b = getattr(got, side), getattr(ref, side)
+        assert list(a.mult.items()) == list(b.mult.items())
+        assert a.layout == b.layout
+    obj = tensor_obj(f.source, h.source)
+    assert obj == ref.source and obj.layout == ref.source.layout
+
+
+def _differential_factors(cat, rng):
+    """Morphisms of every kind the audit tensors: random ones with zero
+    blocks and zero endpoints, identities, restriction inclusions and
+    projections, and maps between tensor products, direct sums, duals and
+    the unit (non-atomic slot words)."""
+    x = random_object(cat, rng, max_total=2, allow_zero=True)
+    y = random_object(cat, rng, max_total=2)
+    objs = [zero_object(cat), unit_object(cat),
+            random_object(cat, rng, max_total=3),
+            tensor_obj(x, y), direct_sum_obj(x, y), dual_obj(y),
+            tensor_obj(dual_obj(y), direct_sum_obj(y, x))]
+    out = []
+    for v in objs:
+        out.append(identity_mor(v))
+        grades = {g for g in v.mult if rng.random() < 0.5}
+        out.append(restriction_inclusion(v, grades))
+        out.append(restriction_projection(v, grades))
+        w = rng.choice(objs)
+        out.append(random_morphism(v, w, rng, zero_weight=rng.choice((1, 8))))
+        out.append(zero_mor(v, w))
+    _, ev, coev = left_dual(y)
+    _, inj, _, _, proj = direct_sum_with_maps(x, y)
+    out.extend((ev, coev, inj, proj))
+    return out
+
+
+def test_sparse_tensor_mor_matches_dense_reference():
+    rng = random.Random(419)
+    cases = 0
+    for name in FIXTURE_NAMES:
+        cat = load_fixture(name)
+        factors = _differential_factors(cat, rng)
+        for f in factors:
+            for h in rng.sample(factors, 12):
+                _assert_same_tensor(f, h)
+                cases += 1
+    assert cases == 6 * 39 * 12
+
+
+def _relabelled(cat, perm):
+    """cat with morphism g renamed perm[g]: the same groupoid, enumerated
+    in another order."""
+    m = cat.morphism_count
+    inv = [0] * m
+    for g, p in enumerate(perm):
+        inv[p] = g
+    table = [[None if cat.compose_table[inv[a]][inv[b]] is None
+              else perm[cat.compose_table[inv[a]][inv[b]]]
+              for b in range(m)] for a in range(m)]
+    return Groupoid(cat.object_count,
+                    [cat.morphisms[inv[p]] for p in range(m)],
+                    [perm[e] for e in cat.identity_of], table,
+                    [perm[cat.inverse_of[inv[p]]] for p in range(m)])
+
+
+def _cyclic(n):
+    return make_group([[(i + j) % n for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def _small_groupoids(draw):
+    if draw(st.booleans()):
+        cat = _cyclic(draw(st.integers(1, 3)))
+        for _ in range(draw(st.integers(0, 2))):
+            cat = disjoint_union(cat, _cyclic(draw(st.integers(1, 3))))
+        return cat
+    cat = make_pair_groupoid(draw(st.integers(1, 3)))
+    return _relabelled(cat, draw(st.permutations(range(cat.morphism_count))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_groupoids(), st.integers(0, 2**32 - 1))
+def test_sparse_tensor_mor_matches_dense_on_random_groupoids(cat, seed):
+    rng = random.Random(seed)
+    factors = _differential_factors(cat, rng)
+    for _ in range(30):
+        _assert_same_tensor(rng.choice(factors), rng.choice(factors))
