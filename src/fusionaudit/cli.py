@@ -2,7 +2,9 @@
 
 Exit codes: 0 = completed and consistent, 2 = input error, 3 = internal
 consistency violation (a theorem failed to re-verify, which is a defect in
-the artifact, never a property of the input).
+the artifact, never a property of the input), 4 = internal error (any other
+unexpected exception, reported as one line "internal error: <type>:
+<message>" instead of a traceback).
 """
 
 import argparse
@@ -100,6 +102,11 @@ def main(argv=None):
     except ConsistencyError as exc:
         print("consistency violation: %s" % exc, file=sys.stderr)
         return 3
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__,
+                                           " ".join(str(exc).split())),
+              file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -15,8 +15,11 @@ by tensoring.  A dead simple yields concrete counterexample morphisms;
 otherwise the property holds exactly, and a seeded sample re-verifies it.
 """
 
+from fractions import Fraction
+
 from .corpus import random_morphism, random_object
 from .errors import ConsistencyError, ShapeError
+from .exactlin import Matrix
 from .gvec import (
     GradedMorphism, compose, hom_basis, identity_mor, image_factorization,
     is_iso, restrict_grades, restriction_inclusion, restriction_projection,
@@ -40,6 +43,9 @@ __all__ = [
     "ProjectionFunctor", "check_projection_lax_colax", "check_rj_algebra",
     "frobenius_pair_check", "restricted_separability",
 ]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class ModuleObject:
@@ -420,6 +426,15 @@ def inclusion_LJ(cat, objs):
             "psi0": restriction_inclusion(one, id_grades)}
 
 
+def _zero_one(rows, cols, ones):
+    """The rows x cols matrix with 1 at the row-major positions ones and 0
+    elsewhere."""
+    data = [_ZERO] * (rows * cols)
+    for k in ones:
+        data[k] = _ONE
+    return Matrix(rows, cols, data)
+
+
 def _random_sub_object(cat, objs, rng, max_total=3):
     return restrict_grades(random_object(cat, rng, max_total=max_total),
                            grades_within(cat, objs))
@@ -461,11 +476,18 @@ def check_inclusion_frobenius(cat, objs, rng, samples=6):
 
 
 class ProjectionFunctor:
-    """R(X) = 1_J (x) X (x) 1_J with its lax and colax structure maps, all
-    built by restriction.  Unit slots carry the empty word, so R(f) is f's
-    blocks on the grades inside objs x objs; 1_J (x) 1_J = 1_J strictly, so
-    the lax map id (x) i_J (x) i_J (x) id is R(id_x (x) i_J (x) id_y), the
-    colax map uses p_J instead, and the unit maps are R(p_J) and R(i_J)."""
+    """R(X) = 1_J (x) X (x) 1_J with its lax and colax structure maps.
+
+    Unit slots carry the empty word, so R(f) is f's blocks on the grades
+    inside objs x objs, and the unit maps are R(p_J) and R(i_J).  The lax
+    map id (x) i_J (x) i_J (x) id is R(id_x (x) i_J (x) id_y), since
+    1_J (x) 1_J = 1_J strictly; the colax map uses p_J instead.  No
+    arithmetic is needed for either: as laid-out objects
+    R(x) (x) R(y) = R(x (x) 1_J (x) y), the slots of x (x) y that pass
+    through an object of J, with the same words.  On each grade, phi(x, y)
+    is therefore the 0/1 map sending every slot of R(x) (x) R(y) to the
+    slot of R(x (x) y) with the same word, and psi(x, y) is its transpose.
+    Both are built from the two slot layouts alone."""
 
     __slots__ = ("cat", "objects", "grades", "one_j", "i_j", "p_j")
 
@@ -490,15 +512,37 @@ class ProjectionFunctor:
                               {g: b for g, b in f.blocks.items()
                                if g in self.grades})
 
+    def _word_match(self, x, y):
+        """(R(x) (x) R(y), R(x (x) y), rows) where rows[h][c] is the slot
+        of R(x (x) y) at grade h whose word is that of slot c of
+        R(x) (x) R(y)."""
+        small = tensor_obj(self.obj(x), self.obj(y))
+        big = self.obj(tensor_obj(x, y))
+        rows = {}
+        for h, words in small.layout.items():
+            slot = {w: r for r, w in enumerate(big.layout[h])}
+            rows[h] = [slot[w] for w in words]
+        return small, big, rows
+
     def phi(self, x, y):
         """R(x) (x) R(y) -> R(x (x) y)."""
-        return self.mor(tensor_mor(tensor_mor(identity_mor(x), self.i_j),
-                                   identity_mor(y)))
+        small, big, rows = self._word_match(x, y)
+        blocks = {}
+        for h, r in rows.items():
+            n = len(r)
+            blocks[h] = _zero_one(big.mult[h], n,
+                                  [i * n + c for c, i in enumerate(r)])
+        return GradedMorphism(small, big, blocks)
 
     def psi(self, x, y):
         """R(x (x) y) -> R(x) (x) R(y)."""
-        return self.mor(tensor_mor(tensor_mor(identity_mor(x), self.p_j),
-                                   identity_mor(y)))
+        small, big, rows = self._word_match(x, y)
+        blocks = {}
+        for h, r in rows.items():
+            n = big.mult[h]
+            blocks[h] = _zero_one(len(r), n,
+                                  [c * n + i for c, i in enumerate(r)])
+        return GradedMorphism(big, small, blocks)
 
     def phi0(self):
         return self.mor(self.p_j)

@@ -45,6 +45,7 @@ class Groupoid:
                 if h is not None:
                     pairs[h].append((g1, g2))
         self.pairs_into = {h: tuple(ps) for h, ps in pairs.items()}
+        self._hash = hash(self._key())
 
     # -- basic lookups ----------------------------------------------------
 
@@ -82,7 +83,7 @@ class Groupoid:
                                  and self._key() == other._key())
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self):
         return "Groupoid(objects=%d, morphisms=%d)" % (
@@ -257,6 +258,14 @@ def disjoint_union(a, b):
         spec={"kind": "union", "parts": [a.spec, b.spec]})
 
 
+def _spec_count(spec, key):
+    """spec[key] as a count: a JSON integer, not a bool, float or string."""
+    value = spec[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecError("%r must be an integer, got %r" % (key, value))
+    return value
+
+
 def groupoid_from_spec(spec):
     """Build a groupoid from its JSON form (kinds: group, pair, union,
     explicit)."""
@@ -267,7 +276,7 @@ def groupoid_from_spec(spec):
         if kind == "group":
             return make_group(spec["table"])
         if kind == "pair":
-            return make_pair_groupoid(int(spec["objects"]))
+            return make_pair_groupoid(_spec_count(spec, "objects"))
         if kind == "union":
             parts = [groupoid_from_spec(p) for p in spec["parts"]]
             if not parts:
@@ -277,7 +286,7 @@ def groupoid_from_spec(spec):
                 out = disjoint_union(out, p)
             return out
         if kind == "explicit":
-            return Groupoid(spec["objects"], spec["morphisms"],
+            return Groupoid(_spec_count(spec, "objects"), spec["morphisms"],
                             spec["identities"], spec["compose"],
                             spec["inverses"], spec=spec)
     except GroupoidError:

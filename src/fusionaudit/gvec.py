@@ -71,8 +71,9 @@ def _star_word(cat, word):
 class GradedObject:
     """Multiplicity vector over the grades of a groupoid.
 
-    mult holds only positive entries; layout[g] is the sorted tuple of slot
-    words at grade g, one per multiplicity unit.
+    mult holds only positive entries; layout has the same grades, and
+    layout[g] is the sorted tuple of slot words at grade g, one per
+    multiplicity unit.
     """
 
     __slots__ = ("cat", "mult", "layout", "_hash")
@@ -147,6 +148,12 @@ def _same_cat(*items):
     return cat
 
 
+# Bound on the number of remembered slot enumerations (see _tensor_layout).
+# At 64 the peak RSS of repeated S4 audits stays flat; 256 added ~2 MB.
+_LAYOUT_MEMO_SIZE = 64
+_layout_memo = {}
+
+
 def _tensor_layout(v, w):
     """Enumerate the slots of v (x) w once: (v (x) w, pos).
 
@@ -154,19 +161,29 @@ def _tensor_layout(v, w):
     position, within grade h, of the slot (g1, i, g2, j) with word
     v.layout[g1][i] + w.layout[g2][j].  Slots are sorted by word; the sort
     is stable, so ties keep the enumeration order (g1 over v, g2 over w,
-    i then j)."""
+    i then j).
+
+    The result depends only on the groupoid and the two layouts, so it is
+    remembered under exactly those (object equality compares multiplicities
+    only, and objects with equal multiplicities can lay out different
+    words).  At most _LAYOUT_MEMO_SIZE results are kept; the memo is
+    emptied when full.  Callers share the returned object and pos lists
+    and must not mutate them."""
     cat = _same_cat(v, w)
+    key = (cat, tuple(v.layout.items()), tuple(w.layout.items()))
+    hit = _layout_memo.get(key)
+    if hit is not None:
+        return hit
     words, starts = {}, {}
-    for g1 in v.mult:
-        ws1 = v.layout[g1]
+    for g1, ws1 in v.layout.items():
         row = cat.compose_table[g1]
-        for g2 in w.mult:
+        for g2, ws2 in w.layout.items():
             h = row[g2]
             if h is None:
                 continue
-            ws2 = w.layout[g2]
             dst = words.setdefault(h, [])
-            starts.setdefault(h, []).append((g1, g2, len(dst)))
+            starts.setdefault(h, []).append(
+                (g1, g2, len(dst), len(ws1) * len(ws2)))
             dst.extend(w1 + w2 for w1 in ws1 for w2 in ws2)
     layout, pos = {}, {}
     for h, ws in words.items():
@@ -175,10 +192,13 @@ def _tensor_layout(v, w):
         rank = [0] * len(ws)
         for p, k in enumerate(order):
             rank[k] = p
-        pos[h] = {(g1, g2): rank[k:k + v.mult[g1] * w.mult[g2]]
-                  for g1, g2, k in starts[h]}
+        pos[h] = {(g1, g2): rank[k:k + n] for g1, g2, k, n in starts[h]}
     mult = {h: len(ws) for h, ws in layout.items()}
-    return GradedObject(cat, mult, layout), pos
+    out = GradedObject(cat, mult, layout), pos
+    if len(_layout_memo) >= _LAYOUT_MEMO_SIZE:
+        _layout_memo.clear()
+    _layout_memo[key] = out
+    return out
 
 
 def tensor_obj(v, w):

@@ -174,7 +174,8 @@ _TABLE = (
         "functors.check_projection_lax_colax",
         ("tests/test_functors.py::test_projection_lax_colax",
          "tests/test_functors.py::test_projection_functor_is_corner_restriction",
-         "tests/test_functors.py::test_projection_functor_matches_tensor_constructions")),
+         "tests/test_functors.py::test_projection_functor_matches_tensor_constructions",
+         "tests/test_functors.py::test_projection_functor_matches_tensor_constructions_on_random_groupoids")),
     TraceEntry(
         "frobenius-pair-adjunctions",
         "inclusion and projection form a two-sided adjunction with "

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from conftest import cli_env
+from fusionaudit import audit, cli
 from fusionaudit.audit import (
     CONDITIONS, check_algebra_report, gr_report, render_report, run_audit)
 from fusionaudit.errors import SpecError
@@ -275,6 +276,20 @@ def test_cli_error_codes(tmp_path):
     assert res.returncode == 2
     assert "input error" in res.stderr
 
+    # counts that are not JSON integers (each of these exited 0 before)
+    pair = tmp_path / "pair.json"
+    for count in (True, 2.5, "2"):
+        pair.write_text(json.dumps({"kind": "pair", "objects": count}))
+        res = _run_cli(["audit", "--category", str(pair)], tmp_path)
+        assert res.returncode == 2, count
+        assert "input error" in res.stderr
+    explicit.write_text(json.dumps({
+        "kind": "explicit", "objects": True, "morphisms": [[0, 0]],
+        "identities": [0], "inverses": [0], "compose": [[0]]}))
+    res = _run_cli(["audit", "--category", str(explicit)], tmp_path)
+    assert res.returncode == 2
+    assert "input error" in res.stderr
+
     res = _run_cli(["gr", "--category", spec, "--corpus", "0"], tmp_path)
     assert res.returncode == 2
     assert "input error" in res.stderr
@@ -288,6 +303,17 @@ def test_cli_error_codes(tmp_path):
                    tmp_path)
     assert res.returncode == 2
     assert "input error" in res.stderr
+
+
+def test_cli_internal_error_exits_4(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("corpus\nbroke")
+
+    monkeypatch.setattr(audit, "algebra_corpus", broken)
+    spec = _write_spec(tmp_path, "vec")
+    assert cli.main(["audit", "--category", spec]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: corpus broke\n"
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -2,7 +2,11 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import _small_groupoids
+from fusionaudit import functors, gvec
 from fusionaudit.corpus import algebra_corpus, coalgebra_corpus, random_morphism, random_object
 from fusionaudit.errors import ConsistencyError
 from fusionaudit.functors import (
@@ -315,6 +319,48 @@ def test_projection_functor_matches_tensor_constructions():
                                          _ref_chain(rj, x, y, rj.p_j))
                         cases += 1
     assert cases == 16 * 16
+
+
+def _assert_projection_matches_references(rj, rng):
+    one_j = identity_mor(rj.one_j)
+    assert _same_map(rj.phi0(), tensor_mor(one_j, rj.p_j))
+    assert _same_map(rj.psi0(), tensor_mor(one_j, rj.i_j))
+    pool = _differential_objects(rj.cat, rng)
+    for x in pool:
+        for y in pool:
+            f = random_morphism(x, y, rng)
+            assert _same_map(rj.mor(f), _ref_mor(rj, f))
+            assert _same_map(rj.phi(x, y), _ref_chain(rj, x, y, rj.i_j))
+            assert _same_map(rj.psi(x, y), _ref_chain(rj, x, y, rj.p_j))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_groupoids(), st.data(), st.integers(0, 2**32 - 1))
+def test_projection_functor_matches_tensor_constructions_on_random_groupoids(
+        cat, data, seed):
+    objs = data.draw(st.sets(st.integers(0, cat.object_count - 1),
+                             min_size=1))
+    _assert_projection_matches_references(
+        ProjectionFunctor(cat, objs), random.Random(seed))
+
+
+def test_lax_maps_call_no_tensor_mor(monkeypatch):
+    calls = []
+
+    def counting(f, h):
+        calls.append(1)
+        return tensor_mor(f, h)
+
+    monkeypatch.setattr(gvec, "tensor_mor", counting)
+    monkeypatch.setattr(functors, "tensor_mor", counting)
+    rng = random.Random(619)
+    rj = ProjectionFunctor(P3, {0, 2})
+    for _ in range(10):
+        x = random_object(P3, rng, max_total=4)
+        y = random_object(P3, rng, max_total=4)
+        rj.phi(x, y)
+        rj.psi(x, y)
+    assert calls == []
 
 
 def test_projection_lax_colax():

@@ -122,6 +122,13 @@ def test_bad_specs():
     spec["objects"] = float("inf")
     with pytest.raises(SpecError):
         groupoid_from_spec(spec)
+    # counts must be JSON integers: no bool, float or string
+    for bad in (True, False, 2.5, 2.0, "2"):
+        with pytest.raises(SpecError, match="integer"):
+            groupoid_from_spec({"kind": "pair", "objects": bad})
+        spec["objects"] = bad
+        with pytest.raises(SpecError, match="integer"):
+            groupoid_from_spec(spec)
 
 
 def test_explicit_validation():

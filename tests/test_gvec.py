@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _small_groupoids
+from fusionaudit import gvec
+from fusionaudit.audit import run_audit
 from fusionaudit.corpus import random_morphism, random_object
 from fusionaudit.errors import ShapeError, SpecError
 from fusionaudit.exactlin import Matrix
 from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
-from fusionaudit.groupoid import (
-    Groupoid, disjoint_union, make_group, make_pair_groupoid)
 from fusionaudit.gvec import (
-    GradedMorphism, GradedObject, _same_cat, component, compose, cokernel,
+    GradedMorphism, GradedObject, _same_cat, _tensor_layout, component, compose, cokernel,
     decompose_simples, direct_sum_mor, direct_sum_obj, direct_sum_with_maps,
     dual_morphism, dual_obj, graded_object, hom_basis, identity_mor,
     image_factorization, is_epi, is_iso, is_mono, kernel, left_dual,
@@ -509,37 +510,6 @@ def test_sparse_tensor_mor_matches_dense_reference():
     assert cases == 6 * 39 * 12
 
 
-def _relabelled(cat, perm):
-    """cat with morphism g renamed perm[g]: the same groupoid, enumerated
-    in another order."""
-    m = cat.morphism_count
-    inv = [0] * m
-    for g, p in enumerate(perm):
-        inv[p] = g
-    table = [[None if cat.compose_table[inv[a]][inv[b]] is None
-              else perm[cat.compose_table[inv[a]][inv[b]]]
-              for b in range(m)] for a in range(m)]
-    return Groupoid(cat.object_count,
-                    [cat.morphisms[inv[p]] for p in range(m)],
-                    [perm[e] for e in cat.identity_of], table,
-                    [perm[cat.inverse_of[inv[p]]] for p in range(m)])
-
-
-def _cyclic(n):
-    return make_group([[(i + j) % n for j in range(n)] for i in range(n)])
-
-
-@st.composite
-def _small_groupoids(draw):
-    if draw(st.booleans()):
-        cat = _cyclic(draw(st.integers(1, 3)))
-        for _ in range(draw(st.integers(0, 2))):
-            cat = disjoint_union(cat, _cyclic(draw(st.integers(1, 3))))
-        return cat
-    cat = make_pair_groupoid(draw(st.integers(1, 3)))
-    return _relabelled(cat, draw(st.permutations(range(cat.morphism_count))))
-
-
 @settings(max_examples=60, deadline=None)
 @given(_small_groupoids(), st.integers(0, 2**32 - 1))
 def test_sparse_tensor_mor_matches_dense_on_random_groupoids(cat, seed):
@@ -547,3 +517,46 @@ def test_sparse_tensor_mor_matches_dense_on_random_groupoids(cat, seed):
     factors = _differential_factors(cat, rng)
     for _ in range(30):
         _assert_same_tensor(rng.choice(factors), rng.choice(factors))
+
+
+def test_layout_memo_keys_on_slot_words(monkeypatch):
+    """Equal multiplicities do not share a memoised layout: the grade-1
+    word of this product sorts before its grade-0 word, so the slots of
+    its square interleave the other way round."""
+    atomic = graded_object(Z2, {0: 1, 1: 1})
+    product = tensor_obj(simple_object(Z2, 1), atomic)
+    assert product == atomic and product.layout != atomic.layout
+    fresh = {}
+    for v in (atomic, product):
+        monkeypatch.setattr(gvec, "_layout_memo", {})
+        fresh[v.layout[0]] = _tensor_layout(v, v)
+    monkeypatch.setattr(gvec, "_layout_memo", {})
+    for v in (atomic, product, atomic, product):
+        obj, pos = _tensor_layout(v, v)
+        ref_obj, ref_pos = fresh[v.layout[0]]
+        assert obj.layout == ref_obj.layout and pos == ref_pos
+        assert set(obj.layout[0]) == {v.layout[0][0] * 2,
+                                      v.layout[1][0] * 2}
+    assert fresh[atomic.layout[0]][1][0] == {(0, 0): [0], (1, 1): [1]}
+    assert fresh[product.layout[0]][1][0] == {(0, 0): [1], (1, 1): [0]}
+
+
+class _SizeLog(dict):
+    """A memo that records how many entries it ever held at once."""
+
+    def __init__(self):
+        super().__init__()
+        self.peak = self.stores = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.stores += 1
+        self.peak = max(self.peak, len(self))
+
+
+def test_layout_memo_stays_within_its_bound(monkeypatch):
+    memo = _SizeLog()
+    monkeypatch.setattr(gvec, "_layout_memo", memo)
+    run_audit(P3)
+    assert memo.stores > gvec._LAYOUT_MEMO_SIZE
+    assert memo.peak <= gvec._LAYOUT_MEMO_SIZE
