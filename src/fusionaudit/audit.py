@@ -128,9 +128,10 @@ def run_audit(category, seed=1, corpus_size=2, samples=6):
         w.update(extra)
         return w
 
-    # (2), (3): separability of the tensor functors
-    fail = _first_failure(live, lambda i, a: None
-                          if separability_verdict(a)["separable"]
+    # (2), (3): separability of the tensor functors; each live algebra's
+    # verdict is decided here once and read again by the structural suite
+    separable = {i: separability_verdict(a)["separable"] for i, a in live}
+    fail = _first_failure(live, lambda i, a: None if separable[i]
                           else alg_witness(i, a, "unit has no retraction"))
     conditions[2] = _hold(fail is None, fail)
     fail = _first_failure(live_co, lambda i, c: None
@@ -229,7 +230,8 @@ def run_audit(category, seed=1, corpus_size=2, samples=6):
     fail = _first_failure(live_co, counit_mor_fail)
     conditions[15] = _hold(fail is None, fail, method="sampled")
 
-    structural = _structural_suite(cat, rng, live, samples, unit_simple)
+    structural = _structural_suite(cat, rng, live, separable, samples,
+                                   unit_simple)
 
     consistency = all(conditions[c]["holds"] == unit_simple
                       for c in range(2, 16))
@@ -266,7 +268,7 @@ def run_audit(category, seed=1, corpus_size=2, samples=6):
     return report
 
 
-def _structural_suite(cat, rng, live, samples, unit_simple):
+def _structural_suite(cat, rng, live, separable, samples, unit_simple):
     summands = []
     for i in range(cat.object_count):
         sep = separability_verdict(unit_summand_algebra(cat, i))["separable"]
@@ -318,7 +320,7 @@ def _structural_suite(cat, rng, live, samples, unit_simple):
     idem = []
     one = unit_object(cat)
     for idx, a in live:
-        sep = separability_verdict(a)["separable"]
+        sep = separable[idx]
         # e_M = id_M (x) e_1 on the nose, so e_1 is computed once
         e1 = idempotent_e(a, one)
         all_id = True
@@ -339,7 +341,8 @@ def _structural_suite(cat, rng, live, samples, unit_simple):
         idem.append({"index": idx, "trivial": all_id, "separable": sep})
 
     ring = ring_report(cat)
-    fus = fusion_iff_separable_check(cat, [a for _, a in live])
+    fus = fusion_iff_separable_check(ring["fusion"]["holds"],
+                                     list(separable.values()))
     if ring["fusion"]["holds"] != unit_simple:
         raise ConsistencyError("fusion ring verdict disagrees with "
                                "unit simplicity")
@@ -426,7 +429,10 @@ def gr_report(cat, seed=1, corpus_size=2):
     corpus = algebra_corpus(cat, rng,
                             internal_ends=corpus_size, sums=corpus_size)
     doc = ring_report(cat)
-    doc["fusion_iff_separable"] = fusion_iff_separable_check(cat, corpus)
+    doc["fusion_iff_separable"] = fusion_iff_separable_check(
+        doc["fusion"]["holds"],
+        [separability_verdict(a)["separable"]
+         for a in corpus if not a.is_zero()])
     doc["corpus"] = {"seed": seed, "corpus_size": corpus_size,
                      "generators": _corpus_labels(cat, corpus_size)}
     return doc

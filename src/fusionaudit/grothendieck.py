@@ -19,6 +19,10 @@ each check once and derives all three verdicts from the two failure lists.
 
 The involution is not assumed: it is recomputed from left duals of the
 simples and checked to be an involutive basis permutation.
+
+fusion_iff_separable_check cross-checks the transfer of simplicity to the
+ring: it compares a fusion verdict against the separability flags of the
+non-zero corpus algebras, both computed by the caller, and builds no ring.
 """
 
 from .errors import ConsistencyError, ShapeError
@@ -248,17 +252,18 @@ def ring_report(cat):
     }
 
 
-def fusion_iff_separable_check(cat, corpus):
+def fusion_iff_separable_check(fusion, separable):
     """The ring is fusion exactly when every non-zero corpus algebra is
-    separable; any disagreement is a defect, not a finding."""
-    from .functors import separability_verdict
-    fus = is_fusion_ring(grothendieck_ring(cat))["holds"]
-    live = [a for a in corpus if not a.is_zero()]
-    if not live:
+    separable; any disagreement is a defect, not a finding.
+
+    fusion is the ring's fusion verdict, as ring_report gives it, and
+    separable holds the separability flag of each non-zero corpus algebra,
+    so the ring and the verdicts are each decided once by the caller."""
+    if not separable:
         raise ValueError("corpus contains no non-zero algebra")
-    all_sep = all(separability_verdict(a)["separable"] for a in live)
-    if fus != all_sep:
+    all_sep = all(separable)
+    if fusion != all_sep:
         raise ConsistencyError(
             "fusion ring verdict %r disagrees with corpus separability %r"
-            % (fus, all_sep))
-    return fus
+            % (fusion, all_sep))
+    return fusion

@@ -258,11 +258,20 @@ def disjoint_union(a, b):
         spec={"kind": "union", "parts": [a.spec, b.spec]})
 
 
-def _spec_count(spec, key):
-    """spec[key] as a count: a JSON integer, not a bool, float or string."""
+def _spec_ints(spec, key, depth, nullable):
+    """spec[key] as lists nested depth deep (depth 0: one value) whose
+    entries are all JSON integers, or null where nullable.  A bool, a float
+    or a numeric string is rejected, although int() would coerce it."""
     value = spec[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecError("%r must be an integer, got %r" % (key, value))
+    entries = [value]
+    for _ in range(depth):
+        if not all(isinstance(v, list) for v in entries):
+            raise SpecError("%r must be lists nested %d deep" % (key, depth))
+        entries = [x for v in entries for x in v]
+    for x in entries:
+        if not (isinstance(x, int) and not isinstance(x, bool)
+                or nullable and x is None):
+            raise SpecError("integer expected in %r, got %r" % (key, x))
     return value
 
 
@@ -274,9 +283,10 @@ def groupoid_from_spec(spec):
     kind = spec["kind"]
     try:
         if kind == "group":
-            return make_group(spec["table"])
+            return make_group(_spec_ints(spec, "table", 2, nullable=False))
         if kind == "pair":
-            return make_pair_groupoid(_spec_count(spec, "objects"))
+            return make_pair_groupoid(
+                _spec_ints(spec, "objects", 0, nullable=False))
         if kind == "union":
             parts = [groupoid_from_spec(p) for p in spec["parts"]]
             if not parts:
@@ -286,9 +296,12 @@ def groupoid_from_spec(spec):
                 out = disjoint_union(out, p)
             return out
         if kind == "explicit":
-            return Groupoid(_spec_count(spec, "objects"), spec["morphisms"],
-                            spec["identities"], spec["compose"],
-                            spec["inverses"], spec=spec)
+            return Groupoid(
+                _spec_ints(spec, "objects", 0, nullable=False),
+                _spec_ints(spec, "morphisms", 2, nullable=False),
+                _spec_ints(spec, "identities", 1, nullable=False),
+                _spec_ints(spec, "compose", 2, nullable=True),
+                _spec_ints(spec, "inverses", 1, nullable=False), spec=spec)
     except GroupoidError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -525,9 +525,10 @@ def is_epi(f):
 
 
 def is_iso(f):
-    if f.source.mult != f.target.mult:
-        return False
-    return is_mono(f) and is_epi(f)
+    """Equal multiplicities make every block square, and a square block
+    of full rank is invertible, so mono alone decides: one rank per block
+    instead of the two that is_mono and is_epi would take."""
+    return f.source.mult == f.target.mult and is_mono(f)
 
 
 # ---------------------------------------------------------------------------

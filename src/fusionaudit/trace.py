@@ -209,6 +209,7 @@ _TABLE = (
         "corpus algebra is separable",
         "grothendieck.fusion_iff_separable_check",
         ("tests/test_grothendieck.py::test_fusion_iff_separable",
+         "tests/test_acceptance.py::test_criterion_7_ring_suite",
          "tests/test_audit.py::test_gr_report_fixtures")),
     TraceEntry(
         "unit-morphisms-detect-simplicity",

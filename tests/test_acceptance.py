@@ -14,6 +14,7 @@ import sys
 from conftest import cli_env
 from fusionaudit.audit import run_audit
 from fusionaudit.corpus import algebra_corpus, random_morphism, random_object
+from fusionaudit.errors import ConsistencyError
 from fusionaudit.fixtures import FIXTURE_NAMES, fixture_spec, load_fixture
 from fusionaudit.functors import (
     check_cosection_identity, check_inclusion_frobenius,
@@ -303,9 +304,16 @@ def test_criterion_7_ring_suite():
     for name, cat in FIXTURES:
         rng = random.Random(707)
         expected = cat.object_count == 1
-        if fusion_iff_separable_check(cat, algebra_corpus(cat, rng)) \
-                is not expected:
+        fusion = is_fusion_ring(grothendieck_ring(cat))["holds"]
+        flags = [separability_verdict(a)["separable"]
+                 for a in _live_corpus(cat, rng)]
+        if fusion_iff_separable_check(fusion, flags) is not expected:
             failures.append("%s: fusion iff separable" % name)
+    try:
+        fusion_iff_separable_check(True, [True, False])
+        failures.append("fusion iff separable: disagreement not raised")
+    except ConsistencyError:
+        pass
     # mutated structure constants are rejected with a located axiom
     c = [[list(row) for row in plane] for plane in rz2.c]
     c[1][1][0] = -1

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import cli_env
-from fusionaudit import audit, cli
+from fusionaudit import audit, cli, functors, grothendieck
 from fusionaudit.audit import (
     CONDITIONS, check_algebra_report, gr_report, render_report, run_audit)
 from fusionaudit.errors import SpecError
@@ -206,6 +206,23 @@ def test_gr_report_fixtures():
     assert doc["fusion_iff_separable"] is False
 
 
+def test_audit_and_gr_build_one_ring_each(monkeypatch):
+    # the fusion cross-check reads ring_report's verdict, not a second ring
+    calls = []
+    original = grothendieck.grothendieck_ring
+
+    def counted(cat):
+        calls.append(cat)
+        return original(cat)
+
+    monkeypatch.setattr(grothendieck, "grothendieck_ring", counted)
+    cat = load_fixture("pair2")
+    run_audit(cat, samples=2)
+    assert len(calls) == 1
+    gr_report(cat)
+    assert len(calls) == 2
+
+
 def _run_cli(args, tmp_path):
     return subprocess.run([sys.executable, "-m", "fusionaudit"] + args,
                           capture_output=True, text=True, cwd=str(tmp_path),
@@ -290,6 +307,16 @@ def test_cli_error_codes(tmp_path):
     assert res.returncode == 2
     assert "input error" in res.stderr
 
+    # integer fields that are not JSON integers (each of these exited 0)
+    for doc in (
+            {"kind": "explicit", "objects": 1, "morphisms": [[0.7, False]],
+             "identities": [0.2], "inverses": ["0"], "compose": [[False]]},
+            {"kind": "group", "table": [[0.0, 1], [True, 0]]}):
+        explicit.write_text(json.dumps(doc))
+        res = _run_cli(["audit", "--category", str(explicit)], tmp_path)
+        assert res.returncode == 2, doc
+        assert "input error" in res.stderr
+
     res = _run_cli(["gr", "--category", spec, "--corpus", "0"], tmp_path)
     assert res.returncode == 2
     assert "input error" in res.stderr
@@ -369,6 +396,26 @@ def test_audit_restricts_each_live_algebra_once(monkeypatch, name):
     live = [a for a in rep["corpus"]["algebras"] if not a["zero"]]
     assert live
     assert len(calls) == len(live)
+
+
+@pytest.mark.parametrize("name", ("vec_z2", "pair3"))
+def test_audit_decides_each_separability_once(monkeypatch, name):
+    # condition (2), the idempotent suite and the fusion cross-check share
+    # one verdict per live algebra; each unit summand adds one more
+    calls = []
+    original = functors.separability_verdict
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(audit, "separability_verdict", counted)
+    monkeypatch.setattr(functors, "separability_verdict", counted)
+    cat = load_fixture(name)
+    rep = run_audit(cat, samples=2)
+    live = [a for a in rep["corpus"]["algebras"] if not a["zero"]]
+    assert live
+    assert len(calls) == len(live) + cat.object_count
 
 
 @pytest.mark.parametrize("name", ("vec_z2", "pair3"))

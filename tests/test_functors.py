@@ -313,9 +313,10 @@ def test_projection_functor_matches_tensor_constructions():
                     for y in pool:
                         f = random_morphism(x, y, rng)
                         assert _same_map(rj.mor(f), _ref_mor(rj, f))
-                        assert _same_map(rj.phi(x, y),
+                        match = rj.match(x, y)
+                        assert _same_map(rj.phi(match),
                                          _ref_chain(rj, x, y, rj.i_j))
-                        assert _same_map(rj.psi(x, y),
+                        assert _same_map(rj.psi(match),
                                          _ref_chain(rj, x, y, rj.p_j))
                         cases += 1
     assert cases == 16 * 16
@@ -330,8 +331,9 @@ def _assert_projection_matches_references(rj, rng):
         for y in pool:
             f = random_morphism(x, y, rng)
             assert _same_map(rj.mor(f), _ref_mor(rj, f))
-            assert _same_map(rj.phi(x, y), _ref_chain(rj, x, y, rj.i_j))
-            assert _same_map(rj.psi(x, y), _ref_chain(rj, x, y, rj.p_j))
+            match = rj.match(x, y)
+            assert _same_map(rj.phi(match), _ref_chain(rj, x, y, rj.i_j))
+            assert _same_map(rj.psi(match), _ref_chain(rj, x, y, rj.p_j))
 
 
 @settings(max_examples=40, deadline=None)
@@ -358,9 +360,26 @@ def test_lax_maps_call_no_tensor_mor(monkeypatch):
     for _ in range(10):
         x = random_object(P3, rng, max_total=4)
         y = random_object(P3, rng, max_total=4)
-        rj.phi(x, y)
-        rj.psi(x, y)
+        match = rj.match(x, y)
+        rj.phi(match)
+        rj.psi(match)
     assert calls == []
+
+
+def test_lax_colax_check_matches_each_pair_once(monkeypatch):
+    # phi and psi of one object pair read one word match; a sample checks
+    # seven pairs: (x, y), (xy, z), (x, yz), (y, z), (1, x), (x, 1), (x2, y2)
+    calls = []
+    original = ProjectionFunctor.match
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return original(self, x, y)
+
+    monkeypatch.setattr(ProjectionFunctor, "match", counted)
+    assert check_projection_lax_colax(P3, {0, 2}, random.Random(620),
+                                      samples=5)
+    assert len(calls) == 7 * 5
 
 
 def test_projection_lax_colax():

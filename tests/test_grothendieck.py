@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import strategies as st
 
 from fusionaudit import grothendieck
 from fusionaudit.corpus import algebra_corpus
-from fusionaudit.errors import ShapeError
+from fusionaudit.errors import ConsistencyError, ShapeError
 from fusionaudit.fixtures import load_fixture
+from fusionaudit.functors import separability_verdict
 from fusionaudit.grothendieck import (
     BasedRingData, fusion_iff_separable_check, grothendieck_ring,
     is_based_ring, is_fusion_ring, is_zplus_ring, ring_report)
@@ -135,10 +138,23 @@ def test_mutation_landing_on_another_valid_ring_is_accepted():
 def test_fusion_iff_separable():
     rng = random.Random(700)
     for cat, expect in ((VEC, True), (Z2, True), (P2, False), (U22, False)):
-        corpus = algebra_corpus(cat, rng)
-        assert fusion_iff_separable_check(cat, corpus) is expect
+        fusion = is_fusion_ring(grothendieck_ring(cat))["holds"]
+        flags = [separability_verdict(a)["separable"]
+                 for a in algebra_corpus(cat, rng) if not a.is_zero()]
+        assert fusion_iff_separable_check(fusion, flags) is expect
     with pytest.raises(ValueError):
-        fusion_iff_separable_check(Z2, [])
+        fusion_iff_separable_check(True, [])
+    # a ring verdict that disagrees with the flags is a defect
+    for fusion, flags in ((True, [True, False]), (False, [True, True])):
+        with pytest.raises(ConsistencyError):
+            fusion_iff_separable_check(fusion, flags)
+
+
+def test_grothendieck_imports_nothing_from_functors():
+    tree = ast.parse(inspect.getsource(grothendieck))
+    imported = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert imported and "functors" not in imported
 
 
 def test_ring_report_shape():

@@ -129,6 +129,26 @@ def test_bad_specs():
         spec["objects"] = bad
         with pytest.raises(SpecError, match="integer"):
             groupoid_from_spec(spec)
+    # so must every other integer field of explicit and group specs;
+    # int() would coerce each of these into a valid groupoid
+    for doc in (
+            '{"kind": "explicit", "objects": 1, "morphisms": [[0.7, false]],'
+            ' "identities": [0.2], "inverses": ["0"], "compose": [[false]]}',
+            '{"kind": "group", "table": [[0.0, 1], [true, 0]]}'):
+        with pytest.raises(SpecError, match="integer"):
+            groupoid_from_spec(json.loads(doc))
+    good = make_pair_groupoid(2)._explicit_spec()
+    for key, bad in (("morphisms", [[0, 0], [0, 1.0], [1, 0], [1, 1]]),
+                     ("identities", [0, True]), ("inverses", [0, 2, "1", 3]),
+                     ("compose", [[0, 1, None, None], [None, None, 0, 1.0],
+                                  [2, 3, None, None], [None, None, 2, 3]]),
+                     ("identities", 0), ("compose", [0, 1, 2, 3])):
+        with pytest.raises(SpecError):
+            groupoid_from_spec(dict(good, **{key: bad}))
+    # null is a compose entry, not a count
+    assert groupoid_from_spec(good) == make_pair_groupoid(2)
+    with pytest.raises(SpecError, match="integer"):
+        groupoid_from_spec(dict(good, identities=[0, None]))
 
 
 def test_explicit_validation():

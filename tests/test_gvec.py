@@ -295,6 +295,32 @@ def test_mono_epi_iso():
     assert not is_iso(zero_mor(v2, w))
 
 
+@st.composite
+def _morphisms_near_square(draw):
+    """Morphisms whose source and target multiplicities are equal half the
+    time, with entries in {-1, 0, 1}, so singular, zero and non-square
+    blocks all occur."""
+    cat = draw(_small_groupoids())
+    grades = st.integers(0, cat.morphism_count - 1)
+    mults = st.dictionaries(grades, st.integers(1, 3), max_size=3)
+    src = draw(mults)
+    tgt = dict(src) if draw(st.booleans()) else draw(mults)
+    blocks = {}
+    for g in set(src) & set(tgt):
+        size = tgt[g] * src[g]
+        entries = draw(st.lists(st.integers(-1, 1), min_size=size,
+                                max_size=size))
+        blocks[g] = Matrix(tgt[g], src[g], [Fraction(x) for x in entries])
+    return GradedMorphism(graded_object(cat, src), graded_object(cat, tgt),
+                          blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_morphisms_near_square())
+def test_is_iso_agrees_with_mono_and_epi(f):
+    assert is_iso(f) == (is_mono(f) and is_epi(f))
+
+
 def test_unit_summand_acts_as_graded_restriction():
     rng = random.Random(410)
     one_j = unit_summand(P3, {0, 2})
