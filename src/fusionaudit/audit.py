@@ -29,7 +29,7 @@ from .gvec import (
     morphism_to_spec, tensor_mor, unit_object)
 from .internal import (
     algebra_to_spec, dualize_algebra, restriction_data, support,
-    unit_summand_algebra, validate_algebra)
+    validate_algebra)
 from .morphcalc import find_retraction
 
 __all__ = ["CONDITIONS", "run_audit", "render_report",
@@ -269,9 +269,11 @@ def run_audit(category, seed=1, corpus_size=2, samples=6):
 
 
 def _structural_suite(cat, rng, live, separable, samples, unit_simple):
+    # algebra_corpus puts the unit summand 1_i at corpus index i, so its
+    # verdict is already in separable
     summands = []
     for i in range(cat.object_count):
-        sep = separability_verdict(unit_summand_algebra(cat, i))["separable"]
+        sep = separable[i]
         summands.append({"object": i, "separable": sep})
         if sep != unit_simple:
             raise ConsistencyError(

@@ -2,8 +2,12 @@
 
 Scalars are fractions.Fraction: always normalized, positive denominator,
 exact arithmetic with no tolerance anywhere.  Matrix is an immutable
-row-major wrapper; the three heavy kernels (matmul, kron, rref) live in
-_kernels, which Matrix looks up at call time.
+matrix stored as sparse rows: row i is a tuple of (col, Fraction) pairs
+holding its non-zero entries only, columns ascending.  That is the only
+storage; the dense forms (entries, row(i), tolist(), m[i, j]) are views
+derived from it for serialization and tests.  The three heavy kernels
+(matmul, kron, rref) work on sparse rows and live in _kernels, which
+Matrix looks up at call time.
 
 Canonical choices (everything downstream depends on these being fixed):
 
@@ -28,6 +32,7 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_set = object.__setattr__
 
 
 def rat_str(x):
@@ -49,22 +54,62 @@ def parse_rat(s):
         raise ValueError("zero denominator in %r" % (s,)) from exc
 
 
-class Matrix:
-    """Immutable rows x cols matrix of Fractions, row-major."""
+def _merge(a, b, sign):
+    """Sparse row a + sign * b."""
+    if not b:
+        return a
+    if not a:
+        return b if sign > 0 else tuple([(j, -y) for j, y in b])
+    acc = dict(a)
+    for j, y in b:
+        v = acc.get(j)
+        if v is None:
+            acc[j] = y if sign > 0 else -y
+        else:
+            v = v + y if sign > 0 else v - y
+            if v:
+                acc[j] = v
+            else:
+                del acc[j]
+    return tuple(sorted(acc.items()))
 
-    __slots__ = ("rows", "cols", "entries")
+
+class Matrix:
+    """Immutable rows x cols matrix of Fractions, stored as sparse rows.
+
+    sparse[i] is row i as a tuple of (col, Fraction) pairs: non-zero
+    values only, columns ascending.  Equality and hashing compare that
+    form, which is canonical.  Matrix(rows, cols, entries) takes dense
+    row-major entries and coerces each to Fraction; internal producers
+    build the rows themselves and go through Matrix._of, which checks
+    nothing."""
+
+    __slots__ = ("rows", "cols", "sparse")
 
     def __init__(self, rows, cols, entries):
         if rows < 0 or cols < 0:
             raise ShapeError("negative dimension %r x %r" % (rows, cols))
-        entries = tuple(x if isinstance(x, Fraction) else Fraction(x)
-                        for x in entries)
+        entries = [x if isinstance(x, Fraction) else Fraction(x)
+                   for x in entries]
         if len(entries) != rows * cols:
             raise ShapeError("expected %d entries for %d x %d, got %d"
                              % (rows * cols, rows, cols, len(entries)))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "sparse", tuple(
+            tuple([(j, x) for j, x in
+                   enumerate(entries[i * cols:(i + 1) * cols]) if x])
+            for i in range(rows)))
+
+    @classmethod
+    def _of(cls, rows, cols, sparse):
+        """Matrix with the given sparse rows, a tuple of tuples that must
+        already hold non-zero Fractions only, columns ascending."""
+        m = object.__new__(cls)
+        _set(m, "rows", rows)
+        _set(m, "cols", cols)
+        _set(m, "sparse", sparse)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -81,33 +126,43 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [_ZERO] * (rows * cols))
+        return cls._of(rows, cols, ((),) * rows)
 
     @classmethod
     def identity(cls, n):
-        e = [_ZERO] * (n * n)
-        for i in range(n):
-            e[i * n + i] = _ONE
-        return cls(n, n, e)
+        return cls._of(n, n, tuple(((i, _ONE),) for i in range(n)))
+
+    # dense views, derived from the sparse rows
+
+    @property
+    def entries(self):
+        """All rows * cols entries, row-major."""
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def __getitem__(self, ij):
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(ij)
-        return self.entries[i * self.cols + j]
+        for c, x in self.sparse[i]:
+            if c == j:
+                return x
+        return _ZERO
 
     def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        out = [_ZERO] * self.cols
+        for j, x in self.sparse[i]:
+            out[j] = x
+        return tuple(out)
 
     def tolist(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self.sparse == other.sparse)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.sparse))
 
     def __repr__(self):
         if self.rows * self.cols == 0:
@@ -116,79 +171,84 @@ class Matrix:
             [rat_str(x) for x in self.row(i)] for i in range(self.rows)]
 
     def is_zero(self):
-        return not any(self.entries)
+        return not any(self.sparse)
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("add %dx%d to %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        return Matrix(self.rows, self.cols,
-                      [x + y for x, y in zip(self.entries, other.entries)])
+        return Matrix._of(self.rows, self.cols, tuple(
+            _merge(a, b, 1) for a, b in zip(self.sparse, other.sparse)))
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("sub %dx%d from %dx%d"
                              % (other.rows, other.cols, self.rows, self.cols))
-        return Matrix(self.rows, self.cols,
-                      [x - y for x, y in zip(self.entries, other.entries)])
+        return Matrix._of(self.rows, self.cols, tuple(
+            _merge(a, b, -1) for a, b in zip(self.sparse, other.sparse)))
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols, [-x for x in self.entries])
+        return self.scale(-1)
 
     def scale(self, c):
         c = Fraction(c)
-        return Matrix(self.rows, self.cols, [c * x for x in self.entries])
+        if not c:
+            return Matrix.zeros(self.rows, self.cols)
+        return Matrix._of(self.rows, self.cols, tuple(
+            tuple([(j, c * x) for j, x in r]) for r in self.sparse))
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ShapeError("matmul %dx%d by %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        data = _kernels.matmul(self.rows, self.cols, list(self.entries),
-                               other.cols, list(other.entries))
-        return Matrix(self.rows, other.cols, data)
+        return Matrix._of(self.rows, other.cols,
+                          _kernels.matmul(self.sparse, other.sparse))
 
     def kron(self, other):
-        data = _kernels.kron(self.rows, self.cols, list(self.entries),
-                             other.rows, other.cols, list(other.entries))
-        return Matrix(self.rows * other.rows, self.cols * other.cols, data)
+        return Matrix._of(self.rows * other.rows, self.cols * other.cols,
+                          _kernels.kron(self.sparse, other.sparse,
+                                        other.cols))
 
     def transpose(self):
-        e = [_ZERO] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                e[j * self.rows + i] = self.entries[i * self.cols + j]
-        return Matrix(self.cols, self.rows, e)
+        out = [[] for _ in range(self.cols)]
+        for i, r in enumerate(self.sparse):
+            for j, x in r:
+                out[j].append((i, x))
+        return Matrix._of(self.cols, self.rows, tuple(map(tuple, out)))
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ShapeError("hstack row mismatch")
-        out = []
-        for i in range(self.rows):
-            out.extend(self.row(i))
-            out.extend(other.row(i))
-        return Matrix(self.rows, self.cols + other.cols, out)
+        shift = self.cols
+        return Matrix._of(self.rows, self.cols + other.cols, tuple(
+            a + tuple([(j + shift, x) for j, x in b]) if b else a
+            for a, b in zip(self.sparse, other.sparse)))
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise ShapeError("vstack col mismatch")
-        return Matrix(self.rows + other.rows, self.cols,
-                      self.entries + other.entries)
+        return Matrix._of(self.rows + other.rows, self.cols,
+                          self.sparse + other.sparse)
 
     def rref(self):
         """(reduced row echelon form, tuple of pivot columns)."""
-        data, pivots = _kernels.rref(self.rows, self.cols, list(self.entries))
-        return Matrix(self.rows, self.cols, data), tuple(pivots)
+        rows, pivots = _kernels.rref(self.sparse)
+        return Matrix._of(self.rows, self.cols, rows), tuple(pivots)
 
     def rank(self):
         return len(self.rref()[1])
 
     def columns(self, idx):
         """Submatrix of the given columns, in the given order."""
+        at = {}
+        for k, j in enumerate(idx):
+            at.setdefault(j, []).append(k)
         out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            out.extend(r[j] for j in idx)
-        return Matrix(self.rows, len(idx), out)
+        for r in self.sparse:
+            picked = [(k, x) for j, x in r for k in at.get(j, ())]
+            picked.sort()
+            out.append(tuple(picked))
+        return Matrix._of(self.rows, len(idx), tuple(out))
 
 
 def matmul(a, b):
@@ -201,17 +261,21 @@ def kron(a, b):
 
 def kernel_basis(m):
     """Matrix whose columns span ker(m); canonical: one column per free
-    column of the rref, ascending."""
+    column of the rref, ascending.  Row i of the rref holds its pivot and
+    otherwise only free columns, so pivot row pc of the basis is minus the
+    free part of that rref row."""
     r, pivots = m.rref()
     pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    out = Matrix.zeros(m.cols, len(free))
-    e = [_ZERO] * (m.cols * len(free))
-    for k, fc in enumerate(free):
-        e[fc * len(free) + k] = _ONE
-        for i, pc in enumerate(pivots):
-            e[pc * len(free) + k] = -r[i, fc]
-    return Matrix(m.cols, len(free), e)
+    free = {}
+    for c in range(m.cols):
+        if c not in pivset:
+            free[c] = len(free)
+    out = [()] * m.cols
+    for c, k in free.items():
+        out[c] = ((k, _ONE),)
+    for i, pc in enumerate(pivots):
+        out[pc] = tuple([(free[j], -x) for j, x in r.sparse[i] if j != pc])
+    return Matrix._of(m.cols, len(free), tuple(out))
 
 
 def solve_right(a, b):
@@ -219,10 +283,10 @@ def solve_right(a, b):
     if a.rows != b.rows:
         raise ShapeError("solve_right row mismatch")
     aug, pivots = a.hstack(b).rref()
-    if any(p >= a.cols for p in pivots):
+    n = a.cols
+    if any(p >= n for p in pivots):
         return None
-    e = [_ZERO] * (a.cols * b.cols)
+    out = [()] * n
     for i, pc in enumerate(pivots):
-        for j in range(b.cols):
-            e[pc * b.cols + j] = aug[i, a.cols + j]
-    return Matrix(a.cols, b.cols, e)
+        out[pc] = tuple([(j - n, x) for j, x in aug.sparse[i] if j >= n])
+    return Matrix._of(n, b.cols, tuple(out))

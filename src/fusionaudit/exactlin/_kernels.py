@@ -1,7 +1,10 @@
 """Kernels for exact rational matrices.
 
-All three kernels operate on flat row-major lists of Fraction and return
-plain lists; the Matrix wrapper owns shape checking.
+All three kernels operate on sparse rows, the storage of Matrix: a matrix
+is a sequence of rows, and a row is a tuple of (col, Fraction) pairs
+holding the non-zero entries only, columns ascending.  Every kernel returns
+rows of that form (no zero stored, columns ascending) as a tuple of
+tuples; the Matrix wrapper owns shape checking.
 
 rref uses the leftmost-pivot convention: scan columns left to right, take
 the first row with a nonzero entry in the current column, swap it up,
@@ -10,79 +13,106 @@ echelon form, so every value derived from it (kernel bases, particular
 solutions, ranks) is canonical.
 """
 
-from fractions import Fraction
-
-ZERO = Fraction(0)
+from bisect import bisect_left
 
 
-def matmul(n, m, a, p, b):
-    """(n x m) times (m x p), flat row-major lists."""
-    out = [ZERO] * (n * p)
-    for i in range(n):
-        base = i * m
-        for k in range(m):
-            x = a[base + k]
-            if not x:
-                continue
-            rowb = k * p
-            rowo = i * p
-            for j in range(p):
-                y = b[rowb + j]
-                if y:
-                    out[rowo + j] += x * y
-    return out
-
-
-def kron(n, m, a, p, q, b):
-    """Kronecker product, left factor major: entry ((i,k),(j,l)) = a[i,j]*b[k,l]."""
-    rows, cols = n * p, m * q
-    out = [ZERO] * (rows * cols)
-    for i in range(n):
-        for j in range(m):
-            x = a[i * m + j]
-            if not x:
-                continue
-            for k in range(p):
-                ro = (i * p + k) * cols + j * q
-                rb = k * q
-                for l in range(q):
-                    y = b[rb + l]
-                    if y:
-                        out[ro + l] = x * y
-    return out
-
-
-def rref(n, m, a):
-    """Reduced row echelon form; returns (flat entries, pivot column list)."""
-    rows = [list(a[i * m:(i + 1) * m]) for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(m):
-        if r == n:
-            break
-        pr = -1
-        for i in range(r, n):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr < 0:
+def matmul(a, b):
+    """Rows of a times b: row i of the product is the sum over the entries
+    (k, x) of a[i] of x times row k of b.  A row of a that is a single 1
+    reuses the row of b it selects, and a factor equal to 1 is not
+    multiplied."""
+    out = []
+    for row in a:
+        if not row:
+            out.append(())
             continue
+        if len(row) == 1:
+            k, x = row[0]
+            brow = b[k]
+            if x == 1:
+                out.append(brow)
+            else:
+                out.append(tuple([(j, x if y == 1 else x * y)
+                                  for j, y in brow]))
+            continue
+        acc = {}
+        for k, x in row:
+            one = x == 1
+            for j, y in b[k]:
+                p = y if one else (x if y == 1 else x * y)
+                if j in acc:
+                    acc[j] += p
+                else:
+                    acc[j] = p
+        out.append(tuple([e for e in sorted(acc.items()) if e[1]]))
+    return tuple(out)
+
+
+def kron(a, b, q):
+    """Kronecker product, left factor major: entry ((i,k),(j,l)) =
+    a[i,j]*b[k,l], where b has q columns."""
+    out = []
+    for arow in a:
+        for brow in b:
+            out.append(tuple([(j * q + l, x * y)
+                              for j, x in arow for l, y in brow]))
+    return tuple(out)
+
+
+def _sub(row, f, prow):
+    """row - f * prow, both sparse rows."""
+    acc = dict(row)
+    for j, y in prow:
+        v = acc.get(j)
+        if v is None:
+            acc[j] = -f * y
+        else:
+            v -= f * y
+            if v:
+                acc[j] = v
+            else:
+                del acc[j]
+    return tuple(sorted(acc.items()))
+
+
+def rref(a):
+    """Reduced row echelon form; returns (rows, pivot column list).
+
+    Below the current row every entry left of the current column is zero,
+    so each such row's first stored column is its leading one, and the
+    next pivot column is the smallest of them."""
+    rows = list(a)
+    n = len(rows)
+    pivots = []
+    for r in range(n):
+        c = pr = -1
+        for i in range(r, n):
+            row = rows[i]
+            if row and (pr < 0 or row[0][0] < c):
+                c, pr = row[0][0], i
+        if pr < 0:
+            break
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        if inv != 1:
-            row = rows[r]
-            for j in range(c, m):
-                if row[j]:
-                    row[j] *= inv
+        prow = rows[r]
+        lead = prow[0][1]
+        if lead != 1:
+            inv = 1 / lead
+            prow = rows[r] = tuple([(j, v * inv) for j, v in prow])
         for i in range(n):
             if i == r:
                 continue
-            f = rows[i][c]
-            if f:
-                ri, rr = rows[i], rows[r]
-                for j in range(c, m):
-                    if rr[j]:
-                        ri[j] -= f * rr[j]
+            row = rows[i]
+            if not row:
+                continue
+            if i > r:
+                if row[0][0] != c:
+                    continue
+                f = row[0][1]
+            else:
+                k = bisect_left(row, (c,))
+                if k == len(row) or row[k][0] != c:
+                    continue
+                f = row[k][1]
+            rows[i] = _sub(row, f, prow)
         pivots.append(c)
-        r += 1
-    return [x for row in rows for x in row], pivots
+    return tuple(rows), pivots

@@ -27,8 +27,7 @@ from .gvec import (
     zero_mor, zero_object)
 from .internal import grades_within, restriction_data, support
 from .morphcalc import (
-    find_retraction, find_section, is_regular, is_split_epi, is_split_mono,
-    weak_inverse)
+    find_retraction, find_section, is_split_epi, is_split_mono, weak_inverse)
 
 __all__ = [
     "ModuleObject", "ComoduleObject",
@@ -44,7 +43,6 @@ __all__ = [
     "frobenius_pair_check", "restricted_separability",
 ]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -169,12 +167,14 @@ def _unit_idempotent(u):
 
 def separability_verdict(a):
     """Split analysis of u_A, with the invariant
-    separable == semiseparable and idempotent_trivial enforced."""
+    separable == semiseparable and idempotent_trivial enforced.  u_A is
+    semiseparable when u w u == u for the verdict's one weak inverse w."""
     if a.is_zero():
         raise ValueError("zero algebra")
     r = find_retraction(a.unit)
     s = find_section(a.unit)
-    semi = is_regular(a.unit)
+    w = weak_inverse(a.unit)
+    semi = compose(compose(a.unit, w), a.unit) == a.unit
     e1 = _unit_idempotent(a.unit)
     trivial = e1 == identity_mor(a.unit.source)
     verdict = {
@@ -184,7 +184,7 @@ def separability_verdict(a):
         "idempotent_trivial": trivial,
         "retraction": r,
         "section": s,
-        "weak_inverse": weak_inverse(a.unit),
+        "weak_inverse": w,
     }
     if verdict["separable"] and not semi:
         raise ConsistencyError("separable but not semiseparable")
@@ -203,7 +203,8 @@ def coseparability_verdict(c):
         raise ValueError("zero coalgebra")
     s = find_section(c.counit)
     r = find_retraction(c.counit)
-    semi = is_regular(c.counit)
+    w = weak_inverse(c.counit)
+    semi = compose(compose(c.counit, w), c.counit) == c.counit
     _, phi = image_factorization(c.counit)
     ret = find_retraction(phi)
     if ret is None:
@@ -218,7 +219,7 @@ def coseparability_verdict(c):
         "idempotent_trivial": trivial,
         "section": s,
         "retraction": r,
-        "weak_inverse": weak_inverse(c.counit),
+        "weak_inverse": w,
     }
     if verdict["separable"] != (semi and trivial):
         raise ConsistencyError(
@@ -427,12 +428,12 @@ def inclusion_LJ(cat, objs):
 
 
 def _zero_one(rows, cols, ones):
-    """The rows x cols matrix with 1 at the row-major positions ones and 0
-    elsewhere."""
-    data = [_ZERO] * (rows * cols)
-    for k in ones:
-        data[k] = _ONE
-    return Matrix(rows, cols, data)
+    """The rows x cols matrix whose row i holds a single 1, in column
+    ones[i], for every row i in ones, and is zero otherwise."""
+    data = [()] * rows
+    for i, j in ones.items():
+        data[i] = ((j, _ONE),)
+    return Matrix._of(rows, cols, tuple(data))
 
 
 def _random_sub_object(cat, objs, rng, max_total=3):
@@ -531,9 +532,8 @@ class ProjectionFunctor:
         small, big, rows = match
         blocks = {}
         for h, r in rows.items():
-            n = len(r)
-            blocks[h] = _zero_one(big.mult[h], n,
-                                  [i * n + c for c, i in enumerate(r)])
+            blocks[h] = _zero_one(big.mult[h], len(r),
+                                  {i: c for c, i in enumerate(r)})
         return GradedMorphism(small, big, blocks)
 
     def psi(self, match):
@@ -541,9 +541,7 @@ class ProjectionFunctor:
         small, big, rows = match
         blocks = {}
         for h, r in rows.items():
-            n = big.mult[h]
-            blocks[h] = _zero_one(len(r), n,
-                                  [c * n + i for c, i in enumerate(r)])
+            blocks[h] = _zero_one(len(r), big.mult[h], dict(enumerate(r)))
         return GradedMorphism(big, small, blocks)
 
     def phi0(self):

@@ -48,7 +48,6 @@ __all__ = [
     "morphism_to_spec", "morphism_from_spec",
 ]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -341,48 +340,51 @@ def compose(f, g):
     return GradedMorphism(g.source, f.target, out)
 
 
-def _nonzero_entries(b):
-    """(row, col, value) for every non-zero entry of b, row-major."""
-    cols = b.cols
-    return [(k // cols, k % cols, x) for k, x in enumerate(b.entries) if x]
-
-
 def tensor_mor(f, h):
-    """f (x) h, filled sparsely.
+    """f (x) h, built straight into sparse rows.
 
     In the block at grade g1.g2, row (g1, i, g2, j) and column
     (g1, ci, g2, cj) hold f[g1][i, ci] * h[g2][j, cj]; every other entry is
-    zero.  Only pairs of non-zero factor entries are visited, so a factor
-    pair (g1, g2) costs nnz(f at g1) * nnz(h at g2) products.  Each side's
-    slots are enumerated once (_tensor_layout), and each output grade's
-    Matrix is built before the next grade is filled."""
+    zero.  Such a row takes entries from row i of f's block and row j of
+    h's block only, so only pairs of non-zero factor entries are visited:
+    a factor pair (g1, g2) costs nnz(f at g1) * nnz(h at g2) products, and
+    a factor equal to 1 (an identity's entry) is not multiplied.  Each side's slots are enumerated once (_tensor_layout), and each output
+    grade's Matrix is built before the next grade is filled."""
     src, src_pos = _tensor_layout(f.source, h.source)
     tgt, tgt_pos = _tensor_layout(f.target, h.target)
-    fnz = {g: _nonzero_entries(b) for g, b in f.blocks.items()}
-    hnz = {g: _nonzero_entries(b) for g, b in h.blocks.items()}
+    fblocks, hblocks = f.blocks, h.blocks
     row_stride, col_stride = h.target.mult, h.source.mult
     blocks = {}
     for g, tpairs in tgt_pos.items():
         spairs = src_pos.get(g)
         if spairs is None:
             continue
-        ncols = src.mult[g]
         data = None
         for pair, rpos in tpairs.items():
-            fe = fnz.get(pair[0])
-            he = hnz.get(pair[1])
-            if fe is None or he is None:
+            fb = fblocks.get(pair[0])
+            hb = hblocks.get(pair[1])
+            if fb is None or hb is None:
                 continue
             cpos = spairs[pair]
             rm, cm = row_stride[pair[1]], col_stride[pair[1]]
             if data is None:
-                data = [_ZERO] * (tgt.mult[g] * ncols)
-            for i, ci, x in fe:
-                rbase, cbase = i * rm, ci * cm
-                for j, cj, y in he:
-                    data[rpos[rbase + j] * ncols + cpos[cbase + cj]] = x * y
+                data = [()] * tgt.mult[g]
+            hrows = hb.sparse
+            for i, frow in enumerate(fb.sparse):
+                if not frow:
+                    continue
+                rbase = i * rm
+                for j, hrow in enumerate(hrows):
+                    if not hrow:
+                        continue
+                    row = [(cpos[ci * cm + cj],
+                            y if x == 1 else (x if y == 1 else x * y))
+                           for ci, x in frow for cj, y in hrow]
+                    if len(row) > 1:
+                        row.sort()
+                    data[rpos[rbase + j]] = tuple(row)
         if data is not None:
-            blocks[g] = Matrix(tgt.mult[g], ncols, data)
+            blocks[g] = Matrix._of(tgt.mult[g], src.mult[g], tuple(data))
     return GradedMorphism(src, tgt, blocks)
 
 
@@ -393,16 +395,15 @@ def direct_sum_mor(f, g):
     for gr in set(src.mult) & set(tgt.mult):
         ft_m, fs_m = f.target.m(gr), f.source.m(gr)
         gt_m, gs_m = g.target.m(gr), g.source.m(gr)
-        fb = f.blocks.get(gr) or Matrix.zeros(ft_m, fs_m)
-        gb = g.blocks.get(gr) or Matrix.zeros(gt_m, gs_m)
-        data = []
-        for i in range(ft_m):
-            data.extend(fb.row(i))
-            data.extend([Fraction(0)] * gs_m)
-        for i in range(gt_m):
-            data.extend([Fraction(0)] * fs_m)
-            data.extend(gb.row(i))
-        blocks[gr] = Matrix(ft_m + gt_m, fs_m + gs_m, data)
+        fb = f.blocks.get(gr)
+        gb = g.blocks.get(gr)
+        rows = fb.sparse if fb is not None else ((),) * ft_m
+        if gb is not None:
+            rows += tuple(tuple([(j + fs_m, x) for j, x in r])
+                          for r in gb.sparse)
+        else:
+            rows += ((),) * gt_m
+        blocks[gr] = Matrix._of(ft_m + gt_m, fs_m + gs_m, rows)
     return GradedMorphism(src, tgt, blocks)
 
 
@@ -482,9 +483,8 @@ def image_factorization(f):
         if not rank:
             continue
         mult[g] = rank
-        phi[g] = b.columns(list(pivots))
-        psi[g] = Matrix(rank, b.cols, [x for i in range(rank)
-                                       for x in r.row(i)])
+        phi[g] = b.columns(pivots)
+        psi[g] = Matrix._of(rank, b.cols, r.sparse[:rank])
     img = graded_object(f.source.cat, mult)
     return (GradedMorphism(f.source, img, psi),
             GradedMorphism(img, f.target, phi))
@@ -495,11 +495,11 @@ def hom_basis(v, w):
     out = []
     for g in sorted(set(v.mult) & set(w.mult)):
         tm, sm = w.mult[g], v.mult[g]
+        empty = ((),) * tm
         for r in range(tm):
             for c in range(sm):
-                e = Matrix.zeros(tm, sm).tolist()
-                e[r][c] = _ONE
-                out.append(GradedMorphism(v, w, {g: Matrix.from_rows(e)}))
+                rows = empty[:r] + (((c, _ONE),),) + empty[r + 1:]
+                out.append(GradedMorphism(v, w, {g: Matrix._of(tm, sm, rows)}))
     return out
 
 
@@ -546,13 +546,14 @@ def left_dual(v):
         pairs = pos.get(e)
         if not pairs:
             continue
-        row = [_ZERO] * dxv.mult[e]
+        hits = []
         for (g1, g2), slots in pairs.items():
             for k, p in enumerate(slots):
                 i, j = divmod(k, v.mult[g2])
                 if d.layout[g1][i] == _star_word(cat, v.layout[g2][j]):
-                    row[p] = _ONE
-        ev_blocks[e] = Matrix(1, len(row), row)
+                    hits.append((p, _ONE))
+        hits.sort()
+        ev_blocks[e] = Matrix._of(1, dxv.mult[e], (tuple(hits),))
     ev = GradedMorphism(dxv, unit, ev_blocks)
     vxd, pos = _tensor_layout(v, d)
     coev_blocks = {}
@@ -560,41 +561,45 @@ def left_dual(v):
         pairs = pos.get(e)
         if not pairs:
             continue
-        col = [_ZERO] * vxd.mult[e]
+        col = [()] * vxd.mult[e]
         for (g1, g2), slots in pairs.items():
             for k, p in enumerate(slots):
                 i, j = divmod(k, d.mult[g2])
                 if d.layout[g2][j] == _star_word(cat, v.layout[g1][i]):
-                    col[p] = _ONE
-        coev_blocks[e] = Matrix(len(col), 1, col)
+                    col[p] = ((0, _ONE),)
+        coev_blocks[e] = Matrix._of(len(col), 1, tuple(col))
     coev = GradedMorphism(unit, vxd, coev_blocks)
     return d, ev, coev
 
 
 def dual_morphism(f):
-    """Transpose along duality: dual(target) -> dual(source)."""
+    """Transpose along duality: dual(target) -> dual(source).
+
+    Row r of the dual block at g is the slot of dual(source) whose word is
+    the starred word of some source slot s at inv(g), and column c is found
+    the same way from a target slot t; entry [r, c] is f's entry [t, s].
+    The non-zeros of f's block are therefore re-indexed through two
+    word -> slot dicts, and the rest of the block is never read."""
     cat = f.source.cat
     ds, dt = dual_obj(f.source), dual_obj(f.target)
     inv = cat.inverse_of
     blocks = {}
-    for g in ds.mult:
-        if dt.m(g) == 0:
-            continue
-        b = f.block(inv[g])
-        if b is None:
-            continue
-        # row r of the dual block: slot r of dual(source) at g, which is the
-        # starred word of some source slot at inv(g); same for columns
-        src_pos = {word: i for i, word in enumerate(f.source.layout[inv[g]])}
-        tgt_pos = {word: i for i, word in enumerate(f.target.layout[inv[g]])}
-        data = []
-        for wr in ds.layout[g]:
-            orig_r = src_pos[_star_word(cat, wr)]
-            row = []
-            for wc in dt.layout[g]:
-                row.append(b[tgt_pos[_star_word(cat, wc)], orig_r])
-            data.append(row)
-        blocks[g] = Matrix.from_rows(data)
+    for g, b in f.blocks.items():
+        h = inv[g]
+        row_of = {w: r for r, w in enumerate(ds.layout[h])}
+        col_of = {w: c for c, w in enumerate(dt.layout[h])}
+        rperm = [row_of[_star_word(cat, w)] for w in f.source.layout[g]]
+        cperm = [col_of[_star_word(cat, w)] for w in f.target.layout[g]]
+        rows = [[] for _ in rperm]
+        for t, trow in enumerate(b.sparse):
+            c = cperm[t]
+            for s, x in trow:
+                rows[rperm[s]].append((c, x))
+        for row in rows:
+            if len(row) > 1:
+                row.sort()
+        blocks[h] = Matrix._of(len(rperm), len(cperm),
+                               tuple(map(tuple, rows)))
     return GradedMorphism(dt, ds, blocks)
 
 

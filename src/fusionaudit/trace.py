@@ -50,7 +50,8 @@ _TABLE = (
         "involutive on objects and morphisms",
         "gvec.dual_morphism",
         ("tests/test_gvec.py::test_dual_morphism_contravariant_functor",
-         "tests/test_gvec.py::test_dual_strictness_on_objects")),
+         "tests/test_gvec.py::test_dual_strictness_on_objects",
+         "tests/test_gvec.py::test_dual_morphism_matches_dense_reference")),
     TraceEntry(
         "every-morphism-regular",
         "every morphism f admits a weak inverse g with f g f = f",

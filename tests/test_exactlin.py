@@ -168,3 +168,212 @@ def test_solve_right_solves(data):
     x = solve_right(a, b)
     assert x is not None
     assert a @ x == b
+
+
+# ---------------------------------------------------------------------------
+# Differential test of the sparse-row storage.  The oracle is the dense
+# implementation Matrix had before it stored sparse rows: flat row-major
+# lists of Fraction, multiplied and reduced entry by entry.
+
+def _dense_matmul(n, m, a, p, b):
+    out = [F(0)] * (n * p)
+    for i in range(n):
+        base = i * m
+        for k in range(m):
+            x = a[base + k]
+            if not x:
+                continue
+            rowb = k * p
+            rowo = i * p
+            for j in range(p):
+                y = b[rowb + j]
+                if y:
+                    out[rowo + j] += x * y
+    return out
+
+
+def _dense_rref(n, m, a):
+    rows = [list(a[i * m:(i + 1) * m]) for i in range(n)]
+    pivots = []
+    r = 0
+    for c in range(m):
+        if r == n:
+            break
+        pr = -1
+        for i in range(r, n):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        if inv != 1:
+            row = rows[r]
+            for j in range(c, m):
+                if row[j]:
+                    row[j] *= inv
+        for i in range(n):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f:
+                ri, rr = rows[i], rows[r]
+                for j in range(c, m):
+                    if rr[j]:
+                        ri[j] -= f * rr[j]
+        pivots.append(c)
+        r += 1
+    return [x for row in rows for x in row], pivots
+
+
+def _dense_transpose(rows, cols, e):
+    out = [F(0)] * (rows * cols)
+    for i in range(rows):
+        for j in range(cols):
+            out[j * rows + i] = e[i * cols + j]
+    return out
+
+
+def _dense_columns(rows, cols, e, idx):
+    return [e[i * cols + j] for i in range(rows) for j in idx]
+
+
+def _dense_hstack(rows, acols, a, bcols, b):
+    out = []
+    for i in range(rows):
+        out.extend(a[i * acols:(i + 1) * acols])
+        out.extend(b[i * bcols:(i + 1) * bcols])
+    return out
+
+
+def _dense_kernel_basis(rows, cols, e):
+    r, pivots = _dense_rref(rows, cols, e)
+    free = [c for c in range(cols) if c not in set(pivots)]
+    out = [F(0)] * (cols * len(free))
+    for k, fc in enumerate(free):
+        out[fc * len(free) + k] = F(1)
+        for i, pc in enumerate(pivots):
+            out[pc * len(free) + k] = -r[i * cols + fc]
+    return out
+
+
+def _dense_solve_right(rows, acols, a, bcols, b):
+    width = acols + bcols
+    aug, pivots = _dense_rref(rows, width,
+                              _dense_hstack(rows, acols, a, bcols, b))
+    if any(p >= acols for p in pivots):
+        return None
+    out = [F(0)] * (acols * bcols)
+    for i, pc in enumerate(pivots):
+        for j in range(bcols):
+            out[pc * bcols + j] = aug[i * width + acols + j]
+    return out
+
+
+def _assert_canonical(m):
+    """The storage invariant: one tuple per row, non-zero Fractions only,
+    columns strictly ascending inside 0..cols-1; the derived views agree
+    with it."""
+    e = m.entries
+    assert isinstance(m.sparse, tuple) and len(m.sparse) == m.rows
+    for i, row in enumerate(m.sparse):
+        assert isinstance(row, tuple)
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols))
+        assert all(0 <= j < m.cols for j in cols)
+        assert all(isinstance(x, Fraction) and x for _, x in row)
+        assert m.row(i) == e[i * m.cols:(i + 1) * m.cols]
+        assert [m[i, j] for j in range(m.cols)] == list(m.row(i))
+    assert len(e) == m.rows * m.cols
+    assert m.tolist() == [list(m.row(i)) for i in range(m.rows)]
+
+
+sparse_dim = st.integers(min_value=0, max_value=5)
+nonzero_rat = st.sampled_from(sorted({F(p, q) for p in range(-5, 6) if p
+                                      for q in range(1, 7)}))
+
+
+@st.composite
+def mostly_zero_matrix(draw, rows, cols):
+    """Each matrix draws its own zero weight w, and each entry is zero with
+    probability w / (w + 1): dense, half-zero and mostly-zero matrices."""
+    weight = draw(st.sampled_from((0, 1, 3, 8)))
+    entry = st.one_of(*([st.just(F(0))] * weight + [nonzero_rat]))
+    return Matrix(rows, cols, draw(st.lists(entry, min_size=rows * cols,
+                                            max_size=rows * cols)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sparse_storage_matches_dense_oracle(data):
+    n, m, p, q = (data.draw(sparse_dim) for _ in range(4))
+    a = data.draw(mostly_zero_matrix(n, m))
+    b = data.draw(mostly_zero_matrix(m, p))
+    c = data.draw(mostly_zero_matrix(n, q))
+    d = data.draw(mostly_zero_matrix(n, m))
+    ea, eb, ec, ed = (list(x.entries) for x in (a, b, c, d))
+    for x in (a, b, c, d):
+        _assert_canonical(x)
+
+    prod = a @ b
+    _assert_canonical(prod)
+    assert list(prod.entries) == _dense_matmul(n, m, ea, p, eb)
+
+    r, piv = a.rref()
+    _assert_canonical(r)
+    ref, ref_piv = _dense_rref(n, m, ea)
+    assert list(r.entries) == ref and list(piv) == ref_piv
+
+    t = a.transpose()
+    _assert_canonical(t)
+    assert (t.rows, t.cols) == (m, n)
+    assert list(t.entries) == _dense_transpose(n, m, ea)
+
+    idx = data.draw(st.lists(st.integers(0, m - 1), max_size=m + 1)
+                    if m else st.just([]))
+    sub = a.columns(idx)
+    _assert_canonical(sub)
+    assert list(sub.entries) == _dense_columns(n, m, ea, idx)
+
+    wide = a.hstack(c)
+    _assert_canonical(wide)
+    assert list(wide.entries) == _dense_hstack(n, m, ea, q, ec)
+    tall = a.vstack(d)
+    _assert_canonical(tall)
+    assert list(tall.entries) == ea + ed
+
+    for got, ref in ((a + d, [x + y for x, y in zip(ea, ed)]),
+                     (a - d, [x - y for x, y in zip(ea, ed)]),
+                     (-a, [-x for x in ea]),
+                     (a.scale(F(-2, 3)), [F(-2, 3) * x for x in ea]),
+                     (a.scale(0), [F(0)] * len(ea))):
+        _assert_canonical(got)
+        assert list(got.entries) == ref
+    assert (a - a).is_zero() and a == Matrix(n, m, ea)
+    assert (a == d) == (ea == ed)
+    if ea == ed:
+        assert hash(a) == hash(d)
+
+    k = kernel_basis(a)
+    _assert_canonical(k)
+    assert list(k.entries) == _dense_kernel_basis(n, m, ea)
+
+    x = solve_right(a, c)
+    ref = _dense_solve_right(n, m, ea, q, ec)
+    if ref is None:
+        assert x is None
+    else:
+        _assert_canonical(x)
+        assert list(x.entries) == ref
+
+
+def test_derived_views_of_empty_shapes():
+    for n, m in ((0, 0), (0, 3), (3, 0)):
+        for z in (Matrix.zeros(n, m), Matrix(n, m, [])):
+            _assert_canonical(z)
+            assert z.entries == () and z.is_zero()
+            assert z.tolist() == [[] for _ in range(n)]
+    assert Matrix.identity(3).sparse == (((0, F(1)),), ((1, F(1)),),
+                                         ((2, F(1)),))
+    assert Matrix(2, 2, [0, 3, 0, 0]).sparse == (((1, F(3)),), ())

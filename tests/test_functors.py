@@ -208,6 +208,29 @@ def test_coalgebra_mirrors():
     assert coidempotent_e(c_good, one) == identity_mor(one)
 
 
+@pytest.mark.parametrize("verdict, dual", ((separability_verdict, False),
+                                           (coseparability_verdict, True)))
+def test_verdict_takes_one_weak_inverse(monkeypatch, verdict, dual):
+    # semiseparability is decided as f w f == f from the verdict's own
+    # weak inverse w, not from a second one built by is_regular
+    from fusionaudit import morphcalc
+    calls = []
+    original = morphcalc.weak_inverse
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(morphcalc, "weak_inverse", counted)
+    monkeypatch.setattr(functors, "weak_inverse", counted)
+    a = groupoid_algebra(P2, [0, 1])
+    v = verdict(dualize_algebra(a) if dual else a)
+    assert len(calls) == 1
+    f, w = calls[0], v["weak_inverse"]
+    assert v["semiseparable"]
+    assert compose(compose(f, w), f) == f
+
+
 def test_dual_verdicts_agree_on_corpus():
     rng = random.Random(610)
     rng2 = random.Random(610)

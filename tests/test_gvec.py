@@ -586,3 +586,64 @@ def test_layout_memo_stays_within_its_bound(monkeypatch):
     run_audit(P3)
     assert memo.stores > gvec._LAYOUT_MEMO_SIZE
     assert memo.peak <= gvec._LAYOUT_MEMO_SIZE
+
+
+def _dense_dual_morphism(f):
+    """dual_morphism as it was written densely: every entry of the dual
+    block is read from f's block through the word -> slot dicts."""
+    cat = f.source.cat
+    ds, dt = dual_obj(f.source), dual_obj(f.target)
+    inv = cat.inverse_of
+    blocks = {}
+    for g in ds.mult:
+        if dt.m(g) == 0:
+            continue
+        b = f.block(inv[g])
+        if b is None:
+            continue
+        src_pos = {w: i for i, w in enumerate(f.source.layout[inv[g]])}
+        tgt_pos = {w: i for i, w in enumerate(f.target.layout[inv[g]])}
+        blocks[g] = Matrix.from_rows(
+            [[b[tgt_pos[gvec._star_word(cat, wc)],
+                src_pos[gvec._star_word(cat, wr)]] for wc in dt.layout[g]]
+             for wr in ds.layout[g]])
+    return GradedMorphism(dt, ds, blocks)
+
+
+def test_dual_morphism_matches_dense_reference():
+    rng = random.Random(420)
+    for name in FIXTURE_NAMES:
+        for f in _differential_factors(load_fixture(name), rng):
+            got, ref = dual_morphism(f), _dense_dual_morphism(f)
+            assert got == ref and got.source.layout == ref.source.layout
+
+
+def test_sparse_builders_read_no_dense_view(monkeypatch):
+    """tensor_mor, dual_morphism and hom_basis work on the stored sparse
+    rows: on the six fixtures' sample morphisms none of them reads a dense
+    view of a Matrix (row, tolist, m[i, j] or entries)."""
+    rng = random.Random(421)
+    samples = [_differential_factors(load_fixture(name), rng)
+               for name in FIXTURE_NAMES]
+    reads = []
+
+    def counted(view, original):
+        def wrapper(self, *args):
+            reads.append(view)
+            return original(self, *args)
+        return wrapper
+
+    for view in ("row", "tolist", "__getitem__"):
+        monkeypatch.setattr(Matrix, view,
+                            counted(view, getattr(Matrix, view)))
+    monkeypatch.setattr(Matrix, "entries",
+                        property(counted("entries", Matrix.entries.fget)))
+    built = 0
+    for factors in samples:
+        for f in factors:
+            for h in rng.sample(factors, 6):
+                built += not tensor_mor(f, h).is_zero()
+            built += not dual_morphism(f).is_zero()
+            built += len(hom_basis(f.source, f.target))
+    assert built > 1000
+    assert reads == []
