@@ -26,7 +26,7 @@ from .grothendieck import fusion_iff_separable_check, ring_report
 from .groupoid import Groupoid, groupoid_from_spec
 from .gvec import (
     cokernel, compose, identity_mor, is_epi, is_mono, kernel,
-    morphism_to_spec, tensor_mor, unit_object)
+    morphism_to_spec, tensor_mor, unit_object, unit_summand)
 from .internal import (
     algebra_to_spec, dualize_algebra, restriction_data, support,
     validate_algebra)
@@ -270,9 +270,13 @@ def run_audit(category, seed=1, corpus_size=2, samples=6):
 
 def _structural_suite(cat, rng, live, separable, samples, unit_simple):
     # algebra_corpus puts the unit summand 1_i at corpus index i, so its
-    # verdict is already in separable
+    # verdict is already in separable; the carrier check keeps a change of
+    # corpus order from reading another algebra's verdict
     summands = []
     for i in range(cat.object_count):
+        if live[i][0] != i or live[i][1].carrier != unit_summand(cat, {i}):
+            raise ConsistencyError(
+                "corpus index %d is not the unit summand 1_%d" % (i, i))
         sep = separable[i]
         summands.append({"object": i, "separable": sep})
         if sep != unit_simple:

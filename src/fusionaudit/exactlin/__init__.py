@@ -54,26 +54,6 @@ def parse_rat(s):
         raise ValueError("zero denominator in %r" % (s,)) from exc
 
 
-def _merge(a, b, sign):
-    """Sparse row a + sign * b."""
-    if not b:
-        return a
-    if not a:
-        return b if sign > 0 else tuple([(j, -y) for j, y in b])
-    acc = dict(a)
-    for j, y in b:
-        v = acc.get(j)
-        if v is None:
-            acc[j] = y if sign > 0 else -y
-        else:
-            v = v + y if sign > 0 else v - y
-            if v:
-                acc[j] = v
-            else:
-                del acc[j]
-    return tuple(sorted(acc.items()))
-
-
 class Matrix:
     """Immutable rows x cols matrix of Fractions, stored as sparse rows.
 
@@ -104,7 +84,13 @@ class Matrix:
     @classmethod
     def _of(cls, rows, cols, sparse):
         """Matrix with the given sparse rows, a tuple of tuples that must
-        already hold non-zero Fractions only, columns ascending."""
+        already hold non-zero Fractions only, columns ascending.
+
+        Nothing is checked here, and a row that breaks the form makes ==
+        and hash silently wrong.  The producers outside exactlin (gvec,
+        functors) are held to the form by differential tests against dense
+        references: test_sparse_tensor_mor_matches_dense_reference and
+        test_dual_morphism_matches_dense_reference in tests/test_gvec.py."""
         m = object.__new__(cls)
         _set(m, "rows", rows)
         _set(m, "cols", cols)
@@ -178,14 +164,16 @@ class Matrix:
             raise ShapeError("add %dx%d to %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
         return Matrix._of(self.rows, self.cols, tuple(
-            _merge(a, b, 1) for a, b in zip(self.sparse, other.sparse)))
+            _kernels.axpy(a, 1, b)
+            for a, b in zip(self.sparse, other.sparse)))
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("sub %dx%d from %dx%d"
                              % (other.rows, other.cols, self.rows, self.cols))
         return Matrix._of(self.rows, self.cols, tuple(
-            _merge(a, b, -1) for a, b in zip(self.sparse, other.sparse)))
+            _kernels.axpy(a, -1, b)
+            for a, b in zip(self.sparse, other.sparse)))
 
     def __neg__(self):
         return self.scale(-1)
@@ -242,6 +230,8 @@ class Matrix:
         """Submatrix of the given columns, in the given order."""
         at = {}
         for k, j in enumerate(idx):
+            if not 0 <= j < self.cols:
+                raise IndexError(j)
             at.setdefault(j, []).append(k)
         out = []
         for r in self.sparse:

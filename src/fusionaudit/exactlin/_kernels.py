@@ -1,10 +1,11 @@
 """Kernels for exact rational matrices.
 
-All three kernels operate on sparse rows, the storage of Matrix: a matrix
-is a sequence of rows, and a row is a tuple of (col, Fraction) pairs
-holding the non-zero entries only, columns ascending.  Every kernel returns
-rows of that form (no zero stored, columns ascending) as a tuple of
-tuples; the Matrix wrapper owns shape checking.
+The three kernels (matmul, kron, rref) and the row helper axpy operate on
+sparse rows, the storage of Matrix: a matrix is a sequence of rows, and a
+row is a tuple of (col, Fraction) pairs holding the non-zero entries only,
+columns ascending.  Every kernel returns rows of that form (no zero stored,
+columns ascending) as a tuple of tuples; the Matrix wrapper owns shape
+checking.
 
 rref uses the leftmost-pivot convention: scan columns left to right, take
 the first row with a nonzero entry in the current column, swap it up,
@@ -20,7 +21,8 @@ def matmul(a, b):
     """Rows of a times b: row i of the product is the sum over the entries
     (k, x) of a[i] of x times row k of b.  A row of a that is a single 1
     reuses the row of b it selects, and a factor equal to 1 is not
-    multiplied."""
+    multiplied: almost every product the audit forms has such a factor
+    (identities, inclusions, projections, lax maps)."""
     out = []
     for row in a:
         if not row:
@@ -59,15 +61,15 @@ def kron(a, b, q):
     return tuple(out)
 
 
-def _sub(row, f, prow):
-    """row - f * prow, both sparse rows."""
+def axpy(row, f, prow):
+    """row + f * prow, both sparse rows; cancelled entries are dropped."""
     acc = dict(row)
     for j, y in prow:
         v = acc.get(j)
         if v is None:
-            acc[j] = -f * y
+            acc[j] = f * y
         else:
-            v -= f * y
+            v += f * y
             if v:
                 acc[j] = v
             else:
@@ -113,6 +115,6 @@ def rref(a):
                 if k == len(row) or row[k][0] != c:
                     continue
                 f = row[k][1]
-            rows[i] = _sub(row, f, prow)
+            rows[i] = axpy(row, -f, prow)
         pivots.append(c)
     return tuple(rows), pivots

@@ -348,7 +348,8 @@ def tensor_mor(f, h):
     zero.  Such a row takes entries from row i of f's block and row j of
     h's block only, so only pairs of non-zero factor entries are visited:
     a factor pair (g1, g2) costs nnz(f at g1) * nnz(h at g2) products, and
-    a factor equal to 1 (an identity's entry) is not multiplied.  Each side's slots are enumerated once (_tensor_layout), and each output
+    a factor equal to 1 (an identity's entry) is not multiplied.  Each
+    side's slots are enumerated once (_tensor_layout), and each output
     grade's Matrix is built before the next grade is filled."""
     src, src_pos = _tensor_layout(f.source, h.source)
     tgt, tgt_pos = _tensor_layout(f.target, h.target)

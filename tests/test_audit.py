@@ -9,7 +9,7 @@ from conftest import cli_env
 from fusionaudit import audit, cli, functors, grothendieck
 from fusionaudit.audit import (
     CONDITIONS, check_algebra_report, gr_report, render_report, run_audit)
-from fusionaudit.errors import SpecError
+from fusionaudit.errors import ConsistencyError, SpecError
 from fusionaudit.fixtures import FIXTURE_NAMES, fixture_spec, load_fixture
 from fusionaudit.gvec import (
     compose, identity_mor, is_epi, is_iso, is_mono, morphism_from_spec,
@@ -417,6 +417,22 @@ def test_audit_decides_each_separability_once(monkeypatch, name):
     live = [a for a in rep["corpus"]["algebras"] if not a["zero"]]
     assert live
     assert len(calls) == len(live)
+
+
+def test_audit_refuses_a_corpus_without_the_unit_summands_first(monkeypatch):
+    # the unit-summand check reads separable[i] for corpus index i, so a
+    # corpus that does not start with 1_0, ..., 1_{n-1} must be refused
+    # rather than read another algebra's verdict
+    original = audit.algebra_corpus
+
+    def swapped(cat, rng, **kwargs):
+        out = original(cat, rng, **kwargs)
+        out[0], out[1] = out[1], out[0]
+        return out
+
+    monkeypatch.setattr(audit, "algebra_corpus", swapped)
+    with pytest.raises(ConsistencyError, match="not the unit summand 1_0"):
+        run_audit(load_fixture("pair2"), samples=2)
 
 
 @pytest.mark.parametrize("name", ("vec_z2", "pair3"))

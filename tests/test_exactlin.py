@@ -377,3 +377,13 @@ def test_derived_views_of_empty_shapes():
     assert Matrix.identity(3).sparse == (((0, F(1)),), ((1, F(1)),),
                                          ((2, F(1)),))
     assert Matrix(2, 2, [0, 3, 0, 0]).sparse == (((1, F(3)),), ())
+
+
+def test_columns_rejects_out_of_range_index():
+    a = Matrix.from_rows([[1, 0], [0, 2]])
+    assert a.columns([1, 1, 0]) == Matrix.from_rows([[0, 0, 1], [2, 2, 0]])
+    for bad in ([2], [0, -1], [5, 0]):
+        with pytest.raises(IndexError):
+            a.columns(bad)
+    with pytest.raises(IndexError):
+        Matrix.zeros(3, 0).columns([0])
