@@ -15,7 +15,7 @@ is exactly the in-memory order, so parsing needs no permutation.
 from .errors import ConsistencyError, ShapeError, SpecError
 from .exactlin import Matrix, parse_rat, rat_str
 from .gvec import (
-    GradedMorphism, _tensor_layout, compose, dual_morphism, dual_obj,
+    GradedMorphism, _tensor_layout, compose, dual_morphism,
     direct_sum_with_maps, graded_object, identity_mor, left_dual,
     object_from_spec, object_to_spec, restrict_grades, restriction_inclusion,
     restriction_projection, tensor_mor, tensor_obj, unit_object,
@@ -238,13 +238,13 @@ def internal_end(x):
 def dualize_algebra(a):
     """Transpose through duality; strictness of dual-of-product makes the
     transposed maps land exactly on dual(carrier) (x) dual(carrier)."""
-    return InternalCoalgebra(dual_obj(a.carrier),
-                             dual_morphism(a.mult), dual_morphism(a.unit))
+    comult = dual_morphism(a.mult)
+    return InternalCoalgebra(comult.source, comult, dual_morphism(a.unit))
 
 
 def dualize_coalgebra(c):
-    return InternalAlgebra(dual_obj(c.carrier),
-                           dual_morphism(c.comult), dual_morphism(c.counit))
+    mult = dual_morphism(c.comult)
+    return InternalAlgebra(mult.target, mult, dual_morphism(c.counit))
 
 
 def direct_sum_algebra(a, b):

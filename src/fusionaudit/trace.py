@@ -145,7 +145,9 @@ _TABLE = (
         "so the tensor functor is not faithful",
         "functors.is_faithful_tensor",
         ("tests/test_functors.py::test_faithful_dead_simple",
-         "tests/test_functors.py::test_faithful_group_algebra")),
+         "tests/test_functors.py::test_faithful_group_algebra",
+         "tests/test_functors.py::"
+         "test_dead_simple_grade_matches_tensor_products")),
     TraceEntry(
         "reflection-properties-with-witnesses",
         "the tensor functor reflects split monos, split epis, and "
@@ -153,7 +155,9 @@ _TABLE = (
         "counterexamples otherwise",
         "functors.reflection_checks",
         ("tests/test_functors.py::test_reflection_dead_simple_witnesses",
-         "tests/test_functors.py::test_reflection_holds_group_algebra")),
+         "tests/test_functors.py::test_reflection_holds_group_algebra",
+         "tests/test_functors.py::"
+         "test_dead_simple_grade_matches_tensor_products")),
     TraceEntry(
         "dual-swaps-split-sides",
         "dualizing an algebra gives a coalgebra whose counit splits on the "

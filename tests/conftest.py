@@ -1,6 +1,8 @@
 """Shared test helpers."""
 
+import itertools
 import os
+import random
 
 from hypothesis import strategies as st
 
@@ -19,6 +21,20 @@ def cli_env():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     return env
+
+
+def symmetric_group_spec(n, seed):
+    """Group spec of the symmetric group on 0..n-1.  Its elements are the
+    permutations, the identity first as make_group needs, the rest in an
+    order drawn from seed; entry [p][q] is "p then q"."""
+    perms = sorted(itertools.permutations(range(n)))
+    rest = perms[1:]
+    random.Random(seed).shuffle(rest)
+    perms = perms[:1] + rest
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(q[p[x]] for x in range(n))] for q in perms]
+             for p in perms]
+    return {"kind": "group", "table": table}
 
 
 def _relabelled(cat, perm):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import cli_env
+from conftest import cli_env, symmetric_group_spec
 from fusionaudit import audit, cli, functors, grothendieck
 from fusionaudit.audit import (
     CONDITIONS, check_algebra_report, gr_report, render_report, run_audit)
@@ -375,6 +375,21 @@ def test_fixture_reports_golden():
                           indent=2) + "\n"
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == GOLDEN_REPORTS[name], name
+
+
+# sha256 of the S4 audit report (element order from seed 1; audit seed 1,
+# corpus 2, samples 6), serialised as the CLI does.  Its 24 grades exercise
+# the per-grade paths that the fixtures, with at most 9 grades, barely reach.
+GOLDEN_S4_REPORT = \
+    "8cfa9e0756aaad2cdc1e8e12958ae799e05d140edccdf27a786b3e845e6e9723"
+
+
+def test_s4_report_golden():
+    report = run_audit(symmetric_group_spec(4, 1), seed=1, corpus_size=2,
+                       samples=6)
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() \
+        == GOLDEN_S4_REPORT
 
 
 @pytest.mark.parametrize("name", ("vec_z2", "pair3"))

@@ -19,9 +19,9 @@ from fusionaudit.functors import (
     check_section_identity, validate_comodule, validate_module)
 from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
 from fusionaudit.gvec import (
-    compose, hom_basis, identity_mor, restrict_grades, restriction_inclusion,
-    restriction_projection, simple_object, tensor_mor, tensor_obj,
-    unit_object, unit_summand, zero_object)
+    compose, graded_object, hom_basis, identity_mor, restrict_grades,
+    restriction_inclusion, restriction_projection, simple_object, tensor_mor,
+    tensor_obj, unit_object, unit_summand, zero_object)
 from fusionaudit.internal import (
     dualize_algebra, groupoid_algebra, internal_end, restriction_data,
     support, unit_summand_algebra)
@@ -158,6 +158,52 @@ def test_faithful_dead_simple():
     g = rep["witness"]["simple_grade"]
     assert tensor_obj(simple_object(P2, g), a.carrier).is_zero()
     assert rep["witness"]["morphism"] == identity_mor(simple_object(P2, g))
+
+
+def _dead_simple_grade_by_products(cat, carrier):
+    """_dead_simple_grade as it was first written: build S_g (x) carrier for
+    every grade g in turn and test it for zero."""
+    for g in range(cat.morphism_count):
+        if tensor_obj(simple_object(cat, g), carrier).is_zero():
+            return g
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_groupoids(), st.data())
+def test_dead_simple_grade_matches_tensor_products(cat, data):
+    m = cat.morphism_count
+    subsets = [{data.draw(st.sampled_from(cat.identity_grades))},
+               set(range(m)),
+               data.draw(st.sets(st.integers(0, m - 1), min_size=1)),
+               data.draw(st.sets(st.integers(0, m - 1), min_size=1))]
+    for grades in subsets:
+        carrier = graded_object(
+            cat, {g: data.draw(st.integers(1, 3)) for g in grades})
+        assert functors._dead_simple_grade(cat, carrier) \
+            == _dead_simple_grade_by_products(cat, carrier)
+
+
+def test_dead_simple_grade_builds_no_tensor_product(monkeypatch):
+    rng = random.Random(621)
+    carriers = []
+    for name in FIXTURE_NAMES:
+        cat = load_fixture(name)
+        carriers += [(cat, a.carrier) for a in algebra_corpus(cat, rng)
+                     if not a.is_zero()]
+    calls = []
+    original = gvec._tensor_layout
+
+    def counted(v, w):
+        calls.append(1)
+        return original(v, w)
+
+    monkeypatch.setattr(gvec, "_tensor_layout", counted)
+    dead = [functors._dead_simple_grade(cat, c) for cat, c in carriers]
+    assert calls == []
+    assert any(g is None for g in dead) and any(g is not None for g in dead)
+    expected = [_dead_simple_grade_by_products(cat, c) for cat, c in carriers]
+    assert calls and dead == expected
 
 
 def test_faithful_group_algebra():

@@ -588,11 +588,22 @@ def test_layout_memo_stays_within_its_bound(monkeypatch):
     assert memo.peak <= gvec._LAYOUT_MEMO_SIZE
 
 
+def _starred_dual_obj(v):
+    """dual_obj as it was first written: star each word, sort per grade."""
+    cat = v.cat
+    inv = cat.inverse_of
+    mult = {inv[g]: m for g, m in v.mult.items()}
+    layout = {inv[g]: tuple(sorted(gvec._star_word(cat, w)
+                                   for w in v.layout[g]))
+              for g in v.mult}
+    return GradedObject(cat, mult, layout)
+
+
 def _dense_dual_morphism(f):
     """dual_morphism as it was written densely: every entry of the dual
     block is read from f's block through the word -> slot dicts."""
     cat = f.source.cat
-    ds, dt = dual_obj(f.source), dual_obj(f.target)
+    ds, dt = _starred_dual_obj(f.source), _starred_dual_obj(f.target)
     inv = cat.inverse_of
     blocks = {}
     for g in ds.mult:
@@ -610,12 +621,33 @@ def _dense_dual_morphism(f):
     return GradedMorphism(dt, ds, blocks)
 
 
+def _composite_sources(cat, rng):
+    """Morphisms out of tensor products and direct sums: their slot words
+    have length 2 or side-tagged letters."""
+    x = random_object(cat, rng, max_total=2)
+    y = random_object(cat, rng, max_total=2)
+    s = direct_sum_obj(x, y)
+    sources = (tensor_obj(x, y), s, tensor_obj(s, s),
+               direct_sum_obj(tensor_obj(x, y), dual_obj(x)))
+    return [random_morphism(v, w, rng, zero_weight=1)
+            for v in sources for w in sources]
+
+
 def test_dual_morphism_matches_dense_reference():
     rng = random.Random(420)
+    lengths, tagged = set(), 0
     for name in FIXTURE_NAMES:
-        for f in _differential_factors(load_fixture(name), rng):
+        cat = load_fixture(name)
+        for f in _differential_factors(cat, rng) + _composite_sources(cat, rng):
             got, ref = dual_morphism(f), _dense_dual_morphism(f)
-            assert got == ref and got.source.layout == ref.source.layout
+            assert got == ref
+            assert got.source.layout == ref.source.layout
+            assert got.target.layout == ref.target.layout
+            assert dual_obj(f.source).layout == ref.target.layout
+            for ws in f.source.layout.values():
+                lengths.update(map(len, ws))
+                tagged += any(l[0] == 1 for w in ws for l in w)
+    assert 2 in lengths and tagged
 
 
 def test_sparse_builders_read_no_dense_view(monkeypatch):
