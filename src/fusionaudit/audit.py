@@ -23,17 +23,18 @@ from .functors import (
     idempotent_e, is_faithful_cotensor, is_faithful_tensor,
     reflection_checks, separability_verdict)
 from .grothendieck import fusion_iff_separable_check, ring_report
-from .groupoid import Groupoid, groupoid_from_spec
+from .groupoid import Groupoid, _spec_ints, groupoid_from_spec
 from .gvec import (
-    cokernel, compose, identity_mor, is_epi, is_mono, kernel,
-    morphism_to_spec, tensor_mor, unit_object, unit_summand)
+    cokernel, compose, identity_mor, is_epi, is_iso, is_mono, kernel,
+    morphism_from_spec, morphism_to_spec, simple_object, tensor_mor,
+    tensor_obj, unit_object, unit_summand)
 from .internal import (
-    algebra_to_spec, dualize_algebra, restriction_data, support,
-    validate_algebra)
-from .morphcalc import find_retraction
+    algebra_from_spec, algebra_to_spec, dualize_algebra, restriction_data,
+    support, validate_algebra)
+from .morphcalc import find_retraction, find_section
 
 __all__ = ["CONDITIONS", "run_audit", "render_report",
-           "check_algebra_report", "gr_report"]
+           "check_algebra_report", "gr_report", "reverify_witness"]
 
 CONDITIONS = {
     1: "the unit object is simple",
@@ -82,6 +83,13 @@ def _hold(holds, witness=None, method="exact"):
     return {"holds": holds, "witness": witness, "method": method}
 
 
+def _require_ints(**args):
+    """Each argument must be an int, by the rule spec fields follow: a
+    bool, a float or a string is a SpecError."""
+    for key in args:
+        _spec_ints(args, key, 0, nullable=False)
+
+
 def _first_failure(pairs, predicate):
     for idx, item in pairs:
         failed = predicate(idx, item)
@@ -91,6 +99,7 @@ def _first_failure(pairs, predicate):
 
 
 def run_audit(category, seed=1, corpus_size=2, samples=6):
+    _require_ints(seed=seed, corpus_size=corpus_size, samples=samples)
     if isinstance(category, dict):
         cat = groupoid_from_spec(category)
     elif isinstance(category, Groupoid):
@@ -396,7 +405,6 @@ def render_report(report):
 def check_algebra_report(cat, algebra_doc):
     """Single-algebra drill-down: validation, support, separability,
     corner restriction."""
-    from .internal import algebra_from_spec
     a = algebra_from_spec(cat, algebra_doc)
     validation = validate_algebra(a)
     doc = {"category": {"fingerprint": cat.fingerprint(),
@@ -428,7 +436,56 @@ def check_algebra_report(cat, algebra_doc):
     return doc
 
 
+def reverify_witness(cat, cond, witness):
+    """True when witness, as a report carries it for condition cond
+    (2..15), shows that the condition fails.  The witness's algebra and
+    morphisms are parsed back from their specs, and its claim is checked
+    with library calls, independently of how the audit found it."""
+    if not 2 <= cond <= 15:
+        raise ValueError("conditions 2..15 carry witnesses, not %r" % cond)
+    one = unit_object(cat)
+    if cond % 2 == 0:
+        a = algebra_from_spec(cat, witness["spec"])
+        if a.is_zero() or not validate_algebra(a)["ok"]:
+            return False
+        carrier, unit_map = a.carrier, a.unit
+    else:
+        c = dualize_algebra(algebra_from_spec(cat, witness["dual_of"]))
+        if c.is_zero():
+            return False
+        carrier, unit_map = c.carrier, c.counit
+    if cond == 2:
+        return find_retraction(unit_map) is None
+    if cond == 3:
+        return find_section(unit_map) is None
+    f = morphism_from_spec(cat, witness["morphism"])
+    if cond in (4, 5):
+        dead = tensor_obj(simple_object(cat, witness["simple_grade"]),
+                          carrier)
+        return (not f.is_zero() and dead.is_zero()
+                and tensor_mor(f, identity_mor(carrier)).is_zero())
+    if cond <= 11:
+        ff = tensor_mor(f, identity_mor(carrier))
+        if cond in (6, 7):
+            return (find_retraction(f) is None
+                    and find_retraction(ff) is not None)
+        if cond in (8, 9):
+            return find_section(f) is None and find_section(ff) is not None
+        return not is_iso(f) and is_iso(ff)
+    if cond in (12, 14):
+        k = morphism_from_spec(cat, witness["kernel"])
+        return (f.source == one and not f.is_zero() and not is_mono(f)
+                and not k.is_zero() and is_mono(k)
+                and compose(f, k).is_zero()
+                and (cond == 14 or f == unit_map))
+    q = morphism_from_spec(cat, witness["cokernel"])
+    return (f.target == one and not f.is_zero() and not is_epi(f)
+            and not q.is_zero() and is_epi(q) and compose(q, f).is_zero()
+            and (cond == 15 or f == unit_map))
+
+
 def gr_report(cat, seed=1, corpus_size=2):
+    _require_ints(seed=seed, corpus_size=corpus_size)
     if corpus_size < 1:
         raise SpecError("corpus_size must be at least 1")
     rng = random.Random(seed)

@@ -6,7 +6,7 @@ fixed seed reproduces the exact corpus byte for byte.
 
 from fractions import Fraction
 
-from .gvec import GradedMorphism, graded_object
+from .gvec import GradedMorphism, GradedObject, _atomic_layout
 from .exactlin import Matrix
 
 __all__ = ["random_rational", "random_object", "random_morphism",
@@ -30,7 +30,7 @@ def random_object(cat, rng, max_total=4, allow_zero=False):
     for _ in range(total):
         g = rng.randrange(cat.morphism_count)
         mult[g] = mult.get(g, 0) + 1
-    return graded_object(cat, mult)
+    return GradedObject._of(cat, mult, _atomic_layout(mult))
 
 
 def random_morphism(v, w, rng, zero_weight=2):

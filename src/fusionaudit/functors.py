@@ -517,9 +517,9 @@ class ProjectionFunctor:
         return restrict_grades(x, self.grades)
 
     def mor(self, f):
-        return GradedMorphism(self.obj(f.source), self.obj(f.target),
-                              {g: b for g, b in f.blocks.items()
-                               if g in self.grades})
+        return GradedMorphism._of(self.obj(f.source), self.obj(f.target),
+                                  {g: b for g, b in f.blocks.items()
+                                   if g in self.grades})
 
     def match(self, x, y):
         """(R(x) (x) R(y), R(x (x) y), rows) where rows[h][c] is the slot
@@ -540,7 +540,7 @@ class ProjectionFunctor:
         for h, r in rows.items():
             blocks[h] = _zero_one(big.mult[h], len(r),
                                   {i: c for c, i in enumerate(r)})
-        return GradedMorphism(small, big, blocks)
+        return GradedMorphism._of(small, big, blocks)
 
     def psi(self, match):
         """R(x (x) y) -> R(x) (x) R(y), for match = self.match(x, y)."""
@@ -548,7 +548,7 @@ class ProjectionFunctor:
         blocks = {}
         for h, r in rows.items():
             blocks[h] = _zero_one(len(r), big.mult[h], dict(enumerate(r)))
-        return GradedMorphism(big, small, blocks)
+        return GradedMorphism._of(big, small, blocks)
 
     def phi0(self):
         return self.mor(self.p_j)

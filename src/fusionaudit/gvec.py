@@ -26,6 +26,14 @@ Object equality is equality of multiplicity maps (words are bookkeeping,
 not identity).  Morphism equality is structural equality of normalized
 blocks: stored blocks have both dimensions positive and at least one
 nonzero entry, absent means zero.
+
+Validation happens at the public boundary only.  GradedObject(...),
+GradedMorphism(...), graded_object, simple_object and the spec parsers
+check grades, signs, layout sizes and block shapes, and drop zero blocks.
+The engine's own producers (tensor, dual, sum, restriction, composition,
+the abelian and duality maps) build values from parts that already keep
+those invariants, and go through the unchecked GradedObject._of and
+GradedMorphism._of instead, as Matrix._of does one level down.
 """
 
 from fractions import Fraction
@@ -78,17 +86,40 @@ class GradedObject:
     __slots__ = ("cat", "mult", "layout", "_hash")
 
     def __init__(self, cat, mult, layout):
-        self.cat = cat
-        self.mult = {g: m for g, m in mult.items() if m}
-        self.layout = layout
-        for g, m in self.mult.items():
+        mult = {g: m for g, m in mult.items() if m}
+        if layout.keys() != mult.keys():
+            raise ShapeError("layout grades %s differ from multiplicity "
+                             "grades %s" % (sorted(layout), sorted(mult)))
+        for g, m in mult.items():
             if m < 0:
                 raise ShapeError("negative multiplicity at grade %d" % g)
             if not (0 <= g < cat.morphism_count):
                 raise ShapeError("grade %d out of range" % g)
             if len(layout[g]) != m:
                 raise ShapeError("layout size mismatch at grade %d" % g)
+        self.cat = cat
+        self.mult = mult
+        self.layout = layout
         self._hash = None
+
+    @classmethod
+    def _of(cls, cat, mult, layout):
+        """Object with the given multiplicities and slot words, unchecked.
+
+        The caller keeps the invariant: mult holds positive entries only,
+        at grades of cat; layout has exactly the grades of mult, and
+        layout[g] is a sorted tuple of mult[g] distinct words.  Both dicts
+        become the object's own and must not be mutated afterwards.  A
+        value that breaks the invariant makes equality, hashing and the
+        tensor layouts silently wrong.  The producers are held to it by
+        test_unchecked_producers_match_validating_constructors and
+        test_layout_invariants_everywhere in tests/test_gvec.py."""
+        v = object.__new__(cls)
+        v.cat = cat
+        v.mult = mult
+        v.layout = layout
+        v._hash = None
+        return v
 
     def m(self, g):
         return self.mult.get(g, 0)
@@ -100,7 +131,8 @@ class GradedObject:
         return not self.mult
 
     def __eq__(self, other):
-        return (isinstance(other, GradedObject) and self.cat == other.cat
+        return (isinstance(other, GradedObject)
+                and (self.cat is other.cat or self.cat == other.cat)
                 and self.mult == other.mult)
 
     def __hash__(self):
@@ -113,16 +145,20 @@ class GradedObject:
             {g: self.mult[g] for g in self.grades()},)
 
 
+def _atomic_layout(mult):
+    """One single-letter word per slot of the multiplicity map mult."""
+    return {g: tuple(((0, g, a),) for a in range(m))
+            for g, m in mult.items()}
+
+
 def graded_object(cat, mult):
     """Atomic object: one single-letter word per slot."""
     mult = {int(g): int(m) for g, m in mult.items() if m}
-    layout = {g: tuple(((0, g, a),) for a in range(m))
-              for g, m in mult.items()}
-    return GradedObject(cat, mult, layout)
+    return GradedObject(cat, mult, _atomic_layout(mult))
 
 
 def zero_object(cat):
-    return GradedObject(cat, {}, {})
+    return GradedObject._of(cat, {}, {})
 
 
 def simple_object(cat, g):
@@ -132,7 +168,7 @@ def simple_object(cat, g):
 def unit_object(cat):
     """Multiplicity 1 at every identity grade; slots carry the empty word."""
     mult = {e: 1 for e in cat.identity_grades}
-    return GradedObject(cat, mult, {e: ((),) for e in mult})
+    return GradedObject._of(cat, mult, {e: ((),) for e in mult})
 
 
 def total_mult(v):
@@ -142,7 +178,7 @@ def total_mult(v):
 def _same_cat(*items):
     cat = items[0].cat
     for x in items[1:]:
-        if x.cat != cat:
+        if x.cat is not cat and x.cat != cat:
             raise CategoryMismatch("values graded by different groupoids")
     return cat
 
@@ -195,7 +231,7 @@ def _tensor_layout(v, w):
             rank[k] = p
         pos[h] = {(g1, g2): rank[k:k + n] for g1, g2, k, n in starts[h]}
     mult = {h: len(ws) for h, ws in layout.items()}
-    out = GradedObject(cat, mult, layout), pos
+    out = GradedObject._of(cat, mult, layout), pos
     if len(_layout_memo) >= _LAYOUT_MEMO_SIZE:
         _layout_memo.clear()
     _layout_memo[key] = out
@@ -214,7 +250,7 @@ def direct_sum_obj(v, w):
             + [((1, 1, word),) for word in w.layout.get(g, ())]
         layout[g] = tuple(words)  # side tag keeps this sorted
         mult[g] = len(words)
-    return GradedObject(cat, mult, layout)
+    return GradedObject._of(cat, mult, layout)
 
 
 def _dual_layout(v):
@@ -232,7 +268,7 @@ def _dual_layout(v):
         for p, i in enumerate(order):
             r[i] = p
         rank[g] = r
-    return GradedObject(cat, mult, layout), rank
+    return GradedObject._of(cat, mult, layout), rank
 
 
 def dual_obj(v):
@@ -240,8 +276,8 @@ def dual_obj(v):
 
 
 def restrict_grades(v, grades):
-    keep = {g: v.mult[g] for g in v.mult if g in grades}
-    return GradedObject(v.cat, keep, {g: v.layout[g] for g in keep})
+    keep = {g: m for g, m in v.mult.items() if g in grades}
+    return GradedObject._of(v.cat, keep, {g: v.layout[g] for g in keep})
 
 
 def component(v, i, j):
@@ -286,6 +322,26 @@ class GradedMorphism:
         self.target = target
         self.blocks = _normalize_blocks(blocks, source, target)
 
+    @classmethod
+    def _of(cls, source, target, blocks):
+        """Morphism with the given blocks, unchecked.
+
+        The caller keeps the invariant: source and target share one
+        groupoid; every block is a non-zero Matrix of shape
+        target.m(g) x source.m(g), stored only at grades g where both
+        endpoints have slots.  blocks becomes the morphism's own dict and
+        must not be mutated afterwards.  A block that breaks the invariant
+        makes equality, is_zero and every later product silently wrong.
+        The producers are held to it by
+        test_unchecked_producers_match_validating_constructors, and
+        tensor_mor and dual_morphism also by their dense-reference tests,
+        in tests/test_gvec.py."""
+        f = object.__new__(cls)
+        f.source = source
+        f.target = target
+        f.blocks = blocks
+        return f
+
     def block(self, g):
         """Stored block, or an explicit zero block; None when either side
         has no slots at g."""
@@ -320,8 +376,10 @@ class GradedMorphism:
             raise ShapeError("adding morphisms with different endpoints")
         out = {}
         for g in set(self.blocks) | set(other.blocks):
-            out[g] = self.block(g) + other.block(g)
-        return GradedMorphism(self.source, self.target, out)
+            b = self.block(g) + other.block(g)
+            if not b.is_zero():
+                out[g] = b
+        return GradedMorphism._of(self.source, self.target, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -330,17 +388,18 @@ class GradedMorphism:
         return self.scale(-1)
 
     def scale(self, c):
-        return GradedMorphism(self.source, self.target,
-                              {g: m.scale(c) for g, m in self.blocks.items()})
+        blocks = {g: m.scale(c) for g, m in self.blocks.items()} if c else {}
+        return GradedMorphism._of(self.source, self.target, blocks)
 
 
 def identity_mor(v):
-    return GradedMorphism(
+    return GradedMorphism._of(
         v, v, {g: Matrix.identity(m) for g, m in v.mult.items()})
 
 
 def zero_mor(v, w):
-    return GradedMorphism(v, w, {})
+    _same_cat(v, w)
+    return GradedMorphism._of(v, w, {})
 
 
 def compose(f, g):
@@ -349,10 +408,14 @@ def compose(f, g):
         raise ShapeError("composition endpoint mismatch: %r vs %r"
                          % (g.target, f.source))
     out = {}
-    for h in f.blocks:
-        if h in g.blocks:
-            out[h] = f.blocks[h] @ g.blocks[h]
-    return GradedMorphism(g.source, f.target, out)
+    gblocks = g.blocks
+    for h, fb in f.blocks.items():
+        gb = gblocks.get(h)
+        if gb is not None:
+            b = fb @ gb
+            if not b.is_zero():
+                out[h] = b
+    return GradedMorphism._of(g.source, f.target, out)
 
 
 def tensor_mor(f, h):
@@ -401,7 +464,7 @@ def tensor_mor(f, h):
                     data[rpos[rbase + j]] = tuple(row)
         if data is not None:
             blocks[g] = Matrix._of(tgt.mult[g], src.mult[g], tuple(data))
-    return GradedMorphism(src, tgt, blocks)
+    return GradedMorphism._of(src, tgt, blocks)
 
 
 def direct_sum_mor(f, g):
@@ -413,6 +476,8 @@ def direct_sum_mor(f, g):
         gt_m, gs_m = g.target.m(gr), g.source.m(gr)
         fb = f.blocks.get(gr)
         gb = g.blocks.get(gr)
+        if fb is None and gb is None:
+            continue
         rows = fb.sparse if fb is not None else ((),) * ft_m
         if gb is not None:
             rows += tuple(tuple([(j + fs_m, x) for j, x in r])
@@ -420,7 +485,7 @@ def direct_sum_mor(f, g):
         else:
             rows += ((),) * gt_m
         blocks[gr] = Matrix._of(ft_m + gt_m, fs_m + gs_m, rows)
-    return GradedMorphism(src, tgt, blocks)
+    return GradedMorphism._of(src, tgt, blocks)
 
 
 def direct_sum_with_maps(v, w):
@@ -438,20 +503,20 @@ def direct_sum_with_maps(v, w):
             inj_w[g] = block
             proj_w[g] = block.transpose()
     return (s,
-            GradedMorphism(v, s, inj_v), GradedMorphism(w, s, inj_w),
-            GradedMorphism(s, v, proj_v), GradedMorphism(s, w, proj_w))
+            GradedMorphism._of(v, s, inj_v), GradedMorphism._of(w, s, inj_w),
+            GradedMorphism._of(s, v, proj_v), GradedMorphism._of(s, w, proj_w))
 
 
 def restriction_inclusion(v, grades):
     sub = restrict_grades(v, grades)
-    return GradedMorphism(
-        sub, v, {g: Matrix.identity(sub.mult[g]) for g in sub.mult})
+    return GradedMorphism._of(
+        sub, v, {g: Matrix.identity(m) for g, m in sub.mult.items()})
 
 
 def restriction_projection(v, grades):
     sub = restrict_grades(v, grades)
-    return GradedMorphism(
-        v, sub, {g: Matrix.identity(sub.mult[g]) for g in sub.mult})
+    return GradedMorphism._of(
+        v, sub, {g: Matrix.identity(m) for g, m in sub.mult.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +531,8 @@ def kernel(f):
         if k.cols:
             mult[g] = k.cols
             blocks[g] = k
-    ker = graded_object(f.source.cat, mult)
-    return ker, GradedMorphism(ker, f.source, blocks)
+    ker = GradedObject._of(f.source.cat, mult, _atomic_layout(mult))
+    return ker, GradedMorphism._of(ker, f.source, blocks)
 
 
 def cokernel(f):
@@ -482,8 +547,8 @@ def cokernel(f):
         if q.rows:
             mult[g] = q.rows
             blocks[g] = q
-    cok = graded_object(f.target.cat, mult)
-    return cok, GradedMorphism(f.target, cok, blocks)
+    cok = GradedObject._of(f.target.cat, mult, _atomic_layout(mult))
+    return cok, GradedMorphism._of(f.target, cok, blocks)
 
 
 def image_factorization(f):
@@ -501,9 +566,9 @@ def image_factorization(f):
         mult[g] = rank
         phi[g] = b.columns(pivots)
         psi[g] = Matrix._of(rank, b.cols, r.sparse[:rank])
-    img = graded_object(f.source.cat, mult)
-    return (GradedMorphism(f.source, img, psi),
-            GradedMorphism(img, f.target, phi))
+    img = GradedObject._of(f.source.cat, mult, _atomic_layout(mult))
+    return (GradedMorphism._of(f.source, img, psi),
+            GradedMorphism._of(img, f.target, phi))
 
 
 def hom_basis(v, w):
@@ -515,7 +580,8 @@ def hom_basis(v, w):
         for r in range(tm):
             for c in range(sm):
                 rows = empty[:r] + (((c, _ONE),),) + empty[r + 1:]
-                out.append(GradedMorphism(v, w, {g: Matrix._of(tm, sm, rows)}))
+                out.append(
+                    GradedMorphism._of(v, w, {g: Matrix._of(tm, sm, rows)}))
     return out
 
 
@@ -570,7 +636,7 @@ def left_dual(v):
                     hits.append((p, _ONE))
         hits.sort()
         ev_blocks[e] = Matrix._of(1, dxv.mult[e], (tuple(hits),))
-    ev = GradedMorphism(dxv, unit, ev_blocks)
+    ev = GradedMorphism._of(dxv, unit, ev_blocks)
     vxd, pos = _tensor_layout(v, d)
     coev_blocks = {}
     for e in cat.identity_grades:
@@ -584,7 +650,7 @@ def left_dual(v):
                 if d.layout[g2][j] == _star_word(cat, v.layout[g1][i]):
                     col[p] = ((0, _ONE),)
         coev_blocks[e] = Matrix._of(len(col), 1, tuple(col))
-    coev = GradedMorphism(unit, vxd, coev_blocks)
+    coev = GradedMorphism._of(unit, vxd, coev_blocks)
     return d, ev, coev
 
 
@@ -613,7 +679,7 @@ def dual_morphism(f):
                 row.sort()
         blocks[h] = Matrix._of(len(rperm), len(cperm),
                                tuple(map(tuple, rows)))
-    return GradedMorphism(dt, ds, blocks)
+    return GradedMorphism._of(dt, ds, blocks)
 
 
 # ---------------------------------------------------------------------------

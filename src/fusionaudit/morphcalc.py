@@ -30,7 +30,7 @@ def find_retraction(f):
         if y is None:
             return None
         blocks[g] = y.transpose()
-    return GradedMorphism(f.target, f.source, blocks)
+    return GradedMorphism._of(f.target, f.source, blocks)
 
 
 def find_section(f):
@@ -44,7 +44,7 @@ def find_section(f):
         if x is None:
             return None
         blocks[g] = x
-    return GradedMorphism(f.target, f.source, blocks)
+    return GradedMorphism._of(f.target, f.source, blocks)
 
 
 def is_split_mono(f):

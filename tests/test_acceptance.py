@@ -12,7 +12,7 @@ import subprocess
 import sys
 
 from conftest import cli_env
-from fusionaudit.audit import run_audit
+from fusionaudit.audit import reverify_witness, run_audit
 from fusionaudit.corpus import algebra_corpus, random_morphism, random_object
 from fusionaudit.errors import ConsistencyError
 from fusionaudit.fixtures import FIXTURE_NAMES, fixture_spec, load_fixture
@@ -25,8 +25,8 @@ from fusionaudit.grothendieck import (
     BasedRingData, fusion_iff_separable_check, grothendieck_ring,
     is_based_ring, is_fusion_ring, is_zplus_ring)
 from fusionaudit.gvec import (
-    compose, hom_basis, identity_mor, is_epi, is_iso, is_mono, left_dual,
-    morphism_from_spec, simple_object, tensor_mor, tensor_obj, unit_object)
+    compose, hom_basis, identity_mor, is_epi, is_mono, left_dual,
+    simple_object, tensor_mor, tensor_obj, unit_object)
 from fusionaudit.internal import (
     algebra_from_spec, algebra_to_spec, dualize_algebra, groupoid_algebra,
     restriction_data, support, validate_algebra)
@@ -132,59 +132,6 @@ def test_criterion_3_separability_criterion():
     _verdict(3, "separability criterion", failures)
 
 
-def _reverify_witness(cat, cond, w):
-    """Feed a failure witness back through the library and confirm it
-    demonstrates exactly what the report claims."""
-    one = unit_object(cat)
-    if cond in (2, 4, 6, 8, 10, 12, 14):
-        a = algebra_from_spec(cat, w["spec"])
-        if not validate_algebra(a)["ok"]:
-            return False
-        carrier = a.carrier
-    else:
-        a = algebra_from_spec(cat, w["dual_of"])
-        c = dualize_algebra(a)
-        carrier = c.carrier
-    if cond == 2:
-        return find_retraction(a.unit) is None
-    if cond == 3:
-        return find_section(c.counit) is None
-    if cond in (4, 5):
-        m = morphism_from_spec(cat, w["morphism"])
-        dead = tensor_obj(simple_object(cat, w["simple_grade"]), carrier)
-        return (not m.is_zero() and dead.is_zero()
-                and tensor_mor(m, identity_mor(carrier)).is_zero())
-    if cond in (6, 7, 8, 9, 10, 11):
-        f = morphism_from_spec(cat, w["morphism"])
-        ff = tensor_mor(f, identity_mor(carrier))
-        if cond in (6, 7):
-            return not is_split_mono(f) and is_split_mono(ff)
-        if cond in (8, 9):
-            return not is_split_epi(f) and is_split_epi(ff)
-        return not is_iso(f) and is_iso(ff)
-    if cond == 12:
-        k = morphism_from_spec(cat, w["kernel"])
-        return (not is_mono(a.unit) and not k.is_zero() and is_mono(k)
-                and compose(a.unit, k).is_zero())
-    if cond == 13:
-        q = morphism_from_spec(cat, w["cokernel"])
-        return (not is_epi(c.counit) and not q.is_zero() and is_epi(q)
-                and compose(q, c.counit).is_zero())
-    if cond == 14:
-        f = morphism_from_spec(cat, w["morphism"])
-        k = morphism_from_spec(cat, w["kernel"])
-        return (f.source == one and not f.is_zero() and not is_mono(f)
-                and is_mono(k) and not k.is_zero()
-                and compose(f, k).is_zero())
-    if cond == 15:
-        f = morphism_from_spec(cat, w["morphism"])
-        q = morphism_from_spec(cat, w["cokernel"])
-        return (f.target == one and not f.is_zero() and not is_epi(f)
-                and is_epi(q) and not q.is_zero()
-                and compose(q, f).is_zero())
-    return False
-
-
 def test_criterion_4_main_theorem_audit(tmp_path):
     failures = []
     for name in SIMPLE_UNIT:
@@ -205,7 +152,7 @@ def test_criterion_4_main_theorem_audit(tmp_path):
             if entry["holds"]:
                 failures.append("%s: condition %d holds" % (name, k))
                 continue
-            if not _reverify_witness(cat, k, entry["witness"]):
+            if not reverify_witness(cat, k, entry["witness"]):
                 failures.append("%s: condition %d witness" % (name, k))
     for name in FIXTURE_NAMES:
         path = tmp_path / ("%s.json" % name)

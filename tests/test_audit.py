@@ -8,12 +8,13 @@ import pytest
 from conftest import cli_env, symmetric_group_spec
 from fusionaudit import audit, cli, functors, grothendieck
 from fusionaudit.audit import (
-    CONDITIONS, check_algebra_report, gr_report, render_report, run_audit)
+    CONDITIONS, check_algebra_report, gr_report, render_report,
+    reverify_witness, run_audit)
 from fusionaudit.errors import ConsistencyError, SpecError
 from fusionaudit.fixtures import FIXTURE_NAMES, fixture_spec, load_fixture
 from fusionaudit.gvec import (
     compose, identity_mor, is_epi, is_iso, is_mono, morphism_from_spec,
-    tensor_mor, unit_object)
+    morphism_to_spec, tensor_mor, unit_object, zero_mor)
 from fusionaudit.internal import (
     algebra_from_spec, dualize_algebra, groupoid_algebra, algebra_to_spec,
     validate_algebra)
@@ -123,6 +124,25 @@ def test_witnesses_reverify_pair2():
     assert not f15.is_zero() and not is_epi(f15)
 
 
+def test_reverify_witness_rejects_swapped_morphisms():
+    """Every pair2 witness re-verifies, and none does once its morphism is
+    swapped for one that shows nothing: the zero map for the faithfulness
+    conditions (4), (5), an identity for the others."""
+    cat = load_fixture("pair2")
+    rep = run_audit(cat, seed=1)
+    for k in range(2, 16):
+        w = rep["conditions"][str(k)]["witness"]
+        assert reverify_witness(cat, k, w), k
+        if k < 4:
+            continue
+        f = morphism_from_spec(cat, w["morphism"])
+        g = zero_mor(f.source, f.target) if k < 6 else identity_mor(f.source)
+        swapped = dict(w, morphism=morphism_to_spec(g))
+        assert not reverify_witness(cat, k, swapped), k
+    with pytest.raises(ValueError):
+        reverify_witness(cat, 1, rep["conditions"]["1"]["witness"])
+
+
 def test_report_structural_section():
     rep = run_audit(load_fixture("pair2"), seed=1)
     s = rep["structural"]
@@ -161,6 +181,22 @@ def test_audit_input_validation():
         run_audit(42)
     rep = run_audit(fixture_spec("vec_z2"), seed=1)
     assert rep["unit_simple"] is True
+
+
+@pytest.mark.parametrize("bad", [
+    {"seed": 1.5}, {"seed": "x"}, {"seed": True}, {"seed": None},
+    {"corpus_size": True}, {"corpus_size": 2.5}, {"corpus_size": "2"},
+    {"samples": True}, {"samples": 2.0}, {"samples": "6"},
+])
+def test_audit_and_gr_take_integer_arguments(bad):
+    """seed, corpus_size and samples follow the spec rule for integers:
+    a bool, a float, a string or null is a SpecError, not coerced."""
+    cat = load_fixture("vec")
+    with pytest.raises(SpecError):
+        run_audit(cat, **bad)
+    if "samples" not in bad:
+        with pytest.raises(SpecError):
+            gr_report(cat, **bad)
 
 
 def test_render_report_lines():

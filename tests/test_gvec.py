@@ -15,6 +15,7 @@ from fusionaudit.corpus import random_morphism, random_object
 from fusionaudit.errors import ShapeError, SpecError
 from fusionaudit.exactlin import Matrix
 from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
+from fusionaudit.functors import ProjectionFunctor
 from fusionaudit.gvec import (
     GradedMorphism, GradedObject, _same_cat, _tensor_layout, component, compose, cokernel,
     decompose_simples, direct_sum_mor, direct_sum_obj, direct_sum_with_maps,
@@ -24,6 +25,7 @@ from fusionaudit.gvec import (
     restrict_grades, restriction_inclusion, restriction_projection,
     simple_object, tensor_mor, tensor_obj, total_mult, unit_object,
     unit_summand, zero_mor, zero_object)
+from fusionaudit.morphcalc import find_retraction, find_section
 
 Z2 = load_fixture("vec_z2")
 S3 = load_fixture("vec_s3")
@@ -393,6 +395,128 @@ def test_block_shape_validation():
         GradedMorphism(v, w, {0: Matrix.identity(2)})
     with pytest.raises(ShapeError):
         compose(zero_mor(v, v), zero_mor(w, w))
+
+
+def test_object_boundary_validation():
+    """The public constructors reject a grade outside 0..m-1, a negative
+    multiplicity and a layout of the wrong size."""
+    for bad in (-1, Z2.morphism_count):
+        word = (((0, bad, 0),),)
+        for build in (lambda: graded_object(Z2, {bad: 1}),
+                      lambda: simple_object(Z2, bad),
+                      lambda: GradedObject(Z2, {bad: 1}, {bad: word})):
+            with pytest.raises(ShapeError):
+                build()
+    with pytest.raises(ShapeError):
+        graded_object(Z2, {0: -1})
+    with pytest.raises(ShapeError):
+        GradedObject(Z2, {0: -1}, {0: ()})
+    with pytest.raises(ShapeError):
+        GradedObject(Z2, {0: 2}, {0: (((0, 0, 0),),)})
+
+
+def test_layout_grades_must_match_multiplicities():
+    """A layout with a grade outside mult used to be accepted, and its
+    stray slots then entered tensor products."""
+    with pytest.raises(ShapeError):
+        GradedObject(Z2, {0: 1}, {0: (((0, 0, 0),),), 1: (((0, 1, 0),),)})
+    with pytest.raises(ShapeError):
+        GradedObject(Z2, {0: 1, 1: 0}, {0: (((0, 0, 0),),), 1: ()})
+    with pytest.raises(ShapeError):
+        GradedObject(Z2, {0: 1, 1: 1}, {0: (((0, 0, 0),),)})
+    v = GradedObject(Z2, {0: 1, 1: 0}, {0: (((0, 0, 0),),)})
+    assert v.mult == {0: 1}
+    assert tensor_obj(v, v).mult == {0: 1}
+
+
+def _check_revalidates(x):
+    """x equals its rebuild through the public validating constructor, with
+    the same grades in the same order, so the constructor's checks pass and
+    its normalisation changes nothing; every block is in canonical sparse
+    form."""
+    if isinstance(x, GradedObject):
+        y = GradedObject(x.cat, dict(x.mult), dict(x.layout))
+        assert list(y.mult.items()) == list(x.mult.items())
+        assert list(y.layout) == list(x.layout)
+        check_layout(x)
+        return
+    _check_revalidates(x.source)
+    _check_revalidates(x.target)
+    y = GradedMorphism(x.source, x.target, dict(x.blocks))
+    assert list(y.blocks.items()) == list(x.blocks.items())
+    for b in x.blocks.values():
+        assert b.sparse == Matrix.from_rows(b.tolist()).sparse
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_groupoids(), st.integers(0, 2**32 - 1))
+def test_unchecked_producers_match_validating_constructors(cat, seed):
+    """Every producer that builds through GradedObject._of or
+    GradedMorphism._of keeps their invariant, including the compositions,
+    sums and scalings whose blocks cancel to zero."""
+    rng = random.Random(seed)
+    x = random_object(cat, rng, max_total=3)
+    y = random_object(cat, rng, max_total=3)
+    grades = {g for g in range(cat.morphism_count) if rng.random() < 0.5}
+    f = random_morphism(x, y, rng, zero_weight=rng.choice((1, 3)))
+    g = random_morphism(y, x, rng, zero_weight=rng.choice((1, 3)))
+    fg = tensor_mor(f, g)
+    ker, cok = kernel(f)[1], cokernel(f)[1]
+    epi, mono = image_factorization(f)
+    objs = set(rng.sample(range(cat.object_count),
+                          rng.randrange(1, cat.object_count + 1)))
+    rj = ProjectionFunctor(cat, objs)
+    match = rj.match(x, y)
+    values = [
+        x, zero_object(cat), unit_object(cat), tensor_obj(x, y),
+        dual_obj(x), direct_sum_obj(x, y), restrict_grades(x, grades),
+        identity_mor(x), zero_mor(x, y), compose(g, f), compose(f, g),
+        compose(cok, f), compose(f, ker), fg, tensor_mor(ker, cok),
+        direct_sum_mor(f, g), *direct_sum_with_maps(x, y)[1:],
+        restriction_inclusion(x, grades), restriction_projection(x, grades),
+        ker, cok, epi, mono, *hom_basis(x, y), *left_dual(x)[1:],
+        dual_morphism(f), dual_morphism(fg), f + f, f - f, f.scale(0),
+        f.scale(Fraction(-2, 3)),
+        find_retraction(mono), find_section(epi),
+        rj.mor(fg), rj.phi(match), rj.psi(match), rj.phi0(), rj.psi0(),
+    ]
+    for v in values:
+        _check_revalidates(v)
+    assert (f - f).is_zero() and compose(cok, f).is_zero()
+
+
+def test_hot_producers_skip_validation(monkeypatch):
+    """tensor_mor, compose, restrict_grades, dual_morphism and the
+    projection functor's phi and psi build their values unchecked: none
+    calls GradedObject.__init__ or _normalize_blocks."""
+    rng = random.Random(424)
+    x = random_object(P3, rng)
+    y = random_object(P3, rng)
+    f = random_morphism(x, y, rng, zero_weight=1)
+    g = random_morphism(y, x, rng, zero_weight=1)
+    rj = ProjectionFunctor(P3, {0, 1})
+    match = rj.match(x, y)
+    calls = []
+    init, normalize = GradedObject.__init__, gvec._normalize_blocks
+
+    def counted_init(self, *args):
+        calls.append("init")
+        init(self, *args)
+
+    def counted_normalize(*args):
+        calls.append("normalize")
+        return normalize(*args)
+
+    monkeypatch.setattr(GradedObject, "__init__", counted_init)
+    monkeypatch.setattr(gvec, "_normalize_blocks", counted_normalize)
+    monkeypatch.setattr(gvec, "_layout_memo", {})
+    built = [tensor_mor(f, g), compose(g, f), restrict_grades(x, {0, 1}),
+             dual_morphism(f), rj.phi(match), rj.psi(match)]
+    assert calls == []
+    assert not any(built[i].is_zero() for i in (0, 1, 3, 4, 5))
+    graded_object(P3, {0: 1})
+    GradedMorphism(x, x, {})
+    assert calls == ["init", "normalize"]
 
 
 def test_layout_invariants_everywhere():
