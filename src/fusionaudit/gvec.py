@@ -20,7 +20,11 @@ are identities (empty words vanish under concatenation).  For a single
 binary product of atomic objects the sorted order is exactly "composable
 pairs (g1, g2) lexicographically by enumeration index, Kronecker
 left-factor-major".  Every word in an object has the same length, which
-makes concatenation splits unambiguous and keeps slot words distinct.
+makes concatenation splits unambiguous and keeps slot words distinct.  It
+also means a grade of a tensor product fed by a single pair of factor
+grades is already in word order when enumerated left-factor-major, so only
+grades fed by several pairs are sorted.  Dualising stars each distinct
+letter once per object, not once per slot.
 
 Object equality is equality of multiplicity maps (words are bookkeeping,
 not identity).  Morphism equality is structural equality of normalized
@@ -29,7 +33,8 @@ nonzero entry, absent means zero.
 
 Validation happens at the public boundary only.  GradedObject(...),
 GradedMorphism(...), graded_object, simple_object and the spec parsers
-check grades, signs, layout sizes and block shapes, and drop zero blocks.
+check grades, signs, layout sizes, slot-word order and length, and block
+shapes, and drop zero blocks.
 The engine's own producers (tensor, dual, sum, restriction, composition,
 the abelian and duality maps) build values from parts that already keep
 those invariants, and go through the unchecked GradedObject._of and
@@ -62,14 +67,21 @@ _ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 # slot words
 
-def _star_letter(cat, letter):
+def _star_letter(cat, letter, table):
     if letter[0] == 0:
         return (0, cat.inverse_of[letter[1]], letter[2])
-    return (1, letter[1], _star_word(cat, letter[2]))
+    return (1, letter[1], _star_words(cat, (letter[2],), table)[0])
 
 
-def _star_word(cat, word):
-    return tuple(_star_letter(cat, l) for l in reversed(word))
+def _star_words(cat, words, table):
+    """Each word reversed with every letter starred.  table maps letters
+    to their stars; a letter not in it yet is starred once and added, so
+    one table shared across words stars each distinct letter once."""
+    for l in {l for w in words for l in w}:
+        if l not in table:
+            table[l] = _star_letter(cat, l, table)
+    star = table.__getitem__
+    return [tuple(map(star, reversed(w))) for w in words]
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +91,8 @@ class GradedObject:
     """Multiplicity vector over the grades of a groupoid.
 
     mult holds only positive entries; layout has the same grades, and
-    layout[g] is the sorted tuple of slot words at grade g, one per
-    multiplicity unit.
+    layout[g] is the strictly increasing tuple of slot words at grade g,
+    one per multiplicity unit.  All words of an object have one length.
     """
 
     __slots__ = ("cat", "mult", "layout", "_hash")
@@ -95,8 +107,14 @@ class GradedObject:
                 raise ShapeError("negative multiplicity at grade %d" % g)
             if not (0 <= g < cat.morphism_count):
                 raise ShapeError("grade %d out of range" % g)
-            if len(layout[g]) != m:
+            words = layout[g]
+            if len(words) != m:
                 raise ShapeError("layout size mismatch at grade %d" % g)
+            if any(a >= b for a, b in zip(words, words[1:])):
+                raise ShapeError("slot words at grade %d are not strictly "
+                                 "increasing" % g)
+        if len({len(w) for ws in layout.values() for w in ws}) > 1:
+            raise ShapeError("slot words differ in length")
         self.cat = cat
         self.mult = mult
         self.layout = layout
@@ -108,10 +126,11 @@ class GradedObject:
 
         The caller keeps the invariant: mult holds positive entries only,
         at grades of cat; layout has exactly the grades of mult, and
-        layout[g] is a sorted tuple of mult[g] distinct words.  Both dicts
-        become the object's own and must not be mutated afterwards.  A
-        value that breaks the invariant makes equality, hashing and the
-        tensor layouts silently wrong.  The producers are held to it by
+        layout[g] is a sorted tuple of mult[g] distinct words, all of one
+        length.  Both dicts become the object's own and must not be
+        mutated afterwards.  A value that breaks the invariant makes
+        equality, hashing and the tensor layouts silently wrong.  The
+        producers are held to it by
         test_unchecked_producers_match_validating_constructors and
         test_layout_invariants_everywhere in tests/test_gvec.py."""
         v = object.__new__(cls)
@@ -194,42 +213,50 @@ _layout_memo = {}
 def _tensor_layout(v, w):
     """Enumerate the slots of v (x) w once: (v (x) w, pos).
 
-    pos[h][(g1, g2)] is a flat list whose entry i * w.m(g2) + j is the
+    pos[h][(g1, g2)] is a flat sequence whose entry i * w.m(g2) + j is the
     position, within grade h, of the slot (g1, i, g2, j) with word
-    v.layout[g1][i] + w.layout[g2][j].  Slots are sorted by word; the sort
-    is stable, so ties keep the enumeration order (g1 over v, g2 over w,
-    i then j).
+    v.layout[g1][i] + w.layout[g2][j].  Slots are sorted by word.  A grade
+    fed by one pair (g1, g2) is in that order as enumerated, i then j:
+    all words of an object have one length and each factor's words are
+    sorted, so the words compare by w1 first and by w2 on a tie.  Its
+    layout is built directly and its pos is range(n); only grades fed by
+    several pairs are sorted.
 
     The result depends only on the groupoid and the two layouts, so it is
     remembered under exactly those (object equality compares multiplicities
     only, and objects with equal multiplicities can lay out different
     words).  At most _LAYOUT_MEMO_SIZE results are kept; the memo is
-    emptied when full.  Callers share the returned object and pos lists
-    and must not mutate them."""
+    emptied when full.  Callers share the returned object and pos
+    sequences and must not mutate them."""
     cat = _same_cat(v, w)
     key = (cat, tuple(v.layout.items()), tuple(w.layout.items()))
     hit = _layout_memo.get(key)
     if hit is not None:
         return hit
-    words, starts = {}, {}
+    feeds = {}
     for g1, ws1 in v.layout.items():
         row = cat.compose_table[g1]
         for g2, ws2 in w.layout.items():
             h = row[g2]
-            if h is None:
-                continue
-            dst = words.setdefault(h, [])
-            starts.setdefault(h, []).append(
-                (g1, g2, len(dst), len(ws1) * len(ws2)))
-            dst.extend(w1 + w2 for w1 in ws1 for w2 in ws2)
+            if h is not None:
+                feeds.setdefault(h, []).append((g1, ws1, g2, ws2))
     layout, pos = {}, {}
-    for h, ws in words.items():
+    for h, pairs in feeds.items():
+        if len(pairs) == 1:
+            g1, ws1, g2, ws2 = pairs[0]
+            layout[h] = tuple([w1 + w2 for w1 in ws1 for w2 in ws2])
+            pos[h] = {(g1, g2): range(len(layout[h]))}
+            continue
+        ws, starts = [], []
+        for g1, ws1, g2, ws2 in pairs:
+            starts.append((g1, g2, len(ws), len(ws1) * len(ws2)))
+            ws.extend([w1 + w2 for w1 in ws1 for w2 in ws2])
         order = sorted(range(len(ws)), key=ws.__getitem__)
         layout[h] = tuple(map(ws.__getitem__, order))
         rank = [0] * len(ws)
         for p, k in enumerate(order):
             rank[k] = p
-        pos[h] = {(g1, g2): rank[k:k + n] for g1, g2, k, n in starts[h]}
+        pos[h] = {(g1, g2): rank[k:k + n] for g1, g2, k, n in starts}
     mult = {h: len(ws) for h, ws in layout.items()}
     out = GradedObject._of(cat, mult, layout), pos
     if len(_layout_memo) >= _LAYOUT_MEMO_SIZE:
@@ -258,9 +285,10 @@ def _dual_layout(v):
     of the dual, of the starred word of slot i of v at grade g."""
     cat = v.cat
     inv = cat.inverse_of
+    table = {}
     mult, layout, rank = {}, {}, {}
     for g in v.mult:
-        starred = [_star_word(cat, w) for w in v.layout[g]]
+        starred = _star_words(cat, v.layout[g], table)
         order = sorted(range(len(starred)), key=starred.__getitem__)
         layout[inv[g]] = tuple(map(starred.__getitem__, order))
         mult[inv[g]] = len(order)
@@ -427,10 +455,16 @@ def tensor_mor(f, h):
     h's block only, so only pairs of non-zero factor entries are visited:
     a factor pair (g1, g2) costs nnz(f at g1) * nnz(h at g2) products, and
     a factor equal to 1 (an identity's entry) is not multiplied.  Each
-    side's slots are enumerated once (_tensor_layout), and each output
-    grade's Matrix is built before the next grade is filled."""
+    side's slots are enumerated once (_tensor_layout), both sides by one
+    enumeration when each factor's target lays out the same words as its
+    source, and each output grade's Matrix is built before the next grade
+    is filled."""
     src, src_pos = _tensor_layout(f.source, h.source)
-    tgt, tgt_pos = _tensor_layout(f.target, h.target)
+    if (f.target.layout == f.source.layout
+            and h.target.layout == h.source.layout):
+        tgt, tgt_pos = src, src_pos
+    else:
+        tgt, tgt_pos = _tensor_layout(f.target, h.target)
     fblocks, hblocks = f.blocks, h.blocks
     row_stride, col_stride = h.target.mult, h.source.mult
     blocks = {}
@@ -618,9 +652,13 @@ def is_iso(f):
 
 def left_dual(v):
     """(dual object, ev, coev) with ev: dual (x) v -> 1, coev: 1 -> v (x)
-    dual; the zig-zag identities hold on the nose."""
+    dual; the zig-zag identities hold on the nose.
+
+    Grades g1 and g2 compose to an identity only when g1 = inv(g2), and
+    the dual's slot at rank[g][j] of grade inv(g) carries the starred word
+    of v's slot j at g, so ev and coev pair exactly those two slots."""
     cat = v.cat
-    d = dual_obj(v)
+    d, rank = _dual_layout(v)
     unit = unit_object(cat)
     dxv, pos = _tensor_layout(d, v)
     ev_blocks = {}
@@ -629,11 +667,10 @@ def left_dual(v):
         if not pairs:
             continue
         hits = []
-        for (g1, g2), slots in pairs.items():
-            for k, p in enumerate(slots):
-                i, j = divmod(k, v.mult[g2])
-                if d.layout[g1][i] == _star_word(cat, v.layout[g2][j]):
-                    hits.append((p, _ONE))
+        for (_, g2), slots in pairs.items():
+            m = v.mult[g2]
+            hits.extend((slots[i * m + j], _ONE)
+                        for j, i in enumerate(rank[g2]))
         hits.sort()
         ev_blocks[e] = Matrix._of(1, dxv.mult[e], (tuple(hits),))
     ev = GradedMorphism._of(dxv, unit, ev_blocks)
@@ -645,10 +682,9 @@ def left_dual(v):
             continue
         col = [()] * vxd.mult[e]
         for (g1, g2), slots in pairs.items():
-            for k, p in enumerate(slots):
-                i, j = divmod(k, d.mult[g2])
-                if d.layout[g2][j] == _star_word(cat, v.layout[g1][i]):
-                    col[p] = ((0, _ONE),)
+            m = d.mult[g2]
+            for i, j in enumerate(rank[g1]):
+                col[slots[i * m + j]] = ((0, _ONE),)
         coev_blocks[e] = Matrix._of(len(col), 1, tuple(col))
     coev = GradedMorphism._of(unit, vxd, coev_blocks)
     return d, ev, coev

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _small_groupoids, symmetric_group_spec
 from fusionaudit import grothendieck
 from fusionaudit.corpus import algebra_corpus
 from fusionaudit.errors import ConsistencyError, ShapeError
 from fusionaudit.fixtures import load_fixture
 from fusionaudit.functors import separability_verdict
+from fusionaudit.groupoid import groupoid_from_spec
 from fusionaudit.grothendieck import (
     BasedRingData, fusion_iff_separable_check, grothendieck_ring,
     is_based_ring, is_fusion_ring, is_zplus_ring, ring_report)
@@ -300,3 +302,73 @@ def _small_rings(draw):
 @given(_small_rings())
 def test_sparse_checks_match_dense_on_random_rings(r):
     _assert_matches_dense(r)
+
+
+def _single_term_mutant(r, rng):
+    """r with one product b_i b_j redirected to another basis element,
+    made zero, or defined where it was zero.  Every product stays one
+    basis element with coefficient 1, so Light's test applies."""
+    n = r.rank
+    c = [[list(row) for row in plane] for plane in r.c]
+    row = c[rng.randrange(n)][rng.randrange(n)]
+    k = next((k for k, x in enumerate(row) if x), None)
+    if k is not None:
+        row[k] = 0
+    if k is None or rng.random() < 0.6:
+        row[rng.randrange(n)] = 1
+    return BasedRingData(r.basis_labels, c, r.unit_coeffs, r.involution)
+
+
+def test_single_term_mutants_match_dense_reference(monkeypatch):
+    """Light's certificate and, where it finds a failing triple, the full
+    enumeration after it give the dense reference's failures."""
+    rng = random.Random(2108)
+    verdicts = []
+    original = grothendieck._light_associative
+
+    def recorded(nz):
+        verdicts.append(original(nz))
+        return verdicts[-1]
+
+    monkeypatch.setattr(grothendieck, "_light_associative", recorded)
+    for cat in (VEC, Z2, S3, P2, P3, U22):
+        r = grothendieck_ring(cat)
+        for _ in range(12):
+            _assert_matches_dense(_single_term_mutant(r, rng))
+    assert verdicts.count(True) >= 6 and verdicts.count(False) >= 30
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_groupoids(), st.integers(0, 2**32 - 1))
+def test_light_certificate_is_exact_on_random_groupoid_rings(cat, seed):
+    """On groupoid rings and their single-term mutants Light's test
+    certifies exactly the rings the full enumeration finds associative."""
+    r = grothendieck_ring(cat)
+    rng = random.Random(seed)
+    for ring in [r] + [_single_term_mutant(r, rng) for _ in range(4)]:
+        full = grothendieck._associativity_failures(ring.nonzero)
+        assert grothendieck._light_associative(ring.nonzero) == (not full)
+    assert grothendieck._light_associative(r.nonzero)
+
+
+def test_light_certificate_declines_other_coefficients():
+    """A product with coefficient 2 or two terms leaves associativity to
+    the full enumeration."""
+    r = grothendieck_ring(Z2)
+    for k, x in ((0, 2), (1, 1)):
+        c = [[list(row) for row in plane] for plane in r.c]
+        c[1][1][k] = x
+        bad = BasedRingData(r.basis_labels, c, r.unit_coeffs, r.involution)
+        assert not grothendieck._light_associative(bad.nonzero)
+        assert not grothendieck._associativity_failures(bad.nonzero)
+
+
+def test_s4_ring_skips_the_triple_loop(monkeypatch):
+    def forbidden(nz):
+        raise AssertionError("the n^3 associativity loop ran")
+
+    monkeypatch.setattr(grothendieck, "_associativity_failures", forbidden)
+    rep = ring_report(groupoid_from_spec(symmetric_group_spec(4, 1)))
+    assert rep["rank"] == 24 and rep["fusion"]["holds"]
+    for cat in (VEC, Z2, S3, P2, P3, U22):
+        assert ring_report(cat)["zplus"]["holds"]

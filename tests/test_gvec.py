@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _small_groupoids
+from conftest import _small_groupoids, symmetric_group_spec
 from fusionaudit import gvec
 from fusionaudit.audit import run_audit
-from fusionaudit.corpus import random_morphism, random_object
+from fusionaudit.corpus import (
+    algebra_corpus, random_morphism, random_object)
 from fusionaudit.errors import ShapeError, SpecError
 from fusionaudit.exactlin import Matrix
 from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
 from fusionaudit.functors import ProjectionFunctor
+from fusionaudit.groupoid import groupoid_from_spec
 from fusionaudit.gvec import (
     GradedMorphism, GradedObject, _same_cat, _tensor_layout, component, compose, cokernel,
     decompose_simples, direct_sum_mor, direct_sum_obj, direct_sum_with_maps,
@@ -33,6 +35,7 @@ P2 = load_fixture("pair2")
 P3 = load_fixture("pair3")
 U22 = load_fixture("union_z2_z2")
 CATS = [Z2, S3, P2, P3, U22]
+S4 = groupoid_from_spec(symmetric_group_spec(4, 1))
 
 
 def check_layout(v):
@@ -415,6 +418,20 @@ def test_object_boundary_validation():
         GradedObject(Z2, {0: 2}, {0: (((0, 0, 0),),)})
 
 
+def test_object_boundary_validates_slot_words():
+    """The tensor enumeration takes each factor's words at a grade as
+    sorted, distinct and of one length; the public constructor rejects a
+    layout that breaks that."""
+    a, b = ((0, 0, 0),), ((0, 0, 1),)
+    for words in ((b, a), (a, a)):
+        with pytest.raises(ShapeError):
+            GradedObject(Z2, {0: 2}, {0: words})
+    with pytest.raises(ShapeError):
+        GradedObject(Z2, {0: 1, 1: 1}, {0: (a,), 1: (((0, 1, 0),) * 2,)})
+    v = GradedObject(Z2, {0: 2}, {0: (a, b)})
+    assert tensor_obj(v, v).layout[0] == (a + a, a + b, b + a, b + b)
+
+
 def test_layout_grades_must_match_multiplicities():
     """A layout with a grade outside mult used to be accepted, and its
     stray slots then entered tensor products."""
@@ -691,6 +708,208 @@ def test_layout_memo_keys_on_slot_words(monkeypatch):
     assert fresh[product.layout[0]][1][0] == {(0, 0): [1], (1, 1): [0]}
 
 
+# Reference oracle for _tensor_layout: the enumeration it replaced, kept
+# verbatim apart from the memo (each grade's words concatenated pair by
+# pair and sorted, the ranks sliced per pair).
+
+def _sorted_tensor_layout(v, w):
+    cat = _same_cat(v, w)
+    words, starts = {}, {}
+    for g1, ws1 in v.layout.items():
+        row = cat.compose_table[g1]
+        for g2, ws2 in w.layout.items():
+            h = row[g2]
+            if h is None:
+                continue
+            dst = words.setdefault(h, [])
+            starts.setdefault(h, []).append(
+                (g1, g2, len(dst), len(ws1) * len(ws2)))
+            dst.extend(w1 + w2 for w1 in ws1 for w2 in ws2)
+    layout, pos = {}, {}
+    for h, ws in words.items():
+        order = sorted(range(len(ws)), key=ws.__getitem__)
+        layout[h] = tuple(map(ws.__getitem__, order))
+        rank = [0] * len(ws)
+        for p, k in enumerate(order):
+            rank[k] = p
+        pos[h] = {(g1, g2): rank[k:k + n] for g1, g2, k, n in starts[h]}
+    mult = {h: len(ws) for h, ws in layout.items()}
+    return GradedObject(cat, mult, layout), pos
+
+
+def _layout_objects(cat, rng):
+    """Objects whose products reach both enumeration paths: atomic ones,
+    corpus carriers, the unit and unit (+) unit (the same words at every
+    identity grade), nested direct sums, and duals of tensor products."""
+    x = random_object(cat, rng, max_total=3)
+    y = random_object(cat, rng, max_total=3)
+    unit = unit_object(cat)
+    twice = direct_sum_obj(unit, unit)
+    nested = direct_sum_obj(direct_sum_obj(x, twice), direct_sum_obj(y, x))
+    carriers = [a.carrier for a in algebra_corpus(cat, rng)
+                if not a.is_zero()]
+    return [x, y, unit, twice, nested, tensor_obj(x, y),
+            dual_obj(tensor_obj(x, y)), dual_obj(tensor_obj(nested, y)),
+            tensor_obj(dual_obj(y), direct_sum_obj(y, x)), *carriers[:3]]
+
+
+def _assert_same_layout(v, w):
+    """_tensor_layout, computed afresh, equals the sort-based reference:
+    multiplicities, slot words and grade order, and every position list.
+    Returns the grades fed by one pair and those fed by several, and how
+    many of the latter interleave the pairs' slots."""
+    gvec._layout_memo.clear()
+    obj, pos = _tensor_layout(v, w)
+    ref, ref_pos = _sorted_tensor_layout(v, w)
+    assert list(obj.mult.items()) == list(ref.mult.items())
+    assert list(obj.layout.items()) == list(ref.layout.items())
+    assert list(pos) == list(ref_pos)
+    single = several = interleaved = 0
+    for h, pairs in ref_pos.items():
+        assert list(pos[h]) == list(pairs)
+        for pair, slots in pairs.items():
+            assert list(pos[h][pair]) == slots
+        if len(pairs) == 1:
+            single += 1
+        else:
+            several += 1
+            flat = [p for slots in pairs.values() for p in slots]
+            interleaved += flat != sorted(flat)
+    return single, several, interleaved
+
+
+def test_tensor_layout_matches_sorted_reference():
+    rng = random.Random(424)
+    single = several = interleaved = 0
+    for cat in [load_fixture(name) for name in FIXTURE_NAMES] + [S4]:
+        objs = _layout_objects(cat, rng)
+        for v in objs:
+            for w in objs:
+                a, b, c = _assert_same_layout(v, w)
+                single, several, interleaved = (
+                    single + a, several + b, interleaved + c)
+    assert single and several and interleaved
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_groupoids(), st.integers(0, 2**32 - 1))
+def test_tensor_layout_matches_sorted_reference_on_random_groupoids(cat,
+                                                                    seed):
+    rng = random.Random(seed)
+    objs = _layout_objects(cat, rng)
+    for _ in range(30):
+        _assert_same_layout(rng.choice(objs), rng.choice(objs))
+
+
+def test_single_pair_grades_skip_the_sort(monkeypatch):
+    """_tensor_layout sorts once per grade fed by several factor pairs,
+    and never for a grade fed by one."""
+    rng = random.Random(425)
+    cases = [(v, w) for cat in CATS + [S4]
+             for objs in [_layout_objects(cat, rng)]
+             for v in objs for w in objs]
+    expected = [sum(len(pairs) > 1
+                    for pairs in _sorted_tensor_layout(v, w)[1].values())
+                for v, w in cases]
+    sorts = []
+
+    def counted(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(gvec, "sorted", counted, raising=False)
+    got = []
+    for v, w in cases:
+        gvec._layout_memo.clear()
+        sorts.clear()
+        _tensor_layout(v, w)
+        got.append(len(sorts))
+    assert got == expected
+    assert 0 in got and any(got)
+
+
+def test_tensor_mor_enumerates_equal_layouts_once(monkeypatch):
+    """When each factor's target lays out the same words as its source,
+    tensor_mor makes one _tensor_layout call, not two."""
+    rng = random.Random(426)
+    cases = []
+    for cat in CATS:
+        x = random_object(cat, rng, max_total=3)
+        y = tensor_obj(random_object(cat, rng, max_total=2),
+                       direct_sum_obj(x, unit_object(cat)))
+        twin = GradedObject(cat, dict(y.mult), dict(y.layout))
+        other = tensor_obj(direct_sum_obj(x, unit_object(cat)), x)
+        cases += [(random_morphism(x, x, rng), random_morphism(y, y, rng), 1),
+                  (identity_mor(y), random_morphism(y, twin, rng), 1),
+                  (random_morphism(x, x, rng),
+                   random_morphism(y, other, rng), 2)]
+    calls = []
+    original = gvec._tensor_layout
+
+    def counted(v, w):
+        calls.append(1)
+        return original(v, w)
+
+    monkeypatch.setattr(gvec, "_tensor_layout", counted)
+    for f, h, want in cases:
+        calls.clear()
+        got = tensor_mor(f, h)
+        assert len(calls) == want
+        assert got == _dense_tensor_mor(f, h)
+
+
+def _letters(words):
+    """Every distinct letter of words, those inside side tags included."""
+    out = set()
+    for w in words:
+        for l in w:
+            out.add(l)
+            if l[0] == 1:
+                out |= _letters((l[2],))
+    return out
+
+
+def _depth(word):
+    return max((1 + _depth(l[2]) if l[0] == 1 else 1 for l in word),
+               default=0)
+
+
+def test_dual_layout_stars_each_letter_once(monkeypatch):
+    """_dual_layout equals the per-slot starring reference, and stars each
+    distinct letter of its object once, nested letters included."""
+    rng = random.Random(427)
+    starred = []
+    original = gvec._star_letter
+
+    def counted(cat, letter, table):
+        starred.append(letter)
+        return original(cat, letter, table)
+
+    monkeypatch.setattr(gvec, "_star_letter", counted)
+    deepest = 0
+    for cat in CATS + [S4]:
+        x = random_object(cat, rng, max_total=2)
+        y = random_object(cat, rng, max_total=2)
+        s = direct_sum_obj(x, y)
+        nested = direct_sum_obj(direct_sum_obj(s, x), unit_object(cat))
+        for v in (x, s, nested, tensor_obj(nested, dual_obj(nested)),
+                  dual_obj(tensor_obj(s, nested)),
+                  direct_sum_obj(tensor_obj(y, nested), nested)):
+            starred.clear()
+            got, rank = gvec._dual_layout(v)
+            words = [w for ws in v.layout.values() for w in ws]
+            assert sorted(starred) == sorted(_letters(words))
+            ref = _starred_dual_obj(v)
+            assert list(got.mult.items()) == list(ref.mult.items())
+            assert got.layout == ref.layout
+            for g, ws in v.layout.items():
+                d = got.layout[cat.inverse_of[g]]
+                assert [d[p] for p in rank[g]] == [
+                    _reference_star_word(cat, w) for w in ws]
+            deepest = max([deepest] + [_depth(w) for w in words])
+    assert deepest >= 4
+
+
 class _SizeLog(dict):
     """A memo that records how many entries it ever held at once."""
 
@@ -712,12 +931,20 @@ def test_layout_memo_stays_within_its_bound(monkeypatch):
     assert memo.peak <= gvec._LAYOUT_MEMO_SIZE
 
 
+def _reference_star_word(cat, word):
+    """A word starred as first written: reversed, and each letter starred
+    afresh, recursing into side-tagged letters."""
+    return tuple((0, cat.inverse_of[l[1]], l[2]) if l[0] == 0
+                 else (1, l[1], _reference_star_word(cat, l[2]))
+                 for l in reversed(word))
+
+
 def _starred_dual_obj(v):
     """dual_obj as it was first written: star each word, sort per grade."""
     cat = v.cat
     inv = cat.inverse_of
     mult = {inv[g]: m for g, m in v.mult.items()}
-    layout = {inv[g]: tuple(sorted(gvec._star_word(cat, w)
+    layout = {inv[g]: tuple(sorted(_reference_star_word(cat, w)
                                    for w in v.layout[g]))
               for g in v.mult}
     return GradedObject(cat, mult, layout)
@@ -739,8 +966,9 @@ def _dense_dual_morphism(f):
         src_pos = {w: i for i, w in enumerate(f.source.layout[inv[g]])}
         tgt_pos = {w: i for i, w in enumerate(f.target.layout[inv[g]])}
         blocks[g] = Matrix.from_rows(
-            [[b[tgt_pos[gvec._star_word(cat, wc)],
-                src_pos[gvec._star_word(cat, wr)]] for wc in dt.layout[g]]
+            [[b[tgt_pos[_reference_star_word(cat, wc)],
+                src_pos[_reference_star_word(cat, wr)]]
+              for wc in dt.layout[g]]
              for wr in ds.layout[g]])
     return GradedMorphism(dt, ds, blocks)
 
