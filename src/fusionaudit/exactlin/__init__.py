@@ -224,7 +224,7 @@ class Matrix:
         return Matrix._of(self.rows, self.cols, rows), tuple(pivots)
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(_kernels.rref(self.sparse)[1])
 
     def columns(self, idx):
         """Submatrix of the given columns, in the given order."""

@@ -56,7 +56,7 @@ __all__ = [
     "restriction_inclusion", "restriction_projection",
     "kernel", "cokernel", "image_factorization", "hom_basis",
     "decompose_simples", "left_dual", "dual_morphism",
-    "is_mono", "is_epi", "is_iso",
+    "is_mono", "is_epi", "is_iso", "mono_epi",
     "object_to_spec", "object_from_spec",
     "morphism_to_spec", "morphism_from_spec",
 ]
@@ -625,19 +625,45 @@ def decompose_simples(v):
 
 
 def is_mono(f):
+    """Every block has full column rank.  An absent block is zero, of rank
+    0, so it fails without a reduction."""
+    blocks = f.blocks
     for g, m in f.source.mult.items():
-        b = f.block(g)
+        b = blocks.get(g)
         if b is None or b.rank() < m:
             return False
     return True
 
 
 def is_epi(f):
+    """Every block has full row rank; an absent block fails as in is_mono."""
+    blocks = f.blocks
     for g, m in f.target.mult.items():
-        b = f.block(g)
+        b = blocks.get(g)
         if b is None or b.rank() < m:
             return False
     return True
+
+
+def mono_epi(f):
+    """(is_mono(f), is_epi(f)) from at most one rank per stored block.
+
+    f is mono when the rank at every grade of source or target equals
+    source.m(g), and epi when it equals target.m(g); f is iso exactly when
+    it is both.  An absent block, zero or with an endpoint that has no
+    slots, has rank 0 and is not reduced.  A block of shape t x s has rank
+    at most min(t, s), so the shapes rule a side out before any reduction,
+    and the reductions stop once both sides are ruled out."""
+    src, tgt, blocks = f.source.mult, f.target.mult, f.blocks
+    mono = all(g in blocks and m <= tgt[g] for g, m in src.items())
+    epi = all(g in blocks and m <= src[g] for g, m in tgt.items())
+    for g, b in blocks.items():
+        if not (mono or epi):
+            break
+        r = b.rank()
+        mono = mono and r == src[g]
+        epi = epi and r == tgt[g]
+    return mono, epi
 
 
 def is_iso(f):
@@ -726,9 +752,13 @@ def object_to_spec(v):
 
 
 def object_from_spec(cat, doc):
+    """Keys of doc["mult"] are decimal grade strings; values must be JSON
+    integers (a bool, a float or a numeric string is a SpecError)."""
     from .errors import SpecError
+    from .groupoid import _spec_ints
     try:
-        mult = {int(g): int(m) for g, m in doc["mult"].items()}
+        raw = doc["mult"]
+        mult = {int(g): _spec_ints(raw, g, 0, nullable=False) for g in raw}
     except (KeyError, TypeError, ValueError, AttributeError,
             OverflowError) as exc:
         raise SpecError("bad object spec: %s" % exc) from exc

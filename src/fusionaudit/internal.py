@@ -14,6 +14,7 @@ is exactly the in-memory order, so parsing needs no permutation.
 
 from .errors import ConsistencyError, ShapeError, SpecError
 from .exactlin import Matrix, parse_rat, rat_str
+from .groupoid import _spec_ints
 from .gvec import (
     GradedMorphism, _tensor_layout, compose, dual_morphism,
     direct_sum_with_maps, graded_object, identity_mor, left_dual,
@@ -357,10 +358,11 @@ def algebra_from_spec(cat, doc):
         gen = doc["gen"]
         try:
             if gen == "unit_summand":
-                return unit_summand_algebra(
-                    cat, int(doc["i"] if "i" in doc else doc["object"]))
+                return unit_summand_algebra(cat, _spec_ints(
+                    doc, "i" if "i" in doc else "object", 0, nullable=False))
             if gen == "groupoid_algebra":
-                return groupoid_algebra(cat, [int(i) for i in doc["objects"]])
+                return groupoid_algebra(
+                    cat, _spec_ints(doc, "objects", 1, nullable=False))
             if gen == "internal_end":
                 return internal_end(object_from_spec(cat, doc["object"]))
             if gen == "sum":

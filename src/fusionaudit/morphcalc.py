@@ -3,13 +3,17 @@
 Everything reduces to exact linear algebra grade by grade: a morphism is
 split mono iff every block has full column rank, split epi iff full row
 rank, and every morphism is regular because its image factorization splits
-on both sides.  The finders return explicit witnesses so callers can
-re-verify the defining equations instead of trusting a boolean.
+on both sides.  The split predicates are therefore rank tests (one
+reduction per block, no witness built).  The finders build explicit
+witnesses, by solving for them, so callers can re-verify the defining
+equations instead of trusting a boolean.
 """
 
 from .errors import ConsistencyError
 from .exactlin import Matrix, solve_right
-from .gvec import GradedMorphism, compose, identity_mor, image_factorization, is_iso
+from .gvec import (
+    GradedMorphism, compose, identity_mor, image_factorization, is_epi, is_iso,
+    is_mono)
 
 __all__ = ["find_retraction", "find_section", "weak_inverse", "inverse",
            "is_split_mono", "is_split_epi", "is_regular"]
@@ -48,11 +52,16 @@ def find_section(f):
 
 
 def is_split_mono(f):
-    return find_retraction(f) is not None
+    """Whether f has a left inverse, decided by rank: over a field a block
+    has a left inverse exactly when it has full column rank, so this is
+    is_mono(f), and find_retraction(f) is not None agrees with it."""
+    return is_mono(f)
 
 
 def is_split_epi(f):
-    return find_section(f) is not None
+    """Whether f has a right inverse: full row rank, so is_epi(f), and
+    find_section(f) is not None agrees with it."""
+    return is_epi(f)
 
 
 def weak_inverse(f):

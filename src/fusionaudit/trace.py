@@ -62,9 +62,11 @@ _TABLE = (
         "mono-iff-split-mono",
         "a morphism is mono exactly when it is split mono, and epi exactly "
         "when split epi",
-        "morphcalc.find_retraction / morphcalc.find_section",
+        "morphcalc.find_retraction / morphcalc.find_section / gvec.mono_epi",
         ("tests/test_morphcalc.py::test_split_witnesses_random",
-         "tests/test_morphcalc.py::test_split_mono_epi_flags")),
+         "tests/test_morphcalc.py::test_split_mono_epi_flags",
+         "tests/test_morphcalc.py::"
+         "test_rank_verdicts_match_witness_finders")),
     TraceEntry(
         "algebra-axioms-decidable",
         "associativity and both unit laws of an internal algebra are "
@@ -157,7 +159,10 @@ _TABLE = (
         ("tests/test_functors.py::test_reflection_dead_simple_witnesses",
          "tests/test_functors.py::test_reflection_holds_group_algebra",
          "tests/test_functors.py::"
-         "test_dead_simple_grade_matches_tensor_products")),
+         "test_dead_simple_grade_matches_tensor_products",
+         "tests/test_functors.py::test_reflection_loop_catches_forged_tensor",
+         "tests/test_morphcalc.py::"
+         "test_rank_verdicts_match_witness_finders")),
     TraceEntry(
         "dual-swaps-split-sides",
         "dualizing an algebra gives a coalgebra whose counit splits on the "

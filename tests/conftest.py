@@ -23,6 +23,18 @@ def cli_env():
     return env
 
 
+# Generator specs of pair2 algebras whose integer fields are not JSON
+# integers; a bare int() coerced each of them into a valid algebra.
+COERCED_GENERATOR_SPECS = (
+    {"gen": "unit_summand", "i": 1.7},
+    {"gen": "unit_summand", "i": "1"},
+    {"gen": "unit_summand", "i": True},
+    {"gen": "unit_summand", "object": 1.7},
+    {"gen": "groupoid_algebra", "objects": [True, 1.2]},
+    {"gen": "internal_end", "object": {"mult": {"0": 1.9}}},
+)
+
+
 def symmetric_group_spec(n, seed):
     """Group spec of the symmetric group on 0..n-1.  Its elements are the
     permutations, the identity first as make_group needs, the rest in an

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from conftest import cli_env, symmetric_group_spec
+from conftest import (
+    COERCED_GENERATOR_SPECS, cli_env, symmetric_group_spec)
 from fusionaudit import audit, cli, functors, grothendieck
 from fusionaudit.audit import (
     CONDITIONS, check_algebra_report, gr_report, render_report,
@@ -365,6 +366,17 @@ def test_cli_error_codes(tmp_path):
     res = _run_cli(["check-algebra", "--category", z2, "--algebra", str(alg)],
                    tmp_path)
     assert res.returncode == 2
+    assert "input error" in res.stderr
+
+
+@pytest.mark.parametrize("doc", COERCED_GENERATOR_SPECS)
+def test_cli_coerced_generator_spec_exits_2(tmp_path, doc):
+    spec = _write_spec(tmp_path, "pair2")
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps(doc))
+    res = _run_cli(["check-algebra", "--category", spec,
+                    "--algebra", str(alg)], tmp_path)
+    assert res.returncode == 2, res.stderr
     assert "input error" in res.stderr
 
 

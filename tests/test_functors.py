@@ -234,6 +234,61 @@ def test_reflection_holds_group_algebra():
         assert rep[key]["witness"] is None
 
 
+def test_reflection_loop_catches_forged_tensor(monkeypatch):
+    # mutation: with f (x) id forged to an isomorphism, every sample is
+    # split on both sides after tensoring, and a sampled f that is not
+    # split mono must make the loop raise
+    monkeypatch.setattr(functors, "tensor_mor",
+                        lambda f, h: identity_mor(h.source))
+    with pytest.raises(ConsistencyError, match="split-mono reflection"):
+        reflection_checks(groupoid_algebra(Z2, [0]), rng=random.Random(5),
+                          samples=12)
+
+
+def test_reflection_sample_ranks_once_per_block(monkeypatch):
+    # one sampled iteration solves nothing and reduces each stored block
+    # of f (x) id at most once, plus each of f's when f is ranked too
+    from fusionaudit import exactlin, morphcalc
+    from fusionaudit.exactlin import _kernels
+    calls = {"rref": 0, "solve": 0}
+    pairs = []
+
+    def wrap(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
+
+    monkeypatch.setattr(_kernels, "rref", wrap("rref", _kernels.rref))
+    solve = wrap("solve", exactlin.solve_right)
+    for module in (exactlin, morphcalc, gvec):
+        monkeypatch.setattr(module, "solve_right", solve)
+    for module in (morphcalc, functors):
+        for name in ("find_retraction", "find_section"):
+            monkeypatch.setattr(module, name, wrap("solve",
+                                                   getattr(module, name)))
+    original_tensor = functors.tensor_mor
+
+    def recorded(f, h):
+        pairs.append((f, original_tensor(f, h)))
+        return pairs[-1][1]
+
+    monkeypatch.setattr(functors, "tensor_mor", recorded)
+    reduced = 0
+    for name in FIXTURE_NAMES:
+        cat = load_fixture(name)
+        a = groupoid_algebra(cat, range(cat.object_count))
+        for seed in range(20):
+            calls["rref"] = 0
+            del pairs[:]
+            reflection_checks(a, rng=random.Random(seed), samples=1)
+            assert calls["solve"] == 0
+            (f, ff), = pairs
+            assert calls["rref"] <= len(ff.blocks) + len(f.blocks)
+            reduced += calls["rref"]
+    assert reduced
+
+
 def test_coalgebra_mirrors():
     rng = random.Random(609)
     c_bad = dualize_algebra(unit_summand_algebra(P2, 0))

@@ -375,6 +375,11 @@ def test_object_spec_roundtrip():
         object_from_spec(S3, {"mult": {"0": -1}})
     with pytest.raises(SpecError):
         object_from_spec(S3, {})
+    # multiplicities are JSON integers; grade keys are decimal strings
+    for m in (1.9, True, "1", None):
+        with pytest.raises(SpecError):
+            object_from_spec(S3, {"mult": {"0": m}})
+    assert object_from_spec(S3, {"mult": {"5": 1, "0": 2}}) == v
 
 
 def test_morphism_spec_roundtrip():

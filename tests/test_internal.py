@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from conftest import COERCED_GENERATOR_SPECS
 from fusionaudit.corpus import algebra_corpus, coalgebra_corpus
 from fusionaudit.errors import SpecError
 from fusionaudit.exactlin import Matrix
@@ -224,6 +225,12 @@ def test_algebra_spec_roundtrip():
             back = algebra_from_spec(cat, doc)
             assert back == a
             assert algebra_to_spec(back) == doc
+
+
+@pytest.mark.parametrize("doc", COERCED_GENERATOR_SPECS)
+def test_generator_specs_take_json_integers_only(doc):
+    with pytest.raises(SpecError):
+        algebra_from_spec(P2, doc)
 
 
 def test_algebra_generator_specs():

@@ -2,12 +2,16 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import _small_groupoids
 from fusionaudit.corpus import random_morphism, random_object
 from fusionaudit.exactlin import Matrix
 from fusionaudit.fixtures import load_fixture
 from fusionaudit.gvec import (
-    GradedMorphism, compose, graded_object, identity_mor, is_epi, is_iso,
-    is_mono, zero_mor, zero_object)
+    GradedMorphism, compose, direct_sum_obj, graded_object, identity_mor,
+    is_epi, is_iso, is_mono, mono_epi, zero_mor, zero_object)
 from fusionaudit.morphcalc import (
     find_retraction, find_section, inverse, is_regular, is_split_epi,
     is_split_mono, weak_inverse)
@@ -97,3 +101,34 @@ def test_split_mono_epi_flags():
     assert is_split_mono(col) and not is_split_epi(col)
     row = GradedMorphism(w, v, {0: Matrix.from_rows([[1, 1]])})
     assert is_split_epi(row) and not is_split_mono(row)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_small_groupoids(), st.integers(0, 2 ** 32), st.integers(0, 3))
+def test_rank_verdicts_match_witness_finders(cat, seed, shape):
+    # the rank verdicts (mono_epi, is_split_mono, is_split_epi) against the
+    # witness-producing solves; shape picks an endomorphism, a map into or
+    # out of a direct sum containing the other end, or unrelated ends, so
+    # split monos, split epis and isos all occur
+    rng = random.Random(seed)
+    v = random_object(cat, rng, max_total=3, allow_zero=True)
+    u = random_object(cat, rng, max_total=2, allow_zero=True)
+    if shape == 0:
+        w = v
+    elif shape == 1:
+        w = direct_sum_obj(v, u)
+    elif shape == 2:
+        v, w = direct_sum_obj(v, u), v
+    else:
+        w = u
+    f = random_morphism(v, w, rng, zero_weight=rng.randrange(3))
+    r, s = find_retraction(f), find_section(f)
+    expected = (r is not None, s is not None, is_iso(f))
+    mono, epi = mono_epi(f)
+    assert (mono, epi, mono and epi) == expected
+    assert (is_split_mono(f), is_split_epi(f)) == expected[:2]
+    assert (is_mono(f), is_epi(f)) == expected[:2]
+    if r is not None:
+        assert compose(r, f) == identity_mor(v)
+    if s is not None:
+        assert compose(f, s) == identity_mor(w)
