@@ -10,7 +10,6 @@ from .gvec import GradedMorphism, GradedObject, _atomic_layout
 from .exactlin import Matrix
 
 __all__ = ["random_rational", "random_object", "random_morphism",
-           "random_endomorphism_invertible",
            "algebra_corpus", "coalgebra_corpus"]
 
 
@@ -40,16 +39,6 @@ def random_morphism(v, w, rng, zero_weight=2):
         blocks[g] = Matrix(tm, sm, [random_rational(rng, zero_weight)
                                     for _ in range(tm * sm)])
     return GradedMorphism(v, w, blocks)
-
-
-def random_endomorphism_invertible(v, rng, tries=50):
-    """Invertible endomorphism of v; falls back to the identity."""
-    from .gvec import identity_mor, is_iso
-    for _ in range(tries):
-        f = random_morphism(v, v, rng, zero_weight=1)
-        if is_iso(f):
-            return f
-    return identity_mor(v)
 
 
 def algebra_corpus(cat, rng, internal_ends=2, sums=2):

@@ -21,13 +21,13 @@ from .corpus import random_morphism, random_object
 from .errors import ConsistencyError, ShapeError
 from .exactlin import Matrix
 from .gvec import (
-    GradedMorphism, compose, hom_basis, identity_mor, image_factorization,
-    is_iso, mono_epi, restrict_grades, restriction_inclusion,
-    restriction_projection, simple_object, tensor_mor, tensor_obj,
-    unit_object, unit_summand, zero_mor, zero_object)
+    GradedMorphism, compose, hom_basis, identity_mor, is_iso, mono_epi,
+    restrict_grades, restriction_inclusion, restriction_projection,
+    simple_object, tensor_mor, tensor_obj, unit_object, unit_summand,
+    zero_mor, zero_object)
 from .internal import grades_within, restriction_data, support
 from .morphcalc import (
-    find_retraction, find_section, is_split_epi, is_split_mono, weak_inverse)
+    _split_image, find_retraction, find_section, is_split_epi, is_split_mono)
 
 __all__ = [
     "ModuleObject", "ComoduleObject",
@@ -152,31 +152,23 @@ def validate_comodule(mod, c):
 # ---------------------------------------------------------------------------
 # separability
 
-def _unit_idempotent(u):
-    """The endomorphism of 1 whose triviality decides separability: with
-    u = phi psi the image factorization and psi' a section of psi, this is
-    psi' psi (independent of the section: per identity grade it is 1 or 0
-    as the image does or does not reach that summand)."""
-    psi, _ = image_factorization(u)
-    sec = find_section(psi)
-    if sec is None:
-        raise ConsistencyError("epi part of an image factorization "
-                               "failed to split")
-    return compose(sec, psi)
-
-
 def separability_verdict(a):
     """Split analysis of u_A, with the invariant
     separable == semiseparable and idempotent_trivial enforced.  u_A is
-    semiseparable when u w u == u for the verdict's one weak inverse w."""
+    semiseparable when u w u == u for the verdict's one weak inverse w.
+    u_A is factored once, u = phi psi with psi' the section of psi and
+    phi' the retraction of phi: w = psi' phi', and the unit idempotent,
+    whose triviality decides separability, is psi' psi (independent of the
+    section: per identity grade it is 1 or 0 as the image does or does not
+    reach that summand)."""
     if a.is_zero():
         raise ValueError("zero algebra")
     r = find_retraction(a.unit)
     s = find_section(a.unit)
-    w = weak_inverse(a.unit)
+    psi, _, sec, ret = _split_image(a.unit)
+    w = compose(sec, ret)
     semi = compose(compose(a.unit, w), a.unit) == a.unit
-    e1 = _unit_idempotent(a.unit)
-    trivial = e1 == identity_mor(a.unit.source)
+    trivial = compose(sec, psi) == identity_mor(a.unit.source)
     verdict = {
         "separable": r is not None,
         "naturally_full": s is not None,
@@ -198,20 +190,16 @@ def separability_verdict(a):
 
 def coseparability_verdict(c):
     """Mirror for a coalgebra: the counit must split on the other side
-    (separable <=> split-epi, naturally full <=> split-mono)."""
+    (separable <=> split-epi, naturally full <=> split-mono); the counit
+    idempotent is phi phi'."""
     if c.is_zero():
         raise ValueError("zero coalgebra")
     s = find_section(c.counit)
     r = find_retraction(c.counit)
-    w = weak_inverse(c.counit)
+    _, phi, sec, ret = _split_image(c.counit)
+    w = compose(sec, ret)
     semi = compose(compose(c.counit, w), c.counit) == c.counit
-    _, phi = image_factorization(c.counit)
-    ret = find_retraction(phi)
-    if ret is None:
-        raise ConsistencyError("mono part of an image factorization "
-                               "failed to split")
-    e1 = compose(phi, ret)
-    trivial = e1 == identity_mor(c.counit.target)
+    trivial = compose(phi, ret) == identity_mor(c.counit.target)
     verdict = {
         "separable": s is not None,
         "naturally_full": r is not None,
@@ -230,15 +218,12 @@ def coseparability_verdict(c):
 def idempotent_e(a, m):
     """Component at m of the idempotent natural endotransformation of the
     identity attached to - (x) A: id_m tensored with the unit idempotent."""
-    return tensor_mor(identity_mor(m), _unit_idempotent(a.unit))
+    psi, _, sec, _ = _split_image(a.unit)
+    return tensor_mor(identity_mor(m), compose(sec, psi))
 
 
 def coidempotent_e(c, m):
-    _, phi = image_factorization(c.counit)
-    ret = find_retraction(phi)
-    if ret is None:
-        raise ConsistencyError("mono part of an image factorization "
-                               "failed to split")
+    _, phi, _, ret = _split_image(c.counit)
     return tensor_mor(identity_mor(m), compose(phi, ret))
 
 

@@ -7,18 +7,18 @@ ring, based ring, fusion ring) checks the axioms directly on the structure
 constants and reports every failing instance, so a mutation is rejected
 with the exact triple that breaks.
 
-The checks are sparse and work on any BasedRingData, mutated or not: each
-product b_i b_j is kept as its list of non-zero (k, c[i][j][k]), and every
-sum in an axiom runs over those lists and the non-zero unit coefficients
-only.  When every non-zero product is one basis element with coefficient
-1, as in every groupoid's ring, Light's associativity test certifies
-associativity in O(n^2) per generator of the basis.  Otherwise, or when it
-finds a failing triple, associativity compares the b_l coefficients of
+The ring is stored sparse only, with no rank^3 array: each product b_i b_j
+is its list of non-zero (k, c), c the coefficient of b_k, and every sum in
+an axiom runs over those lists and the non-zero unit coefficients.  When
+every non-zero product is one basis element with coefficient 1, as in
+every groupoid's ring, Light's associativity test certifies associativity
+in O(n^2) per generator of the basis.  Otherwise, or when it finds a
+failing triple, associativity compares the b_l coefficients of
 (b_i b_j) b_k and b_i (b_j b_k) for each triple in O(n^3 d^2) for rank n,
-where d is the largest number of non-zero c[i][j][.], instead of the
-O(n^5) of the dense sums.  Failures are listed in the order the dense
-loops over i, j, k, l would find them.  ring_report runs each check once
-and derives all three verdicts from the two failure lists.
+where d is the most non-zero constants of one product.  Failures are
+listed in the order dense loops over i, j, k, l would find them.
+ring_report runs each check once, derives all three verdicts from the two
+failure lists, and lists the constants as sorted [i, j, k, c] entries.
 
 The involution is not assumed: it is recomputed from left duals of the
 simples and checked to be an involutive basis permutation.
@@ -41,66 +41,73 @@ __all__ = [
 class BasedRingData:
     """Ring presented by integer structure constants on a finite basis.
 
-    c[i][j][k] is the coefficient of b_k in b_i b_j; unit_coeffs gives the
+    entries are the non-zero constants (i, j, k, c), c the coefficient of
+    b_k in b_i b_j: ints (not bools), indices in range(rank), c non-zero,
+    no (i, j, k) twice, or a ShapeError.  They are stored only as
+    nonzero[i][j], the pairs (k, c) in ascending k.  unit_coeffs gives the
     decomposition of 1 over the basis; involution is a candidate duality
     permutation of basis indices.
     """
 
-    __slots__ = ("basis_labels", "c", "unit_coeffs", "involution",
-                 "_nonzero")
+    __slots__ = ("basis_labels", "nonzero", "unit_coeffs", "involution")
 
-    def __init__(self, basis_labels, c, unit_coeffs, involution):
+    def __init__(self, basis_labels, entries, unit_coeffs, involution):
         self.basis_labels = tuple(basis_labels)
         n = len(self.basis_labels)
-        try:
-            self.c = tuple(tuple(tuple(int(x) for x in row)
-                                 for row in plane) for plane in c)
-        except TypeError:
-            raise ShapeError("structure constants are not a rank^3 array")
-        self.unit_coeffs = tuple(int(x) for x in unit_coeffs)
-        self.involution = tuple(int(x) for x in involution)
-        if len(self.c) != n or any(len(p) != n for p in self.c) \
-                or any(len(r) != n for p in self.c for r in p):
-            raise ShapeError("structure constants are not rank^3")
+        rows = [[{} for _ in range(n)] for _ in range(n)]
+        for entry in entries:
+            e = _int_tuple(entry, "entry %r" % (entry,))
+            if len(e) != 4 or not all(0 <= t < n for t in e[:3]) \
+                    or not e[3] or e[2] in rows[e[0]][e[1]]:
+                raise ShapeError(
+                    "entry %r is not (i, j, k, c) with indices in range(%d), "
+                    "c non-zero and (i, j, k) not repeated" % (entry, n))
+            rows[e[0]][e[1]][e[2]] = e[3]
+        self.nonzero = tuple(tuple(tuple(sorted(d.items())) for d in plane)
+                             for plane in rows)
+        self.unit_coeffs = _int_tuple(unit_coeffs, "unit_coeffs")
+        self.involution = _int_tuple(involution, "involution")
         if len(self.unit_coeffs) != n or len(self.involution) != n:
             raise ShapeError("unit or involution length differs from rank")
-        self._nonzero = None
 
     @property
     def rank(self):
         return len(self.basis_labels)
 
-    @property
-    def nonzero(self):
-        """nonzero[i][j] lists the pairs (k, c[i][j][k]) with a non-zero
-        coefficient, in ascending k; built on first use."""
-        if self._nonzero is None:
-            self._nonzero = tuple(
-                tuple(tuple((k, x) for k, x in enumerate(row) if x)
-                      for row in plane)
-                for plane in self.c)
-        return self._nonzero
+    def entries(self):
+        """The non-zero constants as (i, j, k, c), sorted."""
+        return [(i, j, k, x) for i, plane in enumerate(self.nonzero)
+                for j, row in enumerate(plane) for k, x in row]
 
     def __eq__(self, other):
         return (isinstance(other, BasedRingData)
                 and self.basis_labels == other.basis_labels
-                and self.c == other.c
+                and self.nonzero == other.nonzero
                 and self.unit_coeffs == other.unit_coeffs
                 and self.involution == other.involution)
 
     def __hash__(self):
-        return hash((self.basis_labels, self.c, self.unit_coeffs,
+        return hash((self.basis_labels, self.nonzero, self.unit_coeffs,
                      self.involution))
+
+
+def _int_tuple(values, what):
+    """values as a tuple of ints; anything else is a ShapeError."""
+    try:
+        values = tuple(values)
+        ok = all(isinstance(x, int) and not isinstance(x, bool)
+                 for x in values)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ShapeError("%s is not a sequence of ints" % what)
+    return values
 
 
 def grothendieck_ring(cat):
     n = cat.morphism_count
-    c = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            k = cat.compose(i, j)
-            if k is not None:
-                c[i][j][k] = 1
+    entries = [(i, j, k, 1) for i, row in enumerate(cat.compose_table)
+               for j, k in enumerate(row) if k is not None]
     unit = [1 if cat.is_identity(g) else 0 for g in range(n)]
     invol = []
     for g in range(n):
@@ -114,7 +121,7 @@ def grothendieck_ring(cat):
     for g in range(n):
         if invol[invol[g]] != g:
             raise ConsistencyError("duality permutation is not involutive")
-    return BasedRingData(range(n), c, unit, invol)
+    return BasedRingData(range(n), entries, unit, invol)
 
 
 def _light_associative(nz):
@@ -306,8 +313,7 @@ def ring_report(cat):
     return {
         "rank": r.rank,
         "basis": list(r.basis_labels),
-        "structure_constants": [[list(row) for row in plane]
-                                for plane in r.c],
+        "structure_constants": [list(e) for e in r.entries()],
         "unit_coeffs": list(r.unit_coeffs),
         "involution": list(r.involution),
         **_verdicts(r),

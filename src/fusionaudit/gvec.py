@@ -43,8 +43,9 @@ GradedMorphism._of instead, as Matrix._of does one level down.
 
 from fractions import Fraction
 
-from .errors import CategoryMismatch, ShapeError
+from .errors import CategoryMismatch, ShapeError, SpecError
 from .exactlin import Matrix, kernel_basis, parse_rat, rat_str, solve_right
+from .groupoid import _spec_ints
 
 __all__ = [
     "GradedObject", "GradedMorphism",
@@ -171,8 +172,11 @@ def _atomic_layout(mult):
 
 
 def graded_object(cat, mult):
-    """Atomic object: one single-letter word per slot."""
-    mult = {int(g): int(m) for g, m in mult.items() if m}
+    """Atomic object: one single-letter word per slot.  Grades and
+    multiplicities must be ints, by the rule spec fields follow: a bool, a
+    float or a string is a SpecError."""
+    _spec_ints({"mult": [list(p) for p in mult.items()]}, "mult", 2, False)
+    mult = {g: m for g, m in mult.items() if m}
     return GradedObject(cat, mult, _atomic_layout(mult))
 
 
@@ -754,8 +758,6 @@ def object_to_spec(v):
 def object_from_spec(cat, doc):
     """Keys of doc["mult"] are decimal grade strings; values must be JSON
     integers (a bool, a float or a numeric string is a SpecError)."""
-    from .errors import SpecError
-    from .groupoid import _spec_ints
     try:
         raw = doc["mult"]
         mult = {int(g): _spec_ints(raw, g, 0, nullable=False) for g in raw}
@@ -780,7 +782,6 @@ def morphism_to_spec(f):
 
 
 def morphism_from_spec(cat, doc):
-    from .errors import SpecError
     source = object_from_spec(cat, doc["source"])
     target = object_from_spec(cat, doc["target"])
     blocks = {}

@@ -64,19 +64,23 @@ def is_split_epi(f):
     return is_epi(f)
 
 
-def weak_inverse(f):
-    """g with f g f == f and g f g == g.
-
-    Built from the image factorization f = phi psi: a section of the epi
-    psi composed after a retraction of the mono phi.  Both splittings exist
-    in every hom space here; failure would contradict semisimplicity.
-    """
+def _split_image(f):
+    """(psi, phi, s, r): the image factorization f = phi psi, a section s
+    of the epi psi and a retraction r of the mono phi.  Both splittings
+    exist in every hom space here; failure would contradict
+    semisimplicity.  Weak inverses and (co)unit idempotents compose them."""
     psi, phi = image_factorization(f)
     s = find_section(psi)
     r = find_retraction(phi)
     if s is None or r is None:
         raise ConsistencyError(
             "image factorization of a morphism failed to split")
+    return psi, phi, s, r
+
+
+def weak_inverse(f):
+    """g with f g f == f and g f g == g: s r, split as in _split_image."""
+    _, _, s, r = _split_image(f)
     return compose(s, r)
 
 

@@ -204,7 +204,8 @@ _TABLE = (
         "is induced by left duals",
         "grothendieck.grothendieck_ring",
         ("tests/test_grothendieck.py::test_involution_antiautomorphism_everywhere",
-         "tests/test_grothendieck.py::test_pair2_ring_is_matrix_units_not_fusion")),
+         "tests/test_grothendieck.py::test_pair2_ring_is_matrix_units_not_fusion",
+         "tests/test_grothendieck.py::test_sparse_ring_expands_to_the_dense_loop")),
     TraceEntry(
         "fusion-ring-iff-one-object",
         "the ring is a fusion ring exactly when the category has a single "
@@ -224,9 +225,13 @@ _TABLE = (
     TraceEntry(
         "unit-morphisms-detect-simplicity",
         "non-zero morphisms between 1 and an algebra or coalgebra are "
-        "mono resp. epi exactly when the unit object is simple",
+        "mono resp. epi exactly when the unit object is simple: out of a "
+        "simple 1 every non-zero map is mono, and with more objects a "
+        "non-zero u e_i, e_i the idempotent of End(1) on object i, is "
+        "multiplicative and not mono, so u and the u e_i decide it",
         "audit.run_audit",
-        ("tests/test_audit.py::test_witnesses_reverify_pair2",)),
+        ("tests/test_audit.py::test_witnesses_reverify_pair2",
+         "tests/test_audit.py::test_unit_morphism_conditions_are_exact")),
     TraceEntry(
         "fifteen-way-equivalence",
         "conditions (2) through (15) each hold exactly when the unit "

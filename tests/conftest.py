@@ -35,6 +35,24 @@ COERCED_GENERATOR_SPECS = (
 )
 
 
+def dense_constants(r):
+    """Test-side dense expansion of a BasedRingData: c[i][j][k] is the
+    coefficient of b_k in b_i b_j, zeros included.  The oracle the sparse
+    storage is checked against."""
+    n = r.rank
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, x in r.entries():
+        c[i][j][k] = x
+    return c
+
+
+def dense_entries(c):
+    """The non-zero (i, j, k, c[i][j][k]) entries of a dense rank^3 array,
+    in the form BasedRingData takes."""
+    return [(i, j, k, x) for i, plane in enumerate(c)
+            for j, row in enumerate(plane) for k, x in enumerate(row) if x]
+
+
 def symmetric_group_spec(n, seed):
     """Group spec of the symmetric group on 0..n-1.  Its elements are the
     permutations, the identity first as make_group needs, the rest in an

@@ -11,7 +11,7 @@ import random
 import subprocess
 import sys
 
-from conftest import cli_env
+from conftest import cli_env, dense_constants, dense_entries
 from fusionaudit.audit import reverify_witness, run_audit
 from fusionaudit.corpus import algebra_corpus, random_morphism, random_object
 from fusionaudit.errors import ConsistencyError
@@ -235,16 +235,18 @@ def test_criterion_6_idempotents():
 def test_criterion_7_ring_suite():
     failures = []
     rz2 = grothendieck_ring(load_fixture("vec_z2"))
+    cz2 = dense_constants(rz2)
     if not (is_fusion_ring(rz2)["holds"] and rz2.rank == 2
-            and rz2.c[1][1][0] == 1 and rz2.c[1][1][1] == 0):
+            and cz2[1][1][0] == 1 and cz2[1][1][1] == 0):
         failures.append("vec_z2: rank-2 fusion ring with g*g = e")
     rp2 = grothendieck_ring(load_fixture("pair2"))
+    cp2 = dense_constants(rp2)
     matrix_units = rp2.rank == 4
     for i, j, k, l in itertools.product(range(2), repeat=4):
         expect = [0, 0, 0, 0]
         if j == k:
             expect[2 * i + l] = 1
-        matrix_units &= list(rp2.c[2 * i + j][2 * k + l]) == expect
+        matrix_units &= cp2[2 * i + j][2 * k + l] == expect
     if not (matrix_units and is_based_ring(rp2)["holds"]
             and not is_fusion_ring(rp2)["holds"]):
         failures.append("pair2: rank-4 matrix-unit based ring, not fusion")
@@ -262,18 +264,18 @@ def test_criterion_7_ring_suite():
     except ConsistencyError:
         pass
     # mutated structure constants are rejected with a located axiom
-    c = [[list(row) for row in plane] for plane in rz2.c]
+    c = dense_constants(rz2)
     c[1][1][0] = -1
-    v = is_zplus_ring(BasedRingData(rz2.basis_labels, c, rz2.unit_coeffs,
-                                    rz2.involution))
+    v = is_zplus_ring(BasedRingData(rz2.basis_labels, dense_entries(c),
+                                    rz2.unit_coeffs, rz2.involution))
     if v["holds"] or not any(f["axiom"] == "non-negative"
                              and f["at"] == [1, 1, 0]
                              for f in v["failures"]):
         failures.append("mutation: negative constant not localized")
-    c2 = [[list(row) for row in plane] for plane in rz2.c]
+    c2 = dense_constants(rz2)
     c2[0][1][1] = 0
-    v2 = is_zplus_ring(BasedRingData(rz2.basis_labels, c2, rz2.unit_coeffs,
-                                     rz2.involution))
+    v2 = is_zplus_ring(BasedRingData(rz2.basis_labels, dense_entries(c2),
+                                     rz2.unit_coeffs, rz2.involution))
     if v2["holds"] or not any(f["axiom"] == "left unit" and f["at"] == [1, 1]
                               for f in v2["failures"]):
         failures.append("mutation: broken unit row not localized")

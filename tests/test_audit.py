@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -11,11 +12,13 @@ from fusionaudit import audit, cli, functors, grothendieck
 from fusionaudit.audit import (
     CONDITIONS, check_algebra_report, gr_report, render_report,
     reverify_witness, run_audit)
+from fusionaudit.corpus import algebra_corpus
 from fusionaudit.errors import ConsistencyError, SpecError
 from fusionaudit.fixtures import FIXTURE_NAMES, fixture_spec, load_fixture
 from fusionaudit.gvec import (
-    compose, identity_mor, is_epi, is_iso, is_mono, morphism_from_spec,
-    morphism_to_spec, tensor_mor, unit_object, zero_mor)
+    compose, hom_basis, identity_mor, is_epi, is_iso, is_mono,
+    morphism_from_spec, morphism_to_spec, restriction_inclusion,
+    restriction_projection, tensor_mor, unit_object, zero_mor)
 from fusionaudit.internal import (
     algebra_from_spec, dualize_algebra, groupoid_algebra, algebra_to_spec,
     validate_algebra)
@@ -51,6 +54,41 @@ def test_audit_multi_unit(name):
         assert cond["holds"] is False
         assert cond["witness"] is not None
     assert rep["consistency"] is True
+
+
+def test_reports_carry_schema_2_and_exact_methods():
+    for name in ("vec_z2", "pair2"):
+        rep = run_audit(load_fixture(name), samples=2)
+        assert rep["schema"] == 2
+        assert {c["method"] for c in rep["conditions"].values()} == {"exact"}
+        assert gr_report(load_fixture(name))["schema"] == 2
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_unit_morphism_conditions_are_exact(name):
+    """(14)/(15) are decided exactly by u and the u e_i.  With one object
+    End(1) is the scalars, so u is the only candidate up to a scalar and
+    mono exactly when non-zero.  With more, every live algebra has some
+    u e_i that is non-zero, multiplicative and not mono, and dually some
+    e_i c that is non-zero, comultiplicative and not epi."""
+    cat = load_fixture(name)
+    one = unit_object(cat)
+    if cat.object_count == 1:
+        assert len(hom_basis(one, one)) == 1
+        return
+    idems = [compose(restriction_inclusion(one, {g}),
+                     restriction_projection(one, {g}))
+             for g in cat.identity_of]
+    for a in algebra_corpus(cat, random.Random(14)):
+        if a.is_zero():
+            continue
+        c = dualize_algebra(a)
+        assert any(not f.is_zero() and not is_mono(f)
+                   and compose(a.mult, tensor_mor(f, f)) == f
+                   for f in (compose(a.unit, e) for e in idems))
+        assert any(not g.is_zero() and not is_epi(g)
+                   and compose(tensor_mor(g, g), c.comult) == g
+                   for g in (compose(e, c.counit) for e in idems))
 
 
 def test_witnesses_reverify_pair2():
@@ -402,17 +440,17 @@ def test_cli_audit_all_fixtures_exit_zero(tmp_path, name):
 # sha256 of each fixture's report at the defaults, serialised as the CLI does.
 # An intentional report change updates these digests with a CHANGES.md note.
 GOLDEN_REPORTS = {
-    "vec": "cf49c61a4271f8d1411a742e3edaf1d5e1eb0b2c2956ed60824da81a0798df09",
+    "vec": "027d9f00aeedebd9c3eacc6cf8c52a15c1e6416bc8b4012fc3911471912ec33c",
     "vec_z2":
-        "2e5f7d94b764b08425ecd0c40d34d6e5a544c19a6c9c4356282e5a1be9b84dbb",
+        "5b1093c3fd2784b247bbe040fb9bff9f72b0714e3b3e211d7cbe519bd0b69dd4",
     "vec_s3":
-        "7b283abb48564a16a2f48c752280c402f82282448b3ee0a3b7af3914446449c6",
+        "08faf3c08d0142e86604102a88387acf7c97362fd7ec529a4452e426a4df4e6e",
     "pair2":
-        "96ba57534a5a3953bfb90e9db6e3ba64bea669ce62294551a345abe7ebafa785",
+        "67a64e9c745277a240306c68f701dc5a029561895d233789eecc7310c7c8bf65",
     "pair3":
-        "7936c040cdd72f9c11b12572b4776b04d2a17ab8c83d8de8e319276b0c16cd10",
+        "24a150338812b93035c3acc503d9baabb79686dffb5b79ade2265e846a5e4198",
     "union_z2_z2":
-        "033c366604dc6c56e3f3193efa87f483fa1e0adc2942659106d6c214fa11a312",
+        "f2e628e04730a2e6151eed0be34895d66fc1d768833e4bbdfbe0b84fb8433c7c",
 }
 
 
@@ -429,7 +467,7 @@ def test_fixture_reports_golden():
 # corpus 2, samples 6), serialised as the CLI does.  Its 24 grades exercise
 # the per-grade paths that the fixtures, with at most 9 grades, barely reach.
 GOLDEN_S4_REPORT = \
-    "8cfa9e0756aaad2cdc1e8e12958ae799e05d140edccdf27a786b3e845e6e9723"
+    "bfdf5878fa199acd83b51203251536a83197c2b513077b499f8ab17eb9454fe6"
 
 
 def test_s4_report_golden():

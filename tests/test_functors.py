@@ -312,24 +312,26 @@ def test_coalgebra_mirrors():
 @pytest.mark.parametrize("verdict, dual", ((separability_verdict, False),
                                            (coseparability_verdict, True)))
 def test_verdict_takes_one_weak_inverse(monkeypatch, verdict, dual):
-    # semiseparability is decided as f w f == f from the verdict's own
-    # weak inverse w, not from a second one built by is_regular
+    # the (co)unit is factored once: the verdict's one weak inverse w, used
+    # to decide semiseparability as f w f == f, and the (co)unit idempotent
+    # come from that one image factorization
     from fusionaudit import morphcalc
     calls = []
-    original = morphcalc.weak_inverse
+    original = morphcalc.image_factorization
 
     def counted(f):
         calls.append(f)
         return original(f)
 
-    monkeypatch.setattr(morphcalc, "weak_inverse", counted)
-    monkeypatch.setattr(functors, "weak_inverse", counted)
+    monkeypatch.setattr(morphcalc, "image_factorization", counted)
     a = groupoid_algebra(P2, [0, 1])
-    v = verdict(dualize_algebra(a) if dual else a)
-    assert len(calls) == 1
-    f, w = calls[0], v["weak_inverse"]
+    c = dualize_algebra(a) if dual else a
+    v = verdict(c)
+    f, w = (c.counit if dual else c.unit), v["weak_inverse"]
+    assert calls == [f]
     assert v["semiseparable"]
     assert compose(compose(f, w), f) == f
+    assert w == morphcalc.weak_inverse(f)
 
 
 def test_dual_verdicts_agree_on_corpus():

@@ -1,12 +1,14 @@
 import ast
 import inspect
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _small_groupoids, symmetric_group_spec
+from conftest import (
+    _small_groupoids, dense_constants, dense_entries, symmetric_group_spec)
 from fusionaudit import grothendieck
 from fusionaudit.corpus import algebra_corpus
 from fusionaudit.errors import ConsistencyError, ShapeError
@@ -28,7 +30,8 @@ U22 = load_fixture("union_z2_z2")
 def test_trivial_group_ring_of_integers():
     r = grothendieck_ring(VEC)
     assert r.rank == 1
-    assert r.c == (((1,),),)
+    assert dense_constants(r) == [[[1]]]
+    assert r.nonzero == ((((0, 1),),),)
     assert r.unit_coeffs == (1,)
     assert is_fusion_ring(r)["holds"]
 
@@ -38,8 +41,9 @@ def test_z2_ring_is_fusion_with_square_identity():
     assert r.rank == 2
     assert r.unit_coeffs == (1, 0)
     # g * g = e
-    assert r.c[1][1][0] == 1 and r.c[1][1][1] == 0
-    assert r.c[0][1][1] == 1 and r.c[1][0][1] == 1
+    c = dense_constants(r)
+    assert c[1][1][0] == 1 and c[1][1][1] == 0
+    assert c[0][1][1] == 1 and c[1][0][1] == 1
     assert r.involution == (0, 1)
     assert is_zplus_ring(r)["holds"]
     assert is_based_ring(r)["holds"]
@@ -51,11 +55,12 @@ def test_pair2_ring_is_matrix_units_not_fusion():
     assert r.rank == 4
     assert sum(r.unit_coeffs) == 2
     # b_ij b_kl = delta_jk b_il on grades (i,j) = index 2i + j
+    c = dense_constants(r)
     for i in range(2):
         for j in range(2):
             for k in range(2):
                 for l in range(2):
-                    prod = r.c[2 * i + j][2 * k + l]
+                    prod = c[2 * i + j][2 * k + l]
                     expect = [0, 0, 0, 0]
                     if j == k:
                         expect[2 * i + l] = 1
@@ -72,8 +77,9 @@ def test_s3_group_ring():
     assert r.rank == 6
     assert is_fusion_ring(r)["holds"]
     # each row of the fusion table is a permutation
+    c = dense_constants(r)
     for i in range(6):
-        hit = sorted(k for j in range(6) for k in range(6) if r.c[i][j][k])
+        hit = sorted(k for j in range(6) for k in range(6) if c[i][j][k])
         assert hit == list(range(6))
 
 
@@ -96,9 +102,10 @@ def test_involution_antiautomorphism_everywhere():
 def test_mutated_constants_rejected_with_location():
     r = grothendieck_ring(Z2)
     # killing e*g breaks both the unit law and associativity, localized
-    c = [[list(row) for row in plane] for plane in r.c]
+    c = dense_constants(r)
     c[0][1][1] = 0
-    bad = BasedRingData(r.basis_labels, c, r.unit_coeffs, r.involution)
+    bad = BasedRingData(r.basis_labels, dense_entries(c), r.unit_coeffs,
+                        r.involution)
     v = is_zplus_ring(bad)
     assert not v["holds"]
     assert any(f["axiom"] == "left unit" and f["at"] == [1, 1]
@@ -106,34 +113,55 @@ def test_mutated_constants_rejected_with_location():
     located = [f for f in v["failures"] if f["axiom"] == "associativity"]
     assert located and all(len(f["at"]) == 3 for f in located)
 
-    c2 = [[list(row) for row in plane] for plane in r.c]
+    c2 = dense_constants(r)
     c2[1][1][0] = -1
-    bad2 = BasedRingData(r.basis_labels, c2, r.unit_coeffs, r.involution)
+    bad2 = BasedRingData(r.basis_labels, dense_entries(c2), r.unit_coeffs,
+                         r.involution)
     v2 = is_zplus_ring(bad2)
     assert any(f["axiom"] == "non-negative" and f["at"] == [1, 1, 0]
                for f in v2["failures"])
 
     # g*g = 2e stays a valid ring but breaks the pairing normalization
-    c3 = [[list(row) for row in plane] for plane in r.c]
+    c3 = dense_constants(r)
     c3[1][1][0] = 2
-    bad3 = BasedRingData(r.basis_labels, c3, r.unit_coeffs, r.involution)
+    bad3 = BasedRingData(r.basis_labels, dense_entries(c3), r.unit_coeffs,
+                         r.involution)
     assert is_zplus_ring(bad3)["holds"]
     v3 = is_based_ring(bad3)
     assert not v3["holds"]
     assert any(f["axiom"] == "pairing" and f["at"] == [1, 1]
                and f["value"] == 2 for f in v3["failures"])
 
+
+@pytest.mark.parametrize("entries, unit, star", (
+    ([(0, 0, 0, True)], (1, 0), (0, 1)),           # a bool constant
+    ([(0, 0, 0, 1.0)], (1, 0), (0, 1)),            # a float constant
+    ([(0, 0, 0, "1")], (1, 0), (0, 1)),            # a string constant
+    ([(False, 0, 0, 1)], (1, 0), (0, 1)),          # a bool index
+    ([(0, 2, 0, 1)], (1, 0), (0, 1)),              # an index out of range
+    ([(0, -1, 0, 1)], (1, 0), (0, 1)),             # a negative index
+    ([(0, 0, 0, 0)], (1, 0), (0, 1)),              # a zero constant
+    ([(0, 0, 0, 1), (0, 0, 0, 2)], (1, 0), (0, 1)),  # a repeated (i, j, k)
+    ([(0, 0, 0)], (1, 0), (0, 1)),                 # arity 3
+    ([(0, 0, 0, 1, 1)], (1, 0), (0, 1)),           # arity 5
+    ([0], (1, 0), (0, 1)),                         # not a tuple
+    ([], (1, 0, 0), (0, 1)),                       # unit of the wrong rank
+    ([], (True, 0), (0, 1)),                       # a bool unit coefficient
+    ([], (1, 0), (0.0, 1)),                        # a float involution entry
+))
+def test_constructor_rejects_bad_entries(entries, unit, star):
     with pytest.raises(ShapeError):
-        BasedRingData((0, 1), ((0,),), (1, 0), (0, 1))
+        BasedRingData((0, 1), entries, unit, star)
 
 
 def test_mutation_landing_on_another_valid_ring_is_accepted():
     # g*g = e + g is the rank-2 ring with a golden-ratio dimension; the
     # axioms cannot reject it, so the predicates accept it as fusion
     r = grothendieck_ring(Z2)
-    c = [[list(row) for row in plane] for plane in r.c]
+    c = dense_constants(r)
     c[1][1][1] = 1
-    fib = BasedRingData(r.basis_labels, c, r.unit_coeffs, r.involution)
+    fib = BasedRingData(r.basis_labels, dense_entries(c), r.unit_coeffs,
+                        r.involution)
     assert is_fusion_ring(fib)["holds"]
 
 
@@ -165,7 +193,6 @@ def test_ring_report_shape():
     assert rep["fusion"]["holds"] is False
     assert rep["based"]["holds"] is True
     assert rep["unit_coeffs"] == [1, 0, 0, 1]
-    import json
     json.dumps(rep)
 
 
@@ -183,15 +210,17 @@ def test_ring_report_runs_each_check_once(monkeypatch):
 
 
 # Dense reference checks: the O(n^5) loops the sparse checks replaced, kept
-# verbatim as the oracle for the differential tests below.
+# as the oracle for the differential tests below.  They read the test-side
+# dense expansion of the sparse constants.
 
 def _dense_zplus_failures(r):
     n = r.rank
+    c = dense_constants(r)
     out = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if r.c[i][j][k] < 0:
+                if c[i][j][k] < 0:
                     out.append({"axiom": "non-negative", "at": [i, j, k]})
     if any(x < 0 for x in r.unit_coeffs):
         out.append({"axiom": "non-negative unit", "at": list(r.unit_coeffs)})
@@ -200,8 +229,8 @@ def _dense_zplus_failures(r):
         for j in range(n):
             for k in range(n):
                 for l in range(n):
-                    lhs = sum(r.c[i][j][m] * r.c[m][k][l] for m in range(n))
-                    rhs = sum(r.c[j][k][m] * r.c[i][m][l] for m in range(n))
+                    lhs = sum(c[i][j][m] * c[m][k][l] for m in range(n))
+                    rhs = sum(c[j][k][m] * c[i][m][l] for m in range(n))
                     if lhs != rhs:
                         out.append({"axiom": "associativity",
                                     "at": [i, j, k], "basis": l,
@@ -209,8 +238,8 @@ def _dense_zplus_failures(r):
     for j in range(n):
         for k in range(n):
             want = 1 if j == k else 0
-            left = sum(r.unit_coeffs[i] * r.c[i][j][k] for i in range(n))
-            right = sum(r.unit_coeffs[i] * r.c[j][i][k] for i in range(n))
+            left = sum(r.unit_coeffs[i] * c[i][j][k] for i in range(n))
+            right = sum(r.unit_coeffs[i] * c[j][i][k] for i in range(n))
             if left != want:
                 out.append({"axiom": "left unit", "at": [j, k],
                             "value": left})
@@ -222,6 +251,7 @@ def _dense_zplus_failures(r):
 
 def _dense_based_failures(r):
     n = r.rank
+    c = dense_constants(r)
     out = []
     star = r.involution
     for i in range(n):
@@ -237,13 +267,13 @@ def _dense_based_failures(r):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if r.c[i][j][k] != r.c[star[j]][star[i]][star[k]]:
+                if c[i][j][k] != c[star[j]][star[i]][star[k]]:
                     out.append({"axiom": "anti-automorphism",
                                 "at": [i, j, k]})
     # pairing: the unit coefficient of b_i b_j is 1 exactly when j = i*
     for i in range(n):
         for j in range(n):
-            tau = sum(r.c[i][j][k] * r.unit_coeffs[k] for k in range(n))
+            tau = sum(c[i][j][k] * r.unit_coeffs[k] for k in range(n))
             want = 1 if j == star[i] else 0
             if tau != want:
                 out.append({"axiom": "pairing", "at": [i, j], "value": tau})
@@ -259,7 +289,7 @@ def _mutant(r, rng):
     """r with 1-3 structure constants set to values in -2..3, and sometimes
     a changed unit coefficient, a shuffled or an out-of-range involution."""
     n = r.rank
-    c = [[list(row) for row in plane] for plane in r.c]
+    c = dense_constants(r)
     for _ in range(rng.randint(1, 3)):
         c[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] = \
             rng.randint(-2, 3)
@@ -272,7 +302,7 @@ def _mutant(r, rng):
         rng.shuffle(star)
     elif roll < 0.6:
         star[rng.randrange(n)] = rng.choice([-1, n])
-    return BasedRingData(r.basis_labels, c, unit, star)
+    return BasedRingData(r.basis_labels, dense_entries(c), unit, star)
 
 
 def test_sparse_checks_match_dense_reference():
@@ -295,7 +325,7 @@ def _small_rings(draw):
     star = draw(st.one_of(st.permutations(range(n)),
                           st.lists(st.integers(-1, n), min_size=n,
                                    max_size=n)))
-    return BasedRingData(range(n), c, unit, star)
+    return BasedRingData(range(n), dense_entries(c), unit, star)
 
 
 @settings(max_examples=150, deadline=None)
@@ -309,14 +339,15 @@ def _single_term_mutant(r, rng):
     made zero, or defined where it was zero.  Every product stays one
     basis element with coefficient 1, so Light's test applies."""
     n = r.rank
-    c = [[list(row) for row in plane] for plane in r.c]
+    c = dense_constants(r)
     row = c[rng.randrange(n)][rng.randrange(n)]
     k = next((k for k, x in enumerate(row) if x), None)
     if k is not None:
         row[k] = 0
     if k is None or rng.random() < 0.6:
         row[rng.randrange(n)] = 1
-    return BasedRingData(r.basis_labels, c, r.unit_coeffs, r.involution)
+    return BasedRingData(r.basis_labels, dense_entries(c), r.unit_coeffs,
+                         r.involution)
 
 
 def test_single_term_mutants_match_dense_reference(monkeypatch):
@@ -356,9 +387,10 @@ def test_light_certificate_declines_other_coefficients():
     the full enumeration."""
     r = grothendieck_ring(Z2)
     for k, x in ((0, 2), (1, 1)):
-        c = [[list(row) for row in plane] for plane in r.c]
+        c = dense_constants(r)
         c[1][1][k] = x
-        bad = BasedRingData(r.basis_labels, c, r.unit_coeffs, r.involution)
+        bad = BasedRingData(r.basis_labels, dense_entries(c), r.unit_coeffs,
+                            r.involution)
         assert not grothendieck._light_associative(bad.nonzero)
         assert not grothendieck._associativity_failures(bad.nonzero)
 
@@ -372,3 +404,63 @@ def test_s4_ring_skips_the_triple_loop(monkeypatch):
     assert rep["rank"] == 24 and rep["fusion"]["holds"]
     for cat in (VEC, Z2, S3, P2, P3, U22):
         assert ring_report(cat)["zplus"]["holds"]
+
+
+def _old_dense_ring(cat):
+    """The rank^3 array the ring used to be built as: the dense triple loop
+    over the composition table."""
+    n = cat.morphism_count
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            k = cat.compose(i, j)
+            if k is not None:
+                c[i][j][k] = 1
+    return c
+
+
+def _old_nonzero(c):
+    """The per-(i, j) lists as they used to be derived from the dense
+    array."""
+    return tuple(tuple(tuple((k, x) for k, x in enumerate(row) if x)
+                       for row in plane) for plane in c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_groupoids(), st.data())
+def test_sparse_ring_expands_to_the_dense_loop(cat, data):
+    """The sparse ring is exactly the old dense array over compose_table,
+    and so is a single-constant mutant rebuilt from its entries."""
+    r = grothendieck_ring(cat)
+    dense = _old_dense_ring(cat)
+    assert dense_constants(r) == dense
+    assert r.nonzero == _old_nonzero(dense)
+    assert r.entries() == dense_entries(dense)
+    n = r.rank
+    i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    dense[i][j][k] = data.draw(st.integers(-2, 3))
+    mutant = BasedRingData(r.basis_labels, dense_entries(dense),
+                           r.unit_coeffs, r.involution)
+    assert dense_constants(mutant) == dense
+    assert mutant.nonzero == _old_nonzero(dense)
+    assert (mutant == r) == (dense == _old_dense_ring(cat))
+    assert (mutant == r) <= (hash(mutant) == hash(r))
+
+
+def test_ring_report_lists_sorted_entries():
+    rep = ring_report(Z2)
+    assert rep["structure_constants"] == [[0, 0, 0, 1], [0, 1, 1, 1],
+                                          [1, 0, 1, 1], [1, 1, 0, 1]]
+    for cat in (S3, P3, U22):
+        entries = ring_report(cat)["structure_constants"]
+        assert entries == sorted(entries)
+        assert entries == [list(e) for e in
+                           dense_entries(_old_dense_ring(cat))]
+
+
+def test_pair8_ring_section_is_small():
+    # the dense rank^3 constants made this section 2.95 MB
+    rep = ring_report(groupoid_from_spec({"kind": "pair", "objects": 8}))
+    text = json.dumps(rep, sort_keys=True, indent=2)
+    assert len(rep["structure_constants"]) == 8 ** 3
+    assert len(text.encode("utf-8")) < 100_000

@@ -382,6 +382,19 @@ def test_object_spec_roundtrip():
     assert object_from_spec(S3, {"mult": {"5": 1, "0": 2}}) == v
 
 
+@pytest.mark.parametrize("bad", (True, 1.0, 1.9, "1", None))
+def test_public_object_constructors_take_ints_only(bad):
+    # int() would coerce each of these into a different, valid object
+    with pytest.raises(SpecError):
+        graded_object(Z2, {0: bad})
+    with pytest.raises(SpecError):
+        graded_object(Z2, {bad: 1})
+    with pytest.raises(SpecError):
+        simple_object(Z2, bad)
+    assert graded_object(Z2, {0: 2, 1: 0}).mult == {0: 2}
+    assert simple_object(Z2, 1).mult == {1: 1}
+
+
 def test_morphism_spec_roundtrip():
     rng = random.Random(412)
     for cat in (Z2, P2):
