@@ -29,6 +29,7 @@ non-zero corpus algebras, both computed by the caller, and builds no ring.
 """
 
 from .errors import ConsistencyError, ShapeError
+from .groupoid import _magma_associative
 from .gvec import dual_obj, simple_object
 
 __all__ = [
@@ -130,13 +131,8 @@ def _light_associative(nz):
 
     It applies when every non-zero product b_i b_j is one basis element
     with coefficient 1: the basis and 0 then form a magma with 0
-    absorbing, and the ring is associative exactly when that magma is.
-    The elements a with (x a) y = x (a y) for all x, y form a submagma
-    (Clifford & Preston I, section 1.2), so checking that law for a
-    generating set suffices.  Generators are picked greedily: the
-    smallest basis element not yet reached, after which the reached set
-    is closed under right multiplication by the generators.  The check
-    costs n^2 per generator instead of the n^3 triples."""
+    absorbing, and the ring is associative exactly when that magma is,
+    which groupoid._magma_associative decides."""
     n = len(nz)
     zero = n
     t = []
@@ -152,26 +148,7 @@ def _light_associative(nz):
         out.append(zero)
         t.append(out)
     t.append([zero] * (n + 1))
-    reached = [False] * (n + 1)
-    reached[zero] = True
-    gens = []
-    for b in range(n):
-        if reached[b]:
-            continue
-        gens.append(b)
-        todo = [t[x][b] for x in range(n) if reached[x]] + [b]
-        while todo:
-            y = todo.pop()
-            if not reached[y]:
-                reached[y] = True
-                ty = t[y]
-                todo.extend([ty[a] for a in gens])
-    for a in gens:
-        ta = t[a]
-        for tx in t[:n]:
-            if t[tx[a]] != list(map(tx.__getitem__, ta)):
-                return False
-    return True
+    return _magma_associative(t)
 
 
 def _associativity_failures(nz):
@@ -255,14 +232,23 @@ def _based_failures(r):
         if star[star[i]] != i:
             out.append({"axiom": "involution squares to identity", "at": i})
     # c[i][j][k] against c[j*][i*][k*], the latter re-indexed by k through
-    # the inverse permutation, which exists even when star is not involutive
+    # the inverse permutation, which exists even when star is not involutive.
+    # Equal entry lists mean equal products; only a mismatch, which may be
+    # the same entries out of k order, builds the dicts that decide it.
     inverse = [0] * n
     for k, s in enumerate(star):
         inverse[s] = k
     for i in range(n):
+        row = nz[i]
+        col = star[i]
         for j in range(n):
-            here = dict(nz[i][j])
-            there = {inverse[s]: x for s, x in nz[star[j]][star[i]]}
+            here = row[j]
+            there = nz[star[j]][col]
+            if len(here) == len(there) and (not here or here == tuple(
+                    [(inverse[s], x) for s, x in there])):
+                continue
+            here = dict(here)
+            there = {inverse[s]: x for s, x in there}
             for k in sorted(here.keys() | there.keys()):
                 if here.get(k, 0) != there.get(k, 0):
                     out.append({"axiom": "anti-automorphism",

@@ -8,7 +8,9 @@ order, report ordering) derives from the morphism enumeration, so the
 enumeration is part of the data, not an implementation detail.
 
 Constructors validate fully and report the failing element or triple; a
-groupoid that constructs is safe to compute with.
+groupoid that constructs is safe to compute with.  Associativity is
+certified by Light's test on a generating set of morphisms, so only a table
+it rejects is scanned triple by triple for the first failing triple.
 """
 
 import hashlib
@@ -163,21 +165,70 @@ class Groupoid:
                 fail.append("inverse of morphism %d is not %r" % (g, inv))
         if fail:
             raise GroupoidError(fail[:10])
-        for g1 in range(m):
-            for g2 in range(m):
-                h12 = self.compose_table[g1][g2]
-                if h12 is None:
+        # The endpoint checks above make (x a) y and x (a y) defined
+        # together, so the groupoid is associative exactly when its table,
+        # with an absorbing zero for the undefined entries, is.
+        zero = m
+        table = [[zero if h is None else h for h in row] + [zero]
+                 for row in self.compose_table]
+        table.append([zero] * (m + 1))
+        if not _magma_associative(table):
+            raise GroupoidError(["associativity fails on triple (%d, %d, %d)"
+                                 % _first_failing_triple(self.compose_table)])
+
+
+def _magma_associative(t):
+    """True when the magma with table t is associative.  t is a square
+    list of rows over 0..n, and n is an absorbing zero: row n and column
+    n are all n.
+
+    Light's associativity test: the elements a with (x a) y = x (a y)
+    for all x, y form a submagma (Clifford & Preston I, section 1.2), so
+    checking that law for a generating set suffices.  Generators are
+    picked greedily: the smallest element not yet reached, after which
+    the reached set is closed under right multiplication by the
+    generators.  The check costs n^2 per generator instead of the n^3
+    triples."""
+    n = len(t) - 1
+    reached = [False] * (n + 1)
+    reached[n] = True
+    gens = []
+    for b in range(n):
+        if reached[b]:
+            continue
+        gens.append(b)
+        todo = [t[x][b] for x in range(n) if reached[x]] + [b]
+        while todo:
+            y = todo.pop()
+            if not reached[y]:
+                reached[y] = True
+                ty = t[y]
+                todo.extend([ty[a] for a in gens])
+    for a in gens:
+        ta = t[a]
+        for tx in t[:n]:
+            if t[tx[a]] != list(map(tx.__getitem__, ta)):
+                return False
+    return True
+
+
+def _first_failing_triple(table):
+    """The first (g1, g2, g3), in lexicographic order, with both
+    composites defined and (g1 g2) g3 != g1 (g2 g3); None if there is
+    none, which a table that Light's test rejects never gives."""
+    m = len(table)
+    for g1 in range(m):
+        for g2 in range(m):
+            h12 = table[g1][g2]
+            if h12 is None:
+                continue
+            for g3 in range(m):
+                h23 = table[g2][g3]
+                if h23 is None:
                     continue
-                for g3 in range(m):
-                    h23 = self.compose_table[g2][g3]
-                    if h23 is None:
-                        continue
-                    if self.compose_table[h12][g3] != self.compose_table[g1][h23]:
-                        raise GroupoidError(
-                            ["associativity fails on triple (%d, %d, %d)"
-                             % (g1, g2, g3)])
-        if fail:
-            raise GroupoidError(fail[:10])
+                if table[h12][g3] != table[g1][h23]:
+                    return g1, g2, g3
+    return None
 
 
 def make_group(table):

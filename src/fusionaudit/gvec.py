@@ -21,10 +21,13 @@ binary product of atomic objects the sorted order is exactly "composable
 pairs (g1, g2) lexicographically by enumeration index, Kronecker
 left-factor-major".  Every word in an object has the same length, which
 makes concatenation splits unambiguous and keeps slot words distinct.  It
-also means a grade of a tensor product fed by a single pair of factor
-grades is already in word order when enumerated left-factor-major, so only
-grades fed by several pairs are sorted.  Dualising stars each distinct
-letter once per object, not once per slot.
+also means the words of a tensor product compare by their left factor's
+word first, so no product word is sorted: a grade fed by a single pair of
+factor grades is in word order when enumerated left-factor-major, and the
+grades fed by several pairs are filled in order by one walk over the left
+factor's slots in word order (see _tensor_layout).  Multiplicities alone
+come from tensor_mult, with no slot enumerated.  Dualising stars each
+distinct letter once per object, not once per slot.
 
 Object equality is equality of multiplicity maps (words are bookkeeping,
 not identity).  Morphism equality is structural equality of normalized
@@ -42,6 +45,8 @@ GradedMorphism._of instead, as Matrix._of does one level down.
 """
 
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import CategoryMismatch, ShapeError, SpecError
 from .exactlin import Matrix, kernel_basis, parse_rat, rat_str, solve_right
@@ -50,7 +55,7 @@ from .groupoid import _spec_ints
 __all__ = [
     "GradedObject", "GradedMorphism",
     "graded_object", "zero_object", "simple_object", "unit_object",
-    "tensor_obj", "direct_sum_obj", "dual_obj", "component",
+    "tensor_obj", "tensor_mult", "direct_sum_obj", "dual_obj", "component",
     "restrict_grades", "unit_summand", "total_mult",
     "identity_mor", "zero_mor", "compose", "tensor_mor",
     "direct_sum_mor", "direct_sum_with_maps",
@@ -208,7 +213,7 @@ def _same_cat(*items):
 
 # Bound on the number of remembered slot enumerations (see _tensor_layout).
 # At 64 the peak RSS of repeated S4 audits stays flat; 256 added ~2 MB.
-# One S4 audit (corpus 2, samples 6) makes 885 lookups, and 485 of its 514
+# One S4 audit (corpus 2, samples 6) makes 653 lookups, and 264 of its 286
 # repeated keys hit.
 _LAYOUT_MEMO_SIZE = 64
 _layout_memo = {}
@@ -219,12 +224,28 @@ def _tensor_layout(v, w):
 
     pos[h][(g1, g2)] is a flat sequence whose entry i * w.m(g2) + j is the
     position, within grade h, of the slot (g1, i, g2, j) with word
-    v.layout[g1][i] + w.layout[g2][j].  Slots are sorted by word.  A grade
-    fed by one pair (g1, g2) is in that order as enumerated, i then j:
-    all words of an object have one length and each factor's words are
-    sorted, so the words compare by w1 first and by w2 on a tie.  Its
-    layout is built directly and its pos is range(n); only grades fed by
-    several pairs are sorted.
+    v.layout[g1][i] + w.layout[g2][j].  Slots are sorted by word, and no
+    product word is compared to put them in that order:
+
+    - All words of an object have one length, so w1 + w2 compares by w1
+      first and by w2 on a tie, and each factor's words are sorted.  A
+      grade fed by one pair (g1, g2) is therefore in order as enumerated,
+      i then j, and its pos is range(n).
+    - Grades fed by several pairs are filled by one walk over v's slots
+      in word order, which takes one sort of v's own words (those at the
+      grades feeding such a grade).  The walk visits maximal runs of
+      consecutive slots of one grade g1; for each g2 with h = g1.g2 fed
+      by several pairs, a run appends its words times w.layout[g2] to h,
+      i then j.  Within h the runs arrive in increasing w1, with no tie:
+      two left slots with equal words never feed the same grade.  Equal
+      words at different grades contain no atomic letter (that letter
+      would fix the grade), so they sit at identity grades e != e', and
+      e.g2 = e'.g2' = h forces e = e' = source(h).  A pair's pos is
+      range(k, k + n) when its left grade is a single run, and otherwise
+      the concatenation of its runs' ranges.
+
+    Grades, and pairs within a grade, keep the order in which the loop
+    over (g1, g2) first meets them.
 
     The result depends only on the groupoid and the two layouts, so it is
     remembered under exactly those (object equality compares multiplicities
@@ -237,30 +258,47 @@ def _tensor_layout(v, w):
     hit = _layout_memo.get(key)
     if hit is not None:
         return hit
+    vl, wl = v.layout, w.layout
     feeds = {}
-    for g1, ws1 in v.layout.items():
+    for g1 in vl:
         row = cat.compose_table[g1]
-        for g2, ws2 in w.layout.items():
+        for g2 in wl:
             h = row[g2]
             if h is not None:
-                feeds.setdefault(h, []).append((g1, ws1, g2, ws2))
-    layout, pos = {}, {}
+                feeds.setdefault(h, []).append((g1, g2))
+    layout, pos, targets = {}, {}, {}
     for h, pairs in feeds.items():
         if len(pairs) == 1:
-            g1, ws1, g2, ws2 = pairs[0]
-            layout[h] = tuple([w1 + w2 for w1 in ws1 for w2 in ws2])
-            pos[h] = {(g1, g2): range(len(layout[h]))}
+            pair = pairs[0]
+            ws2 = wl[pair[1]]
+            layout[h] = tuple([w1 + w2 for w1 in vl[pair[0]] for w2 in ws2])
+            pos[h] = {pair: range(len(layout[h]))}
             continue
-        ws, starts = [], []
-        for g1, ws1, g2, ws2 in pairs:
-            starts.append((g1, g2, len(ws), len(ws1) * len(ws2)))
-            ws.extend([w1 + w2 for w1 in ws1 for w2 in ws2])
-        order = sorted(range(len(ws)), key=ws.__getitem__)
-        layout[h] = tuple(map(ws.__getitem__, order))
-        rank = [0] * len(ws)
-        for p, k in enumerate(order):
-            rank[k] = p
-        pos[h] = {(g1, g2): rank[k:k + n] for g1, g2, k, n in starts}
+        words = layout[h] = []
+        per = pos[h] = dict.fromkeys(pairs)
+        for pair in pairs:
+            targets.setdefault(pair[0], []).append(
+                (wl[pair[1]], words, per, pair))
+    if targets:
+        slots = sorted([(w1, g1) for g1 in targets for w1 in vl[g1]])
+        for g1, run in groupby(slots, itemgetter(1)):
+            run = [w1 for w1, _ in run]
+            for ws2, words, per, pair in targets[g1]:
+                k = len(words)
+                for w1 in run:
+                    for w2 in ws2:
+                        words.append(w1 + w2)
+                span = range(k, len(words))
+                got = per[pair]
+                if got is None:
+                    per[pair] = span
+                elif type(got) is range:
+                    per[pair] = [*got, *span]
+                else:
+                    got += span
+        for h, words in layout.items():
+            if type(words) is list:
+                layout[h] = tuple(words)
     mult = {h: len(ws) for h, ws in layout.items()}
     out = GradedObject._of(cat, mult, layout), pos
     if len(_layout_memo) >= _LAYOUT_MEMO_SIZE:
@@ -271,6 +309,22 @@ def _tensor_layout(v, w):
 
 def tensor_obj(v, w):
     return _tensor_layout(v, w)[0]
+
+
+def tensor_mult(v, w):
+    """The multiplicities of v (x) w, tensor_obj(v, w).mult, read off the
+    composition table without enumerating a slot: grade g1.g2 gets
+    v.m(g1) * w.m(g2) from each composable pair."""
+    cat = _same_cat(v, w)
+    out = {}
+    wm = w.mult.items()
+    for g1, m1 in v.mult.items():
+        row = cat.compose_table[g1]
+        for g2, m2 in wm:
+            h = row[g2]
+            if h is not None:
+                out[h] = out.get(h, 0) + m1 * m2
+    return out
 
 
 def direct_sum_obj(v, w):

@@ -16,11 +16,11 @@ from .errors import ConsistencyError, ShapeError, SpecError
 from .exactlin import Matrix, parse_rat, rat_str
 from .groupoid import _spec_ints
 from .gvec import (
-    GradedMorphism, _tensor_layout, compose, dual_morphism,
+    GradedMorphism, GradedObject, _tensor_layout, compose, dual_morphism,
     direct_sum_with_maps, graded_object, identity_mor, left_dual,
     object_from_spec, object_to_spec, restrict_grades, restriction_inclusion,
-    restriction_projection, tensor_mor, tensor_obj, unit_object,
-    unit_summand)
+    restriction_projection, tensor_mor, tensor_mult, tensor_obj,
+    unit_object, unit_summand)
 
 __all__ = [
     "InternalAlgebra", "InternalCoalgebra",
@@ -41,8 +41,7 @@ class InternalAlgebra:
     __slots__ = ("carrier", "mult", "unit")
 
     def __init__(self, carrier, mult, unit):
-        if mult.source != tensor_obj(carrier, carrier) \
-                or mult.target != carrier:
+        if mult.target != carrier or not _is_square(mult.source, carrier):
             raise ShapeError("multiplication endpoints do not match carrier")
         if unit.source != unit_object(carrier.cat) or unit.target != carrier:
             raise ShapeError("unit endpoints do not match carrier")
@@ -75,8 +74,8 @@ class InternalCoalgebra:
     __slots__ = ("carrier", "comult", "counit")
 
     def __init__(self, carrier, comult, counit):
-        if comult.target != tensor_obj(carrier, carrier) \
-                or comult.source != carrier:
+        if comult.source != carrier \
+                or not _is_square(comult.target, carrier):
             raise ShapeError(
                 "comultiplication endpoints do not match carrier")
         if counit.target != unit_object(carrier.cat) \
@@ -101,6 +100,14 @@ class InternalCoalgebra:
 
     def __repr__(self):
         return "InternalCoalgebra(%r)" % (self.carrier,)
+
+
+def _is_square(v, carrier):
+    """v == carrier (x) carrier: object equality compares the groupoid and
+    the multiplicities only, so the product's slots are not enumerated."""
+    return (isinstance(v, GradedObject)
+            and (v.cat is carrier.cat or v.cat == carrier.cat)
+            and v.mult == tensor_mult(carrier, carrier))
 
 
 # ---------------------------------------------------------------------------

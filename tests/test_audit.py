@@ -478,6 +478,22 @@ def test_s4_report_golden():
         == GOLDEN_S4_REPORT
 
 
+# sha256 of the pair4 audit report (audit seed 1, corpus 2, samples 6),
+# serialised as the CLI does.  Its direct-sum carriers tensor left factors
+# whose grades' slots are split into several runs by other grades' slots,
+# on a groupoid where most grade pairs do not compose.
+GOLDEN_PAIR4_REPORT = \
+    "cf1819f05e7be43313950df0ac9e3111b278ae3d21e52b6cd1fe358d68c2205d"
+
+
+def test_pair4_report_golden():
+    report = run_audit({"kind": "pair", "objects": 4}, seed=1,
+                       corpus_size=2, samples=6)
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() \
+        == GOLDEN_PAIR4_REPORT
+
+
 @pytest.mark.parametrize("name", ("vec_z2", "pair3"))
 def test_audit_restricts_each_live_algebra_once(monkeypatch, name):
     import fusionaudit.audit

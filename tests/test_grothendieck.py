@@ -280,9 +280,49 @@ def _dense_based_failures(r):
     return out
 
 
+def _dict_based_failures(r):
+    """Reference for the sparse based-ring check before its fast path:
+    two dicts and their sorted key union for every (i, j)."""
+    n = r.rank
+    nz = r.nonzero
+    out = []
+    star = r.involution
+    for i in range(n):
+        if not 0 <= star[i] < n:
+            out.append({"axiom": "involution range", "at": i})
+            return out
+    if sorted(star) != list(range(n)):
+        out.append({"axiom": "involution permutes basis", "at": list(star)})
+        return out
+    for i in range(n):
+        if star[star[i]] != i:
+            out.append({"axiom": "involution squares to identity", "at": i})
+    inverse = [0] * n
+    for k, s in enumerate(star):
+        inverse[s] = k
+    for i in range(n):
+        for j in range(n):
+            here = dict(nz[i][j])
+            there = {inverse[s]: x for s, x in nz[star[j]][star[i]]}
+            for k in sorted(here.keys() | there.keys()):
+                if here.get(k, 0) != there.get(k, 0):
+                    out.append({"axiom": "anti-automorphism",
+                                "at": [i, j, k]})
+    unit = r.unit_coeffs
+    for i in range(n):
+        for j in range(n):
+            tau = sum(x * unit[k] for k, x in nz[i][j])
+            want = 1 if j == star[i] else 0
+            if tau != want:
+                out.append({"axiom": "pairing", "at": [i, j], "value": tau})
+    return out
+
+
 def _assert_matches_dense(r):
     assert grothendieck._zplus_failures(r) == _dense_zplus_failures(r)
-    assert grothendieck._based_failures(r) == _dense_based_failures(r)
+    based = grothendieck._based_failures(r)
+    assert based == _dense_based_failures(r)
+    assert based == _dict_based_failures(r)
 
 
 def _mutant(r, rng):

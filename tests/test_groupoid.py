@@ -1,10 +1,12 @@
 """Groupoid constructors, validation messages, and the frozen S3 table."""
 
 import json
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
+from conftest import symmetric_group_spec
+from fusionaudit import groupoid
 from fusionaudit.errors import GroupoidError, SpecError
 from fusionaudit.groupoid import (
     Groupoid, disjoint_union, groupoid_from_spec, make_group,
@@ -56,14 +58,77 @@ def test_group_validation_messages():
         make_group([[1, 0], [0, 1]])
     with pytest.raises(GroupoidError, match="out of range"):
         make_group([[0, 1], [1, 7]])
-    # a non-associative loop with identity at 0 and two-sided inverses
-    loop = [[0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0]]
-    with pytest.raises(GroupoidError, match="associativity fails on triple"):
-        make_group(loop)
+    # a non-associative loop with identity at 0 and two-sided inverses:
+    # Light's test rejects it, and the scan names its first failing triple
+    with pytest.raises(GroupoidError) as exc:
+        make_group(LOOP)
+    assert exc.value.failures == [
+        "associativity fails on triple (%d, %d, %d)" % _scan(LOOP)]
+
+
+# A non-associative loop: identity 0, two-sided inverses, no group.
+LOOP = [[0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0]]
+
+
+def _scan(table):
+    """Reference: the first triple, in lexicographic order, whose two
+    composites are defined and differ, found by trying every triple."""
+    m = len(table)
+    for g1, g2, g3 in product(range(m), repeat=3):
+        h12, h23 = table[g1][g2], table[g2][g3]
+        if h12 is not None and h23 is not None \
+                and table[h12][g3] != table[g1][h23]:
+            return g1, g2, g3
+    return None
+
+
+def test_associativity_failure_names_the_scans_triple():
+    """On groupoids with undefined composites too, a table that passes the
+    endpoint, identity and inverse checks but is not associative is
+    reported with the first failing triple of the full scan."""
+    pair = make_pair_groupoid(2)
+    for left in (pair, make_group(Z2)):
+        z5 = make_group([[(i + j) % 5 for j in range(5)] for i in range(5)])
+        spec = disjoint_union(left, z5)._explicit_spec()
+        m = left.morphism_count
+        for i, row in enumerate(LOOP):
+            spec["compose"][m + i][m:] = [m + x for x in row]
+            spec["inverses"][m + i] = m + row.index(0)
+        with pytest.raises(GroupoidError) as exc:
+            groupoid_from_spec(spec)
+        triple = _scan(spec["compose"])
+        assert triple[0] >= m
+        assert exc.value.failures == [
+            "associativity fails on triple (%d, %d, %d)" % triple]
+
+
+def test_valid_groupoids_skip_the_triple_scan(monkeypatch):
+    """Light's test certifies every valid groupoid, so the n^3 scan runs
+    only for a table it rejects."""
+    calls = []
+    original = groupoid._first_failing_triple
+
+    def counted(table):
+        calls.append(len(table))
+        return original(table)
+
+    monkeypatch.setattr(groupoid, "_first_failing_triple", counted)
+    s4 = groupoid_from_spec(symmetric_group_spec(4, 1))
+    for n in range(1, 6):
+        make_pair_groupoid(n)
+    disjoint_union(s4, make_pair_groupoid(3))
+    groupoid_from_spec({"kind": "union", "parts": [
+        {"kind": "group", "table": S3}, {"kind": "pair", "objects": 2},
+        {"kind": "group", "table": Z2}]})
+    groupoid_from_spec(s4._explicit_spec())
+    assert calls == []
+    with pytest.raises(GroupoidError):
+        make_group(LOOP)
+    assert calls == [5]
 
 
 def test_pair_groupoid():

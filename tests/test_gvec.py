@@ -716,14 +716,20 @@ def test_layout_memo_keys_on_slot_words(monkeypatch):
         monkeypatch.setattr(gvec, "_layout_memo", {})
         fresh[v.layout[0]] = _tensor_layout(v, v)
     monkeypatch.setattr(gvec, "_layout_memo", {})
+    def lists(pos):
+        return {h: {pair: list(slots) for pair, slots in per.items()}
+                for h, per in pos.items()}
+
     for v in (atomic, product, atomic, product):
         obj, pos = _tensor_layout(v, v)
         ref_obj, ref_pos = fresh[v.layout[0]]
-        assert obj.layout == ref_obj.layout and pos == ref_pos
+        assert obj.layout == ref_obj.layout and lists(pos) == lists(ref_pos)
         assert set(obj.layout[0]) == {v.layout[0][0] * 2,
                                       v.layout[1][0] * 2}
-    assert fresh[atomic.layout[0]][1][0] == {(0, 0): [0], (1, 1): [1]}
-    assert fresh[product.layout[0]][1][0] == {(0, 0): [1], (1, 1): [0]}
+    assert lists(fresh[atomic.layout[0]][1])[0] == {(0, 0): [0],
+                                                    (1, 1): [1]}
+    assert lists(fresh[product.layout[0]][1])[0] == {(0, 0): [1],
+                                                     (1, 1): [0]}
 
 
 # Reference oracle for _tensor_layout: the enumeration it replaced, kept
@@ -782,31 +788,34 @@ def _assert_same_layout(v, w):
     assert list(obj.mult.items()) == list(ref.mult.items())
     assert list(obj.layout.items()) == list(ref.layout.items())
     assert list(pos) == list(ref_pos)
-    single = several = interleaved = 0
+    single = several = interleaved = split = 0
     for h, pairs in ref_pos.items():
         assert list(pos[h]) == list(pairs)
         for pair, slots in pairs.items():
             assert list(pos[h][pair]) == slots
+            split += slots != list(range(slots[0], slots[0] + len(slots)))
         if len(pairs) == 1:
             single += 1
         else:
             several += 1
             flat = [p for slots in pairs.values() for p in slots]
             interleaved += flat != sorted(flat)
-    return single, several, interleaved
+    return single, several, interleaved, split
 
 
 def test_tensor_layout_matches_sorted_reference():
+    """Both enumeration paths agree with the reference, including pairs
+    whose left grade's slots are split into several runs by the slots of
+    other grades (their positions are not one contiguous range)."""
     rng = random.Random(424)
-    single = several = interleaved = 0
+    counts = [0, 0, 0, 0]
     for cat in [load_fixture(name) for name in FIXTURE_NAMES] + [S4]:
         objs = _layout_objects(cat, rng)
         for v in objs:
             for w in objs:
-                a, b, c = _assert_same_layout(v, w)
-                single, several, interleaved = (
-                    single + a, several + b, interleaved + c)
-    assert single and several and interleaved
+                counts = [a + b for a, b in
+                          zip(counts, _assert_same_layout(v, w))]
+    assert all(counts)
 
 
 @settings(max_examples=40, deadline=None)
@@ -820,15 +829,16 @@ def test_tensor_layout_matches_sorted_reference_on_random_groupoids(cat,
 
 
 def test_single_pair_grades_skip_the_sort(monkeypatch):
-    """_tensor_layout sorts once per grade fed by several factor pairs,
-    and never for a grade fed by one."""
+    """_tensor_layout sorts nothing when every grade is fed by one factor
+    pair, and otherwise sorts once, the left factor's slots, however many
+    grades are fed by several pairs."""
     rng = random.Random(425)
     cases = [(v, w) for cat in CATS + [S4]
              for objs in [_layout_objects(cat, rng)]
              for v in objs for w in objs]
-    expected = [sum(len(pairs) > 1
-                    for pairs in _sorted_tensor_layout(v, w)[1].values())
-                for v, w in cases]
+    several = [sum(len(pairs) > 1
+                   for pairs in _sorted_tensor_layout(v, w)[1].values())
+               for v, w in cases]
     sorts = []
 
     def counted(*args, **kwargs):
@@ -842,8 +852,19 @@ def test_single_pair_grades_skip_the_sort(monkeypatch):
         sorts.clear()
         _tensor_layout(v, w)
         got.append(len(sorts))
-    assert got == expected
-    assert 0 in got and any(got)
+    assert got == [min(n, 1) for n in several]
+    assert 0 in got and max(several) > 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_groupoids(), st.integers(0, 2**32 - 1))
+def test_tensor_mult_matches_tensor_obj(cat, seed):
+    """tensor_mult gives tensor_obj's multiplicities without a slot."""
+    rng = random.Random(seed)
+    objs = _layout_objects(cat, rng) + [zero_object(cat)]
+    for _ in range(30):
+        v, w = rng.choice(objs), rng.choice(objs)
+        assert gvec.tensor_mult(v, w) == tensor_obj(v, w).mult
 
 
 def test_tensor_mor_enumerates_equal_layouts_once(monkeypatch):

@@ -6,19 +6,23 @@ import random
 
 import pytest
 
-from conftest import COERCED_GENERATOR_SPECS
+from conftest import COERCED_GENERATOR_SPECS, symmetric_group_spec
+from fusionaudit import gvec, internal
 from fusionaudit.corpus import algebra_corpus, coalgebra_corpus
-from fusionaudit.errors import SpecError
+from fusionaudit.errors import ShapeError, SpecError
 from fusionaudit.exactlin import Matrix
 from fusionaudit.fixtures import load_fixture
+from fusionaudit.groupoid import groupoid_from_spec
 from fusionaudit.gvec import (
-    GradedMorphism, cokernel, compose, graded_object, identity_mor, is_epi,
-    is_mono, simple_object, tensor_mor, unit_object, zero_mor, zero_object)
+    GradedMorphism, cokernel, compose, direct_sum_obj, graded_object,
+    identity_mor, is_epi, is_mono, restrict_grades, simple_object,
+    tensor_mor, tensor_obj, unit_object, zero_mor, zero_object)
 from fusionaudit.internal import (
-    InternalAlgebra, algebra_from_spec, algebra_to_spec, direct_sum_algebra,
-    dualize_algebra, dualize_coalgebra, groupoid_algebra, internal_end,
-    restrict_to_J, restriction_data, support, unit_summand_algebra,
-    unit_summand_coalgebra, validate_algebra, validate_coalgebra)
+    InternalAlgebra, InternalCoalgebra, algebra_from_spec, algebra_to_spec,
+    direct_sum_algebra, dualize_algebra, dualize_coalgebra, groupoid_algebra,
+    internal_end, restrict_to_J, restriction_data, support,
+    unit_summand_algebra, unit_summand_coalgebra, validate_algebra,
+    validate_coalgebra)
 from fusionaudit.morphcalc import is_split_epi, is_split_mono
 
 VEC = load_fixture("vec")
@@ -28,6 +32,7 @@ P2 = load_fixture("pair2")
 P3 = load_fixture("pair3")
 U22 = load_fixture("union_z2_z2")
 CATS = [Z2, S3, P2, P3, U22]
+S4 = groupoid_from_spec(symmetric_group_spec(4, 1))
 # a JSON number too large for a float parses as inf
 INF = json.loads("1e400")
 
@@ -172,6 +177,68 @@ def test_mutations_rejected_across_corpus():
                 GradedMorphism(a.mult.source, a.carrier, mutated),
                 a.unit)
             assert not validate_algebra(candidate)["ok"]
+
+
+def _square_mutants(carrier):
+    """carrier (x) carrier, and objects that differ from it: the carrier
+    itself, one slot more or fewer, and one grade dropped."""
+    cat = carrier.cat
+    square = tensor_obj(carrier, carrier)
+    g = min(square.mult)
+    out = [square, carrier, direct_sum_obj(square, simple_object(cat, g)),
+           restrict_grades(square, set(square.mult) - {g})]
+    if square.mult[g] > 1:
+        fewer = dict(square.mult)
+        fewer[g] -= 1
+        out.append(graded_object(cat, fewer))
+    return out
+
+
+def test_endpoint_checks_reject_wrong_shapes():
+    """A multiplication or comultiplication with the wrong tensor-square
+    endpoint, or the wrong carrier endpoint, is a ShapeError, exactly
+    when the object comparison with tensor_obj would reject it."""
+    rejected = 0
+    for cat in CATS + [S4]:
+        rng = random.Random(503)
+        for a in algebra_corpus(cat, rng)[:4]:
+            if a.is_zero():
+                continue
+            carrier = a.carrier
+            square = tensor_obj(carrier, carrier)
+            counit = zero_mor(carrier, unit_object(cat))
+            wrong = direct_sum_obj(carrier, simple_object(cat, 0))
+            for x in _square_mutants(carrier):
+                for y in (carrier, wrong):
+                    builds = (
+                        lambda: InternalAlgebra(
+                            carrier, zero_mor(x, y), a.unit),
+                        lambda: InternalCoalgebra(
+                            carrier, zero_mor(y, x), counit))
+                    for build in builds:
+                        if x == square and y == carrier:
+                            build()
+                            continue
+                        with pytest.raises(ShapeError):
+                            build()
+                        rejected += 1
+    assert rejected > 100
+
+
+def test_dualize_enumerates_no_tensor_slots(monkeypatch):
+    """Dualising S4's groupoid algebra, and rebuilding the algebra, check
+    their endpoints by multiplicity: no slot enumeration runs."""
+    a = groupoid_algebra(S4, {0})
+
+    def forbidden(v, w):
+        raise AssertionError("a tensor product's slots were enumerated")
+
+    monkeypatch.setattr(gvec, "_tensor_layout", forbidden)
+    monkeypatch.setattr(internal, "_tensor_layout", forbidden)
+    c = dualize_algebra(a)
+    assert c.carrier == a.carrier and c.carrier.m(0) == 1
+    again = InternalAlgebra(a.carrier, a.mult, a.unit)
+    assert again.carrier is a.carrier
 
 
 def test_support_theorem_examples():
