@@ -18,6 +18,7 @@ Canonical choices (everything downstream depends on these being fixed):
 * kron is left-factor major: entry ((i,k),(j,l)) = a[i,j] * b[k,l].
 """
 
+import re
 from fractions import Fraction
 
 from ..errors import ShapeError
@@ -33,6 +34,7 @@ __all__ = [
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _set = object.__setattr__
+_identities = {}  # n -> the one Matrix.identity(n)
 
 
 def rat_str(x):
@@ -43,13 +45,22 @@ def rat_str(x):
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+_RAT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rat(s):
-    """Inverse of rat_str; accepts ints as well.  A zero denominator is a
-    ValueError, like any other malformed string."""
-    if isinstance(s, int):
+    """Inverse of rat_str.  Accepts an int that is not a bool, or a string
+    'p' or 'p/q' of ASCII decimal digits with an optional leading '-'.
+    Anything else (a bool, a float, a decimal point, an exponent, a sign
+    '+', whitespace) is a ValueError, and so is a zero denominator: an
+    exponent string such as '1e2000000' would otherwise expand to a huge
+    integer."""
+    if type(s) is int:
         return Fraction(s)
+    if not (isinstance(s, str) and _RAT.fullmatch(s)):
+        raise ValueError("not an integer or 'p/q' rational: %r" % (s,))
     try:
-        return Fraction(str(s))
+        return Fraction(s)
     except ZeroDivisionError as exc:
         raise ValueError("zero denominator in %r" % (s,)) from exc
 
@@ -116,7 +127,22 @@ class Matrix:
 
     @classmethod
     def identity(cls, n):
-        return cls._of(n, n, tuple(((i, _ONE),) for i in range(n)))
+        """The n x n identity.  There is one shared, immutable object per n,
+        and only that object counts as the identity for the fast paths
+        (is_interned_identity): @ returns the other factor, and gvec's
+        tensor_mor re-indexes instead of multiplying.  An equal matrix
+        built another way, say by from_rows, is just as correct and takes
+        the general path."""
+        m = _identities.get(n)
+        if m is None:
+            m = _identities[n] = cls._of(
+                n, n, tuple(((i, _ONE),) for i in range(n)))
+        return m
+
+    def is_interned_identity(self):
+        """Whether this is the object Matrix.identity(self.rows), in O(1).
+        A hand-built identity answers False."""
+        return _identities.get(self.rows) is self
 
     # dense views, derived from the sparse rows
 
@@ -186,9 +212,17 @@ class Matrix:
             tuple([(j, c * x) for j, x in r]) for r in self.sparse))
 
     def __matmul__(self, other):
+        """Matrix product.  After the shape check, a factor that is the
+        interned Matrix.identity(n) returns the other factor itself, with
+        no kernel call."""
         if self.cols != other.rows:
             raise ShapeError("matmul %dx%d by %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
+        ident = _identities.get(other.rows)
+        if ident is self:
+            return other
+        if ident is other:
+            return self
         return Matrix._of(self.rows, other.cols,
                           _kernels.matmul(self.sparse, other.sparse))
 

@@ -21,8 +21,10 @@ def matmul(a, b):
     """Rows of a times b: row i of the product is the sum over the entries
     (k, x) of a[i] of x times row k of b.  A row of a that is a single 1
     reuses the row of b it selects, and a factor equal to 1 is not
-    multiplied: almost every product the audit forms has such a factor
-    (identities, inclusions, projections, lax maps)."""
+    multiplied.  Most products that reach this kernel have such a factor
+    (inclusions, projections, lax maps); a factor that is the interned
+    identity never reaches it, since Matrix.__matmul__ returns the other
+    factor."""
     out = []
     for row in a:
         if not row:

@@ -427,7 +427,14 @@ def inclusion_LJ(cat, objs):
 
 def _zero_one(rows, cols, ones):
     """The rows x cols matrix whose row i holds a single 1, in column
-    ones[i], for every row i in ones, and is zero otherwise."""
+    ones[i], for every row i in ones, and is zero otherwise.  When that is
+    the identity (every row i has its 1 in column i), the interned
+    Matrix.identity(rows) is returned, so later products and tensor
+    products with it take their identity fast paths.  That covers R_J's
+    lax and colax maps on objects supported in J, and the lax image of a
+    corner restricted to its own support."""
+    if rows == cols == len(ones) and all(i == j for i, j in ones.items()):
+        return Matrix.identity(rows)
     data = [()] * rows
     for i, j in ones.items():
         data[i] = ((j, _ONE),)

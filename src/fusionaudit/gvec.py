@@ -387,7 +387,10 @@ def unit_summand(cat, objs):
 
 def _normalize_blocks(blocks, source, target):
     out = {}
+    count = source.cat.morphism_count
     for g, mat in blocks.items():
+        if not 0 <= g < count:
+            raise ShapeError("grade %d out of range" % g)
         tm, sm = target.m(g), source.m(g)
         if mat.rows != tm or mat.cols != sm:
             raise ShapeError("block at grade %d is %dx%d, expected %dx%d"
@@ -504,6 +507,13 @@ def compose(f, g):
     return GradedMorphism._of(g.source, f.target, out)
 
 
+def _interned_identity_blocks(f):
+    """Whether every grade of f's source holds the interned identity
+    (Matrix.identity), as in identity_mor; O(1) per grade."""
+    return (len(f.blocks) == len(f.source.mult)
+            and all(b.is_interned_identity() for b in f.blocks.values()))
+
+
 def tensor_mor(f, h):
     """f (x) h, built straight into sparse rows.
 
@@ -512,14 +522,32 @@ def tensor_mor(f, h):
     zero.  Such a row takes entries from row i of f's block and row j of
     h's block only, so only pairs of non-zero factor entries are visited:
     a factor pair (g1, g2) costs nnz(f at g1) * nnz(h at g2) products, and
-    a factor equal to 1 (an identity's entry) is not multiplied.  Each
-    side's slots are enumerated once (_tensor_layout), both sides by one
-    enumeration when each factor's target lays out the same words as its
-    source, and each output grade's Matrix is built before the next grade
-    is filled."""
+    a factor equal to 1 is not multiplied.  Each side's slots are
+    enumerated once (_tensor_layout), both sides by one enumeration when
+    each factor's target lays out the same words as its source, and each
+    output grade's Matrix is built before the next grade is filled.
+
+    Identities pass through without arithmetic.  Only the interned
+    Matrix.identity counts; an equal hand-built block takes the general
+    path, with the same result.
+    - When each factor's source and target lay out the same words and
+      every block of both is the identity, the product is identity_mor of
+      the product object, built with no row.
+    - When one block of a factor pair is the identity, each output row is
+      the other block's row re-indexed through pos: no product, no == 1
+      test and no sort.  The re-indexed row is already sorted because
+      pos is increasing within one pair: a grade fed by one pair has pos
+      range(n), and a grade fed by several concatenates its runs' ranges
+      in left-word order, each run after the last (_tensor_layout).  With
+      f's block the identity, row (i, j) is row j of h's block, column cj
+      sent to pos[i * m + cj]; with h's block the identity, it is row i of
+      f's block, column ci sent to pos[ci * m + j], where m is
+      h.source.m(g2)."""
     src, src_pos = _tensor_layout(f.source, h.source)
     if (f.target.layout == f.source.layout
             and h.target.layout == h.source.layout):
+        if _interned_identity_blocks(f) and _interned_identity_blocks(h):
+            return identity_mor(src)
         tgt, tgt_pos = src, src_pos
     else:
         tgt, tgt_pos = _tensor_layout(f.target, h.target)
@@ -541,6 +569,24 @@ def tensor_mor(f, h):
             if data is None:
                 data = [()] * tgt.mult[g]
             hrows = hb.sparse
+            if fb.is_interned_identity():
+                for j, hrow in enumerate(hrows):
+                    if not hrow:
+                        continue
+                    for i in range(fb.rows):
+                        base = i * cm
+                        data[rpos[i * rm + j]] = tuple([
+                            (cpos[base + cj], y) for cj, y in hrow])
+                continue
+            if hb.is_interned_identity():
+                for i, frow in enumerate(fb.sparse):
+                    if not frow:
+                        continue
+                    rbase = i * rm
+                    for j in range(rm):
+                        data[rpos[rbase + j]] = tuple([
+                            (cpos[ci * cm + j], x) for ci, x in frow])
+                continue
             for i, frow in enumerate(fb.sparse):
                 if not frow:
                     continue

@@ -406,6 +406,20 @@ def test_cli_error_codes(tmp_path):
     assert res.returncode == 2
     assert "input error" in res.stderr
 
+    # entries not in rat_str form (each of these exited 0; the exponent
+    # took seconds to expand), and a block at a grade Z/2 lacks
+    vec = _write_spec(tmp_path, "vec")
+    for unit, why in (({"0": [[True]]}, "True"), ({"0": [[1.0]]}, "1.0"),
+                      ({"0": [["1e2000000"]]}, "1e2000000"),
+                      ({"0": [["1.5"]]}, "1.5"),
+                      ({"9": [["1"]]}, "grade 9 out of range")):
+        alg.write_text(json.dumps({"carrier": {"mult": {"0": 1}},
+                                   "mult": {"0": [["1"]]}, "unit": unit}))
+        res = _run_cli(["check-algebra", "--category", vec,
+                        "--algebra", str(alg)], tmp_path)
+        assert res.returncode == 2, unit
+        assert "input error" in res.stderr and why in res.stderr, res.stderr
+
 
 @pytest.mark.parametrize("doc", COERCED_GENERATOR_SPECS)
 def test_cli_coerced_generator_spec_exits_2(tmp_path, doc):

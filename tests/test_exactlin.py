@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionaudit.exactlin import (
-    Matrix, kernel_basis, kron, matmul, parse_rat, rat_str, solve_right,
+    Matrix, _kernels, kernel_basis, kron, matmul, parse_rat, rat_str,
+    solve_right,
 )
 from fusionaudit.errors import ShapeError
 
@@ -27,8 +28,23 @@ def test_rat_str():
     for s in ["1/2", "-3/4", "5", "0", "-7"]:
         assert rat_str(parse_rat(s)) == s
     assert parse_rat(3) == F(3)
+    assert parse_rat(-12) == F(-12)
+    assert parse_rat("4/6") == F(2, 3) and parse_rat("-0") == F(0)
     with pytest.raises(ValueError):
         parse_rat("1/0")
+
+
+@pytest.mark.parametrize("bad", [
+    True, False, 1.0, 2.5, None, [1], F(1, 2),
+    "1e2000000", "1E5", "1.5", ".5", "+1", " 1", "1 ", "1\n", "1/-2",
+    "-1/2/3", "", "-", "1/", "/2", "inf", "nan", "0x10", "1_000",
+    "\u0661",  # ARABIC-INDIC DIGIT ONE, which int() would accept
+])
+def test_parse_rat_takes_rat_str_form_only(bad):
+    """Only a JSON integer that is not a bool, or 'p' / 'p/q' in ASCII
+    digits: an exponent string would otherwise expand to a huge integer."""
+    with pytest.raises(ValueError):
+        parse_rat(bad)
 
 
 def test_constructors_and_eq():
@@ -387,3 +403,44 @@ def test_columns_rejects_out_of_range_index():
             a.columns(bad)
     with pytest.raises(IndexError):
         Matrix.zeros(3, 0).columns([0])
+
+
+def test_identity_is_interned_and_immutable():
+    for n in (0, 1, 3):
+        ident = Matrix.identity(n)
+        assert ident is Matrix.identity(n)
+        assert ident.is_interned_identity()
+        with pytest.raises(AttributeError):
+            ident.sparse = ()
+        with pytest.raises(AttributeError):
+            ident.rows = n + 1
+    built = Matrix.from_rows([[1, 0], [0, 1]])
+    assert built == Matrix.identity(2) and not built.is_interned_identity()
+    assert not Matrix.zeros(0, 0).is_interned_identity()
+
+
+def test_matmul_by_identity_makes_no_kernel_call(monkeypatch):
+    """@ returns the other factor itself when one factor is the interned
+    identity; a hand-built identity still goes through the kernel, with
+    the same result."""
+    calls = []
+    kernel = _kernels.matmul
+
+    def counted(a, b):
+        calls.append(1)
+        return kernel(a, b)
+
+    monkeypatch.setattr(_kernels, "matmul", counted)
+    a = Matrix.from_rows([[1, F(1, 2), 0], [0, -3, 4]])
+    assert Matrix.identity(2) @ a is a
+    assert a @ Matrix.identity(3) is a
+    assert Matrix.identity(0) @ Matrix.zeros(0, 2) == Matrix.zeros(0, 2)
+    assert Matrix.identity(4) @ Matrix.identity(4) is Matrix.identity(4)
+    assert calls == []
+    with pytest.raises(ShapeError):
+        Matrix.identity(3) @ a
+    with pytest.raises(ShapeError):
+        a @ Matrix.identity(2)
+    assert calls == []
+    built = Matrix.from_rows([[1, 0], [0, 1]])
+    assert built @ a == a and len(calls) == 1

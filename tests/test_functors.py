@@ -17,6 +17,7 @@ from fusionaudit.functors import (
     induce_mor, is_faithful_cotensor, is_faithful_tensor, is_module_morphism,
     reflection_checks, restricted_separability, separability_verdict,
     check_section_identity, validate_comodule, validate_module)
+from fusionaudit.exactlin import Matrix
 from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
 from fusionaudit.gvec import (
     compose, graded_object, hom_basis, identity_mor, restrict_grades,
@@ -490,6 +491,32 @@ def test_lax_maps_call_no_tensor_mor(monkeypatch):
         rj.phi(match)
         rj.psi(match)
     assert calls == []
+
+
+def test_zero_one_identity_is_interned():
+    """_zero_one returns the interned identity exactly when its 0/1 map is
+    the identity, so R_J's lax and colax maps on objects supported in J
+    take the identity fast paths of @ and tensor_mor."""
+    for n in (0, 1, 3):
+        assert functors._zero_one(n, n, {i: i for i in range(n)}) \
+            is Matrix.identity(n)
+    swap = functors._zero_one(2, 2, {0: 1, 1: 0})
+    assert swap == Matrix.from_rows([[0, 1], [1, 0]])
+    assert not swap.is_interned_identity()
+    partial = functors._zero_one(3, 3, {0: 0, 2: 2})
+    assert partial == Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+    assert not partial.is_interned_identity()
+    assert functors._zero_one(2, 3, {0: 0, 1: 1}) \
+        == Matrix.from_rows([[1, 0, 0], [0, 1, 0]])
+    rng = random.Random(621)
+    rj = ProjectionFunctor(P3, {0, 2})
+    for _ in range(6):
+        x = restrict_grades(random_object(P3, rng, max_total=4), rj.grades)
+        y = restrict_grades(random_object(P3, rng, max_total=4), rj.grades)
+        match = rj.match(x, y)
+        for f in (rj.phi(match), rj.psi(match)):
+            assert all(b.is_interned_identity() for b in f.blocks.values())
+            assert f == identity_mor(tensor_obj(x, y))
 
 
 def test_lax_colax_check_matches_each_pair_once(monkeypatch):

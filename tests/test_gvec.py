@@ -407,6 +407,23 @@ def test_morphism_spec_roundtrip():
            "blocks": {"0": [[1, 2]]}}
     with pytest.raises(SpecError):
         morphism_from_spec(Z2, bad)
+    for entry in (True, 1.0, "1e2", "0.5", "+1"):
+        bad["blocks"] = {"0": [[entry]]}
+        with pytest.raises(SpecError):
+            morphism_from_spec(Z2, bad)
+
+
+@pytest.mark.parametrize("grade", ("9", "2", "-1"))
+def test_out_of_range_block_grade_is_named(grade):
+    """A block at a grade the groupoid lacks is named as such, not
+    reported as a shape mismatch against an empty grade."""
+    doc = {"source": {"mult": {"0": 1}}, "target": {"mult": {"0": 1}},
+           "blocks": {grade: [["1"]]}}
+    with pytest.raises(SpecError, match="^grade %s out of range$" % grade):
+        morphism_from_spec(Z2, doc)
+    v = graded_object(Z2, {0: 1})
+    with pytest.raises(ShapeError, match="out of range"):
+        GradedMorphism(v, v, {int(grade): Matrix.identity(1)})
 
 
 def test_block_shape_validation():
@@ -660,7 +677,10 @@ def _differential_factors(cat, rng):
     """Morphisms of every kind the audit tensors: random ones with zero
     blocks and zero endpoints, identities, restriction inclusions and
     projections, and maps between tensor products, direct sums, duals and
-    the unit (non-atomic slot words)."""
+    the unit (non-atomic slot words).  Two endomorphisms test the identity
+    fast paths of tensor_mor: a hand-built identity, which must take the
+    general path, and an idempotent whose blocks are the interned identity
+    at some grades only."""
     x = random_object(cat, rng, max_total=2, allow_zero=True)
     y = random_object(cat, rng, max_total=2)
     objs = [zero_object(cat), unit_object(cat),
@@ -678,8 +698,24 @@ def _differential_factors(cat, rng):
         out.append(zero_mor(v, w))
     _, ev, coev = left_dual(y)
     _, inj, _, _, proj = direct_sum_with_maps(x, y)
-    out.extend((ev, coev, inj, proj))
+    v = objs[-1]
+    grades = {g for g in v.mult if rng.random() < 0.5}
+    idem = compose(restriction_inclusion(v, grades),
+                   restriction_projection(v, grades))
+    out.extend((ev, coev, inj, proj, _hand_built_identity(v), idem))
     return out
+
+
+def _hand_built_identity(v):
+    """identity_mor(v) with equal blocks that are not the interned
+    Matrix.identity, so tensor_mor takes its general path on them."""
+    f = GradedMorphism(v, v, {
+        g: Matrix.from_rows([[int(i == j) for j in range(m)]
+                             for i in range(m)])
+        for g, m in v.mult.items()})
+    assert f == identity_mor(v)
+    assert not any(b.is_interned_identity() for b in f.blocks.values())
+    return f
 
 
 def test_sparse_tensor_mor_matches_dense_reference():
@@ -692,7 +728,7 @@ def test_sparse_tensor_mor_matches_dense_reference():
             for h in rng.sample(factors, 12):
                 _assert_same_tensor(f, h)
                 cases += 1
-    assert cases == 6 * 39 * 12
+    assert cases == 6 * 41 * 12
 
 
 @settings(max_examples=60, deadline=None)
@@ -865,6 +901,77 @@ def test_tensor_mult_matches_tensor_obj(cat, seed):
     for _ in range(30):
         v, w = rng.choice(objs), rng.choice(objs)
         assert gvec.tensor_mult(v, w) == tensor_obj(v, w).mult
+
+
+def test_tensor_of_identities_builds_no_row(monkeypatch):
+    """tensor_mor of two identity_mor values is identity_mor of the
+    product: every block is the interned identity and no Matrix is built.
+    Hand-built identities give the same morphism by the general path."""
+    rng = random.Random(427)
+    cases = []
+    for cat in CATS + [S4]:
+        x = random_object(cat, rng, max_total=3)
+        y = tensor_obj(random_object(cat, rng, max_total=2),
+                       direct_sum_obj(x, unit_object(cat)))
+        cases += [(x, y), (y, x), (unit_object(cat), y),
+                  (zero_object(cat), x)]
+    for v, w in cases:
+        vw = tensor_obj(v, w)
+        f, h = identity_mor(v), identity_mor(w)
+        for m in vw.mult.values():
+            Matrix.identity(m)
+        built = []
+        make = Matrix._of.__func__
+
+        def counted(cls, *args):
+            built.append(1)
+            return make(cls, *args)
+
+        monkeypatch.setattr(Matrix, "_of", classmethod(counted))
+        got = tensor_mor(f, h)
+        assert built == []
+        monkeypatch.undo()
+        assert got.source is got.target
+        assert got.source.layout == vw.layout
+        assert got.blocks.keys() == vw.mult.keys()
+        for g, b in got.blocks.items():
+            assert b is Matrix.identity(vw.mult[g])
+        slow = tensor_mor(_hand_built_identity(v), _hand_built_identity(w))
+        assert list(slow.blocks.items()) == list(got.blocks.items())
+        assert got == _dense_tensor_mor(f, h)
+
+
+def test_identity_blocks_skip_arithmetic(monkeypatch):
+    """A factor pair with the interned identity on one side re-indexes the
+    other side's rows: tensor_mor compares and multiplies no Fraction.  A
+    hand-built identity takes the general path, which does both."""
+    rng = random.Random(428)
+    cases = []
+    for cat in CATS + [S4]:
+        x = random_object(cat, rng, max_total=3)
+        y = tensor_obj(x, random_object(cat, rng, max_total=2))
+        h = random_morphism(y, direct_sum_obj(y, x), rng, zero_weight=1)
+        sub = {g for g in x.mult if rng.random() < 0.5}
+        for f in (identity_mor(x), restriction_inclusion(x, sub),
+                  restriction_projection(y, sub)):
+            cases += [(f, h, False), (h, f, False)]
+        cases.append((_hand_built_identity(x), h, True))
+    refs = [_dense_tensor_mor(f, h) for f, h, _ in cases]
+    calls = []
+    for op in ("__eq__", "__mul__"):
+        def counted(a, b, op=getattr(Fraction, op)):
+            calls.append(1)
+            return op(a, b)
+        monkeypatch.setattr(Fraction, op, counted)
+    got = []
+    for f, h, general in cases:
+        calls.clear()
+        got.append(tensor_mor(f, h))
+        assert bool(calls) == (general and not got[-1].is_zero())
+    monkeypatch.undo()
+    assert sum(not g.is_zero() for g in got) > len(got) // 2
+    for a, b in zip(got, refs):
+        assert list(a.blocks.items()) == list(b.blocks.items())
 
 
 def test_tensor_mor_enumerates_equal_layouts_once(monkeypatch):

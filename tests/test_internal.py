@@ -325,3 +325,12 @@ def test_algebra_generator_specs():
                 []):
         with pytest.raises(SpecError):
             algebra_from_spec(P2, bad)
+    for key in ("mult", "unit"):
+        doc = {"carrier": {"mult": {"0": 1}}, "mult": {"0": [["1"]]},
+               "unit": {"0": [["1"]]}}
+        doc[key] = {"9": [["1"]]}
+        with pytest.raises(SpecError, match="grade 9 out of range"):
+            algebra_from_spec(P2, doc)
+        doc[key] = {"0": [["1e2000000"]]}
+        with pytest.raises(SpecError, match="1e2000000"):
+            algebra_from_spec(P2, doc)
