@@ -514,6 +514,15 @@ def _interned_identity_blocks(f):
             and all(b.is_interned_identity() for b in f.blocks.values()))
 
 
+def _same_slots(v, w):
+    """Whether v and w lay out the same words with their grades in the same
+    order, so that their tensor products enumerate alike.  Layout dict
+    equality alone ignores the grade order, which the product's grade
+    order follows (see _tensor_layout)."""
+    return v.layout is w.layout or (
+        tuple(v.layout.items()) == tuple(w.layout.items()))
+
+
 def tensor_mor(f, h):
     """f (x) h, built straight into sparse rows.
 
@@ -524,8 +533,9 @@ def tensor_mor(f, h):
     a factor pair (g1, g2) costs nnz(f at g1) * nnz(h at g2) products, and
     a factor equal to 1 is not multiplied.  Each side's slots are
     enumerated once (_tensor_layout), both sides by one enumeration when
-    each factor's target lays out the same words as its source, and each
-    output grade's Matrix is built before the next grade is filled.
+    each factor's target lays out the same words as its source, grade
+    order included (_same_slots), and each output grade's Matrix is built
+    before the next grade is filled.
 
     Identities pass through without arithmetic.  Only the interned
     Matrix.identity counts; an equal hand-built block takes the general
@@ -544,8 +554,8 @@ def tensor_mor(f, h):
       f's block, column ci sent to pos[ci * m + j], where m is
       h.source.m(g2)."""
     src, src_pos = _tensor_layout(f.source, h.source)
-    if (f.target.layout == f.source.layout
-            and h.target.layout == h.source.layout):
+    if (_same_slots(f.target, f.source)
+            and _same_slots(h.target, h.source)):
         if _interned_identity_blocks(f) and _interned_identity_blocks(h):
             return identity_mor(src)
         tgt, tgt_pos = src, src_pos

@@ -740,6 +740,22 @@ def test_sparse_tensor_mor_matches_dense_on_random_groupoids(cat, seed):
         _assert_same_tensor(rng.choice(factors), rng.choice(factors))
 
 
+def test_tensor_mor_keeps_target_grade_order():
+    """A factor whose target lays out its source's words with the grades in
+    another order does not share the source's enumeration: the target of
+    f (x) h keeps the grade order that tensor_obj gives it."""
+    v = graded_object(S3, {2: 1, 1: 1})
+    w = graded_object(S3, {1: 1, 2: 1})
+    assert v.layout == w.layout and list(v.layout) != list(w.layout)
+    swap = GradedMorphism(v, w, {1: Matrix.identity(1),
+                                 2: Matrix.identity(1)})
+    unit = identity_mor(unit_object(S3))
+    for f, h in ((unit, swap), (swap, unit), (swap, swap)):
+        _assert_same_tensor(f, h)
+        assert list(tensor_mor(f, h).target.mult) == list(
+            tensor_obj(f.target, h.target).mult)
+
+
 def test_layout_memo_keys_on_slot_words(monkeypatch):
     """Equal multiplicities do not share a memoised layout: the grade-1
     word of this product sorts before its grade-0 word, so the slots of
