@@ -39,6 +39,13 @@ __all__ = ["CONDITIONS", "run_audit", "render_report",
 
 SCHEMA = 2  # version of the audit and gr report formats
 
+# Largest corpus_size and samples that run_audit and gr_report take; a
+# larger value is a SpecError (exit 2) before any corpus is built.  An
+# audit's work grows linearly in both, and the bundled tests and benchmark
+# use at most corpus 8 and samples 12.
+MAX_CORPUS_SIZE = 100
+MAX_SAMPLES = 1000
+
 CONDITIONS = {
     1: "the unit object is simple",
     2: "tensoring by any non-zero algebra is separable",
@@ -93,6 +100,29 @@ def _require_ints(**args):
         _spec_ints(args, key, 0, nullable=False)
 
 
+def _require_count(name, value, cap):
+    if value < 1:
+        raise SpecError("%s must be at least 1" % name)
+    if value > cap:
+        raise SpecError("%s must be at most %d" % (name, cap))
+
+
+def _per_algebra(fn):
+    """fn memoised on the identity of its one argument, for the length of
+    one run_audit or gr_report call.  algebra_corpus lets equal draws
+    share one object, so each deterministic fact is decided once per
+    distinct algebra and read at every corpus index that holds it.  The
+    memo keeps each argument alive, so no id is reused while it lives."""
+    memo = {}
+
+    def once(x):
+        hit = memo.get(id(x))
+        if hit is None:
+            hit = memo[id(x)] = (x, fn(x))
+        return hit[1]
+    return once
+
+
 def _first_failure(pairs, predicate):
     for idx, item in pairs:
         failed = predicate(idx, item)
@@ -102,21 +132,27 @@ def _first_failure(pairs, predicate):
 
 
 def run_audit(category, seed=1, corpus_size=2, samples=6):
+    """The audit report of a groupoid (or spec) at one seed.  corpus_size
+    and samples run from 1 to MAX_CORPUS_SIZE and MAX_SAMPLES.
+
+    Every rng-consuming check runs once per corpus index, in index order.
+    Every deterministic one (the duals, the separability verdicts, the
+    (co)unit checks of (12)-(15) and the structural suite's corners and
+    unit idempotents) runs once per distinct corpus algebra (see
+    _per_algebra) and is read at each index that holds it."""
     _require_ints(seed=seed, corpus_size=corpus_size, samples=samples)
+    _require_count("corpus_size", corpus_size, MAX_CORPUS_SIZE)
+    _require_count("samples", samples, MAX_SAMPLES)
     if isinstance(category, dict):
         cat = groupoid_from_spec(category)
     elif isinstance(category, Groupoid):
         cat = category
     else:
         raise SpecError("category must be a groupoid or a spec document")
-    if corpus_size < 1:
-        raise SpecError("corpus_size must be at least 1")
-    if samples < 1:
-        raise SpecError("samples must be at least 1")
     rng = random.Random(seed)
     algebras = algebra_corpus(cat, rng,
                               internal_ends=corpus_size, sums=corpus_size)
-    coalgebras = [dualize_algebra(a) for a in algebras]
+    coalgebras = list(map(_per_algebra(dualize_algebra), algebras))
     live = [(i, a) for i, a in enumerate(algebras) if not a.is_zero()]
     live_co = [(i, coalgebras[i]) for i, _ in live]
 
@@ -142,12 +178,14 @@ def run_audit(category, seed=1, corpus_size=2, samples=6):
 
     # (2), (3): separability of the tensor functors; each live algebra's
     # verdict is decided here once and read again by the structural suite
-    separable = {i: separability_verdict(a)["separable"] for i, a in live}
+    sep_of = _per_algebra(lambda a: separability_verdict(a)["separable"])
+    separable = {i: sep_of(a) for i, a in live}
     fail = _first_failure(live, lambda i, a: None if separable[i]
                           else alg_witness(i, a, "unit has no retraction"))
     conditions[2] = _hold(fail is None, fail)
-    fail = _first_failure(live_co, lambda i, c: None
-                          if coseparability_verdict(c)["separable"]
+    cosep_of = _per_algebra(
+        lambda c: coseparability_verdict(c)["separable"])
+    fail = _first_failure(live_co, lambda i, c: None if cosep_of(c)
                           else coalg_witness(i, "counit has no section"))
     conditions[3] = _hold(fail is None, fail)
 
@@ -197,13 +235,15 @@ def run_audit(category, seed=1, corpus_size=2, samples=6):
         conditions[cond] = _hold(fail is None, fail)
 
     # (12), (13): unit mono / counit epi, with (co)kernel evidence
-    fail = _first_failure(live, lambda i, a: None if is_mono(a.unit)
+    unit_mono = _per_algebra(lambda a: is_mono(a.unit))
+    counit_epi = _per_algebra(lambda c: is_epi(c.counit))
+    fail = _first_failure(live, lambda i, a: None if unit_mono(a)
                           else alg_witness(i, a, "unit has a kernel",
                                            morphism=morphism_to_spec(a.unit),
                                            kernel=morphism_to_spec(
                                                kernel(a.unit)[1])))
     conditions[12] = _hold(fail is None, fail)
-    fail = _first_failure(live_co, lambda i, c: None if is_epi(c.counit)
+    fail = _first_failure(live_co, lambda i, c: None if counit_epi(c)
                           else coalg_witness(i, "counit has a cokernel",
                                              morphism=morphism_to_spec(
                                                  c.counit),
@@ -221,23 +261,37 @@ def run_audit(category, seed=1, corpus_size=2, samples=6):
                        restriction_projection(one, {g}))
                for g in cat.identity_of] if cat.object_count > 1 else []
 
-    def unit_mor_fail(i, a):
+    @_per_algebra
+    def non_mono_from_one(a):
         for f in [a.unit] + [compose(a.unit, e) for e in singles]:
             if not f.is_zero() and not is_mono(f):
-                return alg_witness(i, a, "non-zero morphism from 1 with "
-                                   "kernel", morphism=morphism_to_spec(f),
-                                   kernel=morphism_to_spec(kernel(f)[1]))
+                return f
         return None
+
+    def unit_mor_fail(i, a):
+        f = non_mono_from_one(a)
+        if f is None:
+            return None
+        return alg_witness(i, a, "non-zero morphism from 1 with kernel",
+                           morphism=morphism_to_spec(f),
+                           kernel=morphism_to_spec(kernel(f)[1]))
     fail = _first_failure(live, unit_mor_fail)
     conditions[14] = _hold(fail is None, fail)
 
-    def counit_mor_fail(i, c):
+    @_per_algebra
+    def non_epi_to_one(c):
         for f in [c.counit] + [compose(e, c.counit) for e in singles]:
             if not f.is_zero() and not is_epi(f):
-                return coalg_witness(i, "non-zero morphism to 1 with "
-                                     "cokernel", morphism=morphism_to_spec(f),
-                                     cokernel=morphism_to_spec(cokernel(f)[1]))
+                return f
         return None
+
+    def counit_mor_fail(i, c):
+        f = non_epi_to_one(c)
+        if f is None:
+            return None
+        return coalg_witness(i, "non-zero morphism to 1 with cokernel",
+                             morphism=morphism_to_spec(f),
+                             cokernel=morphism_to_spec(cokernel(f)[1]))
     fail = _first_failure(live_co, counit_mor_fail)
     conditions[15] = _hold(fail is None, fail)
 
@@ -296,15 +350,21 @@ def _structural_suite(cat, rng, live, separable, samples, unit_simple):
                 "unit summand %d separability disagrees with simplicity" % i)
 
     # restriction_data raises unless the inclusion is an algebra morphism
-    # (the unit equation is checked: the unit lies inside the support)
-    corner = []
-    restricted = []
-    for idx, a in live:
+    # (the unit equation is checked: the unit lies inside the support);
+    # each distinct algebra is restricted once, first at its first index
+    @_per_algebra
+    def restrict(a):
         j = sorted(support(a))
         data = restriction_data(a, j)
-        restricted.append((a, j, data))
-        mono = is_mono(data["restricted_unit"])
-        sep = find_retraction(data["restricted_unit"]) is not None
+        unit_j = data["restricted_unit"]
+        return (j, data, is_mono(unit_j),
+                find_retraction(unit_j) is not None)
+
+    corner = []
+    restricted = {}  # one (a, j, data) per distinct algebra
+    for idx, a in live:
+        j, data, mono, sep = restrict(a)
+        restricted[id(a)] = (a, j, data)
         corner.append({"index": idx, "support": j,
                        "inclusion_is_algebra_morphism": True,
                        "restricted_unit_mono": mono,
@@ -331,16 +391,18 @@ def _structural_suite(cat, rng, live, separable, samples, unit_simple):
                 "functor axioms fail on objects %s" % sorted(objs))
         functors.append(entry)
 
-    rj_alg = all(check_rj_algebra(a, j, data) for a, j, data in restricted)
+    rj_alg = all(check_rj_algebra(a, j, data)
+                 for a, j, data in restricted.values())
     if not rj_alg:
         raise ConsistencyError("lax image disagrees with corner restriction")
 
     idem = []
     one = unit_object(cat)
+    # e_M = id_M (x) e_1 on the nose, so e_1 is computed once per algebra
+    unit_idempotent = _per_algebra(lambda a: idempotent_e(a, one))
     for idx, a in live:
         sep = separable[idx]
-        # e_M = id_M (x) e_1 on the nose, so e_1 is computed once
-        e1 = idempotent_e(a, one)
+        e1 = unit_idempotent(a)
         all_id = True
         for k in range(samples):
             m = one if k == 0 else random_object(cat, rng, max_total=3)
@@ -488,18 +550,20 @@ def reverify_witness(cat, cond, witness):
 
 
 def gr_report(cat, seed=1, corpus_size=2):
+    """The Grothendieck ring report, with the fusion-iff-separable check
+    over the corpus at seed; corpus_size runs from 1 to MAX_CORPUS_SIZE.
+    Each distinct corpus algebra's separability is decided once."""
     _require_ints(seed=seed, corpus_size=corpus_size)
-    if corpus_size < 1:
-        raise SpecError("corpus_size must be at least 1")
+    _require_count("corpus_size", corpus_size, MAX_CORPUS_SIZE)
     rng = random.Random(seed)
     corpus = algebra_corpus(cat, rng,
                             internal_ends=corpus_size, sums=corpus_size)
     doc = ring_report(cat)
     doc["schema"] = SCHEMA
+    sep_of = _per_algebra(lambda a: separability_verdict(a)["separable"])
     doc["fusion_iff_separable"] = fusion_iff_separable_check(
         doc["fusion"]["holds"],
-        [separability_verdict(a)["separable"]
-         for a in corpus if not a.is_zero()])
+        [sep_of(a) for a in corpus if not a.is_zero()])
     doc["corpus"] = {"seed": seed, "corpus_size": corpus_size,
                      "generators": _corpus_labels(cat, corpus_size)}
     return doc

@@ -9,8 +9,7 @@ from fractions import Fraction
 from .gvec import GradedMorphism, GradedObject, _atomic_layout
 from .exactlin import Matrix
 
-__all__ = ["random_rational", "random_object", "random_morphism",
-           "algebra_corpus", "coalgebra_corpus"]
+__all__ = ["random_object", "random_morphism", "algebra_corpus"]
 
 
 def random_rational(rng, zero_weight=2):
@@ -47,23 +46,35 @@ def algebra_corpus(cat, rng, internal_ends=2, sums=2):
     algebras of small random objects, and pairwise direct sums.  The unit
     summands are the decisive witnesses; the rest varies support patterns
     and multiplicities.
-    """
+
+    Equal draws share one algebra object: a groupoid algebra is built once
+    per object set, and a direct sum once per pair of chosen entries, so
+    callers can decide a fact once per distinct object (by identity) and
+    read it at every index that holds it.  The draws, and their order, are
+    those of building every entry anew.  Callers must not mutate corpus
+    entries."""
     from .internal import (direct_sum_algebra, groupoid_algebra,
                            internal_end, unit_summand_algebra)
+    kg = {}
+
+    def groupoid_alg(objs):
+        key = frozenset(objs)
+        if key not in kg:
+            kg[key] = groupoid_algebra(cat, key)
+        return kg[key]
+
     out = [unit_summand_algebra(cat, i) for i in range(cat.object_count)]
-    out.append(groupoid_algebra(cat, range(cat.object_count)))
+    out.append(groupoid_alg(range(cat.object_count)))
     for _ in range(2):
         k = rng.randrange(1, cat.object_count + 1)
-        out.append(groupoid_algebra(cat,
-                                    rng.sample(range(cat.object_count), k)))
+        out.append(groupoid_alg(rng.sample(range(cat.object_count), k)))
     for _ in range(internal_ends):
         out.append(internal_end(random_object(cat, rng, max_total=2)))
+    built = {}
     for _ in range(sums):
-        out.append(direct_sum_algebra(rng.choice(out), rng.choice(out)))
+        a, b = rng.choice(out), rng.choice(out)
+        key = (id(a), id(b))  # every entry stays alive in out
+        if key not in built:
+            built[key] = direct_sum_algebra(a, b)
+        out.append(built[key])
     return out
-
-
-def coalgebra_corpus(cat, rng, **kwargs):
-    """Duals of the algebra corpus, in the same order."""
-    from .internal import dualize_algebra
-    return [dualize_algebra(a) for a in algebra_corpus(cat, rng, **kwargs)]

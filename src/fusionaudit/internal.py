@@ -12,12 +12,14 @@ within each.  For a carrier built atomically from a multiplicity map this
 is exactly the in-memory order, so parsing needs no permutation.
 """
 
+from fractions import Fraction
+
 from .errors import ConsistencyError, ShapeError, SpecError
 from .exactlin import Matrix, parse_rat, rat_str
 from .groupoid import _spec_ints
 from .gvec import (
     GradedMorphism, GradedObject, _tensor_layout, compose, dual_morphism,
-    direct_sum_with_maps, graded_object, identity_mor, left_dual,
+    direct_sum_obj, graded_object, identity_mor, left_dual,
     object_from_spec, object_to_spec, restrict_grades, restriction_inclusion,
     restriction_projection, tensor_mor, tensor_mult, tensor_obj,
     unit_object, unit_summand)
@@ -32,6 +34,8 @@ __all__ = [
     "support", "grades_within",
     "algebra_to_spec", "algebra_from_spec",
 ]
+
+_ONE = Fraction(1)
 
 
 class InternalAlgebra:
@@ -226,10 +230,12 @@ def groupoid_algebra(cat, objs):
         raise IndexError("object index out of range")
     carrier = graded_object(cat, {g: 1 for g in grades_within(cat, objs)})
     cxc = tensor_obj(carrier, carrier)
-    mult = GradedMorphism(cxc, carrier, {
-        h: Matrix(1, m, [1] * m) for h, m in cxc.mult.items()})
-    unit = GradedMorphism(unit_object(cat), carrier, {
-        cat.identity_of[i]: Matrix(1, 1, [1]) for i in objs})
+    mult = GradedMorphism._of(cxc, carrier, {
+        h: Matrix._of(1, m, (tuple([(j, _ONE) for j in range(m)]),))
+        for h, m in cxc.mult.items()})
+    unit_block = Matrix._of(1, 1, (((0, _ONE),),))
+    unit = GradedMorphism._of(unit_object(cat), carrier, {
+        cat.identity_of[i]: unit_block for i in objs})
     return InternalAlgebra(carrier, mult, unit)
 
 
@@ -255,14 +261,73 @@ def dualize_coalgebra(c):
     return InternalAlgebra(mult.target, mult, dual_morphism(c.counit))
 
 
+def _summand_columns(c, s, pos, off):
+    """Per grade h of c (x) c: the position, within grade h of s (x) s, of
+    each slot of c (x) c, where c is a summand of s whose slot i at grade g
+    is slot off.get(g, 0) + i of s, and pos is _tensor_layout(s, s)[1].
+    Slot (g1, i, g2, j) of c (x) c is slot (g1, off[g1] + i, g2,
+    off[g2] + j) of s (x) s."""
+    cxc, cpos = _tensor_layout(c, c)
+    cm, sm = c.mult, s.mult
+    out = {}
+    for h, per in cpos.items():
+        spos = pos[h]
+        cmap = [0] * cxc.mult[h]
+        for pair, at in per.items():
+            g1, g2 = pair
+            to, n2, s2 = spos[pair], cm[g2], sm[g2]
+            r, k = off.get(g1, 0), off.get(g2, 0)
+            for i in range(cm[g1]):
+                base = (r + i) * s2 + k
+                for j in range(n2):
+                    cmap[at[i * n2 + j]] = to[base + j]
+        out[h] = cmap
+    return out
+
+
 def direct_sum_algebra(a, b):
     """Product algebra: componentwise multiplication, zero across summands,
-    unit the pair of units."""
-    s, ia, ib, pa, pb = direct_sum_with_maps(a.carrier, b.carrier)
-    mult = compose(ia, compose(a.mult, tensor_mor(pa, pa))) \
-        + compose(ib, compose(b.mult, tensor_mor(pb, pb)))
-    unit = compose(ia, a.unit) + compose(ib, b.unit)
-    return InternalAlgebra(s, mult, unit)
+    unit the pair of units.
+
+    Both structure maps are the summands' rows re-indexed, with no
+    product formed.  At each grade a's slots come first in the sum s and
+    b's follow (direct_sum_obj), so a's rows keep their index and b's move
+    down by a's multiplicity.  A column of a.mult, a slot of a (x) a, goes
+    to the slot of s (x) s with the same factor slots, and likewise for b.
+    That column map is increasing within each summand, so the re-indexed
+    rows stay sorted: a word of s is a summand's word wrapped in one
+    side-tagged letter, so two slots of s (x) s from one summand compare
+    by their left factor words, then their right ones, as the summand's
+    own tensor square orders them."""
+    ca, cb = a.carrier, b.carrier
+    s = direct_sum_obj(ca, cb)
+    sxs, pos = _tensor_layout(s, s)
+    sides = ((a.mult.blocks, _summand_columns(ca, s, pos, {}), ca),
+             (b.mult.blocks, _summand_columns(cb, s, pos, ca.mult), cb))
+    blocks = {}
+    for h in pos:
+        rows = []
+        for mblocks, cmaps, c in sides:
+            block = mblocks.get(h)
+            if block is None:
+                rows.extend([()] * c.m(h))
+                continue
+            cmap = cmaps[h]
+            rows.extend(tuple([(cmap[j], x) for j, x in row])
+                        for row in block.sparse)
+        if any(rows):
+            blocks[h] = Matrix._of(s.m(h), sxs.mult[h], tuple(rows))
+    mult = GradedMorphism._of(sxs, s, blocks)
+    one = a.unit.source
+    unit = {}
+    for e in one.mult:
+        ua, ub = a.unit.blocks.get(e), b.unit.blocks.get(e)
+        if ua is None and ub is None:
+            continue
+        rows = ua.sparse if ua is not None else ((),) * ca.m(e)
+        rows += ub.sparse if ub is not None else ((),) * cb.m(e)
+        unit[e] = Matrix._of(s.m(e), 1, rows)
+    return InternalAlgebra(s, mult, GradedMorphism._of(one, s, unit))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,29 @@
-"""Shared test helpers."""
+"""Shared test helpers, and the hypothesis settings profiles.
+
+Tier-1 runs the "tier1" profile: every property test draws the same
+examples on every run (derandomize, seeded from the test itself) and
+replays nothing from the example database, so a green run stays green
+and a red one reproduces.  ``HYPOTHESIS_PROFILE=sweep python -m pytest``
+draws fresh random examples on each run instead, as many per test as its
+``@settings(max_examples=...)`` names, and keeps failures in the example
+database; repeat it for depth.  A counterexample a sweep finds becomes an
+``@example`` or a deterministic test, so that Tier-1 keeps it.
+"""
 
 import itertools
 import os
 import random
 
+from hypothesis import settings
 from hypothesis import strategies as st
 
 import fusionaudit
 from fusionaudit.groupoid import (
     Groupoid, disjoint_union, make_group, make_pair_groupoid)
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("sweep", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fusionaudit.__file__)))
 

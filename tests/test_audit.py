@@ -223,6 +223,28 @@ def test_audit_input_validation():
 
 
 @pytest.mark.parametrize("bad", [
+    {"corpus_size": audit.MAX_CORPUS_SIZE + 1},
+    {"corpus_size": 10 ** 20},
+    {"samples": audit.MAX_SAMPLES + 1},
+    {"samples": 10 ** 20},
+])
+def test_audit_and_gr_cap_corpus_and_samples(monkeypatch, bad):
+    """A corpus_size or samples above its cap is a SpecError raised before
+    any corpus is built (10**20 of either used to run until killed)."""
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("corpus built")
+
+    monkeypatch.setattr(audit, "algebra_corpus", no_corpus)
+    cat = load_fixture("vec_z2")
+    key = next(iter(bad))
+    with pytest.raises(SpecError, match="%s must be at most" % key):
+        run_audit(cat, **bad)
+    if key == "corpus_size":
+        with pytest.raises(SpecError, match="corpus_size must be at most"):
+            gr_report(cat, **bad)
+
+
+@pytest.mark.parametrize("bad", [
     {"seed": 1.5}, {"seed": "x"}, {"seed": True}, {"seed": None},
     {"corpus_size": True}, {"corpus_size": 2.5}, {"corpus_size": "2"},
     {"samples": True}, {"samples": 2.0}, {"samples": "6"},
@@ -396,6 +418,14 @@ def test_cli_error_codes(tmp_path):
     assert res.returncode == 2
     assert "input error" in res.stderr
 
+    # one over each cap (each ran until killed at 10**20)
+    for args in (["audit", "--corpus", str(audit.MAX_CORPUS_SIZE + 1)],
+                 ["audit", "--samples", str(audit.MAX_SAMPLES + 1)],
+                 ["gr", "--corpus", str(audit.MAX_CORPUS_SIZE + 1)]):
+        res = _run_cli(args + ["--category", spec], tmp_path)
+        assert res.returncode == 2, args
+        assert "input error" in res.stderr and "at most" in res.stderr
+
     z2 = _write_spec(tmp_path, "vec_z2")
     alg = tmp_path / "zero_den.json"
     alg.write_text(json.dumps({"carrier": {"mult": {"0": 1}},
@@ -508,7 +538,46 @@ def test_pair4_report_golden():
         == GOLDEN_PAIR4_REPORT
 
 
-@pytest.mark.parametrize("name", ("vec_z2", "pair3"))
+# name -> (live corpus indices, distinct live algebra objects) at audit
+# seed 1, corpus 2.  On a one-object groupoid corpus indices 1-3 all draw
+# kG, which algebra_corpus builds once, so each deterministic fact is
+# decided once per distinct object: 6 times on vec_z2 and S4, not 8.
+DISTINCT_LIVE = {"vec_z2": (8, 6), "pair3": (10, 10), "s4": (8, 6)}
+
+
+def _category(name):
+    if name == "s4":
+        return symmetric_group_spec(4, 1)
+    return load_fixture(name)
+
+
+def _kept_corpus(monkeypatch):
+    """Make run_audit's corpus visible: returns the list that each
+    algebra_corpus call's result is appended to."""
+    kept = []
+    original = audit.algebra_corpus
+
+    def keep(cat, rng, **kwargs):
+        out = original(cat, rng, **kwargs)
+        kept.append(out)
+        return out
+
+    monkeypatch.setattr(audit, "algebra_corpus", keep)
+    return kept
+
+
+def _assert_once_per_distinct(calls, corpora, name):
+    live, distinct = DISTINCT_LIVE[name]
+    (corpus,) = corpora
+    objs = [a for a in corpus if not a.is_zero()]
+    assert len(objs) == live
+    assert len({id(a) for a in objs}) == distinct
+    # every distinct live algebra exactly once, and nothing else
+    assert len(calls) == distinct
+    assert {id(a) for a in calls} == {id(a) for a in objs}
+
+
+@pytest.mark.parametrize("name", sorted(DISTINCT_LIVE))
 def test_audit_restricts_each_live_algebra_once(monkeypatch, name):
     import fusionaudit.audit
     import fusionaudit.functors
@@ -523,17 +592,18 @@ def test_audit_restricts_each_live_algebra_once(monkeypatch, name):
     for mod in (fusionaudit.audit, fusionaudit.functors,
                 fusionaudit.internal):
         monkeypatch.setattr(mod, "restriction_data", counted)
-    rep = run_audit(load_fixture(name))
-    live = [a for a in rep["corpus"]["algebras"] if not a["zero"]]
-    assert live
-    assert len(calls) == len(live)
+    corpora = _kept_corpus(monkeypatch)
+    rep = run_audit(_category(name))
+    assert len(rep["structural"]["corner_algebras"]) \
+        == DISTINCT_LIVE[name][0]
+    _assert_once_per_distinct(calls, corpora, name)
 
 
-@pytest.mark.parametrize("name", ("vec_z2", "pair3"))
+@pytest.mark.parametrize("name", sorted(DISTINCT_LIVE))
 def test_audit_decides_each_separability_once(monkeypatch, name):
     # condition (2), the unit-summand check, the idempotent suite and the
-    # fusion cross-check share one verdict per live algebra (the unit
-    # summands are the corpus's first algebras)
+    # fusion cross-check share one verdict per distinct live algebra (the
+    # unit summands are the corpus's first algebras)
     calls = []
     original = functors.separability_verdict
 
@@ -543,11 +613,30 @@ def test_audit_decides_each_separability_once(monkeypatch, name):
 
     monkeypatch.setattr(audit, "separability_verdict", counted)
     monkeypatch.setattr(functors, "separability_verdict", counted)
-    cat = load_fixture(name)
-    rep = run_audit(cat, samples=2)
-    live = [a for a in rep["corpus"]["algebras"] if not a["zero"]]
-    assert live
-    assert len(calls) == len(live)
+    corpora = _kept_corpus(monkeypatch)
+    run_audit(_category(name), samples=2)
+    _assert_once_per_distinct(calls, corpora, name)
+
+
+def test_consecutive_audits_share_no_corpus_or_verdict(monkeypatch):
+    # every memo lives inside one run_audit call: a second audit of the
+    # same groupoid builds its own corpus and decides its facts again
+    calls = []
+    original = functors.separability_verdict
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(audit, "separability_verdict", counted)
+    corpora = _kept_corpus(monkeypatch)
+    cat = load_fixture("vec_z2")
+    reports = [run_audit(cat, samples=2) for _ in range(2)]
+    assert reports[0] == reports[1]
+    first, second = corpora
+    assert not {id(a) for a in first} & {id(a) for a in second}
+    assert len(calls) == 2 * DISTINCT_LIVE["vec_z2"][1]
+    assert {id(a) for a in calls} == {id(a) for a in first + second}
 
 
 def test_audit_refuses_a_corpus_without_the_unit_summands_first(monkeypatch):
@@ -566,10 +655,10 @@ def test_audit_refuses_a_corpus_without_the_unit_summands_first(monkeypatch):
         run_audit(load_fixture("pair2"), samples=2)
 
 
-@pytest.mark.parametrize("name", ("vec_z2", "pair3"))
+@pytest.mark.parametrize("name", sorted(DISTINCT_LIVE))
 def test_audit_computes_each_unit_idempotent_once(monkeypatch, name):
-    # e_M = id_M (x) e_1, so the idempotent suite needs e_1 once per live
-    # algebra, not twice per sample
+    # e_M = id_M (x) e_1, so the idempotent suite needs e_1 once per
+    # distinct live algebra, not twice per sample nor once per index
     import fusionaudit.audit
     calls = []
     original = fusionaudit.audit.idempotent_e
@@ -579,8 +668,7 @@ def test_audit_computes_each_unit_idempotent_once(monkeypatch, name):
         return original(a, m)
 
     monkeypatch.setattr(fusionaudit.audit, "idempotent_e", counted)
-    rep = run_audit(load_fixture(name), samples=4)
-    live = rep["structural"]["idempotents"]
-    assert live
-    assert len(calls) == len(live)
-    assert len({id(a) for a in calls}) == len(live)
+    corpora = _kept_corpus(monkeypatch)
+    rep = run_audit(_category(name), samples=4)
+    assert len(rep["structural"]["idempotents"]) == DISTINCT_LIVE[name][0]
+    _assert_once_per_distinct(calls, corpora, name)

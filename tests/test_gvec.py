@@ -27,6 +27,8 @@ from fusionaudit.gvec import (
     restrict_grades, restriction_inclusion, restriction_projection,
     simple_object, tensor_mor, tensor_obj, total_mult, unit_object,
     unit_summand, zero_mor, zero_object)
+from fusionaudit.internal import (
+    direct_sum_algebra, groupoid_algebra, internal_end)
 from fusionaudit.morphcalc import find_retraction, find_section
 
 Z2 = load_fixture("vec_z2")
@@ -519,6 +521,8 @@ def test_unchecked_producers_match_validating_constructors(cat, seed):
                           rng.randrange(1, cat.object_count + 1)))
     rj = ProjectionFunctor(cat, objs)
     match = rj.match(x, y)
+    kg = groupoid_algebra(cat, objs)
+    ds = direct_sum_algebra(kg, internal_end(x))
     values = [
         x, zero_object(cat), unit_object(cat), tensor_obj(x, y),
         dual_obj(x), direct_sum_obj(x, y), restrict_grades(x, grades),
@@ -531,6 +535,7 @@ def test_unchecked_producers_match_validating_constructors(cat, seed):
         f.scale(Fraction(-2, 3)),
         find_retraction(mono), find_section(epi),
         rj.mor(fg), rj.phi(match), rj.psi(match), rj.phi0(), rj.psi0(),
+        kg.mult, kg.unit, ds.mult, ds.unit,
     ]
     for v in values:
         _check_revalidates(v)

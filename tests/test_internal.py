@@ -5,17 +5,20 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import COERCED_GENERATOR_SPECS, symmetric_group_spec
+from conftest import (
+    COERCED_GENERATOR_SPECS, _small_groupoids, symmetric_group_spec)
 from fusionaudit import gvec, internal
-from fusionaudit.corpus import algebra_corpus, coalgebra_corpus
+from fusionaudit.corpus import algebra_corpus, random_object
 from fusionaudit.errors import ShapeError, SpecError
 from fusionaudit.exactlin import Matrix
 from fusionaudit.fixtures import load_fixture
 from fusionaudit.groupoid import groupoid_from_spec
 from fusionaudit.gvec import (
-    GradedMorphism, cokernel, compose, direct_sum_obj, graded_object,
-    identity_mor, is_epi, is_mono, restrict_grades, simple_object,
+    GradedMorphism, cokernel, compose, direct_sum_obj, direct_sum_with_maps,
+    graded_object, is_epi, is_mono, restrict_grades, simple_object,
     tensor_mor, tensor_obj, unit_object, zero_mor, zero_object)
 from fusionaudit.internal import (
     InternalAlgebra, InternalCoalgebra, algebra_from_spec, algebra_to_spec,
@@ -92,14 +95,97 @@ def test_internal_end():
 
 def test_corpus_algebras_validate():
     for cat in CATS:
-        rng = random.Random(501)
-        for a in algebra_corpus(cat, rng):
+        for a in algebra_corpus(cat, random.Random(501)):
             report = validate_algebra(a)
             assert report == {"ok": True, "zero": False, "failures": []}
             assert support(a)
-        rng = random.Random(501)
-        for c in coalgebra_corpus(cat, rng):
-            assert validate_coalgebra(c)["ok"]
+            assert validate_coalgebra(dualize_algebra(a))["ok"]
+
+
+def _corpus_built_anew(cat, rng, internal_ends=2, sums=2):
+    """algebra_corpus's recipe with every entry built anew, sharing
+    nothing: the oracle for its draws."""
+    n = cat.object_count
+    out = [unit_summand_algebra(cat, i) for i in range(n)]
+    out.append(groupoid_algebra(cat, range(n)))
+    for _ in range(2):
+        out.append(groupoid_algebra(
+            cat, rng.sample(range(n), rng.randrange(1, n + 1))))
+    for _ in range(internal_ends):
+        out.append(internal_end(random_object(cat, rng, max_total=2)))
+    for _ in range(sums):
+        out.append(direct_sum_algebra(rng.choice(out), rng.choice(out)))
+    return out
+
+
+def test_corpus_builds_each_groupoid_algebra_and_sum_once(monkeypatch):
+    # equal draws share one object: one groupoid_algebra per object set,
+    # one direct_sum_algebra per pair of chosen entries
+    built, sums = [], []
+    make_kg, make_sum = internal.groupoid_algebra, internal.direct_sum_algebra
+
+    def kg(cat, objs):
+        built.append(frozenset(objs))
+        return make_kg(cat, objs)
+
+    def direct_sum(a, b):
+        sums.append((id(a), id(b)))
+        return make_sum(a, b)
+
+    monkeypatch.setattr(internal, "groupoid_algebra", kg)
+    monkeypatch.setattr(internal, "direct_sum_algebra", direct_sum)
+    for cat in CATS + [VEC, S4]:
+        n = cat.object_count
+        for seed in range(1, 6):
+            del built[:], sums[:]
+            out = algebra_corpus(cat, random.Random(seed), sums=4)
+            assert len(built) == len(set(built)) and built
+            assert len(sums) == len(set(sums)) and sums
+            kgs = out[n:n + 3]
+            assert {frozenset(support(a)) for a in kgs} == set(built)
+            for a in kgs:
+                for b in kgs:
+                    assert (a is b) == (support(a) == support(b))
+            if n == 1:
+                assert len(built) == 1 and out[1] is out[2] is out[3]
+
+
+def test_corpus_draws_match_building_every_entry_anew():
+    for cat in CATS + [VEC, S4]:
+        for seed in range(1, 6):
+            rng, fresh_rng = random.Random(seed), random.Random(seed)
+            out = algebra_corpus(cat, rng, sums=4)
+            fresh = _corpus_built_anew(cat, fresh_rng, sums=4)
+            assert out == fresh
+            assert rng.getstate() == fresh_rng.getstate()
+
+
+def _direct_sum_by_compose(a, b):
+    """direct_sum_algebra's structure maps through the sum's injections
+    and projections, m_a (p_a (x) p_a) and u_a pushed into the sum, plus
+    the same for b: the oracle for the re-indexed construction."""
+    s, ia, ib, pa, pb = direct_sum_with_maps(a.carrier, b.carrier)
+    mult = compose(ia, compose(a.mult, tensor_mor(pa, pa))) \
+        + compose(ib, compose(b.mult, tensor_mor(pb, pb)))
+    unit = compose(ia, a.unit) + compose(ib, b.unit)
+    return s, mult, unit
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_groupoids(), st.integers(0, 2**32 - 1))
+def test_direct_sum_algebra_matches_compose_form(cat, seed):
+    rng = random.Random(seed)
+    pool = algebra_corpus(cat, rng, internal_ends=1, sums=1)
+    for _ in range(3):
+        a, b = rng.choice(pool), rng.choice(pool)
+        got = direct_sum_algebra(a, b)
+        s, mult, unit = _direct_sum_by_compose(a, b)
+        assert tuple(got.carrier.layout.items()) == tuple(s.layout.items())
+        assert tuple(got.mult.source.layout.items()) \
+            == tuple(mult.source.layout.items())
+        assert got.mult.blocks == mult.blocks
+        assert got.unit.blocks == unit.blocks
+        pool.append(got)  # later draws may sum a sum
 
 
 def test_dualize():
