@@ -24,6 +24,8 @@ def _load_json(path):
         raise SpecError("cannot read %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise SpecError("%s is not valid JSON: %s" % (path, exc)) from exc
+    except RecursionError as exc:
+        raise SpecError("%s nests too deeply to parse" % path) from exc
 
 
 def _dump(doc):

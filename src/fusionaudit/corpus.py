@@ -12,7 +12,7 @@ from .exactlin import Matrix
 __all__ = ["random_object", "random_morphism", "algebra_corpus"]
 
 
-def random_rational(rng, zero_weight=2):
+def _random_rational(rng, zero_weight=2):
     """Small exact scalar; zero_weight controls sparsity."""
     if rng.randrange(zero_weight + 3) < zero_weight:
         return Fraction(0)
@@ -35,7 +35,7 @@ def random_morphism(v, w, rng, zero_weight=2):
     blocks = {}
     for g in set(v.mult) & set(w.mult):
         tm, sm = w.mult[g], v.mult[g]
-        blocks[g] = Matrix(tm, sm, [random_rational(rng, zero_weight)
+        blocks[g] = Matrix(tm, sm, [_random_rational(rng, zero_weight)
                                     for _ in range(tm * sm)])
     return GradedMorphism(v, w, blocks)
 

@@ -21,24 +21,21 @@ from .corpus import random_morphism, random_object
 from .errors import ConsistencyError, ShapeError
 from .exactlin import Matrix
 from .gvec import (
-    GradedMorphism, compose, hom_basis, identity_mor, is_iso, mono_epi,
-    restrict_grades, restriction_inclusion, restriction_projection,
-    simple_object, tensor_mor, tensor_obj, unit_object, unit_summand,
-    zero_mor, zero_object)
+    GradedMorphism, compose, hom_basis, identity_mor, is_epi, is_iso,
+    is_mono, mono_epi, restrict_grades, restriction_inclusion,
+    restriction_projection, simple_object, tensor_mor, tensor_obj,
+    unit_object, unit_summand, zero_mor, zero_object)
 from .internal import grades_within, restriction_data, support
-from .morphcalc import (
-    _split_image, find_retraction, find_section, is_split_epi, is_split_mono)
+from .morphcalc import _split_image, find_retraction, find_section
 
 __all__ = [
     "ModuleObject", "ComoduleObject",
     "free_module", "induce_mor", "validate_module", "is_module_morphism",
-    "cofree_comodule", "coinduce_mor", "validate_comodule",
-    "separability_verdict", "coseparability_verdict",
-    "idempotent_e", "coidempotent_e",
+    "cofree_comodule", "validate_comodule",
+    "separability_verdict", "coseparability_verdict", "idempotent_e",
     "check_section_identity", "check_cosection_identity",
     "is_faithful_tensor", "is_faithful_cotensor",
-    "reflection_checks", "coreflection_checks",
-    "inclusion_LJ", "check_inclusion_frobenius",
+    "reflection_checks", "coreflection_checks", "check_inclusion_frobenius",
     "ProjectionFunctor", "check_projection_lax_colax", "check_rj_algebra",
     "frobenius_pair_check", "restricted_separability",
 ]
@@ -123,10 +120,6 @@ def is_module_morphism(g, src, tgt, a):
 def cofree_comodule(m, c):
     return ComoduleObject(tensor_obj(m, c.carrier),
                           tensor_mor(identity_mor(m), c.comult))
-
-
-def coinduce_mor(f, c):
-    return tensor_mor(f, identity_mor(c.carrier))
 
 
 def validate_comodule(mod, c):
@@ -222,11 +215,6 @@ def idempotent_e(a, m):
     return tensor_mor(identity_mor(m), compose(sec, psi))
 
 
-def coidempotent_e(c, m):
-    _, phi, _, ret = _split_image(c.counit)
-    return tensor_mor(identity_mor(m), compose(phi, ret))
-
-
 def check_section_identity(a, r, samples, rng=None):
     """P(g) = (id (x) r) g (id (x) u_A) must send f (x) A back to f for
     every sampled f; naturality of P in both arguments is checked when an
@@ -272,7 +260,7 @@ def check_cosection_identity(c, s, samples, rng=None):
                        compose(g, tensor_mor(identity_mor(m), s)))
 
     for f in samples:
-        if p(coinduce_mor(f, c), f.source, f.target) != f:
+        if p(induce_mor(f, c), f.source, f.target) != f:
             return False
     if rng is not None:
         cat = c.carrier.cat
@@ -283,7 +271,7 @@ def check_cosection_identity(c, s, samples, rng=None):
                                 tensor_obj(n, c.carrier), rng)
             m2 = random_object(cat, rng, max_total=3)
             s2 = random_morphism(m2, m, rng)
-            if p(compose(g, coinduce_mor(s2, c)), m2, n) \
+            if p(compose(g, induce_mor(s2, c)), m2, n) \
                     != compose(p(g, m, n), s2):
                 return False
     return True
@@ -361,10 +349,9 @@ def _reflection_report(cat, carrier, rng, samples):
         to_zero = zero_mor(s, z)
         from_zero = zero_mor(z, s)
         killed = tensor_mor(to_zero, idc)
-        if not is_split_mono(killed) or is_split_mono(to_zero):
+        if not is_mono(killed) or is_mono(to_zero):
             raise ConsistencyError("Maschke witness failed to verify")
-        if not is_split_epi(tensor_mor(from_zero, idc)) \
-                or is_split_epi(from_zero):
+        if not is_epi(tensor_mor(from_zero, idc)) or is_epi(from_zero):
             raise ConsistencyError("dual Maschke witness failed to verify")
         if not is_iso(killed) or is_iso(to_zero):
             raise ConsistencyError("conservativity witness failed to verify")
@@ -410,21 +397,6 @@ def coreflection_checks(c, rng=None, samples=8):
 # ---------------------------------------------------------------------------
 # inclusion and projection functors
 
-def inclusion_LJ(cat, objs):
-    """Structure maps of the inclusion of the objs-supported subcategory:
-    identity on objects and morphisms, binary structure maps identities,
-    unit maps the coordinate projection/inclusion of 1."""
-    objs = set(objs)
-    if not objs:
-        raise ValueError("empty object set")
-    id_grades = {cat.identity_of[i] for i in objs}
-    one = unit_object(cat)
-    return {"objects": frozenset(objs),
-            "unit": unit_summand(cat, objs),
-            "phi0": restriction_projection(one, id_grades),
-            "psi0": restriction_inclusion(one, id_grades)}
-
-
 def _zero_one(rows, cols, ones):
     """The rows x cols matrix whose row i holds a single 1, in column
     ones[i], for every row i in ones, and is zero otherwise.  When that is
@@ -449,10 +421,12 @@ def _random_sub_object(cat, objs, rng, max_total=3):
 def check_inclusion_frobenius(cat, objs, rng, samples=6):
     """Separable Frobenius structure of the inclusion, checked literally:
     unitality (projection and inclusion of 1 act as identities on
-    subcategory objects), both Frobenius squares, and phi psi = id."""
-    lj = inclusion_LJ(cat, objs)
-    phi0, psi0 = lj["phi0"], lj["psi0"]
-    if compose(phi0, psi0) != identity_mor(lj["unit"]):
+    subcategory objects), both Frobenius squares, and phi psi = id.  The
+    inclusion is the identity on objects and morphisms with identity
+    binary structure maps; its unit maps are p_J and i_J."""
+    rj = ProjectionFunctor(cat, objs)
+    phi0, psi0 = rj.p_j, rj.i_j
+    if compose(phi0, psi0) != identity_mor(rj.one_j):
         return False
     for _ in range(samples):
         x = _random_sub_object(cat, objs, rng)

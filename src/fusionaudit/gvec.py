@@ -44,6 +44,7 @@ those invariants, and go through the unchecked GradedObject._of and
 GradedMorphism._of instead, as Matrix._of does one level down.
 """
 
+import re
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
@@ -55,13 +56,13 @@ from .groupoid import _spec_ints
 __all__ = [
     "GradedObject", "GradedMorphism",
     "graded_object", "zero_object", "simple_object", "unit_object",
-    "tensor_obj", "tensor_mult", "direct_sum_obj", "dual_obj", "component",
+    "tensor_obj", "tensor_mult", "direct_sum_obj", "dual_obj",
     "restrict_grades", "unit_summand", "total_mult",
     "identity_mor", "zero_mor", "compose", "tensor_mor",
-    "direct_sum_mor", "direct_sum_with_maps",
+    "direct_sum_with_maps",
     "restriction_inclusion", "restriction_projection",
     "kernel", "cokernel", "image_factorization", "hom_basis",
-    "decompose_simples", "left_dual", "dual_morphism",
+    "left_dual", "dual_morphism",
     "is_mono", "is_epi", "is_iso", "mono_epi",
     "object_to_spec", "object_from_spec",
     "morphism_to_spec", "morphism_from_spec",
@@ -367,14 +368,6 @@ def restrict_grades(v, grades):
     return GradedObject._of(v.cat, keep, {g: v.layout[g] for g in keep})
 
 
-def component(v, i, j):
-    """Summand of v supported on grades i -> j."""
-    cat = v.cat
-    return restrict_grades(
-        v, {g for g in v.mult
-            if cat.morphisms[g] == (i, j)})
-
-
 def unit_summand(cat, objs):
     """The summand 1_J of the unit at a set of objects."""
     objs = set(objs)
@@ -616,27 +609,6 @@ def tensor_mor(f, h):
     return GradedMorphism._of(src, tgt, blocks)
 
 
-def direct_sum_mor(f, g):
-    src = direct_sum_obj(f.source, g.source)
-    tgt = direct_sum_obj(f.target, g.target)
-    blocks = {}
-    for gr in set(src.mult) & set(tgt.mult):
-        ft_m, fs_m = f.target.m(gr), f.source.m(gr)
-        gt_m, gs_m = g.target.m(gr), g.source.m(gr)
-        fb = f.blocks.get(gr)
-        gb = g.blocks.get(gr)
-        if fb is None and gb is None:
-            continue
-        rows = fb.sparse if fb is not None else ((),) * ft_m
-        if gb is not None:
-            rows += tuple(tuple([(j + fs_m, x) for j, x in r])
-                          for r in gb.sparse)
-        else:
-            rows += ((),) * gt_m
-        blocks[gr] = Matrix._of(ft_m + gt_m, fs_m + gs_m, rows)
-    return GradedMorphism._of(src, tgt, blocks)
-
-
 def direct_sum_with_maps(v, w):
     """(v (+) w, inj_v, inj_w, proj_v, proj_w); v's slots come first."""
     s = direct_sum_obj(v, w)
@@ -732,11 +704,6 @@ def hom_basis(v, w):
                 out.append(
                     GradedMorphism._of(v, w, {g: Matrix._of(tm, sm, rows)}))
     return out
-
-
-def decompose_simples(v):
-    """[(grade, multiplicity)] sorted by grade enumeration."""
-    return [(g, v.mult[g]) for g in v.grades()]
 
 
 def is_mono(f):
@@ -866,12 +833,42 @@ def object_to_spec(v):
     return {"mult": {str(g): v.mult[g] for g in v.grades()}}
 
 
+_GRADE_KEY = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _grade_key(key):
+    """The grade a JSON key names.  Only the form str(g) writes is
+    accepted (ASCII digits, no sign but a leading '-', no leading zero),
+    so two distinct keys never name one grade; anything else, such as
+    "01", "+0", " 1" or a full-width digit, is a SpecError.  A negative
+    grade parses, so the range checks can name it."""
+    if not (isinstance(key, str) and _GRADE_KEY.fullmatch(key)):
+        raise SpecError("grade key %r is not a canonical decimal" % (key,))
+    return int(key)
+
+
+def _blocks_to_spec(blocks):
+    """JSON map of str(grade) to rows of rat_str entries, grades sorted."""
+    return {str(g): [[rat_str(x) for x in blocks[g].row(i)]
+                     for i in range(blocks[g].rows)]
+            for g in sorted(blocks)}
+
+
+def _blocks_from_spec(doc):
+    """{grade: Matrix} from a JSON map of grade keys to rows of entries in
+    rat_str form; a null map has no blocks."""
+    return {_grade_key(g): Matrix.from_rows([[parse_rat(x) for x in row]
+                                             for row in rows])
+            for g, rows in (doc or {}).items()}
+
+
 def object_from_spec(cat, doc):
-    """Keys of doc["mult"] are decimal grade strings; values must be JSON
-    integers (a bool, a float or a numeric string is a SpecError)."""
+    """Keys of doc["mult"] are grade keys (see _grade_key); values must be
+    JSON integers (a bool, a float or a numeric string is a SpecError)."""
     try:
         raw = doc["mult"]
-        mult = {int(g): _spec_ints(raw, g, 0, nullable=False) for g in raw}
+        mult = {_grade_key(g): _spec_ints(raw, g, 0, nullable=False)
+                for g in raw}
     except (KeyError, TypeError, ValueError, AttributeError,
             OverflowError) as exc:
         raise SpecError("bad object spec: %s" % exc) from exc
@@ -883,25 +880,17 @@ def object_from_spec(cat, doc):
 
 
 def morphism_to_spec(f):
-    blocks = {}
-    for g in sorted(f.blocks):
-        blocks[str(g)] = [[rat_str(x) for x in f.blocks[g].row(i)]
-                          for i in range(f.blocks[g].rows)]
     return {"source": object_to_spec(f.source),
             "target": object_to_spec(f.target),
-            "blocks": blocks}
+            "blocks": _blocks_to_spec(f.blocks)}
 
 
 def morphism_from_spec(cat, doc):
     source = object_from_spec(cat, doc["source"])
     target = object_from_spec(cat, doc["target"])
-    blocks = {}
     try:
-        for g, rows in doc.get("blocks", {}).items():
-            g = int(g)
-            blocks[g] = Matrix.from_rows(
-                [[parse_rat(x) for x in row] for row in rows])
-    except (TypeError, ValueError) as exc:
+        blocks = _blocks_from_spec(doc.get("blocks"))
+    except (TypeError, ValueError, AttributeError) as exc:
         raise SpecError("bad morphism blocks: %s" % exc) from exc
     try:
         return GradedMorphism(source, target, blocks)

@@ -15,14 +15,14 @@ is exactly the in-memory order, so parsing needs no permutation.
 from fractions import Fraction
 
 from .errors import ConsistencyError, ShapeError, SpecError
-from .exactlin import Matrix, parse_rat, rat_str
+from .exactlin import Matrix
 from .groupoid import _spec_ints
 from .gvec import (
-    GradedMorphism, GradedObject, _tensor_layout, compose, dual_morphism,
-    direct_sum_obj, graded_object, identity_mor, left_dual,
-    object_from_spec, object_to_spec, restrict_grades, restriction_inclusion,
-    restriction_projection, tensor_mor, tensor_mult, tensor_obj,
-    unit_object, unit_summand)
+    GradedMorphism, GradedObject, _blocks_from_spec, _blocks_to_spec,
+    _tensor_layout, compose, dual_morphism, direct_sum_obj, graded_object,
+    identity_mor, left_dual, object_from_spec, object_to_spec,
+    restrict_grades, restriction_inclusion, restriction_projection,
+    tensor_mor, tensor_mult, tensor_obj, unit_object, unit_summand)
 
 __all__ = [
     "InternalAlgebra", "InternalCoalgebra",
@@ -30,7 +30,7 @@ __all__ = [
     "unit_summand_algebra", "unit_summand_coalgebra",
     "groupoid_algebra", "internal_end",
     "dualize_algebra", "dualize_coalgebra",
-    "direct_sum_algebra", "restrict_to_J", "restriction_data",
+    "direct_sum_algebra", "restriction_data",
     "support", "grades_within",
     "algebra_to_spec", "algebra_from_spec",
 ]
@@ -391,32 +391,14 @@ def restriction_data(a, objs):
             "unit_projection": p_j, "restricted_unit": unit_j}
 
 
-def restrict_to_J(a, objs):
-    return restriction_data(a, objs)["algebra"]
-
-
 # ---------------------------------------------------------------------------
 # JSON forms
-
-def _blocks_to_json(blocks):
-    return {str(g): [[rat_str(x) for x in blocks[g].row(i)]
-                     for i in range(blocks[g].rows)]
-            for g in sorted(blocks)}
-
-
-def _blocks_from_json(doc):
-    out = {}
-    for g, rows in (doc or {}).items():
-        out[int(g)] = Matrix.from_rows(
-            [[parse_rat(x) for x in row] for row in rows])
-    return out
-
 
 def algebra_to_spec(a):
     """Explicit JSON form; multiplication columns in canonical pair order."""
     return {"carrier": object_to_spec(a.carrier),
-            "mult": _blocks_to_json(_canonical_pair_blocks(a.carrier, a.mult)),
-            "unit": _blocks_to_json(a.unit.blocks)}
+            "mult": _blocks_to_spec(_canonical_pair_blocks(a.carrier, a.mult)),
+            "unit": _blocks_to_spec(a.unit.blocks)}
 
 
 _GENERATORS = ("unit_summand", "groupoid_algebra", "internal_end", "sum")
@@ -454,9 +436,9 @@ def algebra_from_spec(cat, doc):
         carrier = object_from_spec(cat, doc["carrier"])
         cxc = tensor_obj(carrier, carrier)
         mult = GradedMorphism(cxc, carrier,
-                              _blocks_from_json(doc.get("mult")))
+                              _blocks_from_spec(doc.get("mult")))
         unit = GradedMorphism(unit_object(cat), carrier,
-                              _blocks_from_json(doc.get("unit")))
+                              _blocks_from_spec(doc.get("unit")))
         return InternalAlgebra(carrier, mult, unit)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SpecError("bad algebra spec: %s" % exc) from exc

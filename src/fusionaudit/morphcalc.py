@@ -3,20 +3,16 @@
 Everything reduces to exact linear algebra grade by grade: a morphism is
 split mono iff every block has full column rank, split epi iff full row
 rank, and every morphism is regular because its image factorization splits
-on both sides.  The split predicates are therefore rank tests (one
-reduction per block, no witness built).  The finders build explicit
-witnesses, by solving for them, so callers can re-verify the defining
-equations instead of trusting a boolean.
+on both sides.  The finders build explicit witnesses, by solving for them,
+so callers can re-verify the defining equations instead of trusting a
+boolean.
 """
 
 from .errors import ConsistencyError
 from .exactlin import Matrix, solve_right
-from .gvec import (
-    GradedMorphism, compose, identity_mor, image_factorization, is_epi, is_iso,
-    is_mono)
+from .gvec import GradedMorphism, compose, image_factorization
 
-__all__ = ["find_retraction", "find_section", "weak_inverse", "inverse",
-           "is_split_mono", "is_split_epi", "is_regular"]
+__all__ = ["find_retraction", "find_section", "weak_inverse", "is_regular"]
 
 
 def find_retraction(f):
@@ -51,19 +47,6 @@ def find_section(f):
     return GradedMorphism._of(f.target, f.source, blocks)
 
 
-def is_split_mono(f):
-    """Whether f has a left inverse, decided by rank: over a field a block
-    has a left inverse exactly when it has full column rank, so this is
-    is_mono(f), and find_retraction(f) is not None agrees with it."""
-    return is_mono(f)
-
-
-def is_split_epi(f):
-    """Whether f has a right inverse: full row rank, so is_epi(f), and
-    find_section(f) is not None agrees with it."""
-    return is_epi(f)
-
-
 def _split_image(f):
     """(psi, phi, s, r): the image factorization f = phi psi, a section s
     of the epi psi and a retraction r of the mono phi.  Both splittings
@@ -87,13 +70,3 @@ def weak_inverse(f):
 def is_regular(f):
     g = weak_inverse(f)
     return compose(compose(f, g), f) == f
-
-
-def inverse(f):
-    """Two-sided inverse, or None when f is not an isomorphism."""
-    if not is_iso(f):
-        return None
-    inv = find_retraction(f)
-    if inv is None or compose(f, inv) != identity_mor(f.target):
-        raise ConsistencyError("isomorphism failed to invert")
-    return inv

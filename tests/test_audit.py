@@ -22,8 +22,7 @@ from fusionaudit.gvec import (
 from fusionaudit.internal import (
     algebra_from_spec, dualize_algebra, groupoid_algebra, algebra_to_spec,
     validate_algebra)
-from fusionaudit.morphcalc import (
-    find_retraction, find_section, is_split_epi, is_split_mono)
+from fusionaudit.morphcalc import find_retraction, find_section
 
 SIMPLE_UNIT = ("vec", "vec_z2", "vec_s3")
 MULTI_UNIT = ("pair2", "pair3", "union_z2_z2")
@@ -118,19 +117,27 @@ def test_witnesses_reverify_pair2():
 
     f6 = morphism_from_spec(cat, w[6]["morphism"])
     t6 = tensor_mor(f6, identity_mor(alg_of(w[6]).carrier))
-    assert is_split_mono(t6) and not is_split_mono(f6)
+    assert is_mono(t6) and not is_mono(f6)
+    assert compose(find_retraction(t6), t6) == identity_mor(t6.source)
+    assert find_retraction(f6) is None
 
     f7 = morphism_from_spec(cat, w[7]["morphism"])
     t7 = tensor_mor(f7, identity_mor(coalg_of(w[7]).carrier))
-    assert is_split_mono(t7) and not is_split_mono(f7)
+    assert is_mono(t7) and not is_mono(f7)
+    assert compose(find_retraction(t7), t7) == identity_mor(t7.source)
+    assert find_retraction(f7) is None
 
     f8 = morphism_from_spec(cat, w[8]["morphism"])
     t8 = tensor_mor(f8, identity_mor(alg_of(w[8]).carrier))
-    assert is_split_epi(t8) and not is_split_epi(f8)
+    assert is_epi(t8) and not is_epi(f8)
+    assert compose(t8, find_section(t8)) == identity_mor(t8.target)
+    assert find_section(f8) is None
 
     f9 = morphism_from_spec(cat, w[9]["morphism"])
     t9 = tensor_mor(f9, identity_mor(coalg_of(w[9]).carrier))
-    assert is_split_epi(t9) and not is_split_epi(f9)
+    assert is_epi(t9) and not is_epi(f9)
+    assert compose(t9, find_section(t9)) == identity_mor(t9.target)
+    assert find_section(f9) is None
 
     f10 = morphism_from_spec(cat, w[10]["morphism"])
     t10 = tensor_mor(f10, identity_mor(alg_of(w[10]).carrier))
@@ -449,6 +456,26 @@ def test_cli_error_codes(tmp_path):
                         "--algebra", str(alg)], tmp_path)
         assert res.returncode == 2, unit
         assert "input error" in res.stderr and why in res.stderr, res.stderr
+
+    # grade keys not in str(g) form (int() read each as another key's grade)
+    for doc in ({"carrier": {"mult": {"0": 1, "00": 1}},
+                 "mult": {"0": [["1"]]}, "unit": {"0": [["1"]]}},
+                {"carrier": {"mult": {"0": 1}},
+                 "mult": {"0": [["1"]]}, "unit": {"+0": [["1"]]}}):
+        alg.write_text(json.dumps(doc))
+        res = _run_cli(["check-algebra", "--category", vec,
+                        "--algebra", str(alg)], tmp_path)
+        assert res.returncode == 2, doc
+        assert "input error" in res.stderr and "canonical" in res.stderr
+
+    # nesting too deep for json.load (exited 4 on a RecursionError)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for args in (["audit", "--category", str(deep)],
+                 ["check-algebra", "--category", vec, "--algebra", str(deep)]):
+        res = _run_cli(args, tmp_path)
+        assert res.returncode == 2, args
+        assert "input error" in res.stderr and "deeply" in res.stderr
 
 
 @pytest.mark.parametrize("doc", COERCED_GENERATOR_SPECS)

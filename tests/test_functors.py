@@ -12,11 +12,11 @@ from fusionaudit.errors import ConsistencyError
 from fusionaudit.functors import (
     ProjectionFunctor, check_cosection_identity, check_inclusion_frobenius,
     check_projection_lax_colax, check_rj_algebra, cofree_comodule,
-    coidempotent_e, coinduce_mor, coreflection_checks, coseparability_verdict,
-    free_module, frobenius_pair_check, idempotent_e, inclusion_LJ,
-    induce_mor, is_faithful_cotensor, is_faithful_tensor, is_module_morphism,
-    reflection_checks, restricted_separability, separability_verdict,
-    check_section_identity, validate_comodule, validate_module)
+    coreflection_checks, coseparability_verdict, free_module,
+    frobenius_pair_check, idempotent_e, induce_mor, is_faithful_cotensor,
+    is_faithful_tensor, is_module_morphism, reflection_checks,
+    restricted_separability, separability_verdict, check_section_identity,
+    validate_comodule, validate_module)
 from fusionaudit.exactlin import Matrix
 from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
 from fusionaudit.gvec import (
@@ -306,8 +306,6 @@ def test_coalgebra_mirrors():
     assert is_faithful_cotensor(c_good, rng=rng)["faithful"]
     rep = coreflection_checks(c_good, rng=rng, samples=10)
     assert all(rep[k]["holds"] for k in rep)
-    one = unit_object(Z2)
-    assert coidempotent_e(c_good, one) == identity_mor(one)
 
 
 @pytest.mark.parametrize("verdict, dual", ((separability_verdict, False),
@@ -360,7 +358,7 @@ def test_cofree_comodules_validate():
         mod = cofree_comodule(m, c)
         assert validate_comodule(mod, c)["ok"]
         f = random_morphism(m, m, rng)
-        assert coinduce_mor(identity_mor(m), c) == identity_mor(mod.carrier)
+        assert induce_mor(identity_mor(m), c) == identity_mor(mod.carrier)
         del f
 
 
@@ -370,10 +368,9 @@ def test_inclusion_frobenius():
     assert check_inclusion_frobenius(Z2, {0}, rng)
     assert check_inclusion_frobenius(U22, {1}, rng)
     assert check_inclusion_frobenius(P2, {0}, rng)
-    lj = inclusion_LJ(P3, {0, 2})
-    assert lj["unit"] == unit_summand(P3, {0, 2})
+    assert ProjectionFunctor(P3, {0, 2}).one_j == unit_summand(P3, {0, 2})
     with pytest.raises(ValueError):
-        inclusion_LJ(P3, set())
+        check_inclusion_frobenius(P3, set(), rng)
 
 
 def test_projection_functor_is_corner_restriction():

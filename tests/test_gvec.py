@@ -19,14 +19,13 @@ from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
 from fusionaudit.functors import ProjectionFunctor
 from fusionaudit.groupoid import groupoid_from_spec
 from fusionaudit.gvec import (
-    GradedMorphism, GradedObject, _same_cat, _tensor_layout, component, compose, cokernel,
-    decompose_simples, direct_sum_mor, direct_sum_obj, direct_sum_with_maps,
-    dual_morphism, dual_obj, graded_object, hom_basis, identity_mor,
-    image_factorization, is_epi, is_iso, is_mono, kernel, left_dual,
-    morphism_from_spec, morphism_to_spec, object_from_spec, object_to_spec,
-    restrict_grades, restriction_inclusion, restriction_projection,
-    simple_object, tensor_mor, tensor_obj, total_mult, unit_object,
-    unit_summand, zero_mor, zero_object)
+    GradedMorphism, GradedObject, _same_cat, _tensor_layout, compose, cokernel,
+    direct_sum_obj, direct_sum_with_maps, dual_morphism, dual_obj,
+    graded_object, hom_basis, identity_mor, image_factorization, is_epi,
+    is_iso, is_mono, kernel, left_dual, morphism_from_spec, morphism_to_spec,
+    object_from_spec, object_to_spec, restrict_grades, restriction_inclusion,
+    restriction_projection, simple_object, tensor_mor, tensor_obj,
+    total_mult, unit_object, unit_summand, zero_mor, zero_object)
 from fusionaudit.internal import (
     direct_sum_algebra, groupoid_algebra, internal_end)
 from fusionaudit.morphcalc import find_retraction, find_section
@@ -274,17 +273,6 @@ def test_direct_sum_maps():
         assert compose(pv, iw).is_zero()
         assert compose(pw, iv).is_zero()
         assert compose(iv, pv) + compose(iw, pw) == identity_mor(s)
-        f = random_morphism(v, v, rng)
-        g = random_morphism(w, w, rng)
-        assert direct_sum_mor(f, g) \
-            == compose(iv, compose(f, pv)) + compose(iw, compose(g, pw))
-
-
-def test_decompose_simples():
-    v = graded_object(S3, {2: 3, 0: 1})
-    assert decompose_simples(v) == [(0, 1), (2, 3)]
-    assert graded_object(S3, dict(decompose_simples(v))) == v
-    assert decompose_simples(zero_object(S3)) == []
 
 
 def test_mono_epi_iso():
@@ -345,16 +333,6 @@ def test_unit_summand_acts_as_graded_restriction():
     assert tensor_obj(one_j, one_j) == one_j
 
 
-def test_component():
-    v = graded_object(P2, {0: 1, 1: 2, 2: 1, 3: 3})
-    assert component(v, 0, 1).mult == {1: 2}
-    assert component(v, 1, 1).mult == {3: 3}
-    assert component(v, 1, 0).mult == {2: 1}
-    total = sum(total_mult(component(v, i, j))
-                for i in range(2) for j in range(2))
-    assert total == total_mult(v)
-
-
 def test_scalar_arithmetic():
     rng = random.Random(411)
     v = random_object(S3, rng)
@@ -413,6 +391,21 @@ def test_morphism_spec_roundtrip():
         bad["blocks"] = {"0": [[entry]]}
         with pytest.raises(SpecError):
             morphism_from_spec(Z2, bad)
+    # grade keys other than str(g): int() read "01" as 1 (so {"1": 2,
+    # "01": 3} became {1: 3}), let "00" overwrite the block at "0", and
+    # took " 1", "+0" and a full-width digit
+    one = {"mult": {"0": 1}}
+    for key in ("01", "00", " 1", "1 ", "+0", "-0", "\uff11", "1_0", ""):
+        with pytest.raises(SpecError, match="canonical"):
+            object_from_spec(Z2, {"mult": {key: 1}})
+        doc = {"source": one, "target": one,
+               "blocks": {"0": [["1"]], key: [["2"]]}}
+        with pytest.raises(SpecError, match="canonical"):
+            morphism_from_spec(Z2, doc)
+    with pytest.raises(SpecError, match="canonical"):
+        object_from_spec(Z2, {"mult": {"1": 2, "01": 3}})
+    assert object_from_spec(Z2, {"mult": {"1": 2, "0": 3}}).mult \
+        == {0: 3, 1: 2}
 
 
 @pytest.mark.parametrize("grade", ("9", "2", "-1"))
@@ -528,7 +521,7 @@ def test_unchecked_producers_match_validating_constructors(cat, seed):
         dual_obj(x), direct_sum_obj(x, y), restrict_grades(x, grades),
         identity_mor(x), zero_mor(x, y), compose(g, f), compose(f, g),
         compose(cok, f), compose(f, ker), fg, tensor_mor(ker, cok),
-        direct_sum_mor(f, g), *direct_sum_with_maps(x, y)[1:],
+        *direct_sum_with_maps(x, y)[1:],
         restriction_inclusion(x, grades), restriction_projection(x, grades),
         ker, cok, epi, mono, *hom_basis(x, y), *left_dual(x)[1:],
         dual_morphism(f), dual_morphism(fg), f + f, f - f, f.scale(0),

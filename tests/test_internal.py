@@ -18,15 +18,15 @@ from fusionaudit.fixtures import load_fixture
 from fusionaudit.groupoid import groupoid_from_spec
 from fusionaudit.gvec import (
     GradedMorphism, cokernel, compose, direct_sum_obj, direct_sum_with_maps,
-    graded_object, is_epi, is_mono, restrict_grades, simple_object,
-    tensor_mor, tensor_obj, unit_object, zero_mor, zero_object)
+    graded_object, identity_mor, is_epi, is_mono, restrict_grades,
+    simple_object, tensor_mor, tensor_obj, unit_object, zero_mor, zero_object)
 from fusionaudit.internal import (
     InternalAlgebra, InternalCoalgebra, algebra_from_spec, algebra_to_spec,
     direct_sum_algebra, dualize_algebra, dualize_coalgebra, groupoid_algebra,
-    internal_end, restrict_to_J, restriction_data, support,
+    internal_end, restriction_data, support,
     unit_summand_algebra, unit_summand_coalgebra, validate_algebra,
     validate_coalgebra)
-from fusionaudit.morphcalc import is_split_epi, is_split_mono
+from fusionaudit.morphcalc import find_retraction, find_section
 
 VEC = load_fixture("vec")
 Z2 = load_fixture("vec_z2")
@@ -65,7 +65,9 @@ def test_groupoid_algebra_z2():
     assert a.mult.blocks[1] == Matrix.from_rows([[1, 1]])
     assert a.unit.blocks == {0: Matrix.from_rows([[1]])}
     assert validate_algebra(a)["ok"]
-    assert is_split_mono(a.unit)
+    assert is_mono(a.unit)
+    r = find_retraction(a.unit)
+    assert compose(r, a.unit) == identity_mor(a.unit.source)
 
 
 def test_groupoid_algebra_pair2():
@@ -192,7 +194,9 @@ def test_dualize():
     kz2 = groupoid_algebra(Z2, {0})
     c = dualize_algebra(kz2)
     assert validate_coalgebra(c)["ok"]
-    assert is_split_epi(c.counit)
+    assert is_epi(c.counit)
+    s = find_section(c.counit)
+    assert compose(c.counit, s) == identity_mor(c.counit.target)
     back = dualize_coalgebra(c)
     assert back.carrier == kz2.carrier
     assert back.mult == kz2.mult and back.unit == kz2.unit
@@ -339,15 +343,15 @@ def test_restriction_to_full_support_is_identity():
     for cat in (Z2, P2, U22):
         rng = random.Random(503)
         for a in algebra_corpus(cat, rng):
-            full = restrict_to_J(a, range(cat.object_count))
+            full = restriction_data(a, range(cat.object_count))["algebra"]
             assert full == a
-            r = restrict_to_J(a, support(a))
+            r = restriction_data(a, support(a))["algebra"]
             assert r.carrier == a.carrier
 
 
 def test_restriction_cuts_matrix_algebra():
     a = groupoid_algebra(P2, {0, 1})
-    r = restrict_to_J(a, {0})
+    r = restriction_data(a, {0})["algebra"]
     assert r == unit_summand_algebra(P2, 0)
 
 
@@ -420,3 +424,14 @@ def test_algebra_generator_specs():
         doc[key] = {"0": [["1e2000000"]]}
         with pytest.raises(SpecError, match="1e2000000"):
             algebra_from_spec(P2, doc)
+        # a second key naming grade 0 used to overwrite the first block
+        doc[key] = {"0": [["1"]], "00": [["1"]]}
+        with pytest.raises(SpecError, match="canonical"):
+            algebra_from_spec(P2, doc)
+    for carrier in ({"mult": {"0": 1, "00": 1}}, {"mult": {"+0": 1}}):
+        doc = {"carrier": carrier, "mult": {"0": [["1"]]},
+               "unit": {"0": [["1"]]}}
+        with pytest.raises(SpecError, match="canonical"):
+            algebra_from_spec(P2, doc)
+        with pytest.raises(SpecError, match="canonical"):
+            algebra_from_spec(P2, {"gen": "internal_end", "object": carrier})

@@ -13,8 +13,7 @@ from fusionaudit.gvec import (
     GradedMorphism, compose, direct_sum_obj, graded_object, identity_mor,
     is_epi, is_iso, is_mono, mono_epi, zero_mor, zero_object)
 from fusionaudit.morphcalc import (
-    find_retraction, find_section, inverse, is_regular, is_split_epi,
-    is_split_mono, weak_inverse)
+    find_retraction, find_section, is_regular, weak_inverse)
 
 Z2 = load_fixture("vec_z2")
 P3 = load_fixture("pair3")
@@ -78,35 +77,21 @@ def test_degenerate_endpoints():
     assert weak_inverse(zero_mor(v, v)).is_zero()
 
 
-def test_inverse():
-    rng = random.Random(423)
-    v = graded_object(P3, {0: 2, 4: 1})
-    found = 0
-    for _ in range(60):
-        f = random_morphism(v, v, rng, zero_weight=1)
-        g = inverse(f)
-        assert (g is not None) == is_iso(f)
-        if g is not None:
-            found += 1
-            assert compose(g, f) == identity_mor(v)
-            assert compose(f, g) == identity_mor(v)
-    assert found > 0
-    assert inverse(zero_mor(v, v)) is None
-
-
 def test_split_mono_epi_flags():
     v = graded_object(Z2, {0: 1})
     w = graded_object(Z2, {0: 2})
     col = GradedMorphism(v, w, {0: Matrix.from_rows([[1], [1]])})
-    assert is_split_mono(col) and not is_split_epi(col)
+    assert is_mono(col) and not is_epi(col)
+    assert find_retraction(col) is not None and find_section(col) is None
     row = GradedMorphism(w, v, {0: Matrix.from_rows([[1, 1]])})
-    assert is_split_epi(row) and not is_split_mono(row)
+    assert is_epi(row) and not is_mono(row)
+    assert find_section(row) is not None and find_retraction(row) is None
 
 
 @settings(max_examples=120, deadline=None)
 @given(_small_groupoids(), st.integers(0, 2 ** 32), st.integers(0, 3))
 def test_rank_verdicts_match_witness_finders(cat, seed, shape):
-    # the rank verdicts (mono_epi, is_split_mono, is_split_epi) against the
+    # the rank verdicts (mono_epi, is_mono, is_epi) against the
     # witness-producing solves; shape picks an endomorphism, a map into or
     # out of a direct sum containing the other end, or unrelated ends, so
     # split monos, split epis and isos all occur
@@ -126,7 +111,6 @@ def test_rank_verdicts_match_witness_finders(cat, seed, shape):
     expected = (r is not None, s is not None, is_iso(f))
     mono, epi = mono_epi(f)
     assert (mono, epi, mono and epi) == expected
-    assert (is_split_mono(f), is_split_epi(f)) == expected[:2]
     assert (is_mono(f), is_epi(f)) == expected[:2]
     if r is not None:
         assert compose(r, f) == identity_mor(v)
