@@ -505,17 +505,24 @@ def reverify_witness(cat, cond, witness):
     """True when witness, as a report carries it for condition cond
     (2..15), shows that the condition fails.  The witness's algebra and
     morphisms are parsed back from their specs, and its claim is checked
-    with library calls, independently of how the audit found it."""
+    with library calls, independently of how the audit found it.  A
+    witness that is not a JSON object, or that lacks a key its condition
+    reads, is a SpecError, as a bad spec inside it is."""
     if not 2 <= cond <= 15:
         raise ValueError("conditions 2..15 carry witnesses, not %r" % cond)
+
+    def field(key):
+        if not isinstance(witness, dict) or key not in witness:
+            raise SpecError("condition %d witness has no %r" % (cond, key))
+        return witness[key]
     one = unit_object(cat)
     if cond % 2 == 0:
-        a = algebra_from_spec(cat, witness["spec"])
+        a = algebra_from_spec(cat, field("spec"))
         if a.is_zero() or not validate_algebra(a)["ok"]:
             return False
         carrier, unit_map = a.carrier, a.unit
     else:
-        c = dualize_algebra(algebra_from_spec(cat, witness["dual_of"]))
+        c = dualize_algebra(algebra_from_spec(cat, field("dual_of")))
         if c.is_zero():
             return False
         carrier, unit_map = c.carrier, c.counit
@@ -523,9 +530,9 @@ def reverify_witness(cat, cond, witness):
         return find_retraction(unit_map) is None
     if cond == 3:
         return find_section(unit_map) is None
-    f = morphism_from_spec(cat, witness["morphism"])
+    f = morphism_from_spec(cat, field("morphism"))
     if cond in (4, 5):
-        dead = tensor_obj(simple_object(cat, witness["simple_grade"]),
+        dead = tensor_obj(simple_object(cat, field("simple_grade")),
                           carrier)
         return (not f.is_zero() and dead.is_zero()
                 and tensor_mor(f, identity_mor(carrier)).is_zero())
@@ -538,12 +545,12 @@ def reverify_witness(cat, cond, witness):
             return find_section(f) is None and find_section(ff) is not None
         return not is_iso(f) and is_iso(ff)
     if cond in (12, 14):
-        k = morphism_from_spec(cat, witness["kernel"])
+        k = morphism_from_spec(cat, field("kernel"))
         return (f.source == one and not f.is_zero() and not is_mono(f)
                 and not k.is_zero() and is_mono(k)
                 and compose(f, k).is_zero()
                 and (cond == 14 or f == unit_map))
-    q = morphism_from_spec(cat, witness["cokernel"])
+    q = morphism_from_spec(cat, field("cokernel"))
     return (f.target == one and not f.is_zero() and not is_epi(f)
             and not q.is_zero() and is_epi(q) and compose(q, f).is_zero()
             and (cond == 15 or f == unit_map))

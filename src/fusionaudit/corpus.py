@@ -6,7 +6,7 @@ fixed seed reproduces the exact corpus byte for byte.
 
 from fractions import Fraction
 
-from .gvec import GradedMorphism, GradedObject, _atomic_layout
+from .gvec import GradedMorphism, _atomic_object
 from .exactlin import Matrix
 
 __all__ = ["random_object", "random_morphism", "algebra_corpus"]
@@ -28,7 +28,7 @@ def random_object(cat, rng, max_total=4, allow_zero=False):
     for _ in range(total):
         g = rng.randrange(cat.morphism_count)
         mult[g] = mult.get(g, 0) + 1
-    return GradedObject._of(cat, mult, _atomic_layout(mult))
+    return _atomic_object(cat, mult)
 
 
 def random_morphism(v, w, rng, zero_weight=2):
@@ -48,7 +48,9 @@ def algebra_corpus(cat, rng, internal_ends=2, sums=2):
     and multiplicities.
 
     Equal draws share one algebra object: a groupoid algebra is built once
-    per object set, and a direct sum once per pair of chosen entries, so
+    per object set, an internal endomorphism algebra once per drawn object
+    (its slot codes, grade order included, which fix every step of the
+    build), and a direct sum once per pair of chosen entries, so
     callers can decide a fact once per distinct object (by identity) and
     read it at every index that holds it.  The draws, and their order, are
     those of building every entry anew.  Callers must not mutate corpus
@@ -68,8 +70,13 @@ def algebra_corpus(cat, rng, internal_ends=2, sums=2):
     for _ in range(2):
         k = rng.randrange(1, cat.object_count + 1)
         out.append(groupoid_alg(rng.sample(range(cat.object_count), k)))
+    ends = {}
     for _ in range(internal_ends):
-        out.append(internal_end(random_object(cat, rng, max_total=2)))
+        x = random_object(cat, rng, max_total=2)
+        key = (x.seq, tuple(x.layout.items()))
+        if key not in ends:
+            ends[key] = internal_end(x)
+        out.append(ends[key])
     built = {}
     for _ in range(sums):
         a, b = rng.choice(out), rng.choice(out)

@@ -15,14 +15,15 @@ by tensoring.  A dead simple yields concrete counterexample morphisms;
 otherwise the property holds exactly, and a seeded sample re-verifies it.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .corpus import random_morphism, random_object
 from .errors import ConsistencyError, ShapeError
 from .exactlin import Matrix
 from .gvec import (
-    GradedMorphism, compose, hom_basis, identity_mor, is_epi, is_iso,
-    is_mono, mono_epi, restrict_grades, restriction_inclusion,
+    GradedMorphism, _atomic_object, compose, hom_basis, identity_mor, is_epi,
+    is_iso, is_mono, mono_epi, restrict_grades, restriction_inclusion,
     restriction_projection, simple_object, tensor_mor, tensor_obj,
     unit_object, unit_summand, zero_mor, zero_object)
 from .internal import grades_within, restriction_data, support
@@ -414,8 +415,14 @@ def _zero_one(rows, cols, ones):
 
 
 def _random_sub_object(cat, objs, rng, max_total=3):
-    return restrict_grades(random_object(cat, rng, max_total=max_total),
-                           grades_within(cat, objs))
+    """A random object restricted to the grades inside objs x objs, built
+    as the atomic object of the grades kept: the same words as the
+    restriction, coded as every atomic object of those multiplicities is,
+    so its tensor products share memoised slot enumerations with theirs."""
+    grades = grades_within(cat, objs)
+    x = random_object(cat, rng, max_total=max_total)
+    return _atomic_object(cat, {g: m for g, m in x.mult.items()
+                                if g in grades})
 
 
 def check_inclusion_frobenius(cat, objs, rng, samples=6):
@@ -497,13 +504,22 @@ class ProjectionFunctor:
     def match(self, x, y):
         """(R(x) (x) R(y), R(x (x) y), rows) where rows[h][c] is the slot
         of R(x (x) y) at grade h whose word is that of slot c of
-        R(x) (x) R(y)."""
+        R(x) (x) R(y).
+
+        A restriction keeps its object's factor sequence, and a tensor
+        product concatenates its factors' sequences, so both objects are
+        coded over x.seq + y.seq, alphabet for alphabet, and their codes
+        agree exactly where their words do.  (An object without slots is
+        coded over the empty sequence, but then R(x) (x) R(y) has no slot
+        either.)  The slots of R(x) (x) R(y) at h are some of those of
+        R(x (x) y), whose codes are sorted, so each is found by
+        bisection."""
         small = tensor_obj(self.obj(x), self.obj(y))
         big = self.obj(tensor_obj(x, y))
         rows = {}
-        for h, words in small.layout.items():
-            slot = {w: r for r, w in enumerate(big.layout[h])}
-            rows[h] = [slot[w] for w in words]
+        for h, codes in small.layout.items():
+            bcodes = big.layout[h]
+            rows[h] = [bisect_left(bcodes, c) for c in codes]
         return small, big, rows
 
     def phi(self, match):

@@ -23,6 +23,13 @@ __all__ = [
     "groupoid_from_spec",
 ]
 
+# Most morphisms a groupoid spec may declare; more is a SpecError (exit 2),
+# raised before the composition table is built or scanned.  An audit
+# builds the groupoid algebra kG, whose tensor square has m^2 slots:
+# S6 (720 morphisms, 518k slots) is taken, and S7 (5040 morphisms, 25M
+# slots) is not.
+MAX_MORPHISMS = 1024
+
 
 class Groupoid:
     """Validated finite groupoid; immutable after construction."""
@@ -48,6 +55,9 @@ class Groupoid:
                     pairs[h].append((g1, g2))
         self.pairs_into = {h: tuple(ps) for h, ps in pairs.items()}
         self._hash = hash(self._key())
+        # gvec's hash-consed slot alphabets over this groupoid (see
+        # gvec._alphabet): a cache, not part of the groupoid's identity.
+        self.slot_alphabets = {}
 
     # -- basic lookups ----------------------------------------------------
 
@@ -326,20 +336,37 @@ def _spec_ints(spec, key, depth, nullable):
     return value
 
 
+def _check_morphism_count(count):
+    if count > MAX_MORPHISMS:
+        raise SpecError("groupoid spec declares %d morphisms, more than "
+                        "the %d taken" % (count, MAX_MORPHISMS))
+
+
 def groupoid_from_spec(spec):
     """Build a groupoid from its JSON form (kinds: group, pair, union,
-    explicit)."""
+    explicit).  A spec that declares more than MAX_MORPHISMS morphisms is a
+    SpecError: a union's parts are counted as they are built, and every
+    other kind before anything is built."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise SpecError("groupoid spec must be an object with a 'kind'")
     kind = spec["kind"]
     try:
+        if kind in ("group", "explicit"):
+            listed = spec["table" if kind == "group" else "morphisms"]
+            if isinstance(listed, list):
+                _check_morphism_count(len(listed))
         if kind == "group":
             return make_group(_spec_ints(spec, "table", 2, nullable=False))
         if kind == "pair":
-            return make_pair_groupoid(
-                _spec_ints(spec, "objects", 0, nullable=False))
+            n = _spec_ints(spec, "objects", 0, nullable=False)
+            _check_morphism_count(n * n)
+            return make_pair_groupoid(n)
         if kind == "union":
-            parts = [groupoid_from_spec(p) for p in spec["parts"]]
+            parts, total = [], 0
+            for p in spec["parts"]:
+                parts.append(groupoid_from_spec(p))
+                total += parts[-1].morphism_count
+                _check_morphism_count(total)
             if not parts:
                 raise SpecError("union of zero groupoids")
             out = parts[0]

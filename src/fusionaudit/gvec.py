@@ -9,10 +9,10 @@ composition and left duals come from grade inversion.
 Slot words (why tensoring is literally strict).  Multiplicity maps alone do
 not determine how the slots of an iterated tensor product interleave inside
 one grade, and any fixed pair-major block layout fails to be associative on
-matrices.  Each object therefore carries a derived per-grade tuple of slot
-words: atomic slots are single letters, tensor slots concatenate the factor
-words, the unit's slots carry the empty word, direct-sum slots wrap the
-summand word in a side-tagged letter, and dual slots reverse and star the
+matrices.  Each slot therefore has a word: atomic slots are single letters
+(0, g, a), tensor slots concatenate the factor words, the unit's slots carry
+the empty word, direct-sum slots wrap the summand word in a side-tagged
+letter (1, side, word), and dual slots reverse the word and star its
 letters.  Slots within a grade are kept sorted by word.  Concatenation is
 associative and word sets ignore parenthesization, so iterated tensor
 products agree on the nose, objects and matrices alike, and the unit laws
@@ -20,14 +20,30 @@ are identities (empty words vanish under concatenation).  For a single
 binary product of atomic objects the sorted order is exactly "composable
 pairs (g1, g2) lexicographically by enumeration index, Kronecker
 left-factor-major".  Every word in an object has the same length, which
-makes concatenation splits unambiguous and keeps slot words distinct.  It
-also means the words of a tensor product compare by their left factor's
-word first, so no product word is sorted: a grade fed by a single pair of
-factor grades is in word order when enumerated left-factor-major, and the
-grades fed by several pairs are filled in order by one walk over the left
-factor's slots in word order (see _tensor_layout).  Multiplicities alone
-come from tensor_mult, with no slot enumerated.  Dualising stars each
-distinct letter once per object, not once per slot.
+makes concatenation splits unambiguous and keeps slot words distinct.
+
+Slot codes (how words are stored; see slotcodes).  No word is built: an
+object stores a factor sequence seq, a tuple of hash-consed alphabets, and
+per grade the sorted tuple of its slots' codes, each word's letter ranks
+in mixed radix over seq.  Codes over one sequence compare exactly as words
+do.  A tensor product concatenates the sequences, and its codes are
+c1 * R + c2, R the product of the right factor's alphabet sizes; the
+unit's sequence is empty and its one code is 0, so the unit laws and
+strictness hold for codes as they do for words.  A direct sum has one
+alphabet, the distinct codes of each summand, side 0 first; a dual
+reverses the sequence and stars each alphabet once, then sorts each
+grade's codes once; restricting grades keeps the sequence.  The
+words of a tensor product compare by their left factor's word first, so
+no product code is sorted: a grade fed by a single pair of factor grades
+is in code order when enumerated left-factor-major, and the grades fed by
+several pairs are filled in order by one walk over the left factor's slots
+in code order (see _tensor_layout).  Multiplicities alone come from
+tensor_mult, with no slot enumerated.  One word set can be coded over
+different sequences (a restriction keeps its object's wider alphabets,
+and the public constructor codes each position over the letters it is
+given), so code comparisons across sequences go through the words
+(_same_slots); _words(v) expands codes back to words, the form the public
+constructor takes.
 
 Object equality is equality of multiplicity maps (words are bookkeeping,
 not identity).  Morphism equality is structural equality of normalized
@@ -50,8 +66,10 @@ from itertools import groupby
 from operator import itemgetter
 
 from .errors import CategoryMismatch, ShapeError, SpecError
-from .exactlin import Matrix, kernel_basis, parse_rat, rat_str, solve_right
+from .exactlin import Matrix, kernel_basis, parse_rat, rat_str
 from .groupoid import _spec_ints
+from .slotcodes import (
+    alphabet, atomic_alphabet, decode, encode, radix, ranks, starrer)
 
 __all__ = [
     "GradedObject", "GradedMorphism",
@@ -70,79 +88,86 @@ __all__ = [
 
 _ONE = Fraction(1)
 
-
-# ---------------------------------------------------------------------------
-# slot words
-
-def _star_letter(cat, letter, table):
-    if letter[0] == 0:
-        return (0, cat.inverse_of[letter[1]], letter[2])
-    return (1, letter[1], _star_words(cat, (letter[2],), table)[0])
-
-
-def _star_words(cat, words, table):
-    """Each word reversed with every letter starred.  table maps letters
-    to their stars; a letter not in it yet is starred once and added, so
-    one table shared across words stars each distinct letter once."""
-    for l in {l for w in words for l in w}:
-        if l not in table:
-            table[l] = _star_letter(cat, l, table)
-    star = table.__getitem__
-    return [tuple(map(star, reversed(w))) for w in words]
+# Largest total multiplicity of an object spec; more is a SpecError
+# (exit 2), raised before any slot is laid out.  Every carrier the corpus
+# builds at the default corpus size on a groupoid of at most
+# groupoid.MAX_MORPHISMS morphisms fits (the second direct sum can add the
+# first to itself: four groupoid algebras, 4 * 1024 slots), so every
+# witness of such an audit parses back.
+MAX_TOTAL_MULT = 4096
 
 
 # ---------------------------------------------------------------------------
 # objects
 
+def _check_mult(cat, mult):
+    for g, m in mult.items():
+        if m < 0:
+            raise ShapeError("negative multiplicity at grade %d" % g)
+        if not (0 <= g < cat.morphism_count):
+            raise ShapeError("grade %d out of range" % g)
+
+
 class GradedObject:
     """Multiplicity vector over the grades of a groupoid.
 
     mult holds only positive entries; layout has the same grades, and
-    layout[g] is the strictly increasing tuple of slot words at grade g,
-    one per multiplicity unit.  All words of an object have one length.
+    layout[g] is the strictly increasing tuple of slot codes over the
+    factor sequence seq at grade g, one per multiplicity unit (see the
+    module docstring).  The public constructor takes layout in word form:
+    layout[g] a strictly increasing tuple of slot words, all of one
+    length; it checks and codes them.
     """
 
-    __slots__ = ("cat", "mult", "layout", "_hash")
+    __slots__ = ("cat", "mult", "seq", "layout", "_hash")
 
     def __init__(self, cat, mult, layout):
         mult = {g: m for g, m in mult.items() if m}
         if layout.keys() != mult.keys():
             raise ShapeError("layout grades %s differ from multiplicity "
                              "grades %s" % (sorted(layout), sorted(mult)))
+        _check_mult(cat, mult)
         for g, m in mult.items():
-            if m < 0:
-                raise ShapeError("negative multiplicity at grade %d" % g)
-            if not (0 <= g < cat.morphism_count):
-                raise ShapeError("grade %d out of range" % g)
             words = layout[g]
             if len(words) != m:
                 raise ShapeError("layout size mismatch at grade %d" % g)
+            if any(type(w) is not tuple for w in words):
+                raise ShapeError("slot words at grade %d are not tuples" % g)
             if any(a >= b for a, b in zip(words, words[1:])):
                 raise ShapeError("slot words at grade %d are not strictly "
                                  "increasing" % g)
         if len({len(w) for ws in layout.values() for w in ws}) > 1:
             raise ShapeError("slot words differ in length")
+        try:
+            seq, code = encode(cat, {w for ws in layout.values()
+                                      for w in ws})
+        except TypeError as exc:
+            raise ShapeError("slot words are not hashable: %s" % exc) from exc
         self.cat = cat
         self.mult = mult
-        self.layout = layout
+        self.seq = seq
+        self.layout = {g: tuple(map(code.__getitem__, ws))
+                       for g, ws in layout.items()}
         self._hash = None
 
     @classmethod
-    def _of(cls, cat, mult, layout):
-        """Object with the given multiplicities and slot words, unchecked.
+    def _of(cls, cat, mult, seq, layout):
+        """Object with the given multiplicities and slot codes, unchecked.
 
         The caller keeps the invariant: mult holds positive entries only,
-        at grades of cat; layout has exactly the grades of mult, and
-        layout[g] is a sorted tuple of mult[g] distinct words, all of one
-        length.  Both dicts become the object's own and must not be
-        mutated afterwards.  A value that breaks the invariant makes
-        equality, hashing and the tensor layouts silently wrong.  The
-        producers are held to it by
-        test_unchecked_producers_match_validating_constructors and
-        test_layout_invariants_everywhere in tests/test_gvec.py."""
+        at grades of cat; seq is a tuple of alphabets of cat; layout has
+        exactly the grades of mult, and layout[g] is a sorted tuple of
+        mult[g] distinct codes over seq.  Both dicts become the object's
+        own and must not be mutated afterwards.  A value that breaks the
+        invariant makes equality, hashing and the tensor layouts silently
+        wrong.  The producers are held to it by
+        test_unchecked_producers_match_validating_constructors,
+        test_layout_invariants_everywhere and the word-reference tests in
+        tests/test_gvec.py."""
         v = object.__new__(cls)
         v.cat = cat
         v.mult = mult
+        v.seq = seq
         v.layout = layout
         v._hash = None
         return v
@@ -171,10 +196,25 @@ class GradedObject:
             {g: self.mult[g] for g in self.grades()},)
 
 
-def _atomic_layout(mult):
-    """One single-letter word per slot of the multiplicity map mult."""
-    return {g: tuple(((0, g, a),) for a in range(m))
-            for g, m in mult.items()}
+def _words(v):
+    """v's slot words, {grade: tuple of words} in layout order: the word
+    form its codes stand for, and the form GradedObject(...) takes."""
+    return {g: tuple(decode(v.seq, codes)) for g, codes in v.layout.items()}
+
+
+def _atomic_object(cat, mult):
+    """The atomic object of the positive multiplicity map mult, unchecked:
+    one single-letter word (0, g, a) per slot, a < mult[g], coded over the
+    one atomic alphabet of mult.  mult becomes the object's own."""
+    if not mult:
+        return GradedObject._of(cat, mult, (), {})
+    # the lookup atomic_alphabet starts with, inlined: every random,
+    # kernel and image object comes through here
+    alpha = (cat.slot_alphabets.get((0, tuple(mult.items())))
+             or atomic_alphabet(cat, mult))
+    codes = alpha.codes
+    return GradedObject._of(cat, mult, (alpha,),
+                            {g: codes[g] for g in mult})
 
 
 def graded_object(cat, mult):
@@ -183,11 +223,12 @@ def graded_object(cat, mult):
     float or a string is a SpecError."""
     _spec_ints({"mult": [list(p) for p in mult.items()]}, "mult", 2, False)
     mult = {g: m for g, m in mult.items() if m}
-    return GradedObject(cat, mult, _atomic_layout(mult))
+    _check_mult(cat, mult)
+    return _atomic_object(cat, mult)
 
 
 def zero_object(cat):
-    return GradedObject._of(cat, {}, {})
+    return GradedObject._of(cat, {}, (), {})
 
 
 def simple_object(cat, g):
@@ -195,9 +236,10 @@ def simple_object(cat, g):
 
 
 def unit_object(cat):
-    """Multiplicity 1 at every identity grade; slots carry the empty word."""
+    """Multiplicity 1 at every identity grade; slots carry the empty word,
+    whose code over the empty sequence is 0."""
     mult = {e: 1 for e in cat.identity_grades}
-    return GradedObject._of(cat, mult, {e: ((),) for e in mult})
+    return GradedObject._of(cat, mult, (), {e: (0,) for e in mult})
 
 
 def total_mult(v):
@@ -213,10 +255,12 @@ def _same_cat(*items):
 
 
 # Bound on the number of remembered slot enumerations (see _tensor_layout).
-# At 64 the peak RSS of repeated S4 audits stays flat; 256 added ~2 MB.
 # One S4 audit (element order from seed 1; audit seed 1, corpus 2, samples
-# 6; memo emptied first) makes 641 lookups, and 252 of its 274 repeated
-# keys hit.
+# 6; memo emptied first) makes 635 lookups, and 246 of its 268 repeated
+# keys hit.  Without the memo an S4 audit takes as long, but the six
+# fixtures at corpus 2 and samples 12 take ~4% longer (median of 30
+# interleaved pairs), so it stays; 128 entries gained nothing measurable
+# there.  At 64 the peak RSS of repeated S4 audits stays flat.
 _LAYOUT_MEMO_SIZE = 64
 _layout_memo = {}
 
@@ -225,42 +269,45 @@ def _tensor_layout(v, w):
     """Enumerate the slots of v (x) w once: (v (x) w, pos).
 
     pos[h][(g1, g2)] is a flat sequence whose entry i * w.m(g2) + j is the
-    position, within grade h, of the slot (g1, i, g2, j) with word
-    v.layout[g1][i] + w.layout[g2][j].  Slots are sorted by word, and no
-    product word is compared to put them in that order:
+    position, within grade h, of the slot (g1, i, g2, j), whose code over
+    v.seq + w.seq is v.layout[g1][i] * R + w.layout[g2][j] with
+    R = radix(w.seq).  Slots are sorted by code, and no product code is
+    compared to put them in that order:
 
-    - All words of an object have one length, so w1 + w2 compares by w1
-      first and by w2 on a tie, and each factor's words are sorted.  A
-      grade fed by one pair (g1, g2) is therefore in order as enumerated,
-      i then j, and its pos is range(n).
+    - A product code compares by its left factor's code first and by the
+      right one on a tie (0 <= right code < R), and each factor's codes
+      are sorted.  A grade fed by one pair (g1, g2) is therefore in order
+      as enumerated, i then j, and its pos is range(n).
     - Grades fed by several pairs are filled by one walk over v's slots
-      in word order, which takes one sort of v's own words (those at the
+      in code order, which takes one sort of v's own codes (those at the
       grades feeding such a grade).  The walk visits maximal runs of
       consecutive slots of one grade g1; for each g2 with h = g1.g2 fed
-      by several pairs, a run appends its words times w.layout[g2] to h,
-      i then j.  Within h the runs arrive in increasing w1, with no tie:
-      two left slots with equal words never feed the same grade.  Equal
-      words at different grades contain no atomic letter (that letter
-      would fix the grade), so they sit at identity grades e != e', and
-      e.g2 = e'.g2' = h forces e = e' = source(h).  A pair's pos is
+      by several pairs, a run appends its codes times w.layout[g2] to h,
+      i then j.  Within h the runs arrive in increasing left code, with no
+      tie: two left slots with equal words never feed the same grade.
+      Equal words at different grades contain no atomic letter (that
+      letter would fix the grade), so they sit at identity grades e != e',
+      and e.g2 = e'.g2' = h forces e = e' = source(h).  A pair's pos is
       range(k, k + n) when its left grade is a single run, and otherwise
       the concatenation of its runs' ranges.
 
     Grades, and pairs within a grade, keep the order in which the loop
     over (g1, g2) first meets them.
 
-    The result depends only on the groupoid and the two layouts, so it is
-    remembered under exactly those (object equality compares multiplicities
-    only, and objects with equal multiplicities can lay out different
-    words).  At most _LAYOUT_MEMO_SIZE results are kept; the memo is
-    emptied when full.  Callers share the returned object and pos
-    sequences and must not mutate them."""
+    The result depends only on the groupoid and the two coded layouts,
+    sequences included, so it is remembered under exactly those (object
+    equality compares multiplicities only, and objects with equal
+    multiplicities can lay out different words).  At most
+    _LAYOUT_MEMO_SIZE results are kept; the memo is emptied when full.
+    Callers share the returned object and pos sequences and must not
+    mutate them."""
     cat = _same_cat(v, w)
-    key = (cat, tuple(v.layout.items()), tuple(w.layout.items()))
+    vl, wl = v.layout, w.layout
+    key = (cat, v.seq, tuple(vl.items()), w.seq, tuple(wl.items()))
     hit = _layout_memo.get(key)
     if hit is not None:
         return hit
-    vl, wl = v.layout, w.layout
+    r = radix(w.seq)
     feeds = {}
     for g1 in vl:
         row = cat.compose_table[g1]
@@ -272,25 +319,26 @@ def _tensor_layout(v, w):
     for h, pairs in feeds.items():
         if len(pairs) == 1:
             pair = pairs[0]
-            ws2 = wl[pair[1]]
-            layout[h] = tuple([w1 + w2 for w1 in vl[pair[0]] for w2 in ws2])
+            cs2 = wl[pair[1]]
+            layout[h] = tuple([c1 * r + c2 for c1 in vl[pair[0]]
+                               for c2 in cs2])
             pos[h] = {pair: range(len(layout[h]))}
             continue
-        words = layout[h] = []
+        codes = layout[h] = []
         per = pos[h] = dict.fromkeys(pairs)
         for pair in pairs:
             targets.setdefault(pair[0], []).append(
-                (wl[pair[1]], words, per, pair))
+                (wl[pair[1]], codes, per, pair))
     if targets:
-        slots = sorted([(w1, g1) for g1 in targets for w1 in vl[g1]])
+        slots = sorted([(c1, g1) for g1 in targets for c1 in vl[g1]])
         for g1, run in groupby(slots, itemgetter(1)):
-            run = [w1 for w1, _ in run]
-            for ws2, words, per, pair in targets[g1]:
-                k = len(words)
-                for w1 in run:
-                    for w2 in ws2:
-                        words.append(w1 + w2)
-                span = range(k, len(words))
+            run = [c1 * r for c1, _ in run]
+            for cs2, codes, per, pair in targets[g1]:
+                k = len(codes)
+                for b in run:
+                    for c2 in cs2:
+                        codes.append(b + c2)
+                span = range(k, len(codes))
                 got = per[pair]
                 if got is None:
                     per[pair] = span
@@ -298,11 +346,12 @@ def _tensor_layout(v, w):
                     per[pair] = [*got, *span]
                 else:
                     got += span
-        for h, words in layout.items():
-            if type(words) is list:
-                layout[h] = tuple(words)
-    mult = {h: len(ws) for h, ws in layout.items()}
-    out = GradedObject._of(cat, mult, layout), pos
+        for h, codes in layout.items():
+            if type(codes) is list:
+                layout[h] = tuple(codes)
+    mult = {h: len(cs) for h, cs in layout.items()}
+    out = GradedObject._of(cat, mult, v.seq + w.seq if mult else (),
+                           layout), pos
     if len(_layout_memo) >= _LAYOUT_MEMO_SIZE:
         _layout_memo.clear()
     _layout_memo[key] = out
@@ -329,34 +378,50 @@ def tensor_mult(v, w):
     return out
 
 
+def _summand_part(v):
+    """(seq, distinct codes in increasing order) of v, as a sum alphabet
+    holds a summand; an object without slots has the empty sequence."""
+    codes = tuple(sorted({c for cs in v.layout.values() for c in cs}))
+    return (v.seq if codes else ()), codes
+
+
 def direct_sum_obj(v, w):
     cat = _same_cat(v, w)
+    seq_v, codes_v = _summand_part(v)
+    seq_w, codes_w = _summand_part(w)
+    n = len(codes_v)
+    alpha = alphabet(cat, 1, (seq_v, codes_v, seq_w, codes_w),
+                      n + len(codes_w))
+    rank_v = {c: r for r, c in enumerate(codes_v)}
+    rank_w = {c: n + r for r, c in enumerate(codes_w)}
     mult, layout = {}, {}
     for g in set(v.mult) | set(w.mult):
-        words = [((1, 0, word),) for word in v.layout.get(g, ())] \
-            + [((1, 1, word),) for word in w.layout.get(g, ())]
-        layout[g] = tuple(words)  # side tag keeps this sorted
-        mult[g] = len(words)
-    return GradedObject._of(cat, mult, layout)
+        codes = [rank_v[c] for c in v.layout.get(g, ())] \
+            + [rank_w[c] for c in w.layout.get(g, ())]
+        layout[g] = tuple(codes)  # side 0 ranks first keeps this sorted
+        mult[g] = len(codes)
+    return GradedObject._of(cat, mult, (alpha,) if mult else (), layout)
 
 
 def _dual_layout(v):
     """(dual of v, rank): rank[g][i] is the position, within grade inv(g)
-    of the dual, of the starred word of slot i of v at grade g."""
+    of the dual, of the starred word of slot i of v at grade g.  Each
+    alphabet of v is starred once (slotcodes._star, cached on the
+    alphabet), and each grade of more than one slot takes one sort of its
+    starred codes."""
     cat = v.cat
     inv = cat.inverse_of
-    table = {}
+    sseq, starred = starrer(cat, v.seq)
     mult, layout, rank = {}, {}, {}
     for g in v.mult:
-        starred = _star_words(cat, v.layout[g], table)
-        order = sorted(range(len(starred)), key=starred.__getitem__)
-        layout[inv[g]] = tuple(map(starred.__getitem__, order))
-        mult[inv[g]] = len(order)
-        r = [0] * len(order)
-        for p, i in enumerate(order):
-            r[i] = p
-        rank[g] = r
-    return GradedObject._of(cat, mult, layout), rank
+        codes = starred(v.layout[g])
+        h = inv[g]
+        mult[h] = len(codes)
+        if len(codes) == 1:
+            rank[g], layout[h] = [0], tuple(codes)
+        else:
+            rank[g], layout[h] = ranks(codes)
+    return GradedObject._of(cat, mult, sseq, layout), rank
 
 
 def dual_obj(v):
@@ -364,8 +429,12 @@ def dual_obj(v):
 
 
 def restrict_grades(v, grades):
+    """v's slots at the given grades, with their words and codes over v's
+    factor sequence; with no slot left, over the empty sequence, as every
+    object without slots is."""
     keep = {g: m for g, m in v.mult.items() if g in grades}
-    return GradedObject._of(v.cat, keep, {g: v.layout[g] for g in keep})
+    return GradedObject._of(v.cat, keep, v.seq if keep else (),
+                            {g: v.layout[g] for g in keep})
 
 
 def unit_summand(cat, objs):
@@ -512,9 +581,16 @@ def _same_slots(v, w):
     """Whether v and w lay out the same words with their grades in the same
     order, so that their tensor products enumerate alike.  Layout dict
     equality alone ignores the grade order, which the product's grade
-    order follows (see _tensor_layout)."""
-    return v.layout is w.layout or (
-        tuple(v.layout.items()) == tuple(w.layout.items()))
+    order follows (see _tensor_layout).  Over one sequence codes agree
+    exactly where words agree, so they are compared directly; across two
+    sequences the words are compared, once the grades and their sizes
+    agree."""
+    vl, wl = v.layout, w.layout
+    if v.seq == w.seq:
+        return vl is wl or tuple(vl.items()) == tuple(wl.items())
+    return ([*vl] == [*wl] and [*map(len, vl.values())]
+            == [*map(len, wl.values())]
+            and tuple(_words(v).items()) == tuple(_words(w).items()))
 
 
 def tensor_mor(f, h):
@@ -652,7 +728,7 @@ def kernel(f):
         if k.cols:
             mult[g] = k.cols
             blocks[g] = k
-    ker = GradedObject._of(f.source.cat, mult, _atomic_layout(mult))
+    ker = _atomic_object(f.source.cat, mult)
     return ker, GradedMorphism._of(ker, f.source, blocks)
 
 
@@ -668,7 +744,7 @@ def cokernel(f):
         if q.rows:
             mult[g] = q.rows
             blocks[g] = q
-    cok = GradedObject._of(f.target.cat, mult, _atomic_layout(mult))
+    cok = _atomic_object(f.target.cat, mult)
     return cok, GradedMorphism._of(f.target, cok, blocks)
 
 
@@ -687,7 +763,7 @@ def image_factorization(f):
         mult[g] = rank
         phi[g] = b.columns(pivots)
         psi[g] = Matrix._of(rank, b.cols, r.sparse[:rank])
-    img = GradedObject._of(f.source.cat, mult, _atomic_layout(mult))
+    img = _atomic_object(f.source.cat, mult)
     return (GradedMorphism._of(f.source, img, psi),
             GradedMorphism._of(img, f.target, phi))
 
@@ -864,7 +940,8 @@ def _blocks_from_spec(doc):
 
 def object_from_spec(cat, doc):
     """Keys of doc["mult"] are grade keys (see _grade_key); values must be
-    JSON integers (a bool, a float or a numeric string is a SpecError)."""
+    JSON integers (a bool, a float or a numeric string is a SpecError),
+    and add up to at most MAX_TOTAL_MULT."""
     try:
         raw = doc["mult"]
         mult = {_grade_key(g): _spec_ints(raw, g, 0, nullable=False)
@@ -874,6 +951,9 @@ def object_from_spec(cat, doc):
         raise SpecError("bad object spec: %s" % exc) from exc
     if any(m < 0 for m in mult.values()):
         raise SpecError("negative multiplicity")
+    if sum(mult.values()) > MAX_TOTAL_MULT:
+        raise SpecError("total multiplicity %d is more than the %d taken"
+                        % (sum(mult.values()), MAX_TOTAL_MULT))
     if any(not (0 <= g < cat.morphism_count) for g in mult):
         raise SpecError("grade out of range")
     return graded_object(cat, mult)
@@ -886,6 +966,13 @@ def morphism_to_spec(f):
 
 
 def morphism_from_spec(cat, doc):
+    """A doc that is not a JSON object, or that lacks "source" or
+    "target", is a SpecError, as a bad object spec is."""
+    if not isinstance(doc, dict):
+        raise SpecError("morphism spec must be an object")
+    for key in ("source", "target"):
+        if key not in doc:
+            raise SpecError("morphism spec has no %r" % key)
     source = object_from_spec(cat, doc["source"])
     target = object_from_spec(cat, doc["target"])
     try:

@@ -189,6 +189,23 @@ def test_reverify_witness_rejects_swapped_morphisms():
         reverify_witness(cat, 1, rep["conditions"]["1"]["witness"])
 
 
+def test_reverify_witness_bad_documents_are_spec_errors():
+    """A witness that is not an object, or lacks a key its condition
+    reads, is a SpecError; {"morphism": {}} for condition 6 raised
+    KeyError: 'spec'."""
+    cat = load_fixture("vec_z2")
+    alg = {"gen": "unit_summand", "i": 0}
+    idspec = morphism_to_spec(identity_mor(unit_object(cat)))
+    for cond, witness in ((6, {"morphism": {}}), (6, []), (6, None),
+                          (3, {"spec": alg}), (6, {"spec": alg}),
+                          (6, {"spec": alg, "morphism": {}}),
+                          (4, {"spec": alg, "morphism": idspec}),
+                          (12, {"spec": alg, "morphism": idspec}),
+                          (13, {"dual_of": alg, "morphism": idspec})):
+        with pytest.raises(SpecError):
+            reverify_witness(cat, cond, witness)
+
+
 def test_report_structural_section():
     rep = run_audit(load_fixture("pair2"), seed=1)
     s = rep["structural"]
@@ -487,6 +504,33 @@ def test_cli_coerced_generator_spec_exits_2(tmp_path, doc):
                     "--algebra", str(alg)], tmp_path)
     assert res.returncode == 2, res.stderr
     assert "input error" in res.stderr
+
+
+def test_oversized_specs_exit_2(tmp_path, capsys):
+    """One morphism or one multiplicity unit over its cap is an input
+    error, exit 2, for the groupoid spec, an internal_end generator's
+    object and a witness's morphism; run in process."""
+    from fusionaudit import groupoid
+    from fusionaudit.gvec import MAX_TOTAL_MULT, object_from_spec
+    cat = tmp_path / "cat.json"
+    cat.write_text(json.dumps({"kind": "group",
+                               "table": [[0]] * (groupoid.MAX_MORPHISMS + 1)}))
+    assert cli.main(["audit", "--category", str(cat)]) == 2
+    assert "more than the %d" % groupoid.MAX_MORPHISMS \
+        in capsys.readouterr().err
+    z2 = load_fixture("vec_z2")
+    cat.write_text(json.dumps(fixture_spec("vec_z2")))
+    alg = tmp_path / "alg.json"
+    big = {"mult": {"0": MAX_TOTAL_MULT, "1": 1}}
+    alg.write_text(json.dumps({"gen": "internal_end", "object": big}))
+    assert cli.main(["check-algebra", "--category", str(cat),
+                     "--algebra", str(alg)]) == 2
+    assert "more than the %d" % MAX_TOTAL_MULT in capsys.readouterr().err
+    with pytest.raises(SpecError, match="total multiplicity"):
+        reverify_witness(z2, 6, {"spec": {"gen": "unit_summand", "i": 0},
+                                 "morphism": {"source": big, "target": big}})
+    assert object_from_spec(z2, {"mult": {"0": MAX_TOTAL_MULT}}).mult \
+        == {0: MAX_TOTAL_MULT}
 
 
 def test_cli_internal_error_exits_4(tmp_path, monkeypatch, capsys):

@@ -242,3 +242,27 @@ def test_groupoid_equality_is_structural():
     assert make_group(Z2) == groupoid_from_spec({"kind": "group", "table": Z2})
     assert make_group(Z2) != make_group([[0]])
     assert hash(make_pair_groupoid(2)) == hash(make_pair_groupoid(2))
+
+
+def test_spec_morphism_count_is_capped():
+    """A spec declaring one morphism more than MAX_MORPHISMS is a SpecError
+    before any table is built or scanned; S6 (720) is under the cap and
+    S7 (5040) over it.  The over-cap specs repeat one small row, so they
+    allocate nothing large."""
+    cap = groupoid.MAX_MORPHISMS
+    assert 720 <= cap < 5040
+    over = cap + 1
+    pair1 = {"kind": "pair", "objects": 1}
+    for spec in ({"kind": "group", "table": [[0]] * over},
+                 {"kind": "explicit", "objects": 1,
+                  "morphisms": [[0, 0]] * over, "identities": [0],
+                  "inverses": [0], "compose": [[0]]},
+                 {"kind": "pair", "objects": 33},
+                 {"kind": "union", "parts": [pair1] * over}):
+        with pytest.raises(SpecError, match="more than the %d" % cap):
+            groupoid_from_spec(spec)
+    # at the cap the count passes, and the table's own faults are named
+    with pytest.raises(GroupoidError):
+        groupoid_from_spec({"kind": "group", "table": [[0]] * cap})
+    assert groupoid_from_spec(
+        {"kind": "union", "parts": [pair1] * 3}).morphism_count == 3

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _small_groupoids, symmetric_group_spec
-from fusionaudit import gvec
+from fusionaudit import gvec, slotcodes
 from fusionaudit.audit import run_audit
 from fusionaudit.corpus import (
     algebra_corpus, random_morphism, random_object)
@@ -19,7 +19,8 @@ from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
 from fusionaudit.functors import ProjectionFunctor
 from fusionaudit.groupoid import groupoid_from_spec
 from fusionaudit.gvec import (
-    GradedMorphism, GradedObject, _same_cat, _tensor_layout, compose, cokernel,
+    GradedMorphism, GradedObject, _same_cat, _same_slots, _tensor_layout,
+    _words, compose, cokernel,
     direct_sum_obj, direct_sum_with_maps, dual_morphism, dual_obj,
     graded_object, hom_basis, identity_mor, image_factorization, is_epi,
     is_iso, is_mono, kernel, left_dual, morphism_from_spec, morphism_to_spec,
@@ -39,16 +40,27 @@ CATS = [Z2, S3, P2, P3, U22]
 S4 = groupoid_from_spec(symmetric_group_spec(4, 1))
 
 
+def words(v):
+    """v's slot words per grade, in layout order."""
+    return list(_words(v).items())
+
+
 def check_layout(v):
-    """Structural invariants of the slot-word bookkeeping."""
-    lengths = set()
+    """Structural invariants of the slot codes and of the words they stand
+    for: per grade a strictly increasing tuple of codes below the radix of
+    the factor sequence, whose words are strictly increasing too and all
+    as long as the sequence."""
+    assert v.layout.keys() == v.mult.keys()
+    radix = slotcodes.radix(v.seq)
+    ws = _words(v)
+    assert list(ws) == list(v.layout)
     for g, m in v.mult.items():
-        words = v.layout[g]
-        assert len(words) == m
-        assert list(words) == sorted(words)
-        assert len(set(words)) == m
-        lengths.update(len(w) for w in words)
-    assert len(lengths) <= 1
+        codes = v.layout[g]
+        assert type(codes) is tuple and len(codes) == m
+        assert list(codes) == sorted(set(codes))
+        assert all(type(c) is int and 0 <= c < radix for c in codes)
+        assert list(ws[g]) == sorted(set(ws[g]))
+        assert all(len(w) == len(v.seq) for w in ws[g])
 
 
 def test_tensor_multiplicities_z2():
@@ -73,12 +85,13 @@ def test_unit_laws_are_identities():
     for cat in CATS:
         unit = unit_object(cat)
         assert tensor_obj(unit, unit) == unit
-        assert tensor_obj(unit, unit).layout == unit.layout
+        assert _words(tensor_obj(unit, unit)) == _words(unit)
         for _ in range(5):
             v = random_object(cat, rng)
             for prod in (tensor_obj(unit, v), tensor_obj(v, unit)):
                 assert prod == v
-                assert prod.layout == v.layout
+                assert _words(prod) == _words(v)
+                assert prod.seq == v.seq and prod.layout == v.layout
             w = random_object(cat, rng)
             f = random_morphism(v, w, rng)
             uid = identity_mor(unit)
@@ -95,6 +108,8 @@ def test_tensor_associative_on_objects_and_morphisms():
             lhs_obj = tensor_obj(tensor_obj(v[0], v[1]), v[2])
             rhs_obj = tensor_obj(v[0], tensor_obj(v[1], v[2]))
             assert lhs_obj == rhs_obj
+            assert _words(lhs_obj) == _words(rhs_obj)
+            assert lhs_obj.seq == rhs_obj.seq
             assert lhs_obj.layout == rhs_obj.layout
             check_layout(lhs_obj)
             f = [random_morphism(v[i], w[i], rng) for i in range(3)]
@@ -216,15 +231,15 @@ def test_dual_strictness_on_objects():
     for cat in CATS:
         unit = unit_object(cat)
         du = dual_obj(unit)
-        assert du == unit and du.layout == unit.layout
+        assert du == unit and _words(du) == _words(unit)
         for _ in range(5):
             v = random_object(cat, rng)
             w = random_object(cat, rng)
             dd = dual_obj(dual_obj(v))
-            assert dd == v and dd.layout == v.layout
+            assert dd == v and _words(dd) == _words(v)
             lhs = dual_obj(tensor_obj(v, w))
             rhs = tensor_obj(dual_obj(w), dual_obj(v))
-            assert lhs == rhs and lhs.layout == rhs.layout
+            assert lhs == rhs and _words(lhs) == _words(rhs)
 
 
 def test_dual_morphism_contravariant_functor():
@@ -325,11 +340,11 @@ def test_unit_summand_acts_as_graded_restriction():
         left = tensor_obj(one_j, x)
         keep_src = {g for g in x.mult if P3.morphisms[g][0] in {0, 2}}
         expect = restrict_grades(x, keep_src)
-        assert left == expect and left.layout == expect.layout
+        assert left == expect and _words(left) == _words(expect)
         right = tensor_obj(x, one_j)
         keep_tgt = {g for g in x.mult if P3.morphisms[g][1] in {0, 2}}
         expect = restrict_grades(x, keep_tgt)
-        assert right == expect and right.layout == expect.layout
+        assert right == expect and _words(right) == _words(expect)
     assert tensor_obj(one_j, one_j) == one_j
 
 
@@ -404,6 +419,11 @@ def test_morphism_spec_roundtrip():
             morphism_from_spec(Z2, doc)
     with pytest.raises(SpecError, match="canonical"):
         object_from_spec(Z2, {"mult": {"1": 2, "01": 3}})
+    # a missing endpoint or a document that is not an object raised
+    # KeyError or TypeError
+    for doc in ({}, {"source": one}, {"target": one}, [], None, "source"):
+        with pytest.raises(SpecError):
+            morphism_from_spec(Z2, doc)
     assert object_from_spec(Z2, {"mult": {"1": 2, "0": 3}}).mult \
         == {0: 3, 1: 2}
 
@@ -459,7 +479,7 @@ def test_object_boundary_validates_slot_words():
     with pytest.raises(ShapeError):
         GradedObject(Z2, {0: 1, 1: 1}, {0: (a,), 1: (((0, 1, 0),) * 2,)})
     v = GradedObject(Z2, {0: 2}, {0: (a, b)})
-    assert tensor_obj(v, v).layout[0] == (a + a, a + b, b + a, b + b)
+    assert _words(tensor_obj(v, v))[0] == (a + a, a + b, b + a, b + b)
 
 
 def test_layout_grades_must_match_multiplicities():
@@ -482,9 +502,9 @@ def _check_revalidates(x):
     its normalisation changes nothing; every block is in canonical sparse
     form."""
     if isinstance(x, GradedObject):
-        y = GradedObject(x.cat, dict(x.mult), dict(x.layout))
+        y = GradedObject(x.cat, dict(x.mult), _words(x))
         assert list(y.mult.items()) == list(x.mult.items())
-        assert list(y.layout) == list(x.layout)
+        assert words(y) == words(x)
         check_layout(x)
         return
     _check_revalidates(x.source)
@@ -564,7 +584,7 @@ def test_hot_producers_skip_validation(monkeypatch):
              dual_morphism(f), rj.phi(match), rj.psi(match)]
     assert calls == []
     assert not any(built[i].is_zero() for i in (0, 1, 3, 4, 5))
-    graded_object(P3, {0: 1})
+    GradedObject(P3, {0: 1}, {0: (((0, 0, 0),),)})
     GradedMorphism(x, x, {})
     assert calls == ["init", "normalize"]
 
@@ -592,16 +612,17 @@ def test_layout_invariants_everywhere():
 
 def _dense_tensor_obj(v, w):
     cat = _same_cat(v, w)
+    vl, wl = _words(v), _words(w)
     layout = {}
     for g1 in v.mult:
-        ws1 = v.layout[g1]
+        ws1 = vl[g1]
         row = cat.compose_table[g1]
         for g2 in w.mult:
             h = row[g2]
             if h is None:
                 continue
             layout.setdefault(h, []).extend(
-                w1 + w2 for w1 in ws1 for w2 in w.layout[g2])
+                w1 + w2 for w1 in ws1 for w2 in wl[g2])
     layout = {h: tuple(sorted(ws)) for h, ws in layout.items()}
     return GradedObject(cat, {h: len(ws) for h, ws in layout.items()}, layout)
 
@@ -610,6 +631,7 @@ def _dense_tensor_slots(v, w):
     """Per grade: slot metadata (word, g1, i, g2, j) of v (x) w, in slot
     order (sorted by word)."""
     cat = _same_cat(v, w)
+    vl, wl = _words(v), _words(w)
     per = {}
     for g1 in v.mult:
         row = cat.compose_table[g1]
@@ -618,8 +640,8 @@ def _dense_tensor_slots(v, w):
             if h is None:
                 continue
             dst = per.setdefault(h, [])
-            for i, w1 in enumerate(v.layout[g1]):
-                for j, w2 in enumerate(w.layout[g2]):
+            for i, w1 in enumerate(vl[g1]):
+                for j, w2 in enumerate(wl[g2]):
                     dst.append((w1 + w2, g1, i, g2, j))
     for h in per:
         per[h].sort(key=lambda t: t[0])
@@ -666,9 +688,9 @@ def _assert_same_tensor(f, h):
     for side in ("source", "target"):
         a, b = getattr(got, side), getattr(ref, side)
         assert list(a.mult.items()) == list(b.mult.items())
-        assert a.layout == b.layout
+        assert _words(a) == _words(b)
     obj = tensor_obj(f.source, h.source)
-    assert obj == ref.source and obj.layout == ref.source.layout
+    assert obj == ref.source and _words(obj) == _words(ref.source)
 
 
 def _differential_factors(cat, rng):
@@ -744,7 +766,7 @@ def test_tensor_mor_keeps_target_grade_order():
     f (x) h keeps the grade order that tensor_obj gives it."""
     v = graded_object(S3, {2: 1, 1: 1})
     w = graded_object(S3, {1: 1, 2: 1})
-    assert v.layout == w.layout and list(v.layout) != list(w.layout)
+    assert _words(v) == _words(w) and list(v.layout) != list(w.layout)
     swap = GradedMorphism(v, w, {1: Matrix.identity(1),
                                  2: Matrix.identity(1)})
     unit = identity_mor(unit_object(S3))
@@ -760,11 +782,11 @@ def test_layout_memo_keys_on_slot_words(monkeypatch):
     its square interleave the other way round."""
     atomic = graded_object(Z2, {0: 1, 1: 1})
     product = tensor_obj(simple_object(Z2, 1), atomic)
-    assert product == atomic and product.layout != atomic.layout
+    assert product == atomic and _words(product) != _words(atomic)
     fresh = {}
     for v in (atomic, product):
         monkeypatch.setattr(gvec, "_layout_memo", {})
-        fresh[v.layout[0]] = _tensor_layout(v, v)
+        fresh[id(v)] = _tensor_layout(v, v)
     monkeypatch.setattr(gvec, "_layout_memo", {})
     def lists(pos):
         return {h: {pair: list(slots) for pair, slots in per.items()}
@@ -772,14 +794,12 @@ def test_layout_memo_keys_on_slot_words(monkeypatch):
 
     for v in (atomic, product, atomic, product):
         obj, pos = _tensor_layout(v, v)
-        ref_obj, ref_pos = fresh[v.layout[0]]
-        assert obj.layout == ref_obj.layout and lists(pos) == lists(ref_pos)
-        assert set(obj.layout[0]) == {v.layout[0][0] * 2,
-                                      v.layout[1][0] * 2}
-    assert lists(fresh[atomic.layout[0]][1])[0] == {(0, 0): [0],
-                                                    (1, 1): [1]}
-    assert lists(fresh[product.layout[0]][1])[0] == {(0, 0): [1],
-                                                     (1, 1): [0]}
+        ref_obj, ref_pos = fresh[id(v)]
+        assert _words(obj) == _words(ref_obj) and lists(pos) == lists(ref_pos)
+        ws = _words(v)
+        assert set(_words(obj)[0]) == {ws[0][0] * 2, ws[1][0] * 2}
+    assert lists(fresh[id(atomic)][1])[0] == {(0, 0): [0], (1, 1): [1]}
+    assert lists(fresh[id(product)][1])[0] == {(0, 0): [1], (1, 1): [0]}
 
 
 # Reference oracle for _tensor_layout: the enumeration it replaced, kept
@@ -788,10 +808,17 @@ def test_layout_memo_keys_on_slot_words(monkeypatch):
 
 def _sorted_tensor_layout(v, w):
     cat = _same_cat(v, w)
+    layout, pos = _sorted_tensor_words(cat, _words(v), _words(w))
+    mult = {h: len(ws) for h, ws in layout.items()}
+    return GradedObject(cat, mult, layout), pos
+
+
+def _sorted_tensor_words(cat, vl, wl):
+    """The slot words of v (x) w and its pos, from v's and w's words."""
     words, starts = {}, {}
-    for g1, ws1 in v.layout.items():
+    for g1, ws1 in vl.items():
         row = cat.compose_table[g1]
-        for g2, ws2 in w.layout.items():
+        for g2, ws2 in wl.items():
             h = row[g2]
             if h is None:
                 continue
@@ -807,8 +834,7 @@ def _sorted_tensor_layout(v, w):
         for p, k in enumerate(order):
             rank[k] = p
         pos[h] = {(g1, g2): rank[k:k + n] for g1, g2, k, n in starts[h]}
-    mult = {h: len(ws) for h, ws in layout.items()}
-    return GradedObject(cat, mult, layout), pos
+    return layout, pos
 
 
 def _layout_objects(cat, rng):
@@ -836,7 +862,7 @@ def _assert_same_layout(v, w):
     obj, pos = _tensor_layout(v, w)
     ref, ref_pos = _sorted_tensor_layout(v, w)
     assert list(obj.mult.items()) == list(ref.mult.items())
-    assert list(obj.layout.items()) == list(ref.layout.items())
+    assert list(_words(obj).items()) == list(_words(ref).items())
     assert list(pos) == list(ref_pos)
     single = several = interleaved = split = 0
     for h, pairs in ref_pos.items():
@@ -946,7 +972,7 @@ def test_tensor_of_identities_builds_no_row(monkeypatch):
         assert built == []
         monkeypatch.undo()
         assert got.source is got.target
-        assert got.source.layout == vw.layout
+        assert _words(got.source) == _words(vw)
         assert got.blocks.keys() == vw.mult.keys()
         for g, b in got.blocks.items():
             assert b is Matrix.identity(vw.mult[g])
@@ -997,7 +1023,7 @@ def test_tensor_mor_enumerates_equal_layouts_once(monkeypatch):
         x = random_object(cat, rng, max_total=3)
         y = tensor_obj(random_object(cat, rng, max_total=2),
                        direct_sum_obj(x, unit_object(cat)))
-        twin = GradedObject(cat, dict(y.mult), dict(y.layout))
+        twin = GradedObject(cat, dict(y.mult), _words(y))
         other = tensor_obj(direct_sum_obj(x, unit_object(cat)), x)
         cases += [(random_morphism(x, x, rng), random_morphism(y, y, rng), 1),
                   (identity_mor(y), random_morphism(y, twin, rng), 1),
@@ -1018,34 +1044,35 @@ def test_tensor_mor_enumerates_equal_layouts_once(monkeypatch):
         assert got == _dense_tensor_mor(f, h)
 
 
-def _letters(words):
-    """Every distinct letter of words, those inside side tags included."""
-    out = set()
-    for w in words:
-        for l in w:
-            out.add(l)
-            if l[0] == 1:
-                out |= _letters((l[2],))
-    return out
-
-
 def _depth(word):
     return max((1 + _depth(l[2]) if l[0] == 1 else 1 for l in word),
                default=0)
 
 
+def _alphabets(seq):
+    """Every alphabet of seq, those inside sum alphabets included."""
+    out = []
+    for a in seq:
+        out.append(a)
+        if a.kind == 1:
+            out += _alphabets(a.parts[0]) + _alphabets(a.parts[2])
+    return out
+
+
 def test_dual_layout_stars_each_letter_once(monkeypatch):
     """_dual_layout equals the per-slot starring reference, and stars each
-    distinct letter of its object once, nested letters included."""
+    letter once: each alphabet of its object is starred once, nested ones
+    included, and a second dual of the same object stars nothing."""
     rng = random.Random(427)
     starred = []
-    original = gvec._star_letter
+    original = slotcodes._star
 
-    def counted(cat, letter, table):
-        starred.append(letter)
-        return original(cat, letter, table)
+    def counted(cat, a):
+        if a.star is None:
+            starred.append(a)
+        return original(cat, a)
 
-    monkeypatch.setattr(gvec, "_star_letter", counted)
+    monkeypatch.setattr(slotcodes, "_star", counted)
     deepest = 0
     for cat in CATS + [S4]:
         x = random_object(cat, rng, max_total=2)
@@ -1055,18 +1082,21 @@ def test_dual_layout_stars_each_letter_once(monkeypatch):
         for v in (x, s, nested, tensor_obj(nested, dual_obj(nested)),
                   dual_obj(tensor_obj(s, nested)),
                   direct_sum_obj(tensor_obj(y, nested), nested)):
-            starred.clear()
             got, rank = gvec._dual_layout(v)
-            words = [w for ws in v.layout.values() for w in ws]
-            assert sorted(starred) == sorted(_letters(words))
+            assert len(starred) == len(set(map(id, starred)))
+            assert all(a.star is not None for a in _alphabets(v.seq))
+            starred.clear()
+            assert gvec._dual_layout(v)[0].layout == got.layout
+            assert starred == []
             ref = _starred_dual_obj(v)
             assert list(got.mult.items()) == list(ref.mult.items())
-            assert got.layout == ref.layout
-            for g, ws in v.layout.items():
-                d = got.layout[cat.inverse_of[g]]
-                assert [d[p] for p in rank[g]] == [
+            assert _words(got) == _words(ref)
+            d = _words(got)
+            for g, ws in _words(v).items():
+                dg = d[cat.inverse_of[g]]
+                assert [dg[p] for p in rank[g]] == [
                     _reference_star_word(cat, w) for w in ws]
-            deepest = max([deepest] + [_depth(w) for w in words])
+                deepest = max([deepest] + [_depth(w) for w in ws])
     assert deepest >= 4
 
 
@@ -1104,8 +1134,9 @@ def _starred_dual_obj(v):
     cat = v.cat
     inv = cat.inverse_of
     mult = {inv[g]: m for g, m in v.mult.items()}
+    ws = _words(v)
     layout = {inv[g]: tuple(sorted(_reference_star_word(cat, w)
-                                   for w in v.layout[g]))
+                                   for w in ws[g]))
               for g in v.mult}
     return GradedObject(cat, mult, layout)
 
@@ -1123,13 +1154,13 @@ def _dense_dual_morphism(f):
         b = f.block(inv[g])
         if b is None:
             continue
-        src_pos = {w: i for i, w in enumerate(f.source.layout[inv[g]])}
-        tgt_pos = {w: i for i, w in enumerate(f.target.layout[inv[g]])}
+        src_pos = {w: i for i, w in enumerate(_words(f.source)[inv[g]])}
+        tgt_pos = {w: i for i, w in enumerate(_words(f.target)[inv[g]])}
         blocks[g] = Matrix.from_rows(
             [[b[tgt_pos[_reference_star_word(cat, wc)],
                 src_pos[_reference_star_word(cat, wr)]]
-              for wc in dt.layout[g]]
-             for wr in ds.layout[g]])
+              for wc in _words(dt)[g]]
+             for wr in _words(ds)[g]])
     return GradedMorphism(dt, ds, blocks)
 
 
@@ -1153,10 +1184,10 @@ def test_dual_morphism_matches_dense_reference():
         for f in _differential_factors(cat, rng) + _composite_sources(cat, rng):
             got, ref = dual_morphism(f), _dense_dual_morphism(f)
             assert got == ref
-            assert got.source.layout == ref.source.layout
-            assert got.target.layout == ref.target.layout
-            assert dual_obj(f.source).layout == ref.target.layout
-            for ws in f.source.layout.values():
+            assert _words(got.source) == _words(ref.source)
+            assert _words(got.target) == _words(ref.target)
+            assert _words(dual_obj(f.source)) == _words(ref.target)
+            for ws in _words(f.source).values():
                 lengths.update(map(len, ws))
                 tagged += any(l[0] == 1 for w in ws for l in w)
     assert 2 in lengths and tagged
@@ -1191,3 +1222,187 @@ def test_sparse_builders_read_no_dense_view(monkeypatch):
             built += len(hom_basis(f.source, f.target))
     assert built > 1000
     assert reads == []
+
+
+# Slot codes against word-form references.  Every reference below builds
+# words by the rules the module docstring states, from the reference words
+# of its operands, never from codes.
+
+def _ref_atomic(mult):
+    return {g: tuple(((0, g, a),) for a in range(m)) for g, m in mult.items()}
+
+
+def _ref_sum(vl, wl):
+    return {g: tuple(((1, 0, w),) for w in vl.get(g, ()))
+            + tuple(((1, 1, w),) for w in wl.get(g, ()))
+            for g in set(vl) | set(wl)}
+
+
+def _ref_dual(cat, vl):
+    """(words of the dual, rank) as _dual_layout returns them."""
+    layout, rank = {}, {}
+    for g, ws in vl.items():
+        starred = [_reference_star_word(cat, w) for w in ws]
+        order = sorted(range(len(starred)), key=starred.__getitem__)
+        layout[cat.inverse_of[g]] = tuple(starred[i] for i in order)
+        rank[g] = [order.index(i) for i in range(len(order))]
+    return layout, rank
+
+
+def _random_tree(cat, rng, depth, seen):
+    """(object, reference words) of a random expression: leaves are atomic
+    objects, possibly zero, the unit, and kernel and image objects; inner
+    nodes are tensor products, direct sums, duals and restrictions.  Each
+    node's codes are checked against its reference words, and each tensor
+    and dual also by its pos or rank, as the node is built.  seen counts
+    the node kinds."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.choice(("atomic", "unit", "kernel", "image"))
+        seen[kind] += 1
+        if kind == "atomic":
+            x = random_object(cat, rng, max_total=2, allow_zero=True)
+            return x, _ref_atomic(x.mult)
+        if kind == "unit":
+            return unit_object(cat), {e: ((),) for e in cat.identity_grades}
+        f = random_morphism(random_object(cat, rng, max_total=2),
+                            random_object(cat, rng, max_total=2), rng,
+                            zero_weight=1)
+        x = kernel(f)[0] if kind == "kernel" else \
+            image_factorization(f)[0].target
+        return x, _ref_atomic(x.mult)
+    a, al = _random_tree(cat, rng, depth - 1, seen)
+    ops = ["sum", "dual", "restrict"]
+    b, bl = _random_tree(cat, rng, depth - 1, seen)
+    if sum(gvec.tensor_mult(a, b).values()) <= 48:
+        ops.append("tensor")
+    op = rng.choice(ops)
+    seen[op] += 1
+    if op == "tensor":
+        gvec._layout_memo.clear()
+        v, pos = _tensor_layout(a, b)
+        ref, ref_pos = _sorted_tensor_words(cat, al, bl)
+        assert {h: {p: list(s) for p, s in per.items()}
+                for h, per in pos.items()} == ref_pos
+        assert [list(per) for per in pos.values()] \
+            == [list(per) for per in ref_pos.values()]
+    elif op == "sum":
+        v, ref = direct_sum_obj(a, b), _ref_sum(al, bl)
+    elif op == "dual":
+        v, rank = gvec._dual_layout(a)
+        ref, ref_rank = _ref_dual(cat, al)
+        assert rank == ref_rank
+    else:
+        grades = {g for g in range(cat.morphism_count) if rng.random() < 0.5}
+        v = restrict_grades(a, grades)
+        ref = {g: ws for g, ws in al.items() if g in grades}
+    assert words(v) == list(ref.items())
+    check_layout(v)
+    return v, ref
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_groupoids(), st.integers(0, 2**32 - 1))
+def test_slot_codes_match_word_references(cat, seed):
+    """Random expression trees: every node's words, grade order included,
+    each tensor's pos and each dual's rank equal the word-form references;
+    the public constructor codes a node's words to an object with the
+    same words; and tensor_mor and dual_morphism between nodes equal the
+    dense word-based references."""
+    rng = random.Random(seed)
+    seen = dict.fromkeys(("atomic", "unit", "kernel", "image", "tensor",
+                          "sum", "dual", "restrict"), 0)
+    nodes = [_random_tree(cat, rng, 3, seen) for _ in range(4)]
+    for v, ref in nodes:
+        again = GradedObject(cat, dict(v.mult), ref)
+        assert words(again) == list(ref.items()) and _same_slots(again, v)
+    objs = [v for v, _ in nodes]
+    for _ in range(4):
+        f = random_morphism(rng.choice(objs), rng.choice(objs), rng,
+                            zero_weight=1)
+        h = random_morphism(rng.choice(objs), rng.choice(objs), rng,
+                            zero_weight=1)
+        if sum(gvec.tensor_mult(f.source, h.source).values()) <= 64:
+            _assert_same_tensor(f, h)
+        assert dual_morphism(f) == _dense_dual_morphism(f)
+
+
+def test_slot_code_trees_reach_every_node_kind():
+    """The tree builder of the property test above reaches every kind of
+    node on the fixtures, so the property covers them all."""
+    rng = random.Random(431)
+    seen = dict.fromkeys(("atomic", "unit", "kernel", "image", "tensor",
+                          "sum", "dual", "restrict"), 0)
+    for cat in CATS:
+        for _ in range(6):
+            _random_tree(cat, rng, 3, seen)
+    assert all(seen.values()), seen
+
+
+def _word_rows(small, big):
+    """match's rows from words: the slot of big with each word of small."""
+    bw = _words(big)
+    return {h: [bw[h].index(w) for w in ws]
+            for h, ws in _words(small).items()}
+
+
+def test_projection_match_against_words():
+    """match(x, y) pairs each slot of R(x) (x) R(y) with the slot of
+    R(x (x) y) that has its word, comparing codes: both objects are coded
+    over x.seq + y.seq, for atomic x and y, products, sums, duals and the
+    unit alike, whether or not a grade of x lies outside J."""
+    rj = ProjectionFunctor(P3, {0, 2})
+    inside = [g for g in range(P3.morphism_count) if g in rj.grades]
+    outside = [g for g in range(P3.morphism_count) if g not in rj.grades]
+    a = graded_object(P3, {inside[0]: 2, outside[0]: 1, inside[1]: 1})
+    b = graded_object(P3, {g: 1 for g in range(P3.morphism_count)})
+    c = graded_object(P3, {inside[2]: 1, inside[0]: 1})
+    cases = [(a, b), (b, a), (c, c), (a, unit_object(P3)),
+             (tensor_obj(a, b), c), (direct_sum_obj(b, unit_object(P3)), a),
+             (dual_obj(tensor_obj(c, b)), direct_sum_obj(a, c))]
+    for x, y in cases:
+        small, big, rows = rj.match(x, y)
+        assert small.seq == big.seq == x.seq + y.seq
+        assert rows == _word_rows(small, big)
+        assert any(rows.values())
+    # slots of R(x (x) y) through an object outside J are left unmatched
+    small, big, rows = rj.match(b, b)
+    assert sum(map(len, rows.values())) < sum(big.mult.values())
+
+
+def test_same_slots_across_sequences():
+    """Equal words coded over different sequences are the same slots when
+    their grades come in the same order, and only then; words that differ
+    are not, whatever the sizes.  A comparison blind to grade order once
+    gave a tensor_mor target the source's grade order (see
+    test_tensor_mor_keeps_target_grade_order), so the grade order is
+    checked across sequences as well as within one."""
+    x = graded_object(S3, {1: 1, 2: 2, 4: 1})
+    d = dual_obj(dual_obj(tensor_obj(x, unit_object(S3))))
+    assert _words(d) == _words(x)
+    # a restriction of a non-atomic object keeps its wider alphabet
+    v = restrict_grades(d, {1, 2})
+    w = graded_object(S3, {1: 1, 2: 2})
+    assert v.seq != w.seq and _words(v) == _words(w)
+    assert list(v.layout) == list(w.layout)
+    assert _same_slots(v, w) and _same_slots(w, v)
+    # the same words with the grades in the other order
+    w2 = graded_object(S3, {2: 2, 1: 1})
+    assert _words(w2) == _words(v) and list(w2.layout) != list(v.layout)
+    assert not _same_slots(v, w2) and not _same_slots(w2, v)
+    # the public constructor codes words over the letters it is given
+    u = GradedObject(S3, {1: 1, 2: 2}, _words(v))
+    assert _same_slots(u, v) and _same_slots(u, w)
+    # same grades and sizes, other words
+    z = GradedObject(S3, {1: 1, 2: 2}, {1: (((0, 1, 1),),),
+                                        2: (((0, 2, 0),), ((0, 2, 1),))})
+    assert [*map(len, z.layout.values())] == [*map(len, w.layout.values())]
+    assert not _same_slots(z, w) and not _same_slots(w, z)
+    # tensor_mor shares one enumeration across the two sequences, and its
+    # target keeps the grade order tensor_obj gives
+    for src, tgt in ((v, w), (w, v), (v, w2)):
+        f = GradedMorphism(src, tgt, {1: Matrix.identity(1),
+                                      2: Matrix.identity(2)})
+        for h in (identity_mor(x), f):
+            _assert_same_tensor(f, h)
+            assert list(tensor_mor(f, h).target.layout) \
+                == list(tensor_obj(f.target, h.target).layout)

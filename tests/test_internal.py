@@ -152,6 +152,30 @@ def test_corpus_builds_each_groupoid_algebra_and_sum_once(monkeypatch):
                 assert len(built) == 1 and out[1] is out[2] is out[3]
 
 
+def test_corpus_builds_each_internal_end_once(monkeypatch):
+    # equal internal_end draws share one object: one internal_end per
+    # drawn object's slot codes, grade order included
+    ends = []
+    make_end = internal.internal_end
+
+    def end(x):
+        ends.append((x.seq, tuple(x.layout.items())))
+        return make_end(x)
+
+    monkeypatch.setattr(internal, "internal_end", end)
+    shared = 0
+    for cat in CATS + [VEC, S4]:
+        n = cat.object_count
+        for seed in range(1, 21):
+            del ends[:]
+            out = algebra_corpus(cat, random.Random(seed), internal_ends=3)
+            assert len(ends) == len(set(ends))
+            drawn = out[n + 3:n + 6]
+            assert len({id(a) for a in drawn}) == len(ends)
+            shared += len(ends) < 3
+    assert shared
+
+
 def test_corpus_draws_match_building_every_entry_anew():
     for cat in CATS + [VEC, S4]:
         for seed in range(1, 6):
