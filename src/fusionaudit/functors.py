@@ -513,13 +513,18 @@ class ProjectionFunctor:
         coded over the empty sequence, but then R(x) (x) R(y) has no slot
         either.)  The slots of R(x) (x) R(y) at h are some of those of
         R(x (x) y), whose codes are sorted, so each is found by
-        bisection."""
+        bisection.  A code that bisection does not find, which breaks that
+        argument, is a ConsistencyError."""
         small = tensor_obj(self.obj(x), self.obj(y))
         big = self.obj(tensor_obj(x, y))
         rows = {}
         for h, codes in small.layout.items():
             bcodes = big.layout[h]
-            rows[h] = [bisect_left(bcodes, c) for c in codes]
+            row = rows[h] = [bisect_left(bcodes, c) for c in codes]
+            if (row[-1] == len(bcodes)
+                    or tuple(map(bcodes.__getitem__, row)) != codes):
+                raise ConsistencyError("a slot of R(x) (x) R(y) at grade %d "
+                                       "is not a slot of R(x (x) y)" % h)
         return small, big, rows
 
     def phi(self, match):

@@ -32,7 +32,12 @@ MAX_MORPHISMS = 1024
 
 
 class Groupoid:
-    """Validated finite groupoid; immutable after construction."""
+    """Validated finite groupoid; immutable after construction.
+
+    slot_alphabets is the one mutable attribute: the table that hash-conses
+    the slot alphabets of objects over this groupoid (see slotcodes), not
+    part of the groupoid's identity.  It is bounded, so it stays small
+    however many audits reuse the groupoid."""
 
     def __init__(self, object_count, morphisms, identity_of, compose_table,
                  inverse_of, spec=None):
@@ -55,8 +60,6 @@ class Groupoid:
                     pairs[h].append((g1, g2))
         self.pairs_into = {h: tuple(ps) for h, ps in pairs.items()}
         self._hash = hash(self._key())
-        # gvec's hash-consed slot alphabets over this groupoid (see
-        # gvec._alphabet): a cache, not part of the groupoid's identity.
         self.slot_alphabets = {}
 
     # -- basic lookups ----------------------------------------------------

@@ -69,7 +69,7 @@ from .errors import CategoryMismatch, ShapeError, SpecError
 from .exactlin import Matrix, kernel_basis, parse_rat, rat_str
 from .groupoid import _spec_ints
 from .slotcodes import (
-    alphabet, atomic_alphabet, decode, encode, radix, ranks, starrer)
+    alphabet, decode, encode, radix, ranks, starrer)
 
 __all__ = [
     "GradedObject", "GradedMorphism",
@@ -89,11 +89,10 @@ __all__ = [
 _ONE = Fraction(1)
 
 # Largest total multiplicity of an object spec; more is a SpecError
-# (exit 2), raised before any slot is laid out.  Every carrier the corpus
-# builds at the default corpus size on a groupoid of at most
-# groupoid.MAX_MORPHISMS morphisms fits (the second direct sum can add the
-# first to itself: four groupoid algebras, 4 * 1024 slots), so every
-# witness of such an audit parses back.
+# (exit 2), raised before any slot is laid out.  A groupoid algebra has at
+# most groupoid.MAX_MORPHISMS (1024) slots, and internal.direct_sum_algebra
+# refuses a carrier over this cap, so every carrier an audit of a spec
+# groupoid builds, at any corpus size, fits, and every witness parses back.
 MAX_TOTAL_MULT = 4096
 
 
@@ -208,10 +207,8 @@ def _atomic_object(cat, mult):
     one atomic alphabet of mult.  mult becomes the object's own."""
     if not mult:
         return GradedObject._of(cat, mult, (), {})
-    # the lookup atomic_alphabet starts with, inlined: every random,
-    # kernel and image object comes through here
-    alpha = (cat.slot_alphabets.get((0, tuple(mult.items())))
-             or atomic_alphabet(cat, mult))
+    alpha = alphabet(cat, 0, tuple(sorted(mult.items())),
+                     sum(mult.values()))
     codes = alpha.codes
     return GradedObject._of(cat, mult, (alpha,),
                             {g: codes[g] for g in mult})
@@ -407,8 +404,7 @@ def _dual_layout(v):
     """(dual of v, rank): rank[g][i] is the position, within grade inv(g)
     of the dual, of the starred word of slot i of v at grade g.  Each
     alphabet of v is starred once (slotcodes._star, cached on the
-    alphabet), and each grade of more than one slot takes one sort of its
-    starred codes."""
+    alphabet), and each grade takes one sort of its starred codes."""
     cat = v.cat
     inv = cat.inverse_of
     sseq, starred = starrer(cat, v.seq)
@@ -417,10 +413,7 @@ def _dual_layout(v):
         codes = starred(v.layout[g])
         h = inv[g]
         mult[h] = len(codes)
-        if len(codes) == 1:
-            rank[g], layout[h] = [0], tuple(codes)
-        else:
-            rank[g], layout[h] = ranks(codes)
+        rank[g], layout[h] = ranks(codes)
     return GradedObject._of(cat, mult, sseq, layout), rank
 
 

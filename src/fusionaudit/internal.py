@@ -18,11 +18,12 @@ from .errors import ConsistencyError, ShapeError, SpecError
 from .exactlin import Matrix
 from .groupoid import _spec_ints
 from .gvec import (
-    GradedMorphism, GradedObject, _blocks_from_spec, _blocks_to_spec,
-    _tensor_layout, compose, dual_morphism, direct_sum_obj, graded_object,
-    identity_mor, left_dual, object_from_spec, object_to_spec,
+    MAX_TOTAL_MULT, GradedMorphism, GradedObject, _blocks_from_spec,
+    _blocks_to_spec, _tensor_layout, compose, dual_morphism, direct_sum_obj,
+    graded_object, identity_mor, left_dual, object_from_spec, object_to_spec,
     restrict_grades, restriction_inclusion, restriction_projection,
-    tensor_mor, tensor_mult, tensor_obj, unit_object, unit_summand)
+    tensor_mor, tensor_mult, tensor_obj, total_mult, unit_object,
+    unit_summand)
 
 __all__ = [
     "InternalAlgebra", "InternalCoalgebra",
@@ -298,8 +299,17 @@ def direct_sum_algebra(a, b):
     rows stay sorted: a word of s is a summand's word wrapped in one
     side-tagged letter, so two slots of s (x) s from one summand compare
     by their left factor words, then their right ones, as the summand's
-    own tensor square orders them."""
+    own tensor square orders them.
+
+    A carrier of more than gvec.MAX_TOTAL_MULT slots is a SpecError,
+    raised before anything is built: an object spec states at most that
+    many, so every carrier an audit builds, at any corpus size, can be
+    written into a witness and parsed back."""
     ca, cb = a.carrier, b.carrier
+    total = total_mult(ca) + total_mult(cb)
+    if total > MAX_TOTAL_MULT:
+        raise SpecError("direct sum carrier of %d slots is more than the %d "
+                        "an object spec takes" % (total, MAX_TOTAL_MULT))
     s = direct_sum_obj(ca, cb)
     sxs, pos = _tensor_layout(s, s)
     sides = ((a.mult.blocks, _summand_columns(ca, s, pos, {}), ca),

@@ -206,6 +206,52 @@ def test_reverify_witness_bad_documents_are_spec_errors():
             reverify_witness(cat, cond, witness)
 
 
+def test_corpus_carriers_fit_object_specs(monkeypatch):
+    """Every carrier an audit builds, at any corpus size, fits an object
+    spec, so each witness parses back: a direct sum of more than
+    gvec.MAX_TOTAL_MULT slots is a SpecError.  With the cap set to the
+    largest carrier of pair2's corpus at size 3 (a direct sum, as the
+    largest carrier always is), every corpus algebra and unit map parses
+    back from its spec and every witness reverifies; one slot less and
+    the audit is an input error."""
+    from fusionaudit import gvec, internal
+    cat = load_fixture("pair2")
+    corpus = algebra_corpus(cat, random.Random(1), internal_ends=3, sums=3)
+    top = max(gvec.total_mult(a.carrier) for a in corpus)
+    for mod in (gvec, internal):
+        monkeypatch.setattr(mod, "MAX_TOTAL_MULT", top)
+    for a in corpus:
+        assert algebra_from_spec(cat, algebra_to_spec(a)).carrier == a.carrier
+        assert morphism_from_spec(cat, morphism_to_spec(a.unit)) == a.unit
+    rep = run_audit(cat, seed=1, corpus_size=3)
+    witnesses = {k: rep["conditions"][str(k)]["witness"] for k in range(2, 16)}
+    assert all(witnesses.values())
+    for k, witness in witnesses.items():
+        assert reverify_witness(cat, k, witness), k
+    for mod in (gvec, internal):
+        monkeypatch.setattr(mod, "MAX_TOTAL_MULT", top - 1)
+    with pytest.raises(SpecError, match="direct sum carrier of %d" % top):
+        run_audit(cat, seed=1, corpus_size=3)
+
+
+def test_alphabet_table_stays_bounded_and_reports_hold(monkeypatch):
+    """A groupoid audited again and again keeps at most
+    slotcodes._TABLE_SIZE slot alphabets.  With the bound cut to 8 the
+    table is emptied many times within each audit, so equal alphabets are
+    often two objects, and the reports are still the ones a fresh
+    groupoid with the full bound writes."""
+    from fusionaudit import slotcodes
+    from fusionaudit.groupoid import groupoid_from_spec
+    spec = symmetric_group_spec(4, 1)
+    want = [run_audit(groupoid_from_spec(spec), seed=seed)
+            for seed in (1, 2)]
+    monkeypatch.setattr(slotcodes, "_TABLE_SIZE", 8)
+    cat = groupoid_from_spec(spec)
+    for seed in (1, 2):
+        assert run_audit(cat, seed=seed) == want[seed - 1]
+        assert 0 < len(cat.slot_alphabets) <= 8
+
+
 def test_report_structural_section():
     rep = run_audit(load_fixture("pair2"), seed=1)
     s = rep["structural"]

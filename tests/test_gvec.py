@@ -13,7 +13,7 @@ from fusionaudit import gvec, slotcodes
 from fusionaudit.audit import run_audit
 from fusionaudit.corpus import (
     algebra_corpus, random_morphism, random_object)
-from fusionaudit.errors import ShapeError, SpecError
+from fusionaudit.errors import ConsistencyError, ShapeError, SpecError
 from fusionaudit.exactlin import Matrix
 from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
 from fusionaudit.functors import ProjectionFunctor
@@ -1367,6 +1367,27 @@ def test_projection_match_against_words():
     # slots of R(x (x) y) through an object outside J are left unmatched
     small, big, rows = rj.match(b, b)
     assert sum(map(len, rows.values())) < sum(big.mult.values())
+
+
+@pytest.mark.parametrize("shift", [1, -10 ** 6])
+def test_projection_match_rejects_codes_it_cannot_find(shift):
+    """A code of R(x) (x) R(y) that R(x (x) y) lacks is a
+    ConsistencyError, not the slot bisection lands on: codes shifted by 1
+    land on a neighbour's slot, and codes shifted far down put every slot
+    past the end."""
+    class Shifted(ProjectionFunctor):
+        def obj(self, v):
+            r = super().obj(v)
+            if len(r.seq) < 2:  # R(x); only R(x (x) x) has two factors
+                return r
+            return GradedObject._of(r.cat, r.mult, r.seq,
+                                    {h: tuple(c + shift for c in cs)
+                                     for h, cs in r.layout.items()})
+
+    rj = Shifted(P3, {0, 2})
+    x = graded_object(P3, {g: 1 for g in range(P3.morphism_count)})
+    with pytest.raises(ConsistencyError, match="not a slot"):
+        rj.match(x, x)
 
 
 def test_same_slots_across_sequences():
