@@ -48,9 +48,10 @@ def algebra_corpus(cat, rng, internal_ends=2, sums=2):
     and multiplicities.
 
     Equal draws share one algebra object: a groupoid algebra is built once
-    per object set, an internal endomorphism algebra once per drawn object
-    (its slot codes, grade order included, which fix every step of the
-    build), and a direct sum once per pair of chosen entries, so
+    per object set, an internal endomorphism algebra once per drawn
+    object (its multiplicities in drawing order: an atomic object's
+    alphabet and ordered layout follow from them, and they fix every step
+    of the build), and a direct sum once per pair of chosen entries, so
     callers can decide a fact once per distinct object (by identity) and
     read it at every index that holds it.  The draws, and their order, are
     those of building every entry anew.  Callers must not mutate corpus
@@ -73,7 +74,7 @@ def algebra_corpus(cat, rng, internal_ends=2, sums=2):
     ends = {}
     for _ in range(internal_ends):
         x = random_object(cat, rng, max_total=2)
-        key = (x.seq, tuple(x.layout.items()))
+        key = tuple(x.mult.items())
         if key not in ends:
             ends[key] = internal_end(x)
         out.append(ends[key])

@@ -628,24 +628,24 @@ def frobenius_pair_check(cat, objs, rng, samples=6):
         inc = restriction_inclusion(a, rj.grades)
         proj = restriction_projection(a, rj.grades)
         # Hom(L b, a) = Hom_J(b, R a)
-        basis = hom_basis(b, a)
+        basis, restricted = hom_basis(b, a), hom_basis(b, ra)
         image = [rj.mor(f) for f in basis]
-        if len(basis) != len(hom_basis(b, ra)):
+        if len(basis) != len(restricted):
             return False
         for f, g in zip(basis, image):
             if compose(inc, g) != f:
                 return False
-        for g in hom_basis(b, ra):
+        for g in restricted:
             if rj.mor(compose(inc, g)) != g:
                 return False
         # Hom(a, L b) = Hom_J(R a, b)
-        basis = hom_basis(a, b)
-        if len(basis) != len(hom_basis(ra, b)):
+        basis, restricted = hom_basis(a, b), hom_basis(ra, b)
+        if len(basis) != len(restricted):
             return False
         for f in basis:
             if compose(rj.mor(f), proj) != f:
                 return False
-        for g in hom_basis(ra, b):
+        for g in restricted:
             if rj.mor(compose(g, proj)) != g:
                 return False
         # naturality of the first bijection in both arguments

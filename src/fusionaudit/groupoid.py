@@ -51,14 +51,6 @@ class Groupoid:
         self.spec = spec if spec is not None else self._explicit_spec()
         self._validate()
         self.identity_grades = tuple(sorted(self.identity_of))
-        # pairs_into[h] = all (g1, g2) with g1 then g2 == h, lexicographic
-        pairs = {h: [] for h in range(len(self.morphisms))}
-        for g1 in range(len(self.morphisms)):
-            for g2 in range(len(self.morphisms)):
-                h = self.compose_table[g1][g2]
-                if h is not None:
-                    pairs[h].append((g1, g2))
-        self.pairs_into = {h: tuple(ps) for h, ps in pairs.items()}
         self._hash = hash(self._key())
         self.slot_alphabets = {}
 

@@ -41,8 +41,9 @@ in code order (see _tensor_layout).  Multiplicities alone come from
 tensor_mult, with no slot enumerated.  One word set can be coded over
 different sequences (a restriction keeps its object's wider alphabets,
 and the public constructor codes each position over the letters it is
-given), so code comparisons across sequences go through the words
-(_same_slots); _words(v) expands codes back to words, the form the public
+given), so codes are compared only over one sequence: tensor_mor shares
+an enumeration only when the layout memo's keys, sequences included,
+agree.  _words(v) expands codes back to words, the form the public
 constructor takes.
 
 Object equality is equality of multiplicity maps (words are bookkeeping,
@@ -94,6 +95,18 @@ _ONE = Fraction(1)
 # refuses a carrier over this cap, so every carrier an audit of a spec
 # groupoid builds, at any corpus size, fits, and every witness parses back.
 MAX_TOTAL_MULT = 4096
+
+# Most slots in the largest tensor product that building an algebra from
+# a spec and validating it lay out: the carrier's tensor square or cube,
+# counted from multiplicities by internal.algebra_from_spec.  More is a
+# SpecError (exit 2), raised before any product is built; MAX_TOTAL_MULT
+# alone admits a 4096-slot carrier, whose cube has 68.7G slots.  The
+# largest count the test suite and the benchmark workloads parse is 512
+# (a pair2 algebra).  At the cap, check-algebra takes 0.2 s and 42 MB for
+# an explicit 64-slot carrier on the trivial group and 0.9 s and 81 MB for
+# the internal_end of 8 slots; just under it, 2.8 s and 105 MB for kG of
+# pair22 (a 234,256-slot cube), on a 2-vCPU Xeon.
+MAX_PRODUCT_SLOTS = 2 ** 18
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +265,16 @@ def _same_cat(*items):
 
 
 # Bound on the number of remembered slot enumerations (see _tensor_layout).
-# One S4 audit (element order from seed 1; audit seed 1, corpus 2, samples
-# 6; memo emptied first) makes 635 lookups, and 246 of its 268 repeated
-# keys hit.  Without the memo an S4 audit takes as long, but the six
-# fixtures at corpus 2 and samples 12 take ~4% longer (median of 30
-# interleaved pairs), so it stays; 128 entries gained nothing measurable
-# there.  At 64 the peak RSS of repeated S4 audits stays flat.
+# The memo also decides sharing: tensor_mor enumerates both sides once,
+# and takes its identity shortcut, exactly when both lookups return one
+# result, so without it neither would happen.  One S4 audit (element order
+# from seed 1; audit seed 1, corpus 2, samples 6; memo emptied first)
+# makes 845 lookups and 389 enumerations; 204 of the 456 hits are
+# tensor_mor's target lookup returning the source's result.  Without the
+# memo the six fixtures at corpus 2 and samples 12 took ~4% longer (median
+# of 30 interleaved pairs, before the memo decided sharing); 128 entries
+# gained nothing measurable there.  At 64 the peak RSS of repeated S4
+# audits stays flat.
 _LAYOUT_MEMO_SIZE = 64
 _layout_memo = {}
 
@@ -294,8 +311,9 @@ def _tensor_layout(v, w):
     The result depends only on the groupoid and the two coded layouts,
     sequences included, so it is remembered under exactly those (object
     equality compares multiplicities only, and objects with equal
-    multiplicities can lay out different words).  At most
-    _LAYOUT_MEMO_SIZE results are kept; the memo is emptied when full.
+    multiplicities can lay out different words).  Equal keys return one
+    object, and tensor_mor reads that as both sides enumerating alike.  At
+    most _LAYOUT_MEMO_SIZE results are kept; the memo is emptied when full.
     Callers share the returned object and pos sequences and must not
     mutate them."""
     cat = _same_cat(v, w)
@@ -363,10 +381,14 @@ def tensor_mult(v, w):
     """The multiplicities of v (x) w, tensor_obj(v, w).mult, read off the
     composition table without enumerating a slot: grade g1.g2 gets
     v.m(g1) * w.m(g2) from each composable pair."""
-    cat = _same_cat(v, w)
+    return _mult_product(_same_cat(v, w), v.mult, w.mult)
+
+
+def _mult_product(cat, vm, wm):
+    """tensor_mult on bare multiplicity maps vm and wm of cat."""
     out = {}
-    wm = w.mult.items()
-    for g1, m1 in v.mult.items():
+    wm = wm.items()
+    for g1, m1 in vm.items():
         row = cat.compose_table[g1]
         for g2, m2 in wm:
             h = row[g2]
@@ -570,22 +592,6 @@ def _interned_identity_blocks(f):
             and all(b.is_interned_identity() for b in f.blocks.values()))
 
 
-def _same_slots(v, w):
-    """Whether v and w lay out the same words with their grades in the same
-    order, so that their tensor products enumerate alike.  Layout dict
-    equality alone ignores the grade order, which the product's grade
-    order follows (see _tensor_layout).  Over one sequence codes agree
-    exactly where words agree, so they are compared directly; across two
-    sequences the words are compared, once the grades and their sizes
-    agree."""
-    vl, wl = v.layout, w.layout
-    if v.seq == w.seq:
-        return vl is wl or tuple(vl.items()) == tuple(wl.items())
-    return ([*vl] == [*wl] and [*map(len, vl.values())]
-            == [*map(len, wl.values())]
-            and tuple(_words(v).items()) == tuple(_words(w).items()))
-
-
 def tensor_mor(f, h):
     """f (x) h, built straight into sparse rows.
 
@@ -595,17 +601,18 @@ def tensor_mor(f, h):
     h's block only, so only pairs of non-zero factor entries are visited:
     a factor pair (g1, g2) costs nnz(f at g1) * nnz(h at g2) products, and
     a factor equal to 1 is not multiplied.  Each side's slots are
-    enumerated once (_tensor_layout), both sides by one enumeration when
-    each factor's target lays out the same words as its source, grade
-    order included (_same_slots), and each output grade's Matrix is built
-    before the next grade is filled.
+    enumerated through _tensor_layout, and both sides share one
+    enumeration exactly when its memo returns one result for both: each
+    factor's target has the same sequence and the same ordered layout as
+    its source.  Each output grade's Matrix is built before the next
+    grade is filled.
 
     Identities pass through without arithmetic.  Only the interned
     Matrix.identity counts; an equal hand-built block takes the general
     path, with the same result.
-    - When each factor's source and target lay out the same words and
-      every block of both is the identity, the product is identity_mor of
-      the product object, built with no row.
+    - When both sides share one enumeration and every block of both
+      factors is the identity, the product is identity_mor of the product
+      object, built with no row.
     - When one block of a factor pair is the identity, each output row is
       the other block's row re-indexed through pos: no product, no == 1
       test and no sort.  The re-indexed row is already sorted because
@@ -617,13 +624,11 @@ def tensor_mor(f, h):
       f's block, column ci sent to pos[ci * m + j], where m is
       h.source.m(g2)."""
     src, src_pos = _tensor_layout(f.source, h.source)
-    if (_same_slots(f.target, f.source)
-            and _same_slots(h.target, h.source)):
-        if _interned_identity_blocks(f) and _interned_identity_blocks(h):
-            return identity_mor(src)
-        tgt, tgt_pos = src, src_pos
-    else:
-        tgt, tgt_pos = _tensor_layout(f.target, h.target)
+    tgt, tgt_pos = _tensor_layout(f.target, h.target)
+    # Equal memo keys return one object; with no memo this never fires.
+    if (tgt is src and _interned_identity_blocks(f)
+            and _interned_identity_blocks(h)):
+        return identity_mor(src)
     fblocks, hblocks = f.blocks, h.blocks
     row_stride, col_stride = h.target.mult, h.source.mult
     blocks = {}

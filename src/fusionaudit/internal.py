@@ -7,7 +7,7 @@ Strictness makes every axiom a literal matrix equation, checked exactly.
 Serialization note: a multiplication block's columns index the slots of
 carrier (x) carrier, and that slot order depends on how the carrier was
 built.  The JSON form therefore fixes a canonical column order: composable
-grade pairs (g1, g2) as enumerated by the groupoid, slot pairs row-major
+grade pairs (g1, g2) sorted by enumeration index, slot pairs row-major
 within each.  For a carrier built atomically from a multiplicity map this
 is exactly the in-memory order, so parsing needs no permutation.
 """
@@ -18,12 +18,12 @@ from .errors import ConsistencyError, ShapeError, SpecError
 from .exactlin import Matrix
 from .groupoid import _spec_ints
 from .gvec import (
-    MAX_TOTAL_MULT, GradedMorphism, GradedObject, _blocks_from_spec,
-    _blocks_to_spec, _tensor_layout, compose, dual_morphism, direct_sum_obj,
-    graded_object, identity_mor, left_dual, object_from_spec, object_to_spec,
-    restrict_grades, restriction_inclusion, restriction_projection,
-    tensor_mor, tensor_mult, tensor_obj, total_mult, unit_object,
-    unit_summand)
+    MAX_PRODUCT_SLOTS, MAX_TOTAL_MULT, GradedMorphism, GradedObject,
+    _blocks_from_spec, _blocks_to_spec, _mult_product, _tensor_layout,
+    compose, dual_morphism, direct_sum_obj, graded_object, identity_mor,
+    left_dual, object_from_spec, object_to_spec, restrict_grades,
+    restriction_inclusion, restriction_projection, tensor_mor, tensor_mult,
+    tensor_obj, total_mult, unit_object, unit_summand)
 
 __all__ = [
     "InternalAlgebra", "InternalCoalgebra",
@@ -120,11 +120,12 @@ def _is_square(v, carrier):
 
 def _pair_columns(carrier):
     """Per grade of carrier (x) carrier: the memory position of every slot,
-    listed in canonical order (composable grade pairs as the groupoid
-    enumerates them, slot pairs row-major)."""
-    pairs_into = carrier.cat.pairs_into
+    listed in canonical order (composable grade pairs (g1, g2) sorted by
+    enumeration index, slot pairs row-major).  pos lists a grade's pairs
+    in the order the enumeration meets them, which follows the carrier's
+    grade order, so they are sorted here."""
     _, pos = _tensor_layout(carrier, carrier)
-    return {h: [p for pair in pairs_into[h] for p in per.get(pair, ())]
+    return {h: [p for pair in sorted(per) for p in per[pair]]
             for h, per in pos.items()}
 
 
@@ -414,8 +415,26 @@ def algebra_to_spec(a):
 _GENERATORS = ("unit_summand", "groupoid_algebra", "internal_end", "sum")
 
 
+def _require_products_fit(cat, mult):
+    """SpecError unless every tensor product that building an algebra on
+    a carrier of multiplicities mult and validating it lay out, at most
+    the carrier's tensor cube, has at most gvec.MAX_PRODUCT_SLOTS slots.
+    Counted from multiplicities, with no slot enumerated.  The square is
+    counted too: a cube can be smaller, when a grade of the square
+    composes with no carrier grade."""
+    square = _mult_product(cat, mult, mult)
+    most = max(sum(square.values()),
+               sum(_mult_product(cat, square, mult).values()))
+    if most > MAX_PRODUCT_SLOTS:
+        raise SpecError("the algebra's tensor products would lay out %d "
+                        "slots, more than the %d taken"
+                        % (most, MAX_PRODUCT_SLOTS))
+
+
 def algebra_from_spec(cat, doc):
-    """Parse the explicit form or a generator form."""
+    """Parse the explicit form or a generator form.  A carrier whose
+    tensor square or cube would have more than gvec.MAX_PRODUCT_SLOTS
+    slots is a SpecError, raised before any product is built."""
     if not isinstance(doc, dict):
         raise SpecError("algebra spec must be an object")
     if "gen" in doc:
@@ -425,14 +444,25 @@ def algebra_from_spec(cat, doc):
                 return unit_summand_algebra(cat, _spec_ints(
                     doc, "i" if "i" in doc else "object", 0, nullable=False))
             if gen == "groupoid_algebra":
-                return groupoid_algebra(
-                    cat, _spec_ints(doc, "objects", 1, nullable=False))
+                objs = _spec_ints(doc, "objects", 1, nullable=False)
+                _require_products_fit(
+                    cat, dict.fromkeys(grades_within(cat, objs), 1))
+                return groupoid_algebra(cat, objs)
             if gen == "internal_end":
-                return internal_end(object_from_spec(cat, doc["object"]))
+                x = object_from_spec(cat, doc["object"])
+                inv = cat.inverse_of
+                _require_products_fit(cat, _mult_product(
+                    cat, x.mult, {inv[g]: m for g, m in x.mult.items()}))
+                return internal_end(x)
             if gen == "sum":
                 parts = [algebra_from_spec(cat, p) for p in doc["parts"]]
                 if not parts:
                     raise SpecError("empty sum")
+                mult = {}
+                for p in parts:
+                    for g, m in p.carrier.mult.items():
+                        mult[g] = mult.get(g, 0) + m
+                _require_products_fit(cat, mult)
                 out = parts[0]
                 for p in parts[1:]:
                     out = direct_sum_algebra(out, p)
@@ -444,6 +474,7 @@ def algebra_from_spec(cat, doc):
                         % (gen, ", ".join(_GENERATORS)))
     try:
         carrier = object_from_spec(cat, doc["carrier"])
+        _require_products_fit(cat, carrier.mult)
         cxc = tensor_obj(carrier, carrier)
         mult = GradedMorphism(cxc, carrier,
                               _blocks_from_spec(doc.get("mult")))

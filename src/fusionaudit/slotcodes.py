@@ -12,13 +12,13 @@ Conchon, "Type-safe modular hash-consing", ML Workshop 2006), so equal
 alphabets are one object and sequences compare element by element by
 identity.  The table is bounded (_TABLE_SIZE) and emptied when full, so
 two equal alphabets made on either side of an emptying are two objects.
-Nothing rests on distinct alphabets differing: sequences that are not
-identical are compared through their words (gvec._same_slots), and a
-memo keyed on them only misses.  A word's code is its letters' ranks read
-in mixed radix over the sequence, the first letter most significant.  All
-words of an object have one length and every alphabet ranks its letters
-in letter order, so codes over one sequence compare, and are equal,
-exactly as words do.
+Nothing rests on distinct alphabets differing: codes are compared only
+over one sequence, and a memo keyed on sequences that are not identical
+only misses (gvec.tensor_mor then enumerates each side on its own).  A
+word's code is its letters' ranks read in mixed radix over the sequence,
+the first letter most significant.  All words of an object have one
+length and every alphabet ranks its letters in letter order, so codes
+over one sequence compare, and are equal, exactly as words do.
 
 Each alphabet stars once (_star): the alphabet of its starred letters and
 the letter permutation into it are cached on the alphabet, so a dual

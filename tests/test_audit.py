@@ -579,6 +579,64 @@ def test_oversized_specs_exit_2(tmp_path, capsys):
         == {0: MAX_TOTAL_MULT}
 
 
+def test_oversized_algebra_products_exit_2(tmp_path, monkeypatch, capsys):
+    """An algebra spec whose carrier's tensor cube would have one slot
+    more than gvec.MAX_PRODUCT_SLOTS is an input error, exit 2, in the
+    explicit and internal_end forms, raised before any slot is laid out:
+    _tensor_layout is patched to raise, so a build that lays out slots
+    exits 4 instead of allocating.  At the cap itself the build starts.
+    Run in process on two one-object groups, grades 0 and 1, where a
+    carrier of multiplicities n and 1 has a cube of n**3 + 1 slots; the
+    sum and groupoid_algebra forms are refused the same way."""
+    from fusionaudit import gvec, internal
+    from fusionaudit.groupoid import groupoid_from_spec, make_group
+
+    def laid_out(v, w):
+        raise RuntimeError("slots laid out")
+
+    for mod in (gvec, internal):
+        monkeypatch.setattr(mod, "_tensor_layout", laid_out)
+    cap = gvec.MAX_PRODUCT_SLOTS
+    side = round(cap ** (1 / 3))
+    root = round(side ** 0.5)
+    assert side ** 3 == cap and root ** 2 == side
+    trivial = {"kind": "group", "table": [[0]]}
+    cat = tmp_path / "cat.json"
+    cat.write_text(json.dumps({"kind": "union",
+                               "parts": [trivial, trivial]}))
+    alg = tmp_path / "alg.json"
+
+    def check(doc):
+        alg.write_text(json.dumps(doc))
+        code = cli.main(["check-algebra", "--category", str(cat),
+                         "--algebra", str(alg)])
+        return code, capsys.readouterr().err
+
+    def explicit(mult):
+        return {"carrier": {"mult": mult}, "mult": {}, "unit": {}}
+
+    def end(mult):
+        return {"gen": "internal_end", "object": {"mult": mult}}
+
+    for doc in (explicit({"0": side, "1": 1}), end({"0": root, "1": 1})):
+        code, err = check(doc)
+        assert code == 2, err
+        assert "would lay out %d slots, more than the %d" % (cap + 1, cap) \
+            in err
+    for doc in (explicit({"0": side}), end({"0": root})):
+        assert check(doc) == (
+            4, "internal error: RuntimeError: slots laid out\n")
+    # side + 1 copies of 1_0, and the group algebra of Z/(side + 1)
+    n = side + 1
+    with pytest.raises(SpecError, match="%d slots" % n ** 3):
+        algebra_from_spec(groupoid_from_spec(json.loads(cat.read_text())),
+                          {"gen": "sum",
+                           "parts": [{"gen": "unit_summand", "i": 0}] * n})
+    cyclic = make_group([[(i + j) % n for j in range(n)] for i in range(n)])
+    with pytest.raises(SpecError, match="%d slots" % n ** 3):
+        algebra_from_spec(cyclic, {"gen": "groupoid_algebra", "objects": [0]})
+
+
 def test_cli_internal_error_exits_4(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("corpus\nbroke")

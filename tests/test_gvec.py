@@ -19,7 +19,7 @@ from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
 from fusionaudit.functors import ProjectionFunctor
 from fusionaudit.groupoid import groupoid_from_spec
 from fusionaudit.gvec import (
-    GradedMorphism, GradedObject, _same_cat, _same_slots, _tensor_layout,
+    GradedMorphism, GradedObject, _same_cat, _tensor_layout,
     _words, compose, cokernel,
     direct_sum_obj, direct_sum_with_maps, dual_morphism, dual_obj,
     graded_object, hom_basis, identity_mor, image_factorization, is_epi,
@@ -946,7 +946,10 @@ def test_tensor_mult_matches_tensor_obj(cat, seed):
 def test_tensor_of_identities_builds_no_row(monkeypatch):
     """tensor_mor of two identity_mor values is identity_mor of the
     product: every block is the interned identity and no Matrix is built.
-    Hand-built identities give the same morphism by the general path."""
+    So is the interned identity from v into a distinct object with v's
+    sequence and ordered layout, since the layout memo returns one result
+    for both sides.  Hand-built identities give the same morphism by the
+    general path."""
     rng = random.Random(427)
     cases = []
     for cat in CATS + [S4]:
@@ -958,6 +961,8 @@ def test_tensor_of_identities_builds_no_row(monkeypatch):
     for v, w in cases:
         vw = tensor_obj(v, w)
         f, h = identity_mor(v), identity_mor(w)
+        twin = GradedObject._of(v.cat, dict(v.mult), v.seq, dict(v.layout))
+        into_twin = GradedMorphism._of(v, twin, f.blocks)
         for m in vw.mult.values():
             Matrix.identity(m)
         built = []
@@ -968,9 +973,10 @@ def test_tensor_of_identities_builds_no_row(monkeypatch):
             return make(cls, *args)
 
         monkeypatch.setattr(Matrix, "_of", classmethod(counted))
-        got = tensor_mor(f, h)
+        got, via_twin = tensor_mor(f, h), tensor_mor(into_twin, h)
         assert built == []
         monkeypatch.undo()
+        assert via_twin.source is via_twin.target and via_twin == got
         assert got.source is got.target
         assert _words(got.source) == _words(vw)
         assert got.blocks.keys() == vw.mult.keys()
@@ -1015,8 +1021,11 @@ def test_identity_blocks_skip_arithmetic(monkeypatch):
 
 
 def test_tensor_mor_enumerates_equal_layouts_once(monkeypatch):
-    """When each factor's target lays out the same words as its source,
-    tensor_mor makes one _tensor_layout call, not two."""
+    """tensor_mor enumerates both sides once when each factor's target has
+    its source's sequence and ordered layout: the layout memo then stores
+    one result, which both lookups return.  A twin that lays out the same
+    words over another sequence, or a target with other words, takes a
+    second store."""
     rng = random.Random(426)
     cases = []
     for cat in CATS:
@@ -1026,21 +1035,23 @@ def test_tensor_mor_enumerates_equal_layouts_once(monkeypatch):
         twin = GradedObject(cat, dict(y.mult), _words(y))
         other = tensor_obj(direct_sum_obj(x, unit_object(cat)), x)
         cases += [(random_morphism(x, x, rng), random_morphism(y, y, rng), 1),
-                  (identity_mor(y), random_morphism(y, twin, rng), 1),
+                  (identity_mor(y), random_morphism(y, twin, rng),
+                   1 if twin.seq == y.seq else 2),
                   (random_morphism(x, x, rng),
                    random_morphism(y, other, rng), 2)]
-    calls = []
-    original = gvec._tensor_layout
+    assert any(h.target.seq != h.source.seq for _, h, _ in cases[1::3])
+    stores = []
 
-    def counted(v, w):
-        calls.append(1)
-        return original(v, w)
+    class Counted(dict):
+        def __setitem__(self, key, value):
+            stores.append(1)
+            super().__setitem__(key, value)
 
-    monkeypatch.setattr(gvec, "_tensor_layout", counted)
     for f, h, want in cases:
-        calls.clear()
+        monkeypatch.setattr(gvec, "_layout_memo", Counted())
+        stores.clear()
         got = tensor_mor(f, h)
-        assert len(calls) == want
+        assert len(stores) == want
         assert got == _dense_tensor_mor(f, h)
 
 
@@ -1314,7 +1325,7 @@ def test_slot_codes_match_word_references(cat, seed):
     nodes = [_random_tree(cat, rng, 3, seen) for _ in range(4)]
     for v, ref in nodes:
         again = GradedObject(cat, dict(v.mult), ref)
-        assert words(again) == list(ref.items()) and _same_slots(again, v)
+        assert words(again) == words(v) == list(ref.items())
     objs = [v for v, _ in nodes]
     for _ in range(4):
         f = random_morphism(rng.choice(objs), rng.choice(objs), rng,
@@ -1391,12 +1402,11 @@ def test_projection_match_rejects_codes_it_cannot_find(shift):
 
 
 def test_same_slots_across_sequences():
-    """Equal words coded over different sequences are the same slots when
-    their grades come in the same order, and only then; words that differ
-    are not, whatever the sizes.  A comparison blind to grade order once
-    gave a tensor_mor target the source's grade order (see
-    test_tensor_mor_keeps_target_grade_order), so the grade order is
-    checked across sequences as well as within one."""
+    """Equal words coded over different sequences, with their grades in
+    the same order or not: tensor_mor enumerates each side on its own, and
+    its target keeps the grade order tensor_obj gives.  A shortcut blind to
+    grade order once gave a tensor_mor target the source's grade order
+    (see test_tensor_mor_keeps_target_grade_order)."""
     x = graded_object(S3, {1: 1, 2: 2, 4: 1})
     d = dual_obj(dual_obj(tensor_obj(x, unit_object(S3))))
     assert _words(d) == _words(x)
@@ -1405,22 +1415,17 @@ def test_same_slots_across_sequences():
     w = graded_object(S3, {1: 1, 2: 2})
     assert v.seq != w.seq and _words(v) == _words(w)
     assert list(v.layout) == list(w.layout)
-    assert _same_slots(v, w) and _same_slots(w, v)
     # the same words with the grades in the other order
     w2 = graded_object(S3, {2: 2, 1: 1})
     assert _words(w2) == _words(v) and list(w2.layout) != list(v.layout)
-    assert not _same_slots(v, w2) and not _same_slots(w2, v)
     # the public constructor codes words over the letters it is given
     u = GradedObject(S3, {1: 1, 2: 2}, _words(v))
-    assert _same_slots(u, v) and _same_slots(u, w)
+    assert _words(u) == _words(v) and u.seq != v.seq
     # same grades and sizes, other words
     z = GradedObject(S3, {1: 1, 2: 2}, {1: (((0, 1, 1),),),
                                         2: (((0, 2, 0),), ((0, 2, 1),))})
-    assert [*map(len, z.layout.values())] == [*map(len, w.layout.values())]
-    assert not _same_slots(z, w) and not _same_slots(w, z)
-    # tensor_mor shares one enumeration across the two sequences, and its
-    # target keeps the grade order tensor_obj gives
-    for src, tgt in ((v, w), (w, v), (v, w2)):
+    assert _words(z) != _words(w) and list(z.layout) == list(w.layout)
+    for src, tgt in ((v, w), (w, v), (v, w2), (u, v), (w, u), (z, w)):
         f = GradedMorphism(src, tgt, {1: Matrix.identity(1),
                                       2: Matrix.identity(2)})
         for h in (identity_mor(x), f):
