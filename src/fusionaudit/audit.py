@@ -507,7 +507,10 @@ def reverify_witness(cat, cond, witness):
     morphisms are parsed back from their specs, and its claim is checked
     with library calls, independently of how the audit found it.  A
     witness that is not a JSON object, or that lacks a key its condition
-    reads, is a SpecError, as a bad spec inside it is."""
+    reads, is a SpecError, as a bad spec inside it is, and so is a
+    simple_grade that is not an int grade of cat.  A kernel that does not
+    end at the morphism's source, or a cokernel that does not start at its
+    target, shows nothing: the result is False."""
     if not 2 <= cond <= 15:
         raise ValueError("conditions 2..15 carry witnesses, not %r" % cond)
 
@@ -532,8 +535,10 @@ def reverify_witness(cat, cond, witness):
         return find_section(unit_map) is None
     f = morphism_from_spec(cat, field("morphism"))
     if cond in (4, 5):
-        dead = tensor_obj(simple_object(cat, field("simple_grade")),
-                          carrier)
+        g = field("simple_grade")
+        if type(g) is not int or not 0 <= g < cat.morphism_count:
+            raise SpecError("simple_grade %r is not a grade" % (g,))
+        dead = tensor_obj(simple_object(cat, g), carrier)
         return (not f.is_zero() and dead.is_zero()
                 and tensor_mor(f, identity_mor(carrier)).is_zero())
     if cond <= 11:
@@ -546,12 +551,14 @@ def reverify_witness(cat, cond, witness):
         return not is_iso(f) and is_iso(ff)
     if cond in (12, 14):
         k = morphism_from_spec(cat, field("kernel"))
-        return (f.source == one and not f.is_zero() and not is_mono(f)
+        return (k.target == f.source == one
+                and not f.is_zero() and not is_mono(f)
                 and not k.is_zero() and is_mono(k)
                 and compose(f, k).is_zero()
                 and (cond == 14 or f == unit_map))
     q = morphism_from_spec(cat, field("cokernel"))
-    return (f.target == one and not f.is_zero() and not is_epi(f)
+    return (q.source == f.target == one
+            and not f.is_zero() and not is_epi(f)
             and not q.is_zero() and is_epi(q) and compose(q, f).is_zero()
             and (cond == 15 or f == unit_map))
 

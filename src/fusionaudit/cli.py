@@ -39,8 +39,12 @@ def _cmd_audit(args):
     sys.stdout.write(render_report(report))
     text = _dump(report)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SpecError("cannot write %s: %s" % (args.report, exc)) \
+                from exc
     else:
         sys.stdout.write(text)
     return 0

@@ -11,9 +11,10 @@ not determine how the slots of an iterated tensor product interleave inside
 one grade, and any fixed pair-major block layout fails to be associative on
 matrices.  Each slot therefore has a word: atomic slots are single letters
 (0, g, a), tensor slots concatenate the factor words, the unit's slots carry
-the empty word, direct-sum slots wrap the summand word in a side-tagged
-letter (1, side, word), and dual slots reverse the word and star its
-letters.  Slots within a grade are kept sorted by word.  Concatenation is
+the empty word, and dual slots reverse the word and star its letters.  A
+direct sum, defined only up to isomorphism, is the atomic object of the
+summed multiplicities, the first summand's slots first at each grade.
+Slots within a grade are kept sorted by word.  Concatenation is
 associative and word sets ignore parenthesization, so iterated tensor
 products agree on the nose, objects and matrices alike, and the unit laws
 are identities (empty words vanish under concatenation).  For a single
@@ -29,15 +30,15 @@ in mixed radix over seq.  Codes over one sequence compare exactly as words
 do.  A tensor product concatenates the sequences, and its codes are
 c1 * R + c2, R the product of the right factor's alphabet sizes; the
 unit's sequence is empty and its one code is 0, so the unit laws and
-strictness hold for codes as they do for words.  A direct sum has one
-alphabet, the distinct codes of each summand, side 0 first; a dual
-reverses the sequence and stars each alphabet once, then sorts each
-grade's codes once; restricting grades keeps the sequence.  The
-words of a tensor product compare by their left factor's word first, so
-no product code is sorted: a grade fed by a single pair of factor grades
-is in code order when enumerated left-factor-major, and the grades fed by
-several pairs are filled in order by one walk over the left factor's slots
-in code order (see _tensor_layout).  Multiplicities alone come from
+strictness hold for codes as they do for words.  A direct sum is coded
+over the one atomic alphabet of its multiplicities; a dual reverses the
+sequence and stars each alphabet once, then sorts each grade's codes
+once; restricting grades keeps the sequence.  The words of a tensor
+product compare by their left factor's word first, so no product code is
+sorted: a grade fed by a single pair of factor grades is in code order
+when enumerated left-factor-major, and the grades fed by several pairs
+are filled in order by one walk over the left factor's slots in code
+order (see _tensor_layout).  Multiplicities alone come from
 tensor_mult, with no slot enumerated.  One word set can be coded over
 different sequences (a restriction keeps its object's wider alphabets,
 and the public constructor codes each position over the letters it is
@@ -128,7 +129,8 @@ class GradedObject:
     factor sequence seq at grade g, one per multiplicity unit (see the
     module docstring).  The public constructor takes layout in word form:
     layout[g] a strictly increasing tuple of slot words, all of one
-    length; it checks and codes them.
+    length, whose letters are (0, grade, index); it checks and codes
+    them.
     """
 
     __slots__ = ("cat", "mult", "seq", "layout", "_hash")
@@ -220,8 +222,7 @@ def _atomic_object(cat, mult):
     one atomic alphabet of mult.  mult becomes the object's own."""
     if not mult:
         return GradedObject._of(cat, mult, (), {})
-    alpha = alphabet(cat, 0, tuple(sorted(mult.items())),
-                     sum(mult.values()))
+    alpha = alphabet(cat, tuple(sorted(mult.items())))
     codes = alpha.codes
     return GradedObject._of(cat, mult, (alpha,),
                             {g: codes[g] for g in mult})
@@ -299,9 +300,10 @@ def _tensor_layout(v, w):
       by several pairs, a run appends its codes times w.layout[g2] to h,
       i then j.  Within h the runs arrive in increasing left code, with no
       tie: two left slots with equal words never feed the same grade.
-      Equal words at different grades contain no atomic letter (that
-      letter would fix the grade), so they sit at identity grades e != e',
-      and e.g2 = e'.g2' = h forces e = e' = source(h).  A pair's pos is
+      Every letter is atomic, and a non-empty word sits at the composite
+      of its letters' grades, so equal words at different grades can only
+      be the unit's empty words, at identity grades e != e', and
+      e.g2 = e'.g2' = h forces e = e' = source(h).  A pair's pos is
       range(k, k + n) when its left grade is a single run, and otherwise
       the concatenation of its runs' ranges.
 
@@ -397,29 +399,12 @@ def _mult_product(cat, vm, wm):
     return out
 
 
-def _summand_part(v):
-    """(seq, distinct codes in increasing order) of v, as a sum alphabet
-    holds a summand; an object without slots has the empty sequence."""
-    codes = tuple(sorted({c for cs in v.layout.values() for c in cs}))
-    return (v.seq if codes else ()), codes
-
-
 def direct_sum_obj(v, w):
+    """The atomic object of the summed multiplicities: at each grade, v's
+    slots first, then w's."""
     cat = _same_cat(v, w)
-    seq_v, codes_v = _summand_part(v)
-    seq_w, codes_w = _summand_part(w)
-    n = len(codes_v)
-    alpha = alphabet(cat, 1, (seq_v, codes_v, seq_w, codes_w),
-                      n + len(codes_w))
-    rank_v = {c: r for r, c in enumerate(codes_v)}
-    rank_w = {c: n + r for r, c in enumerate(codes_w)}
-    mult, layout = {}, {}
-    for g in set(v.mult) | set(w.mult):
-        codes = [rank_v[c] for c in v.layout.get(g, ())] \
-            + [rank_w[c] for c in w.layout.get(g, ())]
-        layout[g] = tuple(codes)  # side 0 ranks first keeps this sorted
-        mult[g] = len(codes)
-    return GradedObject._of(cat, mult, (alpha,) if mult else (), layout)
+    return _atomic_object(cat, {g: v.m(g) + w.m(g)
+                                for g in set(v.mult) | set(w.mult)})
 
 
 def _dual_layout(v):

@@ -296,11 +296,9 @@ def direct_sum_algebra(a, b):
     b's follow (direct_sum_obj), so a's rows keep their index and b's move
     down by a's multiplicity.  A column of a.mult, a slot of a (x) a, goes
     to the slot of s (x) s with the same factor slots, and likewise for b.
-    That column map is increasing within each summand, so the re-indexed
-    rows stay sorted: a word of s is a summand's word wrapped in one
-    side-tagged letter, so two slots of s (x) s from one summand compare
-    by their left factor words, then their right ones, as the summand's
-    own tensor square orders them.
+    s is atomic, so its words order grade first, while a summand's words
+    (those of an internal_end, say) need not: the column map need not be
+    increasing, and each re-indexed row is sorted.
 
     A carrier of more than gvec.MAX_TOTAL_MULT slots is a SpecError,
     raised before anything is built: an object spec states at most that
@@ -324,7 +322,7 @@ def direct_sum_algebra(a, b):
                 rows.extend([()] * c.m(h))
                 continue
             cmap = cmaps[h]
-            rows.extend(tuple([(cmap[j], x) for j, x in row])
+            rows.extend(tuple(sorted([(cmap[j], x) for j, x in row]))
                         for row in block.sparse)
         if any(rows):
             blocks[h] = Matrix._of(s.m(h), sxs.mult[h], tuple(rows))

@@ -1,24 +1,25 @@
 """Slot codes: the words of graded objects' slots, stored as ints.
 
-Every slot of a graded object has a word (see gvec): atomic slots are
-single letters (0, g, a), tensor slots concatenate the factor words, the
-unit's slots carry the empty word, direct-sum slots wrap the summand word
-in a side-tagged letter (1, side, word), and dual slots reverse the word
-and star its letters.  No word is built.  An object stores a factor
-sequence, a tuple of alphabets, and per grade the sorted tuple of its
-slots' codes.  An alphabet is the ordered set of letters one word position
-can hold.  It is hash-consed per groupoid (alphabet; Filliatre and
-Conchon, "Type-safe modular hash-consing", ML Workshop 2006), so equal
-alphabets are one object and sequences compare element by element by
-identity.  The table is bounded (_TABLE_SIZE) and emptied when full, so
-two equal alphabets made on either side of an emptying are two objects.
-Nothing rests on distinct alphabets differing: codes are compared only
-over one sequence, and a memo keyed on sequences that are not identical
-only misses (gvec.tensor_mor then enumerates each side on its own).  A
-word's code is its letters' ranks read in mixed radix over the sequence,
-the first letter most significant.  All words of an object have one
-length and every alphabet ranks its letters in letter order, so codes
-over one sequence compare, and are equal, exactly as words do.
+Every slot of a graded object has a word (see gvec): atomic slots, those
+of a direct sum included, are single letters (0, g, a), tensor slots
+concatenate the factor words, the unit's slots carry the empty word, and
+dual slots reverse the word and star its letters, so every letter is
+atomic.  No word is built.  An object stores a factor sequence, a tuple
+of alphabets, and per grade the sorted tuple of its slots' codes.  An
+alphabet is the ordered set of letters one word position can hold: the
+letters (0, g, a), a < m, for each (g, m) of its parts.  It is hash-consed
+per groupoid (alphabet; Filliatre and Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006), so equal alphabets are one object and
+sequences compare element by element by identity.  The table is bounded
+(_TABLE_SIZE) and emptied when full, so two equal alphabets made on
+either side of an emptying are two objects.  Nothing rests on distinct
+alphabets differing: codes are compared only over one sequence, and a
+memo keyed on sequences that are not identical only misses
+(gvec.tensor_mor then enumerates each side on its own).  A word's code is
+its letters' ranks read in mixed radix over the sequence, the first
+letter most significant.  All words of an object have one length and
+every alphabet ranks its letters in letter order, so codes over one
+sequence compare, and are equal, exactly as words do.
 
 Each alphabet stars once (_star): the alphabet of its starred letters and
 the letter permutation into it are cached on the alphabet, so a dual
@@ -38,29 +39,22 @@ __all__ = [
 class _Alphabet:
     """The letters one word position can hold, ranked in letter order.
 
-    kind 0 (atomic): parts is a tuple of (g, m) in increasing g, and the
-    letters are (0, g, a) for a < m, ranked by (g, a).
-    kind 1 (sum): parts is (seq0, codes0, seq1, codes1), and the letters
-    are (1, s, word) for the words coded by codes_s over seq_s (distinct
-    codes, increasing), side 0 first.
-    size is the number of letters; star caches _star's result, and
-    codes, for an atomic alphabet, maps each g to the tuple of the codes
-    of its letters (0, g, a).  Build alphabets through alphabet only, so
-    that equal ones are one object."""
+    parts is a tuple of (g, m) in increasing g, and the letters are
+    (0, g, a) for a < m, ranked by (g, a).  size is the number of letters;
+    star caches _star's result, and codes maps each g to the tuple of the
+    codes of its letters (0, g, a).  Build alphabets through alphabet
+    only, so that equal ones are one object."""
 
-    __slots__ = ("kind", "parts", "size", "star", "codes")
+    __slots__ = ("parts", "size", "star", "codes")
 
-    def __init__(self, kind, parts, size):
-        self.kind = kind
+    def __init__(self, parts):
         self.parts = parts
-        self.size = size
         self.star = None
-        self.codes = None
-        if kind == 0:
-            self.codes, start = {}, 0
-            for g, m in parts:
-                self.codes[g] = tuple(range(start, start + m))
-                start += m
+        self.codes, start = {}, 0
+        for g, m in parts:
+            self.codes[g] = tuple(range(start, start + m))
+            start += m
+        self.size = start
 
 
 # Bound on the alphabets a groupoid's table keeps (see alphabet).  One S4
@@ -71,18 +65,16 @@ class _Alphabet:
 _TABLE_SIZE = 512
 
 
-def alphabet(cat, kind, parts, size):
-    """The alphabet of cat with this kind and these parts: one object per
-    groupoid and content (hash-consing) while the groupoid's
-    slot_alphabets table holds it.  The table is emptied when it holds
-    _TABLE_SIZE alphabets."""
+def alphabet(cat, parts):
+    """The alphabet of cat with these parts: one object per groupoid and
+    content (hash-consing) while the groupoid's slot_alphabets table holds
+    it.  The table is emptied when it holds _TABLE_SIZE alphabets."""
     table = cat.slot_alphabets
-    key = (kind, parts)
-    a = table.get(key)
+    a = table.get(parts)
     if a is None:
         if len(table) >= _TABLE_SIZE:
             table.clear()
-        a = table[key] = _Alphabet(kind, parts, size)
+        a = table[parts] = _Alphabet(parts)
     return a
 
 
@@ -107,27 +99,14 @@ def ranks(codes):
 def _star(cat, a):
     """(a*, perm): the alphabet of a's letters starred, and perm[r] the
     rank in a* of the star of a's letter of rank r.  The star of (0, g, a)
-    is (0, inv(g), a), and that of (1, s, word) is (1, s, starred word).
-    Computed once per alphabet."""
+    is (0, inv(g), a).  Computed once per alphabet."""
     if a.star is None:
-        if a.kind == 0:
-            inv = cat.inverse_of
-            starred = alphabet(cat, 0, tuple(sorted((inv[g], m)
-                                                    for g, m in a.parts)),
-                               a.size)
-            perm = []
-            for g, _ in a.parts:
-                perm += starred.codes[inv[g]]
-        else:
-            seq0, codes0, seq1, codes1 = a.parts
-            sseq0, star0 = starrer(cat, seq0)
-            sseq1, star1 = starrer(cat, seq1)
-            perm, scodes0 = ranks(star0(codes0))
-            rank1, scodes1 = ranks(star1(codes1))
-            n0 = len(codes0)
-            perm.extend(n0 + r for r in rank1)
-            starred = alphabet(cat, 1, (sseq0, scodes0, sseq1, scodes1),
-                               a.size)
+        inv = cat.inverse_of
+        starred = alphabet(cat, tuple(sorted((inv[g], m)
+                                             for g, m in a.parts)))
+        perm = []
+        for g, _ in a.parts:
+            perm += starred.codes[inv[g]]
         a.star = (starred, perm)
     return a.star
 
@@ -160,11 +139,7 @@ def starrer(cat, seq):
 
 def _letters(a):
     """a's letters in rank order, in word form."""
-    if a.kind == 0:
-        return [(0, g, i) for g, m in a.parts for i in range(m)]
-    seq0, codes0, seq1, codes1 = a.parts
-    return ([(1, 0, w) for w in decode(seq0, codes0)]
-            + [(1, 1, w) for w in decode(seq1, codes1)])
+    return [(0, g, i) for g, m in a.parts for i in range(m)]
 
 
 def decode(seq, codes):
@@ -183,39 +158,21 @@ def decode(seq, codes):
 
 def _letter_alphabet(cat, found):
     """(alphabet, {letter: rank}) for the letters met at one position of
-    a public layout: all atomic, (0, g, a) with g a grade of cat and a an
-    int >= 0, or all sums, (1, s, word) with s 0 or 1 and the words of
-    each side slot words of one length.  An atomic position is coded over
-    the atomic alphabet with m = max(a) + 1 at each grade it meets."""
-    def tagged(l, tag):
-        return (type(l) is tuple and len(l) == 3 and type(l[0]) is int
-                and l[0] == tag and type(l[1]) is int)
-
-    if all(tagged(l, 0) and 0 <= l[1] < cat.morphism_count
-           and type(l[2]) is int and l[2] >= 0 for l in found):
-        top = {}
-        for _, g, i in found:
-            top[g] = max(top.get(g, 0), i + 1)
-        a = alphabet(cat, 0, tuple(sorted(top.items())), sum(top.values()))
-        return a, {l: a.codes[l[1]][l[2]] for l in found}
-    if all(tagged(l, 1) and l[1] in (0, 1) and type(l[2]) is tuple
-           for l in found):
-        parts, rank_of, base = [], {}, 0
-        for side in (0, 1):
-            words = {l[2] for l in found if l[1] == side}
-            if len({len(w) for w in words}) > 1:
-                raise ShapeError("summand words of one side differ in "
-                                 "length")
-            seq, code = encode(cat, words)
-            codes = tuple(sorted(code.values()))
-            at = {c: base + r for r, c in enumerate(codes)}
-            for w, c in code.items():
-                rank_of[(1, side, w)] = at[c]
-            parts += [seq, codes]
-            base += len(codes)
-        return alphabet(cat, 1, tuple(parts), base), rank_of
-    raise ShapeError("slot letters %r are not all (0, grade, index) or all "
-                     "(1, side, word)" % (sorted(found, key=repr)[:3],))
+    a public layout, each (0, g, a) with g a grade of cat and a an int
+    >= 0.  The position is coded over the atomic alphabet with
+    m = max(a) + 1 at each grade it meets."""
+    bad = [l for l in found
+           if not (type(l) is tuple and len(l) == 3
+                   and all(type(x) is int for x in l) and l[0] == 0
+                   and 0 <= l[1] < cat.morphism_count and l[2] >= 0)]
+    if bad:
+        raise ShapeError("slot letter %r is not (0, grade, index)"
+                         % (min(bad, key=repr),))
+    top = {}
+    for _, g, i in found:
+        top[g] = max(top.get(g, 0), i + 1)
+    a = alphabet(cat, tuple(sorted(top.items())))
+    return a, {l: a.codes[l[1]][l[2]] for l in found}
 
 
 def encode(cat, words):

@@ -173,7 +173,10 @@ def test_witnesses_reverify_pair2():
 def test_reverify_witness_rejects_swapped_morphisms():
     """Every pair2 witness re-verifies, and none does once its morphism is
     swapped for one that shows nothing: the zero map for the faithfulness
-    conditions (4), (5), an identity for the others."""
+    conditions (4), (5), an identity for the others.  Nor does one whose
+    kernel does not end at the morphism's source, or whose cokernel does
+    not start at its target (an identity of the morphism's other end):
+    those raised ShapeError "composition endpoint mismatch"."""
     cat = load_fixture("pair2")
     rep = run_audit(cat, seed=1)
     for k in range(2, 16):
@@ -185,6 +188,11 @@ def test_reverify_witness_rejects_swapped_morphisms():
         g = zero_mor(f.source, f.target) if k < 6 else identity_mor(f.source)
         swapped = dict(w, morphism=morphism_to_spec(g))
         assert not reverify_witness(cat, k, swapped), k
+        if k >= 12:
+            key, end = (("kernel", f.target) if k % 2 == 0
+                        else ("cokernel", f.source))
+            astray = dict(w, **{key: morphism_to_spec(identity_mor(end))})
+            assert not reverify_witness(cat, k, astray), k
     with pytest.raises(ValueError):
         reverify_witness(cat, 1, rep["conditions"]["1"]["witness"])
 
@@ -192,7 +200,8 @@ def test_reverify_witness_rejects_swapped_morphisms():
 def test_reverify_witness_bad_documents_are_spec_errors():
     """A witness that is not an object, or lacks a key its condition
     reads, is a SpecError; {"morphism": {}} for condition 6 raised
-    KeyError: 'spec'."""
+    KeyError: 'spec'.  So is a simple_grade that is not an int grade:
+    out of range it raised ShapeError, and a list or a dict TypeError."""
     cat = load_fixture("vec_z2")
     alg = {"gen": "unit_summand", "i": 0}
     idspec = morphism_to_spec(identity_mor(unit_object(cat)))
@@ -204,6 +213,53 @@ def test_reverify_witness_bad_documents_are_spec_errors():
                           (13, {"dual_of": alg, "morphism": idspec})):
         with pytest.raises(SpecError):
             reverify_witness(cat, cond, witness)
+    pair2 = load_fixture("pair2")
+    rep = run_audit(pair2, seed=1)
+    for cond in (4, 5):
+        w = rep["conditions"][str(cond)]["witness"]
+        assert reverify_witness(pair2, cond, w)
+        for bad in (99, -1, 10 ** 6, [], {}, True, 1.5, "1", None):
+            with pytest.raises(SpecError):
+                reverify_witness(pair2, cond, dict(w, simple_grade=bad))
+
+
+_MUTANTS = (None, True, False, 1.5, "x", "1", -1, 0, 2, 99, 10 ** 6, [], {})
+
+
+def _leaf_paths(doc, path=()):
+    """The key paths of doc's leaves: scalars and empty containers."""
+    if isinstance(doc, (dict, list)) and doc:
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, value in items:
+            yield from _leaf_paths(value, path + (key,))
+    else:
+        yield path
+
+
+def test_reverify_witness_sweep_of_mutated_witnesses():
+    """Each leaf of each pair2 witness set to four seeded values (568
+    witnesses): reverify_witness returns a bool or raises SpecError,
+    nothing else.  The sweep met four escapes before they were mended:
+    ShapeError and TypeError from simple_grade, and ShapeError from a
+    kernel and from a cokernel whose ends miss the morphism's."""
+    cat = load_fixture("pair2")
+    rep = run_audit(cat, seed=1)
+    rng = random.Random(7)
+    outcomes = set()
+    for k in range(2, 16):
+        witness = rep["conditions"][str(k)]["witness"]
+        for path in _leaf_paths(witness):
+            for value in rng.sample(_MUTANTS, 4):
+                mutant = json.loads(json.dumps(witness))
+                node = mutant
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                try:
+                    outcomes.add(reverify_witness(cat, k, mutant))
+                except SpecError:
+                    outcomes.add(SpecError)
+    assert outcomes == {True, False, SpecError}
 
 
 def test_corpus_carriers_fit_object_specs(monkeypatch):
@@ -646,6 +702,18 @@ def test_cli_internal_error_exits_4(tmp_path, monkeypatch, capsys):
     assert cli.main(["audit", "--category", spec]) == 4
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: corpus broke\n"
+
+
+def test_cli_unwritable_report_exits_2(tmp_path, capsys):
+    """--report to a path that cannot be written, in a missing directory
+    or a directory itself, is an input error, exit 2; both exited 4 as
+    internal errors (FileNotFoundError, IsADirectoryError)."""
+    spec = _write_spec(tmp_path, "vec")
+    for path in (tmp_path / "missing" / "report.json", tmp_path):
+        assert cli.main(["audit", "--category", spec,
+                         "--report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: cannot write %s: " % path), err
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -283,6 +283,11 @@ def test_direct_sum_maps():
         s, iv, iw, pv, pw = direct_sum_with_maps(v, w)
         assert s == direct_sum_obj(v, w)
         check_layout(s)
+        # atomic, and v's slot a at g is the slot with word (0, g, a)
+        assert words(s) == list(_ref_atomic(
+            {g: v.m(g) + w.m(g) for g in set(v.mult) | set(w.mult)}).items())
+        assert all(iv.blocks[g].sparse[:m] == Matrix.identity(m).sparse
+                   for g, m in v.mult.items())
         assert compose(pv, iv) == identity_mor(v)
         assert compose(pw, iw) == identity_mor(w)
         assert compose(pv, iw).is_zero()
@@ -470,14 +475,18 @@ def test_object_boundary_validation():
 
 def test_object_boundary_validates_slot_words():
     """The tensor enumeration takes each factor's words at a grade as
-    sorted, distinct and of one length; the public constructor rejects a
-    layout that breaks that."""
+    sorted, distinct and of one length, and every letter as atomic; the
+    public constructor rejects a layout that breaks that, a side-tagged
+    direct-sum letter (1, side, word) included."""
     a, b = ((0, 0, 0),), ((0, 0, 1),)
     for words in ((b, a), (a, a)):
         with pytest.raises(ShapeError):
             GradedObject(Z2, {0: 2}, {0: words})
     with pytest.raises(ShapeError):
         GradedObject(Z2, {0: 1, 1: 1}, {0: (a,), 1: (((0, 1, 0),) * 2,)})
+    for tagged in ((((1, 0, a),),), (((1, 1, ()),),), (a + ((1, 0, b),),)):
+        with pytest.raises(ShapeError):
+            GradedObject(Z2, {0: 1}, {0: tagged})
     v = GradedObject(Z2, {0: 2}, {0: (a, b)})
     assert _words(tensor_obj(v, v))[0] == (a + a, a + b, b + a, b + b)
 
@@ -839,8 +848,9 @@ def _sorted_tensor_words(cat, vl, wl):
 
 def _layout_objects(cat, rng):
     """Objects whose products reach both enumeration paths: atomic ones,
-    corpus carriers, the unit and unit (+) unit (the same words at every
-    identity grade), nested direct sums, and duals of tensor products."""
+    corpus carriers, the unit (the same empty word at every identity
+    grade), unit (+) unit, nested direct sums, and duals of tensor
+    products."""
     x = random_object(cat, rng, max_total=3)
     y = random_object(cat, rng, max_total=3)
     unit = unit_object(cat)
@@ -1055,25 +1065,10 @@ def test_tensor_mor_enumerates_equal_layouts_once(monkeypatch):
         assert got == _dense_tensor_mor(f, h)
 
 
-def _depth(word):
-    return max((1 + _depth(l[2]) if l[0] == 1 else 1 for l in word),
-               default=0)
-
-
-def _alphabets(seq):
-    """Every alphabet of seq, those inside sum alphabets included."""
-    out = []
-    for a in seq:
-        out.append(a)
-        if a.kind == 1:
-            out += _alphabets(a.parts[0]) + _alphabets(a.parts[2])
-    return out
-
-
 def test_dual_layout_stars_each_letter_once(monkeypatch):
     """_dual_layout equals the per-slot starring reference, and stars each
-    letter once: each alphabet of its object is starred once, nested ones
-    included, and a second dual of the same object stars nothing."""
+    letter once: each alphabet of its object is starred once, and a second
+    dual of the same object stars nothing."""
     rng = random.Random(427)
     starred = []
     original = slotcodes._star
@@ -1084,7 +1079,7 @@ def test_dual_layout_stars_each_letter_once(monkeypatch):
         return original(cat, a)
 
     monkeypatch.setattr(slotcodes, "_star", counted)
-    deepest = 0
+    longest = 0
     for cat in CATS + [S4]:
         x = random_object(cat, rng, max_total=2)
         y = random_object(cat, rng, max_total=2)
@@ -1092,10 +1087,11 @@ def test_dual_layout_stars_each_letter_once(monkeypatch):
         nested = direct_sum_obj(direct_sum_obj(s, x), unit_object(cat))
         for v in (x, s, nested, tensor_obj(nested, dual_obj(nested)),
                   dual_obj(tensor_obj(s, nested)),
-                  direct_sum_obj(tensor_obj(y, nested), nested)):
+                  direct_sum_obj(tensor_obj(y, nested), nested),
+                  tensor_obj(tensor_obj(s, dual_obj(x)), y)):
             got, rank = gvec._dual_layout(v)
             assert len(starred) == len(set(map(id, starred)))
-            assert all(a.star is not None for a in _alphabets(v.seq))
+            assert all(a.star is not None for a in v.seq)
             starred.clear()
             assert gvec._dual_layout(v)[0].layout == got.layout
             assert starred == []
@@ -1107,8 +1103,8 @@ def test_dual_layout_stars_each_letter_once(monkeypatch):
                 dg = d[cat.inverse_of[g]]
                 assert [dg[p] for p in rank[g]] == [
                     _reference_star_word(cat, w) for w in ws]
-                deepest = max([deepest] + [_depth(w) for w in ws])
-    assert deepest >= 4
+                longest = max([longest] + [len(w) for w in ws])
+    assert longest >= 3
 
 
 class _SizeLog(dict):
@@ -1134,10 +1130,8 @@ def test_layout_memo_stays_within_its_bound(monkeypatch):
 
 def _reference_star_word(cat, word):
     """A word starred as first written: reversed, and each letter starred
-    afresh, recursing into side-tagged letters."""
-    return tuple((0, cat.inverse_of[l[1]], l[2]) if l[0] == 0
-                 else (1, l[1], _reference_star_word(cat, l[2]))
-                 for l in reversed(word))
+    afresh."""
+    return tuple((0, cat.inverse_of[g], a) for _, g, a in reversed(word))
 
 
 def _starred_dual_obj(v):
@@ -1177,7 +1171,7 @@ def _dense_dual_morphism(f):
 
 def _composite_sources(cat, rng):
     """Morphisms out of tensor products and direct sums: their slot words
-    have length 2 or side-tagged letters."""
+    have length 2, or length 1 over summed multiplicities."""
     x = random_object(cat, rng, max_total=2)
     y = random_object(cat, rng, max_total=2)
     s = direct_sum_obj(x, y)
@@ -1189,7 +1183,7 @@ def _composite_sources(cat, rng):
 
 def test_dual_morphism_matches_dense_reference():
     rng = random.Random(420)
-    lengths, tagged = set(), 0
+    lengths = set()
     for name in FIXTURE_NAMES:
         cat = load_fixture(name)
         for f in _differential_factors(cat, rng) + _composite_sources(cat, rng):
@@ -1200,8 +1194,7 @@ def test_dual_morphism_matches_dense_reference():
             assert _words(dual_obj(f.source)) == _words(ref.target)
             for ws in _words(f.source).values():
                 lengths.update(map(len, ws))
-                tagged += any(l[0] == 1 for w in ws for l in w)
-    assert 2 in lengths and tagged
+    assert 2 in lengths
 
 
 def test_sparse_builders_read_no_dense_view(monkeypatch):
@@ -1244,9 +1237,10 @@ def _ref_atomic(mult):
 
 
 def _ref_sum(vl, wl):
-    return {g: tuple(((1, 0, w),) for w in vl.get(g, ()))
-            + tuple(((1, 1, w),) for w in wl.get(g, ()))
-            for g in set(vl) | set(wl)}
+    """The atomic words of the summed multiplicities, in union grade
+    order."""
+    return _ref_atomic({g: len(vl.get(g, ())) + len(wl.get(g, ()))
+                        for g in set(vl) | set(wl)})
 
 
 def _ref_dual(cat, vl):
