@@ -9,6 +9,7 @@ unexpected exception, reported as one line "internal error: <type>:
 
 import argparse
 import json
+import os
 import sys
 
 from .audit import check_algebra_report, gr_report, render_report, run_audit
@@ -32,7 +33,27 @@ def _dump(doc):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _check_report_path(path):
+    """Raise SpecError unless a report can be written to path: an existing
+    writable file, or a new name in an existing writable directory.
+    Creates nothing, so an audit that fails later leaves no file behind."""
+    if os.path.isdir(path):
+        why = "is a directory"
+    elif os.path.exists(path):
+        why = None if os.access(path, os.W_OK) else "not writable"
+    else:
+        parent = os.path.dirname(path) or "."
+        why = None if os.path.isdir(parent) and os.access(
+            parent, os.W_OK | os.X_OK) else "no writable directory " + parent
+    if why:
+        raise SpecError("cannot write %s: %s" % (path, why))
+
+
 def _cmd_audit(args):
+    if args.report:
+        # Fail before the audit; the write below can still fail, as the
+        # path may change while the audit runs.
+        _check_report_path(args.report)
     cat = groupoid_from_spec(_load_json(args.category))
     report = run_audit(cat, seed=args.seed, corpus_size=args.corpus,
                        samples=args.samples)

@@ -10,7 +10,7 @@ Slot words (why tensoring is literally strict).  Multiplicity maps alone do
 not determine how the slots of an iterated tensor product interleave inside
 one grade, and any fixed pair-major block layout fails to be associative on
 matrices.  Each slot therefore has a word: atomic slots are single letters
-(0, g, a), tensor slots concatenate the factor words, the unit's slots carry
+(g, a), tensor slots concatenate the factor words, the unit's slots carry
 the empty word, and dual slots reverse the word and star its letters.  A
 direct sum, defined only up to isomorphism, is the atomic object of the
 summed multiplicities, the first summand's slots first at each grade.
@@ -21,7 +21,9 @@ are identities (empty words vanish under concatenation).  For a single
 binary product of atomic objects the sorted order is exactly "composable
 pairs (g1, g2) lexicographically by enumeration index, Kronecker
 left-factor-major".  Every word in an object has the same length, which
-makes concatenation splits unambiguous and keeps slot words distinct.
+makes concatenation splits unambiguous and keeps slot words distinct, and
+every word sits at its own grade: a non-empty word at the composite of its
+letters' grades, the empty word at an identity grade.
 
 Slot codes (how words are stored; see slotcodes).  No word is built: an
 object stores a factor sequence seq, a tuple of hash-consed alphabets, and
@@ -40,25 +42,24 @@ when enumerated left-factor-major, and the grades fed by several pairs
 are filled in order by one walk over the left factor's slots in code
 order (see _tensor_layout).  Multiplicities alone come from
 tensor_mult, with no slot enumerated.  One word set can be coded over
-different sequences (a restriction keeps its object's wider alphabets,
-and the public constructor codes each position over the letters it is
-given), so codes are compared only over one sequence: tensor_mor shares
-an enumeration only when the layout memo's keys, sequences included,
-agree.  _words(v) expands codes back to words, the form the public
-constructor takes.
+different sequences (a restriction keeps its object's wider alphabets),
+so codes are compared only over one sequence: tensor_mor shares an
+enumeration only when the layout memo's keys, sequences included, agree.
+No code is turned back into a word, and no object is built from words.
 
 Object equality is equality of multiplicity maps (words are bookkeeping,
 not identity).  Morphism equality is structural equality of normalized
 blocks: stored blocks have both dimensions positive and at least one
 nonzero entry, absent means zero.
 
-Validation happens at the public boundary only.  GradedObject(...),
-GradedMorphism(...), graded_object, simple_object and the spec parsers
-check grades, signs, layout sizes, slot-word order and length, and block
-shapes, and drop zero blocks.
-The engine's own producers (tensor, dual, sum, restriction, composition,
-the abelian and duality maps) build values from parts that already keep
-those invariants, and go through the unchecked GradedObject._of and
+Validation happens at the public boundary only.  graded_object,
+simple_object, GradedMorphism(...) and the spec parsers check grades,
+multiplicities and block shapes, and drop zero multiplicities and zero
+blocks.  No public path takes slot words: GradedObject has no public
+constructor and is exported as the type that isinstance checks.  The
+engine's own producers (tensor, dual, sum, restriction, composition, the
+abelian and duality maps) build values from parts that already keep those
+invariants, and go through the unchecked GradedObject._of and
 GradedMorphism._of instead, as Matrix._of does one level down.
 """
 
@@ -70,8 +71,7 @@ from operator import itemgetter
 from .errors import CategoryMismatch, ShapeError, SpecError
 from .exactlin import Matrix, kernel_basis, parse_rat, rat_str
 from .groupoid import _spec_ints
-from .slotcodes import (
-    alphabet, decode, encode, radix, ranks, starrer)
+from .slotcodes import alphabet, radix, ranks, starrer
 
 __all__ = [
     "GradedObject", "GradedMorphism",
@@ -113,56 +113,19 @@ MAX_PRODUCT_SLOTS = 2 ** 18
 # ---------------------------------------------------------------------------
 # objects
 
-def _check_mult(cat, mult):
-    for g, m in mult.items():
-        if m < 0:
-            raise ShapeError("negative multiplicity at grade %d" % g)
-        if not (0 <= g < cat.morphism_count):
-            raise ShapeError("grade %d out of range" % g)
-
-
 class GradedObject:
     """Multiplicity vector over the grades of a groupoid.
 
     mult holds only positive entries; layout has the same grades, and
     layout[g] is the strictly increasing tuple of slot codes over the
     factor sequence seq at grade g, one per multiplicity unit (see the
-    module docstring).  The public constructor takes layout in word form:
-    layout[g] a strictly increasing tuple of slot words, all of one
-    length, whose letters are (0, grade, index); it checks and codes
-    them.
+    module docstring).  The class has no public constructor: calling it
+    with arguments raises TypeError, and objects come from graded_object,
+    simple_object, zero_object, unit_object, the spec parsers and the
+    producers, which build through _of.
     """
 
     __slots__ = ("cat", "mult", "seq", "layout", "_hash")
-
-    def __init__(self, cat, mult, layout):
-        mult = {g: m for g, m in mult.items() if m}
-        if layout.keys() != mult.keys():
-            raise ShapeError("layout grades %s differ from multiplicity "
-                             "grades %s" % (sorted(layout), sorted(mult)))
-        _check_mult(cat, mult)
-        for g, m in mult.items():
-            words = layout[g]
-            if len(words) != m:
-                raise ShapeError("layout size mismatch at grade %d" % g)
-            if any(type(w) is not tuple for w in words):
-                raise ShapeError("slot words at grade %d are not tuples" % g)
-            if any(a >= b for a, b in zip(words, words[1:])):
-                raise ShapeError("slot words at grade %d are not strictly "
-                                 "increasing" % g)
-        if len({len(w) for ws in layout.values() for w in ws}) > 1:
-            raise ShapeError("slot words differ in length")
-        try:
-            seq, code = encode(cat, {w for ws in layout.values()
-                                      for w in ws})
-        except TypeError as exc:
-            raise ShapeError("slot words are not hashable: %s" % exc) from exc
-        self.cat = cat
-        self.mult = mult
-        self.seq = seq
-        self.layout = {g: tuple(map(code.__getitem__, ws))
-                       for g, ws in layout.items()}
-        self._hash = None
 
     @classmethod
     def _of(cls, cat, mult, seq, layout):
@@ -171,10 +134,11 @@ class GradedObject:
         The caller keeps the invariant: mult holds positive entries only,
         at grades of cat; seq is a tuple of alphabets of cat; layout has
         exactly the grades of mult, and layout[g] is a sorted tuple of
-        mult[g] distinct codes over seq.  Both dicts become the object's
-        own and must not be mutated afterwards.  A value that breaks the
-        invariant makes equality, hashing and the tensor layouts silently
-        wrong.  The producers are held to it by
+        mult[g] distinct codes over seq, each standing for a word that sits
+        at g (see _tensor_layout).  Both dicts become the object's own and
+        must not be mutated afterwards.  A value that breaks the invariant
+        makes equality, hashing and the tensor layouts silently wrong.  The
+        producers are held to it by
         test_unchecked_producers_match_validating_constructors,
         test_layout_invariants_everywhere and the word-reference tests in
         tests/test_gvec.py."""
@@ -210,15 +174,9 @@ class GradedObject:
             {g: self.mult[g] for g in self.grades()},)
 
 
-def _words(v):
-    """v's slot words, {grade: tuple of words} in layout order: the word
-    form its codes stand for, and the form GradedObject(...) takes."""
-    return {g: tuple(decode(v.seq, codes)) for g, codes in v.layout.items()}
-
-
 def _atomic_object(cat, mult):
     """The atomic object of the positive multiplicity map mult, unchecked:
-    one single-letter word (0, g, a) per slot, a < mult[g], coded over the
+    one single-letter word (g, a) per slot, a < mult[g], coded over the
     one atomic alphabet of mult.  mult becomes the object's own."""
     if not mult:
         return GradedObject._of(cat, mult, (), {})
@@ -234,7 +192,11 @@ def graded_object(cat, mult):
     float or a string is a SpecError."""
     _spec_ints({"mult": [list(p) for p in mult.items()]}, "mult", 2, False)
     mult = {g: m for g, m in mult.items() if m}
-    _check_mult(cat, mult)
+    for g, m in mult.items():
+        if m < 0:
+            raise ShapeError("negative multiplicity at grade %d" % g)
+        if not (0 <= g < cat.morphism_count):
+            raise ShapeError("grade %d out of range" % g)
     return _atomic_object(cat, mult)
 
 
@@ -303,7 +265,9 @@ def _tensor_layout(v, w):
       Every letter is atomic, and a non-empty word sits at the composite
       of its letters' grades, so equal words at different grades can only
       be the unit's empty words, at identity grades e != e', and
-      e.g2 = e'.g2' = h forces e = e' = source(h).  A pair's pos is
+      e.g2 = e'.g2' = h forces e = e' = source(h).  No public path can
+      place a word off its grade: no public constructor takes words, and
+      every producer keeps each word at its grade.  A pair's pos is
       range(k, k + n) when its left grade is a single run, and otherwise
       the concatenation of its runs' ranges.
 

@@ -1,13 +1,13 @@
 """Slot codes: the words of graded objects' slots, stored as ints.
 
 Every slot of a graded object has a word (see gvec): atomic slots, those
-of a direct sum included, are single letters (0, g, a), tensor slots
+of a direct sum included, are single letters (g, a), tensor slots
 concatenate the factor words, the unit's slots carry the empty word, and
 dual slots reverse the word and star its letters, so every letter is
 atomic.  No word is built.  An object stores a factor sequence, a tuple
 of alphabets, and per grade the sorted tuple of its slots' codes.  An
 alphabet is the ordered set of letters one word position can hold: the
-letters (0, g, a), a < m, for each (g, m) of its parts.  It is hash-consed
+letters (g, a), a < m, for each (g, m) of its parts.  It is hash-consed
 per groupoid (alphabet; Filliatre and Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006), so equal alphabets are one object and
 sequences compare element by element by identity.  The table is bounded
@@ -24,25 +24,22 @@ sequence compare, and are equal, exactly as words do.
 Each alphabet stars once (_star): the alphabet of its starred letters and
 the letter permutation into it are cached on the alphabet, so a dual
 reverses the sequence, maps each code through the permutations (starrer)
-and sorts each grade once.  decode expands codes back to words, and
-encode codes a set of words given in word form, as the public
-constructor GradedObject(...) takes them.
+and sorts each grade once.  The engine never turns a code back into a
+word and builds no object from words; the word form lives in
+tests/slotwords.py, the reference the word-form tests compare codes
+against.
 """
 
-from .errors import ShapeError
-
-__all__ = [
-    "alphabet", "radix", "ranks", "starrer", "decode", "encode",
-]
+__all__ = ["alphabet", "radix", "ranks", "starrer"]
 
 
 class _Alphabet:
     """The letters one word position can hold, ranked in letter order.
 
     parts is a tuple of (g, m) in increasing g, and the letters are
-    (0, g, a) for a < m, ranked by (g, a).  size is the number of letters;
+    (g, a) for a < m, ranked by (g, a).  size is the number of letters;
     star caches _star's result, and codes maps each g to the tuple of the
-    codes of its letters (0, g, a).  Build alphabets through alphabet
+    codes of its letters (g, a).  Build alphabets through alphabet
     only, so that equal ones are one object."""
 
     __slots__ = ("parts", "size", "star", "codes")
@@ -98,8 +95,8 @@ def ranks(codes):
 
 def _star(cat, a):
     """(a*, perm): the alphabet of a's letters starred, and perm[r] the
-    rank in a* of the star of a's letter of rank r.  The star of (0, g, a)
-    is (0, inv(g), a).  Computed once per alphabet."""
+    rank in a* of the star of a's letter of rank r.  The star of (g, a) is
+    (inv(g), a).  Computed once per alphabet."""
     if a.star is None:
         inv = cat.inverse_of
         starred = alphabet(cat, tuple(sorted((inv[g], m)
@@ -135,61 +132,3 @@ def starrer(cat, seq):
             out.append(s)
         return out
     return sseq, starred
-
-
-def _letters(a):
-    """a's letters in rank order, in word form."""
-    return [(0, g, i) for g, m in a.parts for i in range(m)]
-
-
-def decode(seq, codes):
-    """The word each code over seq stands for."""
-    tables = [(a.size, _letters(a)) for a in reversed(seq)]
-    out = []
-    for c in codes:
-        word = []
-        for size, ls in tables:
-            c, d = divmod(c, size)
-            word.append(ls[d])
-        word.reverse()
-        out.append(tuple(word))
-    return out
-
-
-def _letter_alphabet(cat, found):
-    """(alphabet, {letter: rank}) for the letters met at one position of
-    a public layout, each (0, g, a) with g a grade of cat and a an int
-    >= 0.  The position is coded over the atomic alphabet with
-    m = max(a) + 1 at each grade it meets."""
-    bad = [l for l in found
-           if not (type(l) is tuple and len(l) == 3
-                   and all(type(x) is int for x in l) and l[0] == 0
-                   and 0 <= l[1] < cat.morphism_count and l[2] >= 0)]
-    if bad:
-        raise ShapeError("slot letter %r is not (0, grade, index)"
-                         % (min(bad, key=repr),))
-    top = {}
-    for _, g, i in found:
-        top[g] = max(top.get(g, 0), i + 1)
-    a = alphabet(cat, tuple(sorted(top.items())))
-    return a, {l: a.codes[l[1]][l[2]] for l in found}
-
-
-def encode(cat, words):
-    """(seq, {word: code}) for a set of slot words of one length, each
-    position coded over the alphabet of the letters met there."""
-    words = list(words)
-    if not words:
-        return (), {}
-    seq, places = [], []
-    for p in range(len(words[0])):
-        a, rank = _letter_alphabet(cat, {w[p] for w in words})
-        seq.append(a)
-        places.append((a.size, rank))
-    code = {}
-    for w in words:
-        c = 0
-        for (size, rank), l in zip(places, w):
-            c = c * size + rank[l]
-        code[w] = c
-    return tuple(seq), code

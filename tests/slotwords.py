@@ -1,0 +1,113 @@
+"""Slot words in word form: the reference the word-form tests compare
+slot codes against.
+
+The engine stores every slot's word as an int code over its object's
+factor sequence and never builds a word (see fusionaudit.gvec and
+fusionaudit.slotcodes).  This module expands codes back to words and
+builds objects from words, so tests can state what a layout should be in
+the form the module docstrings describe: a word is a tuple of letters
+(g, a), g a grade and a an index.
+"""
+
+from fusionaudit.errors import ShapeError
+from fusionaudit.gvec import GradedObject
+from fusionaudit.slotcodes import alphabet
+
+
+def letters(a):
+    """The alphabet a's letters in rank order."""
+    return [(g, i) for g, m in a.parts for i in range(m)]
+
+
+def decode(seq, codes):
+    """The word each code over seq stands for."""
+    tables = [(a.size, letters(a)) for a in reversed(seq)]
+    out = []
+    for c in codes:
+        word = []
+        for size, ls in tables:
+            c, d = divmod(c, size)
+            word.append(ls[d])
+        word.reverse()
+        out.append(tuple(word))
+    return out
+
+
+def slot_words(v):
+    """v's slot words, {grade: tuple of words} in layout order."""
+    return {g: tuple(decode(v.seq, codes)) for g, codes in v.layout.items()}
+
+
+def _sits_at(cat, word, g):
+    """Whether word sits at grade g: its letters' grades compose to g, and
+    the empty word sits at every identity grade."""
+    if not word:
+        return g in cat.identity_grades
+    h = word[0][0]
+    for k, _ in word[1:]:
+        h = cat.compose_table[h][k]
+        if h is None:
+            return False
+    return h == g
+
+
+def _position_alphabet(cat, found):
+    """(alphabet, {letter: rank}) for the list of letters met at one word
+    position, each (g, a) with g a grade of cat and a an int >= 0, coded
+    over the atomic alphabet with m = max(a) + 1 at each grade met."""
+    bad = [l for l in found
+           if not (type(l) is tuple and len(l) == 2
+                   and all(type(x) is int for x in l)
+                   and 0 <= l[0] < cat.morphism_count and l[1] >= 0)]
+    if bad:
+        raise ShapeError("slot letter %r is not (grade, index)"
+                         % (min(bad, key=repr),))
+    found = set(found)
+    top = {}
+    for g, i in found:
+        top[g] = max(top.get(g, 0), i + 1)
+    a = alphabet(cat, tuple(sorted(top.items())))
+    return a, {l: a.codes[l[0]][l[1]] for l in found}
+
+
+def from_words(cat, layout):
+    """The object whose slots at each grade g carry the words layout[g],
+    a strictly increasing tuple of tuples of letters (g, a).  All words
+    have one length, and each sits at its grade: a non-empty word's
+    letters compose to g, and the empty word sits at an identity grade.
+    Each position is coded over the atomic alphabet of the letters met
+    there, so equal words can come out over another sequence than an
+    engine object's.  A layout that breaks a rule is a ShapeError."""
+    for g, words in layout.items():
+        if type(g) is not int or not 0 <= g < cat.morphism_count:
+            raise ShapeError("grade %r out of range" % (g,))
+        if not words:
+            raise ShapeError("no slot words at grade %d" % g)
+        if any(type(w) is not tuple for w in words):
+            raise ShapeError("slot words at grade %d are not tuples" % g)
+    lengths = {len(w) for ws in layout.values() for w in ws}
+    if len(lengths) > 1:
+        raise ShapeError("slot words differ in length")
+    seq, places = [], []
+    for p in range(lengths.pop() if lengths else 0):
+        a, rank = _position_alphabet(cat, [w[p] for ws in layout.values()
+                                           for w in ws])
+        seq.append(a)
+        places.append((a.size, rank))
+    for g, words in layout.items():
+        if any(a >= b for a, b in zip(words, words[1:])):
+            raise ShapeError("slot words at grade %d are not strictly "
+                             "increasing" % g)
+        for w in words:
+            if not _sits_at(cat, w, g):
+                raise ShapeError("slot word %r does not sit at grade %d"
+                                 % (w, g))
+    code = {}
+    for w in {w for ws in layout.values() for w in ws}:
+        c = 0
+        for (size, rank), l in zip(places, w):
+            c = c * size + rank[l]
+        code[w] = c
+    return GradedObject._of(
+        cat, {g: len(ws) for g, ws in layout.items()}, tuple(seq),
+        {g: tuple(map(code.__getitem__, ws)) for g, ws in layout.items()})

@@ -704,16 +704,36 @@ def test_cli_internal_error_exits_4(tmp_path, monkeypatch, capsys):
     assert err == "internal error: RuntimeError: corpus broke\n"
 
 
-def test_cli_unwritable_report_exits_2(tmp_path, capsys):
+def test_cli_unwritable_report_exits_2(tmp_path, monkeypatch, capsys):
     """--report to a path that cannot be written, in a missing directory
-    or a directory itself, is an input error, exit 2; both exited 4 as
-    internal errors (FileNotFoundError, IsADirectoryError)."""
+    or a directory itself, is an input error, exit 2, raised before the
+    audit starts (both exited 4 as internal errors, then 2 only after a
+    whole audit).  Checking a writable path creates no file: a bad
+    category spec or a bad --samples still leaves none."""
     spec = _write_spec(tmp_path, "vec")
+
+    def no_audit(*args, **kwargs):
+        pytest.fail("the audit started")
+
+    monkeypatch.setattr(cli, "run_audit", no_audit)
     for path in (tmp_path / "missing" / "report.json", tmp_path):
         assert cli.main(["audit", "--category", spec,
                          "--report", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: cannot write %s: " % path), err
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "group", "table": [[0, 1]]}))
+    report = tmp_path / "report.json"
+    assert cli.main(["audit", "--category", str(bad),
+                     "--report", str(report)]) == 2
+    monkeypatch.undo()
+    assert cli.main(["audit", "--category", spec, "--samples", "0",
+                     "--report", str(report)]) == 2
+    assert capsys.readouterr().err.count("input error") == 2
+    assert not report.exists()
+    assert cli.main(["audit", "--category", spec,
+                     "--report", str(report)]) == 0
+    assert report.read_text().startswith("{")
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -26,6 +26,7 @@ from fusionaudit.gvec import (
 from fusionaudit.internal import (
     dualize_algebra, groupoid_algebra, internal_end, restriction_data,
     support, unit_summand_algebra)
+from slotwords import slot_words
 
 VEC = load_fixture("vec")
 Z2 = load_fixture("vec_z2")
@@ -381,8 +382,8 @@ def test_projection_functor_is_corner_restriction():
         x = random_object(P3, rng, max_total=4)
         assert rj.obj(x) == tensor_obj(tensor_obj(one_j, x), one_j)
         assert rj.obj(x) == restrict_grades(x, rj.grades)
-        assert gvec._words(rj.obj(x)) == \
-            gvec._words(tensor_obj(tensor_obj(one_j, x), one_j))
+        assert slot_words(rj.obj(x)) == \
+            slot_words(tensor_obj(tensor_obj(one_j, x), one_j))
         y = random_object(P3, rng, max_total=4)
         f = random_morphism(x, y, rng)
         rf = rj.mor(f)
@@ -409,8 +410,8 @@ def _ref_chain(rj, x, y, unit_map):
 
 def _same_map(f, g):
     """Equal blocks between objects with equal slot words."""
-    return (f == g and gvec._words(f.source) == gvec._words(g.source)
-            and gvec._words(f.target) == gvec._words(g.target))
+    return (f == g and slot_words(f.source) == slot_words(g.source)
+            and slot_words(f.target) == slot_words(g.target))
 
 
 def _differential_objects(cat, rng):

@@ -19,8 +19,7 @@ from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
 from fusionaudit.functors import ProjectionFunctor
 from fusionaudit.groupoid import groupoid_from_spec
 from fusionaudit.gvec import (
-    GradedMorphism, GradedObject, _same_cat, _tensor_layout,
-    _words, compose, cokernel,
+    GradedMorphism, GradedObject, _same_cat, _tensor_layout, compose, cokernel,
     direct_sum_obj, direct_sum_with_maps, dual_morphism, dual_obj,
     graded_object, hom_basis, identity_mor, image_factorization, is_epi,
     is_iso, is_mono, kernel, left_dual, morphism_from_spec, morphism_to_spec,
@@ -30,6 +29,7 @@ from fusionaudit.gvec import (
 from fusionaudit.internal import (
     direct_sum_algebra, groupoid_algebra, internal_end)
 from fusionaudit.morphcalc import find_retraction, find_section
+from slotwords import from_words, slot_words
 
 Z2 = load_fixture("vec_z2")
 S3 = load_fixture("vec_s3")
@@ -42,7 +42,7 @@ S4 = groupoid_from_spec(symmetric_group_spec(4, 1))
 
 def words(v):
     """v's slot words per grade, in layout order."""
-    return list(_words(v).items())
+    return list(slot_words(v).items())
 
 
 def check_layout(v):
@@ -52,7 +52,7 @@ def check_layout(v):
     as long as the sequence."""
     assert v.layout.keys() == v.mult.keys()
     radix = slotcodes.radix(v.seq)
-    ws = _words(v)
+    ws = slot_words(v)
     assert list(ws) == list(v.layout)
     for g, m in v.mult.items():
         codes = v.layout[g]
@@ -85,12 +85,12 @@ def test_unit_laws_are_identities():
     for cat in CATS:
         unit = unit_object(cat)
         assert tensor_obj(unit, unit) == unit
-        assert _words(tensor_obj(unit, unit)) == _words(unit)
+        assert slot_words(tensor_obj(unit, unit)) == slot_words(unit)
         for _ in range(5):
             v = random_object(cat, rng)
             for prod in (tensor_obj(unit, v), tensor_obj(v, unit)):
                 assert prod == v
-                assert _words(prod) == _words(v)
+                assert slot_words(prod) == slot_words(v)
                 assert prod.seq == v.seq and prod.layout == v.layout
             w = random_object(cat, rng)
             f = random_morphism(v, w, rng)
@@ -108,7 +108,7 @@ def test_tensor_associative_on_objects_and_morphisms():
             lhs_obj = tensor_obj(tensor_obj(v[0], v[1]), v[2])
             rhs_obj = tensor_obj(v[0], tensor_obj(v[1], v[2]))
             assert lhs_obj == rhs_obj
-            assert _words(lhs_obj) == _words(rhs_obj)
+            assert slot_words(lhs_obj) == slot_words(rhs_obj)
             assert lhs_obj.seq == rhs_obj.seq
             assert lhs_obj.layout == rhs_obj.layout
             check_layout(lhs_obj)
@@ -231,15 +231,15 @@ def test_dual_strictness_on_objects():
     for cat in CATS:
         unit = unit_object(cat)
         du = dual_obj(unit)
-        assert du == unit and _words(du) == _words(unit)
+        assert du == unit and slot_words(du) == slot_words(unit)
         for _ in range(5):
             v = random_object(cat, rng)
             w = random_object(cat, rng)
             dd = dual_obj(dual_obj(v))
-            assert dd == v and _words(dd) == _words(v)
+            assert dd == v and slot_words(dd) == slot_words(v)
             lhs = dual_obj(tensor_obj(v, w))
             rhs = tensor_obj(dual_obj(w), dual_obj(v))
-            assert lhs == rhs and _words(lhs) == _words(rhs)
+            assert lhs == rhs and slot_words(lhs) == slot_words(rhs)
 
 
 def test_dual_morphism_contravariant_functor():
@@ -283,7 +283,7 @@ def test_direct_sum_maps():
         s, iv, iw, pv, pw = direct_sum_with_maps(v, w)
         assert s == direct_sum_obj(v, w)
         check_layout(s)
-        # atomic, and v's slot a at g is the slot with word (0, g, a)
+        # atomic, and v's slot a at g is the slot with word ((g, a),)
         assert words(s) == list(_ref_atomic(
             {g: v.m(g) + w.m(g) for g in set(v.mult) | set(w.mult)}).items())
         assert all(iv.blocks[g].sparse[:m] == Matrix.identity(m).sparse
@@ -345,11 +345,11 @@ def test_unit_summand_acts_as_graded_restriction():
         left = tensor_obj(one_j, x)
         keep_src = {g for g in x.mult if P3.morphisms[g][0] in {0, 2}}
         expect = restrict_grades(x, keep_src)
-        assert left == expect and _words(left) == _words(expect)
+        assert left == expect and slot_words(left) == slot_words(expect)
         right = tensor_obj(x, one_j)
         keep_tgt = {g for g in x.mult if P3.morphisms[g][1] in {0, 2}}
         expect = restrict_grades(x, keep_tgt)
-        assert right == expect and _words(right) == _words(expect)
+        assert right == expect and slot_words(right) == slot_words(expect)
     assert tensor_obj(one_j, one_j) == one_j
 
 
@@ -456,62 +456,70 @@ def test_block_shape_validation():
 
 
 def test_object_boundary_validation():
-    """The public constructors reject a grade outside 0..m-1, a negative
-    multiplicity and a layout of the wrong size."""
+    """The public constructors reject a grade outside 0..m-1 and a negative
+    multiplicity, and drop a zero multiplicity: its grade gets no slot and
+    feeds no tensor product."""
     for bad in (-1, Z2.morphism_count):
-        word = (((0, bad, 0),),)
         for build in (lambda: graded_object(Z2, {bad: 1}),
-                      lambda: simple_object(Z2, bad),
-                      lambda: GradedObject(Z2, {bad: 1}, {bad: word})):
+                      lambda: simple_object(Z2, bad)):
             with pytest.raises(ShapeError):
                 build()
     with pytest.raises(ShapeError):
         graded_object(Z2, {0: -1})
-    with pytest.raises(ShapeError):
-        GradedObject(Z2, {0: -1}, {0: ()})
-    with pytest.raises(ShapeError):
-        GradedObject(Z2, {0: 2}, {0: (((0, 0, 0),),)})
+    v = graded_object(Z2, {0: 1, 1: 0})
+    assert v.mult == {0: 1} and list(v.layout) == [0]
+    assert tensor_obj(v, v).mult == {0: 1}
 
 
 def test_object_boundary_validates_slot_words():
     """The tensor enumeration takes each factor's words at a grade as
-    sorted, distinct and of one length, and every letter as atomic; the
-    public constructor rejects a layout that breaks that, a side-tagged
-    direct-sum letter (1, side, word) included."""
-    a, b = ((0, 0, 0),), ((0, 0, 1),)
-    for words in ((b, a), (a, a)):
+    sorted, distinct and of one length, and every letter as atomic;
+    from_words, which builds the word-form references, rejects a layout
+    that breaks that, an old (0, g, a) or side-tagged direct-sum letter
+    included."""
+    a, b = ((0, 0),), ((0, 1),)
+    bad_layouts = [
+        {0: (b, a)}, {0: (a, a)}, {0: (a,), 1: (((0, 0), (1, 0)),)},
+        {0: (a,), 1: ()}, {2: (a,)}, {-1: (a,)}, {0: ([(0, 0)],)},
+        *({0: ((letter,),)} for letter in (
+            (0, 0, 0), (1, 0, a), (2, 0), (0, -1),
+            (True, 0), (0, 1.0), [0, 0], 0))]
+    for layout in bad_layouts:
         with pytest.raises(ShapeError):
-            GradedObject(Z2, {0: 2}, {0: words})
-    with pytest.raises(ShapeError):
-        GradedObject(Z2, {0: 1, 1: 1}, {0: (a,), 1: (((0, 1, 0),) * 2,)})
-    for tagged in ((((1, 0, a),),), (((1, 1, ()),),), (a + ((1, 0, b),),)):
-        with pytest.raises(ShapeError):
-            GradedObject(Z2, {0: 1}, {0: tagged})
-    v = GradedObject(Z2, {0: 2}, {0: (a, b)})
-    assert _words(tensor_obj(v, v))[0] == (a + a, a + b, b + a, b + b)
+            from_words(Z2, layout)
+    v = from_words(Z2, {0: (a, b)})
+    assert slot_words(tensor_obj(v, v))[0] == (a + a, a + b, b + a, b + b)
 
 
-def test_layout_grades_must_match_multiplicities():
-    """A layout with a grade outside mult used to be accepted, and its
-    stray slots then entered tensor products."""
-    with pytest.raises(ShapeError):
-        GradedObject(Z2, {0: 1}, {0: (((0, 0, 0),),), 1: (((0, 1, 0),),)})
-    with pytest.raises(ShapeError):
-        GradedObject(Z2, {0: 1, 1: 0}, {0: (((0, 0, 0),),), 1: ()})
-    with pytest.raises(ShapeError):
-        GradedObject(Z2, {0: 1, 1: 1}, {0: (((0, 0, 0),),)})
-    v = GradedObject(Z2, {0: 1, 1: 0}, {0: (((0, 0, 0),),)})
-    assert v.mult == {0: 1}
-    assert tensor_obj(v, v).mult == {0: 1}
+def test_words_sit_at_their_grade_and_no_public_constructor_takes_words():
+    """Equal words at different grades break _tensor_layout's no-tie
+    argument: the word-form constructor once accepted this Z2 object, and
+    its square had two equal codes at one grade.  from_words rejects a
+    word whose letters do not compose to its grade and an empty word off
+    the identity grades, and GradedObject itself takes no arguments."""
+    a = ((0, 0),)
+    for cat, layout in ((Z2, {0: (a,), 1: (a,)}), (Z2, {1: ((),)}),
+                        (Z2, {0: (((1, 0),),)}),
+                        (Z2, {1: (((1, 0), (1, 0)),)}),
+                        (P2, {0: (((1, 0), (1, 0)),)})):
+        with pytest.raises(ShapeError, match="does not sit at grade"):
+            from_words(cat, layout)
+    with pytest.raises(TypeError):
+        GradedObject(Z2, {0: 1}, {0: (a,)})
+    v = from_words(Z2, {0: (((1, 0), (1, 0)),),
+                        1: (((0, 0), (1, 0)), ((1, 0), (0, 0)))})
+    assert v.mult == {0: 1, 1: 2}
+    assert from_words(P2, {0: ((),), 3: ((),)}) == unit_object(P2)
 
 
 def _check_revalidates(x):
-    """x equals its rebuild through the public validating constructor, with
-    the same grades in the same order, so the constructor's checks pass and
-    its normalisation changes nothing; every block is in canonical sparse
-    form."""
+    """x equals its rebuild through a validating constructor, with the
+    same grades in the same order, so the constructor's checks pass and
+    its normalisation changes nothing: from_words for an object (so every
+    slot word sits at its grade), GradedMorphism(...) for a morphism,
+    whose blocks are each in canonical sparse form."""
     if isinstance(x, GradedObject):
-        y = GradedObject(x.cat, dict(x.mult), _words(x))
+        y = from_words(x.cat, slot_words(x))
         assert list(y.mult.items()) == list(x.mult.items())
         assert words(y) == words(x)
         check_layout(x)
@@ -567,7 +575,7 @@ def test_unchecked_producers_match_validating_constructors(cat, seed):
 def test_hot_producers_skip_validation(monkeypatch):
     """tensor_mor, compose, restrict_grades, dual_morphism and the
     projection functor's phi and psi build their values unchecked: none
-    calls GradedObject.__init__ or _normalize_blocks."""
+    calls _normalize_blocks, which GradedMorphism(...) calls."""
     rng = random.Random(424)
     x = random_object(P3, rng)
     y = random_object(P3, rng)
@@ -576,26 +584,20 @@ def test_hot_producers_skip_validation(monkeypatch):
     rj = ProjectionFunctor(P3, {0, 1})
     match = rj.match(x, y)
     calls = []
-    init, normalize = GradedObject.__init__, gvec._normalize_blocks
-
-    def counted_init(self, *args):
-        calls.append("init")
-        init(self, *args)
+    normalize = gvec._normalize_blocks
 
     def counted_normalize(*args):
         calls.append("normalize")
         return normalize(*args)
 
-    monkeypatch.setattr(GradedObject, "__init__", counted_init)
     monkeypatch.setattr(gvec, "_normalize_blocks", counted_normalize)
     monkeypatch.setattr(gvec, "_layout_memo", {})
     built = [tensor_mor(f, g), compose(g, f), restrict_grades(x, {0, 1}),
              dual_morphism(f), rj.phi(match), rj.psi(match)]
     assert calls == []
     assert not any(built[i].is_zero() for i in (0, 1, 3, 4, 5))
-    GradedObject(P3, {0: 1}, {0: (((0, 0, 0),),)})
     GradedMorphism(x, x, {})
-    assert calls == ["init", "normalize"]
+    assert calls == ["normalize"]
 
 
 def test_layout_invariants_everywhere():
@@ -621,7 +623,7 @@ def test_layout_invariants_everywhere():
 
 def _dense_tensor_obj(v, w):
     cat = _same_cat(v, w)
-    vl, wl = _words(v), _words(w)
+    vl, wl = slot_words(v), slot_words(w)
     layout = {}
     for g1 in v.mult:
         ws1 = vl[g1]
@@ -633,14 +635,14 @@ def _dense_tensor_obj(v, w):
             layout.setdefault(h, []).extend(
                 w1 + w2 for w1 in ws1 for w2 in wl[g2])
     layout = {h: tuple(sorted(ws)) for h, ws in layout.items()}
-    return GradedObject(cat, {h: len(ws) for h, ws in layout.items()}, layout)
+    return from_words(cat, layout)
 
 
 def _dense_tensor_slots(v, w):
     """Per grade: slot metadata (word, g1, i, g2, j) of v (x) w, in slot
     order (sorted by word)."""
     cat = _same_cat(v, w)
-    vl, wl = _words(v), _words(w)
+    vl, wl = slot_words(v), slot_words(w)
     per = {}
     for g1 in v.mult:
         row = cat.compose_table[g1]
@@ -697,9 +699,9 @@ def _assert_same_tensor(f, h):
     for side in ("source", "target"):
         a, b = getattr(got, side), getattr(ref, side)
         assert list(a.mult.items()) == list(b.mult.items())
-        assert _words(a) == _words(b)
+        assert slot_words(a) == slot_words(b)
     obj = tensor_obj(f.source, h.source)
-    assert obj == ref.source and _words(obj) == _words(ref.source)
+    assert obj == ref.source and slot_words(obj) == slot_words(ref.source)
 
 
 def _differential_factors(cat, rng):
@@ -775,7 +777,7 @@ def test_tensor_mor_keeps_target_grade_order():
     f (x) h keeps the grade order that tensor_obj gives it."""
     v = graded_object(S3, {2: 1, 1: 1})
     w = graded_object(S3, {1: 1, 2: 1})
-    assert _words(v) == _words(w) and list(v.layout) != list(w.layout)
+    assert slot_words(v) == slot_words(w) and list(v.layout) != list(w.layout)
     swap = GradedMorphism(v, w, {1: Matrix.identity(1),
                                  2: Matrix.identity(1)})
     unit = identity_mor(unit_object(S3))
@@ -791,7 +793,7 @@ def test_layout_memo_keys_on_slot_words(monkeypatch):
     its square interleave the other way round."""
     atomic = graded_object(Z2, {0: 1, 1: 1})
     product = tensor_obj(simple_object(Z2, 1), atomic)
-    assert product == atomic and _words(product) != _words(atomic)
+    assert product == atomic and slot_words(product) != slot_words(atomic)
     fresh = {}
     for v in (atomic, product):
         monkeypatch.setattr(gvec, "_layout_memo", {})
@@ -804,9 +806,10 @@ def test_layout_memo_keys_on_slot_words(monkeypatch):
     for v in (atomic, product, atomic, product):
         obj, pos = _tensor_layout(v, v)
         ref_obj, ref_pos = fresh[id(v)]
-        assert _words(obj) == _words(ref_obj) and lists(pos) == lists(ref_pos)
-        ws = _words(v)
-        assert set(_words(obj)[0]) == {ws[0][0] * 2, ws[1][0] * 2}
+        assert slot_words(obj) == slot_words(ref_obj)
+        assert lists(pos) == lists(ref_pos)
+        ws = slot_words(v)
+        assert set(slot_words(obj)[0]) == {ws[0][0] * 2, ws[1][0] * 2}
     assert lists(fresh[id(atomic)][1])[0] == {(0, 0): [0], (1, 1): [1]}
     assert lists(fresh[id(product)][1])[0] == {(0, 0): [1], (1, 1): [0]}
 
@@ -817,9 +820,8 @@ def test_layout_memo_keys_on_slot_words(monkeypatch):
 
 def _sorted_tensor_layout(v, w):
     cat = _same_cat(v, w)
-    layout, pos = _sorted_tensor_words(cat, _words(v), _words(w))
-    mult = {h: len(ws) for h, ws in layout.items()}
-    return GradedObject(cat, mult, layout), pos
+    layout, pos = _sorted_tensor_words(cat, slot_words(v), slot_words(w))
+    return from_words(cat, layout), pos
 
 
 def _sorted_tensor_words(cat, vl, wl):
@@ -872,7 +874,7 @@ def _assert_same_layout(v, w):
     obj, pos = _tensor_layout(v, w)
     ref, ref_pos = _sorted_tensor_layout(v, w)
     assert list(obj.mult.items()) == list(ref.mult.items())
-    assert list(_words(obj).items()) == list(_words(ref).items())
+    assert list(slot_words(obj).items()) == list(slot_words(ref).items())
     assert list(pos) == list(ref_pos)
     single = several = interleaved = split = 0
     for h, pairs in ref_pos.items():
@@ -988,7 +990,7 @@ def test_tensor_of_identities_builds_no_row(monkeypatch):
         monkeypatch.undo()
         assert via_twin.source is via_twin.target and via_twin == got
         assert got.source is got.target
-        assert _words(got.source) == _words(vw)
+        assert slot_words(got.source) == slot_words(vw)
         assert got.blocks.keys() == vw.mult.keys()
         for g, b in got.blocks.items():
             assert b is Matrix.identity(vw.mult[g])
@@ -1042,7 +1044,7 @@ def test_tensor_mor_enumerates_equal_layouts_once(monkeypatch):
         x = random_object(cat, rng, max_total=3)
         y = tensor_obj(random_object(cat, rng, max_total=2),
                        direct_sum_obj(x, unit_object(cat)))
-        twin = GradedObject(cat, dict(y.mult), _words(y))
+        twin = from_words(cat, slot_words(y))
         other = tensor_obj(direct_sum_obj(x, unit_object(cat)), x)
         cases += [(random_morphism(x, x, rng), random_morphism(y, y, rng), 1),
                   (identity_mor(y), random_morphism(y, twin, rng),
@@ -1097,9 +1099,9 @@ def test_dual_layout_stars_each_letter_once(monkeypatch):
             assert starred == []
             ref = _starred_dual_obj(v)
             assert list(got.mult.items()) == list(ref.mult.items())
-            assert _words(got) == _words(ref)
-            d = _words(got)
-            for g, ws in _words(v).items():
+            assert slot_words(got) == slot_words(ref)
+            d = slot_words(got)
+            for g, ws in slot_words(v).items():
                 dg = d[cat.inverse_of[g]]
                 assert [dg[p] for p in rank[g]] == [
                     _reference_star_word(cat, w) for w in ws]
@@ -1131,19 +1133,17 @@ def test_layout_memo_stays_within_its_bound(monkeypatch):
 def _reference_star_word(cat, word):
     """A word starred as first written: reversed, and each letter starred
     afresh."""
-    return tuple((0, cat.inverse_of[g], a) for _, g, a in reversed(word))
+    return tuple((cat.inverse_of[g], a) for g, a in reversed(word))
 
 
 def _starred_dual_obj(v):
     """dual_obj as it was first written: star each word, sort per grade."""
     cat = v.cat
     inv = cat.inverse_of
-    mult = {inv[g]: m for g, m in v.mult.items()}
-    ws = _words(v)
-    layout = {inv[g]: tuple(sorted(_reference_star_word(cat, w)
-                                   for w in ws[g]))
-              for g in v.mult}
-    return GradedObject(cat, mult, layout)
+    ws = slot_words(v)
+    return from_words(cat, {inv[g]: tuple(sorted(_reference_star_word(cat, w)
+                                                for w in ws[g]))
+                            for g in v.mult})
 
 
 def _dense_dual_morphism(f):
@@ -1159,13 +1159,13 @@ def _dense_dual_morphism(f):
         b = f.block(inv[g])
         if b is None:
             continue
-        src_pos = {w: i for i, w in enumerate(_words(f.source)[inv[g]])}
-        tgt_pos = {w: i for i, w in enumerate(_words(f.target)[inv[g]])}
+        src_pos = {w: i for i, w in enumerate(slot_words(f.source)[inv[g]])}
+        tgt_pos = {w: i for i, w in enumerate(slot_words(f.target)[inv[g]])}
         blocks[g] = Matrix.from_rows(
             [[b[tgt_pos[_reference_star_word(cat, wc)],
                 src_pos[_reference_star_word(cat, wr)]]
-              for wc in _words(dt)[g]]
-             for wr in _words(ds)[g]])
+              for wc in slot_words(dt)[g]]
+             for wr in slot_words(ds)[g]])
     return GradedMorphism(dt, ds, blocks)
 
 
@@ -1189,10 +1189,10 @@ def test_dual_morphism_matches_dense_reference():
         for f in _differential_factors(cat, rng) + _composite_sources(cat, rng):
             got, ref = dual_morphism(f), _dense_dual_morphism(f)
             assert got == ref
-            assert _words(got.source) == _words(ref.source)
-            assert _words(got.target) == _words(ref.target)
-            assert _words(dual_obj(f.source)) == _words(ref.target)
-            for ws in _words(f.source).values():
+            assert slot_words(got.source) == slot_words(ref.source)
+            assert slot_words(got.target) == slot_words(ref.target)
+            assert slot_words(dual_obj(f.source)) == slot_words(ref.target)
+            for ws in slot_words(f.source).values():
                 lengths.update(map(len, ws))
     assert 2 in lengths
 
@@ -1233,7 +1233,7 @@ def test_sparse_builders_read_no_dense_view(monkeypatch):
 # of its operands, never from codes.
 
 def _ref_atomic(mult):
-    return {g: tuple(((0, g, a),) for a in range(m)) for g, m in mult.items()}
+    return {g: tuple(((g, a),) for a in range(m)) for g, m in mult.items()}
 
 
 def _ref_sum(vl, wl):
@@ -1310,15 +1310,15 @@ def _random_tree(cat, rng, depth, seen):
 def test_slot_codes_match_word_references(cat, seed):
     """Random expression trees: every node's words, grade order included,
     each tensor's pos and each dual's rank equal the word-form references;
-    the public constructor codes a node's words to an object with the
-    same words; and tensor_mor and dual_morphism between nodes equal the
-    dense word-based references."""
+    from_words codes a node's words to an object with the same words; and
+    tensor_mor and dual_morphism between nodes equal the dense word-based
+    references."""
     rng = random.Random(seed)
     seen = dict.fromkeys(("atomic", "unit", "kernel", "image", "tensor",
                           "sum", "dual", "restrict"), 0)
     nodes = [_random_tree(cat, rng, 3, seen) for _ in range(4)]
     for v, ref in nodes:
-        again = GradedObject(cat, dict(v.mult), ref)
+        again = from_words(cat, ref)
         assert words(again) == words(v) == list(ref.items())
     objs = [v for v, _ in nodes]
     for _ in range(4):
@@ -1345,9 +1345,9 @@ def test_slot_code_trees_reach_every_node_kind():
 
 def _word_rows(small, big):
     """match's rows from words: the slot of big with each word of small."""
-    bw = _words(big)
+    bw = slot_words(big)
     return {h: [bw[h].index(w) for w in ws]
-            for h, ws in _words(small).items()}
+            for h, ws in slot_words(small).items()}
 
 
 def test_projection_match_against_words():
@@ -1403,22 +1403,22 @@ def test_same_slots_across_sequences():
     (see test_tensor_mor_keeps_target_grade_order)."""
     x = graded_object(S3, {1: 1, 2: 2, 4: 1})
     d = dual_obj(dual_obj(tensor_obj(x, unit_object(S3))))
-    assert _words(d) == _words(x)
+    assert slot_words(d) == slot_words(x)
     # a restriction of a non-atomic object keeps its wider alphabet
     v = restrict_grades(d, {1, 2})
     w = graded_object(S3, {1: 1, 2: 2})
-    assert v.seq != w.seq and _words(v) == _words(w)
+    assert v.seq != w.seq and slot_words(v) == slot_words(w)
     assert list(v.layout) == list(w.layout)
     # the same words with the grades in the other order
     w2 = graded_object(S3, {2: 2, 1: 1})
-    assert _words(w2) == _words(v) and list(w2.layout) != list(v.layout)
-    # the public constructor codes words over the letters it is given
-    u = GradedObject(S3, {1: 1, 2: 2}, _words(v))
-    assert _words(u) == _words(v) and u.seq != v.seq
+    assert slot_words(w2) == slot_words(v)
+    assert list(w2.layout) != list(v.layout)
+    # from_words codes words over the letters it is given
+    u = from_words(S3, slot_words(v))
+    assert slot_words(u) == slot_words(v) and u.seq != v.seq
     # same grades and sizes, other words
-    z = GradedObject(S3, {1: 1, 2: 2}, {1: (((0, 1, 1),),),
-                                        2: (((0, 2, 0),), ((0, 2, 1),))})
-    assert _words(z) != _words(w) and list(z.layout) == list(w.layout)
+    z = from_words(S3, {1: (((1, 1),),), 2: (((2, 0),), ((2, 1),))})
+    assert slot_words(z) != slot_words(w) and list(z.layout) == list(w.layout)
     for src, tgt in ((v, w), (w, v), (v, w2), (u, v), (w, u), (z, w)):
         f = GradedMorphism(src, tgt, {1: Matrix.identity(1),
                                       2: Matrix.identity(2)})
