@@ -471,6 +471,29 @@ def test_object_boundary_validation():
     assert tensor_obj(v, v).mult == {0: 1}
 
 
+def test_layout_grades_must_match_multiplicities():
+    """A layout with a grade outside mult used to be accepted, and its
+    stray slots then entered tensor products.  Every object has exactly
+    the grades of mult in its layout, with mult[g] slots at g: a zero
+    multiplicity leaves no grade behind on any path that builds objects,
+    and a grade with no slot words is rejected."""
+    a, b = ((0, 0),), ((0, 1),)
+    with pytest.raises(ShapeError):
+        from_words(Z2, {0: (a,), 1: ()})
+    built = [graded_object(Z2, {0: 1, 1: 0}),
+             object_from_spec(Z2, {"mult": {"0": 1, "1": 0}}),
+             from_words(Z2, {0: (a, b)})]
+    for v in built:
+        assert v.layout.keys() == v.mult.keys()
+        assert all(m > 0 and len(v.layout[g]) == m
+                   for g, m in v.mult.items())
+        check_layout(v)
+    v = built[0]
+    assert v.mult == {0: 1} and built[1] == v
+    assert tensor_obj(v, v).mult == {0: 1}
+    assert list(tensor_obj(v, v).layout) == [0]
+
+
 def test_object_boundary_validates_slot_words():
     """The tensor enumeration takes each factor's words at a grade as
     sorted, distinct and of one length, and every letter as atomic;
