@@ -40,12 +40,14 @@ product compare by their left factor's word first, so no product code is
 sorted: a grade fed by a single pair of factor grades is in code order
 when enumerated left-factor-major, and the grades fed by several pairs
 are filled in order by one walk over the left factor's slots in code
-order (see _tensor_layout).  Multiplicities alone come from
-tensor_mult, with no slot enumerated.  One word set can be coded over
-different sequences (a restriction keeps its object's wider alphabets),
-so codes are compared only over one sequence: tensor_mor shares an
-enumeration only when the layout memo's keys, sequences included, agree.
-No code is turned back into a word, and no object is built from words.
+order.  No position map is kept: a slot is found by bisecting its left
+code times R in its grade's codes (_slot_starts).  Multiplicities alone
+come from tensor_mult, with no slot enumerated.  One word set can be coded
+over different sequences (a restriction keeps its object's wider
+alphabets), so codes are compared only over one sequence: tensor_mor
+shares an enumeration only when the layout memo's keys, sequences
+included, agree.  No code is turned back into a word, and no object is
+built from words.
 
 Object equality is equality of multiplicity maps (words are bookkeeping,
 not identity).  Morphism equality is structural equality of normalized
@@ -64,6 +66,7 @@ GradedMorphism._of instead, as Matrix._of does one level down.
 """
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
@@ -119,13 +122,16 @@ class GradedObject:
     mult holds only positive entries; layout has the same grades, and
     layout[g] is the strictly increasing tuple of slot codes over the
     factor sequence seq at grade g, one per multiplicity unit (see the
-    module docstring).  The class has no public constructor: calling it
-    with arguments raises TypeError, and objects come from graded_object,
-    simple_object, zero_object, unit_object, the spec parsers and the
-    producers, which build through _of.
+    module docstring).  The class has no public constructor: calling it,
+    with or without arguments, raises TypeError, and objects come from
+    graded_object, simple_object, zero_object, unit_object, the spec
+    parsers and the producers, which build through _of.
     """
 
     __slots__ = ("cat", "mult", "seq", "layout", "_hash")
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("GradedObject has no public constructor")
 
     @classmethod
     def _of(cls, cat, mult, seq, layout):
@@ -232,29 +238,26 @@ def _same_cat(*items):
 # and takes its identity shortcut, exactly when both lookups return one
 # result, so without it neither would happen.  One S4 audit (element order
 # from seed 1; audit seed 1, corpus 2, samples 6; memo emptied first)
-# makes 845 lookups and 389 enumerations; 204 of the 456 hits are
-# tensor_mor's target lookup returning the source's result.  Without the
-# memo the six fixtures at corpus 2 and samples 12 took ~4% longer (median
-# of 30 interleaved pairs, before the memo decided sharing); 128 entries
-# gained nothing measurable there.  At 64 the peak RSS of repeated S4
-# audits stays flat.
+# makes 839 lookups and 389 enumerations; 204 of the 450 hits are
+# tensor_mor's target lookup returning the source's result.  128 entries
+# save 5 of the enumerations and 32 add 12.  At 64 the peak RSS of twelve
+# repeated S4 audits stays flat (22.4-22.5 MB).
 _LAYOUT_MEMO_SIZE = 64
 _layout_memo = {}
 
 
 def _tensor_layout(v, w):
-    """Enumerate the slots of v (x) w once: (v (x) w, pos).
+    """Enumerate the slots of v (x) w once, and return v (x) w.
 
-    pos[h][(g1, g2)] is a flat sequence whose entry i * w.m(g2) + j is the
-    position, within grade h, of the slot (g1, i, g2, j), whose code over
-    v.seq + w.seq is v.layout[g1][i] * R + w.layout[g2][j] with
-    R = radix(w.seq).  Slots are sorted by code, and no product code is
-    compared to put them in that order:
+    The slot (g1, i, g2, j) has the code v.layout[g1][i] * R +
+    w.layout[g2][j] over v.seq + w.seq, with R = radix(w.seq).  Slots are
+    sorted by code, and no product code is compared to put them in that
+    order:
 
     - A product code compares by its left factor's code first and by the
       right one on a tie (0 <= right code < R), and each factor's codes
       are sorted.  A grade fed by one pair (g1, g2) is therefore in order
-      as enumerated, i then j, and its pos is range(n).
+      as enumerated, i then j.
     - Grades fed by several pairs are filled by one walk over v's slots
       in code order, which takes one sort of v's own codes (those at the
       grades feeding such a grade).  The walk visits maximal runs of
@@ -267,12 +270,10 @@ def _tensor_layout(v, w):
       be the unit's empty words, at identity grades e != e', and
       e.g2 = e'.g2' = h forces e = e' = source(h).  No public path can
       place a word off its grade: no public constructor takes words, and
-      every producer keeps each word at its grade.  A pair's pos is
-      range(k, k + n) when its left grade is a single run, and otherwise
-      the concatenation of its runs' ranges.
+      every producer keeps each word at its grade.
 
-    Grades, and pairs within a grade, keep the order in which the loop
-    over (g1, g2) first meets them.
+    No position map is built: the slots are found again by _slot_starts.
+    Grades keep the order in which the loop over (g1, g2) first meets them.
 
     The result depends only on the groupoid and the two coded layouts,
     sequences included, so it is remembered under exactly those (object
@@ -280,8 +281,7 @@ def _tensor_layout(v, w):
     multiplicities can lay out different words).  Equal keys return one
     object, and tensor_mor reads that as both sides enumerating alike.  At
     most _LAYOUT_MEMO_SIZE results are kept; the memo is emptied when full.
-    Callers share the returned object and pos sequences and must not
-    mutate them."""
+    Callers share the returned object and must not mutate it."""
     cat = _same_cat(v, w)
     vl, wl = v.layout, w.layout
     key = (cat, v.seq, tuple(vl.items()), w.seq, tuple(wl.items()))
@@ -296,51 +296,50 @@ def _tensor_layout(v, w):
             h = row[g2]
             if h is not None:
                 feeds.setdefault(h, []).append((g1, g2))
-    layout, pos, targets = {}, {}, {}
+    layout, targets = {}, {}
     for h, pairs in feeds.items():
         if len(pairs) == 1:
-            pair = pairs[0]
-            cs2 = wl[pair[1]]
-            layout[h] = tuple([c1 * r + c2 for c1 in vl[pair[0]]
-                               for c2 in cs2])
-            pos[h] = {pair: range(len(layout[h]))}
+            g1, g2 = pairs[0]
+            cs2 = wl[g2]
+            layout[h] = tuple([c1 * r + c2 for c1 in vl[g1] for c2 in cs2])
             continue
         codes = layout[h] = []
-        per = pos[h] = dict.fromkeys(pairs)
-        for pair in pairs:
-            targets.setdefault(pair[0], []).append(
-                (wl[pair[1]], codes, per, pair))
+        for g1, g2 in pairs:
+            targets.setdefault(g1, []).append((wl[g2], codes))
     if targets:
         slots = sorted([(c1, g1) for g1 in targets for c1 in vl[g1]])
         for g1, run in groupby(slots, itemgetter(1)):
             run = [c1 * r for c1, _ in run]
-            for cs2, codes, per, pair in targets[g1]:
-                k = len(codes)
-                for b in run:
-                    for c2 in cs2:
-                        codes.append(b + c2)
-                span = range(k, len(codes))
-                got = per[pair]
-                if got is None:
-                    per[pair] = span
-                elif type(got) is range:
-                    per[pair] = [*got, *span]
-                else:
-                    got += span
+            for cs2, codes in targets[g1]:
+                codes += [b + c2 for b in run for c2 in cs2]
         for h, codes in layout.items():
             if type(codes) is list:
                 layout[h] = tuple(codes)
     mult = {h: len(cs) for h, cs in layout.items()}
-    out = GradedObject._of(cat, mult, v.seq + w.seq if mult else (),
-                           layout), pos
+    out = GradedObject._of(cat, mult, v.seq + w.seq if mult else (), layout)
     if len(_layout_memo) >= _LAYOUT_MEMO_SIZE:
         _layout_memo.clear()
     _layout_memo[key] = out
     return out
 
 
+def _slot_starts(codes, left, r):
+    """The position in codes of slot (g1, i, g2, 0), for each i.  codes
+    are v (x) w's at grade h = g1.g2, left is v.layout[g1] and r is
+    radix(w.seq); slot (g1, i, g2, j) sits at entry i plus j.  In h the
+    slots with left code c are exactly the codes in [c * r, (c + 1) * r),
+    in order of j: g1 and h fix g2 (a groupoid cancels), and left codes
+    never tie within a grade (_tensor_layout).  left is increasing, so
+    each bisection starts where the last one ended."""
+    out, lo = [], 0
+    for c in left:
+        lo = bisect_left(codes, c * r, lo)
+        out.append(lo)
+    return out
+
+
 def tensor_obj(v, w):
-    return _tensor_layout(v, w)[0]
+    return _tensor_layout(v, w)
 
 
 def tensor_mult(v, w):
@@ -547,14 +546,19 @@ def tensor_mor(f, h):
     In the block at grade g1.g2, row (g1, i, g2, j) and column
     (g1, ci, g2, cj) hold f[g1][i, ci] * h[g2][j, cj]; every other entry is
     zero.  Such a row takes entries from row i of f's block and row j of
-    h's block only, so only pairs of non-zero factor entries are visited:
-    a factor pair (g1, g2) costs nnz(f at g1) * nnz(h at g2) products, and
+    h's block only, so only composable pairs of non-zero blocks, g1 of f
+    and g2 of h, are visited, and within them only pairs of non-zero
+    factor entries: a pair costs nnz(f at g1) * nnz(h at g2) products, and
     a factor equal to 1 is not multiplied.  Each side's slots are
     enumerated through _tensor_layout, and both sides share one
     enumeration exactly when its memo returns one result for both: each
     factor's target has the same sequence and the same ordered layout as
-    its source.  Each output grade's Matrix is built before the next
-    grade is filled.
+    its source.  Rows and columns are found by _slot_starts: row (i, j)
+    is rstart[i] + j and column (ci, cj) is cstart[ci] + cj, where rstart
+    and cstart bisect f's target and source codes at g1 into the two
+    products' codes at g1.g2.  Each left slot's run of positions ends
+    before the next one's begins, so every row is built in column order
+    and none is sorted.
 
     Identities pass through without arithmetic.  Only the interned
     Matrix.identity counts; an equal hand-built block takes the general
@@ -563,72 +567,59 @@ def tensor_mor(f, h):
       factors is the identity, the product is identity_mor of the product
       object, built with no row.
     - When one block of a factor pair is the identity, each output row is
-      the other block's row re-indexed through pos: no product, no == 1
-      test and no sort.  The re-indexed row is already sorted because
-      pos is increasing within one pair: a grade fed by one pair has pos
-      range(n), and a grade fed by several concatenates its runs' ranges
-      in left-word order, each run after the last (_tensor_layout).  With
+      the other block's row re-indexed: no product and no == 1 test.  With
       f's block the identity, row (i, j) is row j of h's block, column cj
-      sent to pos[i * m + cj]; with h's block the identity, it is row i of
-      f's block, column ci sent to pos[ci * m + j], where m is
-      h.source.m(g2)."""
-    src, src_pos = _tensor_layout(f.source, h.source)
-    tgt, tgt_pos = _tensor_layout(f.target, h.target)
+      sent to cstart[i] + cj; with h's block the identity, it is row i of
+      f's block, column ci sent to cstart[ci] + j."""
+    src = _tensor_layout(f.source, h.source)
+    tgt = _tensor_layout(f.target, h.target)
     # Equal memo keys return one object; with no memo this never fires.
-    if (tgt is src and _interned_identity_blocks(f)
+    shared = tgt is src
+    if (shared and _interned_identity_blocks(f)
             and _interned_identity_blocks(h)):
         return identity_mor(src)
-    fblocks, hblocks = f.blocks, h.blocks
-    row_stride, col_stride = h.target.mult, h.source.mult
-    blocks = {}
-    for g, tpairs in tgt_pos.items():
-        spairs = src_pos.get(g)
-        if spairs is None:
-            continue
-        data = None
-        for pair, rpos in tpairs.items():
-            fb = fblocks.get(pair[0])
-            hb = hblocks.get(pair[1])
-            if fb is None or hb is None:
+    table, hblocks = src.cat.compose_table, h.blocks.items()
+    fsl, sl, rs = f.source.layout, src.layout, radix(h.source.seq)
+    ftl, tl, rt = f.target.layout, tgt.layout, radix(h.target.seq)
+    filled = {}
+    for g1, fb in f.blocks.items():
+        row = table[g1]
+        fid = fb.is_interned_identity()
+        for g2, hb in hblocks:
+            g = row[g2]
+            if g is None:
                 continue
-            cpos = spairs[pair]
-            rm, cm = row_stride[pair[1]], col_stride[pair[1]]
-            if data is None:
-                data = [()] * tgt.mult[g]
+            data = filled.get(g) or filled.setdefault(g, [()] * tgt.mult[g])
+            rstart = _slot_starts(tl[g], ftl[g1], rt)
+            cstart = rstart if shared else _slot_starts(sl[g], fsl[g1], rs)
             hrows = hb.sparse
-            if fb.is_interned_identity():
+            if fid:
                 for j, hrow in enumerate(hrows):
                     if not hrow:
                         continue
-                    for i in range(fb.rows):
-                        base = i * cm
-                        data[rpos[i * rm + j]] = tuple([
-                            (cpos[base + cj], y) for cj, y in hrow])
+                    for at, c in zip(rstart, cstart):
+                        data[at + j] = tuple([(c + cj, y) for cj, y in hrow])
                 continue
             if hb.is_interned_identity():
-                for i, frow in enumerate(fb.sparse):
+                for at, frow in zip(rstart, fb.sparse):
                     if not frow:
                         continue
-                    rbase = i * rm
-                    for j in range(rm):
-                        data[rpos[rbase + j]] = tuple([
-                            (cpos[ci * cm + j], x) for ci, x in frow])
+                    for j in range(hb.rows):
+                        data[at + j] = tuple([(cstart[ci] + j, x)
+                                              for ci, x in frow])
                 continue
-            for i, frow in enumerate(fb.sparse):
+            for at, frow in zip(rstart, fb.sparse):
                 if not frow:
                     continue
-                rbase = i * rm
                 for j, hrow in enumerate(hrows):
                     if not hrow:
                         continue
-                    row = [(cpos[ci * cm + cj],
-                            y if x == 1 else (x if y == 1 else x * y))
-                           for ci, x in frow for cj, y in hrow]
-                    if len(row) > 1:
-                        row.sort()
-                    data[rpos[rbase + j]] = tuple(row)
-        if data is not None:
-            blocks[g] = Matrix._of(tgt.mult[g], src.mult[g], tuple(data))
+                    data[at + j] = tuple([
+                        (cstart[ci] + cj,
+                         y if x == 1 else (x if y == 1 else x * y))
+                        for ci, x in frow for cj, y in hrow])
+    blocks = {g: Matrix._of(tgt.mult[g], src.mult[g], tuple(filled[g]))
+              for g in tl if g in filled}
     return GradedMorphism._of(src, tgt, blocks)
 
 
@@ -787,38 +778,33 @@ def left_dual(v):
 
     Grades g1 and g2 compose to an identity only when g1 = inv(g2), and
     the dual's slot at rank[g][j] of grade inv(g) carries the starred word
-    of v's slot j at g, so ev and coev pair exactly those two slots."""
+    of v's slot j at g, so ev and coev pair exactly those two slots.  Each
+    pair's slots are found in the identity grade by _slot_starts: slot
+    (inv(g), rank[g][j], g, j) of dual (x) v, and slot (g, j, inv(g),
+    rank[g][j]) of v (x) dual."""
     cat = v.cat
+    inv, table = cat.inverse_of, cat.compose_table
     d, rank = _dual_layout(v)
-    unit = unit_object(cat)
-    dxv, pos = _tensor_layout(d, v)
-    ev_blocks = {}
-    for e in cat.identity_grades:
-        pairs = pos.get(e)
-        if not pairs:
-            continue
-        hits = []
-        for (_, g2), slots in pairs.items():
-            m = v.mult[g2]
-            hits.extend((slots[i * m + j], _ONE)
-                        for j, i in enumerate(rank[g2]))
-        hits.sort()
-        ev_blocks[e] = Matrix._of(1, dxv.mult[e], (tuple(hits),))
-    ev = GradedMorphism._of(dxv, unit, ev_blocks)
-    vxd, pos = _tensor_layout(v, d)
-    coev_blocks = {}
-    for e in cat.identity_grades:
-        pairs = pos.get(e)
-        if not pairs:
-            continue
-        col = [()] * vxd.mult[e]
-        for (g1, g2), slots in pairs.items():
-            m = d.mult[g2]
-            for i, j in enumerate(rank[g1]):
-                col[slots[i * m + j]] = ((0, _ONE),)
-        coev_blocks[e] = Matrix._of(len(col), 1, tuple(col))
-    coev = GradedMorphism._of(unit, vxd, coev_blocks)
-    return d, ev, coev
+    dxv, vxd = _tensor_layout(d, v), _tensor_layout(v, d)
+    rv, rd = radix(v.seq), radix(d.seq)
+    ev, coev = {}, {}
+    for g, perm in rank.items():
+        g1 = inv[g]
+        e = table[g1][g]
+        starts = _slot_starts(dxv.layout[e], d.layout[g1], rv)
+        ev.setdefault(e, []).extend((starts[i] + j, _ONE)
+                                    for j, i in enumerate(perm))
+        e = table[g][g1]
+        col = coev.get(e) or coev.setdefault(e, [()] * vxd.mult[e])
+        for at, j in zip(_slot_starts(vxd.layout[e], v.layout[g], rd), perm):
+            col[at + j] = ((0, _ONE),)
+    unit, ids = unit_object(cat), cat.identity_grades
+    return (d, GradedMorphism._of(dxv, unit, {
+                e: Matrix._of(1, dxv.mult[e], (tuple(sorted(ev[e])),))
+                for e in ids if e in ev}),
+            GradedMorphism._of(unit, vxd, {
+                e: Matrix._of(len(coev[e]), 1, tuple(coev[e]))
+                for e in ids if e in coev}))
 
 
 def dual_morphism(f):

@@ -19,11 +19,13 @@ from .exactlin import Matrix
 from .groupoid import _spec_ints
 from .gvec import (
     MAX_PRODUCT_SLOTS, MAX_TOTAL_MULT, GradedMorphism, GradedObject,
-    _blocks_from_spec, _blocks_to_spec, _mult_product, _tensor_layout,
-    compose, dual_morphism, direct_sum_obj, graded_object, identity_mor,
-    left_dual, object_from_spec, object_to_spec, restrict_grades,
-    restriction_inclusion, restriction_projection, tensor_mor, tensor_mult,
-    tensor_obj, total_mult, unit_object, unit_summand)
+    _blocks_from_spec, _blocks_to_spec, _mult_product, _slot_starts,
+    _tensor_layout, compose, dual_morphism, direct_sum_obj, graded_object,
+    identity_mor, left_dual, object_from_spec, object_to_spec,
+    restrict_grades, restriction_inclusion, restriction_projection,
+    tensor_mor, tensor_mult, tensor_obj, total_mult, unit_object,
+    unit_summand)
+from .slotcodes import radix
 
 __all__ = [
     "InternalAlgebra", "InternalCoalgebra",
@@ -121,12 +123,20 @@ def _is_square(v, carrier):
 def _pair_columns(carrier):
     """Per grade of carrier (x) carrier: the memory position of every slot,
     listed in canonical order (composable grade pairs (g1, g2) sorted by
-    enumeration index, slot pairs row-major).  pos lists a grade's pairs
-    in the order the enumeration meets them, which follows the carrier's
-    grade order, so they are sorted here."""
-    _, pos = _tensor_layout(carrier, carrier)
-    return {h: [p for pair in sorted(per) for p in per[pair]]
-            for h, per in pos.items()}
+    enumeration index, slot pairs row-major), found by bisection
+    (gvec._slot_starts)."""
+    cxc = _tensor_layout(carrier, carrier)
+    cl, r = carrier.layout, radix(carrier.seq)
+    out = {h: [] for h in cxc.layout}
+    for g1 in sorted(cl):
+        row = carrier.cat.compose_table[g1]
+        for g2 in sorted(cl):
+            h = row[g2]
+            if h is not None:
+                out[h] += [s + j for s in _slot_starts(cxc.layout[h],
+                                                       cl[g1], r)
+                           for j in range(len(cl[g2]))]
+    return out
 
 
 def _canonical_pair_blocks(carrier, mult):
@@ -263,27 +273,28 @@ def dualize_coalgebra(c):
     return InternalAlgebra(mult.target, mult, dual_morphism(c.counit))
 
 
-def _summand_columns(c, s, pos, off):
-    """Per grade h of c (x) c: the position, within grade h of s (x) s, of
-    each slot of c (x) c, where c is a summand of s whose slot i at grade g
-    is slot off.get(g, 0) + i of s, and pos is _tensor_layout(s, s)[1].
-    Slot (g1, i, g2, j) of c (x) c is slot (g1, off[g1] + i, g2,
-    off[g2] + j) of s (x) s."""
-    cxc, cpos = _tensor_layout(c, c)
-    cm, sm = c.mult, s.mult
-    out = {}
-    for h, per in cpos.items():
-        spos = pos[h]
-        cmap = [0] * cxc.mult[h]
-        for pair, at in per.items():
-            g1, g2 = pair
-            to, n2, s2 = spos[pair], cm[g2], sm[g2]
-            r, k = off.get(g1, 0), off.get(g2, 0)
-            for i in range(cm[g1]):
-                base = (r + i) * s2 + k
-                for j in range(n2):
-                    cmap[at[i * n2 + j]] = to[base + j]
-        out[h] = cmap
+def _summand_columns(c, s, sxs, off):
+    """Per grade h of c (x) c: the position, within grade h of sxs = s (x)
+    s, of each slot of c (x) c, where c is a summand of s whose slot i at
+    grade g is slot off.get(g, 0) + i of s.  Slot (g1, i, g2, j) of
+    c (x) c is slot (g1, off[g1] + i, g2, off[g2] + j) of s (x) s; both
+    are found by bisection (gvec._slot_starts)."""
+    cxc = _tensor_layout(c, c)
+    cl, rc, rs = c.layout, radix(c.seq), radix(s.seq)
+    out = {h: [0] * m for h, m in cxc.mult.items()}
+    for g1, left in cl.items():
+        row = c.cat.compose_table[g1]
+        k = off.get(g1, 0)
+        sleft = s.layout[g1][k:k + len(left)]
+        for g2, right in cl.items():
+            h = row[g2]
+            if h is None:
+                continue
+            cmap, k2 = out[h], off.get(g2, 0)
+            for at, to in zip(_slot_starts(cxc.layout[h], left, rc),
+                              _slot_starts(sxs.layout[h], sleft, rs)):
+                for j in range(len(right)):
+                    cmap[at + j] = to + k2 + j
     return out
 
 
@@ -295,10 +306,11 @@ def direct_sum_algebra(a, b):
     product formed.  At each grade a's slots come first in the sum s and
     b's follow (direct_sum_obj), so a's rows keep their index and b's move
     down by a's multiplicity.  A column of a.mult, a slot of a (x) a, goes
-    to the slot of s (x) s with the same factor slots, and likewise for b.
-    s is atomic, so its words order grade first, while a summand's words
-    (those of an internal_end, say) need not: the column map need not be
-    increasing, and each re-indexed row is sorted.
+    to the slot of s (x) s with the same factor slots, and likewise for b
+    (both found by bisection, see _summand_columns).  s is atomic, so its
+    words order grade first, while a summand's words (those of an
+    internal_end, say) need not: the column map need not be increasing,
+    and each re-indexed row is sorted.
 
     A carrier of more than gvec.MAX_TOTAL_MULT slots is a SpecError,
     raised before anything is built: an object spec states at most that
@@ -310,11 +322,11 @@ def direct_sum_algebra(a, b):
         raise SpecError("direct sum carrier of %d slots is more than the %d "
                         "an object spec takes" % (total, MAX_TOTAL_MULT))
     s = direct_sum_obj(ca, cb)
-    sxs, pos = _tensor_layout(s, s)
-    sides = ((a.mult.blocks, _summand_columns(ca, s, pos, {}), ca),
-             (b.mult.blocks, _summand_columns(cb, s, pos, ca.mult), cb))
+    sxs = _tensor_layout(s, s)
+    sides = ((a.mult.blocks, _summand_columns(ca, s, sxs, {}), ca),
+             (b.mult.blocks, _summand_columns(cb, s, sxs, ca.mult), cb))
     blocks = {}
-    for h in pos:
+    for h in sxs.layout:
         rows = []
         for mblocks, cmaps, c in sides:
             block = mblocks.get(h)

@@ -10,8 +10,8 @@ the form the module docstrings describe: a word is a tuple of letters
 """
 
 from fusionaudit.errors import ShapeError
-from fusionaudit.gvec import GradedObject
-from fusionaudit.slotcodes import alphabet
+from fusionaudit.gvec import GradedObject, _slot_starts
+from fusionaudit.slotcodes import alphabet, radix
 
 
 def letters(a):
@@ -111,3 +111,50 @@ def from_words(cat, layout):
     return GradedObject._of(
         cat, {g: len(ws) for g, ws in layout.items()}, tuple(seq),
         {g: tuple(map(code.__getitem__, ws)) for g, ws in layout.items()})
+
+
+def sorted_tensor_words(cat, vl, wl):
+    """The reference enumeration of a tensor product, from its factors'
+    slot words vl and wl: (layout, pos).  layout[h] is the sorted tuple of
+    the concatenated words at h, and pos[h][(g1, g2)] lists, i then j, the
+    rank within h of the word of slot (g1, i, g2, j).  Grades, and pairs
+    within a grade, keep the order in which the loop over (g1, g2) first
+    meets them."""
+    words, starts = {}, {}
+    for g1, ws1 in vl.items():
+        row = cat.compose_table[g1]
+        for g2, ws2 in wl.items():
+            h = row[g2]
+            if h is None:
+                continue
+            dst = words.setdefault(h, [])
+            starts.setdefault(h, []).append(
+                (g1, g2, len(dst), len(ws1) * len(ws2)))
+            dst.extend(w1 + w2 for w1 in ws1 for w2 in ws2)
+    layout, pos = {}, {}
+    for h, ws in words.items():
+        order = sorted(range(len(ws)), key=ws.__getitem__)
+        layout[h] = tuple(map(ws.__getitem__, order))
+        rank = [0] * len(ws)
+        for p, k in enumerate(order):
+            rank[k] = p
+        pos[h] = {(g1, g2): rank[k:k + n] for g1, g2, k, n in starts[h]}
+    return layout, pos
+
+
+def bisected_pos(v, w, vw):
+    """The positions the engine finds in vw = v (x) w, in the form of
+    sorted_tensor_words's pos: pos[h][(g1, g2)] lists, i then j, where
+    gvec._slot_starts puts slot (g1, i, g2, j) in grade h of vw."""
+    r = radix(w.seq)
+    pos = {}
+    for g1, left in v.layout.items():
+        row = v.cat.compose_table[g1]
+        for g2, right in w.layout.items():
+            h = row[g2]
+            if h is None:
+                continue
+            pos.setdefault(h, {})[(g1, g2)] = [
+                s + j for s in _slot_starts(vw.layout[h], left, r)
+                for j in range(len(right))]
+    return pos

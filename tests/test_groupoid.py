@@ -14,6 +14,7 @@ from fusionaudit.groupoid import (
 )
 from fusionaudit.gvec import _tensor_layout, graded_object
 from fusionaudit.internal import _pair_columns
+from slotwords import bisected_pos, slot_words, sorted_tensor_words
 
 Z2 = [[0, 1], [1, 0]]
 # Frozen oracle: permutations of {0,1,2} in lexicographic order (identity
@@ -32,10 +33,14 @@ def pairs_into(g, h):
     column order of an algebra spec (internal._pair_columns), read off the
     tensor square of a carrier with one slot at every grade.  The carrier
     lists its grades last to first, so its square meets the pairs out of
-    that order."""
+    that order.  The positions the engine finds by bisection are checked
+    against the ranks of the word-sorted reference first."""
     carrier = graded_object(
         g, dict.fromkeys(reversed(range(g.morphism_count)), 1))
-    _, pos = _tensor_layout(carrier, carrier)
+    pos = bisected_pos(carrier, carrier, _tensor_layout(carrier, carrier))
+    words = slot_words(carrier)
+    ref = sorted_tensor_words(g, words, words)[1]
+    assert pos == ref and list(pos[h]) == list(ref[h])
     pair_at = {slots[0]: pair for pair, slots in pos[h].items()}
     return tuple(pair_at[p] for p in _pair_columns(carrier)[h])
 

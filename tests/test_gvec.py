@@ -29,7 +29,8 @@ from fusionaudit.gvec import (
 from fusionaudit.internal import (
     direct_sum_algebra, groupoid_algebra, internal_end)
 from fusionaudit.morphcalc import find_retraction, find_section
-from slotwords import from_words, slot_words
+from slotwords import (
+    bisected_pos, from_words, slot_words, sorted_tensor_words)
 
 Z2 = load_fixture("vec_z2")
 S3 = load_fixture("vec_s3")
@@ -535,6 +536,19 @@ def test_words_sit_at_their_grade_and_no_public_constructor_takes_words():
     assert from_words(P2, {0: ((),), 3: ((),)}) == unit_object(P2)
 
 
+def test_graded_object_has_no_public_constructor():
+    """GradedObject() raises TypeError with or without arguments, so no
+    object without multiplicities or codes can be made; _of still builds
+    one, equal to the atomic object it codes."""
+    for args in ((), (Z2,), (Z2, {0: 1})):
+        with pytest.raises(TypeError, match="no public constructor"):
+            GradedObject(*args)
+    ref = graded_object(Z2, {0: 2, 1: 1})
+    v = GradedObject._of(Z2, dict(ref.mult), ref.seq, dict(ref.layout))
+    assert v == ref and words(v) == words(ref)
+    assert repr(v) == "GradedObject({0: 2, 1: 1})"
+
+
 def _check_revalidates(x):
     """x equals its rebuild through a validating constructor, with the
     same grades in the same order, so the constructor's checks pass and
@@ -794,6 +808,56 @@ def test_sparse_tensor_mor_matches_dense_on_random_groupoids(cat, seed):
         _assert_same_tensor(rng.choice(factors), rng.choice(factors))
 
 
+def _skipped_pairs(f, h):
+    """The composable pairs (g1, g2) at which both endpoints of f have
+    slots at g1 and both of h at g2, one block is zero and the other is
+    not: the pairs tensor_mor's loop over non-zero blocks never visits,
+    though their rows and columns exist.  Each comes with the number of
+    pairs feeding its grade in the product of the targets."""
+    table = f.source.cat.compose_table
+    feeds = {}
+    for g1 in f.target.mult:
+        for g2 in h.target.mult:
+            g = table[g1][g2]
+            if g is not None:
+                feeds[g] = feeds.get(g, 0) + 1
+    out = []
+    for g1 in set(f.source.mult) & set(f.target.mult):
+        for g2 in set(h.source.mult) & set(h.target.mult):
+            g = table[g1][g2]
+            if g is not None and (g1 in f.blocks) != (g2 in h.blocks):
+                out.append(((g1, g2), feeds[g]))
+    return out
+
+
+def test_tensor_mor_with_zero_blocks_matches_dense_reference():
+    """Zero blocks at grades where both endpoints have slots: tensor_mor
+    visits only the composable pairs of non-zero blocks, and the pairs it
+    skips, a zero block against a non-zero one, leave zero rows that the
+    dense reference computes entry by entry.  Products of sums, duals and
+    the unit put some of the skipped pairs in grades fed by several
+    pairs, among slots that the visited pairs fill."""
+    rng = random.Random(432)
+    skipped = several = 0
+    for cat in CATS + [S4]:
+        objs = _layout_objects(cat, rng)
+        for _ in range(40):
+            f, h = (random_morphism(rng.choice(objs), rng.choice(objs), rng,
+                                    zero_weight=1) for _ in range(2))
+            if max(sum(gvec.tensor_mult(f.source, h.source).values()),
+                   sum(gvec.tensor_mult(f.target, h.target).values())) > 64:
+                continue
+            f, h = (GradedMorphism(x.source, x.target,
+                                   {g: b for g, b in x.blocks.items()
+                                    if rng.random() < 0.5})
+                    for x in (f, h))
+            _assert_same_tensor(f, h)
+            pairs = _skipped_pairs(f, h)
+            skipped += len(pairs)
+            several += sum(n > 1 for _, n in pairs)
+    assert skipped and several
+
+
 def test_tensor_mor_keeps_target_grade_order():
     """A factor whose target lays out its source's words with the grades in
     another order does not share the source's enumeration: the target of
@@ -813,7 +877,8 @@ def test_tensor_mor_keeps_target_grade_order():
 def test_layout_memo_keys_on_slot_words(monkeypatch):
     """Equal multiplicities do not share a memoised layout: the grade-1
     word of this product sorts before its grade-0 word, so the slots of
-    its square interleave the other way round."""
+    its square interleave the other way round, and the bisected positions
+    of each square equal the word-sorted ranks."""
     atomic = graded_object(Z2, {0: 1, 1: 1})
     product = tensor_obj(simple_object(Z2, 1), atomic)
     assert product == atomic and slot_words(product) != slot_words(atomic)
@@ -822,53 +887,28 @@ def test_layout_memo_keys_on_slot_words(monkeypatch):
         monkeypatch.setattr(gvec, "_layout_memo", {})
         fresh[id(v)] = _tensor_layout(v, v)
     monkeypatch.setattr(gvec, "_layout_memo", {})
-    def lists(pos):
-        return {h: {pair: list(slots) for pair, slots in per.items()}
-                for h, per in pos.items()}
-
     for v in (atomic, product, atomic, product):
-        obj, pos = _tensor_layout(v, v)
-        ref_obj, ref_pos = fresh[id(v)]
-        assert slot_words(obj) == slot_words(ref_obj)
-        assert lists(pos) == lists(ref_pos)
+        obj = _tensor_layout(v, v)
+        ref, ref_pos = _sorted_tensor_layout(v, v)
+        assert slot_words(obj) == slot_words(fresh[id(v)]) == slot_words(ref)
+        assert bisected_pos(v, v, obj) == ref_pos
         ws = slot_words(v)
         assert set(slot_words(obj)[0]) == {ws[0][0] * 2, ws[1][0] * 2}
-    assert lists(fresh[id(atomic)][1])[0] == {(0, 0): [0], (1, 1): [1]}
-    assert lists(fresh[id(product)][1])[0] == {(0, 0): [1], (1, 1): [0]}
+    assert bisected_pos(atomic, atomic, fresh[id(atomic)])[0] \
+        == {(0, 0): [0], (1, 1): [1]}
+    assert bisected_pos(product, product, fresh[id(product)])[0] \
+        == {(0, 0): [1], (1, 1): [0]}
 
 
 # Reference oracle for _tensor_layout: the enumeration it replaced, kept
 # verbatim apart from the memo (each grade's words concatenated pair by
-# pair and sorted, the ranks sliced per pair).
+# pair and sorted, the ranks sliced per pair; see
+# slotwords.sorted_tensor_words).
 
 def _sorted_tensor_layout(v, w):
     cat = _same_cat(v, w)
-    layout, pos = _sorted_tensor_words(cat, slot_words(v), slot_words(w))
+    layout, pos = sorted_tensor_words(cat, slot_words(v), slot_words(w))
     return from_words(cat, layout), pos
-
-
-def _sorted_tensor_words(cat, vl, wl):
-    """The slot words of v (x) w and its pos, from v's and w's words."""
-    words, starts = {}, {}
-    for g1, ws1 in vl.items():
-        row = cat.compose_table[g1]
-        for g2, ws2 in wl.items():
-            h = row[g2]
-            if h is None:
-                continue
-            dst = words.setdefault(h, [])
-            starts.setdefault(h, []).append(
-                (g1, g2, len(dst), len(ws1) * len(ws2)))
-            dst.extend(w1 + w2 for w1 in ws1 for w2 in ws2)
-    layout, pos = {}, {}
-    for h, ws in words.items():
-        order = sorted(range(len(ws)), key=ws.__getitem__)
-        layout[h] = tuple(map(ws.__getitem__, order))
-        rank = [0] * len(ws)
-        for p, k in enumerate(order):
-            rank[k] = p
-        pos[h] = {(g1, g2): rank[k:k + n] for g1, g2, k, n in starts[h]}
-    return layout, pos
 
 
 def _layout_objects(cat, rng):
@@ -890,11 +930,14 @@ def _layout_objects(cat, rng):
 
 def _assert_same_layout(v, w):
     """_tensor_layout, computed afresh, equals the sort-based reference:
-    multiplicities, slot words and grade order, and every position list.
-    Returns the grades fed by one pair and those fed by several, and how
-    many of the latter interleave the pairs' slots."""
+    multiplicities, slot words and grade order, and the position of every
+    slot that _slot_starts finds by bisection equals its rank among the
+    sorted words.  Returns the grades fed by one pair and those fed by
+    several, how many of the latter interleave the pairs' slots, and how
+    many pairs are split into several runs."""
     gvec._layout_memo.clear()
-    obj, pos = _tensor_layout(v, w)
+    obj = _tensor_layout(v, w)
+    pos = bisected_pos(v, w, obj)
     ref, ref_pos = _sorted_tensor_layout(v, w)
     assert list(obj.mult.items()) == list(ref.mult.items())
     assert list(slot_words(obj).items()) == list(slot_words(ref).items())
@@ -903,7 +946,7 @@ def _assert_same_layout(v, w):
     for h, pairs in ref_pos.items():
         assert list(pos[h]) == list(pairs)
         for pair, slots in pairs.items():
-            assert list(pos[h][pair]) == slots
+            assert pos[h][pair] == slots
             split += slots != list(range(slots[0], slots[0] + len(slots)))
         if len(pairs) == 1:
             single += 1
@@ -1282,7 +1325,8 @@ def _random_tree(cat, rng, depth, seen):
     objects, possibly zero, the unit, and kernel and image objects; inner
     nodes are tensor products, direct sums, duals and restrictions.  Each
     node's codes are checked against its reference words, and each tensor
-    and dual also by its pos or rank, as the node is built.  seen counts
+    and dual also by its bisected positions or rank, as the node is
+    built.  seen counts
     the node kinds."""
     if depth == 0 or rng.random() < 0.25:
         kind = rng.choice(("atomic", "unit", "kernel", "image"))
@@ -1307,10 +1351,10 @@ def _random_tree(cat, rng, depth, seen):
     seen[op] += 1
     if op == "tensor":
         gvec._layout_memo.clear()
-        v, pos = _tensor_layout(a, b)
-        ref, ref_pos = _sorted_tensor_words(cat, al, bl)
-        assert {h: {p: list(s) for p, s in per.items()}
-                for h, per in pos.items()} == ref_pos
+        v = _tensor_layout(a, b)
+        ref, ref_pos = sorted_tensor_words(cat, al, bl)
+        pos = bisected_pos(a, b, v)
+        assert pos == ref_pos
         assert [list(per) for per in pos.values()] \
             == [list(per) for per in ref_pos.values()]
     elif op == "sum":
@@ -1332,10 +1376,10 @@ def _random_tree(cat, rng, depth, seen):
 @given(_small_groupoids(), st.integers(0, 2**32 - 1))
 def test_slot_codes_match_word_references(cat, seed):
     """Random expression trees: every node's words, grade order included,
-    each tensor's pos and each dual's rank equal the word-form references;
-    from_words codes a node's words to an object with the same words; and
-    tensor_mor and dual_morphism between nodes equal the dense word-based
-    references."""
+    each tensor's bisected positions and each dual's rank equal the
+    word-form references; from_words codes a node's words to an object
+    with the same words; and tensor_mor and dual_morphism between nodes
+    equal the dense word-based references."""
     rng = random.Random(seed)
     seen = dict.fromkeys(("atomic", "unit", "kernel", "image", "tensor",
                           "sum", "dual", "restrict"), 0)
