@@ -2,42 +2,67 @@
 
 Everything is driven by random.Random instances owned by the caller, so a
 fixed seed reproduces the exact corpus byte for byte.
+
+Samples are built unchecked, through GradedObject._of (by way of
+_atomic_object), Matrix._of and GradedMorphism._of, so a sample costs its
+draws and little else.  The draws are a contract, since the golden
+reports pin them: random_object draws its total, then one grade per unit;
+random_morphism draws its entries row-major within a block, and its
+blocks in set(v.mult) & set(w.mult) order, one _random_rational per entry
+(a zero draw, then, unless it is zero, a numerator and a denominator).
 """
 
 from fractions import Fraction
 
-from .gvec import GradedMorphism, _atomic_object
+from .gvec import GradedMorphism, _atomic_object, _same_cat
 from .exactlin import Matrix
 
 __all__ = ["random_object", "random_morphism", "algebra_corpus"]
+
+_NUMERATORS = (-3, -2, -1, 1, 1, 2, 3)
+_DENOMINATORS = (1, 1, 1, 2, 3)
+# _RATIONALS[i][j] is Fraction(_NUMERATORS[i], _DENOMINATORS[j]): a choice
+# of a row and then of an entry makes the draws of a numerator and then a
+# denominator, and reads their quotient without building it.
+_RATIONALS = tuple(tuple(Fraction(n, d) for d in _DENOMINATORS)
+                   for n in _NUMERATORS)
+_ZERO = Fraction(0)
 
 
 def _random_rational(rng, zero_weight=2):
     """Small exact scalar; zero_weight controls sparsity."""
     if rng.randrange(zero_weight + 3) < zero_weight:
-        return Fraction(0)
-    num = rng.choice([-3, -2, -1, 1, 1, 2, 3])
-    den = rng.choice([1, 1, 1, 2, 3])
-    return Fraction(num, den)
+        return _ZERO
+    return rng.choice(rng.choice(_RATIONALS))
 
 
 def random_object(cat, rng, max_total=4, allow_zero=False):
     """Atomic object with bounded total multiplicity."""
     total = rng.randrange(0 if allow_zero else 1, max_total + 1)
+    count = cat.morphism_count
     mult = {}
     for _ in range(total):
-        g = rng.randrange(cat.morphism_count)
+        g = rng.randrange(count)
         mult[g] = mult.get(g, 0) + 1
     return _atomic_object(cat, mult)
 
 
 def random_morphism(v, w, rng, zero_weight=2):
+    """Random morphism v -> w: every entry of every block drawn by
+    _random_rational, rows and blocks in the order of the module
+    docstring.  Groupoids that differ are a CategoryMismatch, raised
+    before any draw; all-zero blocks are dropped."""
+    _same_cat(v, w)
     blocks = {}
     for g in set(v.mult) & set(w.mult):
         tm, sm = w.mult[g], v.mult[g]
-        blocks[g] = Matrix(tm, sm, [_random_rational(rng, zero_weight)
-                                    for _ in range(tm * sm)])
-    return GradedMorphism(v, w, blocks)
+        rows = tuple(
+            tuple([(j, x) for j in range(sm)
+                   if (x := _random_rational(rng, zero_weight))])
+            for _ in range(tm))
+        if any(rows):
+            blocks[g] = Matrix._of(tm, sm, rows)
+    return GradedMorphism._of(v, w, blocks)
 
 
 def algebra_corpus(cat, rng, internal_ends=2, sums=2):

@@ -441,10 +441,16 @@ def _require_products_fit(cat, mult):
                         % (most, MAX_PRODUCT_SLOTS))
 
 
+_EXPLICIT_KEYS = ("carrier", "mult", "unit")
+
+
 def algebra_from_spec(cat, doc):
-    """Parse the explicit form or a generator form.  A carrier whose
-    tensor square or cube would have more than gvec.MAX_PRODUCT_SLOTS
-    slots is a SpecError, raised before any product is built."""
+    """Parse the explicit form or a generator form.  An explicit form
+    needs exactly the keys carrier, mult and unit (mult or unit may be
+    null, for no blocks); any other key, or one of them missing, is a
+    SpecError that names it.  A carrier whose tensor square or cube would
+    have more than gvec.MAX_PRODUCT_SLOTS slots is a SpecError, raised
+    before any product is built."""
     if not isinstance(doc, dict):
         raise SpecError("algebra spec must be an object")
     if "gen" in doc:
@@ -482,14 +488,20 @@ def algebra_from_spec(cat, doc):
             raise SpecError("bad %r generator spec: %s" % (gen, exc)) from exc
         raise SpecError("unknown generator %r (expected one of %s)"
                         % (gen, ", ".join(_GENERATORS)))
+    for key in doc:
+        if key not in _EXPLICIT_KEYS:
+            raise SpecError("unknown algebra spec key %r (expected gen, or "
+                            "carrier, mult and unit)" % (key,))
+    for key in _EXPLICIT_KEYS:
+        if key not in doc:
+            raise SpecError("algebra spec has no %r" % key)
     try:
         carrier = object_from_spec(cat, doc["carrier"])
         _require_products_fit(cat, carrier.mult)
         cxc = tensor_obj(carrier, carrier)
-        mult = GradedMorphism(cxc, carrier,
-                              _blocks_from_spec(doc.get("mult")))
+        mult = GradedMorphism(cxc, carrier, _blocks_from_spec(doc["mult"]))
         unit = GradedMorphism(unit_object(cat), carrier,
-                              _blocks_from_spec(doc.get("unit")))
+                              _blocks_from_spec(doc["unit"]))
         return InternalAlgebra(carrier, mult, unit)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SpecError("bad algebra spec: %s" % exc) from exc

@@ -576,6 +576,21 @@ def test_cli_error_codes(tmp_path):
         assert res.returncode == 2, unit
         assert "input error" in res.stderr and why in res.stderr, res.stderr
 
+    # a missing or misspelled key (a missing mult was read as zero, and
+    # check-algebra exited 0 reporting that the unit laws fail)
+    z2_mult = {"0": [["1", "1"]], "1": [["1", "1"]]}
+    for doc, key in (({"carrier": {"mult": {"0": 1, "1": 1}},
+                       "mul": z2_mult, "unit": {"0": [["1"]]}}, "'mul'"),
+                     ({"carrier": {"mult": {"0": 1, "1": 1}},
+                       "unit": {"0": [["1"]]}}, "'mult'"),
+                     ({"carrier": {"mult": {"0": 1, "1": 1}},
+                       "mult": z2_mult}, "'unit'")):
+        alg.write_text(json.dumps(doc))
+        res = _run_cli(["check-algebra", "--category", z2,
+                        "--algebra", str(alg)], tmp_path)
+        assert res.returncode == 2, doc
+        assert "input error" in res.stderr and key in res.stderr, res.stderr
+
     # grade keys not in str(g) form (int() read each as another key's grade)
     for doc in ({"carrier": {"mult": {"0": 1, "00": 1}},
                  "mult": {"0": [["1"]]}, "unit": {"0": [["1"]]}},

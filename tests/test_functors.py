@@ -534,6 +534,45 @@ def test_lax_colax_check_matches_each_pair_once(monkeypatch):
     assert len(calls) == 7 * 5
 
 
+def _count_calls(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_lax_colax_check_builds_each_value_once(monkeypatch):
+    # per sample: two tensor products in each of lax associativity and
+    # colax coassociativity, four in unitality, and two for naturality,
+    # R(f (x) g) and R(f) (x) R(g), each read by both squares; the unit
+    # maps phi0 and psi0 are built once per call
+    calls = []
+    for name in ("phi0", "psi0"):
+        _count_calls(monkeypatch, ProjectionFunctor, name, calls)
+    _count_calls(monkeypatch, functors, "tensor_mor", calls)
+    for samples in (1, 5):
+        calls.clear()
+        assert check_projection_lax_colax(P3, {0, 2}, random.Random(622),
+                                          samples=samples)
+        assert calls.count("phi0") == calls.count("psi0") == 1
+        assert calls.count("tensor_mor") == 10 * samples
+
+
+def test_inclusion_frobenius_builds_each_square_once(monkeypatch):
+    # per sample: four tensor products for the unit axioms, and the two
+    # sides of the Frobenius squares, composed both ways
+    calls = []
+    _count_calls(monkeypatch, functors, "tensor_mor", calls)
+    for samples in (1, 5):
+        calls.clear()
+        assert check_inclusion_frobenius(P3, {0, 2}, random.Random(623),
+                                         samples=samples)
+        assert calls.count("tensor_mor") == 6 * samples
+
+
 def test_projection_lax_colax():
     rng = random.Random(614)
     assert check_projection_lax_colax(P2, {0}, rng)

@@ -13,10 +13,11 @@ from fusionaudit import gvec, slotcodes
 from fusionaudit.audit import run_audit
 from fusionaudit.corpus import (
     algebra_corpus, random_morphism, random_object)
-from fusionaudit.errors import ConsistencyError, ShapeError, SpecError
+from fusionaudit.errors import (
+    CategoryMismatch, ConsistencyError, ShapeError, SpecError)
 from fusionaudit.exactlin import Matrix
 from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
-from fusionaudit.functors import ProjectionFunctor
+from fusionaudit.functors import ProjectionFunctor, _random_sub_object
 from fusionaudit.groupoid import groupoid_from_spec
 from fusionaudit.gvec import (
     GradedMorphism, GradedObject, _same_cat, _tensor_layout, compose, cokernel,
@@ -27,7 +28,7 @@ from fusionaudit.gvec import (
     restriction_projection, simple_object, tensor_mor, tensor_obj,
     total_mult, unit_object, unit_summand, zero_mor, zero_object)
 from fusionaudit.internal import (
-    direct_sum_algebra, groupoid_algebra, internal_end)
+    direct_sum_algebra, grades_within, groupoid_algebra, internal_end)
 from fusionaudit.morphcalc import find_retraction, find_section
 from slotwords import (
     bisected_pos, from_words, slot_words, sorted_tensor_words)
@@ -610,9 +611,11 @@ def test_unchecked_producers_match_validating_constructors(cat, seed):
 
 
 def test_hot_producers_skip_validation(monkeypatch):
-    """tensor_mor, compose, restrict_grades, dual_morphism and the
-    projection functor's phi and psi build their values unchecked: none
-    calls _normalize_blocks, which GradedMorphism(...) calls."""
+    """tensor_mor, compose, restrict_grades, dual_morphism, the projection
+    functor's phi and psi, and the samplers random_object, random_morphism
+    and _random_sub_object build their values unchecked: none calls
+    _normalize_blocks, which GradedMorphism(...) calls, Matrix(...), which
+    coerces every entry, or _spec_ints, which graded_object calls."""
     rng = random.Random(424)
     x = random_object(P3, rng)
     y = random_object(P3, rng)
@@ -621,20 +624,137 @@ def test_hot_producers_skip_validation(monkeypatch):
     rj = ProjectionFunctor(P3, {0, 1})
     match = rj.match(x, y)
     calls = []
-    normalize = gvec._normalize_blocks
+    normalize, matrix_init = gvec._normalize_blocks, Matrix.__init__
+    spec_ints = gvec._spec_ints
 
     def counted_normalize(*args):
         calls.append("normalize")
         return normalize(*args)
 
+    def counted_matrix_init(*args):
+        calls.append("Matrix")
+        return matrix_init(*args)
+
+    def counted_spec_ints(*args):
+        calls.append("spec_ints")
+        return spec_ints(*args)
+
     monkeypatch.setattr(gvec, "_normalize_blocks", counted_normalize)
+    monkeypatch.setattr(Matrix, "__init__", counted_matrix_init)
+    monkeypatch.setattr(gvec, "_spec_ints", counted_spec_ints)
     monkeypatch.setattr(gvec, "_layout_memo", {})
     built = [tensor_mor(f, g), compose(g, f), restrict_grades(x, {0, 1}),
-             dual_morphism(f), rj.phi(match), rj.psi(match)]
+             dual_morphism(f), rj.phi(match), rj.psi(match),
+             random_morphism(x, y, rng, zero_weight=1),
+             random_object(P3, rng), _random_sub_object(P3, {0, 1}, rng)]
     assert calls == []
-    assert not any(built[i].is_zero() for i in (0, 1, 3, 4, 5))
+    assert not any(built[i].is_zero() for i in (0, 1, 3, 4, 5, 6))
     GradedMorphism(x, x, {})
-    assert calls == ["normalize"]
+    Matrix(1, 1, [1])
+    graded_object(P3, {0: 1})
+    assert calls == ["normalize", "Matrix", "spec_ints"]
+
+
+# The samplers as they were first written, through the validating
+# constructors, with the draws that the golden reports pin.
+
+def _validating_rational(rng, zero_weight):
+    if rng.randrange(zero_weight + 3) < zero_weight:
+        return Fraction(0)
+    num = rng.choice([-3, -2, -1, 1, 1, 2, 3])
+    den = rng.choice([1, 1, 1, 2, 3])
+    return Fraction(num, den)
+
+
+def _validating_object(cat, rng, max_total=4, allow_zero=False):
+    total = rng.randrange(0 if allow_zero else 1, max_total + 1)
+    mult = {}
+    for _ in range(total):
+        g = rng.randrange(cat.morphism_count)
+        mult[g] = mult.get(g, 0) + 1
+    return graded_object(cat, mult)
+
+
+def _validating_morphism(v, w, rng, zero_weight=2):
+    """(morphism, number of all-zero blocks dropped)."""
+    blocks = {}
+    for g in set(v.mult) & set(w.mult):
+        tm, sm = w.mult[g], v.mult[g]
+        blocks[g] = Matrix(tm, sm, [_validating_rational(rng, zero_weight)
+                                    for _ in range(tm * sm)])
+    f = GradedMorphism(v, w, blocks)
+    return f, len(blocks) - len(f.blocks)
+
+
+def _validating_sub_object(cat, objs, rng, max_total=3):
+    x = _validating_object(cat, rng, max_total=max_total)
+    return graded_object(cat, {g: m for g, m in x.mult.items()
+                               if g in grades_within(cat, objs)})
+
+
+def _same_object(x, y):
+    assert list(x.mult.items()) == list(y.mult.items())
+    assert x.seq == y.seq and x.layout == y.layout
+
+
+def _same_morphism(f, g):
+    _same_object(f.source, g.source)
+    _same_object(f.target, g.target)
+    assert list(f.blocks.items()) == list(g.blocks.items())
+    for b in f.blocks.values():
+        assert all(type(x) is Fraction for row in b.sparse for _, x in row)
+
+
+def _compare_samplers(cat, seed, zero_weight):
+    """Draw the same samples unchecked and through the validating path
+    from two rngs of one seed; return the number of all-zero blocks
+    dropped."""
+    fast, slow = random.Random(seed), random.Random(seed)
+    objs = {i for i in range(cat.object_count) if seed >> i & 1} or {0}
+    dropped = 0
+    for max_total, allow_zero in ((4, False), (3, True), (2, False)):
+        v = random_object(cat, fast, max_total, allow_zero)
+        _same_object(v, _validating_object(cat, slow, max_total, allow_zero))
+        w = random_object(cat, fast, max_total, allow_zero)
+        _same_object(w, _validating_object(cat, slow, max_total, allow_zero))
+        for a, b in ((v, w), (w, v), (v, v)):
+            f = random_morphism(a, b, fast, zero_weight)
+            g, zeros = _validating_morphism(a, b, slow, zero_weight)
+            _same_morphism(f, g)
+            dropped += zeros
+        _same_object(_random_sub_object(cat, objs, fast),
+                     _validating_sub_object(cat, objs, slow))
+        assert fast.getstate() == slow.getstate()
+    return dropped
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_groupoids(), st.integers(0, 2**32 - 1))
+def test_samplers_match_validating_path(cat, seed):
+    """random_object, random_morphism and _random_sub_object, which build
+    unchecked, give the values of the validating constructors from the
+    same draws, and leave the rng in the same state."""
+    for zero_weight in (1, 3):
+        _compare_samplers(cat, seed, zero_weight)
+
+
+def test_samplers_drop_all_zero_blocks():
+    dropped = sum(_compare_samplers(cat, seed, zero_weight)
+                  for cat in CATS for seed in range(4)
+                  for zero_weight in (1, 3))
+    assert dropped > 0
+
+
+def test_random_morphism_mismatch_draws_nothing():
+    """A pair over different groupoids raises CategoryMismatch before any
+    draw, even when their grades overlap."""
+    rng = random.Random(425)
+    v, w = graded_object(P2, {0: 2, 1: 1}), graded_object(P3, {0: 1, 1: 2})
+    state = rng.getstate()
+    for a, b in ((v, w), (w, v)):
+        with pytest.raises(CategoryMismatch):
+            random_morphism(a, b, rng)
+        assert rng.getstate() == state
 
 
 def test_layout_invariants_everywhere():

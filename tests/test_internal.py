@@ -439,6 +439,24 @@ def test_algebra_generator_specs():
                 []):
         with pytest.raises(SpecError):
             algebra_from_spec(P2, bad)
+    # a missing or misspelled key (a missing mult was read as zero, and the
+    # algebra failed validation instead of parsing)
+    good = {"carrier": {"mult": {"0": 1}}, "mult": {"0": [["1"]]},
+            "unit": {"0": [["1"]]}}
+    assert algebra_from_spec(P2, good) == unit_summand_algebra(P2, 0)
+    for key in ("carrier", "mult", "unit"):
+        doc = dict(good)
+        del doc[key]
+        with pytest.raises(SpecError, match="has no '%s'" % key):
+            algebra_from_spec(P2, doc)
+    for key in ("mul", "units", "comment", "gen "):
+        doc = {**good, key: None}
+        with pytest.raises(SpecError, match="key '%s'" % key):
+            algebra_from_spec(P2, doc)
+    doc = {k: v for k, v in good.items() if k != "mult"}
+    doc["mul"] = good["mult"]
+    with pytest.raises(SpecError, match="key 'mul'"):
+        algebra_from_spec(P2, doc)
     for key in ("mult", "unit"):
         doc = {"carrier": {"mult": {"0": 1}}, "mult": {"0": [["1"]]},
                "unit": {"0": [["1"]]}}
