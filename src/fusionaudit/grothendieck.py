@@ -71,6 +71,25 @@ class BasedRingData:
         if len(self.unit_coeffs) != n or len(self.involution) != n:
             raise ShapeError("unit or involution length differs from rank")
 
+    @classmethod
+    def _of(cls, basis_labels, nonzero, unit_coeffs, involution):
+        """Ring with the given stored fields, unchecked.
+
+        The caller keeps the invariant the constructor checks: tuples of
+        ints throughout, nonzero[i][j] the pairs (k, c) in ascending k with
+        k in range(rank) and c non-zero, and unit_coeffs and involution of
+        length rank.  grothendieck_ring builds its ring this way from the
+        composition table, which groupoid_from_spec has validated; the
+        constructor stays for every other input.  The two agree by
+        test_unchecked_ring_equals_checked_ring in
+        tests/test_grothendieck.py."""
+        r = object.__new__(cls)
+        r.basis_labels = basis_labels
+        r.nonzero = nonzero
+        r.unit_coeffs = unit_coeffs
+        r.involution = involution
+        return r
+
     @property
     def rank(self):
         return len(self.basis_labels)
@@ -106,10 +125,14 @@ def _int_tuple(values, what):
 
 
 def grothendieck_ring(cat):
+    """[X_i][X_j] = [X_k] for every composite k = ij of the composition
+    table, built unchecked (BasedRingData._of): one product tuple per
+    grade k, shared by every pair that composes to it."""
     n = cat.morphism_count
-    entries = [(i, j, k, 1) for i, row in enumerate(cat.compose_table)
-               for j, k in enumerate(row) if k is not None]
-    unit = [1 if cat.is_identity(g) else 0 for g in range(n)]
+    products = [((k, 1),) for k in range(n)]
+    nonzero = tuple(tuple(() if k is None else products[k] for k in row)
+                    for row in cat.compose_table)
+    unit = tuple(1 if cat.is_identity(g) else 0 for g in range(n))
     invol = []
     for g in range(n):
         d = dual_obj(simple_object(cat, g))
@@ -122,7 +145,7 @@ def grothendieck_ring(cat):
     for g in range(n):
         if invol[invol[g]] != g:
             raise ConsistencyError("duality permutation is not involutive")
-    return BasedRingData(range(n), entries, unit, invol)
+    return BasedRingData._of(tuple(range(n)), nonzero, unit, tuple(invol))
 
 
 def _light_associative(nz):

@@ -37,17 +37,18 @@ over the one atomic alphabet of its multiplicities; a dual reverses the
 sequence and stars each alphabet once, then sorts each grade's codes
 once; restricting grades keeps the sequence.  The words of a tensor
 product compare by their left factor's word first, so no product code is
-sorted: a grade fed by a single pair of factor grades is in code order
-when enumerated left-factor-major, and the grades fed by several pairs
-are filled in order by one walk over the left factor's slots in code
-order.  No position map is kept: a slot is found by bisecting its left
-code times R in its grade's codes (_slot_starts).  Multiplicities alone
-come from tensor_mult, with no slot enumerated.  One word set can be coded
-over different sequences (a restriction keeps its object's wider
-alphabets), so codes are compared only over one sequence: tensor_mor
-shares an enumeration only when the layout memo's keys, sequences
-included, agree.  No code is turned back into a word, and no object is
-built from words.
+sorted: one walk over the left factor's slots in code order, taken as
+maximal runs of one grade, visits the right factor's grades once per run
+and fills every grade of the product in order.  Only the left factor's
+grades are sorted when each of its grades is one run of codes, as in an
+atomic object, and its slots otherwise.  No position map is kept: a
+slot is found by bisecting its left code times R in its grade's codes
+(_slot_starts).  Multiplicities alone come from tensor_mult, with no slot
+enumerated.  One word set can be coded over different sequences (a
+restriction keeps its object's wider alphabets), so codes are compared
+only over one sequence: tensor_mor shares an enumeration only when the
+layout memo's keys, sequences included, agree.  No code is turned back
+into a word, and no object is built from words.
 
 Object equality is equality of multiplicity maps (words are bookkeeping,
 not identity).  Morphism equality is structural equality of normalized
@@ -252,28 +253,33 @@ def _tensor_layout(v, w):
     The slot (g1, i, g2, j) has the code v.layout[g1][i] * R +
     w.layout[g2][j] over v.seq + w.seq, with R = radix(w.seq).  Slots are
     sorted by code, and no product code is compared to put them in that
-    order:
+    order.  A product code compares by its left factor's code first and by
+    the right one on a tie (0 <= right code < R), and each factor's codes
+    are sorted.  So one walk fills every grade in order: it takes v's
+    slots as maximal runs of one grade g1 in code order, and each run
+    visits w's grades once and appends its codes times w.layout[g2] to
+    h = g1.g2, i then j.  The runs are v's grades as they stand when each
+    grade's codes lie at or above those of the grade before it (an atomic
+    object with its grades in order, or the unit, whose grades all hold
+    code 0), v's grades sorted by first code when each grade's codes are
+    one run in another order (any other atomic object), and otherwise
+    come from one sort of v's slots (say a tensor product whose grades
+    interleave).
 
-    - A product code compares by its left factor's code first and by the
-      right one on a tie (0 <= right code < R), and each factor's codes
-      are sorted.  A grade fed by one pair (g1, g2) is therefore in order
-      as enumerated, i then j.
-    - Grades fed by several pairs are filled by one walk over v's slots
-      in code order, which takes one sort of v's own codes (those at the
-      grades feeding such a grade).  The walk visits maximal runs of
-      consecutive slots of one grade g1; for each g2 with h = g1.g2 fed
-      by several pairs, a run appends its codes times w.layout[g2] to h,
-      i then j.  Within h the runs arrive in increasing left code, with no
-      tie: two left slots with equal words never feed the same grade.
-      Every letter is atomic, and a non-empty word sits at the composite
-      of its letters' grades, so equal words at different grades can only
-      be the unit's empty words, at identity grades e != e', and
-      e.g2 = e'.g2' = h forces e = e' = source(h).  No public path can
-      place a word off its grade: no public constructor takes words, and
-      every producer keeps each word at its grade.
+    Within h the runs arrive in increasing left code, with no tie: two
+    left slots with equal words never feed the same grade.  Every letter
+    is atomic, and a non-empty word sits at the composite of its letters'
+    grades, so equal words at different grades can only be the unit's
+    empty words, at identity grades e != e', and e.g2 = e'.g2' = h forces
+    e = e' = source(h).  No public path can place a word off its grade: no
+    public constructor takes words, and every producer keeps each word at
+    its grade.
 
     No position map is built: the slots are found again by _slot_starts.
-    Grades keep the order in which the loop over (g1, g2) first meets them.
+    Grades keep the order in which the loop over (g1, g2) first meets them:
+    the walk meets them in that order when its runs are v's grades as they
+    stand, and otherwise that loop runs once more, without enumerating,
+    until it has met every grade.
 
     The result depends only on the groupoid and the two coded layouts,
     sequences included, so it is remembered under exactly those (object
@@ -288,39 +294,85 @@ def _tensor_layout(v, w):
     hit = _layout_memo.get(key)
     if hit is not None:
         return hit
-    r = radix(w.seq)
-    feeds = {}
-    for g1 in vl:
-        row = cat.compose_table[g1]
-        for g2 in wl:
-            h = row[g2]
-            if h is not None:
-                feeds.setdefault(h, []).append((g1, g2))
-    layout, targets = {}, {}
-    for h, pairs in feeds.items():
-        if len(pairs) == 1:
-            g1, g2 = pairs[0]
-            cs2 = wl[g2]
-            layout[h] = tuple([c1 * r + c2 for c1 in vl[g1] for c2 in cs2])
+    runs, table = key[2], cat.compose_table
+    in_order = len(runs) < 2 or _contiguous(runs)
+    if not in_order:
+        runs = sorted(runs, key=itemgetter(1))
+        if not _contiguous(runs):
+            slots = sorted([(c1, g1) for g1, cs1 in vl.items() for c1 in cs1])
+            runs = [(g1, [c1 for c1, _ in run])
+                    for g1, run in groupby(slots, itemgetter(1))]
+    r, wi = radix(w.seq), key[4]
+    acc = {}
+    for g1, cs1 in runs:
+        row = table[g1]
+        # One-slot runs take their own loop, which appends a single int
+        # per one-slot grade of w (kG (x) kG is only that); folding it
+        # into the general loop cost ~7% of the enumeration time.
+        if len(cs1) == 1:
+            b = cs1[0] * r
+            for g2, cs2 in wi:
+                h = row[g2]
+                if h is None:
+                    continue
+                codes = acc.get(h)
+                if len(cs2) == 1:
+                    if codes is None:
+                        acc[h] = [b + cs2[0]]
+                    else:
+                        codes.append(b + cs2[0])
+                elif codes is None:
+                    acc[h] = [b + c2 for c2 in cs2]
+                else:
+                    codes += [b + c2 for c2 in cs2]
             continue
-        codes = layout[h] = []
-        for g1, g2 in pairs:
-            targets.setdefault(g1, []).append((wl[g2], codes))
-    if targets:
-        slots = sorted([(c1, g1) for g1 in targets for c1 in vl[g1]])
-        for g1, run in groupby(slots, itemgetter(1)):
-            run = [c1 * r for c1, _ in run]
-            for cs2, codes in targets[g1]:
-                codes += [b + c2 for b in run for c2 in cs2]
-        for h, codes in layout.items():
-            if type(codes) is list:
-                layout[h] = tuple(codes)
-    mult = {h: len(cs) for h, cs in layout.items()}
+        base = [c1 * r for c1 in cs1]
+        for g2, cs2 in wi:
+            h = row[g2]
+            if h is None:
+                continue
+            codes = acc.get(h)
+            if codes is None:
+                acc[h] = [b + c2 for b in base for c2 in cs2]
+            else:
+                codes += [b + c2 for b in base for c2 in cs2]
+    layout, mult = {}, {}
+    if in_order:
+        for h, codes in acc.items():
+            layout[h] = tuple(codes)
+            mult[h] = len(codes)
+    else:
+        left = len(acc)
+        for g1 in vl:
+            row = table[g1]
+            for g2 in wl:
+                h = row[g2]
+                if h is not None and h not in layout:
+                    codes = acc[h]
+                    layout[h] = tuple(codes)
+                    mult[h] = len(codes)
+                    left -= 1
+            if not left:
+                break
     out = GradedObject._of(cat, mult, v.seq + w.seq if mult else (), layout)
     if len(_layout_memo) >= _LAYOUT_MEMO_SIZE:
         _layout_memo.clear()
     _layout_memo[key] = out
     return out
+
+
+def _contiguous(runs):
+    """Whether the (grade, codes) items runs are, in their order, the
+    maximal same-grade runs of their slots in code order: each grade's
+    first code is at or above the last code of the grade before it.  Only
+    slots with the empty word tie, as the unit's grades all hold code 0,
+    and tied slots never feed one grade of a product (_tensor_layout)."""
+    last = -1
+    for _, codes in runs:
+        if codes[0] < last:
+            return False
+        last = codes[-1]
+    return True
 
 
 def _slot_starts(codes, left, r):
@@ -898,18 +950,30 @@ def morphism_to_spec(f):
             "blocks": _blocks_to_spec(f.blocks)}
 
 
+_MORPHISM_KEYS = ("source", "target", "blocks")
+
+
 def morphism_from_spec(cat, doc):
-    """A doc that is not a JSON object, or that lacks "source" or
-    "target", is a SpecError, as a bad object spec is."""
+    """A doc must be a JSON object with exactly the keys source, target
+    and blocks (blocks may be null, for no blocks); any other key, or one
+    of them missing, is a SpecError that names it, as a bad object spec
+    is, and the endpoints are parsed before blocks is looked for.  So a
+    misspelled "block" is refused, not read as the zero map."""
     if not isinstance(doc, dict):
         raise SpecError("morphism spec must be an object")
+    for key in doc:
+        if key not in _MORPHISM_KEYS:
+            raise SpecError("unknown morphism spec key %r (expected %s)"
+                            % (key, ", ".join(_MORPHISM_KEYS)))
     for key in ("source", "target"):
         if key not in doc:
             raise SpecError("morphism spec has no %r" % key)
     source = object_from_spec(cat, doc["source"])
     target = object_from_spec(cat, doc["target"])
+    if "blocks" not in doc:
+        raise SpecError("morphism spec has no 'blocks'")
     try:
-        blocks = _blocks_from_spec(doc.get("blocks"))
+        blocks = _blocks_from_spec(doc["blocks"])
     except (TypeError, ValueError, AttributeError) as exc:
         raise SpecError("bad morphism blocks: %s" % exc) from exc
     try:

@@ -422,7 +422,12 @@ def algebra_to_spec(a):
             "unit": _blocks_to_spec(a.unit.blocks)}
 
 
-_GENERATORS = ("unit_summand", "groupoid_algebra", "internal_end", "sum")
+# Each generator form's keys; any other key is a SpecError.  unit_summand
+# names its object by "i" or "object", not both.
+_GENERATORS = {"unit_summand": ("gen", "i", "object"),
+               "groupoid_algebra": ("gen", "objects"),
+               "internal_end": ("gen", "object"),
+               "sum": ("gen", "parts")}
 
 
 def _require_products_fit(cat, mult):
@@ -444,10 +449,27 @@ def _require_products_fit(cat, mult):
 _EXPLICIT_KEYS = ("carrier", "mult", "unit")
 
 
+def _check_generator_keys(gen, doc):
+    """SpecError naming the first key of a generator form doc that its
+    generator gen does not take, or an unknown gen."""
+    keys = _GENERATORS.get(gen) if isinstance(gen, str) else None
+    if keys is None:
+        raise SpecError("unknown generator %r (expected one of %s)"
+                        % (gen, ", ".join(_GENERATORS)))
+    for key in doc:
+        if key not in keys:
+            raise SpecError("unknown key %r in a %r generator spec "
+                            "(expected %s)" % (key, gen, ", ".join(keys)))
+    if "i" in doc and "object" in doc:
+        raise SpecError("a 'unit_summand' generator spec takes 'i' or "
+                        "'object', not both")
+
+
 def algebra_from_spec(cat, doc):
     """Parse the explicit form or a generator form.  An explicit form
     needs exactly the keys carrier, mult and unit (mult or unit may be
-    null, for no blocks); any other key, or one of them missing, is a
+    null, for no blocks), and a generator form takes only its own keys
+    (_GENERATORS); any other key, or an explicit key missing, is a
     SpecError that names it.  A carrier whose tensor square or cube would
     have more than gvec.MAX_PRODUCT_SLOTS slots is a SpecError, raised
     before any product is built."""
@@ -455,6 +477,7 @@ def algebra_from_spec(cat, doc):
         raise SpecError("algebra spec must be an object")
     if "gen" in doc:
         gen = doc["gen"]
+        _check_generator_keys(gen, doc)
         try:
             if gen == "unit_summand":
                 return unit_summand_algebra(cat, _spec_ints(
@@ -486,8 +509,6 @@ def algebra_from_spec(cat, doc):
         except (KeyError, TypeError, ValueError, IndexError,
                 OverflowError) as exc:
             raise SpecError("bad %r generator spec: %s" % (gen, exc)) from exc
-        raise SpecError("unknown generator %r (expected one of %s)"
-                        % (gen, ", ".join(_GENERATORS)))
     for key in doc:
         if key not in _EXPLICIT_KEYS:
             raise SpecError("unknown algebra spec key %r (expected gen, or "

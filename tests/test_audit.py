@@ -201,7 +201,9 @@ def test_reverify_witness_bad_documents_are_spec_errors():
     """A witness that is not an object, or lacks a key its condition
     reads, is a SpecError; {"morphism": {}} for condition 6 raised
     KeyError: 'spec'.  So is a simple_grade that is not an int grade:
-    out of range it raised ShapeError, and a list or a dict TypeError."""
+    out of range it raised ShapeError, and a list or a dict TypeError.
+    So is a morphism whose "blocks" key is missing or misspelled "block":
+    it parsed as the zero map, and the witness was judged on that."""
     cat = load_fixture("vec_z2")
     alg = {"gen": "unit_summand", "i": 0}
     idspec = morphism_to_spec(identity_mor(unit_object(cat)))
@@ -221,6 +223,15 @@ def test_reverify_witness_bad_documents_are_spec_errors():
         for bad in (99, -1, 10 ** 6, [], {}, True, 1.5, "1", None):
             with pytest.raises(SpecError):
                 reverify_witness(pair2, cond, dict(w, simple_grade=bad))
+        f = w["morphism"]
+        assert f["blocks"]
+        unblocked = {k: v for k, v in f.items() if k != "blocks"}
+        for bad, key in ((dict(unblocked, block=f["blocks"]), "'block'"),
+                         (unblocked, "has no 'blocks'")):
+            with pytest.raises(SpecError, match=key):
+                reverify_witness(pair2, cond, dict(w, morphism=bad))
+        assert not reverify_witness(pair2, cond,
+                                    dict(w, morphism=dict(f, blocks=None)))
 
 
 _MUTANTS = (None, True, False, 1.5, "x", "1", -1, 0, 2, 99, 10 ** 6, [], {})
@@ -610,6 +621,19 @@ def test_cli_error_codes(tmp_path):
         res = _run_cli(args, tmp_path)
         assert res.returncode == 2, args
         assert "input error" in res.stderr and "deeply" in res.stderr
+
+
+def test_cli_generator_spec_with_unknown_key_exits_2(tmp_path):
+    """check-algebra parsed this spec as the summand at object 0, with
+    its "objects" and "typo" unread, and exited 0."""
+    spec = _write_spec(tmp_path, "pair2")
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps(
+        {"gen": "unit_summand", "i": 0, "objects": [1], "typo": 3}))
+    res = _run_cli(["check-algebra", "--category", spec,
+                    "--algebra", str(alg)], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "input error" in res.stderr and "'objects'" in res.stderr
 
 
 @pytest.mark.parametrize("doc", COERCED_GENERATOR_SPECS)

@@ -99,6 +99,27 @@ def test_involution_antiautomorphism_everywhere():
         assert is_fusion_ring(r)["holds"] == (cat.object_count == 1)
 
 
+def test_unchecked_ring_equals_checked_ring():
+    """grothendieck_ring builds through the unchecked _of; the checking
+    constructor, fed the same constants as (i, j, k, 1) entries of the
+    composition table, gives an equal ring, field by field, on the six
+    fixtures and S4."""
+    s4 = groupoid_from_spec(symmetric_group_spec(4, 1))
+    for cat in (VEC, Z2, S3, P2, P3, U22, s4):
+        r = grothendieck_ring(cat)
+        entries = [(i, j, k, 1) for i, row in enumerate(cat.compose_table)
+                   for j, k in enumerate(row) if k is not None]
+        checked = BasedRingData(range(cat.morphism_count), entries,
+                                list(r.unit_coeffs), list(r.involution))
+        assert r == checked and hash(r) == hash(checked)
+        for field in BasedRingData.__slots__:
+            assert type(getattr(r, field)) is tuple
+            assert getattr(r, field) == getattr(checked, field)
+        assert r.entries() == sorted(entries)
+        assert r.unit_coeffs == tuple(int(cat.is_identity(g))
+                                      for g in range(cat.morphism_count))
+
+
 def test_mutated_constants_rejected_with_location():
     r = grothendieck_ring(Z2)
     # killing e*g breaks both the unit law and associativity, localized

@@ -1032,10 +1032,11 @@ def _sorted_tensor_layout(v, w):
 
 
 def _layout_objects(cat, rng):
-    """Objects whose products reach both enumeration paths: atomic ones,
-    corpus carriers, the unit (the same empty word at every identity
-    grade), unit (+) unit, nested direct sums, and duals of tensor
-    products."""
+    """Objects whose products reach each way _tensor_layout takes its
+    left runs (grades in order, grades sorted, slots sorted): atomic
+    ones, corpus carriers, the unit (the same empty word at every
+    identity grade), unit (+) unit, nested direct sums, and duals of
+    tensor products."""
     x = random_object(cat, rng, max_total=3)
     y = random_object(cat, rng, max_total=3)
     unit = unit_object(cat)
@@ -1078,9 +1079,10 @@ def _assert_same_layout(v, w):
 
 
 def test_tensor_layout_matches_sorted_reference():
-    """Both enumeration paths agree with the reference, including pairs
-    whose left grade's slots are split into several runs by the slots of
-    other grades (their positions are not one contiguous range)."""
+    """The enumeration agrees with the reference on grades fed by one
+    pair and by several, including pairs whose left grade's slots are
+    split into several runs by the slots of other grades (their
+    positions are not one contiguous range)."""
     rng = random.Random(424)
     counts = [0, 0, 0, 0]
     for cat in [load_fixture(name) for name in FIXTURE_NAMES] + [S4]:
@@ -1102,32 +1104,73 @@ def test_tensor_layout_matches_sorted_reference_on_random_groupoids(cat,
         _assert_same_layout(rng.choice(objs), rng.choice(objs))
 
 
+def _one_run_per_grade(v):
+    """Whether v's grades hold ranges of codes that do not overlap, so
+    that in code order each grade's slots form one run.  Grades may share
+    an end code: the unit's grades all hold code 0, and such tied slots
+    never feed one grade of a product."""
+    spans = sorted((codes[0], codes[-1]) for codes in v.layout.values())
+    return all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+
+
 def test_single_pair_grades_skip_the_sort(monkeypatch):
-    """_tensor_layout sorts nothing when every grade is fed by one factor
-    pair, and otherwise sorts once, the left factor's slots, however many
-    grades are fed by several pairs."""
+    """_tensor_layout sorts none of v's slots when each grade of v is one
+    run of consecutive codes, and sorts them once otherwise; the only
+    other sort it makes is one of v's grades by first code.  All three
+    cases occur: no sort, v's grades only, v's slots."""
     rng = random.Random(425)
     cases = [(v, w) for cat in CATS + [S4]
              for objs in [_layout_objects(cat, rng)]
              for v in objs for w in objs]
-    several = [sum(len(pairs) > 1
-                   for pairs in _sorted_tensor_layout(v, w)[1].values())
-               for v, w in cases]
     sorts = []
 
-    def counted(*args, **kwargs):
-        sorts.append(1)
-        return sorted(*args, **kwargs)
+    def counted(items, **kwargs):
+        items = list(items)
+        sorts.append(items)
+        return sorted(items, **kwargs)
 
     monkeypatch.setattr(gvec, "sorted", counted, raising=False)
-    got = []
+    kinds = set()
     for v, w in cases:
         gvec._layout_memo.clear()
         sorts.clear()
         _tensor_layout(v, w)
-        got.append(len(sorts))
-    assert got == [min(n, 1) for n in several]
-    assert 0 in got and max(several) > 1
+        slots = sorted((c, g) for g, codes in v.layout.items()
+                       for c in codes)
+        of_slots = [items for items in sorts if sorted(items) == slots]
+        of_grades = [items for items in sorts
+                     if sorted(g for g, _ in items) == sorted(v.layout)]
+        assert len(of_slots) + len(of_grades) == len(sorts) <= 2
+        assert len(of_grades) <= 1
+        assert len(of_slots) == (0 if _one_run_per_grade(v) else 1)
+        kinds.add((len(of_grades), len(of_slots)))
+    assert {(0, 0), (1, 0), (1, 1)} <= kinds
+
+
+def test_split_left_runs_match_sorted_reference():
+    """Left factors whose grades are not each one run of codes take the
+    sort of their slots: a tensor product whose grades interleave, and a
+    dual of one.  The unit of a multi-object groupoid, code 0 at every
+    identity grade, ties across grades and is walked in its grade order.
+    Each product with them, on either side, equals the word-sorted
+    reference, grade order included."""
+    rng = random.Random(426)
+    for cat in (P2, P3, U22, S3):
+        x = graded_object(cat, {g: 1 + g % 2
+                                for g in range(cat.morphism_count)})
+        y = random_object(cat, rng, max_total=3)
+        product = tensor_obj(x, x)
+        lefts = [product, dual_obj(product)]
+        for v in lefts:
+            assert not _one_run_per_grade(v)
+        unit = unit_object(cat)
+        if len(unit.layout) > 1:
+            assert set(unit.layout.values()) == {(0,)}
+            lefts.append(unit)
+        for v in lefts:
+            for w in (x, y, product, unit, dual_obj(x)):
+                _assert_same_layout(v, w)
+                _assert_same_layout(w, v)
 
 
 @settings(max_examples=40, deadline=None)

@@ -414,6 +414,33 @@ def test_generator_specs_take_json_integers_only(doc):
         algebra_from_spec(P2, doc)
 
 
+def test_generator_specs_refuse_unknown_keys():
+    """A generator form takes only its own keys, and the message names the
+    first other one.  The probe parsed as the summand at object 0, with
+    its "objects" and "typo" unread; unit_summand takes "i" or "object",
+    not both."""
+    probe = {"gen": "unit_summand", "i": 0, "objects": [1], "typo": 3}
+    with pytest.raises(SpecError, match="unknown key 'objects'"):
+        algebra_from_spec(P2, probe)
+    with pytest.raises(SpecError, match="unknown key 'objects'"):
+        algebra_from_spec(P2, {"gen": "sum", "parts": [probe]})
+    with pytest.raises(SpecError, match="not both"):
+        algebra_from_spec(P2, {"gen": "unit_summand", "i": 0, "object": 0})
+    for doc, others in (
+            ({"gen": "unit_summand", "i": 0}, ("objects", "parts")),
+            ({"gen": "unit_summand", "object": 1}, ("objects", "o")),
+            ({"gen": "groupoid_algebra", "objects": [0, 1]},
+             ("object", "i")),
+            ({"gen": "internal_end", "object": {"mult": {"0": 1}}},
+             ("objects", "i")),
+            ({"gen": "sum", "parts": [{"gen": "unit_summand", "i": 0}]},
+             ("part", "object"))):
+        assert not algebra_from_spec(P2, doc).is_zero()
+        for key in others + ("typo", "gen ", "carrier"):
+            with pytest.raises(SpecError, match="unknown key '%s'" % key):
+                algebra_from_spec(P2, {**doc, key: 0})
+
+
 def test_algebra_generator_specs():
     assert algebra_from_spec(P2, {"gen": "unit_summand", "i": 0}) \
         == unit_summand_algebra(P2, 0)
