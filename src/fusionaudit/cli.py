@@ -36,8 +36,11 @@ def _dump(doc):
 def _check_report_path(path):
     """Raise SpecError unless a report can be written to path: an existing
     writable file, or a new name in an existing writable directory.
-    Creates nothing, so an audit that fails later leaves no file behind."""
-    if os.path.isdir(path):
+    Creates nothing, so an audit that fails later leaves no file behind.
+    The empty path names no file."""
+    if not path:
+        why = "the path is empty"
+    elif os.path.isdir(path):
         why = "is a directory"
     elif os.path.exists(path):
         why = None if os.access(path, os.W_OK) else "not writable"
@@ -50,7 +53,8 @@ def _check_report_path(path):
 
 
 def _cmd_audit(args):
-    if args.report:
+    # "--report ''" is a path too, one that _check_report_path refuses
+    if args.report is not None:
         # Fail before the audit; the write below can still fail, as the
         # path may change while the audit runs.
         _check_report_path(args.report)
@@ -59,7 +63,7 @@ def _cmd_audit(args):
                        samples=args.samples)
     sys.stdout.write(render_report(report))
     text = _dump(report)
-    if args.report:
+    if args.report is not None:
         try:
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -517,9 +517,18 @@ class ProjectionFunctor:
         either.)  The slots of R(x) (x) R(y) at h are some of those of
         R(x (x) y), whose codes are sorted, so each is found by
         bisection.  A code that bisection does not find, which breaks that
-        argument, is a ConsistencyError."""
+        argument, is a ConsistencyError.
+
+        When x and y lie inside J, as every object does on a one-object
+        groupoid, R keeps them and x (x) y whole (restrict_grades returns
+        its argument), and both products are one memoised object: then
+        R(x) (x) R(y) is R(x (x) y), and every row is the identity, with
+        nothing bisected."""
         small = tensor_obj(self.obj(x), self.obj(y))
         big = self.obj(tensor_obj(x, y))
+        if small is big:
+            return small, big, {h: list(range(m))
+                                for h, m in small.mult.items()}
         rows = {}
         for h, codes in small.layout.items():
             bcodes = big.layout[h]
@@ -531,8 +540,11 @@ class ProjectionFunctor:
         return small, big, rows
 
     def phi(self, match):
-        """R(x) (x) R(y) -> R(x (x) y), for match = self.match(x, y)."""
+        """R(x) (x) R(y) -> R(x (x) y), for match = self.match(x, y); the
+        identity, with no row read, when the two are one object."""
         small, big, rows = match
+        if small is big:
+            return identity_mor(small)
         blocks = {}
         for h, r in rows.items():
             blocks[h] = _zero_one(big.mult[h], len(r),
@@ -540,8 +552,11 @@ class ProjectionFunctor:
         return GradedMorphism._of(small, big, blocks)
 
     def psi(self, match):
-        """R(x (x) y) -> R(x) (x) R(y), for match = self.match(x, y)."""
+        """R(x (x) y) -> R(x) (x) R(y), for match = self.match(x, y); the
+        identity when the two are one object, as phi."""
         small, big, rows = match
+        if small is big:
+            return identity_mor(small)
         blocks = {}
         for h, r in rows.items():
             blocks[h] = _zero_one(len(r), big.mult[h], dict(enumerate(r)))

@@ -294,14 +294,8 @@ def _tensor_layout(v, w):
     hit = _layout_memo.get(key)
     if hit is not None:
         return hit
-    runs, table = key[2], cat.compose_table
-    in_order = len(runs) < 2 or _contiguous(runs)
-    if not in_order:
-        runs = sorted(runs, key=itemgetter(1))
-        if not _contiguous(runs):
-            slots = sorted([(c1, g1) for g1, cs1 in vl.items() for c1 in cs1])
-            runs = [(g1, [c1 for c1, _ in run])
-                    for g1, run in groupby(slots, itemgetter(1))]
+    table = cat.compose_table
+    runs, in_order = _code_runs(key[2])
     r, wi = radix(w.seq), key[4]
     acc = {}
     for g1, cs1 in runs:
@@ -359,6 +353,24 @@ def _tensor_layout(v, w):
         _layout_memo.clear()
     _layout_memo[key] = out
     return out
+
+
+def _code_runs(items):
+    """(runs, in_order): the slots of an object whose layout items are
+    items, in code order, as maximal runs of one grade, each a (grade,
+    codes) pair.  in_order says that the runs are items as they stand,
+    each grade one run, in its layout order; otherwise they are items
+    sorted by first code, when each grade is still one run, and else come
+    from one sort of all the slots (a grade can then be split over several
+    runs, each a stretch of its codes in order).  See _tensor_layout."""
+    if len(items) < 2 or _contiguous(items):
+        return items, True
+    runs = sorted(items, key=itemgetter(1))
+    if not _contiguous(runs):
+        slots = sorted([(c, g) for g, codes in items for c in codes])
+        runs = [(g, [c for c, _ in run])
+                for g, run in groupby(slots, itemgetter(1))]
+    return runs, False
 
 
 def _contiguous(runs):
@@ -446,8 +458,15 @@ def dual_obj(v):
 def restrict_grades(v, grades):
     """v's slots at the given grades, with their words and codes over v's
     factor sequence; with no slot left, over the empty sequence, as every
-    object without slots is."""
+    object without slots is.  When grades hold every grade of v, nothing
+    is dropped and v itself is returned: the restriction of an object
+    supported inside a subcategory (every object, on a one-object
+    groupoid) copies nothing, and is the object a caller already holds
+    (functors.ProjectionFunctor.match and internal.restriction_data test
+    for that)."""
     keep = {g: m for g, m in v.mult.items() if g in grades}
+    if len(keep) == len(v.mult):
+        return v
     return GradedObject._of(v.cat, keep, v.seq if keep else (),
                             {g: v.layout[g] for g in keep})
 
@@ -869,6 +888,16 @@ def dual_morphism(f):
     of _dual_layout, and the rest of the block is never read."""
     ds, rrank = _dual_layout(f.source)
     dt, crank = _dual_layout(f.target)
+    return _transposed(f, dt, ds, rrank, crank)
+
+
+def _transposed(f, source, target, rrank, crank):
+    """The morphism source -> target whose block at inv(g) is f's block at
+    g transposed, with f's source slot s at g sent to row rrank[g][s] and
+    f's target slot t to column crank[g][t].  source and target must be
+    the duals of f's target and source (dual_morphism), or objects coded
+    equally, as the dual square that internal.dualize_algebra lays out is
+    for the dual of a carrier's square."""
     inv = f.source.cat.inverse_of
     blocks = {}
     for g, b in f.blocks.items():
@@ -884,7 +913,7 @@ def dual_morphism(f):
                 row.sort()
         blocks[h] = Matrix._of(len(rperm), len(cperm),
                                tuple(map(tuple, rows)))
-    return GradedMorphism._of(dt, ds, blocks)
+    return GradedMorphism._of(source, target, blocks)
 
 
 # ---------------------------------------------------------------------------

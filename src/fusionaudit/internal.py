@@ -12,6 +12,7 @@ within each.  For a carrier built atomically from a multiplicity map this
 is exactly the in-memory order, so parsing needs no permutation.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import ConsistencyError, ShapeError, SpecError
@@ -19,13 +20,14 @@ from .exactlin import Matrix
 from .groupoid import _spec_ints
 from .gvec import (
     MAX_PRODUCT_SLOTS, MAX_TOTAL_MULT, GradedMorphism, GradedObject,
-    _blocks_from_spec, _blocks_to_spec, _mult_product, _slot_starts,
-    _tensor_layout, compose, dual_morphism, direct_sum_obj, graded_object,
+    _blocks_from_spec, _blocks_to_spec, _code_runs, _dual_layout,
+    _mult_product, _slot_starts, _tensor_layout, _transposed, compose,
+    direct_sum_obj, graded_object,
     identity_mor, left_dual, object_from_spec, object_to_spec,
     restrict_grades, restriction_inclusion, restriction_projection,
     tensor_mor, tensor_mult, tensor_obj, total_mult, unit_object,
     unit_summand)
-from .slotcodes import radix
+from .slotcodes import radix, ranks
 
 __all__ = [
     "InternalAlgebra", "InternalCoalgebra",
@@ -55,6 +57,23 @@ class InternalAlgebra:
         self.carrier = carrier
         self.mult = mult
         self.unit = unit
+
+    @classmethod
+    def _of(cls, carrier, mult, unit):
+        """Algebra with the given structure maps, unchecked.
+
+        The caller keeps the invariant the constructor checks: mult is
+        carrier (x) carrier -> carrier and unit is 1 -> carrier.  The
+        engine's producers build through here, from maps whose endpoints
+        they laid out themselves, so none walks tensor_mult over the
+        carrier's grade pairs; the constructor stays for public input.
+        The producers are held to it by
+        test_unchecked_producers_match_validating_constructors."""
+        a = object.__new__(cls)
+        a.carrier = carrier
+        a.mult = mult
+        a.unit = unit
+        return a
 
     def is_zero(self):
         return self.carrier.is_zero()
@@ -91,6 +110,17 @@ class InternalCoalgebra:
         self.carrier = carrier
         self.comult = comult
         self.counit = counit
+
+    @classmethod
+    def _of(cls, carrier, comult, counit):
+        """Coalgebra with the given structure maps, unchecked, as
+        InternalAlgebra._of: comult is carrier -> carrier (x) carrier and
+        counit is carrier -> 1."""
+        c = object.__new__(cls)
+        c.carrier = carrier
+        c.comult = comult
+        c.counit = counit
+        return c
 
     def is_zero(self):
         return self.carrier.is_zero()
@@ -212,7 +242,7 @@ def unit_summand_algebra(cat, i):
         raise IndexError("object index %r out of range" % (i,))
     carrier = unit_summand(cat, {i})
     unit = restriction_projection(unit_object(cat), {cat.identity_of[i]})
-    return InternalAlgebra(carrier, identity_mor(carrier), unit)
+    return InternalAlgebra._of(carrier, identity_mor(carrier), unit)
 
 
 def unit_summand_coalgebra(cat, i):
@@ -222,7 +252,7 @@ def unit_summand_coalgebra(cat, i):
         raise IndexError("object index %r out of range" % (i,))
     carrier = unit_summand(cat, {i})
     counit = restriction_inclusion(unit_object(cat), {cat.identity_of[i]})
-    return InternalCoalgebra(carrier, identity_mor(carrier), counit)
+    return InternalCoalgebra._of(carrier, identity_mor(carrier), counit)
 
 
 def grades_within(cat, objs):
@@ -248,7 +278,7 @@ def groupoid_algebra(cat, objs):
     unit_block = Matrix._of(1, 1, (((0, _ONE),),))
     unit = GradedMorphism._of(unit_object(cat), carrier, {
         cat.identity_of[i]: unit_block for i in objs})
-    return InternalAlgebra(carrier, mult, unit)
+    return InternalAlgebra._of(carrier, mult, unit)
 
 
 def internal_end(x):
@@ -258,43 +288,137 @@ def internal_end(x):
     d, ev, coev = left_dual(x)
     carrier = tensor_obj(x, d)
     mult = tensor_mor(tensor_mor(identity_mor(x), ev), identity_mor(d))
-    return InternalAlgebra(carrier, mult, coev)
+    return InternalAlgebra._of(carrier, mult, coev)
 
 
 def dualize_algebra(a):
-    """Transpose through duality; strictness of dual-of-product makes the
-    transposed maps land exactly on dual(carrier) (x) dual(carrier)."""
-    comult = dual_morphism(a.mult)
-    return InternalCoalgebra(comult.source, comult, dual_morphism(a.unit))
+    """Transpose through duality.  With (d, rank) = _dual_layout(carrier),
+    the comultiplication is dual(mult): d -> dual(carrier (x) carrier),
+    and the counit is dual(unit): d -> 1, the unit's dual being the unit
+    slot for slot (its one empty word at each identity grade, code 0).
+    The dual of the square is laid out by _dual_square from the carrier's
+    own starred codes, so no code of the square is starred, and only the
+    carrier goes through slotcodes.starrer."""
+    c = a.carrier
+    d, rank = _dual_layout(c)
+    dd, cols = _dual_square(c, d, rank, a.mult.source)
+    one = a.unit.source
+    return InternalCoalgebra._of(d, _transposed(a.mult, d, dd, cols, rank),
+                                 _transposed(a.unit, d, one,
+                                             _unit_rank(one), rank))
 
 
 def dualize_coalgebra(c):
-    mult = dual_morphism(c.comult)
-    return InternalAlgebra(mult.target, mult, dual_morphism(c.counit))
+    """The mirror of dualize_algebra: mult is dual(comult):
+    dual(carrier (x) carrier) -> d, and unit is dual(counit): 1 -> d."""
+    d, rank = _dual_layout(c.carrier)
+    dd, cols = _dual_square(c.carrier, d, rank, c.comult.target)
+    one = c.counit.target
+    return InternalAlgebra._of(d, _transposed(c.comult, dd, d, rank, cols),
+                               _transposed(c.counit, one, d, rank,
+                                           _unit_rank(one)))
 
 
-def _summand_columns(c, s, sxs, off):
-    """Per grade h of c (x) c: the position, within grade h of sxs = s (x)
-    s, of each slot of c (x) c, where c is a summand of s whose slot i at
-    grade g is slot off.get(g, 0) + i of s.  Slot (g1, i, g2, j) of
-    c (x) c is slot (g1, off[g1] + i, g2, off[g2] + j) of s (x) s; both
-    are found by bisection (gvec._slot_starts)."""
-    cxc = _tensor_layout(c, c)
-    cl, rc, rs = c.layout, radix(c.seq), radix(s.seq)
-    out = {h: [0] * m for h, m in cxc.mult.items()}
-    for g1, left in cl.items():
-        row = c.cat.compose_table[g1]
-        k = off.get(g1, 0)
-        sleft = s.layout[g1][k:k + len(left)]
-        for g2, right in cl.items():
+def _unit_rank(one):
+    """The unit's dual ranks: its slot at each identity grade e stays
+    slot 0 at inv(e) = e."""
+    return dict.fromkeys(one.mult, (0,))
+
+
+def _dual_square(c, d, rank, cxc):
+    """(dual(cxc), cols) for cxc = c (x) c and (d, rank) = _dual_layout(c):
+    what _dual_layout(cxc) returns, with cols in place of its rank.
+
+    The star of the word w1 w2 of slot (g1, i, g2, j) of cxc is
+    star(w2) star(w1), and star(wk) is a slot of d, so its code over
+    d.seq + d.seq is D(g2, j) * radix(d.seq) + D(g1, i), with D(g, i) =
+    d.layout[inv(g)][rank[g][i]] the code of the dual slot of c's slot i
+    at g.  One walk over c's slots in code order, taken in maximal runs of
+    one grade as _tensor_layout takes them (gvec._code_runs), meets cxc's
+    slots in code order, so each grade's starred codes come out in slot
+    order from one addition each, and one sort per grade (slotcodes.ranks)
+    places them.  That is dual(c (x) c) code for code; strictness makes it
+    dual(c) (x) dual(c) too.  Grades keep cxc's order, inverted, as
+    _dual_layout's do."""
+    cat = c.cat
+    inv, table, cl = cat.inverse_of, cat.compose_table, c.layout
+    rd = radix(d.seq)
+    star = {g: [d.layout[inv[g]][p] for p in rank[g]] for g in cl}
+    left = {g: [x * rd for x in codes] for g, codes in star.items()}
+    acc, seen = {}, {}
+    for g1, cs1 in _code_runs(tuple(cl.items()))[0]:
+        i0 = seen.get(g1, 0)
+        seen[g1] = i0 + len(cs1)
+        rights = star[g1][i0:i0 + len(cs1)]
+        row = table[g1]
+        for g2, lefts in left.items():
             h = row[g2]
             if h is None:
                 continue
-            cmap, k2 = out[h], off.get(g2, 0)
-            for at, to in zip(_slot_starts(cxc.layout[h], left, rc),
-                              _slot_starts(sxs.layout[h], sleft, rs)):
-                for j in range(len(right)):
-                    cmap[at + j] = to + k2 + j
+            dst = acc.get(h)
+            if dst is None:
+                dst = acc[h] = []
+            if len(lefts) == 1:  # one list per run, as in _summand_columns
+                p = lefts[0]
+                dst += [p + q for q in rights]
+                continue
+            for q in rights:
+                dst += [p + q for p in lefts]
+    mult, layout, cols = {}, {}, {}
+    for h, m in cxc.mult.items():
+        g = inv[h]
+        mult[g] = m
+        cols[h], layout[g] = ranks(acc[h])
+    return GradedObject._of(cat, mult, d.seq + d.seq if mult else (),
+                            layout), cols
+
+
+def _summand_columns(c, s, sxs, off):
+    """Per grade h of c (x) c, for each of its slots in code order: the
+    position, within grade h of sxs = s (x) s, of the same slot of s,
+    where c is a summand of the atomic object s whose slot i at grade g
+    is slot off.get(g, 0) + i of s.
+
+    One walk over c's slots in code order, taken in maximal runs of one
+    grade as _tensor_layout takes them (gvec._code_runs), meets the slots
+    of c (x) c in code order, so each grade's list is appended to in
+    order: a slot's position in c (x) c is a running count, and c (x) c
+    is not laid out.  Slot (g1, i, g2, j) of c (x) c is slot (g1, k, g2,
+    l) of s (x) s, k = off[g1] + i and l = off[g2] + j.  s is atomic, so
+    its codes at each grade are consecutive and its grades are ordered by
+    code: in grade h of sxs the slots with left grade g1 are one block of
+    s.m(g1) * s.m(g2) slots, ordered by k then l, and (g1, k, g2, l) sits
+    k * s.m(g2) + l past the block's start.  The start is one bisection
+    per run and right grade; no per-pair slot list is built."""
+    runs, _ = _code_runs(tuple(c.layout.items()))
+    table, cl = c.cat.compose_table, c.layout.items()
+    sl, sm, codes, rs = s.layout, s.mult, sxs.layout, radix(s.seq)
+    out, seen = {}, {}
+    for g1, cs1 in runs:
+        n = len(cs1)
+        i0 = seen.get(g1, 0)
+        seen[g1] = i0 + n
+        k = off.get(g1, 0) + i0
+        left = sl[g1][0] * rs
+        row = table[g1]
+        for g2, cs2 in cl:
+            h = row[g2]
+            if h is None:
+                continue
+            m2 = sm[g2]
+            at = bisect_left(codes[h], left) + k * m2 + off.get(g2, 0)
+            dst = out.get(h)
+            if dst is None:
+                dst = out[h] = []
+            n2 = len(cs2)
+            # A one-slot right grade (every grade of kG) takes one extend
+            # for the run; the loop below cost ~25% more on S5's kG (+) kG.
+            if n2 == 1:
+                dst += range(at, at + n * m2, m2)
+                continue
+            for _ in range(n):
+                dst += range(at, at + n2)
+                at += m2
     return out
 
 
@@ -303,14 +427,16 @@ def direct_sum_algebra(a, b):
     unit the pair of units.
 
     Both structure maps are the summands' rows re-indexed, with no
-    product formed.  At each grade a's slots come first in the sum s and
-    b's follow (direct_sum_obj), so a's rows keep their index and b's move
-    down by a's multiplicity.  A column of a.mult, a slot of a (x) a, goes
-    to the slot of s (x) s with the same factor slots, and likewise for b
-    (both found by bisection, see _summand_columns).  s is atomic, so its
-    words order grade first, while a summand's words (those of an
-    internal_end, say) need not: the column map need not be increasing,
-    and each re-indexed row is sorted.
+    product of maps formed; only s (x) s is laid out.  At each grade a's
+    slots come first in the sum s and b's follow (direct_sum_obj), so a's
+    rows keep their index and b's move down by a's multiplicity.  A
+    column of a.mult, a slot of a (x) a, goes to the slot of s (x) s with
+    the same factor slots, and likewise for b: _summand_columns walks each
+    summand's slots once, with one bisection per run and right grade and
+    no per-pair slot list, and a (x) a and b (x) b are not laid out.  s is
+    atomic, so its words order grade first, while a summand's words
+    (those of an internal_end, say) need not: the column map need not be
+    increasing, and each re-indexed row is sorted.
 
     A carrier of more than gvec.MAX_TOTAL_MULT slots is a SpecError,
     raised before anything is built: an object spec states at most that
@@ -348,7 +474,7 @@ def direct_sum_algebra(a, b):
         rows = ua.sparse if ua is not None else ((),) * ca.m(e)
         rows += ub.sparse if ub is not None else ((),) * cb.m(e)
         unit[e] = Matrix._of(s.m(e), 1, rows)
-    return InternalAlgebra(s, mult, GradedMorphism._of(one, s, unit))
+    return InternalAlgebra._of(s, mult, GradedMorphism._of(one, s, unit))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +509,10 @@ def restriction_data(a, objs):
     1_J -> A_J.  The multiplication equation i m_J = m (i (x) i) is asserted
     unconditionally; the unit equation i u_J p_J = u is asserted whenever
     the ambient unit is supported inside objs, which the support theorem
-    guarantees for objs containing the support.
+    guarantees for objs containing the support.  When objs hold the
+    carrier's support, as every object set does on a one-object groupoid,
+    the restriction drops nothing: the restricted carrier is a.carrier
+    itself, and the inclusion and projection are identities.
     """
     cat = a.carrier.cat
     objs = set(objs)
@@ -397,7 +526,12 @@ def restriction_data(a, objs):
     one = unit_object(cat)
     i_j = restriction_inclusion(one, id_grades)
     p_j = restriction_projection(one, id_grades)
-    mult_on_j = compose(a.mult, tensor_mor(i_aj, i_aj))
+    # With no grade dropped (restrict_grades returns the carrier itself),
+    # i_aj is the carrier's identity and i_aj (x) i_aj its square's, so
+    # the square a.mult already has is not laid out again.
+    ixi = (identity_mor(a.mult.source) if sub is a.carrier
+           else tensor_mor(i_aj, i_aj))
+    mult_on_j = compose(a.mult, ixi)
     mult_j = compose(p_aj, mult_on_j)
     unit_j = compose(p_aj, compose(a.unit, i_j))
     if compose(i_aj, mult_j) != mult_on_j:
@@ -406,7 +540,7 @@ def restriction_data(a, objs):
     unit_inside = all(cat.morphisms[g][0] in objs for g in a.unit.blocks)
     if unit_inside and compose(i_aj, compose(unit_j, p_j)) != a.unit:
         raise ConsistencyError("restricted unit does not include back")
-    algebra = InternalAlgebra(sub, mult_j, compose(unit_j, p_j))
+    algebra = InternalAlgebra._of(sub, mult_j, compose(unit_j, p_j))
     return {"algebra": algebra, "carrier_inclusion": i_aj,
             "carrier_projection": p_aj, "unit_inclusion": i_j,
             "unit_projection": p_j, "restricted_unit": unit_j}

@@ -514,6 +514,13 @@ def test_cli_error_codes(tmp_path):
     res = _run_cli(["audit", "--category", spec, "--corpus", "0"], tmp_path)
     assert res.returncode == 2
 
+    # an empty --report path is refused before the audit runs (it once
+    # exited 0 with the JSON report on standard output)
+    res = _run_cli(["audit", "--category", spec, "--report", ""], tmp_path)
+    assert res.returncode == 2
+    assert "input error" in res.stderr and "empty" in res.stderr
+    assert res.stdout == ""
+
     malformed = tmp_path / "cat.json"
     malformed.write_text(json.dumps({"kind": "group", "table": [[0, 1]]}))
     res = _run_cli(["audit", "--category", str(malformed)], tmp_path)

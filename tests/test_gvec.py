@@ -28,7 +28,9 @@ from fusionaudit.gvec import (
     restriction_projection, simple_object, tensor_mor, tensor_obj,
     total_mult, unit_object, unit_summand, zero_mor, zero_object)
 from fusionaudit.internal import (
-    direct_sum_algebra, grades_within, groupoid_algebra, internal_end)
+    InternalAlgebra, InternalCoalgebra, direct_sum_algebra, dualize_algebra,
+    dualize_coalgebra, grades_within, groupoid_algebra, internal_end,
+    restriction_data, support, unit_summand_algebra, unit_summand_coalgebra)
 from fusionaudit.morphcalc import find_retraction, find_section
 from slotwords import (
     bisected_pos, from_words, slot_words, sorted_tensor_words)
@@ -605,6 +607,22 @@ def test_unchecked_producers_match_validating_constructors(cat, seed):
         rj.mor(fg), rj.phi(match), rj.psi(match), rj.phi0(), rj.psi0(),
         kg.mult, kg.unit, ds.mult, ds.unit,
     ]
+    # every algebra and coalgebra producer builds through the unchecked
+    # _of; each result passes the checking constructor, and its maps
+    # revalidate
+    i = min(objs)
+    end = internal_end(x)
+    co = dualize_algebra(ds)
+    algebras = [kg, ds, end, unit_summand_algebra(cat, i),
+                dualize_coalgebra(co), restriction_data(ds, objs)["algebra"],
+                restriction_data(end, support(end))["algebra"]]
+    coalgebras = [co, dualize_algebra(end), unit_summand_coalgebra(cat, i)]
+    for a in algebras:
+        InternalAlgebra(a.carrier, a.mult, a.unit)
+        values += [a.carrier, a.mult, a.unit]
+    for c in coalgebras:
+        InternalCoalgebra(c.carrier, c.comult, c.counit)
+        values += [c.carrier, c.comult, c.counit]
     for v in values:
         _check_revalidates(v)
     assert (f - f).is_zero() and compose(cok, f).is_zero()
@@ -1602,6 +1620,39 @@ def test_projection_match_against_words():
     # slots of R(x (x) y) through an object outside J are left unmatched
     small, big, rows = rj.match(b, b)
     assert sum(map(len, rows.values())) < sum(big.mult.values())
+
+
+def test_projection_match_on_one_object_groupoids():
+    """On a one-object groupoid R keeps every object whole, so match finds
+    R(x) (x) R(y) and R(x (x) y) to be one object and returns identity
+    rows, lists equal to the word-form rows, with nothing bisected."""
+    rng = random.Random(433)
+    for cat in (load_fixture("vec"), Z2, S3, S4):
+        rj = ProjectionFunctor(cat, {0})
+        x = random_object(cat, rng, max_total=3)
+        y = random_object(cat, rng, max_total=3)
+        cases = [(x, y), (y, x), (x, unit_object(cat)),
+                 (tensor_obj(x, y), y), (direct_sum_obj(x, y), dual_obj(x)),
+                 (dual_obj(tensor_obj(y, x)), unit_object(cat))]
+        for a, b in cases:
+            assert rj.obj(a) is a
+            small, big, rows = rj.match(a, b)
+            assert small is big
+            assert all(type(r) is list for r in rows.values())
+            assert rows == _word_rows(small, big)
+
+
+def test_restrict_grades_to_every_grade_is_the_object():
+    """restrict_grades returns its argument when no grade is dropped, for
+    any grade set holding v's grades, and a new object otherwise."""
+    x = graded_object(P3, {0: 2, 4: 1})
+    v = tensor_obj(x, dual_obj(x))
+    for w in (x, v, unit_object(P3), zero_object(P3)):
+        assert restrict_grades(w, set(w.mult)) is w
+        assert restrict_grades(w, range(P3.morphism_count)) is w
+    part = restrict_grades(v, {0})
+    assert part is not v and part.mult == {0: v.mult[0]}
+    assert part.seq == v.seq and part.layout[0] == v.layout[0]
 
 
 @pytest.mark.parametrize("shift", [1, -10 ** 6])

@@ -14,12 +14,13 @@ from fusionaudit import gvec, internal
 from fusionaudit.corpus import algebra_corpus, random_object
 from fusionaudit.errors import ShapeError, SpecError
 from fusionaudit.exactlin import Matrix
-from fusionaudit.fixtures import load_fixture
+from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
 from fusionaudit.groupoid import groupoid_from_spec
 from fusionaudit.gvec import (
-    GradedMorphism, cokernel, compose, direct_sum_obj, direct_sum_with_maps,
-    graded_object, identity_mor, is_epi, is_mono, restrict_grades,
-    simple_object, tensor_mor, tensor_obj, unit_object, zero_mor, zero_object)
+    GradedMorphism, _code_runs, cokernel, compose, direct_sum_obj,
+    direct_sum_with_maps, dual_morphism, graded_object, identity_mor, is_epi,
+    is_mono, restrict_grades, simple_object, tensor_mor, tensor_obj,
+    unit_object, unit_summand, zero_mor, zero_object)
 from fusionaudit.internal import (
     InternalAlgebra, InternalCoalgebra, algebra_from_spec, algebra_to_spec,
     direct_sum_algebra, dualize_algebra, dualize_coalgebra, groupoid_algebra,
@@ -27,6 +28,7 @@ from fusionaudit.internal import (
     unit_summand_algebra, unit_summand_coalgebra, validate_algebra,
     validate_coalgebra)
 from fusionaudit.morphcalc import find_retraction, find_section
+from slotwords import bisected_summand_columns
 
 VEC = load_fixture("vec")
 Z2 = load_fixture("vec_z2")
@@ -353,6 +355,164 @@ def test_dualize_enumerates_no_tensor_slots(monkeypatch):
     assert c.carrier == a.carrier and c.carrier.m(0) == 1
     again = InternalAlgebra(a.carrier, a.mult, a.unit)
     assert again.carrier is a.carrier
+
+
+def _summand_carriers(cat, rng):
+    """Carriers that a direct sum takes: unit summands and the unit (tied
+    0 codes at several identity grades), atomic objects, internal_end
+    carriers (codes over two alphabets, a grade's codes possibly split
+    over several runs) and direct sums."""
+    objs = rng.sample(range(cat.object_count),
+                      rng.randrange(1, cat.object_count + 1))
+    x = random_object(cat, rng, max_total=2)
+    end = internal_end(x).carrier
+    return [unit_summand(cat, objs), unit_object(cat),
+            random_object(cat, rng, max_total=3), end,
+            direct_sum_obj(x, unit_object(cat)), direct_sum_obj(end, x)]
+
+
+def _assert_summand_columns(c, other):
+    """_summand_columns equals the per-pair bisection, for c as the first
+    and as the second summand of its sum with other."""
+    for first, second in ((c, other), (other, c)):
+        s = direct_sum_obj(first, second)
+        sxs = tensor_obj(s, s)
+        for part, off in ((first, {}), (second, first.mult)):
+            assert internal._summand_columns(part, s, sxs, off) \
+                == bisected_summand_columns(part, s, sxs, off)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_groupoids(), st.integers(0, 2**32 - 1))
+def test_summand_columns_match_bisection(cat, seed):
+    rng = random.Random(seed)
+    carriers = _summand_carriers(cat, rng)
+    for c in carriers:
+        _assert_summand_columns(c, rng.choice(carriers))
+
+
+def test_summand_columns_cover_every_run_shape():
+    """On the fixtures and S4 kG (+) kG the walk meets every shape of
+    _code_runs: grades in layout order, tied codes, grades out of code
+    order, and a grade split over several runs."""
+    shapes = set()
+    rng = random.Random(509)
+    kg = groupoid_algebra(S4, {0}).carrier
+    _assert_summand_columns(kg, kg)
+    for cat in CATS:
+        carriers = _summand_carriers(cat, rng)
+        two = graded_object(cat, {0: 1, cat.morphism_count - 1: 1})
+        for c in carriers + [internal_end(two).carrier]:
+            _assert_summand_columns(c, rng.choice(carriers))
+            items = tuple(c.layout.items())
+            runs, in_order = _code_runs(items)
+            shapes.add("in order" if in_order else "sorted")
+            if len(runs) > len(items):
+                shapes.add("split")
+            if sum(1 for codes in c.layout.values() if codes[0] == 0) > 1:
+                shapes.add("tied")
+    assert shapes == {"in order", "sorted", "split", "tied"}
+
+
+def test_direct_sum_bisects_no_slot_list(monkeypatch):
+    """direct_sum_algebra builds no _slot_starts list: S4's kG (+) kG has
+    576 composable grade pairs per summand, and no call is made."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return slot_starts(*args)
+
+    slot_starts = gvec._slot_starts
+    monkeypatch.setattr(gvec, "_slot_starts", counted)
+    monkeypatch.setattr(internal, "_slot_starts", counted)
+    kg = groupoid_algebra(S4, {0})
+    s = direct_sum_algebra(kg, kg)
+    assert calls == []
+    assert s.carrier.mult == {g: 2 for g in range(24)}
+    assert validate_algebra(s)["ok"]
+
+
+def _same_codes(x, y):
+    assert x.seq == y.seq
+    assert list(x.layout.items()) == list(y.layout.items())
+
+
+def _distinct(algebras):
+    return list({id(a): a for a in algebras}.values())
+
+
+def test_dualize_matches_dual_morphism_on_corpora():
+    """On every corpus algebra of the six fixtures and S4 at seeds 1-3,
+    dualize_algebra's maps are dual_morphism's, and so are
+    dualize_coalgebra's: equal, with endpoints that carry the same codes,
+    grade order included."""
+    cats = [load_fixture(name) for name in FIXTURE_NAMES] + [S4]
+    count = 0
+    for cat in cats:
+        for seed in (1, 2, 3):
+            for a in _distinct(algebra_corpus(cat, random.Random(seed))):
+                c = dualize_algebra(a)
+                pairs = [(c.comult, dual_morphism(a.mult)),
+                         (c.counit, dual_morphism(a.unit))]
+                back = dualize_coalgebra(c)
+                pairs += [(back.mult, dual_morphism(c.comult)),
+                          (back.unit, dual_morphism(c.counit))]
+                for got, ref in pairs:
+                    assert got == ref
+                    _same_codes(got.source, ref.source)
+                    _same_codes(got.target, ref.target)
+                assert back == a
+                count += 1
+    assert count > 100
+
+
+def test_dualize_stars_the_carrier_only(monkeypatch):
+    """dualize_algebra stars the carrier's codes, and no code of its
+    square: slotcodes.starrer is called once, on the carrier's sequence."""
+    seqs = []
+
+    def counted(cat, seq):
+        seqs.append(seq)
+        return starrer(cat, seq)
+
+    starrer = gvec.starrer
+    monkeypatch.setattr(gvec, "starrer", counted)
+    rng = random.Random(511)
+    algebras = algebra_corpus(S4, rng) + algebra_corpus(P3, rng)
+    for a in _distinct(algebras):
+        del seqs[:]
+        dualize_algebra(a)
+        assert seqs == [a.carrier.seq]
+
+
+def test_unchecked_constructors_check_nothing():
+    """_of builds what the checking constructors refuse: a multiplication
+    whose source is the carrier, not its square, is a ShapeError only
+    through InternalAlgebra(...), and likewise for a coalgebra."""
+    a = groupoid_algebra(S3, {0})
+    c = dualize_algebra(a)
+    wrong = identity_mor(a.carrier)
+    assert InternalAlgebra._of(a.carrier, wrong, a.unit).mult is wrong
+    with pytest.raises(ShapeError, match="multiplication endpoints"):
+        InternalAlgebra(a.carrier, wrong, a.unit)
+    wrong = identity_mor(c.carrier)
+    assert InternalCoalgebra._of(c.carrier, wrong, c.counit).comult is wrong
+    with pytest.raises(ShapeError, match="comultiplication endpoints"):
+        InternalCoalgebra(c.carrier, wrong, c.counit)
+
+
+def test_restriction_to_the_support_keeps_the_carrier():
+    """restriction_data to a set of objects holding the support keeps the
+    carrier object itself, with identity inclusion and projection, and the
+    corner equals the algebra."""
+    for cat in (VEC, S3, S4, P2):
+        for a in _distinct(algebra_corpus(cat, random.Random(513))):
+            data = restriction_data(a, support(a))
+            assert data["algebra"].carrier is a.carrier
+            assert data["carrier_inclusion"] == identity_mor(a.carrier)
+            assert data["carrier_projection"] == identity_mor(a.carrier)
+            assert data["algebra"] == a
 
 
 def test_support_theorem_examples():
