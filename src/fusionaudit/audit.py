@@ -25,8 +25,8 @@ from .functors import (
 from .grothendieck import fusion_iff_separable_check, ring_report
 from .groupoid import Groupoid, _spec_ints, groupoid_from_spec
 from .gvec import (
-    cokernel, compose, identity_mor, is_epi, is_iso, is_mono, kernel,
-    morphism_from_spec, morphism_to_spec, restriction_inclusion,
+    GradedMorphism, cokernel, compose, identity_mor, is_epi, is_iso, is_mono,
+    kernel, morphism_from_spec, morphism_to_spec, restriction_inclusion,
     restriction_projection, simple_object, tensor_mor, tensor_obj,
     unit_object, unit_summand)
 from .internal import (
@@ -510,7 +510,13 @@ def reverify_witness(cat, cond, witness):
     reads, is a SpecError, as a bad spec inside it is, and so is a
     simple_grade that is not an int grade of cat.  A kernel that does not
     end at the morphism's source, or a cokernel that does not start at its
-    target, shows nothing: the result is False."""
+    target, shows nothing: the result is False.  An algebra, or an odd
+    condition's dual_of algebra, must validate.  The morphism of (14) must
+    be an algebra morphism 1 -> A, m (f (x) f) = f m_1, and that of (15) a
+    coalgebra morphism C -> 1, (f (x) f) comult = Delta_1 f, where m_1 and
+    Delta_1 are the identity of 1 (x) 1 = 1; its blocks are read on the
+    carrier's slots, grade by grade, as the unit comparison of (12) and
+    (13) reads them.  Only (15) builds the dual's comultiplication."""
     if not 2 <= cond <= 15:
         raise ValueError("conditions 2..15 carry witnesses, not %r" % cond)
 
@@ -525,9 +531,10 @@ def reverify_witness(cat, cond, witness):
             return False
         carrier, unit_map = a.carrier, a.unit
     else:
-        c = dualize_algebra(algebra_from_spec(cat, field("dual_of")))
-        if c.is_zero():
+        a = algebra_from_spec(cat, field("dual_of"))
+        if a.is_zero() or not validate_algebra(a)["ok"]:
             return False
+        c = dualize_algebra(a)
         carrier, unit_map = c.carrier, c.counit
     if cond == 2:
         return find_retraction(unit_map) is None
@@ -551,16 +558,28 @@ def reverify_witness(cat, cond, witness):
         return not is_iso(f) and is_iso(ff)
     if cond in (12, 14):
         k = morphism_from_spec(cat, field("kernel"))
-        return (k.target == f.source == one
+        if not (k.target == f.source == one
                 and not f.is_zero() and not is_mono(f)
                 and not k.is_zero() and is_mono(k)
-                and compose(f, k).is_zero()
-                and (cond == 14 or f == unit_map))
+                and compose(f, k).is_zero()):
+            return False
+        if cond == 12:
+            return f == unit_map
+        if f.target != carrier:
+            return False
+        f = GradedMorphism._of(one, carrier, f.blocks)
+        return compose(a.mult, tensor_mor(f, f)) == f
     q = morphism_from_spec(cat, field("cokernel"))
-    return (q.source == f.target == one
+    if not (q.source == f.target == one
             and not f.is_zero() and not is_epi(f)
-            and not q.is_zero() and is_epi(q) and compose(q, f).is_zero()
-            and (cond == 15 or f == unit_map))
+            and not q.is_zero() and is_epi(q) and compose(q, f).is_zero()):
+        return False
+    if cond == 13:
+        return f == unit_map
+    if f.source != carrier:
+        return False
+    f = GradedMorphism._of(carrier, one, f.blocks)
+    return compose(tensor_mor(f, f), c.comult) == f
 
 
 def gr_report(cat, seed=1, corpus_size=2):

@@ -626,13 +626,21 @@ def check_projection_lax_colax(cat, objs, rng, samples=6):
 
 def check_rj_algebra(a, objs, data):
     """The lax image of an algebra under the projection matches the corner
-    restriction data = restriction_data(a, objs) computed directly."""
+    restriction data = restriction_data(a, objs) computed directly.
+
+    The units are always compared.  The multiplications are compared when
+    the projection drops a carrier grade.  When it keeps the carrier whole
+    (rj.obj returns it), phi on its square is the identity and the corner
+    multiplication is a's own, so that comparison would set a.mult against
+    itself, and it is skipped: a.mult is not read."""
     rj = ProjectionFunctor(a.carrier.cat, objs)
+    if compose(rj.mor(a.unit), rj.phi0()) != data["restricted_unit"]:
+        return False
+    if rj.obj(a.carrier) is a.carrier:
+        return True
     mult_lax = compose(rj.mor(a.mult),
                        rj.phi(rj.match(a.carrier, a.carrier)))
-    unit_lax = compose(rj.mor(a.unit), rj.phi0())
-    return (mult_lax == data["algebra"].mult
-            and unit_lax == data["restricted_unit"])
+    return mult_lax == data["algebra"].mult
 
 
 def frobenius_pair_check(cat, objs, rng, samples=6):

@@ -21,7 +21,7 @@ from .groupoid import _spec_ints
 from .gvec import (
     MAX_PRODUCT_SLOTS, MAX_TOTAL_MULT, GradedMorphism, GradedObject,
     _blocks_from_spec, _blocks_to_spec, _code_runs, _dual_layout,
-    _mult_product, _slot_starts, _tensor_layout, _transposed, compose,
+    _mult_product, _tensor_layout, _transposed, compose,
     direct_sum_obj, graded_object,
     identity_mor, left_dual, object_from_spec, object_to_spec,
     restrict_grades, restriction_inclusion, restriction_projection,
@@ -45,9 +45,15 @@ _ONE = Fraction(1)
 
 class InternalAlgebra:
     """Carrier with multiplication carrier (x) carrier -> carrier and unit
-    1 -> carrier; axioms are checked by validate_algebra, not here."""
+    1 -> carrier; axioms are checked by validate_algebra, not here.
 
-    __slots__ = ("carrier", "mult", "unit")
+    The multiplication is read through a property over one slot, which
+    holds the map or, from a producer that builds lazily, a zero-argument
+    builder; the first read runs the builder and puts its result in the
+    slot.  An audit decides its conditions from the unit and the carrier,
+    so a multiplication no check reads is never built."""
+
+    __slots__ = ("carrier", "_mult", "unit")
 
     def __init__(self, carrier, mult, unit):
         if mult.target != carrier or not _is_square(mult.source, carrier):
@@ -55,25 +61,33 @@ class InternalAlgebra:
         if unit.source != unit_object(carrier.cat) or unit.target != carrier:
             raise ShapeError("unit endpoints do not match carrier")
         self.carrier = carrier
-        self.mult = mult
+        self._mult = mult
         self.unit = unit
 
     @classmethod
     def _of(cls, carrier, mult, unit):
-        """Algebra with the given structure maps, unchecked.
+        """Algebra with the given structure maps, unchecked; mult may be a
+        zero-argument builder of the multiplication, run on first read.
 
-        The caller keeps the invariant the constructor checks: mult is
-        carrier (x) carrier -> carrier and unit is 1 -> carrier.  The
-        engine's producers build through here, from maps whose endpoints
-        they laid out themselves, so none walks tensor_mult over the
-        carrier's grade pairs; the constructor stays for public input.
-        The producers are held to it by
+        The caller keeps the invariant the constructor checks: mult (or
+        what its builder returns) is carrier (x) carrier -> carrier and
+        unit is 1 -> carrier.  The engine's producers build through here,
+        from maps whose endpoints they laid out themselves, so none walks
+        tensor_mult over the carrier's grade pairs; the constructor stays
+        for public input.  The producers are held to it by
         test_unchecked_producers_match_validating_constructors."""
         a = object.__new__(cls)
         a.carrier = carrier
-        a.mult = mult
+        a._mult = mult
         a.unit = unit
         return a
+
+    @property
+    def mult(self):
+        m = self._mult
+        if callable(m):
+            m = self._mult = m()
+        return m
 
     def is_zero(self):
         return self.carrier.is_zero()
@@ -95,9 +109,10 @@ class InternalAlgebra:
 
 class InternalCoalgebra:
     """Carrier with comultiplication carrier -> carrier (x) carrier and
-    counit carrier -> 1."""
+    counit carrier -> 1; the comultiplication is read through a property
+    over a slot that may hold a builder, as InternalAlgebra.mult."""
 
-    __slots__ = ("carrier", "comult", "counit")
+    __slots__ = ("carrier", "_comult", "counit")
 
     def __init__(self, carrier, comult, counit):
         if comult.source != carrier \
@@ -108,19 +123,26 @@ class InternalCoalgebra:
                 or counit.source != carrier:
             raise ShapeError("counit endpoints do not match carrier")
         self.carrier = carrier
-        self.comult = comult
+        self._comult = comult
         self.counit = counit
 
     @classmethod
     def _of(cls, carrier, comult, counit):
         """Coalgebra with the given structure maps, unchecked, as
-        InternalAlgebra._of: comult is carrier -> carrier (x) carrier and
-        counit is carrier -> 1."""
+        InternalAlgebra._of: comult (or what its builder returns) is
+        carrier -> carrier (x) carrier and counit is carrier -> 1."""
         c = object.__new__(cls)
         c.carrier = carrier
-        c.comult = comult
+        c._comult = comult
         c.counit = counit
         return c
+
+    @property
+    def comult(self):
+        m = self._comult
+        if callable(m):
+            m = self._comult = m()
+        return m
 
     def is_zero(self):
         return self.carrier.is_zero()
@@ -153,19 +175,38 @@ def _is_square(v, carrier):
 def _pair_columns(carrier):
     """Per grade of carrier (x) carrier: the memory position of every slot,
     listed in canonical order (composable grade pairs (g1, g2) sorted by
-    enumeration index, slot pairs row-major), found by bisection
-    (gvec._slot_starts)."""
-    cxc = _tensor_layout(carrier, carrier)
-    cl, r = carrier.layout, radix(carrier.seq)
-    out = {h: [] for h in cxc.layout}
-    for g1 in sorted(cl):
-        row = carrier.cat.compose_table[g1]
-        for g2 in sorted(cl):
+    enumeration index, slot pairs row-major).
+
+    One walk over the carrier's slots in code order, taken in maximal runs
+    of one grade as _tensor_layout takes them (gvec._code_runs), meets the
+    square's slots in memory order, so a slot's position is a running
+    count per grade, and the square is not laid out.  A run of n slots at
+    g1 and a right grade g2 of n2 slots feed one stretch of n * n2
+    consecutive positions of grade h = g1.g2, row-major; the next run at
+    g1 feeds the next rows.  Within h, g1 fixes g2 (a groupoid cancels),
+    so the stretches sorted by (g1, position) are canonical order."""
+    items = tuple(carrier.layout.items())
+    table = carrier.cat.compose_table
+    at, stretches = {}, {}
+    for g1, cs1 in _code_runs(items)[0]:
+        n = len(cs1)
+        row = table[g1]
+        for g2, cs2 in items:
             h = row[g2]
-            if h is not None:
-                out[h] += [s + j for s in _slot_starts(cxc.layout[h],
-                                                       cl[g1], r)
-                           for j in range(len(cl[g2]))]
+            if h is None:
+                continue
+            p = at.get(h, 0)
+            q = at[h] = p + n * len(cs2)
+            dst = stretches.get(h)
+            if dst is None:
+                dst = stretches[h] = []
+            dst.append((g1, p, q))
+    out = {}
+    for h, parts in stretches.items():
+        parts.sort()
+        cols = out[h] = []
+        for _, p, q in parts:
+            cols += range(p, q)
     return out
 
 
@@ -264,17 +305,20 @@ def grades_within(cat, objs):
 def groupoid_algebra(cat, objs):
     """Convolution algebra on the grades with both endpoints in objs:
     multiplicity one everywhere, structure constants all one, unit the sum
-    of the identity-grade slots."""
+    of the identity-grade slots.  The multiplication, which lays out
+    carrier (x) carrier, is built on first read."""
     objs = set(objs)
     if not objs:
         raise ValueError("empty object set")
     if any(not 0 <= i < cat.object_count for i in objs):
         raise IndexError("object index out of range")
     carrier = graded_object(cat, {g: 1 for g in grades_within(cat, objs)})
-    cxc = tensor_obj(carrier, carrier)
-    mult = GradedMorphism._of(cxc, carrier, {
-        h: Matrix._of(1, m, (tuple([(j, _ONE) for j in range(m)]),))
-        for h, m in cxc.mult.items()})
+
+    def mult():
+        cxc = tensor_obj(carrier, carrier)
+        return GradedMorphism._of(cxc, carrier, {
+            h: Matrix._of(1, m, (tuple([(j, _ONE) for j in range(m)]),))
+            for h, m in cxc.mult.items()})
     unit_block = Matrix._of(1, 1, (((0, _ONE),),))
     unit = GradedMorphism._of(unit_object(cat), carrier, {
         cat.identity_of[i]: unit_block for i in objs})
@@ -298,23 +342,33 @@ def dualize_algebra(a):
     slot for slot (its one empty word at each identity grade, code 0).
     The dual of the square is laid out by _dual_square from the carrier's
     own starred codes, so no code of the square is starred, and only the
-    carrier goes through slotcodes.starrer."""
+    carrier goes through slotcodes.starrer.  The counit is built here;
+    the comultiplication, and with it a.mult, on its first read."""
     c = a.carrier
     d, rank = _dual_layout(c)
-    dd, cols = _dual_square(c, d, rank, a.mult.source)
     one = a.unit.source
-    return InternalCoalgebra._of(d, _transposed(a.mult, d, dd, cols, rank),
+
+    def comult():
+        mult = a.mult
+        dd, cols = _dual_square(c, d, rank, mult.source)
+        return _transposed(mult, d, dd, cols, rank)
+    return InternalCoalgebra._of(d, comult,
                                  _transposed(a.unit, d, one,
                                              _unit_rank(one), rank))
 
 
 def dualize_coalgebra(c):
     """The mirror of dualize_algebra: mult is dual(comult):
-    dual(carrier (x) carrier) -> d, and unit is dual(counit): 1 -> d."""
+    dual(carrier (x) carrier) -> d, built on first read, and unit is
+    dual(counit): 1 -> d."""
     d, rank = _dual_layout(c.carrier)
-    dd, cols = _dual_square(c.carrier, d, rank, c.comult.target)
     one = c.counit.target
-    return InternalAlgebra._of(d, _transposed(c.comult, dd, d, rank, cols),
+
+    def mult():
+        comult = c.comult
+        dd, cols = _dual_square(c.carrier, d, rank, comult.target)
+        return _transposed(comult, dd, d, rank, cols)
+    return InternalAlgebra._of(d, mult,
                                _transposed(c.counit, one, d, rank,
                                            _unit_rank(one)))
 
@@ -441,30 +495,33 @@ def direct_sum_algebra(a, b):
     A carrier of more than gvec.MAX_TOTAL_MULT slots is a SpecError,
     raised before anything is built: an object spec states at most that
     many, so every carrier an audit builds, at any corpus size, can be
-    written into a witness and parsed back."""
+    written into a witness and parsed back.  The multiplication, and
+    with it the summands', is built on first read."""
     ca, cb = a.carrier, b.carrier
     total = total_mult(ca) + total_mult(cb)
     if total > MAX_TOTAL_MULT:
         raise SpecError("direct sum carrier of %d slots is more than the %d "
                         "an object spec takes" % (total, MAX_TOTAL_MULT))
     s = direct_sum_obj(ca, cb)
-    sxs = _tensor_layout(s, s)
-    sides = ((a.mult.blocks, _summand_columns(ca, s, sxs, {}), ca),
-             (b.mult.blocks, _summand_columns(cb, s, sxs, ca.mult), cb))
-    blocks = {}
-    for h in sxs.layout:
-        rows = []
-        for mblocks, cmaps, c in sides:
-            block = mblocks.get(h)
-            if block is None:
-                rows.extend([()] * c.m(h))
-                continue
-            cmap = cmaps[h]
-            rows.extend(tuple(sorted([(cmap[j], x) for j, x in row]))
-                        for row in block.sparse)
-        if any(rows):
-            blocks[h] = Matrix._of(s.m(h), sxs.mult[h], tuple(rows))
-    mult = GradedMorphism._of(sxs, s, blocks)
+
+    def mult():
+        sxs = _tensor_layout(s, s)
+        sides = ((a.mult.blocks, _summand_columns(ca, s, sxs, {}), ca),
+                 (b.mult.blocks, _summand_columns(cb, s, sxs, ca.mult), cb))
+        blocks = {}
+        for h in sxs.layout:
+            rows = []
+            for mblocks, cmaps, c in sides:
+                block = mblocks.get(h)
+                if block is None:
+                    rows.extend([()] * c.m(h))
+                    continue
+                cmap = cmaps[h]
+                rows.extend(tuple(sorted([(cmap[j], x) for j, x in row]))
+                            for row in block.sparse)
+            if any(rows):
+                blocks[h] = Matrix._of(s.m(h), sxs.mult[h], tuple(rows))
+        return GradedMorphism._of(sxs, s, blocks)
     one = a.unit.source
     unit = {}
     for e in one.mult:
@@ -506,13 +563,16 @@ def restriction_data(a, objs):
     Returns a dict with the restricted algebra (unit rebased to the ambient
     1 through the summand projection), the carrier inclusion/projection,
     the unit-summand inclusion/projection, and the restricted unit
-    1_J -> A_J.  The multiplication equation i m_J = m (i (x) i) is asserted
-    unconditionally; the unit equation i u_J p_J = u is asserted whenever
-    the ambient unit is supported inside objs, which the support theorem
-    guarantees for objs containing the support.  When objs hold the
-    carrier's support, as every object set does on a one-object groupoid,
-    the restriction drops nothing: the restricted carrier is a.carrier
-    itself, and the inclusion and projection are identities.
+    1_J -> A_J.  The unit equation i u_J p_J = u is asserted whenever the
+    ambient unit is supported inside objs, which the support theorem
+    guarantees for objs containing the support.  The multiplication
+    equation i m_J = m (i (x) i) is asserted whenever the restriction
+    drops a carrier grade.  When objs hold the carrier's support, as every
+    object set does on a one-object groupoid, it drops nothing: the
+    restricted carrier is a.carrier itself, the inclusion and projection
+    are identities, and the equation would set a.mult against itself.
+    The restricted algebra then reads a's multiplication slot, and
+    nothing here reads or builds the multiplication.
     """
     cat = a.carrier.cat
     objs = set(objs)
@@ -526,17 +586,16 @@ def restriction_data(a, objs):
     one = unit_object(cat)
     i_j = restriction_inclusion(one, id_grades)
     p_j = restriction_projection(one, id_grades)
-    # With no grade dropped (restrict_grades returns the carrier itself),
-    # i_aj is the carrier's identity and i_aj (x) i_aj its square's, so
-    # the square a.mult already has is not laid out again.
-    ixi = (identity_mor(a.mult.source) if sub is a.carrier
-           else tensor_mor(i_aj, i_aj))
-    mult_on_j = compose(a.mult, ixi)
-    mult_j = compose(p_aj, mult_on_j)
     unit_j = compose(p_aj, compose(a.unit, i_j))
-    if compose(i_aj, mult_j) != mult_on_j:
-        raise ConsistencyError(
-            "restricted multiplication does not include back")
+    if sub is a.carrier:
+        def mult_j():  # the corner's first read forces a's, once
+            return a.mult
+    else:
+        mult_on_j = compose(a.mult, tensor_mor(i_aj, i_aj))
+        mult_j = compose(p_aj, mult_on_j)
+        if compose(i_aj, mult_j) != mult_on_j:
+            raise ConsistencyError(
+                "restricted multiplication does not include back")
     unit_inside = all(cat.morphisms[g][0] in objs for g in a.unit.blocks)
     if unit_inside and compose(i_aj, compose(unit_j, p_j)) != a.unit:
         raise ConsistencyError("restricted unit does not include back")

@@ -197,7 +197,9 @@ _TABLE = (
         "the lax monoidal image of an algebra under the projection equals "
         "the corner restriction computed directly",
         "functors.check_rj_algebra",
-        ("tests/test_functors.py::test_rj_algebra_matches_direct_restriction",)),
+        ("tests/test_functors.py::test_rj_algebra_matches_direct_restriction",
+         "tests/test_functors.py::"
+         "test_rj_algebra_compares_multiplications_on_a_proper_subset")),
     TraceEntry(
         "ring-is-based-with-dual-involution",
         "the ring of classes of simples is a based ring whose involution "
@@ -231,7 +233,11 @@ _TABLE = (
         "multiplicative and not mono, so u and the u e_i decide it",
         "audit.run_audit",
         ("tests/test_audit.py::test_witnesses_reverify_pair2",
-         "tests/test_audit.py::test_unit_morphism_conditions_are_exact")),
+         "tests/test_audit.py::test_unit_morphism_conditions_are_exact",
+         "tests/test_audit.py::test_reverify_witness_rejects_a_"
+         "non_multiplicative_morphism_from_one",
+         "tests/test_audit.py::test_reverify_witness_rejects_a_"
+         "non_comultiplicative_morphism_to_one")),
     TraceEntry(
         "fifteen-way-equivalence",
         "conditions (2) through (15) each hold exactly when the unit "

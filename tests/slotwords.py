@@ -184,3 +184,23 @@ def bisected_summand_columns(c, s, sxs, off):
                 for j in range(len(right)):
                     cmap[at + j] = to + k2 + j
     return out
+
+
+def bisected_pair_columns(carrier):
+    """The reference for internal._pair_columns, by per-pair bisection:
+    per grade h of carrier (x) carrier, the memory position of each slot
+    in canonical order, composable grade pairs (g1, g2) sorted by
+    enumeration index and slot pairs row-major, where gvec._slot_starts
+    finds slot (g1, i, g2, 0) once per composable grade pair."""
+    cxc = _tensor_layout(carrier, carrier)
+    cl, r = carrier.layout, radix(carrier.seq)
+    out = {h: [] for h in cxc.layout}
+    for g1 in sorted(cl):
+        row = carrier.cat.compose_table[g1]
+        for g2 in sorted(cl):
+            h = row[g2]
+            if h is not None:
+                out[h] += [s + j for s in _slot_starts(cxc.layout[h],
+                                                       cl[g1], r)
+                           for j in range(len(cl[g2]))]
+    return out

@@ -16,8 +16,8 @@ from fusionaudit.corpus import algebra_corpus
 from fusionaudit.errors import ConsistencyError, SpecError
 from fusionaudit.fixtures import FIXTURE_NAMES, fixture_spec, load_fixture
 from fusionaudit.gvec import (
-    compose, hom_basis, identity_mor, is_epi, is_iso, is_mono,
-    morphism_from_spec, morphism_to_spec, restriction_inclusion,
+    cokernel, compose, hom_basis, identity_mor, is_epi, is_iso, is_mono,
+    kernel, morphism_from_spec, morphism_to_spec, restriction_inclusion,
     restriction_projection, tensor_mor, unit_object, zero_mor)
 from fusionaudit.internal import (
     algebra_from_spec, dualize_algebra, groupoid_algebra, algebra_to_spec,
@@ -232,6 +232,59 @@ def test_reverify_witness_bad_documents_are_spec_errors():
                 reverify_witness(pair2, cond, dict(w, morphism=bad))
         assert not reverify_witness(pair2, cond,
                                     dict(w, morphism=dict(f, blocks=None)))
+
+
+def test_reverify_witness_rejects_an_invalid_dual_of():
+    """An odd condition's dual_of algebra must validate: pair2's
+    condition-3 witness with its dual_of multiplication zeroed broke the
+    unit laws and still re-verified True, while the same spec under
+    condition 2 re-verified False."""
+    cat = load_fixture("pair2")
+    rep = run_audit(cat, seed=1)
+    for cond in (3, 5, 7, 9, 11, 13, 15):
+        w = rep["conditions"][str(cond)]["witness"]
+        assert reverify_witness(cat, cond, w), cond
+        zeroed = dict(w["dual_of"], mult=None)
+        assert not validate_algebra(algebra_from_spec(cat, zeroed))["ok"]
+        assert not reverify_witness(cat, cond, dict(w, dual_of=zeroed)), cond
+    w = rep["conditions"]["3"]["witness"]
+    assert not reverify_witness(cat, 2, {"spec": dict(w["dual_of"],
+                                                      mult=None)})
+
+
+def _structure_map_probes(cond, key, cut):
+    """pair2's (14) or (15) witness, with the probes that re-verified
+    True before the morphism was checked to be an algebra (coalgebra)
+    morphism: the witness morphism scaled by 2, which keeps its kernel
+    (cokernel) key, and the idempotent of End(1) on object 0, a map
+    1 -> 1 off the carrier, with its own."""
+    cat = load_fixture("pair2")
+    w = run_audit(cat, seed=1)["conditions"][str(cond)]["witness"]
+    assert reverify_witness(cat, cond, w)
+    f = morphism_from_spec(cat, w["morphism"])
+    one = unit_object(cat)
+    e = compose(restriction_inclusion(one, {cat.identity_of[0]}),
+                restriction_projection(one, {cat.identity_of[0]}))
+    return cat, [dict(w, morphism=morphism_to_spec(f.scale(2))),
+                 dict(w, morphism=morphism_to_spec(e),
+                      **{key: morphism_to_spec(cut(e)[1])})]
+
+
+def test_reverify_witness_rejects_a_non_multiplicative_morphism_from_one():
+    """(14) quantifies over algebra morphisms 1 -> A: m (2f (x) 2f) = 4f,
+    and a map 1 -> 1 does not end at the carrier."""
+    cat, probes = _structure_map_probes(14, "kernel", kernel)
+    for w in probes:
+        assert not reverify_witness(cat, 14, w)
+
+
+def test_reverify_witness_rejects_a_non_comultiplicative_morphism_to_one():
+    """(15) quantifies over coalgebra morphisms C -> 1:
+    (2f (x) 2f) comult = 4f, and a map 1 -> 1 does not start at the
+    carrier."""
+    cat, probes = _structure_map_probes(15, "cokernel", cokernel)
+    for w in probes:
+        assert not reverify_witness(cat, 15, w)
 
 
 _MUTANTS = (None, True, False, 1.5, "x", "1", -1, 0, 2, 99, 10 ** 6, [], {})
@@ -981,3 +1034,47 @@ def test_audit_computes_each_unit_idempotent_once(monkeypatch, name):
     rep = run_audit(_category(name), samples=4)
     assert len(rep["structural"]["idempotents"]) == DISTINCT_LIVE[name][0]
     _assert_once_per_distinct(calls, corpora, name)
+
+
+def _count_forced(monkeypatch):
+    """Count the reads of InternalAlgebra.mult and InternalCoalgebra.comult
+    that run a builder: returns the list that each forced (kind, owner)
+    is appended to."""
+    from fusionaudit.internal import InternalAlgebra, InternalCoalgebra
+    forced = []
+    for cls, name in ((InternalAlgebra, "mult"),
+                      (InternalCoalgebra, "comult")):
+        read = getattr(cls, name).fget
+
+        def counted(self, read=read, name=name):
+            if callable(getattr(self, "_" + name)):
+                forced.append((name, self))
+            return read(self)
+        monkeypatch.setattr(cls, name, property(counted))
+    return forced
+
+
+@pytest.mark.parametrize("name", ["s4", "vec_s3"])
+def test_audit_builds_no_structure_map_on_one_object(monkeypatch, name):
+    """The conditions, the corners and the lax image read units, counits
+    and carriers only, and a one-object groupoid has no witness: an audit
+    builds no kG or direct-sum multiplication and no dual
+    comultiplication, though the corpus holds all three kinds lazily."""
+    forced = _count_forced(monkeypatch)
+    corpora = _kept_corpus(monkeypatch)
+    rep = run_audit(_category(name), samples=4)
+    assert rep["unit_simple"] and forced == []
+    (corpus,) = corpora
+    lazy = [a for a in corpus if callable(a._mult)]
+    assert len(lazy) >= 2  # kG and a direct sum at least
+
+
+@pytest.mark.parametrize("name", MULTI_UNIT)
+def test_audit_builds_no_dual_comultiplication(monkeypatch, name):
+    """No condition reads a dual comultiplication: on multi-object
+    groupoids an audit builds only the multiplications its algebra
+    witnesses write out."""
+    forced = _count_forced(monkeypatch)
+    rep = run_audit(_category(name), samples=4)
+    assert not rep["unit_simple"]
+    assert {kind for kind, _ in forced} <= {"mult"}

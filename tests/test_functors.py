@@ -20,12 +20,13 @@ from fusionaudit.functors import (
 from fusionaudit.exactlin import Matrix
 from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
 from fusionaudit.gvec import (
-    compose, graded_object, hom_basis, identity_mor, restrict_grades,
-    restriction_inclusion, restriction_projection, simple_object, tensor_mor,
-    tensor_obj, unit_object, unit_summand, zero_object)
+    GradedMorphism, compose, graded_object, hom_basis, identity_mor,
+    restrict_grades, restriction_inclusion, restriction_projection,
+    simple_object, tensor_mor, tensor_obj, unit_object, unit_summand,
+    zero_object)
 from fusionaudit.internal import (
-    dualize_algebra, groupoid_algebra, internal_end, restriction_data,
-    support, unit_summand_algebra)
+    InternalAlgebra, direct_sum_algebra, dualize_algebra, groupoid_algebra,
+    internal_end, restriction_data, support, unit_summand_algebra)
 from slotwords import slot_words
 
 VEC = load_fixture("vec")
@@ -595,6 +596,35 @@ def test_rj_algebra_matches_direct_restriction():
         assert _rj_matches(e, support(e))
     a = groupoid_algebra(P3, [0, 1, 2])
     assert _rj_matches(a, {0, 1})
+
+
+def test_rj_algebra_compares_multiplications_on_a_proper_subset():
+    """On a proper object subset the projection drops carrier grades, and
+    the lax image's multiplication is still compared with the corner's:
+    swapping two rows of one block of the corner multiplication of P3's
+    kG (+) kG on {0, 1} is caught.  With nothing dropped only the units
+    are compared, and a.mult is not built."""
+    kg = groupoid_algebra(P3, [0, 1, 2])
+    a = direct_sum_algebra(kg, kg)
+    objs = {0, 1}
+    data = restriction_data(a, objs)
+    corner = data["algebra"]
+    assert corner.carrier != a.carrier
+    assert check_rj_algebra(a, objs, data)
+    blocks = dict(corner.mult.blocks)
+    g = min(blocks)
+    rows = blocks[g].sparse
+    assert len(rows) == 2 and rows[0] != rows[1]
+    blocks[g] = Matrix._of(2, blocks[g].cols, rows[::-1])
+    swapped = InternalAlgebra._of(
+        corner.carrier,
+        GradedMorphism._of(corner.mult.source, corner.carrier, blocks),
+        corner.unit)
+    assert not check_rj_algebra(a, objs, dict(data, algebra=swapped))
+    whole = direct_sum_algebra(kg, kg)
+    data = restriction_data(whole, support(whole))
+    assert check_rj_algebra(whole, support(whole), data)
+    assert callable(whole._mult)
 
 
 def test_frobenius_pair():

@@ -3,6 +3,7 @@ support, restriction, serialization."""
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from fusionaudit.internal import (
     unit_summand_algebra, unit_summand_coalgebra, validate_algebra,
     validate_coalgebra)
 from fusionaudit.morphcalc import find_retraction, find_section
-from slotwords import bisected_summand_columns
+from slotwords import bisected_pair_columns, bisected_summand_columns
 
 VEC = load_fixture("vec")
 Z2 = load_fixture("vec_z2")
@@ -342,9 +343,12 @@ def test_endpoint_checks_reject_wrong_shapes():
 
 
 def test_dualize_enumerates_no_tensor_slots(monkeypatch):
-    """Dualising S4's groupoid algebra, and rebuilding the algebra, check
-    their endpoints by multiplicity: no slot enumeration runs."""
+    """Dualising S4's groupoid algebra, building its comultiplication, and
+    rebuilding the algebra, check their endpoints by multiplicity: no slot
+    enumeration runs.  kG's own multiplication, which lays out kG (x) kG,
+    is built before the guard goes in."""
     a = groupoid_algebra(S4, {0})
+    assert a.mult.target is a.carrier
 
     def forbidden(v, w):
         raise AssertionError("a tensor product's slots were enumerated")
@@ -352,6 +356,7 @@ def test_dualize_enumerates_no_tensor_slots(monkeypatch):
     monkeypatch.setattr(gvec, "_tensor_layout", forbidden)
     monkeypatch.setattr(internal, "_tensor_layout", forbidden)
     c = dualize_algebra(a)
+    assert c.comult.source is c.carrier
     assert c.carrier == a.carrier and c.carrier.m(0) == 1
     again = InternalAlgebra(a.carrier, a.mult, a.unit)
     assert again.carrier is a.carrier
@@ -414,9 +419,45 @@ def test_summand_columns_cover_every_run_shape():
     assert shapes == {"in order", "sorted", "split", "tied"}
 
 
+@settings(max_examples=40, deadline=None)
+@given(_small_groupoids(), st.integers(0, 2**32 - 1))
+def test_pair_columns_match_bisection(cat, seed):
+    for c in _summand_carriers(cat, random.Random(seed)):
+        assert internal._pair_columns(c) == bisected_pair_columns(c)
+
+
+def test_pair_columns_cover_every_run_shape(monkeypatch):
+    """On the fixtures and S4 the one walk of _pair_columns meets every
+    shape of _code_runs, as test_summand_columns_cover_every_run_shape
+    does, and gives the per-pair bisection's columns without calling
+    _slot_starts."""
+    rng = random.Random(509)
+    carriers = [groupoid_algebra(S4, {0}).carrier]
+    for cat in CATS:
+        two = graded_object(cat, {0: 1, cat.morphism_count - 1: 1})
+        carriers += _summand_carriers(cat, rng) + [internal_end(two).carrier]
+    refs = [bisected_pair_columns(c) for c in carriers]
+
+    def forbidden(*args):
+        raise AssertionError("a per-pair slot list was built")
+
+    monkeypatch.setattr(gvec, "_slot_starts", forbidden)
+    shapes = set()
+    for c, ref in zip(carriers, refs):
+        assert internal._pair_columns(c) == ref
+        runs, in_order = _code_runs(tuple(c.layout.items()))
+        shapes.add("in order" if in_order else "sorted")
+        if len(runs) > len(c.layout):
+            shapes.add("split")
+        if sum(1 for codes in c.layout.values() if codes[0] == 0) > 1:
+            shapes.add("tied")
+    assert shapes == {"in order", "sorted", "split", "tied"}
+
+
 def test_direct_sum_bisects_no_slot_list(monkeypatch):
     """direct_sum_algebra builds no _slot_starts list: S4's kG (+) kG has
-    576 composable grade pairs per summand, and no call is made."""
+    576 composable grade pairs per summand, and building its
+    multiplication makes no call."""
     calls = []
 
     def counted(*args):
@@ -425,9 +466,9 @@ def test_direct_sum_bisects_no_slot_list(monkeypatch):
 
     slot_starts = gvec._slot_starts
     monkeypatch.setattr(gvec, "_slot_starts", counted)
-    monkeypatch.setattr(internal, "_slot_starts", counted)
     kg = groupoid_algebra(S4, {0})
     s = direct_sum_algebra(kg, kg)
+    assert s.mult.target is s.carrier
     assert calls == []
     assert s.carrier.mult == {g: 2 for g in range(24)}
     assert validate_algebra(s)["ok"]
@@ -465,6 +506,122 @@ def test_dualize_matches_dual_morphism_on_corpora():
                 assert back == a
                 count += 1
     assert count > 100
+
+
+# The eager builds of the structure maps that the producers build on
+# first read, as the producers ran them when they built every map at
+# once: the oracle of test_forced_maps_match_eager_builds.
+
+def _eager_groupoid_mult(carrier):
+    cxc = tensor_obj(carrier, carrier)
+    return GradedMorphism._of(cxc, carrier, {
+        h: Matrix._of(1, m, (tuple([(j, Fraction(1)) for j in range(m)]),))
+        for h, m in cxc.mult.items()})
+
+
+def _eager_direct_sum_mult(a, b, s):
+    ca, cb = a.carrier, b.carrier
+    sxs = gvec._tensor_layout(s, s)
+    sides = ((a.mult.blocks, internal._summand_columns(ca, s, sxs, {}), ca),
+             (b.mult.blocks, internal._summand_columns(cb, s, sxs, ca.mult),
+              cb))
+    blocks = {}
+    for h in sxs.layout:
+        rows = []
+        for mblocks, cmaps, c in sides:
+            block = mblocks.get(h)
+            if block is None:
+                rows.extend([()] * c.m(h))
+                continue
+            cmap = cmaps[h]
+            rows.extend(tuple(sorted([(cmap[j], x) for j, x in row]))
+                        for row in block.sparse)
+        if any(rows):
+            blocks[h] = Matrix._of(s.m(h), sxs.mult[h], tuple(rows))
+    return GradedMorphism._of(sxs, s, blocks)
+
+
+def _eager_dual_comult(a):
+    c = a.carrier
+    d, rank = gvec._dual_layout(c)
+    dd, cols = internal._dual_square(c, d, rank, a.mult.source)
+    return gvec._transposed(a.mult, d, dd, cols, rank)
+
+
+def _eager_dual_mult(c):
+    d, rank = gvec._dual_layout(c.carrier)
+    dd, cols = internal._dual_square(c.carrier, d, rank, c.comult.target)
+    return gvec._transposed(c.comult, dd, d, rank, cols)
+
+
+def _forced_equals(holder, slot, read, ref):
+    """holder's slot still holds a builder; the first read builds a map
+    equal to ref, endpoint codes and grade order included, and puts it in
+    the slot."""
+    assert callable(getattr(holder, slot))
+    got = read()
+    assert getattr(holder, slot) is got and read() is got
+    assert got == ref
+    _same_codes(got.source, ref.source)
+    _same_codes(got.target, ref.target)
+
+
+def test_forced_maps_match_eager_builds(monkeypatch):
+    """On the corpora of the six fixtures and S4 at seeds 1-2, every
+    multiplication of a groupoid algebra or a direct sum, every dual's
+    comultiplication and every double dual's multiplication is built on
+    first read, and equals the eager build."""
+    built = []
+    groupoid_alg, direct_sum = groupoid_algebra, direct_sum_algebra
+
+    def kg(cat, objs):
+        a = groupoid_alg(cat, objs)
+        built.append((a, lambda: _eager_groupoid_mult(a.carrier)))
+        return a
+
+    def ds(a, b):
+        s = direct_sum(a, b)
+        built.append((s, lambda: _eager_direct_sum_mult(a, b, s.carrier)))
+        return s
+
+    monkeypatch.setattr(internal, "groupoid_algebra", kg)
+    monkeypatch.setattr(internal, "direct_sum_algebra", ds)
+    cats = [load_fixture(name) for name in FIXTURE_NAMES] + [S4]
+    count = 0
+    for cat in cats:
+        for seed in (1, 2):
+            del built[:]
+            corpus = algebra_corpus(cat, random.Random(seed))
+            count += len(built)
+            for a, ref in built:
+                _forced_equals(a, "_mult", lambda: a.mult, ref())
+            for a in _distinct(corpus):
+                c = dualize_algebra(a)
+                _forced_equals(c, "_comult", lambda: c.comult,
+                               _eager_dual_comult(a))
+                back = dualize_coalgebra(c)
+                _forced_equals(back, "_mult", lambda: back.mult,
+                               _eager_dual_mult(c))
+    assert count > 50
+
+
+def test_restriction_to_the_support_builds_no_multiplication():
+    """A restriction that drops nothing compares no multiplication: the
+    corner reads the algebra's multiplication slot, unbuilt, and its first
+    read builds the algebra's, once, for both."""
+    for a in (groupoid_algebra(P3, {0, 2}),
+              direct_sum_algebra(groupoid_algebra(S3, {0}),
+                                 unit_summand_algebra(S3, 0))):
+        data = restriction_data(a, support(a))
+        corner = data["algebra"]
+        assert corner.carrier is a.carrier
+        assert callable(a._mult) and callable(corner._mult)
+        assert corner.mult is a.mult
+        assert not callable(a._mult)
+    a = groupoid_algebra(P3, {0, 1, 2})
+    corner = restriction_data(a, {0, 2})["algebra"]
+    assert not callable(a._mult) and not callable(corner._mult)
+    assert corner == groupoid_algebra(P3, {0, 2})
 
 
 def test_dualize_stars_the_carrier_only(monkeypatch):
