@@ -30,9 +30,8 @@ from .internal import grades_within, restriction_data, support
 from .morphcalc import _split_image, find_retraction, find_section
 
 __all__ = [
-    "ModuleObject", "ComoduleObject",
+    "ModuleObject",
     "free_module", "induce_mor", "validate_module", "is_module_morphism",
-    "cofree_comodule", "validate_comodule",
     "separability_verdict", "coseparability_verdict", "idempotent_e",
     "check_section_identity", "check_cosection_identity",
     "is_faithful_tensor", "is_faithful_cotensor",
@@ -62,26 +61,8 @@ class ModuleObject:
         return hash((self.carrier, self.action))
 
 
-class ComoduleObject:
-    """Right comodule: carrier with coaction carrier -> carrier (x) C."""
-
-    __slots__ = ("carrier", "coaction")
-
-    def __init__(self, carrier, coaction):
-        self.carrier = carrier
-        self.coaction = coaction
-
-    def __eq__(self, other):
-        return (isinstance(other, ComoduleObject)
-                and self.carrier == other.carrier
-                and self.coaction == other.coaction)
-
-    def __hash__(self):
-        return hash((self.carrier, self.coaction))
-
-
 # ---------------------------------------------------------------------------
-# free (co)modules
+# free modules
 
 def free_module(m, a):
     return ModuleObject(tensor_obj(m, a.carrier),
@@ -116,31 +97,6 @@ def validate_module(mod, a):
 def is_module_morphism(g, src, tgt, a):
     ida = identity_mor(a.carrier)
     return compose(tgt.action, tensor_mor(g, ida)) == compose(g, src.action)
-
-
-def cofree_comodule(m, c):
-    return ComoduleObject(tensor_obj(m, c.carrier),
-                          tensor_mor(identity_mor(m), c.comult))
-
-
-def validate_comodule(mod, c):
-    failures = []
-    idm = identity_mor(mod.carrier)
-    idc = identity_mor(c.carrier)
-    try:
-        lhs = compose(tensor_mor(mod.coaction, idc), mod.coaction)
-        rhs = compose(tensor_mor(idm, c.comult), mod.coaction)
-        if lhs != rhs:
-            failures.append("coaction coassociativity fails at grades %s"
-                            % sorted((lhs - rhs).blocks))
-        un = compose(tensor_mor(idm, c.counit), mod.coaction)
-        if un != idm:
-            failures.append("coaction counit law fails at grades %s"
-                            % sorted((un - idm).blocks))
-    except ShapeError as exc:
-        failures.append("structural: %s" % exc)
-    return {"ok": not failures, "zero": mod.carrier.is_zero(),
-            "failures": failures}
 
 
 # ---------------------------------------------------------------------------

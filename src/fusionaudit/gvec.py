@@ -109,8 +109,9 @@ MAX_TOTAL_MULT = 4096
 # largest count the test suite and the benchmark workloads parse is 512
 # (a pair2 algebra).  At the cap, check-algebra takes 0.2 s and 42 MB for
 # an explicit 64-slot carrier on the trivial group and 0.9 s and 81 MB for
-# the internal_end of 8 slots; just under it, 2.8 s and 105 MB for kG of
-# pair22 (a 234,256-slot cube), on a 2-vCPU Xeon.
+# the internal_end of 8 slots, and 0.7-1.0 s and 66 MB for the sum form
+# kG (+) kG of Z32, whose cube is exactly the cap; just under it, 2.8 s
+# and 105 MB for kG of pair22 (a 234,256-slot cube), on a 2-vCPU Xeon.
 MAX_PRODUCT_SLOTS = 2 ** 18
 
 
@@ -895,9 +896,8 @@ def _transposed(f, source, target, rrank, crank):
     """The morphism source -> target whose block at inv(g) is f's block at
     g transposed, with f's source slot s at g sent to row rrank[g][s] and
     f's target slot t to column crank[g][t].  source and target must be
-    the duals of f's target and source (dual_morphism), or objects coded
-    equally, as the dual square that internal.dualize_algebra lays out is
-    for the dual of a carrier's square."""
+    the duals of f's target and source as _dual_layout lays them out, with
+    rrank and crank its ranks (dual_morphism, internal.dualize_algebra)."""
     inv = f.source.cat.inverse_of
     blocks = {}
     for g, b in f.blocks.items():

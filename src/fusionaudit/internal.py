@@ -12,7 +12,6 @@ within each.  For a carrier built atomically from a multiplicity map this
 is exactly the in-memory order, so parsing needs no permutation.
 """
 
-from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import ConsistencyError, ShapeError, SpecError
@@ -21,13 +20,12 @@ from .groupoid import _spec_ints
 from .gvec import (
     MAX_PRODUCT_SLOTS, MAX_TOTAL_MULT, GradedMorphism, GradedObject,
     _blocks_from_spec, _blocks_to_spec, _code_runs, _dual_layout,
-    _mult_product, _tensor_layout, _transposed, compose,
-    direct_sum_obj, graded_object,
+    _mult_product, _transposed, compose, direct_sum_obj,
+    direct_sum_with_maps, graded_object,
     identity_mor, left_dual, object_from_spec, object_to_spec,
     restrict_grades, restriction_inclusion, restriction_projection,
     tensor_mor, tensor_mult, tensor_obj, total_mult, unit_object,
     unit_summand)
-from .slotcodes import radix, ranks
 
 __all__ = [
     "InternalAlgebra", "InternalCoalgebra",
@@ -340,17 +338,15 @@ def dualize_algebra(a):
     the comultiplication is dual(mult): d -> dual(carrier (x) carrier),
     and the counit is dual(unit): d -> 1, the unit's dual being the unit
     slot for slot (its one empty word at each identity grade, code 0).
-    The dual of the square is laid out by _dual_square from the carrier's
-    own starred codes, so no code of the square is starred, and only the
-    carrier goes through slotcodes.starrer.  The counit is built here;
-    the comultiplication, and with it a.mult, on its first read."""
-    c = a.carrier
-    d, rank = _dual_layout(c)
+    Both are dual_morphism's maps, with d the comultiplication's source.
+    The counit is built here; the comultiplication, and with it a.mult,
+    on its first read."""
+    d, rank = _dual_layout(a.carrier)
     one = a.unit.source
 
     def comult():
         mult = a.mult
-        dd, cols = _dual_square(c, d, rank, mult.source)
+        dd, cols = _dual_layout(mult.source)
         return _transposed(mult, d, dd, cols, rank)
     return InternalCoalgebra._of(d, comult,
                                  _transposed(a.unit, d, one,
@@ -366,7 +362,7 @@ def dualize_coalgebra(c):
 
     def mult():
         comult = c.comult
-        dd, cols = _dual_square(c.carrier, d, rank, comult.target)
+        dd, cols = _dual_layout(comult.target)
         return _transposed(comult, dd, d, rank, cols)
     return InternalAlgebra._of(d, mult,
                                _transposed(c.counit, one, d, rank,
@@ -379,124 +375,20 @@ def _unit_rank(one):
     return dict.fromkeys(one.mult, (0,))
 
 
-def _dual_square(c, d, rank, cxc):
-    """(dual(cxc), cols) for cxc = c (x) c and (d, rank) = _dual_layout(c):
-    what _dual_layout(cxc) returns, with cols in place of its rank.
-
-    The star of the word w1 w2 of slot (g1, i, g2, j) of cxc is
-    star(w2) star(w1), and star(wk) is a slot of d, so its code over
-    d.seq + d.seq is D(g2, j) * radix(d.seq) + D(g1, i), with D(g, i) =
-    d.layout[inv(g)][rank[g][i]] the code of the dual slot of c's slot i
-    at g.  One walk over c's slots in code order, taken in maximal runs of
-    one grade as _tensor_layout takes them (gvec._code_runs), meets cxc's
-    slots in code order, so each grade's starred codes come out in slot
-    order from one addition each, and one sort per grade (slotcodes.ranks)
-    places them.  That is dual(c (x) c) code for code; strictness makes it
-    dual(c) (x) dual(c) too.  Grades keep cxc's order, inverted, as
-    _dual_layout's do."""
-    cat = c.cat
-    inv, table, cl = cat.inverse_of, cat.compose_table, c.layout
-    rd = radix(d.seq)
-    star = {g: [d.layout[inv[g]][p] for p in rank[g]] for g in cl}
-    left = {g: [x * rd for x in codes] for g, codes in star.items()}
-    acc, seen = {}, {}
-    for g1, cs1 in _code_runs(tuple(cl.items()))[0]:
-        i0 = seen.get(g1, 0)
-        seen[g1] = i0 + len(cs1)
-        rights = star[g1][i0:i0 + len(cs1)]
-        row = table[g1]
-        for g2, lefts in left.items():
-            h = row[g2]
-            if h is None:
-                continue
-            dst = acc.get(h)
-            if dst is None:
-                dst = acc[h] = []
-            if len(lefts) == 1:  # one list per run, as in _summand_columns
-                p = lefts[0]
-                dst += [p + q for q in rights]
-                continue
-            for q in rights:
-                dst += [p + q for p in lefts]
-    mult, layout, cols = {}, {}, {}
-    for h, m in cxc.mult.items():
-        g = inv[h]
-        mult[g] = m
-        cols[h], layout[g] = ranks(acc[h])
-    return GradedObject._of(cat, mult, d.seq + d.seq if mult else (),
-                            layout), cols
-
-
-def _summand_columns(c, s, sxs, off):
-    """Per grade h of c (x) c, for each of its slots in code order: the
-    position, within grade h of sxs = s (x) s, of the same slot of s,
-    where c is a summand of the atomic object s whose slot i at grade g
-    is slot off.get(g, 0) + i of s.
-
-    One walk over c's slots in code order, taken in maximal runs of one
-    grade as _tensor_layout takes them (gvec._code_runs), meets the slots
-    of c (x) c in code order, so each grade's list is appended to in
-    order: a slot's position in c (x) c is a running count, and c (x) c
-    is not laid out.  Slot (g1, i, g2, j) of c (x) c is slot (g1, k, g2,
-    l) of s (x) s, k = off[g1] + i and l = off[g2] + j.  s is atomic, so
-    its codes at each grade are consecutive and its grades are ordered by
-    code: in grade h of sxs the slots with left grade g1 are one block of
-    s.m(g1) * s.m(g2) slots, ordered by k then l, and (g1, k, g2, l) sits
-    k * s.m(g2) + l past the block's start.  The start is one bisection
-    per run and right grade; no per-pair slot list is built."""
-    runs, _ = _code_runs(tuple(c.layout.items()))
-    table, cl = c.cat.compose_table, c.layout.items()
-    sl, sm, codes, rs = s.layout, s.mult, sxs.layout, radix(s.seq)
-    out, seen = {}, {}
-    for g1, cs1 in runs:
-        n = len(cs1)
-        i0 = seen.get(g1, 0)
-        seen[g1] = i0 + n
-        k = off.get(g1, 0) + i0
-        left = sl[g1][0] * rs
-        row = table[g1]
-        for g2, cs2 in cl:
-            h = row[g2]
-            if h is None:
-                continue
-            m2 = sm[g2]
-            at = bisect_left(codes[h], left) + k * m2 + off.get(g2, 0)
-            dst = out.get(h)
-            if dst is None:
-                dst = out[h] = []
-            n2 = len(cs2)
-            # A one-slot right grade (every grade of kG) takes one extend
-            # for the run; the loop below cost ~25% more on S5's kG (+) kG.
-            if n2 == 1:
-                dst += range(at, at + n * m2, m2)
-                continue
-            for _ in range(n):
-                dst += range(at, at + n2)
-                at += m2
-    return out
-
-
 def direct_sum_algebra(a, b):
     """Product algebra: componentwise multiplication, zero across summands,
     unit the pair of units.
 
-    Both structure maps are the summands' rows re-indexed, with no
-    product of maps formed; only s (x) s is laid out.  At each grade a's
-    slots come first in the sum s and b's follow (direct_sum_obj), so a's
-    rows keep their index and b's move down by a's multiplicity.  A
-    column of a.mult, a slot of a (x) a, goes to the slot of s (x) s with
-    the same factor slots, and likewise for b: _summand_columns walks each
-    summand's slots once, with one bisection per run and right grade and
-    no per-pair slot list, and a (x) a and b (x) b are not laid out.  s is
-    atomic, so its words order grade first, while a summand's words
-    (those of an internal_end, say) need not: the column map need not be
-    increasing, and each re-indexed row is sorted.
+    At each grade a's slots come first in the sum s and b's follow
+    (direct_sum_obj), so the unit is a's rows stacked on b's.  The
+    multiplication is i_a m_a (p_a (x) p_a) + i_b m_b (p_b (x) p_b), with
+    the injections and projections of direct_sum_with_maps, rebased onto
+    s; it is built, and with it the summands', on first read.
 
     A carrier of more than gvec.MAX_TOTAL_MULT slots is a SpecError,
     raised before anything is built: an object spec states at most that
     many, so every carrier an audit builds, at any corpus size, can be
-    written into a witness and parsed back.  The multiplication, and
-    with it the summands', is built on first read."""
+    written into a witness and parsed back."""
     ca, cb = a.carrier, b.carrier
     total = total_mult(ca) + total_mult(cb)
     if total > MAX_TOTAL_MULT:
@@ -505,23 +397,10 @@ def direct_sum_algebra(a, b):
     s = direct_sum_obj(ca, cb)
 
     def mult():
-        sxs = _tensor_layout(s, s)
-        sides = ((a.mult.blocks, _summand_columns(ca, s, sxs, {}), ca),
-                 (b.mult.blocks, _summand_columns(cb, s, sxs, ca.mult), cb))
-        blocks = {}
-        for h in sxs.layout:
-            rows = []
-            for mblocks, cmaps, c in sides:
-                block = mblocks.get(h)
-                if block is None:
-                    rows.extend([()] * c.m(h))
-                    continue
-                cmap = cmaps[h]
-                rows.extend(tuple(sorted([(cmap[j], x) for j, x in row]))
-                            for row in block.sparse)
-            if any(rows):
-                blocks[h] = Matrix._of(s.m(h), sxs.mult[h], tuple(rows))
-        return GradedMorphism._of(sxs, s, blocks)
+        _, ia, ib, pa, pb = direct_sum_with_maps(ca, cb)
+        m = (compose(ia, compose(a.mult, tensor_mor(pa, pa)))
+             + compose(ib, compose(b.mult, tensor_mor(pb, pb))))
+        return GradedMorphism._of(m.source, s, m.blocks)
     one = a.unit.source
     unit = {}
     for e in one.mult:

@@ -160,32 +160,6 @@ def bisected_pos(v, w, vw):
     return pos
 
 
-def bisected_summand_columns(c, s, sxs, off):
-    """The reference for internal._summand_columns, by per-pair
-    bisection: per grade h of c (x) c, the position within grade h of
-    sxs = s (x) s of each slot of c (x) c, where c's slot i at grade g is
-    slot off.get(g, 0) + i of s.  Slot (g1, i, g2, j) of c (x) c is slot
-    (g1, off[g1] + i, g2, off[g2] + j) of s (x) s, and gvec._slot_starts
-    finds both, twice per composable grade pair."""
-    cxc = _tensor_layout(c, c)
-    cl, rc, rs = c.layout, radix(c.seq), radix(s.seq)
-    out = {h: [0] * m for h, m in cxc.mult.items()}
-    for g1, left in cl.items():
-        row = c.cat.compose_table[g1]
-        k = off.get(g1, 0)
-        sleft = s.layout[g1][k:k + len(left)]
-        for g2, right in cl.items():
-            h = row[g2]
-            if h is None:
-                continue
-            cmap, k2 = out[h], off.get(g2, 0)
-            for at, to in zip(_slot_starts(cxc.layout[h], left, rc),
-                              _slot_starts(sxs.layout[h], sleft, rs)):
-                for j in range(len(right)):
-                    cmap[at + j] = to + k2 + j
-    return out
-
-
 def bisected_pair_columns(carrier):
     """The reference for internal._pair_columns, by per-pair bisection:
     per grade h of carrier (x) carrier, the memory position of each slot

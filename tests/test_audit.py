@@ -743,14 +743,13 @@ def test_oversized_algebra_products_exit_2(tmp_path, monkeypatch, capsys):
     Run in process on two one-object groups, grades 0 and 1, where a
     carrier of multiplicities n and 1 has a cube of n**3 + 1 slots; the
     sum and groupoid_algebra forms are refused the same way."""
-    from fusionaudit import gvec, internal
+    from fusionaudit import gvec
     from fusionaudit.groupoid import groupoid_from_spec, make_group
 
     def laid_out(v, w):
         raise RuntimeError("slots laid out")
 
-    for mod in (gvec, internal):
-        monkeypatch.setattr(mod, "_tensor_layout", laid_out)
+    monkeypatch.setattr(gvec, "_tensor_layout", laid_out)
     cap = gvec.MAX_PRODUCT_SLOTS
     side = round(cap ** (1 / 3))
     root = round(side ** 0.5)
@@ -1038,8 +1037,8 @@ def test_audit_computes_each_unit_idempotent_once(monkeypatch, name):
 
 def _count_forced(monkeypatch):
     """Count the reads of InternalAlgebra.mult and InternalCoalgebra.comult
-    that run a builder: returns the list that each forced (kind, owner)
-    is appended to."""
+    that run a builder: returns the list that each forced (kind, owner,
+    builder's qualified name) is appended to."""
     from fusionaudit.internal import InternalAlgebra, InternalCoalgebra
     forced = []
     for cls, name in ((InternalAlgebra, "mult"),
@@ -1047,8 +1046,9 @@ def _count_forced(monkeypatch):
         read = getattr(cls, name).fget
 
         def counted(self, read=read, name=name):
-            if callable(getattr(self, "_" + name)):
-                forced.append((name, self))
+            build = getattr(self, "_" + name)
+            if callable(build):
+                forced.append((name, self, build.__qualname__))
             return read(self)
         monkeypatch.setattr(cls, name, property(counted))
     return forced
@@ -1071,10 +1071,22 @@ def test_audit_builds_no_structure_map_on_one_object(monkeypatch, name):
 
 @pytest.mark.parametrize("name", MULTI_UNIT)
 def test_audit_builds_no_dual_comultiplication(monkeypatch, name):
-    """No condition reads a dual comultiplication: on multi-object
-    groupoids an audit builds only the multiplications its algebra
-    witnesses write out."""
+    """No condition reads a dual comultiplication, and on multi-object
+    groupoids every witness is corpus entry 0, a unit summand whose maps
+    are built up front: an audit, and check-algebra on each witness's
+    algebra, build no kG, direct-sum or dual structure map."""
     forced = _count_forced(monkeypatch)
-    rep = run_audit(_category(name), samples=4)
+    cat = _category(name)
+    rep = run_audit(cat, samples=4)
     assert not rep["unit_simple"]
-    assert {kind for kind, _ in forced} <= {"mult"}
+    witnesses = [c["witness"] for c in rep["conditions"].values()
+                 if c["witness"] and c["witness"]["kind"] in
+                 ("algebra", "coalgebra")]
+    assert witnesses
+    for w in witnesses:
+        assert w["corpus_index"] == 0
+        doc = check_algebra_report(cat, w.get("spec") or w["dual_of"])
+        assert doc["validation"]["ok"]
+    # a corner on the support only hands on its algebra's multiplication
+    assert {builder for _, _, builder in forced} \
+        <= {"restriction_data.<locals>.mult_j"}

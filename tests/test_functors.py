@@ -11,12 +11,12 @@ from fusionaudit.corpus import algebra_corpus, random_morphism, random_object
 from fusionaudit.errors import ConsistencyError
 from fusionaudit.functors import (
     ProjectionFunctor, check_cosection_identity, check_inclusion_frobenius,
-    check_projection_lax_colax, check_rj_algebra, cofree_comodule,
-    coreflection_checks, coseparability_verdict, free_module,
-    frobenius_pair_check, idempotent_e, induce_mor, is_faithful_cotensor,
+    check_projection_lax_colax, check_rj_algebra, coreflection_checks,
+    coseparability_verdict, free_module, frobenius_pair_check, idempotent_e,
+    induce_mor, is_faithful_cotensor,
     is_faithful_tensor, is_module_morphism, reflection_checks,
     restricted_separability, separability_verdict, check_section_identity,
-    validate_comodule, validate_module)
+    validate_module)
 from fusionaudit.exactlin import Matrix
 from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
 from fusionaudit.gvec import (
@@ -350,18 +350,6 @@ def test_dual_verdicts_agree_on_corpus():
             for key in ("separable", "naturally_full", "semiseparable",
                         "idempotent_trivial"):
                 assert va[key] == vc[key]
-
-
-def test_cofree_comodules_validate():
-    rng = random.Random(611)
-    c = dualize_algebra(groupoid_algebra(Z2, [0]))
-    for _ in range(5):
-        m = random_object(Z2, rng, max_total=3)
-        mod = cofree_comodule(m, c)
-        assert validate_comodule(mod, c)["ok"]
-        f = random_morphism(m, m, rng)
-        assert induce_mor(identity_mor(m), c) == identity_mor(mod.carrier)
-        del f
 
 
 def test_inclusion_frobenius():

@@ -29,7 +29,7 @@ from fusionaudit.internal import (
     unit_summand_algebra, unit_summand_coalgebra, validate_algebra,
     validate_coalgebra)
 from fusionaudit.morphcalc import find_retraction, find_section
-from slotwords import bisected_pair_columns, bisected_summand_columns
+from slotwords import bisected_pair_columns
 
 VEC = load_fixture("vec")
 Z2 = load_fixture("vec_z2")
@@ -192,7 +192,8 @@ def test_corpus_draws_match_building_every_entry_anew():
 def _direct_sum_by_compose(a, b):
     """direct_sum_algebra's structure maps through the sum's injections
     and projections, m_a (p_a (x) p_a) and u_a pushed into the sum, plus
-    the same for b: the oracle for the re-indexed construction."""
+    the same for b: the oracle for the re-indexed unit, and the build of
+    the multiplication that direct_sum_algebra runs on first read."""
     s, ia, ib, pa, pb = direct_sum_with_maps(a.carrier, b.carrier)
     mult = compose(ia, compose(a.mult, tensor_mor(pa, pa))) \
         + compose(ib, compose(b.mult, tensor_mor(pb, pb)))
@@ -203,17 +204,28 @@ def _direct_sum_by_compose(a, b):
 @settings(max_examples=40, deadline=None)
 @given(_small_groupoids(), st.integers(0, 2**32 - 1))
 def test_direct_sum_algebra_matches_compose_form(cat, seed):
+    """The sum's unit is the summands' pushed into the sum, and its
+    multiplication satisfies m_s (i_x (x) i_y) = delta_xy i_x m_x for the
+    summand injections i_a, i_b."""
     rng = random.Random(seed)
     pool = algebra_corpus(cat, rng, internal_ends=1, sums=1)
     for _ in range(3):
         a, b = rng.choice(pool), rng.choice(pool)
         got = direct_sum_algebra(a, b)
-        s, mult, unit = _direct_sum_by_compose(a, b)
+        s, _, unit = _direct_sum_by_compose(a, b)
         assert tuple(got.carrier.layout.items()) == tuple(s.layout.items())
+        assert got.mult.target is got.carrier
         assert tuple(got.mult.source.layout.items()) \
-            == tuple(mult.source.layout.items())
-        assert got.mult.blocks == mult.blocks
+            == tuple(tensor_obj(s, s).layout.items())
         assert got.unit.blocks == unit.blocks
+        _, ia, ib, _, _ = direct_sum_with_maps(a.carrier, b.carrier)
+        for x, ix in ((a, ia), (b, ib)):
+            for y, iy in ((a, ia), (b, ib)):
+                lhs = compose(got.mult, tensor_mor(ix, iy))
+                if ix is iy:
+                    assert lhs.blocks == compose(ix, x.mult).blocks
+                else:
+                    assert lhs.is_zero()
         pool.append(got)  # later draws may sum a sum
 
 
@@ -354,7 +366,6 @@ def test_dualize_enumerates_no_tensor_slots(monkeypatch):
         raise AssertionError("a tensor product's slots were enumerated")
 
     monkeypatch.setattr(gvec, "_tensor_layout", forbidden)
-    monkeypatch.setattr(internal, "_tensor_layout", forbidden)
     c = dualize_algebra(a)
     assert c.comult.source is c.carrier
     assert c.carrier == a.carrier and c.carrier.m(0) == 1
@@ -376,49 +387,6 @@ def _summand_carriers(cat, rng):
             direct_sum_obj(x, unit_object(cat)), direct_sum_obj(end, x)]
 
 
-def _assert_summand_columns(c, other):
-    """_summand_columns equals the per-pair bisection, for c as the first
-    and as the second summand of its sum with other."""
-    for first, second in ((c, other), (other, c)):
-        s = direct_sum_obj(first, second)
-        sxs = tensor_obj(s, s)
-        for part, off in ((first, {}), (second, first.mult)):
-            assert internal._summand_columns(part, s, sxs, off) \
-                == bisected_summand_columns(part, s, sxs, off)
-
-
-@settings(max_examples=40, deadline=None)
-@given(_small_groupoids(), st.integers(0, 2**32 - 1))
-def test_summand_columns_match_bisection(cat, seed):
-    rng = random.Random(seed)
-    carriers = _summand_carriers(cat, rng)
-    for c in carriers:
-        _assert_summand_columns(c, rng.choice(carriers))
-
-
-def test_summand_columns_cover_every_run_shape():
-    """On the fixtures and S4 kG (+) kG the walk meets every shape of
-    _code_runs: grades in layout order, tied codes, grades out of code
-    order, and a grade split over several runs."""
-    shapes = set()
-    rng = random.Random(509)
-    kg = groupoid_algebra(S4, {0}).carrier
-    _assert_summand_columns(kg, kg)
-    for cat in CATS:
-        carriers = _summand_carriers(cat, rng)
-        two = graded_object(cat, {0: 1, cat.morphism_count - 1: 1})
-        for c in carriers + [internal_end(two).carrier]:
-            _assert_summand_columns(c, rng.choice(carriers))
-            items = tuple(c.layout.items())
-            runs, in_order = _code_runs(items)
-            shapes.add("in order" if in_order else "sorted")
-            if len(runs) > len(items):
-                shapes.add("split")
-            if sum(1 for codes in c.layout.values() if codes[0] == 0) > 1:
-                shapes.add("tied")
-    assert shapes == {"in order", "sorted", "split", "tied"}
-
-
 @settings(max_examples=40, deadline=None)
 @given(_small_groupoids(), st.integers(0, 2**32 - 1))
 def test_pair_columns_match_bisection(cat, seed):
@@ -428,9 +396,9 @@ def test_pair_columns_match_bisection(cat, seed):
 
 def test_pair_columns_cover_every_run_shape(monkeypatch):
     """On the fixtures and S4 the one walk of _pair_columns meets every
-    shape of _code_runs, as test_summand_columns_cover_every_run_shape
-    does, and gives the per-pair bisection's columns without calling
-    _slot_starts."""
+    shape of _code_runs (grades in layout order, tied codes, grades out
+    of code order, and a grade split over several runs), and gives the
+    per-pair bisection's columns without calling _slot_starts."""
     rng = random.Random(509)
     carriers = [groupoid_algebra(S4, {0}).carrier]
     for cat in CATS:
@@ -452,26 +420,6 @@ def test_pair_columns_cover_every_run_shape(monkeypatch):
         if sum(1 for codes in c.layout.values() if codes[0] == 0) > 1:
             shapes.add("tied")
     assert shapes == {"in order", "sorted", "split", "tied"}
-
-
-def test_direct_sum_bisects_no_slot_list(monkeypatch):
-    """direct_sum_algebra builds no _slot_starts list: S4's kG (+) kG has
-    576 composable grade pairs per summand, and building its
-    multiplication makes no call."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return slot_starts(*args)
-
-    slot_starts = gvec._slot_starts
-    monkeypatch.setattr(gvec, "_slot_starts", counted)
-    kg = groupoid_algebra(S4, {0})
-    s = direct_sum_algebra(kg, kg)
-    assert s.mult.target is s.carrier
-    assert calls == []
-    assert s.carrier.mult == {g: 2 for g in range(24)}
-    assert validate_algebra(s)["ok"]
 
 
 def _same_codes(x, y):
@@ -508,9 +456,10 @@ def test_dualize_matches_dual_morphism_on_corpora():
     assert count > 100
 
 
-# The eager builds of the structure maps that the producers build on
-# first read, as the producers ran them when they built every map at
-# once: the oracle of test_forced_maps_match_eager_builds.
+# Eager builds of the structure maps that the producers build on first
+# read, kG's as the producer built it eagerly and the others through the
+# generic operations (injections, projections and dual_morphism): the
+# oracle of test_forced_maps_match_eager_builds.
 
 def _eager_groupoid_mult(carrier):
     cxc = tensor_obj(carrier, carrier)
@@ -520,38 +469,16 @@ def _eager_groupoid_mult(carrier):
 
 
 def _eager_direct_sum_mult(a, b, s):
-    ca, cb = a.carrier, b.carrier
-    sxs = gvec._tensor_layout(s, s)
-    sides = ((a.mult.blocks, internal._summand_columns(ca, s, sxs, {}), ca),
-             (b.mult.blocks, internal._summand_columns(cb, s, sxs, ca.mult),
-              cb))
-    blocks = {}
-    for h in sxs.layout:
-        rows = []
-        for mblocks, cmaps, c in sides:
-            block = mblocks.get(h)
-            if block is None:
-                rows.extend([()] * c.m(h))
-                continue
-            cmap = cmaps[h]
-            rows.extend(tuple(sorted([(cmap[j], x) for j, x in row]))
-                        for row in block.sparse)
-        if any(rows):
-            blocks[h] = Matrix._of(s.m(h), sxs.mult[h], tuple(rows))
-    return GradedMorphism._of(sxs, s, blocks)
+    _, mult, _ = _direct_sum_by_compose(a, b)
+    return GradedMorphism._of(mult.source, s, mult.blocks)
 
 
 def _eager_dual_comult(a):
-    c = a.carrier
-    d, rank = gvec._dual_layout(c)
-    dd, cols = internal._dual_square(c, d, rank, a.mult.source)
-    return gvec._transposed(a.mult, d, dd, cols, rank)
+    return dual_morphism(a.mult)
 
 
 def _eager_dual_mult(c):
-    d, rank = gvec._dual_layout(c.carrier)
-    dd, cols = internal._dual_square(c.carrier, d, rank, c.comult.target)
-    return gvec._transposed(c.comult, dd, d, rank, cols)
+    return dual_morphism(c.comult)
 
 
 def _forced_equals(holder, slot, read, ref):
@@ -625,8 +552,9 @@ def test_restriction_to_the_support_builds_no_multiplication():
 
 
 def test_dualize_stars_the_carrier_only(monkeypatch):
-    """dualize_algebra stars the carrier's codes, and no code of its
-    square: slotcodes.starrer is called once, on the carrier's sequence."""
+    """dualize_algebra stars the carrier's codes only: slotcodes.starrer
+    is called once, on the carrier's sequence.  The square's codes are
+    starred when the comultiplication is first read."""
     seqs = []
 
     def counted(cat, seq):
