@@ -37,7 +37,7 @@ from .morphcalc import find_retraction, find_section
 __all__ = ["CONDITIONS", "run_audit", "render_report",
            "check_algebra_report", "gr_report", "reverify_witness"]
 
-SCHEMA = 2  # version of the audit and gr report formats
+SCHEMA = 3  # version of the audit and gr report formats
 
 # Largest corpus_size and samples that run_audit and gr_report take; a
 # larger value is a SpecError (exit 2) before any corpus is built.  An
@@ -322,16 +322,29 @@ def run_audit(category, seed=1, corpus_size=2, samples=6):
             "corpus_size": corpus_size,
             "samples": samples,
             "generators": _corpus_labels(cat, corpus_size),
-            "algebras": [{"index": i,
-                          "zero": a.is_zero(),
-                          "support": sorted(support(a)) if not a.is_zero()
-                          else [],
-                          "total_multiplicity": sum(a.carrier.mult.values())}
-                         for i, a in enumerate(algebras)],
+            "algebras": _corpus_entries(algebras),
         },
         "consistency": consistency,
     }
     return report
+
+
+def _corpus_entries(algebras):
+    """The corpus section's entry for each index.  An index that holds
+    the same algebra object as an earlier one (algebra_corpus shares
+    equal draws) names the first such index, and its facts are read
+    there."""
+    first, out = {}, []
+    for i, a in enumerate(algebras):
+        j = first.setdefault(id(a), i)
+        if j != i:
+            out.append({"index": i, "same_as": j})
+            continue
+        zero = a.is_zero()
+        out.append({"index": i, "zero": zero,
+                    "support": [] if zero else sorted(support(a)),
+                    "total_multiplicity": sum(a.carrier.mult.values())})
+    return out
 
 
 def _structural_suite(cat, rng, live, separable, samples, unit_simple):
@@ -420,7 +433,7 @@ def _structural_suite(cat, rng, live, separable, samples, unit_simple):
                 "idempotent triviality disagrees with separability")
         idem.append({"index": idx, "trivial": all_id, "separable": sep})
 
-    ring = ring_report(cat)
+    ring = ring_report(cat, constants=False)
     fus = fusion_iff_separable_check(ring["fusion"]["holds"],
                                      list(separable.values()))
     if ring["fusion"]["holds"] != unit_simple:

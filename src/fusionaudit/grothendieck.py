@@ -1,11 +1,17 @@
 """Grothendieck ring of a category instance.
 
-Simples are indexed by grades and fuse by composition: [X_g][X_h] is
-[X_{gh}] when the grades compose and 0 otherwise, and the class of 1 is
-the sum over identity grades.  The predicate suite (non-negative basis
-ring, based ring, fusion ring) checks the axioms directly on the structure
-constants and reports every failing instance, so a mutation is rejected
-with the exact triple that breaks.
+Simples are indexed by grades.  The ring is derived from the engine, not
+copied from the groupoid: grothendieck_ring reads [X_g][X_h] off the
+tensor square of the regular object (one slot at every grade), the class
+of 1 off unit_object, and the involution off the left duals of the
+simples.  For Vec_G this is the groupoid ring Z[G] (Etingof, Gelaki,
+Nikshych and Ostrik, Tensor Categories, ch. 4): [X_g][X_h] is [X_{gh}]
+when the grades compose and 0 otherwise, and the class of 1 is the sum
+over identity grades.  That statement is checked, not assumed: a product
+that differs from the composition table is a ConsistencyError.  The
+predicate suite (non-negative basis ring, based ring, fusion ring) checks
+the axioms directly on the structure constants and reports every failing
+instance, so a mutation is rejected with the exact triple that breaks.
 
 The ring is stored sparse only, with no rank^3 array: each product b_i b_j
 is its list of non-zero (k, c), c the coefficient of b_k, and every sum in
@@ -16,9 +22,12 @@ in O(n^2) per generator of the basis.  Otherwise, or when it finds a
 failing triple, associativity compares the b_l coefficients of
 (b_i b_j) b_k and b_i (b_j b_k) for each triple in O(n^3 d^2) for rank n,
 where d is the most non-zero constants of one product.  Failures are
-listed in the order dense loops over i, j, k, l would find them.
-ring_report runs each check once, derives all three verdicts from the two
-failure lists, and lists the constants as sorted [i, j, k, c] entries.
+listed in the order dense loops over i, j, k, l would find them.  A ring
+that grothendieck_ring derives skips Light's test: its products are the
+composition table, on which the Groupoid constructor has run that test
+already.  Rings built by the public BasedRingData constructor run it.
+ring_report runs each check once, and derives all three verdicts from the
+two failure lists.
 
 The involution is not assumed: it is recomputed from left duals of the
 simples and checked to be an involutive basis permutation.
@@ -30,7 +39,8 @@ non-zero corpus algebras, both computed by the caller, and builds no ring.
 
 from .errors import ConsistencyError, ShapeError
 from .groupoid import _magma_associative
-from .gvec import dual_obj, simple_object
+from .gvec import (
+    dual_obj, graded_object, simple_object, tensor_obj, unit_object)
 
 __all__ = [
     "BasedRingData", "grothendieck_ring",
@@ -51,6 +61,10 @@ class BasedRingData:
     """
 
     __slots__ = ("basis_labels", "nonzero", "unit_coeffs", "involution")
+
+    # Whether the products are known associative, so that the Z+ check
+    # need not decide it (see _GroupoidRing); never for constructed rings.
+    _associative = False
 
     def __init__(self, basis_labels, entries, unit_coeffs, involution):
         self.basis_labels = tuple(basis_labels)
@@ -79,8 +93,9 @@ class BasedRingData:
         ints throughout, nonzero[i][j] the pairs (k, c) in ascending k with
         k in range(rank) and c non-zero, and unit_coeffs and involution of
         length rank.  grothendieck_ring builds its ring this way from the
-        composition table, which groupoid_from_spec has validated; the
-        constructor stays for every other input.  The two agree by
+        products it derives and checks against the composition table, which
+        the Groupoid constructor has validated; the constructor stays for
+        every other input.  The two agree by
         test_unchecked_ring_equals_checked_ring in
         tests/test_grothendieck.py."""
         r = object.__new__(cls)
@@ -124,15 +139,68 @@ def _int_tuple(values, what):
     return values
 
 
+class _GroupoidRing(BasedRingData):
+    """A groupoid's ring as grothendieck_ring derives it.  Its products
+    are the groupoid's composition table, with each composite one basis
+    element of coefficient 1, and the Groupoid constructor has run Light's
+    test on that table with an absorbing zero, the magma _light_associative
+    would test again.  So the Z+ check does not decide associativity."""
+
+    __slots__ = ()
+    _associative = True
+
+
+def _derived_products(cat):
+    """The grade of X_g1 (x) X_g2 for each pair of grades, None where the
+    product is zero, as rows of a table, read off the engine's tensor
+    product; a ConsistencyError where it differs from cat.compose_table.
+
+    The regular object R has one slot at every grade, so R (x) R is the
+    sum of the X_g1 (x) X_g2.  R's one alphabet ranks the letter (g, 0) at
+    g, so the slot of R (x) R with code g1 * n + g2 is the product of the
+    slots at g1 and g2 (gvec), and its grade is the grade of that
+    product.  One enumeration of R (x) R thus states every constant: 1 at
+    the grade of each pair's slot, and 0 elsewhere.  A pair with more
+    than one slot, at one grade or at several, shows as more slots than
+    the table has composable pairs."""
+    n = cat.morphism_count
+    regular = graded_object(cat, {g: 1 for g in range(n)})
+    square = tensor_obj(regular, regular)
+    derived = [[None] * n for _ in range(n)]
+    slots = 0
+    for h, codes in square.layout.items():
+        slots += len(codes)
+        for c in codes:
+            g1, g2 = divmod(c, n)
+            derived[g1][g2] = h
+    table = cat.compose_table
+    pairs = n * n - sum(row.count(None) for row in table)
+    if slots != pairs:
+        raise ConsistencyError(
+            "the tensor square of the regular object has %d slots for %d "
+            "composable pairs" % (slots, pairs))
+    derived = tuple(map(tuple, derived))
+    if derived != table:
+        g1, g2 = next((g1, g2) for g1 in range(n) for g2 in range(n)
+                      if derived[g1][g2] != table[g1][g2])
+        raise ConsistencyError(
+            "[X_%d][X_%d] is grade %r by the tensor product and %r by the "
+            "composition table" % (g1, g2, derived[g1][g2], table[g1][g2]))
+    return derived
+
+
 def grothendieck_ring(cat):
-    """[X_i][X_j] = [X_k] for every composite k = ij of the composition
-    table, built unchecked (BasedRingData._of): one product tuple per
-    grade k, shared by every pair that composes to it."""
+    """[X_i][X_j] = [X_k] for every product k of _derived_products, which
+    equals the composite ij of the composition table, built unchecked
+    (BasedRingData._of) as a _GroupoidRing: one product tuple per grade k,
+    shared by every pair whose product it is.  The class of 1 is read off
+    unit_object, and the involution off dual_obj of each simple."""
     n = cat.morphism_count
     products = [((k, 1),) for k in range(n)]
     nonzero = tuple(tuple(() if k is None else products[k] for k in row)
-                    for row in cat.compose_table)
-    unit = tuple(1 if cat.is_identity(g) else 0 for g in range(n))
+                    for row in _derived_products(cat))
+    one = unit_object(cat)
+    unit = tuple(one.m(g) for g in range(n))
     invol = []
     for g in range(n):
         d = dual_obj(simple_object(cat, g))
@@ -145,7 +213,7 @@ def grothendieck_ring(cat):
     for g in range(n):
         if invol[invol[g]] != g:
             raise ConsistencyError("duality permutation is not involutive")
-    return BasedRingData._of(tuple(range(n)), nonzero, unit, tuple(invol))
+    return _GroupoidRing._of(tuple(range(n)), nonzero, unit, tuple(invol))
 
 
 def _light_associative(nz):
@@ -218,7 +286,7 @@ def _zplus_failures(r):
                     out.append({"axiom": "non-negative", "at": [i, j, k]})
     if any(x < 0 for x in r.unit_coeffs):
         out.append({"axiom": "non-negative unit", "at": list(r.unit_coeffs)})
-    if not _light_associative(nz):
+    if not (r._associative or _light_associative(nz)):
         out.extend(_associativity_failures(nz))
     unit = [(i, u) for i, u in enumerate(r.unit_coeffs) if u]
     for j in range(n):
@@ -317,16 +385,24 @@ def is_fusion_ring(r):
     return _verdicts(r)["fusion"]
 
 
-def ring_report(cat):
+def ring_report(cat, constants=True):
+    """The ring of cat, its three verdicts and, with constants (the gr
+    report), its non-zero structure constants as sorted [i, j, k, c]
+    entries.  Without (the audit report, whose category.spec lists the
+    composition table), they are stated once: their count, and that they
+    match the composition table, which grothendieck_ring has checked."""
     r = grothendieck_ring(cat)
-    return {
-        "rank": r.rank,
-        "basis": list(r.basis_labels),
-        "structure_constants": [list(e) for e in r.entries()],
-        "unit_coeffs": list(r.unit_coeffs),
-        "involution": list(r.involution),
-        **_verdicts(r),
-    }
+    doc = {"rank": r.rank, "basis": list(r.basis_labels)}
+    if constants:
+        doc["structure_constants"] = [list(e) for e in r.entries()]
+    else:
+        doc["nonzero_constants"] = sum(
+            len(p) for plane in r.nonzero for p in plane)
+        doc["constants_match_composition"] = True
+    doc["unit_coeffs"] = list(r.unit_coeffs)
+    doc["involution"] = list(r.involution)
+    doc.update(_verdicts(r))
+    return doc
 
 
 def fusion_iff_separable_check(fusion, separable):

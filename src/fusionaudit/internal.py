@@ -170,10 +170,11 @@ def _is_square(v, carrier):
 # ---------------------------------------------------------------------------
 # canonical pair-slot order
 
-def _pair_columns(carrier):
-    """Per grade of carrier (x) carrier: the memory position of every slot,
-    listed in canonical order (composable grade pairs (g1, g2) sorted by
-    enumeration index, slot pairs row-major).
+def _pair_stretches(carrier):
+    """Per grade h of carrier (x) carrier: the stretches (g1, p, q) of
+    memory positions p..q-1 that each run of the carrier's slots feeds,
+    sorted, so in canonical order (composable grade pairs (g1, g2) sorted
+    by enumeration index, slot pairs row-major).
 
     One walk over the carrier's slots in code order, taken in maximal runs
     of one grade as _tensor_layout takes them (gvec._code_runs), meets the
@@ -199,23 +200,53 @@ def _pair_columns(carrier):
             if dst is None:
                 dst = stretches[h] = []
             dst.append((g1, p, q))
-    out = {}
-    for h, parts in stretches.items():
+    for parts in stretches.values():
         parts.sort()
-        cols = out[h] = []
+    return stretches
+
+
+def _stretch_columns(parts):
+    cols = []
+    for _, p, q in parts:
+        cols += range(p, q)
+    return cols
+
+
+def _pair_columns(carrier):
+    """Per grade of carrier (x) carrier: the memory position of every slot,
+    listed in canonical order (see _pair_stretches)."""
+    return {h: _stretch_columns(parts)
+            for h, parts in _pair_stretches(carrier).items()}
+
+
+def _reordered_columns(carrier):
+    """_pair_columns, with None at each grade whose memory order is
+    canonical already: its sorted stretches tile 0, 1, ... in order, as
+    they do at every grade of an atomic carrier with its grades in index
+    order.  A block at such a grade needs no re-indexing."""
+    out = {}
+    for h, parts in _pair_stretches(carrier).items():
+        end = 0
         for _, p, q in parts:
-            cols += range(p, q)
+            if p != end:
+                out[h] = _stretch_columns(parts)
+                break
+            end = q
+        else:
+            out[h] = None
     return out
 
 
 def _canonical_pair_blocks(carrier, mult):
-    cols = _pair_columns(carrier)
-    return {g: b.columns(cols[g]) for g, b in mult.blocks.items()}
+    cols = _reordered_columns(carrier)
+    return {g: b if cols[g] is None else b.columns(cols[g])
+            for g, b in mult.blocks.items()}
 
 
 def _canonical_pair_rows(carrier, comult):
-    cols = _pair_columns(carrier)
-    return {g: b.transpose().columns(cols[g]).transpose()
+    cols = _reordered_columns(carrier)
+    return {g: b if cols[g] is None
+            else b.transpose().columns(cols[g]).transpose()
             for g, b in comult.blocks.items()}
 
 

@@ -209,6 +209,20 @@ _TABLE = (
          "tests/test_grothendieck.py::test_pair2_ring_is_matrix_units_not_fusion",
          "tests/test_grothendieck.py::test_sparse_ring_expands_to_the_dense_loop")),
     TraceEntry(
+        "ring-constants-match-composition",
+        "the Grothendieck ring of a groupoid's graded vector spaces is its "
+        "groupoid ring: the tensor product of the simples at g and h is "
+        "the simple at gh when they compose and zero otherwise, read off "
+        "one tensor square of the regular object and checked against the "
+        "composition table; so the ring is associative because the "
+        "validated groupoid is, and only its unit, based and fusion "
+        "checks run on it",
+        "grothendieck.grothendieck_ring",
+        ("tests/test_audit.py::test_misgraded_ring_constant_raises",
+         "tests/test_audit.py::test_audit_counts_the_constants_gr_lists",
+         "tests/test_grothendieck.py::test_ring_constant_at_two_grades_raises",
+         "tests/test_grothendieck.py::test_derived_ring_runs_light_test_once")),
+    TraceEntry(
         "fusion-ring-iff-one-object",
         "the ring is a fusion ring exactly when the category has a single "
         "object, i.e. the unit is simple",

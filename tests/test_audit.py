@@ -15,10 +15,12 @@ from fusionaudit.audit import (
 from fusionaudit.corpus import algebra_corpus
 from fusionaudit.errors import ConsistencyError, SpecError
 from fusionaudit.fixtures import FIXTURE_NAMES, fixture_spec, load_fixture
+from fusionaudit.groupoid import groupoid_from_spec
 from fusionaudit.gvec import (
-    cokernel, compose, hom_basis, identity_mor, is_epi, is_iso, is_mono,
-    kernel, morphism_from_spec, morphism_to_spec, restriction_inclusion,
-    restriction_projection, tensor_mor, unit_object, zero_mor)
+    GradedObject, cokernel, compose, hom_basis, identity_mor, is_epi,
+    is_iso, is_mono, kernel, morphism_from_spec, morphism_to_spec,
+    restriction_inclusion, restriction_projection, tensor_mor, unit_object,
+    zero_mor)
 from fusionaudit.internal import (
     algebra_from_spec, dualize_algebra, groupoid_algebra, algebra_to_spec,
     validate_algebra)
@@ -55,12 +57,43 @@ def test_audit_multi_unit(name):
     assert rep["consistency"] is True
 
 
-def test_reports_carry_schema_2_and_exact_methods():
+def test_reports_carry_schema_3_and_exact_methods():
+    """Schema 3: the audit states the ring's constants by their count
+    and their match with the composition table, which category.spec
+    lists; gr, the ring's own report, lists them."""
     for name in ("vec_z2", "pair2"):
         rep = run_audit(load_fixture(name), samples=2)
-        assert rep["schema"] == 2
+        assert rep["schema"] == 3
         assert {c["method"] for c in rep["conditions"].values()} == {"exact"}
-        assert gr_report(load_fixture(name))["schema"] == 2
+        ring = rep["structural"]["grothendieck"]
+        assert "structure_constants" not in ring
+        assert ring["constants_match_composition"] is True
+        doc = gr_report(load_fixture(name))
+        assert doc["schema"] == 3
+        assert "nonzero_constants" not in doc and doc["structure_constants"]
+
+
+@pytest.mark.parametrize("name", ["vec_z2", "pair2", "s4"])
+def test_corpus_section_states_each_algebra_once(monkeypatch, name):
+    """An index holding the same algebra object as an earlier one is
+    {"index": i, "same_as": j}, j the first such index; the others keep
+    their facts.  On a one-object groupoid indices 2 and 3 are index 1's
+    kG."""
+    kept = _kept_corpus(monkeypatch)
+    rep = run_audit(_category(name), seed=1)
+    (corpus,) = kept
+    entries = rep["corpus"]["algebras"]
+    assert [e["index"] for e in entries] == list(range(len(corpus)))
+    for i, (e, a) in enumerate(zip(entries, corpus)):
+        first = next(j for j, b in enumerate(corpus) if b is a)
+        if first < i:
+            assert e == {"index": i, "same_as": first}
+        else:
+            assert e["zero"] is a.is_zero()
+            assert e["total_multiplicity"] == sum(a.carrier.mult.values())
+    if name != "pair2":
+        assert entries[2] == {"index": 2, "same_as": 1}
+        assert entries[3] == {"index": 3, "same_as": 1}
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -510,6 +543,50 @@ def test_audit_and_gr_build_one_ring_each(monkeypatch):
     assert len(calls) == 2
 
 
+def _misgrading_tensor_obj(original):
+    """tensor_obj, except that the regular object's square has the
+    first slot of its first grade moved to its second grade: one pair
+    misgraded, every other slot where the engine put it."""
+    def tensor_obj(v, w):
+        out = original(v, w)
+        (h, codes), (h2, codes2) = list(out.layout.items())[:2]
+        layout = dict(out.layout)
+        layout[h], layout[h2] = codes[1:], tuple(sorted(codes2 + codes[:1]))
+        mult = {g: len(c) for g, c in layout.items() if c}
+        return GradedObject._of(out.cat, mult, out.seq,
+                                {g: layout[g] for g in mult})
+    return tensor_obj
+
+
+@pytest.mark.parametrize("name", ["vec_z2", "pair2", "vec_s3"])
+def test_misgraded_ring_constant_raises(monkeypatch, name):
+    """The ring's constants are read off the engine's tensor product and
+    checked against the composition table: a tensor product that puts one
+    pair at the wrong grade makes the audit and gr raise."""
+    cat = load_fixture(name)
+    monkeypatch.setattr(grothendieck, "tensor_obj", _misgrading_tensor_obj(
+        grothendieck.tensor_obj))
+    with pytest.raises(ConsistencyError, match="composition table"):
+        run_audit(cat, samples=2)
+    with pytest.raises(ConsistencyError, match="composition table"):
+        gr_report(cat)
+
+
+def test_audit_counts_the_constants_gr_lists():
+    """nonzero_constants is the length of gr's structure_constants on the
+    fixtures, S4 and pair4."""
+    cats = [load_fixture(name) for name in FIXTURE_NAMES] + [
+        groupoid_from_spec(symmetric_group_spec(4, 1)),
+        groupoid_from_spec({"kind": "pair", "objects": 4})]
+    for cat in cats:
+        ring = run_audit(cat, samples=2)["structural"]["grothendieck"]
+        entries = gr_report(cat)["structure_constants"]
+        assert ring["nonzero_constants"] == len(entries)
+        assert ring["constants_match_composition"] is True
+        assert len(entries) == sum(
+            k is not None for row in cat.compose_table for k in row)
+
+
 def _run_cli(args, tmp_path):
     return subprocess.run([sys.executable, "-m", "fusionaudit"] + args,
                           capture_output=True, text=True, cwd=str(tmp_path),
@@ -845,17 +922,17 @@ def test_cli_audit_all_fixtures_exit_zero(tmp_path, name):
 # sha256 of each fixture's report at the defaults, serialised as the CLI does.
 # An intentional report change updates these digests with a CHANGES.md note.
 GOLDEN_REPORTS = {
-    "vec": "027d9f00aeedebd9c3eacc6cf8c52a15c1e6416bc8b4012fc3911471912ec33c",
+    "vec": "390a6c84e90eb80f7cf907d74bab214d11a108a8a177d2ed527c11290ac3df48",
     "vec_z2":
-        "5b1093c3fd2784b247bbe040fb9bff9f72b0714e3b3e211d7cbe519bd0b69dd4",
+        "99f4f26e482bac6c64fe83e94a22efcc00f82522daa47fd1da3b32eab1429ae5",
     "vec_s3":
-        "08faf3c08d0142e86604102a88387acf7c97362fd7ec529a4452e426a4df4e6e",
+        "158e8e553f8b39e8274dca30edfb78efa7a18a65aca02961dbd4782b819cc559",
     "pair2":
-        "67a64e9c745277a240306c68f701dc5a029561895d233789eecc7310c7c8bf65",
+        "7713494664cb6d3ea01494f4671025b02102d268201f78aa8d6574bccda072d7",
     "pair3":
-        "24a150338812b93035c3acc503d9baabb79686dffb5b79ade2265e846a5e4198",
+        "ecad75d8348a59a55952a60cf33d241434e05404c50ad9517da5a84d6c76daea",
     "union_z2_z2":
-        "f2e628e04730a2e6151eed0be34895d66fc1d768833e4bbdfbe0b84fb8433c7c",
+        "04377c055cda2e76c2f01273cddd8ac9d021e2ccb6c2131ebf7c8474a23ba4d4",
 }
 
 
@@ -872,7 +949,7 @@ def test_fixture_reports_golden():
 # corpus 2, samples 6), serialised as the CLI does.  Its 24 grades exercise
 # the per-grade paths that the fixtures, with at most 9 grades, barely reach.
 GOLDEN_S4_REPORT = \
-    "bfdf5878fa199acd83b51203251536a83197c2b513077b499f8ab17eb9454fe6"
+    "1d9f18882fe7f543b246a0017fa4641d63e5335b91b5d8e862e6d6e16bcfca10"
 
 
 def test_s4_report_golden():
@@ -888,7 +965,7 @@ def test_s4_report_golden():
 # whose grades' slots are split into several runs by other grades' slots,
 # on a groupoid where most grade pairs do not compose.
 GOLDEN_PAIR4_REPORT = \
-    "cf1819f05e7be43313950df0ac9e3111b278ae3d21e52b6cd1fe358d68c2205d"
+    "16d6c52c12d13e781aac0870e581d79f057db669aebcf949227b8e6ea1e938c4"
 
 
 def test_pair4_report_golden():

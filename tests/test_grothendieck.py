@@ -15,6 +15,7 @@ from fusionaudit.errors import ConsistencyError, ShapeError
 from fusionaudit.fixtures import load_fixture
 from fusionaudit.functors import separability_verdict
 from fusionaudit.groupoid import groupoid_from_spec
+from fusionaudit.gvec import GradedObject
 from fusionaudit.grothendieck import (
     BasedRingData, fusion_iff_separable_check, grothendieck_ring,
     is_based_ring, is_fusion_ring, is_zplus_ring, ring_report)
@@ -525,3 +526,68 @@ def test_pair8_ring_section_is_small():
     text = json.dumps(rep, sort_keys=True, indent=2)
     assert len(rep["structure_constants"]) == 8 ** 3
     assert len(text.encode("utf-8")) < 100_000
+
+
+def test_derived_ring_runs_light_test_once(monkeypatch):
+    """A ring that grothendieck_ring derives skips _light_associative,
+    which the Groupoid constructor ran on the same table; the same ring
+    built by the public constructor still runs it, once per Z+ check."""
+    calls = []
+    original = grothendieck._light_associative
+
+    def counted(nz):
+        calls.append(len(nz))
+        return original(nz)
+
+    monkeypatch.setattr(grothendieck, "_light_associative", counted)
+    s4 = groupoid_from_spec(symmetric_group_spec(4, 1))
+    for cat in (VEC, Z2, S3, P2, P3, U22, s4):
+        r = grothendieck_ring(cat)
+        assert ring_report(cat)["zplus"]["holds"]
+        assert ring_report(cat, constants=False)["zplus"]["holds"]
+        assert is_zplus_ring(r)["holds"]
+        assert calls == []
+        checked = BasedRingData(r.basis_labels, r.entries(), r.unit_coeffs,
+                                r.involution)
+        assert checked == r and is_zplus_ring(checked)["holds"]
+        assert calls == [r.rank]
+        del calls[:]
+
+
+def _tensor_obj_with_extra_slot(original):
+    """tensor_obj, except that the first slot of the regular object's
+    square is copied to a second grade: one pair with two products."""
+    def tensor_obj(v, w):
+        out = original(v, w)
+        (h, codes), (h2, codes2) = list(out.layout.items())[:2]
+        layout = dict(out.layout)
+        layout[h2] = tuple(sorted(codes2 + codes[:1]))
+        mult = {g: len(c) for g, c in layout.items()}
+        return GradedObject._of(out.cat, mult, out.seq, layout)
+    return tensor_obj
+
+
+def test_ring_constant_at_two_grades_raises(monkeypatch):
+    """A pair whose product has slots at two grades is not a constant of
+    the composition table: the slot count gives it away."""
+    monkeypatch.setattr(grothendieck, "tensor_obj",
+                        _tensor_obj_with_extra_slot(grothendieck.tensor_obj))
+    for cat in (Z2, S3, P2):
+        with pytest.raises(ConsistencyError, match="composable pairs"):
+            grothendieck_ring(cat)
+        with pytest.raises(ConsistencyError):
+            ring_report(cat, constants=False)
+
+
+def test_audit_form_states_the_constants_once():
+    """Without constants, the report has their count and their match with
+    the composition table in place of the list, and equals the gr form
+    elsewhere."""
+    s4 = groupoid_from_spec(symmetric_group_spec(4, 1))
+    for cat in (VEC, Z2, S3, P2, P3, U22, s4):
+        full = ring_report(cat)
+        short = ring_report(cat, constants=False)
+        entries = full.pop("structure_constants")
+        assert short.pop("nonzero_constants") == len(entries)
+        assert short.pop("constants_match_composition") is True
+        assert short == full

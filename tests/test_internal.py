@@ -422,6 +422,72 @@ def test_pair_columns_cover_every_run_shape(monkeypatch):
     assert shapes == {"in order", "sorted", "split", "tied"}
 
 
+def _reindexed_blocks(carrier, f, rows=False):
+    """Every block of f re-indexed through _pair_columns, as the
+    canonical forms did before they returned in-order blocks as they
+    are; rows re-indexes a comultiplication's rows instead."""
+    cols = internal._pair_columns(carrier)
+    if rows:
+        return {g: b.transpose().columns(cols[g]).transpose()
+                for g, b in f.blocks.items()}
+    return {g: b.columns(cols[g]) for g, b in f.blocks.items()}
+
+
+def test_canonical_forms_reindex_only_out_of_order_grades():
+    """The canonical (co)multiplication blocks are the block itself at a
+    grade whose memory order is canonical, and equal re-indexing every
+    block elsewhere, so algebra_to_spec and equality are unchanged.  The
+    internal end of an object at the first and last grades has a carrier
+    whose grades are out of index order, and its square has grades whose
+    slots need re-indexing; its parsed spec has an atomic carrier, laid
+    out in canonical order, so comparing the two takes both paths."""
+    kept = reordered = 0
+    for cat in CATS + [S4]:
+        two = graded_object(cat, {0: 1, cat.morphism_count - 1: 1})
+        for a in (internal_end(two), groupoid_algebra(cat, {0}),
+                  direct_sum_algebra(internal_end(two),
+                                     unit_summand_algebra(cat, 0))):
+            blocks = internal._canonical_pair_blocks(a.carrier, a.mult)
+            assert blocks == _reindexed_blocks(a.carrier, a.mult)
+            cols = internal._reordered_columns(a.carrier)
+            for g, b in a.mult.blocks.items():
+                if cols[g] is None:
+                    kept += 1
+                    assert blocks[g] is b
+                else:
+                    reordered += 1
+                    assert cols[g] == internal._pair_columns(a.carrier)[g]
+            spec = algebra_to_spec(a)
+            assert spec == json.loads(json.dumps(spec))
+            assert spec["mult"] == gvec._blocks_to_spec(
+                _reindexed_blocks(a.carrier, a.mult))
+            parsed = algebra_from_spec(cat, spec)
+            scaled = InternalAlgebra._of(a.carrier, a.mult.scale(2), a.unit)
+            for x, y in ((a, parsed), (parsed, a), (scaled, a),
+                         (parsed, scaled)):
+                assert (x == y) == _reindexed_equal(x, y)
+            assert a == parsed and a != scaled
+            c, d = dualize_algebra(a), dualize_algebra(parsed)
+            assert internal._canonical_pair_rows(c.carrier, c.comult) \
+                == _reindexed_blocks(c.carrier, c.comult, rows=True)
+            for x, y in ((c, d), (d, c), (c, c)):
+                assert (x == y) == _reindexed_equal(x, y)
+    assert kept and reordered
+
+
+def _reindexed_equal(x, y):
+    """Algebra or coalgebra equality, with every block re-indexed."""
+    if isinstance(x, InternalAlgebra):
+        return (x.carrier == y.carrier
+                and _reindexed_blocks(x.carrier, x.mult)
+                == _reindexed_blocks(y.carrier, y.mult)
+                and x.unit.blocks == y.unit.blocks)
+    return (x.carrier == y.carrier
+            and _reindexed_blocks(x.carrier, x.comult, rows=True)
+            == _reindexed_blocks(y.carrier, y.comult, rows=True)
+            and x.counit.blocks == y.counit.blocks)
+
+
 def _same_codes(x, y):
     assert x.seq == y.seq
     assert list(x.layout.items()) == list(y.layout.items())
