@@ -167,9 +167,13 @@ def coseparability_verdict(c):
 
 def idempotent_e(a, m):
     """Component at m of the idempotent natural endotransformation of the
-    identity attached to - (x) A: id_m tensored with the unit idempotent."""
+    identity attached to - (x) A: id_m tensored with the unit idempotent.
+    A unit idempotent equal to the identity (A separable) is replaced by
+    identity_mor, so this product, and id_n tensored with the result,
+    take tensor_mor's identity path and lay out no slot."""
     psi, _, sec, _ = _split_image(a.unit)
-    return tensor_mor(identity_mor(m), compose(sec, psi))
+    e, one = compose(sec, psi), identity_mor(psi.source)
+    return tensor_mor(identity_mor(m), one if e == one else e)
 
 
 def check_section_identity(a, r, samples, rng=None):

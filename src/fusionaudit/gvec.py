@@ -44,11 +44,13 @@ grades are sorted when each of its grades is one run of codes, as in an
 atomic object, and its slots otherwise.  No position map is kept: a
 slot is found by bisecting its left code times R in its grade's codes
 (_slot_starts).  Multiplicities alone come from tensor_mult, with no slot
-enumerated.  One word set can be coded over different sequences (a
-restriction keeps its object's wider alphabets), so codes are compared
-only over one sequence: tensor_mor shares an enumeration only when the
-layout memo's keys, sequences included, agree.  No code is turned back
-into a word, and no object is built from words.
+enumerated, and a morphism product that reads no slot (tensor_mor of a
+zero factor or of two identities) gets endpoints laid out on first read.
+One word set can be coded over different sequences (a restriction keeps
+its object's wider alphabets), so codes are compared only over one
+sequence: tensor_mor shares an enumeration only when the layout memo's
+keys, sequences included, agree.  No code is turned back into a word, and
+no object is built from words.
 
 Object equality is equality of multiplicity maps (words are bookkeeping,
 not identity).  Morphism equality is structural equality of normalized
@@ -236,15 +238,20 @@ def _same_cat(*items):
 
 
 # Bound on the number of remembered slot enumerations (see _tensor_layout).
-# The memo also decides sharing: tensor_mor enumerates both sides once,
-# and takes its identity shortcut, exactly when both lookups return one
-# result, so without it neither would happen.  One S4 audit (element order
-# from seed 1; audit seed 1, corpus 2, samples 6; memo emptied first)
-# makes 839 lookups and 389 enumerations; 204 of the 450 hits are
-# tensor_mor's target lookup returning the source's result.  128 entries
-# save 5 of the enumerations and 32 add 12.  At 64 the peak RSS of twelve
-# repeated S4 audits stays flat (22.4-22.5 MB).
-_LAYOUT_MEMO_SIZE = 64
+# The memo also decides sharing for the products tensor_mor lays out: it
+# enumerates both sides once, and takes its identity shortcut for factors
+# that are not endomorphisms, exactly when both lookups return one result.
+# Products that read no slot (a zero factor, two interned-identity
+# endomorphisms) never reach it.  One S4 audit (element order from seed 1;
+# audit seed 1, corpus 2, samples 6; memo emptied first) makes 163 lookups
+# and 105 enumerations (2,185 slots) at any bound from 16 up, and the S6
+# and Z1024 audits are as flat.  The six fixtures at seed 1, corpus 2,
+# samples 12 make 3,856 enumerations at 16, 3,524 at 32 and 3,162 at 64,
+# in the same time (a 0.79-0.82 s median pass of three seeds at 16 to
+# 128); below 16 both counts rise.  A smaller bound keeps less alive
+# between audits: perfbench s4 peak RSS, bytecode cached, read 21.7-21.9
+# MB at 16, 21.9-22.0 at 32 and 22.1-22.3 at 64 (2-vCPU Xeon).
+_LAYOUT_MEMO_SIZE = 16
 _layout_memo = {}
 
 
@@ -286,9 +293,11 @@ def _tensor_layout(v, w):
     sequences included, so it is remembered under exactly those (object
     equality compares multiplicities only, and objects with equal
     multiplicities can lay out different words).  Equal keys return one
-    object, and tensor_mor reads that as both sides enumerating alike.  At
-    most _LAYOUT_MEMO_SIZE results are kept; the memo is emptied when full.
-    Callers share the returned object and must not mutate it."""
+    object, and tensor_mor reads that as both sides enumerating alike;
+    an endomorphism pair that reads no slot shares its one lazy endpoint
+    instead (_LazyProduct).  At most _LAYOUT_MEMO_SIZE results are kept;
+    the memo is emptied when full.  Callers share the returned object and
+    must not mutate it."""
     cat = _same_cat(v, w)
     vl, wl = v.layout, w.layout
     key = (cat, v.seq, tuple(vl.items()), w.seq, tuple(wl.items()))
@@ -425,6 +434,45 @@ def _mult_product(cat, vm, wm):
             if h is not None:
                 out[h] = out.get(h, 0) + m1 * m2
     return out
+
+
+class _LazyProduct(GradedObject):
+    """v (x) w whose slots are laid out on the first read of seq or
+    layout, at most once, by _tensor_layout(v, w).  Its multiplicities
+    come from _mult_product, which meets the grades in the order of
+    _tensor_layout's loop over (g1, g2), since every object keeps mult
+    and layout in one grade order; so the object equals, hashes and
+    orders its grades as tensor_obj(v, w) does before anything is laid
+    out.  tensor_mor gives these endpoints to a product that reads no
+    slot (a zero factor, or two interned identities)."""
+
+    __slots__ = ("_factors", "_laid")
+
+    @classmethod
+    def _of_factors(cls, v, w):
+        cat = _same_cat(v, w)
+        out = object.__new__(cls)
+        out.cat = cat
+        out.mult = _mult_product(cat, v.mult, w.mult)
+        out._hash = None
+        out._factors = (v, w)
+        out._laid = None
+        return out
+
+    def _lay_out(self):
+        laid = self._laid
+        if laid is None:
+            laid = self._laid = _tensor_layout(*self._factors)
+            self._factors = None
+        return laid
+
+    @property
+    def seq(self):
+        return self._lay_out().seq
+
+    @property
+    def layout(self):
+        return self._lay_out().layout
 
 
 def direct_sum_obj(v, w):
@@ -632,19 +680,40 @@ def tensor_mor(f, h):
     before the next one's begins, so every row is built in column order
     and none is sorted.
 
+    Two cases read no slot, and their endpoints are _LazyProduct objects,
+    laid out only if something reads them later:
+    - A factor with no blocks gives the zero morphism.  An endomorphism
+      pair gets one endpoint, source and target, and so do two products
+      without slots, which lay out alike.
+    - Two endomorphisms whose every block is the interned identity give
+      identity_mor of one endpoint.
+
     Identities pass through without arithmetic.  Only the interned
     Matrix.identity counts; an equal hand-built block takes the general
     path, with the same result.
     - When both sides share one enumeration and every block of both
       factors is the identity, the product is identity_mor of the product
-      object, built with no row.
+      object, built with no row (the endomorphism case above, and a target
+      with its source's sequence and ordered layout).
     - When one block of a factor pair is the identity, each output row is
       the other block's row re-indexed: no product and no == 1 test.  With
       f's block the identity, row (i, j) is row j of h's block, column cj
       sent to cstart[i] + cj; with h's block the identity, it is row i of
       f's block, column ci sent to cstart[ci] + j."""
-    src = _tensor_layout(f.source, h.source)
-    tgt = _tensor_layout(f.target, h.target)
+    fs, ft, hs, ht = f.source, f.target, h.source, h.target
+    endo = fs is ft and hs is ht
+    if not (f.blocks and h.blocks):
+        src = _LazyProduct._of_factors(fs, hs)
+        if not endo:
+            tgt = _LazyProduct._of_factors(ft, ht)
+            if src.mult or tgt.mult:
+                return GradedMorphism._of(src, tgt, {})
+        return GradedMorphism._of(src, src, {})
+    if (endo and _interned_identity_blocks(f)
+            and _interned_identity_blocks(h)):
+        return identity_mor(_LazyProduct._of_factors(fs, hs))
+    src = _tensor_layout(fs, hs)
+    tgt = _tensor_layout(ft, ht)
     # Equal memo keys return one object; with no memo this never fires.
     shared = tgt is src
     if (shared and _interned_identity_blocks(f)

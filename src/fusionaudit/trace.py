@@ -140,7 +140,9 @@ _TABLE = (
         "algebras",
         "functors.idempotent_e",
         ("tests/test_functors.py::test_idempotent_matches_coordinate_projection",
-         "tests/test_functors.py::test_idempotent_trivial_iff_separable_on_corpus")),
+         "tests/test_functors.py::test_idempotent_trivial_iff_separable_on_corpus",
+         "tests/test_functors.py::"
+         "test_separable_unit_idempotent_is_the_interned_identity")),
     TraceEntry(
         "dead-simple-kills-faithfulness",
         "a simple supported outside the algebra support tensors to zero, "

@@ -126,6 +126,30 @@ def test_idempotent_trivial_iff_separable_on_corpus():
             assert v["separable"] == (idempotent_e(a, one) == identity_mor(one))
 
 
+def test_separable_unit_idempotent_is_the_interned_identity():
+    """idempotent_e of a separable corpus algebra is identity_mor of one
+    endpoint, every block the interned Matrix.identity, so tensoring an
+    identity with it takes tensor_mor's identity path; that of a
+    non-separable algebra (a unit summand of pair2) is not."""
+    rng = random.Random(606)
+    seen = set()
+    algebras = [unit_summand_algebra(P2, 0)]
+    for cat in (Z2, P2, P3, U22):
+        algebras += [a for a in algebra_corpus(cat, rng) if not a.is_zero()]
+    for a in algebras:
+        one = unit_object(a.carrier.cat)
+        e = idempotent_e(a, one)
+        interned = (e.source is e.target
+                    and e.blocks.keys() == e.source.mult.keys()
+                    and all(b.is_interned_identity()
+                            for b in e.blocks.values()))
+        separable = separability_verdict(a)["separable"]
+        assert interned == separable
+        seen.add(separable)
+    assert seen == {True, False}
+    assert not separability_verdict(algebras[0])["separable"]
+
+
 def test_section_identity_group_algebra():
     rng = random.Random(605)
     a = groupoid_algebra(Z2, [0])

@@ -1284,7 +1284,8 @@ def test_tensor_mor_enumerates_equal_layouts_once(monkeypatch):
     its source's sequence and ordered layout: the layout memo then stores
     one result, which both lookups return.  A twin that lays out the same
     words over another sequence, or a target with other words, takes a
-    second store."""
+    second store.  A zero factor reads no slot, so its product stores
+    nothing."""
     rng = random.Random(426)
     cases = []
     for cat in CATS:
@@ -1306,12 +1307,98 @@ def test_tensor_mor_enumerates_equal_layouts_once(monkeypatch):
             stores.append(1)
             super().__setitem__(key, value)
 
-    for f, h, want in cases:
+    zero = [f.is_zero() or h.is_zero() for f, h, _ in cases]
+    assert any(zero)
+    # Every kind of case, each twin outcome included, has non-zero factors.
+    assert {(i % 3, want) for i, ((_, _, want), z)
+            in enumerate(zip(cases, zero)) if not z} \
+        == {(0, 1), (1, 1), (1, 2), (2, 2)}
+    for (f, h, want), z in zip(cases, zero):
         monkeypatch.setattr(gvec, "_layout_memo", Counted())
         stores.clear()
         got = tensor_mor(f, h)
-        assert len(stores) == want
+        assert len(stores) == (0 if z else want)
         assert got == _dense_tensor_mor(f, h)
+
+
+def _no_slot_products(cat, rng):
+    """Factor pairs whose tensor_mor reads no slot: zero factors (zero
+    maps, endomorphisms among them, and random maps, which can be zero)
+    and identity_mor pairs, over the zero object, the unit, atomic
+    objects, sums, products and duals."""
+    x = random_object(cat, rng, max_total=3)
+    y = random_object(cat, rng, max_total=2)
+    objs = [zero_object(cat), unit_object(cat), x, direct_sum_obj(x, y),
+            tensor_obj(x, y), dual_obj(tensor_obj(y, x))]
+    out = []
+    for _ in range(10):
+        v, w, v2, w2 = (rng.choice(objs) for _ in range(4))
+        out += [(zero_mor(v, w), random_morphism(v2, w2, rng)),
+                (random_morphism(v2, w2, rng), zero_mor(v, v)),
+                (identity_mor(v), identity_mor(w))]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_groupoids(), st.integers(0, 2**32 - 1))
+def test_lazy_endpoints_lay_out_as_tensor_obj(cat, seed):
+    """A product that reads no slot gets endpoints that are laid out on
+    first read; an endomorphism pair gets one endpoint, as source and
+    target.  Once read, each endpoint has tensor_obj's multiplicities in
+    its grade order, its sequence, its layout in its grade order and its
+    slot words, and the product equals the dense reference."""
+    rng = random.Random(seed)
+    for f, h in _no_slot_products(cat, rng):
+        got = tensor_mor(f, h)
+        if f.source is f.target and h.source is h.target:
+            assert got.source is got.target
+        for end, v, w in ((got.source, f.source, h.source),
+                          (got.target, f.target, h.target)):
+            assert isinstance(end, gvec._LazyProduct)
+            ref = tensor_obj(v, w)
+            assert end.seq == ref.seq
+            assert list(end.layout.items()) == list(ref.layout.items())
+            assert list(end.mult.items()) == list(ref.mult.items())
+            assert slot_words(end) == slot_words(ref)
+        assert got == _dense_tensor_mor(f, h)
+
+
+def test_zero_factor_lays_out_nothing_until_read(monkeypatch):
+    """tensor_mor with a zero factor enumerates no slot, and mono_epi,
+    is_zero and == on its result enumerate none either.  The first read
+    of an endpoint's layout enumerates it once; later reads of its layout
+    and sequence enumerate nothing."""
+    rng = random.Random(429)
+    memo = _SizeLog()
+    monkeypatch.setattr(gvec, "_layout_memo", memo)
+    for cat in CATS + [S4]:
+        x = random_object(cat, rng, max_total=3)
+        y = tensor_obj(x, dual_obj(x))
+        h = random_morphism(y, direct_sum_obj(y, x), rng, zero_weight=0)
+        assert not h.is_zero()
+        for f, k in ((zero_mor(x, y), h), (h, zero_mor(y, x))):
+            memo.clear()
+            memo.stores = 0
+            got = tensor_mor(f, k)
+            assert gvec.mono_epi(got) == (not got.source.mult,
+                                          not got.target.mult)
+            assert got.is_zero() and got == tensor_mor(f, k)
+            assert memo.stores == 0
+            layout = got.source.layout
+            assert memo.stores == 1
+            assert got.source.layout is layout and got.source.seq is not None
+            assert memo.stores == 1
+
+
+def test_s4_audit_lays_out_few_products(monkeypatch):
+    """One S4 audit stores at most half of the 379 layouts it stored when
+    every tensor_mor enumerated both its endpoints: the sampled f (x) id_A
+    with a zero factor and the unit idempotents of separable algebras lay
+    out nothing."""
+    memo = _SizeLog()
+    monkeypatch.setattr(gvec, "_layout_memo", memo)
+    run_audit(S4)
+    assert memo.stores <= 379 // 2
 
 
 def test_dual_layout_stars_each_letter_once(monkeypatch):
