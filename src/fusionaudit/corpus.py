@@ -10,6 +10,13 @@ reports pin them: random_object draws its total, then one grade per unit;
 random_morphism draws its entries row-major within a block, and its
 blocks in set(v.mult) & set(w.mult) order, one _random_rational per entry
 (a zero draw, then, unless it is zero, a numerator and a denominator).
+
+Each of those draws is one _below(rng, n): rng.getrandbits(k), with
+k = n.bit_length(), repeated until the value is below n, so the samplers
+rely on getrandbits alone.  On CPython 3.10-3.13 that is also the draw of
+rng.randrange(n) and of rng.choice on n items, and tests/test_gvec.py
+checks that the two agree.  algebra_corpus's subset and pair draws still
+go through randrange, sample and choice.
 """
 
 from fractions import Fraction
@@ -29,20 +36,38 @@ _RATIONALS = tuple(tuple(Fraction(n, d) for d in _DENOMINATORS)
 _ZERO = Fraction(0)
 
 
+def _below(rng, n):
+    """A draw from range(n), n >= 1, by rejection on rng.getrandbits:
+    draw n.bit_length() bits until the value is below n.  That is the
+    draw, and the rng state it leaves, of rng.randrange(n) and of
+    rng.choice on a sequence of length n; it skips their argument
+    handling."""
+    if n <= 0:
+        raise ValueError("empty range for _below(%d)" % n)
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _random_rational(rng, zero_weight=2):
     """Small exact scalar; zero_weight controls sparsity."""
-    if rng.randrange(zero_weight + 3) < zero_weight:
+    if _below(rng, zero_weight + 3) < zero_weight:
         return _ZERO
-    return rng.choice(rng.choice(_RATIONALS))
+    row = _RATIONALS[_below(rng, len(_RATIONALS))]
+    return row[_below(rng, len(row))]
 
 
 def random_object(cat, rng, max_total=4, allow_zero=False):
     """Atomic object with bounded total multiplicity."""
-    total = rng.randrange(0 if allow_zero else 1, max_total + 1)
+    low = 0 if allow_zero else 1
+    total = low + _below(rng, max_total + 1 - low)
     count = cat.morphism_count
     mult = {}
     for _ in range(total):
-        g = rng.randrange(count)
+        g = _below(rng, count)
         mult[g] = mult.get(g, 0) + 1
     return _atomic_object(cat, mult)
 

@@ -5,13 +5,16 @@ exact arithmetic with no tolerance anywhere.  Matrix is an immutable
 matrix stored as sparse rows: row i is a tuple of (col, Fraction) pairs
 holding its non-zero entries only, columns ascending.  That is the only
 storage; the dense forms (entries, row(i), tolist(), m[i, j]) are views
-derived from it for serialization and tests.  The three heavy kernels
-(matmul, kron, rref) work on sparse rows and live in _kernels, which
-Matrix looks up at call time.
+derived from it for serialization and tests.  The four heavy kernels
+(matmul, kron, rref, rank) work on sparse rows and live in _kernels, which
+Matrix looks up at call time.  rank is separate from rref: it eliminates
+forward only, over integers, since a rank needs no reduced form.
 
 Canonical choices (everything downstream depends on these being fixed):
 
 * rref picks pivots left to right; the reduced form is unique.
+* rank equals the number of rref pivots; it does not depend on a pivot
+  choice, so its own kernel needs none.
 * kernel_basis returns one column per free column, ascending, with 1 in the
   free slot and the pivot rows filled from rref.
 * solve_right returns the particular solution with all free variables 0.
@@ -258,7 +261,7 @@ class Matrix:
         return Matrix._of(self.rows, self.cols, rows), tuple(pivots)
 
     def rank(self):
-        return len(_kernels.rref(self.sparse)[1])
+        return _kernels.rank(self.sparse)
 
     def columns(self, idx):
         """Submatrix of the given columns, in the given order."""

@@ -18,7 +18,7 @@ otherwise the property holds exactly, and a seeded sample re-verifies it.
 from bisect import bisect_left
 from fractions import Fraction
 
-from .corpus import random_morphism, random_object
+from .corpus import _below, random_morphism, random_object
 from .errors import ConsistencyError, ShapeError
 from .exactlin import Matrix
 from .gvec import (
@@ -382,11 +382,11 @@ def _random_sub_object(cat, objs, rng, max_total=3):
     is, so its tensor products share memoised slot enumerations with
     theirs."""
     grades = grades_within(cat, objs)
-    total = rng.randrange(1, max_total + 1)
+    total = 1 + _below(rng, max_total)
     count = cat.morphism_count
     mult = {}
     for _ in range(total):
-        g = rng.randrange(count)
+        g = _below(rng, count)
         if g in grades:
             mult[g] = mult.get(g, 0) + 1
     return _atomic_object(cat, mult)

@@ -158,11 +158,55 @@ def test_rref_canonical(m):
     r, piv = m.rref()
     r2, piv2 = r.rref()
     assert r == r2 and piv == piv2
+    assert m.rank() == len(piv)
     for i, c in enumerate(piv):
         assert r[i, c] == 1
         for k in range(m.rows):
             if k != i:
                 assert r[k, c] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rank_of_low_rank_products(data):
+    """A product through an inner dimension k has rank at most k, so its
+    rows are mostly dependent: the rank kernel's eliminations run to the
+    end, and their count of leading columns equals rref's of pivots."""
+    n, k, m = data.draw(dim), data.draw(st.integers(0, 2)), data.draw(dim)
+    p = data.draw(matrix(n, k)) @ data.draw(matrix(k, m))
+    assert p.rank() == len(p.rref()[1]) <= k
+
+
+def _rank_cases():
+    big = F(10**40 + 7, 3**50)
+    yield Matrix.zeros(0, 4), 0
+    yield Matrix.zeros(4, 0), 0
+    yield Matrix.zeros(0, 0), 0
+    yield Matrix.zeros(3, 5), 0
+    yield Matrix.from_rows([[0, 0], [1, 2], [0, 0]]), 1
+    # duplicate rows, and a row that is a sum of two others
+    yield Matrix.from_rows([[1, 2, 3], [1, 2, 3], [1, 2, 3]]), 1
+    yield Matrix.from_rows([[1, 0, 2], [0, 1, 3], [1, 1, 5]]), 2
+    yield Matrix.from_rows([[0, 1, 3], [1, 0, 2], [2, 3, 13]]), 2
+    # rows whose eliminations cancel all but the last column
+    yield Matrix.from_rows([[1, 1, 1], [1, 1, 2], [2, 2, 3]]), 2
+    # single-entry rows on both sides of an elimination
+    yield Matrix.from_rows([[5, 0], [3, 7], [0, F(1, 2)]]), 2
+    yield Matrix.from_rows([[3, 7], [5, 0], [F(2, 3), 0]]), 2
+    # large numerators and denominators, dependent and independent
+    yield Matrix.from_rows([[big, F(1, 3**60)], [2 * big, F(2, 3**60)]]), 1
+    yield Matrix.from_rows([[big, F(1, 3**60)],
+                            [2 * big, F(2, 3**60) + F(1, 10**30)]]), 2
+    yield Matrix.from_rows([[F(1, 7**30), F(-1, 7**30), 1],
+                            [F(2, 11**25), F(-2, 11**25), 3],
+                            [1, -1, F(5, 13**20)]]), 2
+    yield Matrix.identity(5), 5
+
+
+@pytest.mark.parametrize("m,expected", list(_rank_cases()))
+def test_rank_cases(m, expected):
+    assert m.rank() == len(m.rref()[1]) == expected
+    assert m.transpose().rank() == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -340,6 +384,7 @@ def test_sparse_storage_matches_dense_oracle(data):
     _assert_canonical(r)
     ref, ref_piv = _dense_rref(n, m, ea)
     assert list(r.entries) == ref and list(piv) == ref_piv
+    assert a.rank() == len(ref_piv)
 
     t = a.transpose()
     _assert_canonical(t)

@@ -274,10 +274,11 @@ def test_reflection_loop_catches_forged_tensor(monkeypatch):
 
 def test_reflection_sample_ranks_once_per_block(monkeypatch):
     # one sampled iteration solves nothing and reduces each stored block
-    # of f (x) id at most once, plus each of f's when f is ranked too
+    # of f (x) id at most once, plus each of f's when f is ranked too; a
+    # reduction is a call of either kernel that reduces rows, rank or rref
     from fusionaudit import exactlin, morphcalc
     from fusionaudit.exactlin import _kernels
-    calls = {"rref": 0, "solve": 0}
+    calls = {"reduce": 0, "solve": 0}
     pairs = []
 
     def wrap(name, original):
@@ -286,7 +287,9 @@ def test_reflection_sample_ranks_once_per_block(monkeypatch):
             return original(*args)
         return counted
 
-    monkeypatch.setattr(_kernels, "rref", wrap("rref", _kernels.rref))
+    for kernel in ("rank", "rref"):
+        monkeypatch.setattr(_kernels, kernel,
+                            wrap("reduce", getattr(_kernels, kernel)))
     solve = wrap("solve", exactlin.solve_right)
     for module in (exactlin, morphcalc):
         monkeypatch.setattr(module, "solve_right", solve)
@@ -306,13 +309,13 @@ def test_reflection_sample_ranks_once_per_block(monkeypatch):
         cat = load_fixture(name)
         a = groupoid_algebra(cat, range(cat.object_count))
         for seed in range(20):
-            calls["rref"] = 0
+            calls["reduce"] = 0
             del pairs[:]
             reflection_checks(a, rng=random.Random(seed), samples=1)
             assert calls["solve"] == 0
             (f, ff), = pairs
-            assert calls["rref"] <= len(ff.blocks) + len(f.blocks)
-            reduced += calls["rref"]
+            assert calls["reduce"] <= len(ff.blocks) + len(f.blocks)
+            reduced += calls["reduce"]
     assert reduced
 
 

@@ -12,13 +12,13 @@ from conftest import _small_groupoids, symmetric_group_spec
 from fusionaudit import gvec, slotcodes
 from fusionaudit.audit import run_audit
 from fusionaudit.corpus import (
-    algebra_corpus, random_morphism, random_object)
+    _below, algebra_corpus, random_morphism, random_object)
 from fusionaudit.errors import (
     CategoryMismatch, ConsistencyError, ShapeError, SpecError)
 from fusionaudit.exactlin import Matrix
 from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
 from fusionaudit.functors import ProjectionFunctor, _random_sub_object
-from fusionaudit.groupoid import groupoid_from_spec
+from fusionaudit.groupoid import MAX_MORPHISMS, groupoid_from_spec
 from fusionaudit.gvec import (
     GradedMorphism, GradedObject, _same_cat, _tensor_layout, compose, cokernel,
     direct_sum_obj, direct_sum_with_maps, dual_morphism, dual_obj,
@@ -754,6 +754,35 @@ def test_samplers_match_validating_path(cat, seed):
     same draws, and leave the rng in the same state."""
     for zero_weight in (1, 3):
         _compare_samplers(cat, seed, zero_weight)
+
+
+def test_below_is_randrange_and_choice():
+    """_below(rng, n) draws what rng.randrange(n), randrange(1, n + 1) and
+    choice on n items draw, and leaves the rng in the same state, for
+    every n up to 64, around each power of two from 128 up to the grade
+    cap, and at S6's 720 grades: the samplers' contract rests on
+    getrandbits alone, and this holds it to randrange's draws on every
+    Python that runs it."""
+    sizes = list(range(1, 65)) + [127, 128, 129, 255, 256, 257, 511, 512,
+                                  513, 720, 1023, MAX_MORPHISMS]
+    for n in sizes:
+        items = range(n)
+        for seed in range(4):
+            ours, ref = random.Random(seed), random.Random(seed)
+            for _ in range(8):
+                assert _below(ours, n) == ref.randrange(n)
+                assert 1 + _below(ours, n) == ref.randrange(1, n + 1)
+                assert _below(ours, n) == ref.choice(items)
+            assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("n", [0, -1, -8])
+def test_below_rejects_empty_range_before_drawing(n):
+    rng = random.Random(8)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        _below(rng, n)
+    assert rng.getstate() == state
 
 
 def test_samplers_drop_all_zero_blocks():
