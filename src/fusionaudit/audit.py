@@ -123,6 +123,18 @@ def _per_algebra(fn):
     return once
 
 
+def _corner(a):
+    """(j, data, mono, split) for the corner of a over its support j:
+    data is restriction_data(a, j), and mono and split say whether the
+    restricted unit 1_J -> A_J is mono and has a retraction.
+    restriction_data raises unless the inclusion is an algebra morphism
+    (the unit equation is checked: the unit lies inside the support)."""
+    j = sorted(support(a))
+    data = restriction_data(a, j)
+    unit_j = data["restricted_unit"]
+    return j, data, is_mono(unit_j), find_retraction(unit_j) is not None
+
+
 def _first_failure(pairs, predicate):
     for idx, item in pairs:
         failed = predicate(idx, item)
@@ -362,17 +374,8 @@ def _structural_suite(cat, rng, live, separable, samples, unit_simple):
             raise ConsistencyError(
                 "unit summand %d separability disagrees with simplicity" % i)
 
-    # restriction_data raises unless the inclusion is an algebra morphism
-    # (the unit equation is checked: the unit lies inside the support);
     # each distinct algebra is restricted once, first at its first index
-    @_per_algebra
-    def restrict(a):
-        j = sorted(support(a))
-        data = restriction_data(a, j)
-        unit_j = data["restricted_unit"]
-        return (j, data, is_mono(unit_j),
-                find_retraction(unit_j) is not None)
-
+    restrict = _per_algebra(_corner)
     corner = []
     restricted = {}  # one (a, j, data) per distinct algebra
     for idx, a in live:
@@ -492,8 +495,7 @@ def check_algebra_report(cat, algebra_doc):
     if not validation["ok"] or validation["zero"]:
         return doc
     v = separability_verdict(a)
-    j = sorted(support(a))
-    data = restriction_data(a, j)
+    j, data, mono, split = _corner(a)
     doc["support"] = j
     doc["separability"] = {
         "separable": v["separable"],
@@ -507,9 +509,8 @@ def check_algebra_report(cat, algebra_doc):
     }
     doc["unit_mono"] = is_mono(a.unit)
     doc["faithful"] = is_faithful_tensor(a)["faithful"]
-    doc["restricted_unit_mono"] = is_mono(data["restricted_unit"])
-    doc["restricted_separable"] = \
-        find_retraction(data["restricted_unit"]) is not None
+    doc["restricted_unit_mono"] = mono
+    doc["restricted_separable"] = split
     doc["corner_spec"] = algebra_to_spec(data["algebra"])
     return doc
 

@@ -21,7 +21,8 @@ go through randrange, sample and choice.
 
 from fractions import Fraction
 
-from .gvec import GradedMorphism, _atomic_object, _same_cat
+from . import gvec
+from .gvec import GradedMorphism, _atomic_object, _same_cat, total_mult
 from .exactlin import Matrix
 
 __all__ = ["random_object", "random_morphism", "algebra_corpus"]
@@ -105,7 +106,13 @@ def algebra_corpus(cat, rng, internal_ends=2, sums=2):
     callers can decide a fact once per distinct object (by identity) and
     read it at every index that holds it.  The draws, and their order, are
     those of building every entry anew.  Callers must not mutate corpus
-    entries."""
+    entries.
+
+    A drawn pair whose carriers have more than gvec.MAX_TOTAL_MULT slots
+    together, the most an object spec states, is drawn again, so every
+    carrier can be written into a witness and parsed back.  Two unit
+    summands, of one slot each, always fit, so the redraw ends, and a
+    pair that fits costs no draw beyond its own."""
     from .internal import (direct_sum_algebra, groupoid_algebra,
                            internal_end, unit_summand_algebra)
     kg = {}
@@ -131,6 +138,9 @@ def algebra_corpus(cat, rng, internal_ends=2, sums=2):
     built = {}
     for _ in range(sums):
         a, b = rng.choice(out), rng.choice(out)
+        while total_mult(a.carrier) + total_mult(b.carrier) \
+                > gvec.MAX_TOTAL_MULT:
+            a, b = rng.choice(out), rng.choice(out)
         key = (id(a), id(b))  # every entry stays alive in out
         if key not in built:
             built[key] = direct_sum_algebra(a, b)

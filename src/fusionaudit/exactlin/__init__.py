@@ -30,7 +30,7 @@ from . import _kernels
 BACKEND = "pure"
 
 __all__ = [
-    "Matrix", "BACKEND", "matmul", "kron", "kernel_basis", "solve_right",
+    "Matrix", "BACKEND", "kron", "kernel_basis", "solve_right",
     "rat_str", "parse_rat",
 ]
 
@@ -276,10 +276,6 @@ class Matrix:
             picked.sort()
             out.append(tuple(picked))
         return Matrix._of(self.rows, len(idx), tuple(out))
-
-
-def matmul(a, b):
-    return a @ b
 
 
 def kron(a, b):

@@ -26,7 +26,7 @@ from .gvec import (
     is_iso, is_mono, mono_epi, restrict_grades, restriction_inclusion,
     restriction_projection, simple_object, tensor_mor, tensor_obj,
     unit_object, unit_summand, zero_mor, zero_object)
-from .internal import grades_within, restriction_data, support
+from .internal import grades_within
 from .morphcalc import _split_image, find_retraction, find_section
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
     "is_faithful_tensor", "is_faithful_cotensor",
     "reflection_checks", "coreflection_checks", "check_inclusion_frobenius",
     "ProjectionFunctor", "check_projection_lax_colax", "check_rj_algebra",
-    "frobenius_pair_check", "restricted_separability",
+    "frobenius_pair_check",
 ]
 
 _ONE = Fraction(1)
@@ -646,15 +646,3 @@ def frobenius_pair_check(cat, objs, rng, samples=6):
             return False
     return True
 
-
-def restricted_separability(a):
-    """Over its own support the corner algebra has split-mono unit;
-    anything else indicates a defect in the machinery."""
-    j = support(a)
-    if not j:
-        raise ValueError("zero algebra")
-    data = restriction_data(a, j)
-    if find_retraction(data["restricted_unit"]) is None:
-        raise ConsistencyError(
-            "unit of the support-restricted algebra is not split-mono")
-    return True

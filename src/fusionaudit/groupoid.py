@@ -2,10 +2,11 @@
 
 A groupoid here is a plain lookup structure: objects 0..n-1, morphisms
 0..m-1 with source/target, a partial composition table, identities and
-inverses.  compose(g1, g2) means "g1 then g2": it is defined exactly when
-target(g1) == source(g2).  Every canonical ordering downstream (tensor slot
-order, report ordering) derives from the morphism enumeration, so the
-enumeration is part of the data, not an implementation detail.
+inverses.  compose_table[g1][g2] is "g1 then g2": it is defined exactly
+when the target of g1 is the source of g2.  Every canonical ordering
+downstream (tensor slot order, report ordering) derives from the morphism
+enumeration, so the enumeration is part of the data, not an
+implementation detail.
 
 Constructors validate fully and report the failing element or triple; a
 groupoid that constructs is safe to compute with.  Associativity is
@@ -34,6 +35,11 @@ MAX_MORPHISMS = 1024
 class Groupoid:
     """Validated finite groupoid; immutable after construction.
 
+    morphisms[g] is the (source, target) pair of morphism g, and
+    compose_table[g1][g2] is the index of "g1 then g2", or None when the
+    target of g1 is not the source of g2.  identity_of[i] is the identity
+    morphism of object i, and inverse_of[g] the inverse of g.
+
     slot_alphabets is the one mutable attribute: the table that hash-conses
     the slot alphabets of objects over this groupoid (see slotcodes), not
     part of the groupoid's identity.  It is bounded, so it stays small
@@ -59,25 +65,6 @@ class Groupoid:
     @property
     def morphism_count(self):
         return len(self.morphisms)
-
-    def source(self, g):
-        return self.morphisms[g][0]
-
-    def target(self, g):
-        return self.morphisms[g][1]
-
-    def compose(self, g1, g2):
-        """Index of "g1 then g2", or None when not composable."""
-        return self.compose_table[g1][g2]
-
-    def identity(self, obj):
-        return self.identity_of[obj]
-
-    def inverse(self, g):
-        return self.inverse_of[g]
-
-    def is_identity(self, g):
-        return self.identity_of[self.source(g)] == g
 
     # -- identity ----------------------------------------------------------
 

@@ -603,9 +603,6 @@ class GradedMorphism:
             self.source, self.target, sorted(self.blocks))
 
     # composition: (f @ g) applies g first
-    def __matmul__(self, other):
-        return compose(self, other)
-
     def __add__(self, other):
         if self.source != other.source or self.target != other.target:
             raise ShapeError("adding morphisms with different endpoints")
@@ -618,9 +615,6 @@ class GradedMorphism:
 
     def __sub__(self, other):
         return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def scale(self, c):
         blocks = {g: m.scale(c) for g, m in self.blocks.items()} if c else {}

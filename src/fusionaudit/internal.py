@@ -30,7 +30,7 @@ from .gvec import (
 __all__ = [
     "InternalAlgebra", "InternalCoalgebra",
     "validate_algebra", "validate_coalgebra",
-    "unit_summand_algebra", "unit_summand_coalgebra",
+    "unit_summand_algebra",
     "groupoid_algebra", "internal_end",
     "dualize_algebra", "dualize_coalgebra",
     "direct_sum_algebra", "restriction_data",
@@ -145,16 +145,6 @@ class InternalCoalgebra:
     def is_zero(self):
         return self.carrier.is_zero()
 
-    def __eq__(self, other):
-        return (isinstance(other, InternalCoalgebra)
-                and self.carrier == other.carrier
-                and _canonical_pair_rows(self.carrier, self.comult)
-                == _canonical_pair_rows(other.carrier, other.comult)
-                and self.counit.blocks == other.counit.blocks)
-
-    def __hash__(self):
-        return hash((self.carrier, self.counit))
-
     def __repr__(self):
         return "InternalCoalgebra(%r)" % (self.carrier,)
 
@@ -212,18 +202,13 @@ def _stretch_columns(parts):
     return cols
 
 
-def _pair_columns(carrier):
-    """Per grade of carrier (x) carrier: the memory position of every slot,
-    listed in canonical order (see _pair_stretches)."""
-    return {h: _stretch_columns(parts)
-            for h, parts in _pair_stretches(carrier).items()}
-
-
 def _reordered_columns(carrier):
-    """_pair_columns, with None at each grade whose memory order is
-    canonical already: its sorted stretches tile 0, 1, ... in order, as
-    they do at every grade of an atomic carrier with its grades in index
-    order.  A block at such a grade needs no re-indexing."""
+    """Per grade of carrier (x) carrier: the memory position of every
+    slot, listed in canonical order (see _pair_stretches), or None at each
+    grade whose memory order is canonical already: its sorted stretches
+    tile 0, 1, ... in order, as they do at every grade of an atomic
+    carrier with its grades in index order.  A block at such a grade
+    needs no re-indexing."""
     out = {}
     for h, parts in _pair_stretches(carrier).items():
         end = 0
@@ -241,13 +226,6 @@ def _canonical_pair_blocks(carrier, mult):
     cols = _reordered_columns(carrier)
     return {g: b if cols[g] is None else b.columns(cols[g])
             for g, b in mult.blocks.items()}
-
-
-def _canonical_pair_rows(carrier, comult):
-    cols = _reordered_columns(carrier)
-    return {g: b if cols[g] is None
-            else b.transpose().columns(cols[g]).transpose()
-            for g, b in comult.blocks.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +291,6 @@ def unit_summand_algebra(cat, i):
     carrier = unit_summand(cat, {i})
     unit = restriction_projection(unit_object(cat), {cat.identity_of[i]})
     return InternalAlgebra._of(carrier, identity_mor(carrier), unit)
-
-
-def unit_summand_coalgebra(cat, i):
-    """1_i with comultiplication the identity and counit the coordinate
-    inclusion into 1."""
-    if not 0 <= i < cat.object_count:
-        raise IndexError("object index %r out of range" % (i,))
-    carrier = unit_summand(cat, {i})
-    counit = restriction_inclusion(unit_object(cat), {cat.identity_of[i]})
-    return InternalCoalgebra._of(carrier, identity_mor(carrier), counit)
 
 
 def grades_within(cat, objs):

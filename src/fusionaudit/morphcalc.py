@@ -12,7 +12,7 @@ from .errors import ConsistencyError
 from .exactlin import Matrix, solve_right
 from .gvec import GradedMorphism, compose, image_factorization
 
-__all__ = ["find_retraction", "find_section", "weak_inverse", "is_regular"]
+__all__ = ["find_retraction", "find_section", "weak_inverse"]
 
 
 def find_retraction(f):
@@ -65,8 +65,3 @@ def weak_inverse(f):
     """g with f g f == f and g f g == g: s r, split as in _split_image."""
     _, _, s, r = _split_image(f)
     return compose(s, r)
-
-
-def is_regular(f):
-    g = weak_inverse(f)
-    return compose(compose(f, g), f) == f

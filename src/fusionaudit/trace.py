@@ -4,14 +4,19 @@ Each entry ties one mathematical statement the engine relies on to the
 operation implementing it and the tests that verify it.  The manifest is
 the authoritative list of in-scope statements; a test checks the table
 against it mechanically, so a statement cannot silently lose coverage.
+
+reached says whether an audit checks the statement: True when run_audit,
+gr_report or check_algebra_report calls each of its operations, False
+when none of them calls any, so that only the cited tests verify it.  A
+test runs the three reports and checks the flag both ways.
 """
 
 from collections import namedtuple
 
-__all__ = ["TraceEntry", "MANIFEST", "trace_table", "render_markdown"]
+__all__ = ["TraceEntry", "MANIFEST", "trace_table"]
 
 TraceEntry = namedtuple("TraceEntry", ["label", "statement", "operation",
-                                       "tests"])
+                                       "tests", "reached"], defaults=(True,))
 
 _TABLE = (
     TraceEntry(
@@ -51,13 +56,15 @@ _TABLE = (
         "gvec.dual_morphism",
         ("tests/test_gvec.py::test_dual_morphism_contravariant_functor",
          "tests/test_gvec.py::test_dual_strictness_on_objects",
-         "tests/test_gvec.py::test_dual_morphism_matches_dense_reference")),
+         "tests/test_gvec.py::test_dual_morphism_matches_dense_reference"),
+        reached=False),
     TraceEntry(
         "every-morphism-regular",
         "every morphism f admits a weak inverse g with f g f = f",
         "morphcalc.weak_inverse",
         ("tests/test_morphcalc.py::test_every_morphism_is_regular",
-         "tests/test_morphcalc.py::test_weak_inverse_frozen_column")),
+         "tests/test_morphcalc.py::test_weak_inverse_frozen_column"),
+        reached=False),
     TraceEntry(
         "mono-iff-split-mono",
         "a morphism is mono exactly when it is split mono, and epi exactly "
@@ -104,7 +111,7 @@ _TABLE = (
     TraceEntry(
         "restricted-separability",
         "over its support the unit of the corner algebra is split mono",
-        "functors.restricted_separability",
+        "internal.restriction_data / morphcalc.find_retraction",
         ("tests/test_functors.py::test_restricted_separability_corpus",)),
     TraceEntry(
         "separable-iff-unit-split-mono",
@@ -132,7 +139,8 @@ _TABLE = (
         "P(g) = (id (x) r) g (id (x) u) of the induction hom-map",
         "functors.check_section_identity",
         ("tests/test_functors.py::test_section_identity_group_algebra",
-         "tests/test_functors.py::test_cosection_identity_dual_group_algebra")),
+         "tests/test_functors.py::test_cosection_identity_dual_group_algebra"),
+        reached=False),
     TraceEntry(
         "idempotent-trivial-iff-separable",
         "the canonical idempotent e_M = id_M (x) (psi' psi) is natural, "
@@ -228,8 +236,9 @@ _TABLE = (
         "fusion-ring-iff-one-object",
         "the ring is a fusion ring exactly when the category has a single "
         "object, i.e. the unit is simple",
-        "grothendieck.is_fusion_ring",
-        ("tests/test_grothendieck.py::test_z2_ring_is_fusion_with_square_identity",
+        "grothendieck.ring_report",
+        ("tests/test_audit.py::test_gr_report_fixtures",
+         "tests/test_grothendieck.py::test_z2_ring_is_fusion_with_square_identity",
          "tests/test_grothendieck.py::test_union_ring_two_identity_components",
          "tests/test_grothendieck.py::test_sparse_checks_match_dense_reference")),
     TraceEntry(
@@ -270,11 +279,3 @@ MANIFEST = tuple(e.label for e in _TABLE)
 def trace_table():
     return list(_TABLE)
 
-
-def render_markdown():
-    lines = ["| statement | operation | tests |", "| --- | --- | --- |"]
-    for e in _TABLE:
-        tests = "<br>".join("`%s`" % t for t in e.tests)
-        lines.append("| **%s**: %s | `%s` | %s |"
-                     % (e.label, e.statement, e.operation, tests))
-    return "\n".join(lines) + "\n"

@@ -13,7 +13,9 @@ database; repeat it for depth.  A counterexample a sweep finds becomes an
 import itertools
 import os
 import random
+import sys
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
@@ -36,6 +38,56 @@ def cli_env():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     return env
+
+
+# The fixtures the census reports on: one with a simple unit, one without,
+# so every condition fails with a witness on the second.
+CENSUS_FIXTURES = ("vec_z2", "pair2")
+
+
+@pytest.fixture(scope="session")
+def census():
+    """The code objects of every Python function that runs while a CLI's
+    three reports are built in-process: every fixture spec parsed, as the
+    CLI parses its --category file, and on CENSUS_FIXTURES an audit at the
+    defaults with its rendered summary, the gr report, and check-algebra
+    on every audit witness's algebra and on kG (+) kG.  Calls are seen
+    through sys.setprofile.  One run serves the trace table's reached
+    flags and the public-API census."""
+    from fusionaudit.audit import (
+        check_algebra_report, gr_report, render_report, run_audit)
+    from fusionaudit.fixtures import FIXTURE_NAMES, fixture_spec
+    from fusionaudit.groupoid import groupoid_from_spec
+    specs = {name: fixture_spec(name) for name in FIXTURE_NAMES}
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        cats = {name: groupoid_from_spec(spec)
+                for name, spec in specs.items()}
+        for name in CENSUS_FIXTURES:
+            cat = cats[name]
+            report = run_audit(cat)
+            render_report(report)
+            gr_report(cat)
+            kg = {"gen": "groupoid_algebra",
+                  "objects": list(range(cat.object_count))}
+            docs = [{"gen": "sum", "parts": [kg, kg]}]
+            for cond in report["conditions"].values():
+                w = cond["witness"]
+                if w and w["kind"] in ("algebra", "coalgebra"):
+                    docs.append(w["spec"] if w["kind"] == "algebra"
+                                else w["dual_of"])
+            for doc in docs:
+                check_algebra_report(cat, doc)
+    finally:
+        sys.setprofile(previous)
+    return frozenset(called)
 
 
 # Generator specs of pair2 algebras whose integer fields are not JSON

@@ -11,6 +11,7 @@ the form the module docstrings describe: a word is a tuple of letters
 
 from fusionaudit.errors import ShapeError
 from fusionaudit.gvec import GradedObject, _slot_starts, _tensor_layout
+from fusionaudit.internal import _pair_stretches, _stretch_columns
 from fusionaudit.slotcodes import alphabet, radix
 
 
@@ -160,8 +161,17 @@ def bisected_pos(v, w, vw):
     return pos
 
 
+def pair_columns(carrier):
+    """Per grade of carrier (x) carrier: the memory position of every slot,
+    listed in canonical order, read off internal._pair_stretches, the one
+    walk over the carrier's slots that the spec form's column order
+    (internal._reordered_columns) comes from."""
+    return {h: _stretch_columns(parts)
+            for h, parts in _pair_stretches(carrier).items()}
+
+
 def bisected_pair_columns(carrier):
-    """The reference for internal._pair_columns, by per-pair bisection:
+    """The reference for pair_columns, by per-pair bisection:
     per grade h of carrier (x) carrier, the memory position of each slot
     in canonical order, composable grade pairs (g1, g2) sorted by
     enumeration index and slot pairs row-major, where gvec._slot_starts

@@ -361,30 +361,36 @@ def test_reverify_witness_sweep_of_mutated_witnesses():
 
 def test_corpus_carriers_fit_object_specs(monkeypatch):
     """Every carrier an audit builds, at any corpus size, fits an object
-    spec, so each witness parses back: a direct sum of more than
-    gvec.MAX_TOTAL_MULT slots is a SpecError.  With the cap set to the
-    largest carrier of pair2's corpus at size 3 (a direct sum, as the
-    largest carrier always is), every corpus algebra and unit map parses
-    back from its spec and every witness reverifies; one slot less and
-    the audit is an input error."""
+    spec, so each witness parses back.  With the cap set to the largest
+    carrier of pair2's corpus at size 3 (a direct sum, as the largest
+    carrier always is), every corpus algebra and unit map parses back
+    from its spec and every witness reverifies.  With one slot less the
+    corpus draws that pair again, and the audit still runs, with every
+    carrier under the cap and every witness reverifying; a sum spec over
+    the cap is input, and still a SpecError."""
     from fusionaudit import gvec, internal
     cat = load_fixture("pair2")
     corpus = algebra_corpus(cat, random.Random(1), internal_ends=3, sums=3)
     top = max(gvec.total_mult(a.carrier) for a in corpus)
-    for mod in (gvec, internal):
-        monkeypatch.setattr(mod, "MAX_TOTAL_MULT", top)
-    for a in corpus:
-        assert algebra_from_spec(cat, algebra_to_spec(a)).carrier == a.carrier
-        assert morphism_from_spec(cat, morphism_to_spec(a.unit)) == a.unit
-    rep = run_audit(cat, seed=1, corpus_size=3)
-    witnesses = {k: rep["conditions"][str(k)]["witness"] for k in range(2, 16)}
-    assert all(witnesses.values())
-    for k, witness in witnesses.items():
-        assert reverify_witness(cat, k, witness), k
-    for mod in (gvec, internal):
-        monkeypatch.setattr(mod, "MAX_TOTAL_MULT", top - 1)
+    for cap in (top, top - 1):
+        for mod in (gvec, internal):
+            monkeypatch.setattr(mod, "MAX_TOTAL_MULT", cap)
+        for a in algebra_corpus(cat, random.Random(1), internal_ends=3,
+                                sums=3):
+            assert gvec.total_mult(a.carrier) <= cap
+            assert algebra_from_spec(
+                cat, algebra_to_spec(a)).carrier == a.carrier
+            assert morphism_from_spec(
+                cat, morphism_to_spec(a.unit)) == a.unit
+        rep = run_audit(cat, seed=1, corpus_size=3)
+        witnesses = {k: rep["conditions"][str(k)]["witness"]
+                     for k in range(2, 16)}
+        assert all(witnesses.values())
+        for k, witness in witnesses.items():
+            assert reverify_witness(cat, k, witness), k
+    parts = [{"gen": "unit_summand", "i": 0}] * top
     with pytest.raises(SpecError, match="direct sum carrier of %d" % top):
-        run_audit(cat, seed=1, corpus_size=3)
+        algebra_from_spec(cat, {"gen": "sum", "parts": parts})
 
 
 def test_alphabet_table_stays_bounded_and_reports_hold(monkeypatch):
@@ -811,6 +817,31 @@ def test_oversized_specs_exit_2(tmp_path, capsys):
         == {0: MAX_TOTAL_MULT}
 
 
+def test_corpus_at_the_morphism_cap_redraws_oversize_sums(tmp_path, capsys):
+    """Z1024, at the MAX_MORPHISMS cap, at seed 25 and corpus 4 draws a
+    direct-sum pair of 4,098 slots, more than the MAX_TOTAL_MULT (4,096)
+    an object spec takes.  The corpus draws that pair again, so the audit
+    exits 0 with every carrier within the cap; its unit is simple, so
+    every condition holds and no witness is written."""
+    from fusionaudit.groupoid import MAX_MORPHISMS
+    from fusionaudit.gvec import MAX_TOTAL_MULT
+    n = MAX_MORPHISMS
+    cat, out = tmp_path / "z1024.json", tmp_path / "report.json"
+    cat.write_text(json.dumps({"kind": "group", "table": [
+        [(i + j) % n for j in range(n)] for i in range(n)]}))
+    assert cli.main(["audit", "--category", str(cat), "--seed", "25",
+                     "--corpus", "4", "--report", str(out)]) == 0
+    capsys.readouterr()
+    rep = json.loads(out.read_text())
+    assert rep["consistency"] and rep["unit_simple"]
+    assert all(c["holds"] and c["witness"] is None
+               for c in rep["conditions"].values())
+    sizes = [e["total_multiplicity"] for e in rep["corpus"]["algebras"]
+             if "total_multiplicity" in e]
+    assert len(rep["corpus"]["algebras"]) == 12
+    assert max(sizes) <= MAX_TOTAL_MULT
+
+
 def test_oversized_algebra_products_exit_2(tmp_path, monkeypatch, capsys):
     """An algebra spec whose carrier's tensor cube would have one slot
     more than gvec.MAX_PRODUCT_SLOTS is an input error, exit 2, in the
@@ -1018,7 +1049,6 @@ def _assert_once_per_distinct(calls, corpora, name):
 @pytest.mark.parametrize("name", sorted(DISTINCT_LIVE))
 def test_audit_restricts_each_live_algebra_once(monkeypatch, name):
     import fusionaudit.audit
-    import fusionaudit.functors
     import fusionaudit.internal
     calls = []
     original = fusionaudit.internal.restriction_data
@@ -1027,8 +1057,7 @@ def test_audit_restricts_each_live_algebra_once(monkeypatch, name):
         calls.append(a)
         return original(a, objs)
 
-    for mod in (fusionaudit.audit, fusionaudit.functors,
-                fusionaudit.internal):
+    for mod in (fusionaudit.audit, fusionaudit.internal):
         monkeypatch.setattr(mod, "restriction_data", counted)
     corpora = _kept_corpus(monkeypatch)
     rep = run_audit(_category(name))

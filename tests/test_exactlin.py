@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionaudit.exactlin import (
-    Matrix, _kernels, kernel_basis, kron, matmul, parse_rat, rat_str,
-    solve_right,
+    Matrix, _kernels, kernel_basis, kron, parse_rat, rat_str, solve_right,
 )
 from fusionaudit.errors import ShapeError
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import _small_groupoids
 from fusionaudit import functors, gvec
+from fusionaudit.audit import run_audit
 from fusionaudit.corpus import algebra_corpus, random_morphism, random_object
 from fusionaudit.errors import ConsistencyError
 from fusionaudit.functors import (
@@ -15,8 +16,7 @@ from fusionaudit.functors import (
     coseparability_verdict, free_module, frobenius_pair_check, idempotent_e,
     induce_mor, is_faithful_cotensor,
     is_faithful_tensor, is_module_morphism, reflection_checks,
-    restricted_separability, separability_verdict, check_section_identity,
-    validate_module)
+    separability_verdict, check_section_identity, validate_module)
 from fusionaudit.exactlin import Matrix
 from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
 from fusionaudit.gvec import (
@@ -27,6 +27,7 @@ from fusionaudit.gvec import (
 from fusionaudit.internal import (
     InternalAlgebra, direct_sum_algebra, dualize_algebra, groupoid_algebra,
     internal_end, restriction_data, support, unit_summand_algebra)
+from fusionaudit.morphcalc import find_retraction
 from slotwords import slot_words
 
 VEC = load_fixture("vec")
@@ -651,12 +652,23 @@ def test_frobenius_pair():
 
 
 def test_restricted_separability_corpus():
-    rng = random.Random(617)
+    """Each of the audit's corner entries, on a one-object and two
+    multi-object fixtures, is the live corpus algebra at its index over
+    its support, and the restricted unit 1_J -> A_J of that corner has a
+    retraction, found by find_retraction and checked by composing."""
     for cat in (Z2, P2, U22):
-        for a in algebra_corpus(cat, rng):
-            if a.is_zero():
-                continue
-            assert restricted_separability(a) is True
+        corpus = algebra_corpus(cat, random.Random(617), internal_ends=2,
+                                sums=2)
+        corner = run_audit(cat, seed=617)["structural"]["corner_algebras"]
+        assert [e["index"] for e in corner] \
+            == [i for i, a in enumerate(corpus) if not a.is_zero()]
+        for entry in corner:
+            a = corpus[entry["index"]]
+            assert entry["support"] == sorted(support(a))
+            assert entry["restricted_separable"] is True
+            unit_j = restriction_data(a, entry["support"])["restricted_unit"]
+            r = find_retraction(unit_j)
+            assert compose(r, unit_j) == identity_mor(unit_j.source)
 
 
 def test_verdicts_run_clean_on_corpus():

@@ -117,8 +117,9 @@ def test_unchecked_ring_equals_checked_ring():
             assert type(getattr(r, field)) is tuple
             assert getattr(r, field) == getattr(checked, field)
         assert r.entries() == sorted(entries)
-        assert r.unit_coeffs == tuple(int(cat.is_identity(g))
-                                      for g in range(cat.morphism_count))
+        assert r.unit_coeffs == tuple(
+            int(cat.identity_of[cat.morphisms[g][0]] == g)
+            for g in range(cat.morphism_count))
 
 
 def test_mutated_constants_rejected_with_location():
@@ -475,7 +476,7 @@ def _old_dense_ring(cat):
     c = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            k = cat.compose(i, j)
+            k = cat.compose_table[i][j]
             if k is not None:
                 c[i][j][k] = 1
     return c

@@ -26,10 +26,9 @@ from fusionaudit.internal import (
     InternalAlgebra, InternalCoalgebra, algebra_from_spec, algebra_to_spec,
     direct_sum_algebra, dualize_algebra, dualize_coalgebra, groupoid_algebra,
     internal_end, restriction_data, support,
-    unit_summand_algebra, unit_summand_coalgebra, validate_algebra,
-    validate_coalgebra)
+    unit_summand_algebra, validate_algebra, validate_coalgebra)
 from fusionaudit.morphcalc import find_retraction, find_section
-from slotwords import bisected_pair_columns
+from slotwords import bisected_pair_columns, pair_columns
 
 VEC = load_fixture("vec")
 Z2 = load_fixture("vec_z2")
@@ -49,7 +48,7 @@ def test_unit_summand_algebra_pair2():
     assert a.unit.blocks == {0: Matrix.from_rows([[1]])}
     # the unit misses the other summand of 1, so it is not mono
     assert not is_mono(a.unit)
-    c = unit_summand_coalgebra(P2, 0)
+    c = dualize_algebra(a)  # the coalgebra on 1_0 an audit builds
     assert validate_coalgebra(c)["ok"]
     assert not is_epi(c.counit)
     assert cokernel(c.counit)[0].mult == {3: 1}
@@ -153,6 +152,27 @@ def test_corpus_builds_each_groupoid_algebra_and_sum_once(monkeypatch):
                     assert (a is b) == (support(a) == support(b))
             if n == 1:
                 assert len(built) == 1 and out[1] is out[2] is out[3]
+
+
+def test_corpus_redraws_sums_over_the_cap(monkeypatch):
+    """With gvec.MAX_TOTAL_MULT cut to 2, the most two unit summands take,
+    algebra_corpus never raises: a direct-sum pair over the cap is drawn
+    again, so every sum fits.  Many of these pairs are over the cap at
+    the full cap's draws, so the redraw runs."""
+    redrawn = 0
+    for cat in CATS + [VEC]:
+        n = cat.object_count
+        for seed in range(40):
+            full = algebra_corpus(cat, random.Random(seed), sums=4)
+            with monkeypatch.context() as m:
+                for mod in (gvec, internal):
+                    m.setattr(mod, "MAX_TOTAL_MULT", 2)
+                out = algebra_corpus(cat, random.Random(seed), sums=4)
+            assert len(out) == len(full) == n + 3 + 2 + 4
+            assert all(gvec.total_mult(a.carrier) <= 2 for a in out[-4:])
+            redrawn += any(gvec.total_mult(a.carrier) > 2
+                           for a in full[-4:])
+    assert redrawn > 100
 
 
 def test_corpus_builds_each_internal_end_once(monkeypatch):
@@ -391,11 +411,11 @@ def _summand_carriers(cat, rng):
 @given(_small_groupoids(), st.integers(0, 2**32 - 1))
 def test_pair_columns_match_bisection(cat, seed):
     for c in _summand_carriers(cat, random.Random(seed)):
-        assert internal._pair_columns(c) == bisected_pair_columns(c)
+        assert pair_columns(c) == bisected_pair_columns(c)
 
 
 def test_pair_columns_cover_every_run_shape(monkeypatch):
-    """On the fixtures and S4 the one walk of _pair_columns meets every
+    """On the fixtures and S4 the one walk of pair_columns meets every
     shape of _code_runs (grades in layout order, tied codes, grades out
     of code order, and a grade split over several runs), and gives the
     per-pair bisection's columns without calling _slot_starts."""
@@ -412,7 +432,7 @@ def test_pair_columns_cover_every_run_shape(monkeypatch):
     monkeypatch.setattr(gvec, "_slot_starts", forbidden)
     shapes = set()
     for c, ref in zip(carriers, refs):
-        assert internal._pair_columns(c) == ref
+        assert pair_columns(c) == ref
         runs, in_order = _code_runs(tuple(c.layout.items()))
         shapes.add("in order" if in_order else "sorted")
         if len(runs) > len(c.layout):
@@ -422,19 +442,15 @@ def test_pair_columns_cover_every_run_shape(monkeypatch):
     assert shapes == {"in order", "sorted", "split", "tied"}
 
 
-def _reindexed_blocks(carrier, f, rows=False):
-    """Every block of f re-indexed through _pair_columns, as the
-    canonical forms did before they returned in-order blocks as they
-    are; rows re-indexes a comultiplication's rows instead."""
-    cols = internal._pair_columns(carrier)
-    if rows:
-        return {g: b.transpose().columns(cols[g]).transpose()
-                for g, b in f.blocks.items()}
+def _reindexed_blocks(carrier, f):
+    """Every block of f re-indexed through pair_columns, as the
+    canonical form did before it returned in-order blocks as they are."""
+    cols = pair_columns(carrier)
     return {g: b.columns(cols[g]) for g, b in f.blocks.items()}
 
 
 def test_canonical_forms_reindex_only_out_of_order_grades():
-    """The canonical (co)multiplication blocks are the block itself at a
+    """The canonical multiplication blocks are the block itself at a
     grade whose memory order is canonical, and equal re-indexing every
     block elsewhere, so algebra_to_spec and equality are unchanged.  The
     internal end of an object at the first and last grades has a carrier
@@ -456,7 +472,7 @@ def test_canonical_forms_reindex_only_out_of_order_grades():
                     assert blocks[g] is b
                 else:
                     reordered += 1
-                    assert cols[g] == internal._pair_columns(a.carrier)[g]
+                    assert cols[g] == pair_columns(a.carrier)[g]
             spec = algebra_to_spec(a)
             assert spec == json.loads(json.dumps(spec))
             assert spec["mult"] == gvec._blocks_to_spec(
@@ -467,25 +483,15 @@ def test_canonical_forms_reindex_only_out_of_order_grades():
                          (parsed, scaled)):
                 assert (x == y) == _reindexed_equal(x, y)
             assert a == parsed and a != scaled
-            c, d = dualize_algebra(a), dualize_algebra(parsed)
-            assert internal._canonical_pair_rows(c.carrier, c.comult) \
-                == _reindexed_blocks(c.carrier, c.comult, rows=True)
-            for x, y in ((c, d), (d, c), (c, c)):
-                assert (x == y) == _reindexed_equal(x, y)
     assert kept and reordered
 
 
 def _reindexed_equal(x, y):
-    """Algebra or coalgebra equality, with every block re-indexed."""
-    if isinstance(x, InternalAlgebra):
-        return (x.carrier == y.carrier
-                and _reindexed_blocks(x.carrier, x.mult)
-                == _reindexed_blocks(y.carrier, y.mult)
-                and x.unit.blocks == y.unit.blocks)
+    """Algebra equality, with every block re-indexed."""
     return (x.carrier == y.carrier
-            and _reindexed_blocks(x.carrier, x.comult, rows=True)
-            == _reindexed_blocks(y.carrier, y.comult, rows=True)
-            and x.counit.blocks == y.counit.blocks)
+            and _reindexed_blocks(x.carrier, x.mult)
+            == _reindexed_blocks(y.carrier, y.mult)
+            and x.unit.blocks == y.unit.blocks)
 
 
 def _same_codes(x, y):
