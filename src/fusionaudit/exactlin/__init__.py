@@ -196,17 +196,6 @@ class Matrix:
             _kernels.axpy(a, 1, b)
             for a, b in zip(self.sparse, other.sparse)))
 
-    def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("sub %dx%d from %dx%d"
-                             % (other.rows, other.cols, self.rows, self.cols))
-        return Matrix._of(self.rows, self.cols, tuple(
-            _kernels.axpy(a, -1, b)
-            for a, b in zip(self.sparse, other.sparse)))
-
-    def __neg__(self):
-        return self.scale(-1)
-
     def scale(self, c):
         c = Fraction(c)
         if not c:

@@ -1,36 +1,46 @@
 """Grothendieck ring of a category instance.
 
-Simples are indexed by grades.  The ring is derived from the engine, not
-copied from the groupoid: grothendieck_ring reads [X_g][X_h] off the
-tensor square of the regular object (one slot at every grade), the class
-of 1 off unit_object, and the involution off the left duals of the
-simples.  For Vec_G this is the groupoid ring Z[G] (Etingof, Gelaki,
-Nikshych and Ostrik, Tensor Categories, ch. 4): [X_g][X_h] is [X_{gh}]
-when the grades compose and 0 otherwise, and the class of 1 is the sum
-over identity grades.  That statement is checked, not assumed: a product
-that differs from the composition table is a ConsistencyError.  The
-predicate suite (non-negative basis ring, based ring, fusion ring) checks
-the axioms directly on the structure constants and reports every failing
-instance, so a mutation is rejected with the exact triple that breaks.
+Simples are indexed by grades.  For Vec_G the Grothendieck ring is the
+groupoid ring Z[G] (Etingof, Gelaki, Nikshych and Ostrik, Tensor
+Categories, ch. 4): [X_g][X_h] is [X_{gh}] when the grades compose and 0
+otherwise, the class of 1 is the sum over identity grades, and the
+involution [X] -> [X*] sends X_g to X_{g^-1}.  That statement is checked
+on the engine, not assumed: _derive reads every [X_g][X_h] off the tensor
+square of the regular object (one slot at every grade), the class of 1
+off unit_object and the involution off the left duals of the simples,
+and any of them that differs from the composition table, the identity
+grades or the inverses is a ConsistencyError.
 
-The ring is stored sparse only, with no rank^3 array: each product b_i b_j
-is its list of non-zero (k, c), c the coefficient of b_k, and every sum in
-an axiom runs over those lists and the non-zero unit coefficients.  When
-every non-zero product is one basis element with coefficient 1, as in
-every groupoid's ring, Light's associativity test certifies associativity
+Once _derive passes, the ring axioms restate the groupoid axioms that the
+Groupoid constructor has checked, so ring_report states its verdicts
+without checking them again:
+- every structure constant is 0 or 1, so none is negative;
+- the products are associative because the composition table is;
+- the unit laws are the identity laws;
+- the involution is an anti-automorphism because (gh)^-1 = h^-1 g^-1;
+- the unit coefficient of b_g b_h is 1 exactly when gh is an identity,
+  which is when h = g^-1: the pairing.
+So the ring is a based ring, and a fusion ring exactly when its unit is
+one basis element, which is when the groupoid has one object.
+
+The general checks stay for rings given by their structure constants.
+BasedRingData takes the constants through a checking constructor, and
+is_zplus_ring, is_based_ring and is_fusion_ring decide the axioms on
+them, listing every failing instance, so a mutation is rejected with the
+exact triple that breaks.  grothendieck_ring builds cat's ring that way,
+the subject on which the tests hold ring_report's verdicts to the
+general checks.
+
+BasedRingData stores its constants sparse only, with no rank^3 array:
+each product b_i b_j is its list of non-zero (k, c), c the coefficient
+of b_k, and every sum in an axiom runs over those lists and the non-zero
+unit coefficients.  When every non-zero product is one basis element
+with coefficient 1, Light's associativity test certifies associativity
 in O(n^2) per generator of the basis.  Otherwise, or when it finds a
 failing triple, associativity compares the b_l coefficients of
-(b_i b_j) b_k and b_i (b_j b_k) for each triple in O(n^3 d^2) for rank n,
-where d is the most non-zero constants of one product.  Failures are
-listed in the order dense loops over i, j, k, l would find them.  A ring
-that grothendieck_ring derives skips Light's test: its products are the
-composition table, on which the Groupoid constructor has run that test
-already.  Rings built by the public BasedRingData constructor run it.
-ring_report runs each check once, and derives all three verdicts from the
-two failure lists.
-
-The involution is not assumed: it is recomputed from left duals of the
-simples and checked to be an involutive basis permutation.
+(b_i b_j) b_k and b_i (b_j b_k) for each triple in O(n^3 d^2) for rank
+n, where d is the most non-zero constants of one product.  Failures are
+listed in the order dense loops over i, j, k, l would find them.
 
 fusion_iff_separable_check cross-checks the transfer of simplicity to the
 ring: it compares a fusion verdict against the separability flags of the
@@ -62,10 +72,6 @@ class BasedRingData:
 
     __slots__ = ("basis_labels", "nonzero", "unit_coeffs", "involution")
 
-    # Whether the products are known associative, so that the Z+ check
-    # need not decide it (see _GroupoidRing); never for constructed rings.
-    _associative = False
-
     def __init__(self, basis_labels, entries, unit_coeffs, involution):
         self.basis_labels = tuple(basis_labels)
         n = len(self.basis_labels)
@@ -85,26 +91,6 @@ class BasedRingData:
         if len(self.unit_coeffs) != n or len(self.involution) != n:
             raise ShapeError("unit or involution length differs from rank")
 
-    @classmethod
-    def _of(cls, basis_labels, nonzero, unit_coeffs, involution):
-        """Ring with the given stored fields, unchecked.
-
-        The caller keeps the invariant the constructor checks: tuples of
-        ints throughout, nonzero[i][j] the pairs (k, c) in ascending k with
-        k in range(rank) and c non-zero, and unit_coeffs and involution of
-        length rank.  grothendieck_ring builds its ring this way from the
-        products it derives and checks against the composition table, which
-        the Groupoid constructor has validated; the constructor stays for
-        every other input.  The two agree by
-        test_unchecked_ring_equals_checked_ring in
-        tests/test_grothendieck.py."""
-        r = object.__new__(cls)
-        r.basis_labels = basis_labels
-        r.nonzero = nonzero
-        r.unit_coeffs = unit_coeffs
-        r.involution = involution
-        return r
-
     @property
     def rank(self):
         return len(self.basis_labels)
@@ -113,17 +99,6 @@ class BasedRingData:
         """The non-zero constants as (i, j, k, c), sorted."""
         return [(i, j, k, x) for i, plane in enumerate(self.nonzero)
                 for j, row in enumerate(plane) for k, x in row]
-
-    def __eq__(self, other):
-        return (isinstance(other, BasedRingData)
-                and self.basis_labels == other.basis_labels
-                and self.nonzero == other.nonzero
-                and self.unit_coeffs == other.unit_coeffs
-                and self.involution == other.involution)
-
-    def __hash__(self):
-        return hash((self.basis_labels, self.nonzero, self.unit_coeffs,
-                     self.involution))
 
 
 def _int_tuple(values, what):
@@ -139,81 +114,68 @@ def _int_tuple(values, what):
     return values
 
 
-class _GroupoidRing(BasedRingData):
-    """A groupoid's ring as grothendieck_ring derives it.  Its products
-    are the groupoid's composition table, with each composite one basis
-    element of coefficient 1, and the Groupoid constructor has run Light's
-    test on that table with an absorbing zero, the magma _light_associative
-    would test again.  So the Z+ check does not decide associativity."""
-
-    __slots__ = ()
-    _associative = True
-
-
-def _derived_products(cat):
-    """The grade of X_g1 (x) X_g2 for each pair of grades, None where the
-    product is zero, as rows of a table, read off the engine's tensor
-    product; a ConsistencyError where it differs from cat.compose_table.
+def _derive(cat):
+    """(constants, unit_coeffs, involution) of cat's ring: the number of
+    non-zero structure constants, the class of 1 over the basis and the
+    involution, once the engine is checked against the groupoid.  Any
+    difference is a ConsistencyError.
 
     The regular object R has one slot at every grade, so R (x) R is the
     sum of the X_g1 (x) X_g2.  R's one alphabet ranks the letter (g, 0) at
     g, so the slot of R (x) R with code g1 * n + g2 is the product of the
     slots at g1 and g2 (gvec), and its grade is the grade of that
-    product.  One enumeration of R (x) R thus states every constant: 1 at
-    the grade of each pair's slot, and 0 elsewhere.  A pair with more
-    than one slot, at one grade or at several, shows as more slots than
-    the table has composable pairs."""
-    n = cat.morphism_count
-    regular = graded_object(cat, {g: 1 for g in range(n)})
-    square = tensor_obj(regular, regular)
-    derived = [[None] * n for _ in range(n)]
-    slots = 0
-    for h, codes in square.layout.items():
-        slots += len(codes)
-        for c in codes:
-            g1, g2 = divmod(c, n)
-            derived[g1][g2] = h
+    product.  R (x) R must have one slot per composable pair, and each
+    slot must sit at the composite of its pair.  A grade's codes are
+    distinct (gvec), so the two checks leave each composable pair exactly
+    one slot, at its composite: [X_g1][X_g2] is [X_{g1 g2}], and 0 off
+    the composable pairs.  The slots are checked as they are read, with
+    no table of products.
+
+    unit_object must be the sum of the simples at the identity grades,
+    and the left dual of the simple at g the simple at inverse_of[g]."""
     table = cat.compose_table
+    n = len(table)
+    regular = graded_object(cat, {g: 1 for g in range(n)})
+    layout = tensor_obj(regular, regular).layout
+    slots = sum(map(len, layout.values()))
     pairs = n * n - sum(row.count(None) for row in table)
     if slots != pairs:
         raise ConsistencyError(
             "the tensor square of the regular object has %d slots for %d "
             "composable pairs" % (slots, pairs))
-    derived = tuple(map(tuple, derived))
-    if derived != table:
-        g1, g2 = next((g1, g2) for g1 in range(n) for g2 in range(n)
-                      if derived[g1][g2] != table[g1][g2])
+    for h, codes in layout.items():
+        for c in codes:
+            g1, g2 = divmod(c, n)
+            if table[g1][g2] != h:
+                raise ConsistencyError(
+                    "[X_%d][X_%d] is grade %r by the tensor product and %r "
+                    "by the composition table" % (g1, g2, h, table[g1][g2]))
+    if unit_object(cat).mult != {e: 1 for e in cat.identity_of}:
         raise ConsistencyError(
-            "[X_%d][X_%d] is grade %r by the tensor product and %r by the "
-            "composition table" % (g1, g2, derived[g1][g2], table[g1][g2]))
-    return derived
+            "the unit object is not the sum of the simples at the identity "
+            "grades %r" % (cat.identity_grades,))
+    inverse = cat.inverse_of
+    for g in range(n):
+        if dual_obj(simple_object(cat, g)).mult != {inverse[g]: 1}:
+            raise ConsistencyError(
+                "the dual of the simple at %d is not the simple at its "
+                "inverse %d" % (g, inverse[g]))
+    unit = [0] * n
+    for e in cat.identity_of:
+        unit[e] = 1
+    return pairs, tuple(unit), inverse
 
 
 def grothendieck_ring(cat):
-    """[X_i][X_j] = [X_k] for every product k of _derived_products, which
-    equals the composite ij of the composition table, built unchecked
-    (BasedRingData._of) as a _GroupoidRing: one product tuple per grade k,
-    shared by every pair whose product it is.  The class of 1 is read off
-    unit_object, and the involution off dual_obj of each simple."""
-    n = cat.morphism_count
-    products = [((k, 1),) for k in range(n)]
-    nonzero = tuple(tuple(() if k is None else products[k] for k in row)
-                    for row in _derived_products(cat))
-    one = unit_object(cat)
-    unit = tuple(one.m(g) for g in range(n))
-    invol = []
-    for g in range(n):
-        d = dual_obj(simple_object(cat, g))
-        grades = d.grades()
-        if len(grades) != 1 or d.m(grades[0]) != 1:
-            raise ConsistencyError("dual of a simple is not simple")
-        invol.append(grades[0])
-    if sorted(invol) != list(range(n)):
-        raise ConsistencyError("duality is not a basis permutation")
-    for g in range(n):
-        if invol[invol[g]] != g:
-            raise ConsistencyError("duality permutation is not involutive")
-    return _GroupoidRing._of(tuple(range(n)), nonzero, unit, tuple(invol))
+    """cat's ring, built by the checking constructor once _derive has
+    passed: [X_i][X_j] = [X_k] for each composite k of i then j in the
+    composition table.  The reports build no ring; this one is the
+    subject the tests hold ring_report's verdicts to."""
+    _, unit, involution = _derive(cat)
+    entries = [(i, j, k, 1) for i, row in enumerate(cat.compose_table)
+               for j, k in enumerate(row) if k is not None]
+    return BasedRingData(range(cat.morphism_count), entries, unit,
+                         involution)
 
 
 def _light_associative(nz):
@@ -286,7 +248,7 @@ def _zplus_failures(r):
                     out.append({"axiom": "non-negative", "at": [i, j, k]})
     if any(x < 0 for x in r.unit_coeffs):
         out.append({"axiom": "non-negative unit", "at": list(r.unit_coeffs)})
-    if not (r._associative or _light_associative(nz)):
+    if not _light_associative(nz):
         out.extend(_associativity_failures(nz))
     unit = [(i, u) for i, u in enumerate(r.unit_coeffs) if u]
     for j in range(n):
@@ -359,18 +321,21 @@ def _verdict(failures):
     return {"holds": not failures, "failures": failures}
 
 
-def _verdicts(r):
-    """zplus, based and fusion verdicts from one run of each check: based
-    adds the based-ring failures to the Z+ ones, fusion adds the
-    single-unit failure to those."""
-    zplus = _zplus_failures(r)
-    based = zplus + _based_failures(r)
+def _verdicts(zplus, based, unit_coeffs):
+    """zplus, based and fusion verdicts from the Z+ failures and the
+    based-ring ones: based adds its failures to the Z+ ones, fusion adds
+    the single-unit failure to those."""
+    based = zplus + based
     fusion = based
-    if sum(r.unit_coeffs) != 1 or 1 not in r.unit_coeffs:
+    if sum(unit_coeffs) != 1 or 1 not in unit_coeffs:
         fusion = based + [{"axiom": "unit is a single basis element",
-                           "unit_coeffs": list(r.unit_coeffs)}]
+                           "unit_coeffs": list(unit_coeffs)}]
     return {"zplus": _verdict(zplus), "based": _verdict(based),
             "fusion": _verdict(fusion)}
+
+
+def _ring_verdicts(r):
+    return _verdicts(_zplus_failures(r), _based_failures(r), r.unit_coeffs)
 
 
 def is_zplus_ring(r):
@@ -378,30 +343,35 @@ def is_zplus_ring(r):
 
 
 def is_based_ring(r):
-    return _verdicts(r)["based"]
+    return _ring_verdicts(r)["based"]
 
 
 def is_fusion_ring(r):
-    return _verdicts(r)["fusion"]
+    return _ring_verdicts(r)["fusion"]
 
 
 def ring_report(cat, constants=True):
     """The ring of cat, its three verdicts and, with constants (the gr
-    report), its non-zero structure constants as sorted [i, j, k, c]
-    entries.  Without (the audit report, whose category.spec lists the
-    composition table), they are stated once: their count, and that they
-    match the composition table, which grothendieck_ring has checked."""
-    r = grothendieck_ring(cat)
-    doc = {"rank": r.rank, "basis": list(r.basis_labels)}
+    report), its non-zero structure constants as sorted [i, j, k, 1]
+    entries, read off the composition table.  Without (the audit report,
+    whose category.spec lists the composition table), they are stated
+    once: their count, and that they match the composition table, which
+    _derive has checked.  Once _derive passes, the ring axioms are the
+    groupoid axioms (module docstring), so no verdict lists a failure
+    but fusion's single-unit one."""
+    count, unit, involution = _derive(cat)
+    table = cat.compose_table
+    doc = {"rank": len(table), "basis": list(range(len(table)))}
     if constants:
-        doc["structure_constants"] = [list(e) for e in r.entries()]
+        doc["structure_constants"] = [
+            [i, j, k, 1] for i, row in enumerate(table)
+            for j, k in enumerate(row) if k is not None]
     else:
-        doc["nonzero_constants"] = sum(
-            len(p) for plane in r.nonzero for p in plane)
+        doc["nonzero_constants"] = count
         doc["constants_match_composition"] = True
-    doc["unit_coeffs"] = list(r.unit_coeffs)
-    doc["involution"] = list(r.involution)
-    doc.update(_verdicts(r))
+    doc["unit_coeffs"] = list(unit)
+    doc["involution"] = list(involution)
+    doc.update(_verdicts([], [], unit))
     return doc
 
 

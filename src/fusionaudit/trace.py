@@ -213,25 +213,43 @@ _TABLE = (
     TraceEntry(
         "ring-is-based-with-dual-involution",
         "the ring of classes of simples is a based ring whose involution "
-        "is induced by left duals",
-        "grothendieck.grothendieck_ring",
+        "is induced by left duals: the dual of the simple at g is the "
+        "simple at g^-1, and the class of 1 is the sum over the identity "
+        "grades",
+        "grothendieck.ring_report",
         ("tests/test_grothendieck.py::test_involution_antiautomorphism_everywhere",
          "tests/test_grothendieck.py::test_pair2_ring_is_matrix_units_not_fusion",
-         "tests/test_grothendieck.py::test_sparse_ring_expands_to_the_dense_loop")),
+         "tests/test_audit.py::test_ring_unit_and_duals_are_checked")),
     TraceEntry(
         "ring-constants-match-composition",
         "the Grothendieck ring of a groupoid's graded vector spaces is its "
         "groupoid ring: the tensor product of the simples at g and h is "
         "the simple at gh when they compose and zero otherwise, read off "
         "one tensor square of the regular object and checked against the "
-        "composition table; so the ring is associative because the "
-        "validated groupoid is, and only its unit, based and fusion "
-        "checks run on it",
-        "grothendieck.grothendieck_ring",
+        "composition table",
+        "grothendieck.ring_report",
         ("tests/test_audit.py::test_misgraded_ring_constant_raises",
          "tests/test_audit.py::test_audit_counts_the_constants_gr_lists",
          "tests/test_grothendieck.py::test_ring_constant_at_two_grades_raises",
-         "tests/test_grothendieck.py::test_derived_ring_runs_light_test_once")),
+         "tests/test_grothendieck.py::test_sparse_ring_expands_to_the_dense_loop")),
+    TraceEntry(
+        "groupoid-axioms-are-ring-axioms",
+        "on the groupoid ring the based-ring axioms are groupoid axioms the "
+        "groupoid constructor checks: every structure constant is 0 or 1, "
+        "associativity is the composition table's, the unit laws are the "
+        "identity laws, (gh)^-1 = h^-1 g^-1 makes the involution an "
+        "anti-automorphism, and gh is an identity exactly when h = g^-1, "
+        "which is the pairing; so the report states these verdicts "
+        "without checking them on the ring",
+        "groupoid.groupoid_from_spec / grothendieck.ring_report",
+        ("tests/test_grothendieck.py::"
+         "test_ring_report_verdicts_match_the_general_checks",
+         "tests/test_grothendieck.py::"
+         "test_ring_report_verdicts_match_the_general_checks_on_random_"
+         "groupoids",
+         "tests/test_grothendieck.py::test_ring_report_runs_each_check_once",
+         "tests/test_groupoid.py::test_group_validation_messages",
+         "tests/test_groupoid.py::test_explicit_validation")),
     TraceEntry(
         "fusion-ring-iff-one-object",
         "the ring is a fusion ring exactly when the category has a single "
@@ -240,7 +258,8 @@ _TABLE = (
         ("tests/test_audit.py::test_gr_report_fixtures",
          "tests/test_grothendieck.py::test_z2_ring_is_fusion_with_square_identity",
          "tests/test_grothendieck.py::test_union_ring_two_identity_components",
-         "tests/test_grothendieck.py::test_sparse_checks_match_dense_reference")),
+         "tests/test_grothendieck.py::"
+         "test_ring_report_verdicts_match_the_general_checks")),
     TraceEntry(
         "fusion-iff-separable",
         "the ring is fusion exactly when tensoring by every non-zero "

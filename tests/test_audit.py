@@ -19,8 +19,8 @@ from fusionaudit.groupoid import groupoid_from_spec
 from fusionaudit.gvec import (
     GradedObject, cokernel, compose, hom_basis, identity_mor, is_epi,
     is_iso, is_mono, kernel, morphism_from_spec, morphism_to_spec,
-    restriction_inclusion, restriction_projection, tensor_mor, unit_object,
-    zero_mor)
+    restrict_grades, restriction_inclusion, restriction_projection,
+    simple_object, tensor_mor, unit_object, zero_mor)
 from fusionaudit.internal import (
     algebra_from_spec, dualize_algebra, groupoid_algebra, algebra_to_spec,
     validate_algebra)
@@ -533,20 +533,77 @@ def test_gr_report_fixtures():
 
 
 def test_audit_and_gr_build_one_ring_each(monkeypatch):
-    # the fusion cross-check reads ring_report's verdict, not a second ring
+    """The audit and gr each derive the ring once, and build no ring
+    object: the fusion cross-check reads ring_report's verdict."""
     calls = []
-    original = grothendieck.grothendieck_ring
+    original = grothendieck._derive
 
     def counted(cat):
         calls.append(cat)
         return original(cat)
 
-    monkeypatch.setattr(grothendieck, "grothendieck_ring", counted)
+    def forbidden(cat):
+        raise AssertionError("a report built a ring object")
+
+    monkeypatch.setattr(grothendieck, "_derive", counted)
+    monkeypatch.setattr(grothendieck, "grothendieck_ring", forbidden)
     cat = load_fixture("pair2")
     run_audit(cat, samples=2)
     assert len(calls) == 1
     gr_report(cat)
     assert len(calls) == 2
+
+
+def _unit_without_first_identity(original):
+    """unit_object, except that its first identity grade is dropped."""
+    def unit_object(cat):
+        one = original(cat)
+        return restrict_grades(one, one.grades()[1:])
+    return unit_object
+
+
+def _duals_swapped(original, cat):
+    """dual_obj, except that the simples at the first and the last grade
+    take each other's duals."""
+    last = cat.morphism_count - 1
+    swap = {0: last, last: 0}
+
+    def dual_obj(v):
+        if v.mult in ({0: 1}, {last: 1}):
+            v = simple_object(cat, swap[v.grades()[0]])
+        return original(v)
+    return dual_obj
+
+
+@pytest.mark.parametrize("name", ["vec_z2", "pair2"])
+@pytest.mark.parametrize("mutation", ["unit", "duals"])
+def test_ring_unit_and_duals_are_checked(monkeypatch, tmp_path, capsys,
+                                         name, mutation):
+    """The class of 1 must be the identity grades and the involution the
+    inverse: a unit object that misses an identity grade, or duals of two
+    simples swapped so that they still form an involutive permutation of
+    the basis, make the audit and gr raise and the CLI audit exit 3."""
+    cat = load_fixture(name)
+    if mutation == "unit":
+        monkeypatch.setattr(grothendieck, "unit_object",
+                            _unit_without_first_identity(
+                                grothendieck.unit_object))
+    else:
+        dual = _duals_swapped(grothendieck.dual_obj, cat)
+        star = [dual(simple_object(cat, g)).grades()[0]
+                for g in range(cat.morphism_count)]
+        assert sorted(star) == list(range(cat.morphism_count))
+        assert [star[g] for g in star] == list(range(cat.morphism_count))
+        assert tuple(star) != cat.inverse_of
+        monkeypatch.setattr(grothendieck, "dual_obj", dual)
+    with pytest.raises(ConsistencyError):
+        run_audit(cat, samples=2)
+    with pytest.raises(ConsistencyError):
+        gr_report(cat)
+    spec = tmp_path / "cat.json"
+    spec.write_text(json.dumps(fixture_spec(name)))
+    assert cli.main(["audit", "--category", str(spec)]) == 3
+    assert "consistency violation" in capsys.readouterr().err
 
 
 def _misgrading_tensor_obj(original):

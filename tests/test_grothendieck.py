@@ -100,28 +100,6 @@ def test_involution_antiautomorphism_everywhere():
         assert is_fusion_ring(r)["holds"] == (cat.object_count == 1)
 
 
-def test_unchecked_ring_equals_checked_ring():
-    """grothendieck_ring builds through the unchecked _of; the checking
-    constructor, fed the same constants as (i, j, k, 1) entries of the
-    composition table, gives an equal ring, field by field, on the six
-    fixtures and S4."""
-    s4 = groupoid_from_spec(symmetric_group_spec(4, 1))
-    for cat in (VEC, Z2, S3, P2, P3, U22, s4):
-        r = grothendieck_ring(cat)
-        entries = [(i, j, k, 1) for i, row in enumerate(cat.compose_table)
-                   for j, k in enumerate(row) if k is not None]
-        checked = BasedRingData(range(cat.morphism_count), entries,
-                                list(r.unit_coeffs), list(r.involution))
-        assert r == checked and hash(r) == hash(checked)
-        for field in BasedRingData.__slots__:
-            assert type(getattr(r, field)) is tuple
-            assert getattr(r, field) == getattr(checked, field)
-        assert r.entries() == sorted(entries)
-        assert r.unit_coeffs == tuple(
-            int(cat.identity_of[cat.morphisms[g][0]] == g)
-            for g in range(cat.morphism_count))
-
-
 def test_mutated_constants_rejected_with_location():
     r = grothendieck_ring(Z2)
     # killing e*g breaks both the unit law and associativity, localized
@@ -220,16 +198,61 @@ def test_ring_report_shape():
 
 
 def test_ring_report_runs_each_check_once(monkeypatch):
-    calls = {"_zplus_failures": 0, "_based_failures": 0}
-    for name in calls:
-        original = getattr(grothendieck, name)
+    """ring_report derives the ring once and runs none of the general
+    ring checks: its verdicts follow from the validated groupoid."""
+    def forbidden(*args):
+        raise AssertionError("a general ring check ran")
 
-        def counted(r, name=name, original=original):
-            calls[name] += 1
-            return original(r)
-        monkeypatch.setattr(grothendieck, name, counted)
-    ring_report(P2)
-    assert calls == {"_zplus_failures": 1, "_based_failures": 1}
+    for name in ("_zplus_failures", "_based_failures", "_light_associative",
+                 "_associativity_failures", "grothendieck_ring"):
+        monkeypatch.setattr(grothendieck, name, forbidden)
+    calls = []
+    original = grothendieck._derive
+
+    def counted(cat):
+        calls.append(cat)
+        return original(cat)
+
+    monkeypatch.setattr(grothendieck, "_derive", counted)
+    for constants in (True, False):
+        rep = ring_report(P2, constants=constants)
+        assert rep["based"]["holds"] and not rep["fusion"]["holds"]
+    assert calls == [P2, P2]
+
+
+def _report_verdicts(rep):
+    return {k: rep[k] for k in ("zplus", "based", "fusion")}
+
+
+def _general_verdicts(r):
+    return {"zplus": is_zplus_ring(r), "based": is_based_ring(r),
+            "fusion": is_fusion_ring(r)}
+
+
+def test_ring_report_verdicts_match_the_general_checks():
+    """The verdicts ring_report states without checking them are those
+    the general checks decide on the ring grothendieck_ring builds,
+    failure lists included, on the fixtures, S4 and pair4; and the
+    report's unit and involution are that ring's."""
+    s4 = groupoid_from_spec(symmetric_group_spec(4, 1))
+    pair4 = groupoid_from_spec({"kind": "pair", "objects": 4})
+    for cat in (VEC, Z2, S3, P2, P3, U22, s4, pair4):
+        rep = ring_report(cat)
+        r = grothendieck_ring(cat)
+        general = _general_verdicts(r)
+        assert _report_verdicts(rep) == general
+        assert general["fusion"]["holds"] == (cat.object_count == 1)
+        assert rep["structure_constants"] == [list(e) for e in r.entries()]
+        assert tuple(rep["unit_coeffs"]) == r.unit_coeffs
+        assert tuple(rep["involution"]) == r.involution
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_groupoids())
+def test_ring_report_verdicts_match_the_general_checks_on_random_groupoids(
+        cat):
+    assert _report_verdicts(ring_report(cat, constants=False)) == \
+        _general_verdicts(grothendieck_ring(cat))
 
 
 # Dense reference checks: the O(n^5) loops the sparse checks replaced, kept
@@ -463,8 +486,10 @@ def test_s4_ring_skips_the_triple_loop(monkeypatch):
         raise AssertionError("the n^3 associativity loop ran")
 
     monkeypatch.setattr(grothendieck, "_associativity_failures", forbidden)
-    rep = ring_report(groupoid_from_spec(symmetric_group_spec(4, 1)))
+    s4 = groupoid_from_spec(symmetric_group_spec(4, 1))
+    rep = ring_report(s4)
     assert rep["rank"] == 24 and rep["fusion"]["holds"]
+    assert is_fusion_ring(grothendieck_ring(s4))["holds"]
     for cat in (VEC, Z2, S3, P2, P3, U22):
         assert ring_report(cat)["zplus"]["holds"]
 
@@ -506,8 +531,6 @@ def test_sparse_ring_expands_to_the_dense_loop(cat, data):
                            r.unit_coeffs, r.involution)
     assert dense_constants(mutant) == dense
     assert mutant.nonzero == _old_nonzero(dense)
-    assert (mutant == r) == (dense == _old_dense_ring(cat))
-    assert (mutant == r) <= (hash(mutant) == hash(r))
 
 
 def test_ring_report_lists_sorted_entries():
@@ -530,9 +553,9 @@ def test_pair8_ring_section_is_small():
 
 
 def test_derived_ring_runs_light_test_once(monkeypatch):
-    """A ring that grothendieck_ring derives skips _light_associative,
-    which the Groupoid constructor ran on the same table; the same ring
-    built by the public constructor still runs it, once per Z+ check."""
+    """The ring grothendieck_ring builds goes through the checking
+    constructor, so each Z+ check on it runs Light's test once; the
+    reports, which build no ring, never run it."""
     calls = []
     original = grothendieck._light_associative
 
@@ -543,14 +566,11 @@ def test_derived_ring_runs_light_test_once(monkeypatch):
     monkeypatch.setattr(grothendieck, "_light_associative", counted)
     s4 = groupoid_from_spec(symmetric_group_spec(4, 1))
     for cat in (VEC, Z2, S3, P2, P3, U22, s4):
-        r = grothendieck_ring(cat)
         assert ring_report(cat)["zplus"]["holds"]
         assert ring_report(cat, constants=False)["zplus"]["holds"]
-        assert is_zplus_ring(r)["holds"]
         assert calls == []
-        checked = BasedRingData(r.basis_labels, r.entries(), r.unit_coeffs,
-                                r.involution)
-        assert checked == r and is_zplus_ring(checked)["holds"]
+        r = grothendieck_ring(cat)
+        assert is_zplus_ring(r)["holds"]
         assert calls == [r.rank]
         del calls[:]
 
