@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from .audit import check_algebra_report, gr_report, render_report, run_audit
 from .errors import ConsistencyError, GroupoidError, SpecError
@@ -29,8 +30,22 @@ def _load_json(path):
         raise SpecError("%s nests too deeply to parse" % path) from exc
 
 
-def _dump(doc):
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+# Encoder pieces joined into one write by _dump: each piece is a few
+# bytes, and a stdout that writes through (PYTHONUNBUFFERED, python -u)
+# makes every write a system call.
+_PIECES_PER_WRITE = 8192
+
+
+def _dump(doc, fh):
+    """Write doc to fh as every report is written: sorted keys, two-space
+    indent and a final newline, the bytes of json.dumps(doc, sort_keys=True,
+    indent=2) + "\n".  The encoder's pieces are written in batches, so no
+    report is held as one string: on Z1024's gr report (56 MB) that string
+    and its pieces set the peak."""
+    pieces = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+    for first in pieces:
+        fh.write(first + "".join(islice(pieces, _PIECES_PER_WRITE - 1)))
+    fh.write("\n")
 
 
 def _check_report_path(path):
@@ -62,30 +77,29 @@ def _cmd_audit(args):
     report = run_audit(cat, seed=args.seed, corpus_size=args.corpus,
                        samples=args.samples)
     sys.stdout.write(render_report(report))
-    text = _dump(report)
     if args.report is not None:
         try:
             with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                _dump(report, fh)
         except OSError as exc:
             raise SpecError("cannot write %s: %s" % (args.report, exc)) \
                 from exc
     else:
-        sys.stdout.write(text)
+        _dump(report, sys.stdout)
     return 0
 
 
 def _cmd_check_algebra(args):
     cat = groupoid_from_spec(_load_json(args.category))
     doc = check_algebra_report(cat, _load_json(args.algebra))
-    sys.stdout.write(_dump(doc))
+    _dump(doc, sys.stdout)
     return 0
 
 
 def _cmd_gr(args):
     cat = groupoid_from_spec(_load_json(args.category))
     doc = gr_report(cat, seed=args.seed, corpus_size=args.corpus)
-    sys.stdout.write(_dump(doc))
+    _dump(doc, sys.stdout)
     return 0
 
 

@@ -44,8 +44,9 @@ grades are sorted when each of its grades is one run of codes, as in an
 atomic object, and its slots otherwise.  No position map is kept: a
 slot is found by bisecting its left code times R in its grade's codes
 (_slot_starts).  Multiplicities alone come from tensor_mult, with no slot
-enumerated, and a morphism product that reads no slot (tensor_mor of a
-zero factor or of two identities) gets endpoints laid out on first read.
+enumerated.  Atomic objects, and the endpoints of a morphism product that
+reads no slot (tensor_mor of a zero factor or of two identities), are
+laid out on first read.
 One word set can be coded over different sequences (a restriction keeps
 its object's wider alphabets), so codes are compared only over one
 sequence: tensor_mor shares an enumeration only when the layout memo's
@@ -129,10 +130,11 @@ class GradedObject:
     module docstring).  The class has no public constructor: calling it,
     with or without arguments, raises TypeError, and objects come from
     graded_object, simple_object, zero_object, unit_object, the spec
-    parsers and the producers, which build through _of.
+    parsers and the producers, which build through _of, or lazily
+    (_Unlaid, _Unsized; _recipe).
     """
 
-    __slots__ = ("cat", "mult", "seq", "layout", "_hash")
+    __slots__ = ("cat", "mult", "seq", "layout", "_hash", "_recipe")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("GradedObject has no public constructor")
@@ -184,16 +186,74 @@ class GradedObject:
             {g: self.mult[g] for g in self.grades()},)
 
 
+class _Unlaid(GradedObject):
+    """An object whose seq and layout are computed on first read: an
+    atomic one (_recipe None) looks up its alphabet, and v (x) w (_recipe
+    (v, w)) runs _tensor_layout.  The read writes the slots and makes the
+    object a plain GradedObject, so later reads are slot reads."""
+
+    __slots__ = ()
+
+    def _lay_out(self):
+        if self._recipe is None:
+            mult = self.mult
+            alpha = alphabet(self.cat, tuple(sorted(mult.items())))
+            self.__class__ = GradedObject
+            self.seq, self.layout = (alpha,), {g: alpha.codes[g] for g in mult}
+        else:
+            laid = _tensor_layout(*self._recipe)
+            self.__class__ = GradedObject
+            self.mult, self.seq, self.layout = laid.mult, laid.seq, laid.layout
+            self._recipe = None
+        return self
+
+    seq = property(lambda self: self._lay_out().seq)
+    layout = property(lambda self: self._lay_out().layout)
+
+
+class _Unsized(_Unlaid):
+    """v (x) w whose mult is also computed on first read, by _mult_product,
+    in tensor_obj(v, w)'s grade order (both meet grades in the loop over
+    (g1, g2)); that read makes it _Unlaid.  is_zero builds no mult and
+    stops at the first composable pair."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _of_factors(cls, v, w):
+        out = object.__new__(cls)
+        out.cat, out._hash, out._recipe = _same_cat(v, w), None, (v, w)
+        return out
+
+    @property
+    def mult(self):
+        v, w = self._recipe
+        mult = _mult_product(self.cat, v.mult, w.mult)
+        self.__class__ = _Unlaid
+        self.mult = mult
+        return mult
+
+    def is_zero(self):
+        v, w = self._recipe
+        table = self.cat.compose_table
+        for g1 in v.mult:
+            row = table[g1]
+            for g2 in w.mult:
+                if row[g2] is not None:
+                    return False
+        return True
+
+
 def _atomic_object(cat, mult):
     """The atomic object of the positive multiplicity map mult, unchecked:
     one single-letter word (g, a) per slot, a < mult[g], coded over the
-    one atomic alphabet of mult.  mult becomes the object's own."""
+    one atomic alphabet of mult on first read (_Unlaid).  mult becomes the
+    object's own."""
     if not mult:
         return GradedObject._of(cat, mult, (), {})
-    alpha = alphabet(cat, tuple(sorted(mult.items())))
-    codes = alpha.codes
-    return GradedObject._of(cat, mult, (alpha,),
-                            {g: codes[g] for g in mult})
+    v = object.__new__(_Unlaid)
+    v.cat, v.mult, v._hash, v._recipe = cat, mult, None, None
+    return v
 
 
 def graded_object(cat, mult):
@@ -295,7 +355,7 @@ def _tensor_layout(v, w):
     multiplicities can lay out different words).  Equal keys return one
     object, and tensor_mor reads that as both sides enumerating alike;
     an endomorphism pair that reads no slot shares its one lazy endpoint
-    instead (_LazyProduct).  At most _LAYOUT_MEMO_SIZE results are kept;
+    instead (_Unsized).  At most _LAYOUT_MEMO_SIZE results are kept;
     the memo is emptied when full.  Callers share the returned object and
     must not mutate it."""
     cat = _same_cat(v, w)
@@ -434,45 +494,6 @@ def _mult_product(cat, vm, wm):
             if h is not None:
                 out[h] = out.get(h, 0) + m1 * m2
     return out
-
-
-class _LazyProduct(GradedObject):
-    """v (x) w whose slots are laid out on the first read of seq or
-    layout, at most once, by _tensor_layout(v, w).  Its multiplicities
-    come from _mult_product, which meets the grades in the order of
-    _tensor_layout's loop over (g1, g2), since every object keeps mult
-    and layout in one grade order; so the object equals, hashes and
-    orders its grades as tensor_obj(v, w) does before anything is laid
-    out.  tensor_mor gives these endpoints to a product that reads no
-    slot (a zero factor, or two interned identities)."""
-
-    __slots__ = ("_factors", "_laid")
-
-    @classmethod
-    def _of_factors(cls, v, w):
-        cat = _same_cat(v, w)
-        out = object.__new__(cls)
-        out.cat = cat
-        out.mult = _mult_product(cat, v.mult, w.mult)
-        out._hash = None
-        out._factors = (v, w)
-        out._laid = None
-        return out
-
-    def _lay_out(self):
-        laid = self._laid
-        if laid is None:
-            laid = self._laid = _tensor_layout(*self._factors)
-            self._factors = None
-        return laid
-
-    @property
-    def seq(self):
-        return self._lay_out().seq
-
-    @property
-    def layout(self):
-        return self._lay_out().layout
 
 
 def direct_sum_obj(v, w):
@@ -674,8 +695,8 @@ def tensor_mor(f, h):
     before the next one's begins, so every row is built in column order
     and none is sorted.
 
-    Two cases read no slot, and their endpoints are _LazyProduct objects,
-    laid out only if something reads them later:
+    Two cases read no slot, and their endpoints are _Unsized objects,
+    sized and laid out only if something reads them later:
     - A factor with no blocks gives the zero morphism.  An endomorphism
       pair gets one endpoint, source and target, and so do two products
       without slots, which lay out alike.
@@ -697,15 +718,15 @@ def tensor_mor(f, h):
     fs, ft, hs, ht = f.source, f.target, h.source, h.target
     endo = fs is ft and hs is ht
     if not (f.blocks and h.blocks):
-        src = _LazyProduct._of_factors(fs, hs)
+        src = _Unsized._of_factors(fs, hs)
         if not endo:
-            tgt = _LazyProduct._of_factors(ft, ht)
-            if src.mult or tgt.mult:
+            tgt = _Unsized._of_factors(ft, ht)
+            if not (src.is_zero() and tgt.is_zero()):
                 return GradedMorphism._of(src, tgt, {})
         return GradedMorphism._of(src, src, {})
     if (endo and _interned_identity_blocks(f)
             and _interned_identity_blocks(h)):
-        return identity_mor(_LazyProduct._of_factors(fs, hs))
+        return identity_mor(_Unsized._of_factors(fs, hs))
     src = _tensor_layout(fs, hs)
     tgt = _tensor_layout(ft, ht)
     # Equal memo keys return one object; with no memo this never fires.
@@ -884,8 +905,13 @@ def mono_epi(f):
     it is both.  An absent block, zero or with an endpoint that has no
     slots, has rank 0 and is not reduced.  A block of shape t x s has rank
     at most min(t, s), so the shapes rule a side out before any reduction,
-    and the reductions stop once both sides are ruled out."""
-    src, tgt, blocks = f.source.mult, f.target.mult, f.blocks
+    and the reductions stop once both sides are ruled out.  With no block,
+    f is mono or epi exactly when its source or target is zero, which a
+    lazy product answers without its multiplicities."""
+    blocks = f.blocks
+    if not blocks:
+        return f.source.is_zero(), f.target.is_zero()
+    src, tgt = f.source.mult, f.target.mult
     mono = all(g in blocks and m <= tgt[g] for g, m in src.items())
     epi = all(g in blocks and m <= src[g] for g, m in tgt.items())
     for g, b in blocks.items():

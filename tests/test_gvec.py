@@ -1165,7 +1165,9 @@ def test_single_pair_grades_skip_the_sort(monkeypatch):
     """_tensor_layout sorts none of v's slots when each grade of v is one
     run of consecutive codes, and sorts them once otherwise; the only
     other sort it makes is one of v's grades by first code.  All three
-    cases occur: no sort, v's grades only, v's slots."""
+    cases occur: no sort, v's grades only, v's slots.  Both factors are
+    read first, since an atomic object sorts its multiplicities when its
+    slots are first read."""
     rng = random.Random(425)
     cases = [(v, w) for cat in CATS + [S4]
              for objs in [_layout_objects(cat, rng)]
@@ -1181,6 +1183,7 @@ def test_single_pair_grades_skip_the_sort(monkeypatch):
     kinds = set()
     for v, w in cases:
         gvec._layout_memo.clear()
+        v.layout, w.layout  # lay out atomic factors before counting
         sorts.clear()
         _tensor_layout(v, w)
         slots = sorted((c, g) for g, codes in v.layout.items()
@@ -1374,19 +1377,23 @@ def _no_slot_products(cat, rng):
 def test_lazy_endpoints_lay_out_as_tensor_obj(cat, seed):
     """A product that reads no slot gets endpoints that are laid out on
     first read; an endomorphism pair gets one endpoint, as source and
-    target.  Once read, each endpoint has tensor_obj's multiplicities in
-    its grade order, its sequence, its layout in its grade order and its
-    slot words, and the product equals the dense reference."""
+    target.  An endpoint is not a plain GradedObject before its first read
+    and is one after.  Once read, each endpoint has tensor_obj's
+    multiplicities in its grade order, its sequence, its layout in its
+    grade order and its slot words, and the product equals the dense
+    reference."""
     rng = random.Random(seed)
     for f, h in _no_slot_products(cat, rng):
         got = tensor_mor(f, h)
         if f.source is f.target and h.source is h.target:
             assert got.source is got.target
+        assert type(got.source) is not GradedObject
+        assert type(got.target) is not GradedObject
         for end, v, w in ((got.source, f.source, h.source),
                           (got.target, f.target, h.target)):
-            assert isinstance(end, gvec._LazyProduct)
             ref = tensor_obj(v, w)
             assert end.seq == ref.seq
+            assert type(end) is GradedObject
             assert list(end.layout.items()) == list(ref.layout.items())
             assert list(end.mult.items()) == list(ref.mult.items())
             assert slot_words(end) == slot_words(ref)
@@ -1418,6 +1425,79 @@ def test_zero_factor_lays_out_nothing_until_read(monkeypatch):
             assert memo.stores == 1
             assert got.source.layout is layout and got.source.seq is not None
             assert memo.stores == 1
+
+
+def test_zero_sample_tensor_looks_nothing_up(monkeypatch):
+    """A sampled f (x) id_A with f zero, as the conditions re-verify on
+    S4, decides mono and epi without an alphabet lookup or a product's
+    multiplicities: the sampled objects are laid out only on first read
+    and the product's endpoints only answer is_zero."""
+    rng = random.Random(430)
+    c = groupoid_algebra(S4, range(S4.object_count)).carrier
+    calls = []
+
+    def refused(*args):
+        calls.append(args)
+        raise AssertionError("called")
+
+    cases = []
+    for _ in range(20):
+        v = random_object(S4, rng, allow_zero=True)
+        w = random_object(S4, rng, allow_zero=True)
+        with monkeypatch.context() as m:
+            for owner in (gvec, slotcodes):
+                m.setattr(owner, "alphabet", refused)
+            m.setattr(gvec, "_mult_product", refused)
+            got = gvec.mono_epi(tensor_mor(zero_mor(v, w), identity_mor(c)))
+        cases.append((v, w, got))
+    assert calls == []
+    assert {got for _, _, got in cases} > {(False, False)}
+    for v, w, got in cases:
+        assert got == (not gvec.tensor_mult(v, c), not gvec.tensor_mult(w, c))
+
+
+def _eager_atomic(v):
+    """The atomic object of v's multiplicities, built from its words: the
+    layout an atomic object had when it was laid out as it was made."""
+    return from_words(v.cat, {g: tuple(((g, a),) for a in range(m))
+                              for g, m in v.mult.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_groupoids(), st.integers(0, 2**32 - 1))
+def test_lazy_objects_read_as_eager_ones(cat, seed):
+    """Atomic objects (samples, sums, kernels, cokernels, images) and the
+    endpoints of products that read no slot are not plain GradedObjects
+    until read.  Once read, each is one, with the eager construction's
+    multiplicities in their grade order, sequence, layout in its grade
+    order and slot words.  A product's is_zero before the read is
+    tensor_mult's emptiness, also on pair groupoids and unions, where
+    products vanish."""
+    rng = random.Random(seed)
+    x = random_object(cat, rng, max_total=3)
+    y = random_object(cat, rng, max_total=3)
+    f = random_morphism(x, direct_sum_obj(x, y), rng)
+    atomic = [random_object(cat, rng, max_total=3), direct_sum_obj(y, x),
+              kernel(f)[0], cokernel(f)[0], image_factorization(f)[0].target]
+    objs = [zero_object(cat), unit_object(cat), x, y,
+            tensor_obj(x, dual_obj(y))]
+    products = []
+    for _ in range(6):
+        v, w = rng.choice(objs), rng.choice(objs)
+        got = tensor_mor(zero_mor(v, v), identity_mor(w))
+        assert got.source.is_zero() == (not gvec.tensor_mult(v, w))
+        products.append((got.source, tensor_obj(v, w)))
+        got = tensor_mor(identity_mor(v), identity_mor(w))
+        products.append((got.source, tensor_obj(v, w)))
+    pairs = [(v, _eager_atomic(v)) for v in atomic] + products
+    assert all(type(v) is not GradedObject for v, ref in pairs if ref.mult)
+    for v, ref in pairs:
+        assert slot_words(v) == slot_words(ref)
+        assert type(v) is GradedObject
+        assert v.seq == ref.seq
+        assert list(v.mult.items()) == list(ref.mult.items())
+        assert list(v.layout.items()) == list(ref.layout.items())
+        check_layout(v)
 
 
 def test_s4_audit_lays_out_few_products(monkeypatch):
