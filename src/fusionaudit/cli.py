@@ -30,9 +30,10 @@ def _load_json(path):
         raise SpecError("%s nests too deeply to parse" % path) from exc
 
 
-# Encoder pieces joined into one write by _dump: each piece is a few
-# bytes, and a stdout that writes through (PYTHONUNBUFFERED, python -u)
-# makes every write a system call.
+# Encoder pieces joined into one write by _dump.  The encoder yields a
+# piece per token, 7.3 million on Z1024's gr report, and each text-stream
+# write costs 0.1-1 us even when buffered: there json.dump, one write per
+# piece, takes 3.8-12 s to a file or a piped stdout, and batches 2.4-3.3 s.
 _PIECES_PER_WRITE = 8192
 
 
