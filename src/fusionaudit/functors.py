@@ -18,12 +18,12 @@ otherwise the property holds exactly, and a seeded sample re-verifies it.
 from bisect import bisect_left
 from fractions import Fraction
 
-from .corpus import _below, random_morphism, random_object
+from .corpus import random_morphism, random_object
 from .errors import ConsistencyError, ShapeError
 from .exactlin import Matrix
 from .gvec import (
-    GradedMorphism, _atomic_object, compose, hom_basis, identity_mor, is_epi,
-    is_iso, is_mono, mono_epi, restrict_grades, restriction_inclusion,
+    GradedMorphism, compose, hom_basis, identity_mor, is_epi, is_iso,
+    is_mono, mono_epi, restrict_grades, restriction_inclusion,
     restriction_projection, simple_object, tensor_mor, tensor_obj,
     unit_object, unit_summand, zero_mor, zero_object)
 from .internal import grades_within
@@ -374,24 +374,6 @@ def _zero_one(rows, cols, ones):
     return Matrix._of(rows, cols, tuple(data))
 
 
-def _random_sub_object(cat, objs, rng, max_total=3):
-    """random_object(cat, rng, max_total) restricted to the grades inside
-    objs x objs: the same draws, counting only the grades kept, built as
-    the atomic object of those multiplicities.  That has the same words as
-    the restriction, coded as every atomic object of those multiplicities
-    is, so its tensor products share memoised slot enumerations with
-    theirs."""
-    grades = grades_within(cat, objs)
-    total = 1 + _below(rng, max_total)
-    count = cat.morphism_count
-    mult = {}
-    for _ in range(total):
-        g = _below(rng, count)
-        if g in grades:
-            mult[g] = mult.get(g, 0) + 1
-    return _atomic_object(cat, mult)
-
-
 def check_inclusion_frobenius(cat, objs, rng, samples=6):
     """Separable Frobenius structure of the inclusion, checked literally:
     unitality (projection and inclusion of 1 act as identities on
@@ -403,9 +385,9 @@ def check_inclusion_frobenius(cat, objs, rng, samples=6):
     if compose(phi0, psi0) != identity_mor(rj.one_j):
         return False
     for _ in range(samples):
-        x = _random_sub_object(cat, objs, rng)
-        y = _random_sub_object(cat, objs, rng)
-        z = _random_sub_object(cat, objs, rng)
+        x = rj.obj(random_object(cat, rng, max_total=3))
+        y = rj.obj(random_object(cat, rng, max_total=3))
+        z = rj.obj(random_object(cat, rng, max_total=3))
         idx = identity_mor(x)
         # unit axioms, lax and colax, both sides
         if tensor_mor(phi0, idx) != idx or tensor_mor(idx, phi0) != idx:
@@ -481,11 +463,13 @@ class ProjectionFunctor:
 
         When x and y lie inside J, as every object does on a one-object
         groupoid, R keeps them and x (x) y whole (restrict_grades returns
-        its argument), and both products are one memoised object: then
+        its argument), and both products are the one object x (x) y: then
         R(x) (x) R(y) is R(x (x) y), and every row is the identity, with
         nothing bisected."""
-        small = tensor_obj(self.obj(x), self.obj(y))
-        big = self.obj(tensor_obj(x, y))
+        rx, ry = self.obj(x), self.obj(y)
+        xy = tensor_obj(x, y)
+        big = self.obj(xy)
+        small = xy if rx is x and ry is y else tensor_obj(rx, ry)
         if small is big:
             return small, big, {h: list(range(m))
                                 for h, m in small.mult.items()}
@@ -609,7 +593,7 @@ def frobenius_pair_check(cat, objs, rng, samples=6):
     full hom bases, plus naturality squares on sampled morphisms."""
     rj = ProjectionFunctor(cat, objs)
     for _ in range(samples):
-        b = _random_sub_object(cat, objs, rng)
+        b = rj.obj(random_object(cat, rng, max_total=3))
         a = random_object(cat, rng, max_total=3)
         ra = rj.obj(a)
         inc = restriction_inclusion(a, rj.grades)
@@ -636,7 +620,7 @@ def frobenius_pair_check(cat, objs, rng, samples=6):
             if rj.mor(compose(g, proj)) != g:
                 return False
         # naturality of the first bijection in both arguments
-        b2 = _random_sub_object(cat, objs, rng)
+        b2 = rj.obj(random_object(cat, rng, max_total=3))
         a2 = random_object(cat, rng, max_total=3)
         s = random_morphism(b2, b, rng)
         t = random_morphism(a, a2, rng)

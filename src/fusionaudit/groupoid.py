@@ -38,12 +38,7 @@ class Groupoid:
     morphisms[g] is the (source, target) pair of morphism g, and
     compose_table[g1][g2] is the index of "g1 then g2", or None when the
     target of g1 is not the source of g2.  identity_of[i] is the identity
-    morphism of object i, and inverse_of[g] the inverse of g.
-
-    slot_alphabets is the one mutable attribute: the table that hash-conses
-    the slot alphabets of objects over this groupoid (see slotcodes), not
-    part of the groupoid's identity.  It is bounded, so it stays small
-    however many audits reuse the groupoid."""
+    morphism of object i, and inverse_of[g] the inverse of g."""
 
     def __init__(self, object_count, morphisms, identity_of, compose_table,
                  inverse_of, spec=None):
@@ -58,7 +53,6 @@ class Groupoid:
         self._validate()
         self.identity_grades = tuple(sorted(self.identity_of))
         self._hash = hash(self._key())
-        self.slot_alphabets = {}
 
     # -- basic lookups ----------------------------------------------------
 

@@ -26,13 +26,13 @@ every word sits at its own grade: a non-empty word at the composite of its
 letters' grades, the empty word at an identity grade.
 
 Slot codes (how words are stored; see slotcodes).  No word is built: an
-object stores a factor sequence seq, a tuple of hash-consed alphabets, and
-per grade the sorted tuple of its slots' codes, each word's letter ranks
-in mixed radix over seq.  Codes over one sequence compare exactly as words
-do.  A tensor product concatenates the sequences, and its codes are
-c1 * R + c2, R the product of the right factor's alphabet sizes; the
-unit's sequence is empty and its one code is 0, so the unit laws and
-strictness hold for codes as they do for words.  A direct sum is coded
+object stores a factor sequence seq, a tuple of alphabets, and per grade
+the sorted tuple of its slots' codes, each word's letter ranks in mixed
+radix over seq.  Codes over one sequence compare exactly as words do.  A
+tensor product concatenates the sequences, and its codes are c1 * R + c2,
+R the product of the right factor's alphabet sizes; the unit's sequence
+is empty and its one code is 0, so the unit laws and strictness hold for
+codes as they do for words.  A direct sum is coded
 over the one atomic alphabet of its multiplicities; a dual reverses the
 sequence and stars each alphabet once, then sorts each grade's codes
 once; restricting grades keeps the sequence.  The words of a tensor
@@ -49,9 +49,9 @@ reads no slot (tensor_mor of a zero factor or of two identities), are
 laid out on first read.
 One word set can be coded over different sequences (a restriction keeps
 its object's wider alphabets), so codes are compared only over one
-sequence: tensor_mor shares an enumeration only when the layout memo's
-keys, sequences included, agree.  No code is turned back into a word, and
-no object is built from words.
+sequence, and tensor_mor enumerates one product for both of its sides
+only when they are one object (an endomorphism pair).  No code is turned
+back into a word, and no object is built from words.
 
 Object equality is equality of multiplicity maps (words are bookkeeping,
 not identity).  Morphism equality is structural equality of normalized
@@ -78,7 +78,7 @@ from operator import itemgetter
 from .errors import CategoryMismatch, ShapeError, SpecError
 from .exactlin import Matrix, kernel_basis, parse_rat, rat_str
 from .groupoid import _spec_ints
-from .slotcodes import alphabet, radix, ranks, starrer
+from .slotcodes import Alphabet, radix, ranks, starrer
 
 __all__ = [
     "GradedObject", "GradedMorphism",
@@ -188,7 +188,7 @@ class GradedObject:
 
 class _Unlaid(GradedObject):
     """An object whose seq and layout are computed on first read: an
-    atomic one (_recipe None) looks up its alphabet, and v (x) w (_recipe
+    atomic one (_recipe None) builds its alphabet, and v (x) w (_recipe
     (v, w)) runs _tensor_layout.  The read writes the slots and makes the
     object a plain GradedObject, so later reads are slot reads."""
 
@@ -197,7 +197,7 @@ class _Unlaid(GradedObject):
     def _lay_out(self):
         if self._recipe is None:
             mult = self.mult
-            alpha = alphabet(self.cat, tuple(sorted(mult.items())))
+            alpha = Alphabet(tuple(sorted(mult.items())))
             self.__class__ = GradedObject
             self.seq, self.layout = (alpha,), {g: alpha.codes[g] for g in mult}
         else:
@@ -297,26 +297,8 @@ def _same_cat(*items):
     return cat
 
 
-# Bound on the number of remembered slot enumerations (see _tensor_layout).
-# The memo also decides sharing for the products tensor_mor lays out: it
-# enumerates both sides once, and takes its identity shortcut for factors
-# that are not endomorphisms, exactly when both lookups return one result.
-# Products that read no slot (a zero factor, two interned-identity
-# endomorphisms) never reach it.  One S4 audit (element order from seed 1;
-# audit seed 1, corpus 2, samples 6; memo emptied first) makes 163 lookups
-# and 105 enumerations (2,185 slots) at any bound from 16 up, and the S6
-# and Z1024 audits are as flat.  The six fixtures at seed 1, corpus 2,
-# samples 12 make 3,856 enumerations at 16, 3,524 at 32 and 3,162 at 64,
-# in the same time (a 0.79-0.82 s median pass of three seeds at 16 to
-# 128); below 16 both counts rise.  A smaller bound keeps less alive
-# between audits: perfbench s4 peak RSS, bytecode cached, read 21.7-21.9
-# MB at 16, 21.9-22.0 at 32 and 22.1-22.3 at 64 (2-vCPU Xeon).
-_LAYOUT_MEMO_SIZE = 16
-_layout_memo = {}
-
-
 def _tensor_layout(v, w):
-    """Enumerate the slots of v (x) w once, and return v (x) w.
+    """Enumerate the slots of v (x) w, and return v (x) w.
 
     The slot (g1, i, g2, j) has the code v.layout[g1][i] * R +
     w.layout[g2][j] over v.seq + w.seq, with R = radix(w.seq).  Slots are
@@ -349,24 +331,14 @@ def _tensor_layout(v, w):
     stand, and otherwise that loop runs once more, without enumerating,
     until it has met every grade.
 
-    The result depends only on the groupoid and the two coded layouts,
-    sequences included, so it is remembered under exactly those (object
-    equality compares multiplicities only, and objects with equal
-    multiplicities can lay out different words).  Equal keys return one
-    object, and tensor_mor reads that as both sides enumerating alike;
-    an endomorphism pair that reads no slot shares its one lazy endpoint
-    instead (_Unsized).  At most _LAYOUT_MEMO_SIZE results are kept;
-    the memo is emptied when full.  Callers share the returned object and
-    must not mutate it."""
+    Nothing is kept between calls: each call enumerates afresh, and a
+    caller that needs one layout for two sides reuses the one object
+    returned (tensor_mor's endomorphism pairs)."""
     cat = _same_cat(v, w)
     vl, wl = v.layout, w.layout
-    key = (cat, v.seq, tuple(vl.items()), w.seq, tuple(wl.items()))
-    hit = _layout_memo.get(key)
-    if hit is not None:
-        return hit
     table = cat.compose_table
-    runs, in_order = _code_runs(key[2])
-    r, wi = radix(w.seq), key[4]
+    runs, in_order = _code_runs(tuple(vl.items()))
+    r, wi = radix(w.seq), tuple(wl.items())
     acc = {}
     for g1, cs1 in runs:
         row = table[g1]
@@ -418,11 +390,7 @@ def _tensor_layout(v, w):
                     left -= 1
             if not left:
                 break
-    out = GradedObject._of(cat, mult, v.seq + w.seq if mult else (), layout)
-    if len(_layout_memo) >= _LAYOUT_MEMO_SIZE:
-        _layout_memo.clear()
-    _layout_memo[key] = out
-    return out
+    return GradedObject._of(cat, mult, v.seq + w.seq if mult else (), layout)
 
 
 def _code_runs(items):
@@ -685,15 +653,13 @@ def tensor_mor(f, h):
     and g2 of h, are visited, and within them only pairs of non-zero
     factor entries: a pair costs nnz(f at g1) * nnz(h at g2) products, and
     a factor equal to 1 is not multiplied.  Each side's slots are
-    enumerated through _tensor_layout, and both sides share one
-    enumeration exactly when its memo returns one result for both: each
-    factor's target has the same sequence and the same ordered layout as
-    its source.  Rows and columns are found by _slot_starts: row (i, j)
-    is rstart[i] + j and column (ci, cj) is cstart[ci] + cj, where rstart
-    and cstart bisect f's target and source codes at g1 into the two
-    products' codes at g1.g2.  Each left slot's run of positions ends
-    before the next one's begins, so every row is built in column order
-    and none is sorted.
+    enumerated through _tensor_layout, once for both sides when both
+    factors are endomorphisms, and otherwise once per side.  Rows and
+    columns are found by _slot_starts: row (i, j) is rstart[i] + j and
+    column (ci, cj) is cstart[ci] + cj, where rstart and cstart bisect
+    f's target and source codes at g1 into the two products' codes at
+    g1.g2.  Each left slot's run of positions ends before the next one's
+    begins, so every row is built in column order and none is sorted.
 
     Two cases read no slot, and their endpoints are _Unsized objects,
     sized and laid out only if something reads them later:
@@ -701,20 +667,16 @@ def tensor_mor(f, h):
       pair gets one endpoint, source and target, and so do two products
       without slots, which lay out alike.
     - Two endomorphisms whose every block is the interned identity give
-      identity_mor of one endpoint.
+      identity_mor of one endpoint, built with no row.
 
     Identities pass through without arithmetic.  Only the interned
     Matrix.identity counts; an equal hand-built block takes the general
-    path, with the same result.
-    - When both sides share one enumeration and every block of both
-      factors is the identity, the product is identity_mor of the product
-      object, built with no row (the endomorphism case above, and a target
-      with its source's sequence and ordered layout).
-    - When one block of a factor pair is the identity, each output row is
-      the other block's row re-indexed: no product and no == 1 test.  With
-      f's block the identity, row (i, j) is row j of h's block, column cj
-      sent to cstart[i] + cj; with h's block the identity, it is row i of
-      f's block, column ci sent to cstart[ci] + j."""
+    path, with the same result.  When one block of a factor pair is the
+    identity, each output row is the other block's row re-indexed: no
+    product and no == 1 test.  With f's block the identity, row (i, j) is
+    row j of h's block, column cj sent to cstart[i] + cj; with h's block
+    the identity, it is row i of f's block, column ci sent to
+    cstart[ci] + j."""
     fs, ft, hs, ht = f.source, f.target, h.source, h.target
     endo = fs is ft and hs is ht
     if not (f.blocks and h.blocks):
@@ -728,12 +690,7 @@ def tensor_mor(f, h):
             and _interned_identity_blocks(h)):
         return identity_mor(_Unsized._of_factors(fs, hs))
     src = _tensor_layout(fs, hs)
-    tgt = _tensor_layout(ft, ht)
-    # Equal memo keys return one object; with no memo this never fires.
-    shared = tgt is src
-    if (shared and _interned_identity_blocks(f)
-            and _interned_identity_blocks(h)):
-        return identity_mor(src)
+    tgt = src if endo else _tensor_layout(ft, ht)
     table, hblocks = src.cat.compose_table, h.blocks.items()
     fsl, sl, rs = f.source.layout, src.layout, radix(h.source.seq)
     ftl, tl, rt = f.target.layout, tgt.layout, radix(h.target.seq)
@@ -747,7 +704,7 @@ def tensor_mor(f, h):
                 continue
             data = filled.get(g) or filled.setdefault(g, [()] * tgt.mult[g])
             rstart = _slot_starts(tl[g], ftl[g1], rt)
-            cstart = rstart if shared else _slot_starts(sl[g], fsl[g1], rs)
+            cstart = rstart if endo else _slot_starts(sl[g], fsl[g1], rs)
             hrows = hb.sparse
             if fid:
                 for j, hrow in enumerate(hrows):

@@ -7,19 +7,14 @@ dual slots reverse the word and star its letters, so every letter is
 atomic.  No word is built.  An object stores a factor sequence, a tuple
 of alphabets, and per grade the sorted tuple of its slots' codes.  An
 alphabet is the ordered set of letters one word position can hold: the
-letters (g, a), a < m, for each (g, m) of its parts.  It is hash-consed
-per groupoid (alphabet; Filliatre and Conchon, "Type-safe modular
-hash-consing", ML Workshop 2006), so equal alphabets are one object and
-sequences compare element by element by identity.  The table is bounded
-(_TABLE_SIZE) and emptied when full, so two equal alphabets made on
-either side of an emptying are two objects.  Nothing rests on distinct
-alphabets differing: codes are compared only over one sequence, and a
-memo keyed on sequences that are not identical only misses
-(gvec.tensor_mor then enumerates each side on its own).  A word's code is
-its letters' ranks read in mixed radix over the sequence, the first
-letter most significant.  All words of an object have one length and
-every alphabet ranks its letters in letter order, so codes over one
-sequence compare, and are equal, exactly as words do.
+letters (g, a), a < m, for each (g, m) of its parts.  Each object builds
+its own alphabets, and nothing compares two alphabets: codes are
+compared only over one sequence, which a restriction keeps and a tensor
+product concatenates.  A word's code is its letters' ranks read in mixed
+radix over the sequence, the first letter most significant.  All words
+of an object have one length and every alphabet ranks its letters in
+letter order, so codes over one sequence compare, and are equal, exactly
+as words do.
 
 Each alphabet stars once (_star): the alphabet of its starred letters and
 the letter permutation into it are cached on the alphabet, so a dual
@@ -30,17 +25,16 @@ tests/slotwords.py, the reference the word-form tests compare codes
 against.
 """
 
-__all__ = ["alphabet", "radix", "ranks", "starrer"]
+__all__ = ["Alphabet", "radix", "ranks", "starrer"]
 
 
-class _Alphabet:
+class Alphabet:
     """The letters one word position can hold, ranked in letter order.
 
     parts is a tuple of (g, m) in increasing g, and the letters are
     (g, a) for a < m, ranked by (g, a).  size is the number of letters;
     star caches _star's result, and codes maps each g to the tuple of the
-    codes of its letters (g, a).  Build alphabets through alphabet
-    only, so that equal ones are one object."""
+    codes of its letters (g, a)."""
 
     __slots__ = ("parts", "size", "star", "codes")
 
@@ -52,27 +46,6 @@ class _Alphabet:
             self.codes[g] = tuple(range(start, start + m))
             start += m
         self.size = start
-
-
-# Bound on the alphabets a groupoid's table keeps (see alphabet).  One S4
-# audit (element order from seed 3, audit seed 1, corpus 2, samples 6)
-# makes 345 and each further audit seed ~150-250 more, so at 512 repeated
-# audits of one seed never empty the table, and audits at new seeds keep
-# it from growing past 512.
-_TABLE_SIZE = 512
-
-
-def alphabet(cat, parts):
-    """The alphabet of cat with these parts: one object per groupoid and
-    content (hash-consing) while the groupoid's slot_alphabets table holds
-    it.  The table is emptied when it holds _TABLE_SIZE alphabets."""
-    table = cat.slot_alphabets
-    a = table.get(parts)
-    if a is None:
-        if len(table) >= _TABLE_SIZE:
-            table.clear()
-        a = table[parts] = _Alphabet(parts)
-    return a
 
 
 def radix(seq):
@@ -99,8 +72,7 @@ def _star(cat, a):
     (inv(g), a).  Computed once per alphabet."""
     if a.star is None:
         inv = cat.inverse_of
-        starred = alphabet(cat, tuple(sorted((inv[g], m)
-                                             for g, m in a.parts)))
+        starred = Alphabet(tuple(sorted((inv[g], m) for g, m in a.parts)))
         perm = []
         for g, _ in a.parts:
             perm += starred.codes[inv[g]]

@@ -12,12 +12,19 @@ the form the module docstrings describe: a word is a tuple of letters
 from fusionaudit.errors import ShapeError
 from fusionaudit.gvec import GradedObject, _slot_starts, _tensor_layout
 from fusionaudit.internal import _pair_stretches, _stretch_columns
-from fusionaudit.slotcodes import alphabet, radix
+from fusionaudit.slotcodes import Alphabet, radix
 
 
 def letters(a):
     """The alphabet a's letters in rank order."""
     return [(g, i) for g, m in a.parts for i in range(m)]
+
+
+def seq_parts(seq):
+    """The parts of each alphabet of seq.  Alphabets are built afresh for
+    every object, so two sequences code the same words alike exactly when
+    their parts agree, whether or not they hold one alphabet object."""
+    return tuple(a.parts for a in seq)
 
 
 def decode(seq, codes):
@@ -67,7 +74,7 @@ def _position_alphabet(cat, found):
     top = {}
     for g, i in found:
         top[g] = max(top.get(g, 0), i + 1)
-    a = alphabet(cat, tuple(sorted(top.items())))
+    a = Alphabet(tuple(sorted(top.items())))
     return a, {l: a.codes[l[0]][l[1]] for l in found}
 
 

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -393,22 +394,18 @@ def test_corpus_carriers_fit_object_specs(monkeypatch):
         algebra_from_spec(cat, {"gen": "sum", "parts": parts})
 
 
-def test_alphabet_table_stays_bounded_and_reports_hold(monkeypatch):
-    """A groupoid audited again and again keeps at most
-    slotcodes._TABLE_SIZE slot alphabets.  With the bound cut to 8 the
-    table is emptied many times within each audit, so equal alphabets are
-    often two objects, and the reports are still the ones a fresh
-    groupoid with the full bound writes."""
-    from fusionaudit import slotcodes
-    from fusionaudit.groupoid import groupoid_from_spec
+def test_no_state_outlives_an_audit():
+    """Audits of one groupoid object, at seeds 1, 2 and 1 again, write
+    the reports that fresh groupoids write and leave every attribute of
+    the groupoid as it was: nothing one audit makes reaches the next."""
     spec = symmetric_group_spec(4, 1)
-    want = [run_audit(groupoid_from_spec(spec), seed=seed)
-            for seed in (1, 2)]
-    monkeypatch.setattr(slotcodes, "_TABLE_SIZE", 8)
+    want = {seed: run_audit(groupoid_from_spec(spec), seed=seed)
+            for seed in (1, 2)}
     cat = groupoid_from_spec(spec)
-    for seed in (1, 2):
-        assert run_audit(cat, seed=seed) == want[seed - 1]
-        assert 0 < len(cat.slot_alphabets) <= 8
+    before = copy.deepcopy(vars(cat))
+    for seed in (1, 2, 1):
+        assert run_audit(cat, seed=seed) == want[seed]
+        assert vars(cat) == before
 
 
 def test_report_structural_section():

@@ -98,6 +98,8 @@ KEPT = {
     "fusionaudit.groupoid.Groupoid.__eq__":
         "structural equality; objects over equal but distinct groupoids "
         "compare through it",
+    "fusionaudit.groupoid.Groupoid.__hash__":
+        "goes with __eq__; GradedObject.__hash__ hashes its groupoid",
     "fusionaudit.groupoid.Groupoid.__repr__":
         "failure path: names the groupoid in a failing assertion",
     "fusionaudit.gvec.GradedObject.__init__":

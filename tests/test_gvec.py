@@ -17,7 +17,7 @@ from fusionaudit.errors import (
     CategoryMismatch, ConsistencyError, ShapeError, SpecError)
 from fusionaudit.exactlin import Matrix
 from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
-from fusionaudit.functors import ProjectionFunctor, _random_sub_object
+from fusionaudit.functors import ProjectionFunctor
 from fusionaudit.groupoid import MAX_MORPHISMS, groupoid_from_spec
 from fusionaudit.gvec import (
     GradedMorphism, GradedObject, _same_cat, _tensor_layout, compose, cokernel,
@@ -29,11 +29,11 @@ from fusionaudit.gvec import (
     total_mult, unit_object, unit_summand, zero_mor, zero_object)
 from fusionaudit.internal import (
     InternalAlgebra, InternalCoalgebra, direct_sum_algebra, dualize_algebra,
-    dualize_coalgebra, grades_within, groupoid_algebra, internal_end,
-    restriction_data, support, unit_summand_algebra)
+    dualize_coalgebra, groupoid_algebra, internal_end, restriction_data,
+    support, unit_summand_algebra)
 from fusionaudit.morphcalc import find_retraction, find_section
 from slotwords import (
-    bisected_pos, from_words, slot_words, sorted_tensor_words)
+    bisected_pos, from_words, seq_parts, slot_words, sorted_tensor_words)
 
 Z2 = load_fixture("vec_z2")
 S3 = load_fixture("vec_s3")
@@ -631,8 +631,8 @@ def test_unchecked_producers_match_validating_constructors(cat, seed):
 
 def test_hot_producers_skip_validation(monkeypatch):
     """tensor_mor, compose, restrict_grades, dual_morphism, the projection
-    functor's phi and psi, and the samplers random_object, random_morphism
-    and _random_sub_object build their values unchecked: none calls
+    functor's phi and psi, and the samplers random_object and
+    random_morphism build their values unchecked: none calls
     _normalize_blocks, which GradedMorphism(...) calls, Matrix(...), which
     coerces every entry, or _spec_ints, which graded_object calls."""
     rng = random.Random(424)
@@ -661,11 +661,10 @@ def test_hot_producers_skip_validation(monkeypatch):
     monkeypatch.setattr(gvec, "_normalize_blocks", counted_normalize)
     monkeypatch.setattr(Matrix, "__init__", counted_matrix_init)
     monkeypatch.setattr(gvec, "_spec_ints", counted_spec_ints)
-    monkeypatch.setattr(gvec, "_layout_memo", {})
     built = [tensor_mor(f, g), compose(g, f), restrict_grades(x, {0, 1}),
              dual_morphism(f), rj.phi(match), rj.psi(match),
              random_morphism(x, y, rng, zero_weight=1),
-             random_object(P3, rng), _random_sub_object(P3, {0, 1}, rng)]
+             random_object(P3, rng)]
     assert calls == []
     assert not any(built[i].is_zero() for i in (0, 1, 3, 4, 5, 6))
     GradedMorphism(x, x, {})
@@ -705,15 +704,9 @@ def _validating_morphism(v, w, rng, zero_weight=2):
     return f, len(blocks) - len(f.blocks)
 
 
-def _validating_sub_object(cat, objs, rng, max_total=3):
-    x = _validating_object(cat, rng, max_total=max_total)
-    return graded_object(cat, {g: m for g, m in x.mult.items()
-                               if g in grades_within(cat, objs)})
-
-
 def _same_object(x, y):
     assert list(x.mult.items()) == list(y.mult.items())
-    assert x.seq == y.seq and x.layout == y.layout
+    assert seq_parts(x.seq) == seq_parts(y.seq) and x.layout == y.layout
 
 
 def _same_morphism(f, g):
@@ -729,7 +722,6 @@ def _compare_samplers(cat, seed, zero_weight):
     from two rngs of one seed; return the number of all-zero blocks
     dropped."""
     fast, slow = random.Random(seed), random.Random(seed)
-    objs = {i for i in range(cat.object_count) if seed >> i & 1} or {0}
     dropped = 0
     for max_total, allow_zero in ((4, False), (3, True), (2, False)):
         v = random_object(cat, fast, max_total, allow_zero)
@@ -741,8 +733,6 @@ def _compare_samplers(cat, seed, zero_weight):
             g, zeros = _validating_morphism(a, b, slow, zero_weight)
             _same_morphism(f, g)
             dropped += zeros
-        _same_object(_random_sub_object(cat, objs, fast),
-                     _validating_sub_object(cat, objs, slow))
         assert fast.getstate() == slow.getstate()
     return dropped
 
@@ -750,9 +740,9 @@ def _compare_samplers(cat, seed, zero_weight):
 @settings(max_examples=40, deadline=None)
 @given(_small_groupoids(), st.integers(0, 2**32 - 1))
 def test_samplers_match_validating_path(cat, seed):
-    """random_object, random_morphism and _random_sub_object, which build
-    unchecked, give the values of the validating constructors from the
-    same draws, and leave the rng in the same state."""
+    """random_object and random_morphism, which build unchecked, give the
+    values of the validating constructors from the same draws, and leave
+    the rng in the same state."""
     for zero_weight in (1, 3):
         _compare_samplers(cat, seed, zero_weight)
 
@@ -1042,36 +1032,27 @@ def test_tensor_mor_keeps_target_grade_order():
             tensor_obj(f.target, h.target).mult)
 
 
-def test_layout_memo_keys_on_slot_words(monkeypatch):
-    """Equal multiplicities do not share a memoised layout: the grade-1
-    word of this product sorts before its grade-0 word, so the slots of
-    its square interleave the other way round, and the bisected positions
-    of each square equal the word-sorted ranks."""
+def test_equal_multiplicities_lay_out_their_own_words():
+    """Equal multiplicities do not make equal layouts: the grade-1 word of
+    this product sorts before its grade-0 word, so the slots of its square
+    interleave the other way round, and the bisected positions of each
+    square equal the word-sorted ranks."""
     atomic = graded_object(Z2, {0: 1, 1: 1})
     product = tensor_obj(simple_object(Z2, 1), atomic)
     assert product == atomic and slot_words(product) != slot_words(atomic)
-    fresh = {}
-    for v in (atomic, product):
-        monkeypatch.setattr(gvec, "_layout_memo", {})
-        fresh[id(v)] = _tensor_layout(v, v)
-    monkeypatch.setattr(gvec, "_layout_memo", {})
-    for v in (atomic, product, atomic, product):
+    for v, at_0 in ((atomic, {(0, 0): [0], (1, 1): [1]}),
+                    (product, {(0, 0): [1], (1, 1): [0]})):
         obj = _tensor_layout(v, v)
         ref, ref_pos = _sorted_tensor_layout(v, v)
-        assert slot_words(obj) == slot_words(fresh[id(v)]) == slot_words(ref)
-        assert bisected_pos(v, v, obj) == ref_pos
+        assert slot_words(obj) == slot_words(ref)
+        assert bisected_pos(v, v, obj) == ref_pos and ref_pos[0] == at_0
         ws = slot_words(v)
         assert set(slot_words(obj)[0]) == {ws[0][0] * 2, ws[1][0] * 2}
-    assert bisected_pos(atomic, atomic, fresh[id(atomic)])[0] \
-        == {(0, 0): [0], (1, 1): [1]}
-    assert bisected_pos(product, product, fresh[id(product)])[0] \
-        == {(0, 0): [1], (1, 1): [0]}
 
 
 # Reference oracle for _tensor_layout: the enumeration it replaced, kept
-# verbatim apart from the memo (each grade's words concatenated pair by
-# pair and sorted, the ranks sliced per pair; see
-# slotwords.sorted_tensor_words).
+# verbatim (each grade's words concatenated pair by pair and sorted, the
+# ranks sliced per pair; see slotwords.sorted_tensor_words).
 
 def _sorted_tensor_layout(v, w):
     cat = _same_cat(v, w)
@@ -1104,7 +1085,6 @@ def _assert_same_layout(v, w):
     sorted words.  Returns the grades fed by one pair and those fed by
     several, how many of the latter interleave the pairs' slots, and how
     many pairs are split into several runs."""
-    gvec._layout_memo.clear()
     obj = _tensor_layout(v, w)
     pos = bisected_pos(v, w, obj)
     ref, ref_pos = _sorted_tensor_layout(v, w)
@@ -1182,7 +1162,6 @@ def test_single_pair_grades_skip_the_sort(monkeypatch):
     monkeypatch.setattr(gvec, "sorted", counted, raising=False)
     kinds = set()
     for v, w in cases:
-        gvec._layout_memo.clear()
         v.layout, w.layout  # lay out atomic factors before counting
         sorts.clear()
         _tensor_layout(v, w)
@@ -1238,10 +1217,9 @@ def test_tensor_mult_matches_tensor_obj(cat, seed):
 def test_tensor_of_identities_builds_no_row(monkeypatch):
     """tensor_mor of two identity_mor values is identity_mor of the
     product: every block is the interned identity and no Matrix is built.
-    So is the interned identity from v into a distinct object with v's
-    sequence and ordered layout, since the layout memo returns one result
-    for both sides.  Hand-built identities give the same morphism by the
-    general path."""
+    The interned identity from v into a distinct object with v's sequence
+    and ordered layout, and hand-built identities, give the same morphism
+    by the general path."""
     rng = random.Random(427)
     cases = []
     for cat in CATS + [S4]:
@@ -1265,10 +1243,10 @@ def test_tensor_of_identities_builds_no_row(monkeypatch):
             return make(cls, *args)
 
         monkeypatch.setattr(Matrix, "_of", classmethod(counted))
-        got, via_twin = tensor_mor(f, h), tensor_mor(into_twin, h)
+        got = tensor_mor(f, h)
         assert built == []
         monkeypatch.undo()
-        assert via_twin.source is via_twin.target and via_twin == got
+        assert tensor_mor(into_twin, h) == got
         assert got.source is got.target
         assert slot_words(got.source) == slot_words(vw)
         assert got.blocks.keys() == vw.mult.keys()
@@ -1312,13 +1290,26 @@ def test_identity_blocks_skip_arithmetic(monkeypatch):
         assert list(a.blocks.items()) == list(b.blocks.items())
 
 
-def test_tensor_mor_enumerates_equal_layouts_once(monkeypatch):
-    """tensor_mor enumerates both sides once when each factor's target has
-    its source's sequence and ordered layout: the layout memo then stores
-    one result, which both lookups return.  A twin that lays out the same
-    words over another sequence, or a target with other words, takes a
-    second store.  A zero factor reads no slot, so its product stores
-    nothing."""
+def _counted_layouts(monkeypatch):
+    """A list that gains one entry per call of gvec._tensor_layout, which
+    tensor_obj, tensor_mor and the first read of a lazy product make."""
+    calls = []
+    original = gvec._tensor_layout
+
+    def counted(v, w):
+        calls.append((v, w))
+        return original(v, w)
+
+    monkeypatch.setattr(gvec, "_tensor_layout", counted)
+    return calls
+
+
+def test_tensor_mor_enumerates_endomorphism_pairs_once(monkeypatch):
+    """tensor_mor enumerates one product for both sides when both factors
+    are endomorphisms, and one per side otherwise: a target that is a
+    twin of its source, the same words over its own sequence, takes a
+    second enumeration as a target with other words does.  A zero factor
+    reads no slot, so its product enumerates nothing."""
     rng = random.Random(426)
     cases = []
     for cat in CATS:
@@ -1328,29 +1319,18 @@ def test_tensor_mor_enumerates_equal_layouts_once(monkeypatch):
         twin = from_words(cat, slot_words(y))
         other = tensor_obj(direct_sum_obj(x, unit_object(cat)), x)
         cases += [(random_morphism(x, x, rng), random_morphism(y, y, rng), 1),
-                  (identity_mor(y), random_morphism(y, twin, rng),
-                   1 if twin.seq == y.seq else 2),
+                  (identity_mor(y), random_morphism(y, twin, rng), 2),
                   (random_morphism(x, x, rng),
                    random_morphism(y, other, rng), 2)]
-    assert any(h.target.seq != h.source.seq for _, h, _ in cases[1::3])
-    stores = []
-
-    class Counted(dict):
-        def __setitem__(self, key, value):
-            stores.append(1)
-            super().__setitem__(key, value)
-
     zero = [f.is_zero() or h.is_zero() for f, h, _ in cases]
     assert any(zero)
-    # Every kind of case, each twin outcome included, has non-zero factors.
-    assert {(i % 3, want) for i, ((_, _, want), z)
-            in enumerate(zip(cases, zero)) if not z} \
-        == {(0, 1), (1, 1), (1, 2), (2, 2)}
+    # Every kind of case has non-zero factors.
+    assert {i % 3 for i, z in enumerate(zero) if not z} == {0, 1, 2}
+    calls = _counted_layouts(monkeypatch)
     for (f, h, want), z in zip(cases, zero):
-        monkeypatch.setattr(gvec, "_layout_memo", Counted())
-        stores.clear()
+        calls.clear()
         got = tensor_mor(f, h)
-        assert len(stores) == (0 if z else want)
+        assert len(calls) == (0 if z else want)
         assert got == _dense_tensor_mor(f, h)
 
 
@@ -1406,30 +1386,28 @@ def test_zero_factor_lays_out_nothing_until_read(monkeypatch):
     of an endpoint's layout enumerates it once; later reads of its layout
     and sequence enumerate nothing."""
     rng = random.Random(429)
-    memo = _SizeLog()
-    monkeypatch.setattr(gvec, "_layout_memo", memo)
+    calls = _counted_layouts(monkeypatch)
     for cat in CATS + [S4]:
         x = random_object(cat, rng, max_total=3)
         y = tensor_obj(x, dual_obj(x))
         h = random_morphism(y, direct_sum_obj(y, x), rng, zero_weight=0)
         assert not h.is_zero()
         for f, k in ((zero_mor(x, y), h), (h, zero_mor(y, x))):
-            memo.clear()
-            memo.stores = 0
+            calls.clear()
             got = tensor_mor(f, k)
             assert gvec.mono_epi(got) == (not got.source.mult,
                                           not got.target.mult)
             assert got.is_zero() and got == tensor_mor(f, k)
-            assert memo.stores == 0
+            assert calls == []
             layout = got.source.layout
-            assert memo.stores == 1
+            assert len(calls) == 1
             assert got.source.layout is layout and got.source.seq is not None
-            assert memo.stores == 1
+            assert len(calls) == 1
 
 
 def test_zero_sample_tensor_looks_nothing_up(monkeypatch):
     """A sampled f (x) id_A with f zero, as the conditions re-verify on
-    S4, decides mono and epi without an alphabet lookup or a product's
+    S4, decides mono and epi without building an alphabet or a product's
     multiplicities: the sampled objects are laid out only on first read
     and the product's endpoints only answer is_zero."""
     rng = random.Random(430)
@@ -1446,7 +1424,7 @@ def test_zero_sample_tensor_looks_nothing_up(monkeypatch):
         w = random_object(S4, rng, allow_zero=True)
         with monkeypatch.context() as m:
             for owner in (gvec, slotcodes):
-                m.setattr(owner, "alphabet", refused)
+                m.setattr(owner, "Alphabet", refused)
             m.setattr(gvec, "_mult_product", refused)
             got = gvec.mono_epi(tensor_mor(zero_mor(v, w), identity_mor(c)))
         cases.append((v, w, got))
@@ -1494,21 +1472,20 @@ def test_lazy_objects_read_as_eager_ones(cat, seed):
     for v, ref in pairs:
         assert slot_words(v) == slot_words(ref)
         assert type(v) is GradedObject
-        assert v.seq == ref.seq
+        assert seq_parts(v.seq) == seq_parts(ref.seq)
         assert list(v.mult.items()) == list(ref.mult.items())
         assert list(v.layout.items()) == list(ref.layout.items())
         check_layout(v)
 
 
 def test_s4_audit_lays_out_few_products(monkeypatch):
-    """One S4 audit stores at most half of the 379 layouts it stored when
-    every tensor_mor enumerated both its endpoints: the sampled f (x) id_A
-    with a zero factor and the unit idempotents of separable algebras lay
-    out nothing."""
-    memo = _SizeLog()
-    monkeypatch.setattr(gvec, "_layout_memo", memo)
+    """One S4 audit enumerates at most half of the 379 layouts it stored
+    when every tensor_mor enumerated both its endpoints: the sampled
+    f (x) id_A with a zero factor and the unit idempotents of separable
+    algebras lay out nothing."""
+    calls = _counted_layouts(monkeypatch)
     run_audit(S4)
-    assert memo.stores <= 379 // 2
+    assert len(calls) <= 379 // 2
 
 
 def test_dual_layout_stars_each_letter_once(monkeypatch):
@@ -1551,27 +1528,6 @@ def test_dual_layout_stars_each_letter_once(monkeypatch):
                     _reference_star_word(cat, w) for w in ws]
                 longest = max([longest] + [len(w) for w in ws])
     assert longest >= 3
-
-
-class _SizeLog(dict):
-    """A memo that records how many entries it ever held at once."""
-
-    def __init__(self):
-        super().__init__()
-        self.peak = self.stores = 0
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.stores += 1
-        self.peak = max(self.peak, len(self))
-
-
-def test_layout_memo_stays_within_its_bound(monkeypatch):
-    memo = _SizeLog()
-    monkeypatch.setattr(gvec, "_layout_memo", memo)
-    run_audit(P3)
-    assert memo.stores > gvec._LAYOUT_MEMO_SIZE
-    assert memo.peak <= gvec._LAYOUT_MEMO_SIZE
 
 
 def _reference_star_word(cat, word):
@@ -1728,7 +1684,6 @@ def _random_tree(cat, rng, depth, seen):
     op = rng.choice(ops)
     seen[op] += 1
     if op == "tensor":
-        gvec._layout_memo.clear()
         v = _tensor_layout(a, b)
         ref, ref_pos = sorted_tensor_words(cat, al, bl)
         pos = bisected_pos(a, b, v)
