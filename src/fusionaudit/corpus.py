@@ -8,14 +8,18 @@ _atomic_object), Matrix._of and GradedMorphism._of, so a sample costs its
 draws and little else.  The draws are a contract, since the golden
 reports pin them: random_object draws its total, then one grade per unit;
 random_morphism draws its entries row-major within a block, and its
-blocks in set(v.mult) & set(w.mult) order, one _random_rational per entry
-(a zero draw, then, unless it is zero, a numerator and a denominator).
+blocks in set(v.mult) & set(w.mult) order.  An entry is a zero draw from
+zero_weight + 3 values, zero when below zero_weight, and otherwise a
+numerator and then a denominator, one row and one entry of _RATIONALS.
 
-Each of those draws is one _below(rng, n): rng.getrandbits(k), with
-k = n.bit_length(), repeated until the value is below n, so the samplers
-rely on getrandbits alone.  On CPython 3.10-3.13 that is also the draw of
-rng.randrange(n) and of rng.choice on n items, and tests/test_gvec.py
-checks that the two agree.  algebra_corpus's subset and pair draws still
+Each of those draws is the draw of _below(rng, n): rng.getrandbits(k),
+with k = n.bit_length(), repeated until the value is below n, so the
+samplers rely on getrandbits alone.  On CPython 3.10-3.13 that is also the
+draw of rng.randrange(n) and of rng.choice on n items, and tests/test_gvec.py
+checks that the two agree.  random_object draws its total through _below,
+and its grades, like random_morphism's entries, in a rejection loop of its
+own over one local rng.getrandbits, so a unit or an entry costs no call
+beyond its getrandbits calls.  algebra_corpus's subset and pair draws still
 go through randrange, sample and choice.
 """
 
@@ -34,7 +38,8 @@ _DENOMINATORS = (1, 1, 1, 2, 3)
 # denominator, and reads their quotient without building it.
 _RATIONALS = tuple(tuple(Fraction(n, d) for d in _DENOMINATORS)
                    for n in _NUMERATORS)
-_ZERO = Fraction(0)
+_ROWS, _COLS = len(_NUMERATORS), len(_DENOMINATORS)
+_ROW_BITS, _COL_BITS = _ROWS.bit_length(), _COLS.bit_length()
 
 
 def _below(rng, n):
@@ -53,41 +58,55 @@ def _below(rng, n):
     return r
 
 
-def _random_rational(rng, zero_weight=2):
-    """Small exact scalar; zero_weight controls sparsity."""
-    if _below(rng, zero_weight + 3) < zero_weight:
-        return _ZERO
-    row = _RATIONALS[_below(rng, len(_RATIONALS))]
-    return row[_below(rng, len(row))]
-
-
 def random_object(cat, rng, max_total=4, allow_zero=False):
-    """Atomic object with bounded total multiplicity."""
+    """Atomic object with bounded total multiplicity.  Each unit's grade
+    is _below(rng, cat.morphism_count), drawn inline; a groupoid has at
+    least one grade, so the rejection loop ends."""
     low = 0 if allow_zero else 1
     total = low + _below(rng, max_total + 1 - low)
     count = cat.morphism_count
+    bits, getrandbits = count.bit_length(), rng.getrandbits
     mult = {}
     for _ in range(total):
-        g = _below(rng, count)
+        g = getrandbits(bits)
+        while g >= count:
+            g = getrandbits(bits)
         mult[g] = mult.get(g, 0) + 1
     return _atomic_object(cat, mult)
 
 
 def random_morphism(v, w, rng, zero_weight=2):
-    """Random morphism v -> w: every entry of every block drawn by
-    _random_rational, rows and blocks in the order of the module
-    docstring.  Groupoids that differ are a CategoryMismatch, raised
-    before any draw; all-zero blocks are dropped."""
+    """Random morphism v -> w: every entry of every block drawn as the
+    module docstring says, rows and blocks in its order.  Groupoids that
+    differ are a CategoryMismatch, and a zero_weight below -2 a
+    ValueError, raised before any draw; all-zero blocks are dropped."""
     _same_cat(v, w)
+    odds = zero_weight + 3
+    if odds <= 0:
+        raise ValueError("empty range for _below(%d)" % odds)
+    bits, getrandbits = odds.bit_length(), rng.getrandbits
     blocks = {}
     for g in set(v.mult) & set(w.mult):
         tm, sm = w.mult[g], v.mult[g]
-        rows = tuple(
-            tuple([(j, x) for j in range(sm)
-                   if (x := _random_rational(rng, zero_weight))])
-            for _ in range(tm))
+        rows = []
+        for _ in range(tm):
+            row = []
+            for j in range(sm):
+                r = getrandbits(bits)
+                while r >= odds:
+                    r = getrandbits(bits)
+                if r < zero_weight:
+                    continue
+                r = getrandbits(_ROW_BITS)
+                while r >= _ROWS:
+                    r = getrandbits(_ROW_BITS)
+                c = getrandbits(_COL_BITS)
+                while c >= _COLS:
+                    c = getrandbits(_COL_BITS)
+                row.append((j, _RATIONALS[r][c]))
+            rows.append(tuple(row))
         if any(rows):
-            blocks[g] = Matrix._of(tm, sm, rows)
+            blocks[g] = Matrix._of(tm, sm, tuple(rows))
     return GradedMorphism._of(v, w, blocks)
 
 

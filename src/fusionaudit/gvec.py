@@ -44,9 +44,12 @@ grades are sorted when each of its grades is one run of codes, as in an
 atomic object, and its slots otherwise.  No position map is kept: a
 slot is found by bisecting its left code times R in its grade's codes
 (_slot_starts).  Multiplicities alone come from tensor_mult, with no slot
-enumerated.  Atomic objects, and the endpoints of a morphism product that
-reads no slot (tensor_mor of a zero factor or of two identities), are
-laid out on first read.
+enumerated.  Atomic objects and every tensor product are laid out on
+first read: tensor_obj enumerates no slot, and a product's multiplicities
+too are computed only when something reads them, so a product that is
+only tested for zero, compared or sized lays out nothing.  tensor_mor
+enumerates its endpoints' slots when it builds rows, and its two cases
+that read no slot (a zero factor, two identities) leave them lazy.
 One word set can be coded over different sequences (a restriction keeps
 its object's wider alphabets), so codes are compared only over one
 sequence, and tensor_mor enumerates one product for both of its sides
@@ -172,9 +175,10 @@ class GradedObject:
         return not self.mult
 
     def __eq__(self, other):
-        return (isinstance(other, GradedObject)
-                and (self.cat is other.cat or self.cat == other.cat)
-                and self.mult == other.mult)
+        return self is other or (
+            isinstance(other, GradedObject)
+            and (self.cat is other.cat or self.cat == other.cat)
+            and self.mult == other.mult)
 
     def __hash__(self):
         if self._hash is None:
@@ -212,8 +216,9 @@ class _Unlaid(GradedObject):
 
 
 class _Unsized(_Unlaid):
-    """v (x) w whose mult is also computed on first read, by _mult_product,
-    in tensor_obj(v, w)'s grade order (both meet grades in the loop over
+    """v (x) w as tensor_obj and tensor_mor's no-slot cases return it: its
+    mult is also computed on first read, by _mult_product, in
+    _tensor_layout(v, w)'s grade order (both meet grades in the loop over
     (g1, g2)); that read makes it _Unlaid.  is_zero builds no mult and
     stops at the first composable pair."""
 
@@ -441,7 +446,10 @@ def _slot_starts(codes, left, r):
 
 
 def tensor_obj(v, w):
-    return _tensor_layout(v, w)
+    """v (x) w, an _Unsized object: its multiplicities come from
+    _mult_product and its slots from _tensor_layout, each on first read,
+    and it reads as _tensor_layout(v, w) does."""
+    return _Unsized._of_factors(v, w)
 
 
 def tensor_mult(v, w):
@@ -496,15 +504,19 @@ def dual_obj(v):
 def restrict_grades(v, grades):
     """v's slots at the given grades, with their words and codes over v's
     factor sequence; with no slot left, over the empty sequence, as every
-    object without slots is.  When grades hold every grade of v, nothing
-    is dropped and v itself is returned: the restriction of an object
-    supported inside a subcategory (every object, on a one-object
-    groupoid) copies nothing, and is the object a caller already holds
+    object without slots is.  grades is any container that answers in.
+    When it holds every grade of v, nothing is dropped and v itself is
+    returned, found by membership tests alone: the restriction of an
+    object supported inside a subcategory (every object, on a one-object
+    groupoid) builds nothing, and is the object a caller already holds
     (functors.ProjectionFunctor.match and internal.restriction_data test
     for that)."""
-    keep = {g: m for g, m in v.mult.items() if g in grades}
-    if len(keep) == len(v.mult):
+    for g in v.mult:
+        if g not in grades:
+            break
+    else:
         return v
+    keep = {g: m for g, m in v.mult.items() if g in grades}
     return GradedObject._of(v.cat, keep, v.seq if keep else (),
                             {g: v.layout[g] for g in keep})
 

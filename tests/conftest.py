@@ -40,6 +40,34 @@ def cli_env():
     return env
 
 
+class LayoutCalls(list):
+    """The (v, w) of every gvec._tensor_layout call made since the
+    layout_calls fixture went in (or since the list was last cleared).
+    While refusal holds an exception, each call is counted and then
+    raises it instead of laying out."""
+
+    refusal = None
+
+
+@pytest.fixture
+def layout_calls(monkeypatch):
+    """A LayoutCalls list that counts, and on demand refuses, the slot
+    enumerations of gvec._tensor_layout, which the general tensor_mor
+    path and the first layout read of a lazy product make."""
+    from fusionaudit import gvec
+    calls = LayoutCalls()
+    original = gvec._tensor_layout
+
+    def counted(v, w):
+        calls.append((v, w))
+        if calls.refusal is not None:
+            raise calls.refusal
+        return original(v, w)
+
+    monkeypatch.setattr(gvec, "_tensor_layout", counted)
+    return calls
+
+
 # The fixtures the census reports on: one with a simple unit, one without,
 # so every condition fails with a witness on the second.
 CENSUS_FIXTURES = ("vec_z2", "pair2")

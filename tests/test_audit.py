@@ -896,22 +896,21 @@ def test_corpus_at_the_morphism_cap_redraws_oversize_sums(tmp_path, capsys):
     assert max(sizes) <= MAX_TOTAL_MULT
 
 
-def test_oversized_algebra_products_exit_2(tmp_path, monkeypatch, capsys):
+def test_oversized_algebra_products_exit_2(tmp_path, layout_calls, capsys):
     """An algebra spec whose carrier's tensor cube would have one slot
     more than gvec.MAX_PRODUCT_SLOTS is an input error, exit 2, in the
     explicit and internal_end forms, raised before any slot is laid out:
     _tensor_layout is patched to raise, so a build that lays out slots
-    exits 4 instead of allocating.  At the cap itself the build starts.
-    Run in process on two one-object groups, grades 0 and 1, where a
-    carrier of multiplicities n and 1 has a cube of n**3 + 1 slots; the
-    sum and groupoid_algebra forms are refused the same way."""
+    exits 4 instead of allocating.  At the cap itself the build starts,
+    and its validation lays out slots: the explicit form has a non-zero
+    unit, so its unit laws tensor two non-zero maps.  Run in process on
+    two one-object groups, grades 0 and 1, where a carrier of
+    multiplicities n and 1 has a cube of n**3 + 1 slots; the sum and
+    groupoid_algebra forms are refused the same way."""
     from fusionaudit import gvec
     from fusionaudit.groupoid import groupoid_from_spec, make_group
 
-    def laid_out(v, w):
-        raise RuntimeError("slots laid out")
-
-    monkeypatch.setattr(gvec, "_tensor_layout", laid_out)
+    layout_calls.refusal = RuntimeError("slots laid out")
     cap = gvec.MAX_PRODUCT_SLOTS
     side = round(cap ** (1 / 3))
     root = round(side ** 0.5)
@@ -929,7 +928,8 @@ def test_oversized_algebra_products_exit_2(tmp_path, monkeypatch, capsys):
         return code, capsys.readouterr().err
 
     def explicit(mult):
-        return {"carrier": {"mult": mult}, "mult": {}, "unit": {}}
+        unit = [["1"]] + [["0"]] * (mult["0"] - 1)
+        return {"carrier": {"mult": mult}, "mult": {}, "unit": {"0": unit}}
 
     def end(mult):
         return {"gen": "internal_end", "object": {"mult": mult}}

@@ -189,10 +189,10 @@ def test_faithful_dead_simple():
 
 
 def _dead_simple_grade_by_products(cat, carrier):
-    """_dead_simple_grade as it was first written: build S_g (x) carrier for
-    every grade g in turn and test it for zero."""
+    """_dead_simple_grade as it was first written: lay out S_g (x) carrier
+    for every grade g in turn and test it for zero (no slot)."""
     for g in range(cat.morphism_count):
-        if tensor_obj(simple_object(cat, g), carrier).is_zero():
+        if not tensor_obj(simple_object(cat, g), carrier).layout:
             return g
     return None
 
@@ -212,26 +212,21 @@ def test_dead_simple_grade_matches_tensor_products(cat, data):
             == _dead_simple_grade_by_products(cat, carrier)
 
 
-def test_dead_simple_grade_builds_no_tensor_product(monkeypatch):
+def test_dead_simple_grade_builds_no_tensor_product(layout_calls):
     rng = random.Random(621)
     carriers = []
     for name in FIXTURE_NAMES:
         cat = load_fixture(name)
         carriers += [(cat, a.carrier) for a in algebra_corpus(cat, rng)
                      if not a.is_zero()]
-    calls = []
-    original = gvec._tensor_layout
-
-    def counted(v, w):
-        calls.append(1)
-        return original(v, w)
-
-    monkeypatch.setattr(gvec, "_tensor_layout", counted)
+    for _, c in carriers:
+        c.layout
+    layout_calls.clear()
     dead = [functors._dead_simple_grade(cat, c) for cat, c in carriers]
-    assert calls == []
+    assert layout_calls == []
     assert any(g is None for g in dead) and any(g is not None for g in dead)
     expected = [_dead_simple_grade_by_products(cat, c) for cat, c in carriers]
-    assert calls and dead == expected
+    assert layout_calls and dead == expected
 
 
 def test_faithful_group_algebra():

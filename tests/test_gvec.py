@@ -767,6 +767,68 @@ def test_below_is_randrange_and_choice():
             assert ours.getstate() == ref.getstate()
 
 
+# Groupoids of 1, 2, 4, 6 and 9 grades: 1 and 4 are the rejection loop's
+# edge cases (n = 1 draws one bit, n = 4 draws three and rejects half).
+_SAMPLER_CATS = {1: groupoid_from_spec({"kind": "group", "table": [[0]]}),
+                 2: Z2, 4: P2, 6: S3, 9: P3}
+
+
+def _randrange_entry(rng, zero_weight):
+    """One random_morphism entry as rng.randrange draws it."""
+    if rng.randrange(zero_weight + 3) < zero_weight:
+        return Fraction(0)
+    num = (-3, -2, -1, 1, 1, 2, 3)[rng.randrange(7)]
+    return Fraction(num, (1, 1, 1, 2, 3)[rng.randrange(5)])
+
+
+@pytest.mark.parametrize("zero_weight", [0, 2, 5])
+@pytest.mark.parametrize("grades", sorted(_SAMPLER_CATS))
+def test_samplers_draw_as_randrange(grades, zero_weight):
+    """random_object and random_morphism, which draw in rejection loops of
+    their own, give the values of a reference built on rng.randrange:
+    multiplicities in drawing order, then every block's dense rows, blocks
+    in set(v.mult) & set(w.mult) order, all-zero blocks dropped; and they
+    leave an equal rng.getstate()."""
+    cat = _SAMPLER_CATS[grades]
+    assert cat.morphism_count == grades
+    for seed in range(6):
+        ours, ref = random.Random(seed), random.Random(seed)
+        objs = []
+        for max_total, allow_zero in ((4, False), (3, True), (1, False),
+                                      (6, False)):
+            v = random_object(cat, ours, max_total, allow_zero)
+            mult = {}
+            for _ in range(ref.randrange(0 if allow_zero else 1,
+                                         max_total + 1)):
+                g = ref.randrange(grades)
+                mult[g] = mult.get(g, 0) + 1
+            assert list(v.mult.items()) == list(mult.items())
+            objs.append(v)
+        for v in objs:
+            for w in objs:
+                f = random_morphism(v, w, ours, zero_weight)
+                want = {}
+                for g in set(v.mult) & set(w.mult):
+                    rows = [[_randrange_entry(ref, zero_weight)
+                             for _ in range(v.mult[g])]
+                            for _ in range(w.mult[g])]
+                    if any(map(any, rows)):
+                        want[g] = rows
+                assert [(g, [list(b.row(i)) for i in range(b.rows)])
+                        for g, b in f.blocks.items()] == list(want.items())
+        assert ours.getstate() == ref.getstate()
+
+
+def test_random_morphism_rejects_empty_zero_range_before_drawing():
+    rng = random.Random(8)
+    state = rng.getstate()
+    v = unit_object(Z2)
+    for zero_weight in (-3, -4):
+        with pytest.raises(ValueError):
+            random_morphism(v, v, rng, zero_weight)
+    assert rng.getstate() == state
+
+
 @pytest.mark.parametrize("n", [0, -1, -8])
 def test_below_rejects_empty_range_before_drawing(n):
     rng = random.Random(8)
@@ -1206,12 +1268,13 @@ def test_split_left_runs_match_sorted_reference():
 @settings(max_examples=40, deadline=None)
 @given(_small_groupoids(), st.integers(0, 2**32 - 1))
 def test_tensor_mult_matches_tensor_obj(cat, seed):
-    """tensor_mult gives tensor_obj's multiplicities without a slot."""
+    """tensor_mult gives tensor_obj's multiplicities, as _tensor_layout
+    enumerates them, without a slot."""
     rng = random.Random(seed)
     objs = _layout_objects(cat, rng) + [zero_object(cat)]
     for _ in range(30):
         v, w = rng.choice(objs), rng.choice(objs)
-        assert gvec.tensor_mult(v, w) == tensor_obj(v, w).mult
+        assert gvec.tensor_mult(v, w) == _tensor_layout(v, w).mult
 
 
 def test_tensor_of_identities_builds_no_row(monkeypatch):
@@ -1290,26 +1353,14 @@ def test_identity_blocks_skip_arithmetic(monkeypatch):
         assert list(a.blocks.items()) == list(b.blocks.items())
 
 
-def _counted_layouts(monkeypatch):
-    """A list that gains one entry per call of gvec._tensor_layout, which
-    tensor_obj, tensor_mor and the first read of a lazy product make."""
-    calls = []
-    original = gvec._tensor_layout
-
-    def counted(v, w):
-        calls.append((v, w))
-        return original(v, w)
-
-    monkeypatch.setattr(gvec, "_tensor_layout", counted)
-    return calls
-
-
-def test_tensor_mor_enumerates_endomorphism_pairs_once(monkeypatch):
+def test_tensor_mor_enumerates_endomorphism_pairs_once(layout_calls):
     """tensor_mor enumerates one product for both sides when both factors
     are endomorphisms, and one per side otherwise: a target that is a
     twin of its source, the same words over its own sequence, takes a
     second enumeration as a target with other words does.  A zero factor
-    reads no slot, so its product enumerates nothing."""
+    reads no slot, so its product enumerates nothing.  The factors'
+    endpoints, some of them lazy products, are laid out before counting,
+    so only tensor_mor's own enumerations are counted."""
     rng = random.Random(426)
     cases = []
     for cat in CATS:
@@ -1326,11 +1377,13 @@ def test_tensor_mor_enumerates_endomorphism_pairs_once(monkeypatch):
     assert any(zero)
     # Every kind of case has non-zero factors.
     assert {i % 3 for i, z in enumerate(zero) if not z} == {0, 1, 2}
-    calls = _counted_layouts(monkeypatch)
+    for f, h, _ in cases:
+        for end in (f.source, f.target, h.source, h.target):
+            end.layout
     for (f, h, want), z in zip(cases, zero):
-        calls.clear()
+        layout_calls.clear()
         got = tensor_mor(f, h)
-        assert len(calls) == (0 if z else want)
+        assert len(layout_calls) == (0 if z else want)
         assert got == _dense_tensor_mor(f, h)
 
 
@@ -1371,7 +1424,7 @@ def test_lazy_endpoints_lay_out_as_tensor_obj(cat, seed):
         assert type(got.target) is not GradedObject
         for end, v, w in ((got.source, f.source, h.source),
                           (got.target, f.target, h.target)):
-            ref = tensor_obj(v, w)
+            ref = _tensor_layout(v, w)
             assert end.seq == ref.seq
             assert type(end) is GradedObject
             assert list(end.layout.items()) == list(ref.layout.items())
@@ -1380,16 +1433,18 @@ def test_lazy_endpoints_lay_out_as_tensor_obj(cat, seed):
         assert got == _dense_tensor_mor(f, h)
 
 
-def test_zero_factor_lays_out_nothing_until_read(monkeypatch):
+def test_zero_factor_lays_out_nothing_until_read(layout_calls):
     """tensor_mor with a zero factor enumerates no slot, and mono_epi,
     is_zero and == on its result enumerate none either.  The first read
     of an endpoint's layout enumerates it once; later reads of its layout
-    and sequence enumerate nothing."""
+    and sequence enumerate nothing.  The factor y = x (x) dual(x) is laid
+    out before counting, so the endpoint's read is its one enumeration."""
     rng = random.Random(429)
-    calls = _counted_layouts(monkeypatch)
+    calls = layout_calls
     for cat in CATS + [S4]:
         x = random_object(cat, rng, max_total=3)
         y = tensor_obj(x, dual_obj(x))
+        y.layout
         h = random_morphism(y, direct_sum_obj(y, x), rng, zero_weight=0)
         assert not h.is_zero()
         for f, k in ((zero_mor(x, y), h), (h, zero_mor(y, x))):
@@ -1464,9 +1519,9 @@ def test_lazy_objects_read_as_eager_ones(cat, seed):
         v, w = rng.choice(objs), rng.choice(objs)
         got = tensor_mor(zero_mor(v, v), identity_mor(w))
         assert got.source.is_zero() == (not gvec.tensor_mult(v, w))
-        products.append((got.source, tensor_obj(v, w)))
+        products.append((got.source, _tensor_layout(v, w)))
         got = tensor_mor(identity_mor(v), identity_mor(w))
-        products.append((got.source, tensor_obj(v, w)))
+        products.append((got.source, _tensor_layout(v, w)))
     pairs = [(v, _eager_atomic(v)) for v in atomic] + products
     assert all(type(v) is not GradedObject for v, ref in pairs if ref.mult)
     for v, ref in pairs:
@@ -1478,14 +1533,63 @@ def test_lazy_objects_read_as_eager_ones(cat, seed):
         check_layout(v)
 
 
-def test_s4_audit_lays_out_few_products(monkeypatch):
+def _product_factors(cat, rng):
+    """Objects of every kind tensor_obj takes: the unit and its summands,
+    atomic objects, an internal_end carrier, direct sums, duals,
+    restrictions that drop grades (one of a lazy product), and lazy
+    products, one of them with a lazy factor; none of the lazy ones read."""
+    x = random_object(cat, rng, max_total=3)
+    y = random_object(cat, rng, max_total=2)
+    s, dy = direct_sum_obj(x, y), dual_obj(y)
+    p, kept = tensor_obj(x, dy), set(list(gvec.tensor_mult(x, dy))[::2])
+    return [unit_object(cat), *(unit_summand(cat, {i})
+                                for i in range(cat.object_count)),
+            zero_object(cat), x, y, internal_end(y).carrier, s,
+            dual_obj(s), restrict_grades(s, list(s.mult)[1:]),
+            restrict_grades(tensor_obj(x, dy), kept), p,
+            tensor_obj(p, tensor_obj(y, x))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_groupoids(), st.integers(0, 2**32 - 1))
+def test_lazy_tensor_obj_reads_as_eager_layout(cat, seed):
+    """tensor_obj(v, w) enumerates nothing when built, and reads as the
+    eager _tensor_layout(v, w): is_zero before any read, which sizes
+    nothing; mult with its key order, whether mult or layout is read
+    first; the alphabets' parts of seq; layout with its key order; is_zero
+    again.  Once read it is a plain GradedObject.  Factors are drawn from
+    _product_factors, built anew for each first read so that lazy ones
+    are still unread, and from the products of at most 16 slots already
+    drawn, read and unread, so products of lazy products are covered."""
+    for first in ("mult", "layout"):
+        objs = _product_factors(cat, random.Random(seed))
+        pick = random.Random(seed + 1)
+        for _ in range(10):
+            v, w = pick.choice(objs), pick.choice(objs)
+            got = tensor_obj(v, w)
+            zero = got.is_zero()
+            assert type(got) is gvec._Unsized
+            read = getattr(got, first)
+            ref = _tensor_layout(v, w)
+            assert zero == ref.is_zero() == (not ref.mult)
+            if first == "mult":
+                assert list(read.items()) == list(ref.mult.items())
+            assert list(got.mult.items()) == list(ref.mult.items())
+            assert seq_parts(got.seq) == seq_parts(ref.seq)
+            assert list(got.layout.items()) == list(ref.layout.items())
+            assert got.is_zero() == zero and got == ref
+            assert type(got) is GradedObject
+            if total_mult(ref) <= 16:  # keeps nested products small
+                objs += [got, tensor_obj(v, w)]
+
+
+def test_s4_audit_lays_out_few_products(layout_calls):
     """One S4 audit enumerates at most half of the 379 layouts it stored
     when every tensor_mor enumerated both its endpoints: the sampled
     f (x) id_A with a zero factor and the unit idempotents of separable
     algebras lay out nothing."""
-    calls = _counted_layouts(monkeypatch)
     run_audit(S4)
-    assert len(calls) <= 379 // 2
+    assert len(layout_calls) <= 379 // 2
 
 
 def test_dual_layout_stars_each_letter_once(monkeypatch):

@@ -374,18 +374,16 @@ def test_endpoint_checks_reject_wrong_shapes():
     assert rejected > 100
 
 
-def test_dualize_enumerates_no_tensor_slots(monkeypatch):
+def test_dualize_enumerates_no_tensor_slots(layout_calls):
     """Dualising S4's groupoid algebra, building its comultiplication, and
     rebuilding the algebra, check their endpoints by multiplicity: no slot
-    enumeration runs.  kG's own multiplication, which lays out kG (x) kG,
-    is built before the guard goes in."""
+    enumeration runs.  kG's own multiplication, and the layout of its
+    source kG (x) kG, are built before the guard goes in."""
     a = groupoid_algebra(S4, {0})
     assert a.mult.target is a.carrier
-
-    def forbidden(v, w):
-        raise AssertionError("a tensor product's slots were enumerated")
-
-    monkeypatch.setattr(gvec, "_tensor_layout", forbidden)
+    a.mult.source.layout
+    layout_calls.refusal = AssertionError(
+        "a tensor product's slots were enumerated")
     c = dualize_algebra(a)
     assert c.comult.source is c.carrier
     assert c.carrier == a.carrier and c.carrier.m(0) == 1
