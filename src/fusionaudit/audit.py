@@ -74,16 +74,17 @@ def _corpus_labels(cat, corpus_size):
     return labels
 
 
-def _object_subsets(cat, rng, limit=7):
+def _object_subsets(cat, rng):
     """Nonempty object subsets to exercise the inclusion/projection pair:
-    all of them for small categories, a seeded sample otherwise."""
+    all of them when there are at most seven, and otherwise all objects
+    and six seeded samples."""
     n = cat.object_count
-    if 2 ** n - 1 <= limit:
+    if 2 ** n - 1 <= 7:
         subs = [set(c) for k in range(1, n + 1)
                 for c in itertools.combinations(range(n), k)]
     else:
         subs = [set(range(n))]
-        for _ in range(limit - 1):
+        for _ in range(6):
             k = rng.randrange(1, n + 1)
             subs.append(set(rng.sample(range(n), k)))
     return subs
@@ -162,8 +163,7 @@ def run_audit(category, seed=1, corpus_size=2, samples=6):
     else:
         raise SpecError("category must be a groupoid or a spec document")
     rng = random.Random(seed)
-    algebras = algebra_corpus(cat, rng,
-                              internal_ends=corpus_size, sums=corpus_size)
+    algebras = algebra_corpus(cat, rng, corpus_size)
     coalgebras = list(map(_per_algebra(dualize_algebra), algebras))
     live = [(i, a) for i, a in enumerate(algebras) if not a.is_zero()]
     live_co = [(i, coalgebras[i]) for i, _ in live]
@@ -603,8 +603,7 @@ def gr_report(cat, seed=1, corpus_size=2):
     _require_ints(seed=seed, corpus_size=corpus_size)
     _require_count("corpus_size", corpus_size, MAX_CORPUS_SIZE)
     rng = random.Random(seed)
-    corpus = algebra_corpus(cat, rng,
-                            internal_ends=corpus_size, sums=corpus_size)
+    corpus = algebra_corpus(cat, rng, corpus_size)
     doc = ring_report(cat)
     doc["schema"] = SCHEMA
     sep_of = _per_algebra(lambda a: separability_verdict(a)["separable"])

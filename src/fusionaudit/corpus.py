@@ -58,12 +58,11 @@ def _below(rng, n):
     return r
 
 
-def random_object(cat, rng, max_total=4, allow_zero=False):
-    """Atomic object with bounded total multiplicity.  Each unit's grade
-    is _below(rng, cat.morphism_count), drawn inline; a groupoid has at
-    least one grade, so the rejection loop ends."""
-    low = 0 if allow_zero else 1
-    total = low + _below(rng, max_total + 1 - low)
+def random_object(cat, rng, max_total=4):
+    """Nonzero atomic object of total multiplicity at most max_total.  Each
+    unit's grade is _below(rng, cat.morphism_count), drawn inline; a
+    groupoid has at least one grade, so the rejection loop ends."""
+    total = 1 + _below(rng, max_total)
     count = cat.morphism_count
     bits, getrandbits = count.bit_length(), rng.getrandbits
     mult = {}
@@ -110,12 +109,12 @@ def random_morphism(v, w, rng, zero_weight=2):
     return GradedMorphism._of(v, w, blocks)
 
 
-def algebra_corpus(cat, rng, internal_ends=2, sums=2):
+def algebra_corpus(cat, rng, size=2):
     """Nonzero algebras from the fixed recipe: every unit summand, the full
-    groupoid algebra plus random sub-object ones, internal endomorphism
-    algebras of small random objects, and pairwise direct sums.  The unit
-    summands are the decisive witnesses; the rest varies support patterns
-    and multiplicities.
+    groupoid algebra plus random sub-object ones, size internal
+    endomorphism algebras of small random objects, and size pairwise
+    direct sums.  The unit summands are the decisive witnesses; the rest
+    varies support patterns and multiplicities.
 
     Equal draws share one algebra object: a groupoid algebra is built once
     per object set, an internal endomorphism algebra once per drawn
@@ -148,14 +147,14 @@ def algebra_corpus(cat, rng, internal_ends=2, sums=2):
         k = rng.randrange(1, cat.object_count + 1)
         out.append(groupoid_alg(rng.sample(range(cat.object_count), k)))
     ends = {}
-    for _ in range(internal_ends):
+    for _ in range(size):
         x = random_object(cat, rng, max_total=2)
         key = tuple(x.mult.items())
         if key not in ends:
             ends[key] = internal_end(x)
         out.append(ends[key])
     built = {}
-    for _ in range(sums):
+    for _ in range(size):
         a, b = rng.choice(out), rng.choice(out)
         while total_mult(a.carrier) + total_mult(b.carrier) \
                 > gvec.MAX_TOTAL_MULT:

@@ -32,19 +32,17 @@ radix over seq.  Codes over one sequence compare exactly as words do.  A
 tensor product concatenates the sequences, and its codes are c1 * R + c2,
 R the product of the right factor's alphabet sizes; the unit's sequence
 is empty and its one code is 0, so the unit laws and strictness hold for
-codes as they do for words.  A direct sum is coded
-over the one atomic alphabet of its multiplicities; a dual reverses the
-sequence and stars each alphabet once, then sorts each grade's codes
-once; restricting grades keeps the sequence.  The words of a tensor
-product compare by their left factor's word first, so no product code is
-sorted: one walk over the left factor's slots in code order, taken as
-maximal runs of one grade, visits the right factor's grades once per run
-and fills every grade of the product in order.  Only the left factor's
-grades are sorted when each of its grades is one run of codes, as in an
-atomic object, and its slots otherwise.  No position map is kept: a
-slot is found by bisecting its left code times R in its grade's codes
-(_slot_starts).  Multiplicities alone come from tensor_mult, with no slot
-enumerated.  Atomic objects and every tensor product are laid out on
+codes as they do for words.  A direct sum is coded over the one atomic
+alphabet of its multiplicities; a dual reverses the sequence and stars
+each alphabet once, then sorts each grade's codes once; restricting
+grades keeps the sequence.  A tensor product's slots come from one loop
+over the factors' grade pairs, which appends each pair's codes to its
+composite grade, and one sort of each grade's codes; a grade fed by one
+pair arrives sorted, since the words of a tensor product compare by
+their left factor's word first.  No position map is kept: a slot is
+found by bisecting its left code times R in its grade's codes
+(_slot_starts).  Multiplicities alone come from tensor_mult, with no
+slot enumerated.  Atomic objects and every tensor product are laid out on
 first read: tensor_obj enumerates no slot, and a product's multiplicities
 too are computed only when something reads them, so a product that is
 only tested for zero, compared or sized lays out nothing.  tensor_mor
@@ -75,8 +73,6 @@ GradedMorphism._of instead, as Matrix._of does one level down.
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 
 from .errors import CategoryMismatch, ShapeError, SpecError
 from .exactlin import Matrix, kernel_basis, parse_rat, rat_str
@@ -150,7 +146,7 @@ class GradedObject:
         at grades of cat; seq is a tuple of alphabets of cat; layout has
         exactly the grades of mult, and layout[g] is a sorted tuple of
         mult[g] distinct codes over seq, each standing for a word that sits
-        at g (see _tensor_layout).  Both dicts become the object's own and
+        at g (see _slot_starts).  Both dicts become the object's own and
         must not be mutated afterwards.  A value that breaks the invariant
         makes equality, hashing and the tensor layouts silently wrong.  The
         producers are held to it by
@@ -306,48 +302,24 @@ def _tensor_layout(v, w):
     """Enumerate the slots of v (x) w, and return v (x) w.
 
     The slot (g1, i, g2, j) has the code v.layout[g1][i] * R +
-    w.layout[g2][j] over v.seq + w.seq, with R = radix(w.seq).  Slots are
-    sorted by code, and no product code is compared to put them in that
-    order.  A product code compares by its left factor's code first and by
-    the right one on a tie (0 <= right code < R), and each factor's codes
-    are sorted.  So one walk fills every grade in order: it takes v's
-    slots as maximal runs of one grade g1 in code order, and each run
-    visits w's grades once and appends its codes times w.layout[g2] to
-    h = g1.g2, i then j.  The runs are v's grades as they stand when each
-    grade's codes lie at or above those of the grade before it (an atomic
-    object with its grades in order, or the unit, whose grades all hold
-    code 0), v's grades sorted by first code when each grade's codes are
-    one run in another order (any other atomic object), and otherwise
-    come from one sort of v's slots (say a tensor product whose grades
-    interleave).
-
-    Within h the runs arrive in increasing left code, with no tie: two
-    left slots with equal words never feed the same grade.  Every letter
-    is atomic, and a non-empty word sits at the composite of its letters'
-    grades, so equal words at different grades can only be the unit's
-    empty words, at identity grades e != e', and e.g2 = e'.g2' = h forces
-    e = e' = source(h).  No public path can place a word off its grade: no
-    public constructor takes words, and every producer keeps each word at
-    its grade.
-
-    No position map is built: the slots are found again by _slot_starts.
-    Grades keep the order in which the loop over (g1, g2) first meets them:
-    the walk meets them in that order when its runs are v's grades as they
-    stand, and otherwise that loop runs once more, without enumerating,
-    until it has met every grade.
-
+    w.layout[g2][j] over v.seq + w.seq, with R = radix(w.seq).  One loop
+    over the composable grade pairs (g1, g2), g1 in v's layout order and
+    g2 in w's, appends each pair's codes, i then j, to grade h = g1.g2,
+    and each grade's codes are then sorted once.  Grades keep the order in
+    which that loop first meets them.  A grade fed by one pair arrives
+    sorted already (both factors' codes are sorted, and a product code
+    compares by its left code first), so its sort is one pass.  No
+    position map is built: the slots are found again by _slot_starts.
     Nothing is kept between calls: each call enumerates afresh, and a
     caller that needs one layout for two sides reuses the one object
     returned (tensor_mor's endomorphism pairs)."""
     cat = _same_cat(v, w)
-    vl, wl = v.layout, w.layout
     table = cat.compose_table
-    runs, in_order = _code_runs(tuple(vl.items()))
-    r, wi = radix(w.seq), tuple(wl.items())
+    r, wi = radix(w.seq), tuple(w.layout.items())
     acc = {}
-    for g1, cs1 in runs:
+    for g1, cs1 in v.layout.items():
         row = table[g1]
-        # One-slot runs take their own loop, which appends a single int
+        # One-slot grades take their own loop, which appends a single int
         # per one-slot grade of w (kG (x) kG is only that); folding it
         # into the general loop cost ~7% of the enumeration time.
         if len(cs1) == 1:
@@ -378,56 +350,11 @@ def _tensor_layout(v, w):
             else:
                 codes += [b + c2 for b in base for c2 in cs2]
     layout, mult = {}, {}
-    if in_order:
-        for h, codes in acc.items():
-            layout[h] = tuple(codes)
-            mult[h] = len(codes)
-    else:
-        left = len(acc)
-        for g1 in vl:
-            row = table[g1]
-            for g2 in wl:
-                h = row[g2]
-                if h is not None and h not in layout:
-                    codes = acc[h]
-                    layout[h] = tuple(codes)
-                    mult[h] = len(codes)
-                    left -= 1
-            if not left:
-                break
+    for h, codes in acc.items():
+        codes.sort()
+        layout[h] = tuple(codes)
+        mult[h] = len(codes)
     return GradedObject._of(cat, mult, v.seq + w.seq if mult else (), layout)
-
-
-def _code_runs(items):
-    """(runs, in_order): the slots of an object whose layout items are
-    items, in code order, as maximal runs of one grade, each a (grade,
-    codes) pair.  in_order says that the runs are items as they stand,
-    each grade one run, in its layout order; otherwise they are items
-    sorted by first code, when each grade is still one run, and else come
-    from one sort of all the slots (a grade can then be split over several
-    runs, each a stretch of its codes in order).  See _tensor_layout."""
-    if len(items) < 2 or _contiguous(items):
-        return items, True
-    runs = sorted(items, key=itemgetter(1))
-    if not _contiguous(runs):
-        slots = sorted([(c, g) for g, codes in items for c in codes])
-        runs = [(g, [c for c, _ in run])
-                for g, run in groupby(slots, itemgetter(1))]
-    return runs, False
-
-
-def _contiguous(runs):
-    """Whether the (grade, codes) items runs are, in their order, the
-    maximal same-grade runs of their slots in code order: each grade's
-    first code is at or above the last code of the grade before it.  Only
-    slots with the empty word tie, as the unit's grades all hold code 0,
-    and tied slots never feed one grade of a product (_tensor_layout)."""
-    last = -1
-    for _, codes in runs:
-        if codes[0] < last:
-            return False
-        last = codes[-1]
-    return True
 
 
 def _slot_starts(codes, left, r):
@@ -435,9 +362,14 @@ def _slot_starts(codes, left, r):
     are v (x) w's at grade h = g1.g2, left is v.layout[g1] and r is
     radix(w.seq); slot (g1, i, g2, j) sits at entry i plus j.  In h the
     slots with left code c are exactly the codes in [c * r, (c + 1) * r),
-    in order of j: g1 and h fix g2 (a groupoid cancels), and left codes
-    never tie within a grade (_tensor_layout).  left is increasing, so
-    each bisection starts where the last one ended."""
+    in order of j: g1 and h fix g2 (a groupoid cancels), and no two left
+    slots with one word feed h.  Every letter is atomic and a non-empty
+    word sits at the composite of its letters' grades, so equal words at
+    two grades can only be the unit's empty words, at identity grades
+    e != e', and e.g2 = e'.g2' = h forces e = e' = source(h).  No public
+    constructor takes words, and every producer keeps each word at its
+    grade.  left is increasing, so each bisection starts where the last
+    one ended."""
     out, lo = [], 0
     for c in left:
         lo = bisect_left(codes, c * r, lo)

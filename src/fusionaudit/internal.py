@@ -19,13 +19,14 @@ from .exactlin import Matrix
 from .groupoid import _spec_ints
 from .gvec import (
     MAX_PRODUCT_SLOTS, MAX_TOTAL_MULT, GradedMorphism, GradedObject,
-    _blocks_from_spec, _blocks_to_spec, _code_runs, _dual_layout,
-    _mult_product, _transposed, compose, direct_sum_obj,
+    _blocks_from_spec, _blocks_to_spec, _dual_layout, _mult_product,
+    _slot_starts, _transposed, compose, direct_sum_obj,
     direct_sum_with_maps, graded_object,
     identity_mor, left_dual, object_from_spec, object_to_spec,
     restrict_grades, restriction_inclusion, restriction_projection,
     tensor_mor, tensor_mult, tensor_obj, total_mult, unit_object,
     unit_summand)
+from .slotcodes import radix
 
 __all__ = [
     "InternalAlgebra", "InternalCoalgebra",
@@ -59,7 +60,11 @@ class InternalAlgebra:
         if unit.source != unit_object(carrier.cat) or unit.target != carrier:
             raise ShapeError("unit endpoints do not match carrier")
         self.carrier = carrier
-        self._mult = mult
+        # The checks compare multiplicities alone, so mult's blocks are
+        # read over carrier (x) carrier's slots, however its endpoints
+        # were laid out; the canonical columns read that square's layout.
+        self._mult = GradedMorphism._of(tensor_obj(carrier, carrier),
+                                        carrier, mult.blocks)
         self.unit = unit
 
     @classmethod
@@ -160,70 +165,35 @@ def _is_square(v, carrier):
 # ---------------------------------------------------------------------------
 # canonical pair-slot order
 
-def _pair_stretches(carrier):
-    """Per grade h of carrier (x) carrier: the stretches (g1, p, q) of
-    memory positions p..q-1 that each run of the carrier's slots feeds,
-    sorted, so in canonical order (composable grade pairs (g1, g2) sorted
-    by enumeration index, slot pairs row-major).
-
-    One walk over the carrier's slots in code order, taken in maximal runs
-    of one grade as _tensor_layout takes them (gvec._code_runs), meets the
-    square's slots in memory order, so a slot's position is a running
-    count per grade, and the square is not laid out.  A run of n slots at
-    g1 and a right grade g2 of n2 slots feed one stretch of n * n2
-    consecutive positions of grade h = g1.g2, row-major; the next run at
-    g1 feeds the next rows.  Within h, g1 fixes g2 (a groupoid cancels),
-    so the stretches sorted by (g1, position) are canonical order."""
-    items = tuple(carrier.layout.items())
+def _reordered_columns(carrier, square):
+    """Per grade of square, carrier (x) carrier as _tensor_layout lays it
+    out: the memory position of every slot, listed in canonical order, or
+    None at each grade whose memory order is canonical already, as at
+    every grade of an atomic carrier with its grades in index order.  A
+    block at such a grade needs no re-indexing.  gvec._slot_starts finds
+    slot (g1, i, g2, 0) once per composable grade pair, and slot (g1, i,
+    g2, j) follows it."""
+    cl, sl, r = carrier.layout, square.layout, radix(carrier.seq)
     table = carrier.cat.compose_table
-    at, stretches = {}, {}
-    for g1, cs1 in _code_runs(items)[0]:
-        n = len(cs1)
-        row = table[g1]
-        for g2, cs2 in items:
+    grades = sorted(cl)
+    out = {h: [] for h in sl}
+    for g1 in grades:
+        row, left = table[g1], cl[g1]
+        for g2 in grades:
             h = row[g2]
-            if h is None:
-                continue
-            p = at.get(h, 0)
-            q = at[h] = p + n * len(cs2)
-            dst = stretches.get(h)
-            if dst is None:
-                dst = stretches[h] = []
-            dst.append((g1, p, q))
-    for parts in stretches.values():
-        parts.sort()
-    return stretches
-
-
-def _stretch_columns(parts):
-    cols = []
-    for _, p, q in parts:
-        cols += range(p, q)
-    return cols
-
-
-def _reordered_columns(carrier):
-    """Per grade of carrier (x) carrier: the memory position of every
-    slot, listed in canonical order (see _pair_stretches), or None at each
-    grade whose memory order is canonical already: its sorted stretches
-    tile 0, 1, ... in order, as they do at every grade of an atomic
-    carrier with its grades in index order.  A block at such a grade
-    needs no re-indexing."""
-    out = {}
-    for h, parts in _pair_stretches(carrier).items():
-        end = 0
-        for _, p, q in parts:
-            if p != end:
-                out[h] = _stretch_columns(parts)
-                break
-            end = q
-        else:
-            out[h] = None
-    return out
+            if h is not None:
+                n = len(cl[g2])
+                out[h] += [s + j for s in _slot_starts(sl[h], left, r)
+                           for j in range(n)]
+    return {h: None if cols == list(range(len(cols))) else cols
+            for h, cols in out.items()}
 
 
 def _canonical_pair_blocks(carrier, mult):
-    cols = _reordered_columns(carrier)
+    """mult's blocks with their columns in canonical order: the columns
+    index mult.source's slots, carrier (x) carrier's as every producer and
+    the public constructor lay it out."""
+    cols = _reordered_columns(carrier, mult.source)
     return {g: b if cols[g] is None else b.columns(cols[g])
             for g, b in mult.blocks.items()}
 

@@ -20,8 +20,10 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 import fusionaudit
+from fusionaudit.corpus import _below
 from fusionaudit.groupoid import (
     Groupoid, disjoint_union, make_group, make_pair_groupoid)
+from fusionaudit.gvec import graded_object
 
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("sweep", derandomize=False)
@@ -162,6 +164,17 @@ def symmetric_group_spec(n, seed):
     return {"kind": "group", "table": table}
 
 
+def random_object_or_zero(cat, rng, max_total):
+    """An atomic object of total multiplicity 0 to max_total, the zero
+    object included: its total is _below(rng, max_total + 1), and its
+    grades are drawn one per unit, as corpus.random_object draws them."""
+    mult = {}
+    for _ in range(_below(rng, max_total + 1)):
+        g = _below(rng, cat.morphism_count)
+        mult[g] = mult.get(g, 0) + 1
+    return graded_object(cat, mult)
+
+
 def _relabelled(cat, perm):
     """cat with morphism g renamed perm[g]: the same groupoid, enumerated
     in another order."""
@@ -182,15 +195,39 @@ def _cyclic(n):
     return make_group([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
+def _product(a, b):
+    """The product groupoid a x b, with object (i, j) numbered
+    i * b.object_count + j and morphism (g, k) numbered
+    g * b.morphism_count + k, composed factor by factor."""
+    nb, mb = b.object_count, b.morphism_count
+    ta, tb = a.compose_table, b.compose_table
+    pairs = [(g, k) for g in range(a.morphism_count) for k in range(mb)]
+    table = [[None if ta[g][h] is None or tb[k][l] is None
+              else ta[g][h] * mb + tb[k][l] for h, l in pairs]
+             for g, k in pairs]
+    return Groupoid(
+        a.object_count * nb,
+        [(sa * nb + sb, xa * nb + xb) for sa, xa in a.morphisms
+         for sb, xb in b.morphisms],
+        [a.identity_of[i] * mb + b.identity_of[j]
+         for i in range(a.object_count) for j in range(nb)],
+        table, [a.inverse_of[g] * mb + b.inverse_of[k] for g, k in pairs])
+
+
 @st.composite
 def _small_groupoids(draw):
-    """Unions of up to three cyclic groups of order <= 3, or a pair
-    groupoid on <= 3 objects with its morphisms enumerated in a random
-    order."""
-    if draw(st.booleans()):
+    """Unions of up to three cyclic groups of order <= 3, a pair groupoid
+    on <= 3 objects, or a product pair(n) x Z_k with 2 <= n, k <= 3, the
+    last two with their morphisms enumerated in a random order."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
         cat = _cyclic(draw(st.integers(1, 3)))
         for _ in range(draw(st.integers(0, 2))):
             cat = disjoint_union(cat, _cyclic(draw(st.integers(1, 3))))
         return cat
-    cat = make_pair_groupoid(draw(st.integers(1, 3)))
+    if kind == 1:
+        cat = make_pair_groupoid(draw(st.integers(1, 3)))
+    else:
+        cat = _product(make_pair_groupoid(draw(st.integers(2, 3))),
+                       _cyclic(draw(st.integers(2, 3))))
     return _relabelled(cat, draw(st.permutations(range(cat.morphism_count))))

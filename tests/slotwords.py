@@ -10,8 +10,7 @@ the form the module docstrings describe: a word is a tuple of letters
 """
 
 from fusionaudit.errors import ShapeError
-from fusionaudit.gvec import GradedObject, _slot_starts, _tensor_layout
-from fusionaudit.internal import _pair_stretches, _stretch_columns
+from fusionaudit.gvec import GradedObject, _slot_starts
 from fusionaudit.slotcodes import Alphabet, radix
 
 
@@ -170,28 +169,10 @@ def bisected_pos(v, w, vw):
 
 def pair_columns(carrier):
     """Per grade of carrier (x) carrier: the memory position of every slot,
-    listed in canonical order, read off internal._pair_stretches, the one
-    walk over the carrier's slots that the spec form's column order
-    (internal._reordered_columns) comes from."""
-    return {h: _stretch_columns(parts)
-            for h, parts in _pair_stretches(carrier).items()}
-
-
-def bisected_pair_columns(carrier):
-    """The reference for pair_columns, by per-pair bisection:
-    per grade h of carrier (x) carrier, the memory position of each slot
-    in canonical order, composable grade pairs (g1, g2) sorted by
-    enumeration index and slot pairs row-major, where gvec._slot_starts
-    finds slot (g1, i, g2, 0) once per composable grade pair."""
-    cxc = _tensor_layout(carrier, carrier)
-    cl, r = carrier.layout, radix(carrier.seq)
-    out = {h: [] for h in cxc.layout}
-    for g1 in sorted(cl):
-        row = carrier.cat.compose_table[g1]
-        for g2 in sorted(cl):
-            h = row[g2]
-            if h is not None:
-                out[h] += [s + j for s in _slot_starts(cxc.layout[h],
-                                                       cl[g1], r)
-                           for j in range(len(cl[g2]))]
-    return out
+    listed in canonical order (composable grade pairs (g1, g2) sorted by
+    enumeration index, slot pairs row-major), read off the word-sorted
+    reference: a slot's memory position is its word's rank in its grade."""
+    words = slot_words(carrier)
+    _, pos = sorted_tensor_words(carrier.cat, words, words)
+    return {h: [p for pair in sorted(pairs) for p in pairs[pair]]
+            for h, pairs in pos.items()}

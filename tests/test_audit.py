@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from conftest import (
-    COERCED_GENERATOR_SPECS, cli_env, symmetric_group_spec)
+    COERCED_GENERATOR_SPECS, _cyclic, _product, _relabelled, cli_env,
+    symmetric_group_spec)
 from fusionaudit import audit, cli, functors, grothendieck
 from fusionaudit.audit import (
     CONDITIONS, check_algebra_report, gr_report, render_report,
@@ -16,7 +17,7 @@ from fusionaudit.audit import (
 from fusionaudit.corpus import algebra_corpus
 from fusionaudit.errors import ConsistencyError, SpecError
 from fusionaudit.fixtures import FIXTURE_NAMES, fixture_spec, load_fixture
-from fusionaudit.groupoid import groupoid_from_spec
+from fusionaudit.groupoid import groupoid_from_spec, make_pair_groupoid
 from fusionaudit.gvec import (
     GradedObject, cokernel, compose, hom_basis, identity_mor, is_epi,
     is_iso, is_mono, kernel, morphism_from_spec, morphism_to_spec,
@@ -371,13 +372,12 @@ def test_corpus_carriers_fit_object_specs(monkeypatch):
     the cap is input, and still a SpecError."""
     from fusionaudit import gvec, internal
     cat = load_fixture("pair2")
-    corpus = algebra_corpus(cat, random.Random(1), internal_ends=3, sums=3)
+    corpus = algebra_corpus(cat, random.Random(1), 3)
     top = max(gvec.total_mult(a.carrier) for a in corpus)
     for cap in (top, top - 1):
         for mod in (gvec, internal):
             monkeypatch.setattr(mod, "MAX_TOTAL_MULT", cap)
-        for a in algebra_corpus(cat, random.Random(1), internal_ends=3,
-                                sums=3):
+        for a in algebra_corpus(cat, random.Random(1), 3):
             assert gvec.total_mult(a.carrier) <= cap
             assert algebra_from_spec(
                 cat, algebra_to_spec(a)).carrier == a.carrier
@@ -1061,6 +1061,49 @@ def test_pair4_report_golden():
         == GOLDEN_PAIR4_REPORT
 
 
+# pair(n) x Z_k: several objects with a non-trivial group at each, a
+# shape no fixture has.
+PRODUCTS = {"pair2xZ2": (2, 2), "pair2xZ3": (2, 3), "pair3xZ2": (3, 2)}
+
+
+def _relabelling_invariants(report):
+    """What an audit must keep when the groupoid's morphisms are only
+    renumbered."""
+    structural = report["structural"]
+    return (report["unit_simple"],
+            [report["conditions"][str(k)]["holds"] for k in range(1, 16)],
+            structural["grothendieck"]["nonzero_constants"],
+            structural["unit_summands"])
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_product_groupoid_audits_agree_under_relabelling(name):
+    """At audit seeds 1 and 2 (corpus 2, samples 4), the audits of a
+    product groupoid and of a copy with its morphisms renumbered are
+    consistent and every witness of each re-verifies; a rerun writes the
+    same bytes, and the copy has the same unit simplicity, verdicts,
+    non-zero ring constants and unit summands."""
+    n, k = PRODUCTS[name]
+    cat = _product(make_pair_groupoid(n), _cyclic(k))
+    perm = list(range(cat.morphism_count))
+    random.Random(name).shuffle(perm)
+    twin = _relabelled(cat, perm)
+    assert twin != cat
+    for seed in (1, 2):
+        rep, other = (run_audit(c, seed=seed, corpus_size=2, samples=4)
+                      for c in (cat, twin))
+        for c, report in ((cat, rep), (twin, other)):
+            assert report["consistency"]
+            for cond in range(2, 16):
+                entry = report["conditions"][str(cond)]
+                assert entry["holds"] or reverify_witness(
+                    c, cond, entry["witness"])
+        again = run_audit(cat, seed=seed, corpus_size=2, samples=4)
+        assert json.dumps(again, sort_keys=True) \
+            == json.dumps(rep, sort_keys=True)
+        assert _relabelling_invariants(other) == _relabelling_invariants(rep)
+
+
 # name -> (live corpus indices, distinct live algebra objects) at audit
 # seed 1, corpus 2.  On a one-object groupoid corpus indices 1-3 all draw
 # kG, which algebra_corpus builds once, so each deterministic fact is
@@ -1080,8 +1123,8 @@ def _kept_corpus(monkeypatch):
     kept = []
     original = audit.algebra_corpus
 
-    def keep(cat, rng, **kwargs):
-        out = original(cat, rng, **kwargs)
+    def keep(cat, rng, size):
+        out = original(cat, rng, size)
         kept.append(out)
         return out
 
@@ -1166,8 +1209,8 @@ def test_audit_refuses_a_corpus_without_the_unit_summands_first(monkeypatch):
     # rather than read another algebra's verdict
     original = audit.algebra_corpus
 
-    def swapped(cat, rng, **kwargs):
-        out = original(cat, rng, **kwargs)
+    def swapped(cat, rng, size):
+        out = original(cat, rng, size)
         out[0], out[1] = out[1], out[0]
         return out
 

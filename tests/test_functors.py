@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _small_groupoids
+from conftest import _small_groupoids, random_object_or_zero
 from fusionaudit import functors, gvec
 from fusionaudit.audit import run_audit
 from fusionaudit.corpus import algebra_corpus, random_morphism, random_object
@@ -427,10 +427,10 @@ def _same_map(f, g):
 
 
 def _differential_objects(cat, rng):
-    x = random_object(cat, rng, max_total=2, allow_zero=True)
-    y = random_object(cat, rng, max_total=2, allow_zero=True)
+    x = random_object_or_zero(cat, rng, 2)
+    y = random_object_or_zero(cat, rng, 2)
     return [zero_object(cat), random_object(cat, rng, max_total=3),
-            random_object(cat, rng, max_total=3, allow_zero=True),
+            random_object_or_zero(cat, rng, 3),
             tensor_obj(x, y)]
 
 
@@ -652,8 +652,7 @@ def test_restricted_separability_corpus():
     its support, and the restricted unit 1_J -> A_J of that corner has a
     retraction, found by find_retraction and checked by composing."""
     for cat in (Z2, P2, U22):
-        corpus = algebra_corpus(cat, random.Random(617), internal_ends=2,
-                                sums=2)
+        corpus = algebra_corpus(cat, random.Random(617), 2)
         corner = run_audit(cat, seed=617)["structural"]["corner_algebras"]
         assert [e["index"] for e in corner] \
             == [i for i, a in enumerate(corpus) if not a.is_zero()]

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _small_groupoids, symmetric_group_spec
+from conftest import (
+    _small_groupoids, random_object_or_zero, symmetric_group_spec)
 from fusionaudit import gvec, slotcodes
 from fusionaudit.audit import run_audit
 from fusionaudit.corpus import (
@@ -724,9 +725,10 @@ def _compare_samplers(cat, seed, zero_weight):
     fast, slow = random.Random(seed), random.Random(seed)
     dropped = 0
     for max_total, allow_zero in ((4, False), (3, True), (2, False)):
-        v = random_object(cat, fast, max_total, allow_zero)
+        draw = random_object_or_zero if allow_zero else random_object
+        v = draw(cat, fast, max_total)
         _same_object(v, _validating_object(cat, slow, max_total, allow_zero))
-        w = random_object(cat, fast, max_total, allow_zero)
+        w = draw(cat, fast, max_total)
         _same_object(w, _validating_object(cat, slow, max_total, allow_zero))
         for a, b in ((v, w), (w, v), (v, v)):
             f = random_morphism(a, b, fast, zero_weight)
@@ -784,8 +786,9 @@ def _randrange_entry(rng, zero_weight):
 @pytest.mark.parametrize("zero_weight", [0, 2, 5])
 @pytest.mark.parametrize("grades", sorted(_SAMPLER_CATS))
 def test_samplers_draw_as_randrange(grades, zero_weight):
-    """random_object and random_morphism, which draw in rejection loops of
-    their own, give the values of a reference built on rng.randrange:
+    """random_object, conftest's random_object_or_zero and
+    random_morphism, which draw in rejection loops, give the values of a
+    reference built on rng.randrange:
     multiplicities in drawing order, then every block's dense rows, blocks
     in set(v.mult) & set(w.mult) order, all-zero blocks dropped; and they
     leave an equal rng.getstate()."""
@@ -796,7 +799,8 @@ def test_samplers_draw_as_randrange(grades, zero_weight):
         objs = []
         for max_total, allow_zero in ((4, False), (3, True), (1, False),
                                       (6, False)):
-            v = random_object(cat, ours, max_total, allow_zero)
+            draw = random_object_or_zero if allow_zero else random_object
+            v = draw(cat, ours, max_total)
             mult = {}
             for _ in range(ref.randrange(0 if allow_zero else 1,
                                          max_total + 1)):
@@ -969,7 +973,7 @@ def _differential_factors(cat, rng):
     fast paths of tensor_mor: a hand-built identity, which must take the
     general path, and an idempotent whose blocks are the interned identity
     at some grades only."""
-    x = random_object(cat, rng, max_total=2, allow_zero=True)
+    x = random_object_or_zero(cat, rng, 2)
     y = random_object(cat, rng, max_total=2)
     objs = [zero_object(cat), unit_object(cat),
             random_object(cat, rng, max_total=3),
@@ -1123,11 +1127,10 @@ def _sorted_tensor_layout(v, w):
 
 
 def _layout_objects(cat, rng):
-    """Objects whose products reach each way _tensor_layout takes its
-    left runs (grades in order, grades sorted, slots sorted): atomic
-    ones, corpus carriers, the unit (the same empty word at every
-    identity grade), unit (+) unit, nested direct sums, and duals of
-    tensor products."""
+    """Objects whose products feed grades from one pair and from several,
+    with the pairs' slots apart or interleaved: atomic ones, corpus
+    carriers, the unit (the same empty word at every identity grade),
+    unit (+) unit, nested direct sums, and duals of tensor products."""
     x = random_object(cat, rng, max_total=3)
     y = random_object(cat, rng, max_total=3)
     unit = unit_object(cat)
@@ -1203,49 +1206,13 @@ def _one_run_per_grade(v):
     return all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
 
 
-def test_single_pair_grades_skip_the_sort(monkeypatch):
-    """_tensor_layout sorts none of v's slots when each grade of v is one
-    run of consecutive codes, and sorts them once otherwise; the only
-    other sort it makes is one of v's grades by first code.  All three
-    cases occur: no sort, v's grades only, v's slots.  Both factors are
-    read first, since an atomic object sorts its multiplicities when its
-    slots are first read."""
-    rng = random.Random(425)
-    cases = [(v, w) for cat in CATS + [S4]
-             for objs in [_layout_objects(cat, rng)]
-             for v in objs for w in objs]
-    sorts = []
-
-    def counted(items, **kwargs):
-        items = list(items)
-        sorts.append(items)
-        return sorted(items, **kwargs)
-
-    monkeypatch.setattr(gvec, "sorted", counted, raising=False)
-    kinds = set()
-    for v, w in cases:
-        v.layout, w.layout  # lay out atomic factors before counting
-        sorts.clear()
-        _tensor_layout(v, w)
-        slots = sorted((c, g) for g, codes in v.layout.items()
-                       for c in codes)
-        of_slots = [items for items in sorts if sorted(items) == slots]
-        of_grades = [items for items in sorts
-                     if sorted(g for g, _ in items) == sorted(v.layout)]
-        assert len(of_slots) + len(of_grades) == len(sorts) <= 2
-        assert len(of_grades) <= 1
-        assert len(of_slots) == (0 if _one_run_per_grade(v) else 1)
-        kinds.add((len(of_grades), len(of_slots)))
-    assert {(0, 0), (1, 0), (1, 1)} <= kinds
-
-
 def test_split_left_runs_match_sorted_reference():
-    """Left factors whose grades are not each one run of codes take the
-    sort of their slots: a tensor product whose grades interleave, and a
-    dual of one.  The unit of a multi-object groupoid, code 0 at every
-    identity grade, ties across grades and is walked in its grade order.
-    Each product with them, on either side, equals the word-sorted
-    reference, grade order included."""
+    """Left factors whose grades are not each one run of codes, so that
+    a grade of a product merges several pairs' codes in its sort: a
+    tensor product whose grades interleave, and a dual of one.  The unit
+    of a multi-object groupoid, code 0 at every identity grade, ties
+    across grades.  Each product with them, on either side, equals the
+    word-sorted reference, grade order included."""
     rng = random.Random(426)
     for cat in (P2, P3, U22, S3):
         x = graded_object(cat, {g: 1 + g % 2
@@ -1475,8 +1442,8 @@ def test_zero_sample_tensor_looks_nothing_up(monkeypatch):
 
     cases = []
     for _ in range(20):
-        v = random_object(S4, rng, allow_zero=True)
-        w = random_object(S4, rng, allow_zero=True)
+        v = random_object_or_zero(S4, rng, 4)
+        w = random_object_or_zero(S4, rng, 4)
         with monkeypatch.context() as m:
             for owner in (gvec, slotcodes):
                 m.setattr(owner, "Alphabet", refused)
@@ -1770,7 +1737,7 @@ def _random_tree(cat, rng, depth, seen):
         kind = rng.choice(("atomic", "unit", "kernel", "image"))
         seen[kind] += 1
         if kind == "atomic":
-            x = random_object(cat, rng, max_total=2, allow_zero=True)
+            x = random_object_or_zero(cat, rng, 2)
             return x, _ref_atomic(x.mult)
         if kind == "unit":
             return unit_object(cat), {e: ((),) for e in cat.identity_grades}

@@ -18,7 +18,7 @@ from fusionaudit.exactlin import Matrix
 from fusionaudit.fixtures import FIXTURE_NAMES, load_fixture
 from fusionaudit.groupoid import groupoid_from_spec
 from fusionaudit.gvec import (
-    GradedMorphism, _code_runs, cokernel, compose, direct_sum_obj,
+    GradedMorphism, cokernel, compose, direct_sum_obj,
     direct_sum_with_maps, dual_morphism, graded_object, identity_mor, is_epi,
     is_mono, restrict_grades, simple_object, tensor_mor, tensor_obj,
     unit_object, unit_summand, zero_mor, zero_object)
@@ -28,7 +28,7 @@ from fusionaudit.internal import (
     internal_end, restriction_data, support,
     unit_summand_algebra, validate_algebra, validate_coalgebra)
 from fusionaudit.morphcalc import find_retraction, find_section
-from slotwords import bisected_pair_columns, pair_columns, seq_parts
+from slotwords import pair_columns, seq_parts
 
 VEC = load_fixture("vec")
 Z2 = load_fixture("vec_z2")
@@ -106,7 +106,7 @@ def test_corpus_algebras_validate():
             assert validate_coalgebra(dualize_algebra(a))["ok"]
 
 
-def _corpus_built_anew(cat, rng, internal_ends=2, sums=2):
+def _corpus_built_anew(cat, rng, size=2):
     """algebra_corpus's recipe with every entry built anew, sharing
     nothing: the oracle for its draws."""
     n = cat.object_count
@@ -115,9 +115,9 @@ def _corpus_built_anew(cat, rng, internal_ends=2, sums=2):
     for _ in range(2):
         out.append(groupoid_algebra(
             cat, rng.sample(range(n), rng.randrange(1, n + 1))))
-    for _ in range(internal_ends):
+    for _ in range(size):
         out.append(internal_end(random_object(cat, rng, max_total=2)))
-    for _ in range(sums):
+    for _ in range(size):
         out.append(direct_sum_algebra(rng.choice(out), rng.choice(out)))
     return out
 
@@ -142,7 +142,7 @@ def test_corpus_builds_each_groupoid_algebra_and_sum_once(monkeypatch):
         n = cat.object_count
         for seed in range(1, 6):
             del built[:], sums[:]
-            out = algebra_corpus(cat, random.Random(seed), sums=4)
+            out = algebra_corpus(cat, random.Random(seed), 4)
             assert len(built) == len(set(built)) and built
             assert len(sums) == len(set(sums)) and sums
             kgs = out[n:n + 3]
@@ -163,12 +163,12 @@ def test_corpus_redraws_sums_over_the_cap(monkeypatch):
     for cat in CATS + [VEC]:
         n = cat.object_count
         for seed in range(40):
-            full = algebra_corpus(cat, random.Random(seed), sums=4)
+            full = algebra_corpus(cat, random.Random(seed), 4)
             with monkeypatch.context() as m:
                 for mod in (gvec, internal):
                     m.setattr(mod, "MAX_TOTAL_MULT", 2)
-                out = algebra_corpus(cat, random.Random(seed), sums=4)
-            assert len(out) == len(full) == n + 3 + 2 + 4
+                out = algebra_corpus(cat, random.Random(seed), 4)
+            assert len(out) == len(full) == n + 3 + 4 + 4
             assert all(gvec.total_mult(a.carrier) <= 2 for a in out[-4:])
             redrawn += any(gvec.total_mult(a.carrier) > 2
                            for a in full[-4:])
@@ -191,7 +191,7 @@ def test_corpus_builds_each_internal_end_once(monkeypatch):
         n = cat.object_count
         for seed in range(1, 21):
             del ends[:]
-            out = algebra_corpus(cat, random.Random(seed), internal_ends=3)
+            out = algebra_corpus(cat, random.Random(seed), 3)
             assert len(ends) == len(set(ends))
             drawn = out[n + 3:n + 6]
             assert len({id(a) for a in drawn}) == len(ends)
@@ -203,8 +203,8 @@ def test_corpus_draws_match_building_every_entry_anew():
     for cat in CATS + [VEC, S4]:
         for seed in range(1, 6):
             rng, fresh_rng = random.Random(seed), random.Random(seed)
-            out = algebra_corpus(cat, rng, sums=4)
-            fresh = _corpus_built_anew(cat, fresh_rng, sums=4)
+            out = algebra_corpus(cat, rng, 4)
+            fresh = _corpus_built_anew(cat, fresh_rng, 4)
             assert out == fresh
             assert rng.getstate() == fresh_rng.getstate()
 
@@ -228,7 +228,7 @@ def test_direct_sum_algebra_matches_compose_form(cat, seed):
     multiplication satisfies m_s (i_x (x) i_y) = delta_xy i_x m_x for the
     summand injections i_a, i_b."""
     rng = random.Random(seed)
-    pool = algebra_corpus(cat, rng, internal_ends=1, sums=1)
+    pool = algebra_corpus(cat, rng, 1)
     for _ in range(3):
         a, b = rng.choice(pool), rng.choice(pool)
         got = direct_sum_algebra(a, b)
@@ -405,39 +405,43 @@ def _summand_carriers(cat, rng):
             direct_sum_obj(x, unit_object(cat)), direct_sum_obj(end, x)]
 
 
+def _bisected_columns(carrier):
+    """internal._reordered_columns over carrier (x) carrier, found by
+    per-pair bisection, with each None (memory order already canonical)
+    spelled out as the memory order."""
+    square = tensor_obj(carrier, carrier)
+    cols = internal._reordered_columns(carrier, square)
+    return {h: list(range(square.mult[h])) if c is None else c
+            for h, c in cols.items()}
+
+
 @settings(max_examples=40, deadline=None)
 @given(_small_groupoids(), st.integers(0, 2**32 - 1))
 def test_pair_columns_match_bisection(cat, seed):
     for c in _summand_carriers(cat, random.Random(seed)):
-        assert pair_columns(c) == bisected_pair_columns(c)
+        assert pair_columns(c) == _bisected_columns(c)
 
 
-def test_pair_columns_cover_every_run_shape(monkeypatch):
-    """On the fixtures and S4 the one walk of pair_columns meets every
-    shape of _code_runs (grades in layout order, tied codes, grades out
-    of code order, and a grade split over several runs), and gives the
-    per-pair bisection's columns without calling _slot_starts."""
+def test_pair_columns_match_bisection_on_fixtures():
+    """On the fixtures and S4, carriers whose grades are in index order or
+    out of it, whose codes tie at the unit's identity grades, or whose
+    grades interleave their codes (internal_end carriers) have the
+    word-sorted canonical columns by internal._reordered_columns, in the
+    square's grade order, which gives None at some grades and lists the
+    columns at others."""
     rng = random.Random(509)
     carriers = [groupoid_algebra(S4, {0}).carrier]
     for cat in CATS:
         two = graded_object(cat, {0: 1, cat.morphism_count - 1: 1})
         carriers += _summand_carriers(cat, rng) + [internal_end(two).carrier]
-    refs = [bisected_pair_columns(c) for c in carriers]
-
-    def forbidden(*args):
-        raise AssertionError("a per-pair slot list was built")
-
-    monkeypatch.setattr(gvec, "_slot_starts", forbidden)
-    shapes = set()
-    for c, ref in zip(carriers, refs):
-        assert pair_columns(c) == ref
-        runs, in_order = _code_runs(tuple(c.layout.items()))
-        shapes.add("in order" if in_order else "sorted")
-        if len(runs) > len(c.layout):
-            shapes.add("split")
-        if sum(1 for codes in c.layout.values() if codes[0] == 0) > 1:
-            shapes.add("tied")
-    assert shapes == {"in order", "sorted", "split", "tied"}
+    kinds = set()
+    for c in carriers:
+        ref = pair_columns(c)
+        cols = _bisected_columns(c)
+        assert cols == ref and list(cols) == list(ref)
+        kinds |= {x is None for x in
+                  internal._reordered_columns(c, tensor_obj(c, c)).values()}
+    assert kinds == {True, False}
 
 
 def _reindexed_blocks(carrier, f):
@@ -463,7 +467,8 @@ def test_canonical_forms_reindex_only_out_of_order_grades():
                                      unit_summand_algebra(cat, 0))):
             blocks = internal._canonical_pair_blocks(a.carrier, a.mult)
             assert blocks == _reindexed_blocks(a.carrier, a.mult)
-            cols = internal._reordered_columns(a.carrier)
+            cols = internal._reordered_columns(a.carrier,
+                                               a.mult.source)
             for g, b in a.mult.blocks.items():
                 if cols[g] is None:
                     kept += 1
@@ -482,6 +487,27 @@ def test_canonical_forms_reindex_only_out_of_order_grades():
                 assert (x == y) == _reindexed_equal(x, y)
             assert a == parsed and a != scaled
     assert kept and reordered
+
+
+def test_constructor_reads_another_source_as_the_square():
+    """A multiplication whose source equals carrier (x) carrier by
+    multiplicities but is laid out otherwise, as the public constructor
+    takes it, is read as the square slot for slot: an atomic source with
+    the same blocks gives an algebra that is equal, has the same spec, and
+    validates as the original does (vec_z2's and vec_s3's internal ends
+    failed associativity when the atomic source was kept)."""
+    for cat in CATS + [S4]:
+        two = graded_object(cat, {0: 1, cat.morphism_count - 1: 1})
+        for a in (internal_end(two), groupoid_algebra(cat, {0})):
+            atomic = graded_object(cat, dict(a.mult.source.mult))
+            b = InternalAlgebra(
+                a.carrier, GradedMorphism(atomic, a.carrier, a.mult.blocks),
+                a.unit)
+            assert b.mult.source == atomic and b.mult.target is a.carrier
+            assert b == a and a == b
+            assert algebra_to_spec(b) == algebra_to_spec(a)
+            assert validate_algebra(b) == validate_algebra(a)
+            assert validate_algebra(a)["ok"]
 
 
 def _reindexed_equal(x, y):

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _small_groupoids
+from conftest import _small_groupoids, random_object_or_zero
 from fusionaudit.corpus import random_morphism, random_object
 from fusionaudit.exactlin import Matrix
 from fusionaudit.fixtures import load_fixture
@@ -94,8 +94,8 @@ def test_rank_verdicts_match_witness_finders(cat, seed, shape):
     # out of a direct sum containing the other end, or unrelated ends, so
     # split monos, split epis and isos all occur
     rng = random.Random(seed)
-    v = random_object(cat, rng, max_total=3, allow_zero=True)
-    u = random_object(cat, rng, max_total=2, allow_zero=True)
+    v = random_object_or_zero(cat, rng, 3)
+    u = random_object_or_zero(cat, rng, 2)
     if shape == 0:
         w = v
     elif shape == 1:
